@@ -480,6 +480,7 @@ def cmd_train(cfg: RunConfig) -> int:
     split = None
     if cfg.task == "linkpred":
         split = build_link_split(graph, seed=cfg.link_seed)
+        split.validate(graph)
     elif graph.splits.get("test") is None or not graph.splits["test"].size:
         raise ConfigError("node classification needs a non-empty test split")
 
@@ -527,6 +528,7 @@ def cmd_ablate(cfg: RunConfig) -> int:
     split = None
     if cfg.task == "linkpred":
         split = build_link_split(graph, seed=cfg.link_seed)
+        split.validate(graph)
     elif graph.splits.get("test") is None or not graph.splits["test"].size:
         raise ConfigError("node classification needs a non-empty test split")
 

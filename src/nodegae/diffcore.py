@@ -154,6 +154,18 @@ def matmul(a: DiffTensor, b: DiffTensor) -> DiffTensor:
     return _record(out, "matmul", (a, b), backward_fn)
 
 
+def spmm(a, x: DiffTensor) -> DiffTensor:
+    """Constant scipy sparse matrix ``a`` times a 2-D tensor; only ``x`` gets gradients."""
+    if x.ndim != 2 or a.shape[1] != x.shape[0]:
+        raise DimensionError(f"spmm: cannot multiply shapes {a.shape} and {x.shape}")
+    out = a @ x.data
+
+    def backward_fn(g):
+        return (a.T @ g,)
+
+    return _record(out, "spmm", (x,), backward_fn)
+
+
 def relu(x: DiffTensor) -> DiffTensor:
     out = np.maximum(x.data, 0.0)
 
@@ -341,50 +353,6 @@ def l2_normalize_lastdim(x: DiffTensor) -> DiffTensor:
         return ((g - out * inner) / norm,)
 
     return _record(out, "l2_normalize_lastdim", (x,), backward_fn)
-
-
-OP_KINDS = (
-    "matmul", "add", "mul", "relu", "gelu", "softmax_lastdim", "layernorm_lastdim",
-    "embedding_lookup", "mean_lastaxis", "reshape", "concat", "transpose_last2",
-    "cross_entropy_logits",
-)
-
-
-def forward_op(op_kind: str, inputs: Sequence[DiffTensor], **kwargs) -> DiffTensor:
-    """Dispatch one recorded operation by name.
-
-    Non-tensor arguments (reshape target, lookup ids, targets) go through
-    ``kwargs``. Unknown kinds raise ``ContractError``.
-    """
-    if op_kind == "matmul":
-        return matmul(*inputs)
-    if op_kind == "add":
-        return add(*inputs)
-    if op_kind == "mul":
-        return mul(*inputs)
-    if op_kind == "relu":
-        return relu(*inputs)
-    if op_kind == "gelu":
-        return gelu(*inputs)
-    if op_kind == "softmax_lastdim":
-        return softmax_lastdim(*inputs)
-    if op_kind == "layernorm_lastdim":
-        return layernorm_lastdim(*inputs)
-    if op_kind == "embedding_lookup":
-        return embedding_lookup(inputs[0], kwargs["ids"])
-    if op_kind == "mean_lastaxis":
-        return mean_lastaxis(*inputs)
-    if op_kind == "reshape":
-        return reshape(inputs[0], kwargs["shape"])
-    if op_kind == "concat":
-        return concat(list(inputs), axis=kwargs.get("axis", 0))
-    if op_kind == "transpose_last2":
-        return transpose_last2(*inputs)
-    if op_kind == "cross_entropy_logits":
-        return cross_entropy_logits(inputs[0], kwargs["targets"],
-                                    ignore_index=kwargs.get("ignore_index"),
-                                    reduction=kwargs.get("reduction", "mean"))
-    raise ContractError(f"forward_op: unknown op_kind {op_kind!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,14 @@
 """Stage-2 models trained on frozen node embeddings.
 
 Three backbones (plain MLP, graph convolution, mean-aggregating
-message passing) share one parameter store and training loop. Node
-classification trains full batch with cross-entropy; link prediction
-trains on minibatches of positive and sampled negative pairs with a
-dot-product-plus-logistic scorer. Both keep the weights from the best
-validation epoch.
+message passing) share one parameter store and training loop. The graph
+backbones build their sparse operator (graphstore's normalized or mean
+adjacency) once, when the model is built, and apply it with
+``diffcore.spmm``. Node classification trains full batch with
+cross-entropy; link prediction trains on minibatches of positive and
+sampled negative pairs with a dot-product-plus-logistic scorer, or a
+small MLP head when the model carries one. Both keep the weights from the
+best validation epoch.
 """
 
 from dataclasses import dataclass
@@ -17,7 +20,7 @@ import numpy as np
 from . import diffcore as dc
 from .errors import ConfigError, ContractError, DimensionError
 from .evalmetrics import accuracy, roc_auc
-from .graphstore import LinkSplit, TextGraph, normalized_adjacency
+from .graphstore import LinkSplit, TextGraph, mean_adjacency, normalized_adjacency
 from .textcorpus import build_vocab, tokenize
 
 __all__ = [
@@ -27,8 +30,6 @@ __all__ = [
     "random_embeddings",
     "shallow_embeddings",
     "GnnModel",
-    "gcn_layer",
-    "sage_layer",
     "DownstreamConfig",
     "train_node_classifier",
     "predict_links",
@@ -123,63 +124,25 @@ def shallow_embeddings(graph: TextGraph, dim: int, seed: int = 0,
 BACKBONES = ("mlp", "gcn", "sage")
 
 
-def _dense_constant(matrix) -> dc.DiffTensor:
-    if hasattr(matrix, "toarray"):
-        matrix = matrix.toarray()
-    return dc.constant(np.asarray(matrix, dtype=np.float64))
-
-
-def _mean_aggregator(graph: TextGraph) -> np.ndarray:
-    """Row-stochastic neighbor averaging; isolated nodes get zero rows."""
-    n = graph.num_nodes
-    agg = np.zeros((n, n), dtype=np.float64)
-    for v in range(n):
-        nbrs = graph.neighbors(v)
-        if nbrs.size:
-            agg[v, nbrs] = 1.0 / nbrs.size
-    return agg
-
-
-def gcn_layer(h, a_hat, w, activate: bool = True) -> dc.DiffTensor:
-    """One graph convolution: relu(A_hat @ h @ w), identity when activate is off."""
-    h = h if isinstance(h, dc.DiffTensor) else dc.constant(h)
-    w = w if isinstance(w, dc.DiffTensor) else dc.constant(w)
-    a_hat = a_hat if isinstance(a_hat, dc.DiffTensor) else _dense_constant(a_hat)
-    if h.shape[-1] != w.shape[0]:
-        raise DimensionError(f"features {h.shape} do not chain with weights {w.shape}")
-    out = dc.matmul(dc.matmul(a_hat, h), w)
-    return dc.relu(out) if activate else out
-
-
-def sage_layer(h, graph: TextGraph, w_self, w_neigh, activate: bool = True
-               ) -> dc.DiffTensor:
-    """Self term plus neighbor-mean term; isolated nodes keep only self."""
-    h = h if isinstance(h, dc.DiffTensor) else dc.constant(h)
-    w_self = w_self if isinstance(w_self, dc.DiffTensor) else dc.constant(w_self)
-    w_neigh = w_neigh if isinstance(w_neigh, dc.DiffTensor) else dc.constant(w_neigh)
-    if h.shape[-1] != w_self.shape[0] or h.shape[-1] != w_neigh.shape[0]:
-        raise DimensionError(
-            f"features {h.shape} do not chain with weights {w_self.shape}")
-    agg = _dense_constant(_mean_aggregator(graph))
-    out = dc.add(dc.matmul(h, w_self), dc.matmul(dc.matmul(agg, h), w_neigh))
-    return dc.relu(out) if activate else out
-
-
 class GnnModel:
-    """Stacked backbone layers with inverted dropout between them."""
+    """Stacked backbone layers with inverted dropout between them.
+
+    Graph backbones hold their sparse propagation operator: the symmetric
+    normalized adjacency for gcn, the neighbor-mean matrix for sage.
+    """
 
     def __init__(self, backbone: str, dims: List[int], dropout: float,
-                 params: Dict[str, dc.DiffTensor]):
+                 params: Dict[str, dc.DiffTensor], operator=None):
         self.backbone = backbone
         self.dims = dims
         self.dropout = dropout
         self.params = params
-        self.graph_aux = None  # adjacency operator, set by the trainers
-        self.scorer = "dot"  # pair scoring rule, set by the link trainer
+        self.operator = operator
 
     @classmethod
     def build(cls, backbone: str, in_dim: int, hidden_dim: int, out_dim: int,
-              num_layers: int = 2, dropout: float = 0.5, seed: int = 0
+              num_layers: int = 2, dropout: float = 0.5, seed: int = 0,
+              graph: Optional[TextGraph] = None, add_self_loops: bool = True
               ) -> "GnnModel":
         if backbone not in BACKBONES:
             raise ConfigError(f"backbone must be one of {BACKBONES}, got '{backbone}'")
@@ -187,6 +150,8 @@ class GnnModel:
             raise ConfigError(f"dropout must be in [0, 1), got {dropout}")
         if num_layers < 1:
             raise ConfigError(f"num_layers must be >= 1, got {num_layers}")
+        if backbone != "mlp" and graph is None:
+            raise ConfigError(f"the {backbone} backbone needs a graph")
         dims = [in_dim] + [hidden_dim] * (num_layers - 1) + [out_dim]
         rng = np.random.default_rng(seed)
         params: Dict[str, dc.DiffTensor] = {}
@@ -201,7 +166,12 @@ class GnnModel:
             else:
                 params[f"l{i}.self"] = dc.parameter(rng.normal(0.0, scale, (fan_in, fan_out)))
                 params[f"l{i}.neigh"] = dc.parameter(rng.normal(0.0, scale, (fan_in, fan_out)))
-        return cls(backbone, dims, dropout, params)
+        operator = None
+        if backbone == "gcn":
+            operator = normalized_adjacency(graph, add_self_loops=add_self_loops)
+        elif backbone == "sage":
+            operator = mean_adjacency(graph)
+        return cls(backbone, dims, dropout, params, operator)
 
     @property
     def num_layers(self) -> int:
@@ -219,11 +189,16 @@ class GnnModel:
 
     def forward(self, features, train: bool = False,
                 rng: Optional[np.random.Generator] = None) -> dc.DiffTensor:
-        """Node outputs (N, out_dim); dropout active only in train mode."""
+        """Node outputs (N, out_dim); dropout active only in train mode.
+
+        Every layer but the last ends in relu. Graph backbones propagate
+        with their operator, so features need one row per graph node.
+        """
         x = features if isinstance(features, dc.DiffTensor) else dc.constant(features)
         if x.shape[-1] != self.dims[0]:
             raise DimensionError(
                 f"features have dim {x.shape[-1]}, model expects {self.dims[0]}")
+        p = self.params
         for i in range(self.num_layers):
             if train and self.dropout > 0.0:
                 if rng is None:
@@ -231,33 +206,16 @@ class GnnModel:
                 keep = 1.0 - self.dropout
                 mask = (rng.random(x.shape) < keep).astype(np.float64) / keep
                 x = dc.mul(x, dc.constant(mask))
-            last = i == self.num_layers - 1
             if self.backbone == "mlp":
-                x = dc.add(dc.matmul(x, self.params[f"l{i}.w"]), self.params[f"l{i}.b"])
-                if not last:
-                    x = dc.relu(x)
+                x = dc.add(dc.matmul(x, p[f"l{i}.w"]), p[f"l{i}.b"])
             elif self.backbone == "gcn":
-                if self.graph_aux is None:
-                    raise ContractError("gcn forward needs graph_aux set by a trainer")
-                x = gcn_layer(x, self.graph_aux, self.params[f"l{i}.w"],
-                              activate=not last)
+                x = dc.matmul(dc.spmm(self.operator, x), p[f"l{i}.w"])
             else:
-                if self.graph_aux is None:
-                    raise ContractError("sage forward needs graph_aux set by a trainer")
-                out = dc.add(
-                    dc.matmul(x, self.params[f"l{i}.self"]),
-                    dc.matmul(dc.matmul(self.graph_aux, x), self.params[f"l{i}.neigh"]))
-                x = dc.relu(out) if not last else out
+                x = dc.add(dc.matmul(x, p[f"l{i}.self"]),
+                           dc.matmul(dc.spmm(self.operator, x), p[f"l{i}.neigh"]))
+            if i < self.num_layers - 1:
+                x = dc.relu(x)
         return x
-
-
-def _attach_graph_operator(model: GnnModel, graph: TextGraph,
-                           add_self_loops: bool = True) -> None:
-    if model.backbone == "gcn":
-        model.graph_aux = _dense_constant(
-            normalized_adjacency(graph, add_self_loops=add_self_loops))
-    elif model.backbone == "sage":
-        model.graph_aux = _dense_constant(_mean_aggregator(graph))
 
 
 # ---------------------------------------------------------------------------
@@ -337,8 +295,8 @@ def train_node_classifier(embeddings, graph: TextGraph, cfg: DownstreamConfig
     num_classes = int(graph.labels.max()) + 1
 
     model = GnnModel.build(cfg.backbone, feats.shape[1], cfg.hidden_dim,
-                           num_classes, cfg.num_layers, cfg.dropout, cfg.seed)
-    _attach_graph_operator(model, graph, cfg.add_self_loops)
+                           num_classes, cfg.num_layers, cfg.dropout, cfg.seed,
+                           graph=graph, add_self_loops=cfg.add_self_loops)
     adam = dc.AdamState.for_params(model.parameters(), base_lr=cfg.lr,
                                    clip_norm=None)
     rng = np.random.default_rng(cfg.seed)
@@ -394,11 +352,11 @@ def _scorer_mlp_logits(model: GnnModel, u: dc.DiffTensor, v: dc.DiffTensor
 
 def _pair_logits(z: dc.DiffTensor, pairs: np.ndarray,
                  model: Optional[GnnModel] = None) -> dc.DiffTensor:
-    """Pair logits as a (m,) tensor; dot products unless the model's scorer says mlp."""
+    """Pair logits as a (m,) tensor; dot products unless the model has an mlp scorer."""
     m, d = pairs.shape[0], z.shape[1]
     u = dc.embedding_lookup(z, pairs[:, 0])
     v = dc.embedding_lookup(z, pairs[:, 1])
-    if model is not None and model.scorer == "mlp":
+    if model is not None and "scorer.w1" in model.params:
         return dc.reshape(_scorer_mlp_logits(model, u, v), (m,))
     dots = dc.matmul(dc.reshape(u, (m, 1, d)), dc.reshape(v, (m, d, 1)))
     return dc.reshape(dots, (m,))
@@ -414,17 +372,15 @@ def link_bce(z: dc.DiffTensor, pairs: np.ndarray, labels: np.ndarray,
                                    reduction="mean")
 
 
-def _attach_link_scorer(model: GnnModel, cfg: "DownstreamConfig",
-                        rng: np.random.Generator) -> None:
-    model.scorer = cfg.link_scorer
-    if cfg.link_scorer != "mlp":
-        return
+def _add_mlp_scorer(model: GnnModel, hidden_dim: int,
+                    rng: np.random.Generator) -> None:
+    """Add the pair-scoring head's weights, which switch _pair_logits to it."""
     d2 = 2 * model.dims[-1]
     model.params["scorer.w1"] = dc.parameter(
-        rng.normal(0.0, d2 ** -0.5, (d2, cfg.hidden_dim)))
-    model.params["scorer.b1"] = dc.parameter(np.zeros(cfg.hidden_dim))
+        rng.normal(0.0, d2 ** -0.5, (d2, hidden_dim)))
+    model.params["scorer.b1"] = dc.parameter(np.zeros(hidden_dim))
     model.params["scorer.w2"] = dc.parameter(
-        rng.normal(0.0, cfg.hidden_dim ** -0.5, (cfg.hidden_dim, 1)))
+        rng.normal(0.0, hidden_dim ** -0.5, (hidden_dim, 1)))
     model.params["scorer.b2"] = dc.parameter(np.zeros(1))
 
 
@@ -464,10 +420,11 @@ def train_link_predictor(embeddings, graph: TextGraph, split: LinkSplit,
     message_graph = split.train_message_graph(graph)
 
     model = GnnModel.build(cfg.backbone, feats.shape[1], cfg.hidden_dim,
-                           cfg.hidden_dim, cfg.num_layers, cfg.dropout, cfg.seed)
-    _attach_graph_operator(model, message_graph, cfg.add_self_loops)
+                           cfg.hidden_dim, cfg.num_layers, cfg.dropout, cfg.seed,
+                           graph=message_graph, add_self_loops=cfg.add_self_loops)
     rng = np.random.default_rng(cfg.seed)
-    _attach_link_scorer(model, cfg, rng)
+    if cfg.link_scorer == "mlp":
+        _add_mlp_scorer(model, cfg.hidden_dim, rng)
     adam = dc.AdamState.for_params(model.parameters(), base_lr=cfg.lr,
                                    clip_norm=None)
 

@@ -3,18 +3,19 @@
 The central type is TextGraph: an undirected graph in compressed sparse row
 form whose nodes carry documents, optional labels, and named node splits.
 On top of it live the exact-distance k-hop query used to draw contrastive
-positives, the symmetric degree normalization used by graph convolutions,
-and the train/val/test edge-split construction for link prediction.
+positives, the sparse propagation operators of the graph backbones (the
+symmetric degree normalization for graph convolutions and the neighbor mean
+for GraphSAGE), and the train/val/test edge-split construction for link
+prediction.
 """
 
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import ConfigError, ContractError, IngestionError
+from .errors import ConfigError, ContractError
 
 __all__ = [
     "TextGraph",
@@ -22,9 +23,8 @@ __all__ = [
     "k_hop_neighbors",
     "sample_positive",
     "normalized_adjacency",
+    "mean_adjacency",
     "build_link_split",
-    "save_link_split",
-    "load_link_split",
 ]
 
 
@@ -189,6 +189,14 @@ def normalized_adjacency(graph: TextGraph, add_self_loops: bool = True) -> sp.cs
     return (scale @ adj @ scale).tocsr()
 
 
+def mean_adjacency(graph: TextGraph) -> sp.csr_matrix:
+    """Row-mean neighbor averaging D^{-1} A; isolated nodes keep zero rows."""
+    deg = graph.degrees
+    weights = np.repeat(1.0 / np.maximum(deg, 1), deg)
+    return sp.csr_matrix((weights, graph.indices, graph.indptr),
+                         shape=(graph.num_nodes, graph.num_nodes))
+
+
 @dataclass
 class LinkSplit:
     """Edge-level train/val/test split with one negative per positive.
@@ -313,61 +321,4 @@ def build_link_split(
         val_neg=neg_parts[1],
         test_neg=neg_parts[2],
         seed=seed,
-    )
-
-
-_SPLIT_FILES = [
-    ("train", "pos"), ("val", "pos"), ("test", "pos"),
-    ("train", "neg"), ("val", "neg"), ("test", "neg"),
-]
-
-
-def save_link_split(split: LinkSplit, directory) -> None:
-    """Write six edge-list files (one "src<TAB>dst" pair per line)."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    for part, kind in _SPLIT_FILES:
-        arr = split.positives(part) if kind == "pos" else split.negatives(part)
-        lines = [f"{int(u)}\t{int(v)}" for u, v in arr]
-        (directory / f"{part}_{kind}.edges").write_text(
-            "\n".join(lines) + ("\n" if lines else ""), encoding="utf-8"
-        )
-
-
-def load_link_split(directory, num_nodes: int) -> LinkSplit:
-    """Read the six files written by save_link_split.
-
-    The generating seed is not stored in the files; the loaded split
-    records seed -1 to mark it as externally supplied.
-    """
-    directory = Path(directory)
-    arrays = {}
-    for part, kind in _SPLIT_FILES:
-        path = directory / f"{part}_{kind}.edges"
-        if not path.exists():
-            raise IngestionError(f"missing link-split file {path}")
-        rows = []
-        for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) != 2:
-                raise IngestionError(f"{path} line {lineno}: expected 'src<TAB>dst'")
-            try:
-                u, v = int(fields[0]), int(fields[1])
-            except ValueError:
-                raise IngestionError(f"{path} line {lineno}: non-integer endpoint")
-            if not (0 <= u < num_nodes and 0 <= v < num_nodes):
-                raise IngestionError(f"{path} line {lineno}: endpoint out of range")
-            rows.append((u, v))
-        arrays[(part, kind)] = np.asarray(rows, dtype=np.int64).reshape(-1, 2)
-    return LinkSplit(
-        num_nodes=num_nodes,
-        train_pos=arrays[("train", "pos")],
-        val_pos=arrays[("val", "pos")],
-        test_pos=arrays[("test", "pos")],
-        train_neg=arrays[("train", "neg")],
-        val_neg=arrays[("val", "neg")],
-        test_neg=arrays[("test", "neg")],
-        seed=-1,
     )

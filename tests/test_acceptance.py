@@ -14,6 +14,7 @@ from contextlib import contextmanager
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from fdcheck import assert_grads_close, finite_diff_grads
 from nodegae import autoencoder as ae
@@ -120,6 +121,10 @@ def _op_gradient_cases(rng):
     c1 = dc.parameter(rng.normal(size=(2, 3)))
     c2 = dc.parameter(rng.normal(size=(3, 3)))
     c3 = dc.parameter(rng.normal(size=(1, 3)))
+    spmm_a = sp.csr_matrix(np.array([[0.0, 1.0, 0.0, -2.0],
+                                     [0.5, 0.0, 0.0, 0.0],
+                                     [0.0, 0.0, 0.0, 0.0],
+                                     [3.0, 0.0, -1.5, 1.0]]))  # not symmetric
     return [
         ("add", lambda: dc.add(a, b), [a, b]),
         ("mul", lambda: dc.mul(a, b), [a, b]),
@@ -136,6 +141,7 @@ def _op_gradient_cases(rng):
         ("transpose", lambda: dc.transpose(x234, (2, 0, 1)), [x234]),
         ("transpose_last2", lambda: dc.transpose_last2(x234), [x234]),
         ("l2_normalize_lastdim", lambda: dc.l2_normalize_lastdim(m1), [m1]),
+        ("spmm", lambda: dc.spmm(spmm_a, m2), [m2]),
     ]
 
 

