@@ -31,6 +31,8 @@ __all__ = [
     "shift_for_teacher_forcing",
     "lm_loss",
     "infonce_loss",
+    "draw_positives",
+    "pretrain_loss",
     "pretrain_step",
     "extract_embeddings",
     "reconstruct",
@@ -250,19 +252,11 @@ def encode_batch(model: AutoencoderModel, ids) -> dc.DiffTensor:
     if np.any(counts == 0):
         raise ContractError("encode: a sequence consists entirely of padding")
     hidden = encoder_hidden(model, ids)
-    b, t = ids.shape
-    d = model.config.d_enc
-    # Accumulate one position at a time. Pad positions carry weight 0.0, so
-    # each one adds an exact zero and the running sum is bit-identical to the
-    # sum over the unpadded sequence, whatever the padded length is.
-    flat = dc.reshape(hidden, (b * t, d))
-    weights = mask.astype(np.float64)
-    pooled = dc.constant(np.zeros((b, d)))
-    base = np.arange(b, dtype=np.int64) * t
-    for pos in range(t):
-        rows = dc.embedding_lookup(flat, base + pos)
-        pooled = dc.add(pooled, dc.mul(rows, dc.constant(weights[:, pos:pos + 1])))
-    return dc.mul(pooled, dc.constant((1.0 / counts)[:, None]))
+    # numpy sums over a middle axis one position at a time, in order, so pad
+    # positions add exact zeros and each row is bit-identical to the sum over
+    # its unpadded sequence, whatever the padded length is.
+    masked = dc.mul(hidden, dc.constant(mask[:, :, None].astype(np.float64)))
+    return dc.mul(dc.sum_axis(masked, 1), dc.constant((1.0 / counts)[:, None]))
 
 
 def encode_node(model: AutoencoderModel, tokens) -> dc.DiffTensor:
@@ -355,73 +349,111 @@ def lm_loss(logits: dc.DiffTensor, targets) -> dc.DiffTensor:
 # Contrastive loss
 # ---------------------------------------------------------------------------
 
-def _as_rows(x) -> dc.DiffTensor:
-    t = x if isinstance(x, dc.DiffTensor) else dc.constant(np.asarray(x, dtype=np.float64))
-    if t.ndim == 1:
-        t = dc.reshape(t, (1, t.shape[0]))
-    return t
-
-
-def _unit_rows(rows: dc.DiffTensor, normalize: bool) -> dc.DiffTensor:
-    norms = np.sqrt((rows.data ** 2).sum(axis=-1))
-    if np.any(norms == 0.0):
-        raise ContractError("contrastive loss received a zero-norm embedding")
-    return dc.l2_normalize_lastdim(rows) if normalize else rows
-
-
-def infonce_loss(anchor, positives: Mapping[int, Optional[object]], negatives,
+def infonce_loss(latents: dc.DiffTensor, positive_rows: Mapping[int, Sequence[int]],
                  cfg: InfoNCEConfig) -> dc.DiffTensor:
-    """Hop-weighted contrastive loss for one anchor.
+    """Hop-weighted in-batch contrastive loss, averaged over the anchors.
 
-    positives maps hop -> embedding (or None when the anchor has no node at
-    that hop; such hops contribute exactly zero). negatives is a sequence of
-    embeddings or a stacked (N, d) tensor; it may be empty, in which case
-    each present hop term is -log 1 = 0. Embeddings are L2-normalized before
-    the dot products unless cfg.normalize is off.
+    The anchors are the first B rows of latents (R, d). positive_rows[hop]
+    gives, for each anchor, the row of its hop-k positive, or -1 when it has
+    none. Anchor i's logits for a hop are its similarity to that positive
+    followed by its similarities to the other anchors in row order, over
+    tau; its term is the cross-entropy of the positive, weighted by the
+    hop's alpha. Absent positives contribute exactly zero, and so does every
+    anchor when B = 1. Rows are L2-normalized before the dot products unless
+    cfg.normalize is off.
     """
     cfg.validate()
-    anchor_row = _unit_rows(_as_rows(anchor), cfg.normalize)
-    d = anchor_row.shape[1]
+    rows = [np.asarray(positive_rows[hop], dtype=np.int64) for hop in cfg.hops]
+    hops = [(alpha, r) for alpha, r in zip(cfg.alphas, rows) if np.any(r >= 0)]
+    if not hops:
+        return dc.constant(0.0)
+    b = rows[0].size
+    if (latents.ndim != 2 or not 1 <= b <= latents.shape[0]
+            or any(r.shape != (b,) for r in rows)):
+        raise DimensionError(
+            f"positive rows {[r.shape for r in rows]} do not fit latents {latents.shape}")
+    n = latents.shape[0]
+    if any(r.min() < -1 or r.max() >= n for r in rows):
+        raise ContractError(f"positive rows out of range [-1, {n})")
+    if np.any((latents.data ** 2).sum(axis=-1) == 0.0):
+        raise ContractError("contrastive loss received a zero-norm embedding")
 
-    if isinstance(negatives, (list, tuple)):
-        neg_rows = [_as_rows(v) for v in negatives]
-        negs = dc.concat(neg_rows, axis=0) if neg_rows else None
-    else:
-        negs = _as_rows(negatives)
-        if negs.shape[0] == 0:
-            negs = None
-    if negs is not None:
-        if negs.shape[1] != d:
-            raise DimensionError(
-                f"negatives have dimension {negs.shape[1]}, anchor has {d}")
-        negs = _unit_rows(negs, cfg.normalize)
-        neg_logits = dc.reshape(dc.matmul(anchor_row, dc.transpose(negs, (1, 0))),
-                                (negs.shape[0],))
-
-    inv_tau = dc.constant(1.0 / cfg.tau)
+    unit = dc.l2_normalize_lastdim(latents) if cfg.normalize else latents
+    anchors = dc.embedding_lookup(unit, np.arange(b))
+    sim = dc.mul(dc.matmul(anchors, dc.transpose(unit, (1, 0))),
+                 dc.constant(1.0 / cfg.tau))
+    flat = dc.reshape(sim, (b * n, 1))
+    # Column j of anchor i's negatives is anchor j, or j + 1 from the diagonal on.
+    cols = np.arange(b - 1)[None, :]
+    others = cols + (cols >= np.arange(b)[:, None])
+    start = np.arange(b)[:, None] * n
     total = None
-    for hop, alpha in zip(cfg.hops, cfg.alphas):
-        pos = positives.get(hop)
-        if pos is None:
-            continue
-        pos_row = _unit_rows(_as_rows(pos), cfg.normalize)
-        if pos_row.shape[1] != d:
-            raise DimensionError(
-                f"hop-{hop} positive has dimension {pos_row.shape[1]}, anchor has {d}")
-        pos_logit = dc.reshape(dc.matmul(anchor_row, dc.transpose(pos_row, (1, 0))),
-                               (1,))
-        logits = pos_logit if negs is None else dc.concat([pos_logit, neg_logits], axis=0)
-        logits = dc.reshape(dc.mul(logits, inv_tau), (1, logits.shape[0]))
-        term = dc.cross_entropy_logits(logits, np.array([0]), reduction="mean")
-        if alpha != 1.0:
-            term = dc.mul(term, dc.constant(alpha))
+    for alpha, pos in hops:
+        picks = np.concatenate([np.maximum(pos, 0)[:, None], others], axis=1)
+        logits = dc.reshape(dc.embedding_lookup(flat, start + picks), (b, b))
+        term = dc.cross_entropy_logits(logits, np.where(pos >= 0, 0, -1),
+                                       ignore_index=-1, reduction="sum")
+        term = dc.mul(term, dc.constant(alpha / b))
         total = term if total is None else dc.add(total, term)
-    return total if total is not None else dc.constant(0.0)
+    return total
 
 
 # ---------------------------------------------------------------------------
 # Pretraining
 # ---------------------------------------------------------------------------
+
+def draw_positives(graph: TextGraph, batch_nodes: Sequence[int],
+                   rng: np.random.Generator, cfg: InfoNCEConfig
+                   ) -> Dict[int, List[Optional[int]]]:
+    """positives[hop][i]: a node drawn at exactly hop k from anchor i, or None.
+
+    Draws anchor by anchor, every hop per anchor, and draws nothing when the
+    contrastive loss is disabled.
+    """
+    positives: Dict[int, List[Optional[int]]] = {
+        hop: [None] * len(batch_nodes) for hop in cfg.hops}
+    if not cfg.disabled:
+        for i, v in enumerate(batch_nodes):
+            for hop in cfg.hops:
+                positives[hop][i] = sample_positive(graph, v, hop, rng)
+    return positives
+
+
+def pretrain_loss(model: AutoencoderModel, graph: TextGraph,
+                  batch_nodes: Sequence[int],
+                  positives: Mapping[int, Sequence[Optional[int]]],
+                  cfg: InfoNCEConfig) -> Tuple[dc.DiffTensor, dc.DiffTensor]:
+    """Reconstruction and contrastive losses of one batch, as recorded tensors.
+
+    positives[hop][i] is the node drawn as anchor i's hop-k positive, or None.
+    Anchors and positives are encoded in a single padded forward pass; each
+    positive that is not an anchor adds one row, in order of first use.
+    """
+    batch = [int(v) for v in batch_nodes]
+    b = len(batch)
+    row_of: Dict[int, int] = {}
+    for i, v in enumerate(batch):
+        row_of.setdefault(v, i)
+    nodes = list(batch)
+    positive_rows = {hop: np.full(b, -1, dtype=np.int64) for hop in cfg.hops}
+    for i in range(b):
+        for hop in cfg.hops:
+            p = positives[hop][i]
+            if p is None:
+                continue
+            if p not in row_of:
+                row_of[p] = len(nodes)
+                nodes.append(p)
+            positive_rows[hop][i] = row_of[p]
+
+    ids = pad_sequences([model.tokens_for(graph.texts[v]) for v in nodes])
+    latents = encode_batch(model, ids)
+    info = infonce_loss(latents, positive_rows, cfg)
+    targets = ids[:b]
+    memory = project(model, dc.embedding_lookup(latents, np.arange(b)))
+    logits = decoder_logits(model, memory, shift_for_teacher_forcing(targets))
+    return lm_loss(logits, targets), info
+
 
 def pretrain_step(model: AutoencoderModel, graph: TextGraph,
                   batch_nodes: Sequence[int], adam: dc.AdamState,
@@ -429,67 +461,20 @@ def pretrain_step(model: AutoencoderModel, graph: TextGraph,
                   ) -> Tuple[float, float]:
     """One optimizer step on reconstruction plus contrastive loss.
 
-    Encodes the batch anchors and their sampled hop-k positives in a single
-    padded forward pass, forms the unweighted sum of the two losses, and
-    applies one Adam update. Returns (reconstruction, contrastive) values.
+    Draws the batch's positives, minimizes the unweighted sum of the two
+    pretrain_loss terms with one Adam update, and returns their
+    (reconstruction, contrastive) values.
     """
     cfg.validate()
     batch = [int(v) for v in batch_nodes]
     if len(batch) < 2:
         raise ContractError(
             f"pretrain batch needs >= 2 anchors for in-batch negatives, got {len(batch)}")
-    b = len(batch)
-
-    row_of = {}
-    for i, v in enumerate(batch):
-        row_of.setdefault(v, i)
-    pos_node: Dict[Tuple[int, int], Optional[int]] = {}
-    extra_nodes: List[int] = []
-    if not cfg.disabled:
-        for i, v in enumerate(batch):
-            for hop in cfg.hops:
-                p = sample_positive(graph, v, hop, rng)
-                pos_node[(i, hop)] = p
-                if p is not None and p not in row_of:
-                    row_of[p] = b + len(extra_nodes)
-                    extra_nodes.append(p)
-
-    all_nodes = batch + extra_nodes
-    seqs = [model.tokens_for(graph.texts[v]) for v in all_nodes]
-    ids = pad_sequences(seqs)
-    latents = encode_batch(model, ids)
-
-    if cfg.disabled:
-        info = dc.constant(0.0)
-    else:
-        per_anchor = []
-        for i in range(b):
-            neg_idx = np.array([j for j in range(b) if j != i], dtype=np.int64)
-            negs = dc.embedding_lookup(latents, neg_idx)
-            anchor = dc.reshape(
-                dc.embedding_lookup(latents, np.array([i])), (model.config.d_enc,))
-            positives = {}
-            for hop in cfg.hops:
-                p = pos_node.get((i, hop))
-                positives[hop] = None if p is None else dc.reshape(
-                    dc.embedding_lookup(latents, np.array([row_of[p]])),
-                    (model.config.d_enc,))
-            per_anchor.append(infonce_loss(anchor, positives, negs, cfg))
-        info = per_anchor[0]
-        for term in per_anchor[1:]:
-            info = dc.add(info, term)
-        info = dc.mul(info, dc.constant(1.0 / b))
-
-    targets = ids[:b]
-    anchor_latents = dc.embedding_lookup(latents, np.arange(b))
-    memory = project(model, anchor_latents)
-    logits = decoder_logits(model, memory, shift_for_teacher_forcing(targets))
-    reconstruction = lm_loss(logits, targets)
-
-    total = dc.add(reconstruction, info)
+    positives = draw_positives(graph, batch, rng, cfg)
+    reconstruction, info = pretrain_loss(model, graph, batch, positives, cfg)
     params = model.parameters()
     dc.zero_grads(params)
-    dc.backward(total)
+    dc.backward(dc.add(reconstruction, info))
     dc.adam_step(params, adam)
     return float(reconstruction.item()), float(info.item())
 

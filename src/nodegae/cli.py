@@ -293,6 +293,21 @@ def _reconstruction_scores(model: AutoencoderModel, graph: TextGraph,
     return float(np.mean(bleus)), float(np.mean(rouges)), float(np.mean(f1s))
 
 
+def _fresh_model(cfg: RunConfig, graph: TextGraph
+                 ) -> Tuple[AutoencoderModel, dc.AdamState]:
+    """A newly initialized autoencoder over the graph's vocabulary, and its optimizer."""
+    vocab = build_vocab(graph.texts, max_size=cfg.vocab_size)
+    mcfg = ModelConfig(vocab_size=vocab.size, d_enc=cfg.d_enc, d_dec=cfg.d_dec,
+                       enc_layers=cfg.enc_layers, dec_layers=cfg.dec_layers,
+                       heads=cfg.heads, proj_len=cfg.proj_len,
+                       ff_mult=cfg.ff_mult, max_len=cfg.max_len)
+    model = AutoencoderModel.init(mcfg, vocab, seed=cfg.seed)
+    adam = dc.AdamState.for_params(
+        model.parameters(), base_lr=cfg.pretrain_lr, warmup_steps=cfg.warmup,
+        clip_norm=cfg.clip_norm if cfg.clip_norm > 0 else None)
+    return model, adam
+
+
 def cmd_pretrain(cfg: RunConfig) -> int:
     graph = load_dataset(cfg.dataset)
     if graph.num_nodes < 2:
@@ -303,15 +318,7 @@ def cmd_pretrain(cfg: RunConfig) -> int:
         if adam is None:
             raise ConfigError(f"{cfg.resume} has no optimizer state; cannot resume")
     else:
-        vocab = build_vocab(graph.texts, max_size=cfg.vocab_size)
-        mcfg = ModelConfig(vocab_size=vocab.size, d_enc=cfg.d_enc, d_dec=cfg.d_dec,
-                           enc_layers=cfg.enc_layers, dec_layers=cfg.dec_layers,
-                           heads=cfg.heads, proj_len=cfg.proj_len,
-                           ff_mult=cfg.ff_mult, max_len=cfg.max_len)
-        model = AutoencoderModel.init(mcfg, vocab, seed=cfg.seed)
-        adam = dc.AdamState.for_params(
-            model.parameters(), base_lr=cfg.pretrain_lr, warmup_steps=cfg.warmup,
-            clip_norm=cfg.clip_norm if cfg.clip_norm > 0 else None)
+        model, adam = _fresh_model(cfg, graph)
 
     icfg = cfg.infonce()
     rng = np.random.default_rng(cfg.seed)
@@ -503,15 +510,7 @@ def cmd_train(cfg: RunConfig) -> int:
 
 def _pretrain_in_memory(cfg: RunConfig, graph: TextGraph,
                         alphas: Tuple[float, float]) -> EmbeddingMatrix:
-    vocab = build_vocab(graph.texts, max_size=cfg.vocab_size)
-    mcfg = ModelConfig(vocab_size=vocab.size, d_enc=cfg.d_enc, d_dec=cfg.d_dec,
-                       enc_layers=cfg.enc_layers, dec_layers=cfg.dec_layers,
-                       heads=cfg.heads, proj_len=cfg.proj_len,
-                       ff_mult=cfg.ff_mult, max_len=cfg.max_len)
-    model = AutoencoderModel.init(mcfg, vocab, seed=cfg.seed)
-    adam = dc.AdamState.for_params(
-        model.parameters(), base_lr=cfg.pretrain_lr, warmup_steps=cfg.warmup,
-        clip_norm=cfg.clip_norm if cfg.clip_norm > 0 else None)
+    model, adam = _fresh_model(cfg, graph)
     icfg = cfg.infonce(alphas)
     rng = np.random.default_rng(cfg.seed)
     batch_size = min(cfg.batch_size, graph.num_nodes)

@@ -67,16 +67,6 @@ class DiffTensor:
     def __repr__(self) -> str:
         return f"DiffTensor(shape={self.shape}, requires_grad={self.requires_grad}, op={self._op!r})"
 
-    # Small amount of sugar; the module-level functions are the real API.
-    def __add__(self, other: "DiffTensor") -> "DiffTensor":
-        return add(self, other)
-
-    def __mul__(self, other: "DiffTensor") -> "DiffTensor":
-        return mul(self, other)
-
-    def __matmul__(self, other: "DiffTensor") -> "DiffTensor":
-        return matmul(self, other)
-
 
 def constant(data) -> DiffTensor:
     """A tensor that never receives gradients (masks, scales, frozen inputs)."""
@@ -234,16 +224,16 @@ def embedding_lookup(table: DiffTensor, ids) -> DiffTensor:
     return _record(out, "embedding_lookup", (table,), backward_fn)
 
 
-def mean_lastaxis(x: DiffTensor) -> DiffTensor:
-    if x.ndim < 1 or x.shape[-1] == 0:
-        raise DimensionError(f"mean_lastaxis: bad shape {x.shape}")
-    n = x.shape[-1]
-    out = x.data.mean(axis=-1)
+def sum_axis(x: DiffTensor, axis: int) -> DiffTensor:
+    """Sum over one axis, which is dropped from the shape."""
+    if not -x.ndim <= axis < x.ndim:
+        raise DimensionError(f"sum_axis: axis {axis} invalid for shape {x.shape}")
+    out = x.data.sum(axis=axis)
 
     def backward_fn(g):
-        return (np.broadcast_to(g[..., None] / n, x.shape).copy(),)
+        return (np.broadcast_to(np.expand_dims(g, axis), x.shape).copy(),)
 
-    return _record(out, "mean_lastaxis", (x,), backward_fn)
+    return _record(out, "sum_axis", (x,), backward_fn)
 
 
 def reshape(x: DiffTensor, shape: Sequence[int]) -> DiffTensor:

@@ -10,7 +10,6 @@ from collections import Counter
 from typing import Sequence
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .errors import MetricError
 
@@ -19,7 +18,6 @@ __all__ = [
     "roc_auc",
     "bleu",
     "rouge_l",
-    "rouge_1",
     "token_f1",
 ]
 
@@ -35,6 +33,15 @@ def accuracy(predicted, expected) -> float:
     if pred.size == 0:
         raise MetricError("accuracy needs at least one label")
     return float(np.mean(pred == true))
+
+
+def _midranks(x: np.ndarray) -> np.ndarray:
+    """1-based ranks of x; tied values share the mean of their ranks."""
+    order = np.argsort(x, kind="stable")
+    _, first, counts = np.unique(x[order], return_index=True, return_counts=True)
+    ranks = np.empty(x.size)
+    ranks[order] = np.repeat(first + (counts + 1) / 2.0, counts)
+    return ranks
 
 
 def roc_auc(scores, labels) -> float:
@@ -57,7 +64,9 @@ def roc_auc(scores, labels) -> float:
     n_neg = int(np.sum(y == 0))
     if n_pos == 0 or n_neg == 0:
         raise MetricError("roc_auc needs both a positive and a negative example")
-    ranks = rankdata(s)  # midranks, so ties contribute 0.5 per pair
+    if np.isnan(s).any():
+        return float("nan")  # a NaN score has no rank
+    ranks = _midranks(s)  # so ties contribute 0.5 per pair
     rank_sum = float(np.sum(ranks[y == 1]))
     u = rank_sum - n_pos * (n_pos + 1) / 2.0
     return u / (n_pos * n_neg)
@@ -124,14 +133,6 @@ def rouge_l(candidate: Sequence, reference: Sequence) -> float:
         raise MetricError("rouge_l needs non-empty candidate and reference")
     lcs = _lcs_length(candidate, reference)
     return _f_measure(float(lcs), len(candidate), len(reference))
-
-
-def rouge_1(candidate: Sequence, reference: Sequence) -> float:
-    """ROUGE-1 F-measure: clipped unigram overlap, order-insensitive."""
-    if len(candidate) == 0 or len(reference) == 0:
-        raise MetricError("rouge_1 needs non-empty candidate and reference")
-    overlap = sum((Counter(candidate) & Counter(reference)).values())
-    return _f_measure(float(overlap), len(candidate), len(reference))
 
 
 def token_f1(candidate: Sequence, reference: Sequence) -> float:

@@ -135,7 +135,7 @@ def _op_gradient_cases(rng):
         ("softmax_lastdim", lambda: dc.softmax_lastdim(x35), [x35]),
         ("layernorm_lastdim", lambda: dc.layernorm_lastdim(x38), [x38]),
         ("embedding_lookup", lambda: dc.embedding_lookup(table, ids), [table]),
-        ("mean_lastaxis", lambda: dc.mean_lastaxis(x36), [x36]),
+        ("sum_axis", lambda: dc.sum_axis(x36, 1), [x36]),
         ("reshape", lambda: dc.reshape(m1, (2, 6)), [m1]),
         ("concat", lambda: dc.concat([c1, c2, c3], axis=0), [c1, c2, c3]),
         ("transpose", lambda: dc.transpose(x234, (2, 0, 1)), [x234]),
@@ -153,36 +153,8 @@ COMBINED_FD_TENSORS = [
 ]
 
 
-def _combined_loss(model, graph, batch, pos_map, cfg):
-    b = len(batch)
-    all_nodes = list(batch)
-    row_of = {v: i for i, v in enumerate(batch)}
-    for hops in pos_map.values():
-        for node in hops.values():
-            if node is not None and node not in row_of:
-                row_of[node] = len(all_nodes)
-                all_nodes.append(node)
-    ids = tc.pad_sequences([model.tokens_for(graph.texts[v]) for v in all_nodes])
-    latents = ae.encode_batch(model, ids)
-    d = model.config.d_enc
-
-    info = None
-    for i in range(b):
-        anchor = dc.reshape(dc.embedding_lookup(latents, np.array([i])), (d,))
-        negs = dc.embedding_lookup(
-            latents, np.array([j for j in range(b) if j != i], dtype=np.int64))
-        positives = {}
-        for hop, node in pos_map[batch[i]].items():
-            positives[hop] = None if node is None else dc.reshape(
-                dc.embedding_lookup(latents, np.array([row_of[node]])), (d,))
-        term = ae.infonce_loss(anchor, positives, negs, cfg)
-        info = term if info is None else dc.add(info, term)
-    info = dc.mul(info, dc.constant(1.0 / b))
-
-    targets = ids[:b]
-    memory = ae.project(model, dc.embedding_lookup(latents, np.arange(b)))
-    logits = ae.decoder_logits(model, memory, ae.shift_for_teacher_forcing(targets))
-    return dc.add(ae.lm_loss(logits, targets), info)
+def _pretrain_total(model, graph, batch, positives, cfg):
+    return dc.add(*ae.pretrain_loss(model, graph, batch, positives, cfg))
 
 
 def test_criterion_1_gradient_suite():
@@ -232,15 +204,14 @@ def test_criterion_1_gradient_suite():
                 p.data = prng.normal(0.0, 0.4, size=p.data.shape)
                 p.grad = None
             rng = np.random.default_rng(3000 + seed)
-            pos_map = {v: {k: gs.sample_positive(graph, v, k, rng)
-                           for k in icfg.hops} for v in batch}
-            loss = _combined_loss(model, graph, batch, pos_map, icfg)
+            positives = ae.draw_positives(graph, batch, rng, icfg)
+            loss = _pretrain_total(model, graph, batch, positives, icfg)
             dc.backward(loss)
             analytic = [model.params[n].grad.copy() for n in COMBINED_FD_TENSORS]
             arrays = [model.params[n].data for n in COMBINED_FD_TENSORS]
             numeric = finite_diff_grads(
-                lambda _: float(_combined_loss(
-                    model, graph, batch, pos_map, icfg).item()),
+                lambda _: float(_pretrain_total(
+                    model, graph, batch, positives, icfg).item()),
                 arrays, eps=1e-5)
             for name, a, n in zip(COMBINED_FD_TENSORS, analytic, numeric):
                 assert_grads_close(a, n, rtol=1e-4, context=f"{name}/seed{seed}")
@@ -255,21 +226,22 @@ def test_criterion_1_gradient_suite():
 
 def test_criterion_2_loss_closed_forms():
     with verdict("criterion 2 (loss closed forms)"):
-        anchor = np.array([1.0, 0.0])
-        pos = {1: np.array([1.0, 0.0])}
-        neg = [np.array([0.0, 1.0])]
+        # Anchor 0 = e1 with positive e1 (row 2); anchor 1 = e2 is its one
+        # negative and has no positive, so the batch mean is half the term.
+        latents = dc.constant([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]])
+        rows = {1: [2, -1]}
 
         cfg = ae.InfoNCEConfig(tau=1.0, hops=(1,), alphas=(1.0,))
-        got = ae.infonce_loss(anchor, pos, neg, cfg).item()
-        want = -math.log(math.e / (math.e + 1.0))
+        got = ae.infonce_loss(latents, rows, cfg).item()
+        want = -math.log(math.e / (math.e + 1.0)) / 2.0
         assert abs(got - want) < 1e-10, f"tau=1: {got} vs {want}"
 
         cfg_half = ae.InfoNCEConfig(tau=0.5, hops=(1,), alphas=(1.0,))
-        got = ae.infonce_loss(anchor, pos, neg, cfg_half).item()
-        want = math.log1p(math.exp(-2.0))
+        got = ae.infonce_loss(latents, rows, cfg_half).item()
+        want = math.log1p(math.exp(-2.0)) / 2.0
         assert abs(got - want) < 1e-10, f"tau=0.5: {got} vs {want}"
 
-        got = ae.infonce_loss(anchor, pos, [], cfg).item()
+        got = ae.infonce_loss(latents, {1: [2]}, cfg).item()
         assert got == 0.0, f"zero negatives: {got}"
 
         vocab = 21

@@ -8,7 +8,6 @@ from fdcheck import assert_grads_close, finite_diff_grads
 
 from nodegae import autoencoder as ae
 from nodegae import diffcore as dc
-from nodegae import graphstore as gs
 from nodegae import textcorpus as tc
 from nodegae.errors import ConfigError, ContractError, DimensionError
 
@@ -284,40 +283,90 @@ def unit(i, d=4):
     return v
 
 
+def pair_loss(anchor, positives, negative, cfg):
+    """infonce_loss of a B=2 batch: anchor 0 has the given hop positives;
+    anchor 1 is its one negative and has none, so it adds nothing to the sum."""
+    latents = [anchor, negative]
+    rows = {}
+    for hop in cfg.hops:
+        if positives.get(hop) is None:
+            rows[hop] = [-1, -1]
+        else:
+            rows[hop] = [len(latents), -1]
+            latents.append(positives[hop])
+    return float(ae.infonce_loss(dc.constant(np.array(latents)), rows, cfg).item())
+
+
+def infonce_oracle(latents, positive_rows, cfg):
+    """Plain-numpy loop over anchors and hops, in the per-anchor form."""
+    x = np.asarray(latents, dtype=np.float64)
+    if cfg.normalize:
+        x = x / np.linalg.norm(x, axis=1, keepdims=True)
+    b = len(positive_rows[cfg.hops[0]])
+    total = 0.0
+    for i in range(b):
+        negatives = [x[i] @ x[j] / cfg.tau for j in range(b) if j != i]
+        for hop, alpha in zip(cfg.hops, cfg.alphas):
+            row = positive_rows[hop][i]
+            if row < 0:
+                continue
+            logits = np.array([x[i] @ x[row] / cfg.tau] + negatives)
+            m = logits.max()
+            total += alpha * (m + np.log(np.exp(logits - m).sum()) - logits[0])
+    return total / b
+
+
+@pytest.mark.parametrize("b", [1, 2, 5])
+@pytest.mark.parametrize("normalize", [True, False])
+def test_infonce_matches_per_anchor_oracle(b, normalize):
+    rng = np.random.default_rng(10 * b + normalize)
+    cfg = ae.InfoNCEConfig(tau=0.5, hops=(1, 2), alphas=(1.0, 0.1), normalize=normalize)
+    latents = rng.standard_normal((b + 3, 6))
+    rows = {hop: rng.integers(0, b + 3, size=b) for hop in cfg.hops}
+    rows[1][0] = -1  # an anchor without a hop-1 positive
+    if b > 1:
+        rows[2][1:] = -1  # a hop where one anchor has a positive
+    got = float(ae.infonce_loss(dc.constant(latents), rows, cfg).item())
+    want = infonce_oracle(latents, rows, cfg)
+    assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+    if b == 1:
+        assert got == 0.0
+
+
 def test_infonce_zero_negatives_is_exactly_zero():
     cfg = ae.InfoNCEConfig(tau=0.7, hops=(1,), alphas=(1.0,))
-    loss = ae.infonce_loss(unit(0), {1: unit(1)}, [], cfg)
+    loss = ae.infonce_loss(dc.constant([unit(0), unit(1)]), {1: [1]}, cfg)
     assert float(loss.item()) == 0.0
 
 
 def test_infonce_canonical_orthogonal_case():
     cfg = ae.InfoNCEConfig(tau=1.0, hops=(1,), alphas=(1.0,))
-    loss = ae.infonce_loss(unit(0), {1: unit(0)}, [unit(1)], cfg)
-    want = np.log1p(np.exp(-1.0))  # -log(e / (e + 1))
-    assert abs(float(loss.item()) - want) < 1e-10
+    loss = pair_loss(unit(0), {1: unit(0)}, unit(1), cfg)
+    want = np.log1p(np.exp(-1.0)) / 2.0  # -log(e / (e + 1)), halved
+    assert abs(loss - want) < 1e-10
 
 
 def test_infonce_temperature_doubles_dots():
     cfg = ae.InfoNCEConfig(tau=0.5, hops=(1,), alphas=(1.0,))
-    loss = ae.infonce_loss(unit(0), {1: unit(0)}, [unit(1)], cfg)
-    want = np.log1p(np.exp(-2.0))
-    assert abs(float(loss.item()) - want) < 1e-10
+    loss = pair_loss(unit(0), {1: unit(0)}, unit(1), cfg)
+    want = np.log1p(np.exp(-2.0)) / 2.0
+    assert abs(loss - want) < 1e-10
 
 
 def test_infonce_normalizes_magnitudes_away():
     cfg = ae.InfoNCEConfig(tau=1.0, hops=(1,), alphas=(1.0,))
-    loss = ae.infonce_loss(2.5 * unit(0), {1: 7.0 * unit(0)}, [0.3 * unit(1)], cfg)
-    want = np.log1p(np.exp(-1.0))
-    assert abs(float(loss.item()) - want) < 1e-10
+    loss = pair_loss(2.5 * unit(0), {1: 7.0 * unit(0)}, 0.3 * unit(1), cfg)
+    want = np.log1p(np.exp(-1.0)) / 2.0
+    assert abs(loss - want) < 1e-10
 
 
 def test_infonce_raw_mode_uses_unscaled_dots():
     cfg = ae.InfoNCEConfig(tau=1.0, hops=(1,), alphas=(1.0,), normalize=False)
     anchor = 2.0 * unit(0)
-    loss = ae.infonce_loss(anchor, {1: 3.0 * unit(0)}, [unit(1)], cfg)
+    loss = pair_loss(anchor, {1: 3.0 * unit(0)}, unit(1), cfg)
     # dots: pos 6, neg 0.
-    want = -np.log(np.exp(6.0) / (np.exp(6.0) + 1.0))
-    assert abs(float(loss.item()) - want) < 1e-10
+    want = -np.log(np.exp(6.0) / (np.exp(6.0) + 1.0)) / 2.0
+    assert abs(loss - want) < 1e-10
 
 
 def test_infonce_multi_hop_weighted_sum():
@@ -334,23 +383,24 @@ def test_infonce_multi_hop_weighted_sum():
         m = max(lp, ln_)
         return -(lp - (m + np.log(np.exp(lp - m) + np.exp(ln_ - m))))
 
-    want = term(p1) + 0.1 * term(p2)
-    got = float(ae.infonce_loss(anchor, {1: p1, 2: p2}, [neg], cfg).item())
+    want = (term(p1) + 0.1 * term(p2)) / 2.0
+    got = pair_loss(anchor, {1: p1, 2: p2}, neg, cfg)
     assert abs(got - want) < 1e-10
 
 
 def test_infonce_absent_hop_contributes_zero():
     cfg = ae.InfoNCEConfig(tau=0.5, hops=(1, 2), alphas=(1.0, 0.1))
-    both = ae.infonce_loss(unit(0), {1: unit(0), 2: None}, [unit(1)], cfg)
-    only = ae.infonce_loss(unit(0), {1: unit(0)},
-                           [unit(1)], ae.InfoNCEConfig(tau=0.5, hops=(1,), alphas=(1.0,)))
-    assert abs(float(both.item()) - float(only.item())) < 1e-15
+    both = pair_loss(unit(0), {1: unit(0), 2: None}, unit(1), cfg)
+    only = pair_loss(unit(0), {1: unit(0)}, unit(1),
+                     ae.InfoNCEConfig(tau=0.5, hops=(1,), alphas=(1.0,)))
+    assert abs(both - only) < 1e-15
 
 
 def test_infonce_all_hops_absent_is_zero_constant():
     cfg = ae.InfoNCEConfig()
-    loss = ae.infonce_loss(unit(0), {1: None, 2: None}, [unit(1)], cfg)
+    loss = ae.infonce_loss(dc.constant([unit(0), unit(1)]), {1: [-1, -1], 2: [-1, -1]}, cfg)
     assert float(loss.item()) == 0.0
+    assert not loss.requires_grad
 
 
 def test_infonce_invariant_to_negative_order():
@@ -359,15 +409,16 @@ def test_infonce_invariant_to_negative_order():
     vecs = [rng.standard_normal(6) for _ in range(5)]
     anchor, pos = vecs[0], vecs[1]
     negs = vecs[2:]
-    a = float(ae.infonce_loss(anchor, {1: pos}, negs, cfg).item())
-    b = float(ae.infonce_loss(anchor, {1: pos}, negs[::-1], cfg).item())
+    rows = {1: [4, -1, -1, -1]}
+    a = float(ae.infonce_loss(dc.constant([anchor] + negs + [pos]), rows, cfg).item())
+    b = float(ae.infonce_loss(dc.constant([anchor] + negs[::-1] + [pos]), rows, cfg).item())
     assert abs(a - b) < 1e-12
 
 
 def test_infonce_zero_norm_embedding_rejected():
     cfg = ae.InfoNCEConfig(tau=1.0, hops=(1,), alphas=(1.0,))
     with pytest.raises(ContractError):
-        ae.infonce_loss(np.zeros(4), {1: unit(0)}, [unit(1)], cfg)
+        pair_loss(np.zeros(4), {1: unit(0)}, unit(1), cfg)
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -375,9 +426,11 @@ def test_infonce_is_nonnegative(seed):
     rng = np.random.default_rng(100 + seed)
     cfg = ae.InfoNCEConfig(tau=0.5, hops=(1, 2), alphas=(1.0, 0.1))
     anchor = rng.standard_normal(8)
-    positives = {1: rng.standard_normal(8), 2: rng.standard_normal(8)}
+    positives = [rng.standard_normal(8), rng.standard_normal(8)]
     negs = [rng.standard_normal(8) for _ in range(3)]
-    assert float(ae.infonce_loss(anchor, positives, negs, cfg).item()) >= 0.0
+    latents = dc.constant([anchor] + negs + positives)
+    rows = {1: [4, 5, 0, -1], 2: [5, -1, 4, 1]}
+    assert float(ae.infonce_loss(latents, rows, cfg).item()) >= 0.0
 
 
 def test_infonce_config_validation():
@@ -577,39 +630,6 @@ def test_load_detects_missing_parameter(tmp_path):
 # gradients of the combined objective
 # ---------------------------------------------------------------------------
 
-def combined_loss(model, graph, batch, pos_map, cfg):
-    """Reconstruction plus mean per-anchor contrastive loss, as one tensor."""
-    b = len(batch)
-    all_nodes = list(batch)
-    row_of = {v: i for i, v in enumerate(batch)}
-    for p in pos_map.values():
-        for node in p.values():
-            if node is not None and node not in row_of:
-                row_of[node] = len(all_nodes)
-                all_nodes.append(node)
-    ids = tc.pad_sequences([model.tokens_for(graph.texts[v]) for v in all_nodes])
-    latents = ae.encode_batch(model, ids)
-    d = model.config.d_enc
-
-    info = None
-    for i in range(b):
-        anchor = dc.reshape(dc.embedding_lookup(latents, np.array([i])), (d,))
-        negs = dc.embedding_lookup(
-            latents, np.array([j for j in range(b) if j != i], dtype=np.int64))
-        positives = {}
-        for hop, node in pos_map[batch[i]].items():
-            positives[hop] = None if node is None else dc.reshape(
-                dc.embedding_lookup(latents, np.array([row_of[node]])), (d,))
-        term = ae.infonce_loss(anchor, positives, negs, cfg)
-        info = term if info is None else dc.add(info, term)
-    info = dc.mul(info, dc.constant(1.0 / b))
-
-    targets = ids[:b]
-    memory = ae.project(model, dc.embedding_lookup(latents, np.arange(b)))
-    logits = ae.decoder_logits(model, memory, ae.shift_for_teacher_forcing(targets))
-    return dc.add(ae.lm_loss(logits, targets), info)
-
-
 def test_combined_loss_passes_finite_difference_check():
     graph = toy_graph(num_nodes=8, seed=6)
     model = model_for(graph, seed=11, d_enc=4, d_dec=4, heads=2, proj_len=2,
@@ -623,9 +643,7 @@ def test_combined_loss_passes_finite_difference_check():
         p.data = prng.normal(0.0, 0.4, size=p.data.shape)
     cfg = ae.InfoNCEConfig(tau=0.5, hops=(1, 2), alphas=(1.0, 0.1))
     batch = [0, 1, 2]
-    rng = np.random.default_rng(0)
-    pos_map = {v: {k: gs.sample_positive(graph, v, k, rng) for k in cfg.hops}
-               for v in batch}
+    positives = ae.draw_positives(graph, batch, np.random.default_rng(0), cfg)
 
     # Keep the projection relu comfortably away from its kink.
     probe = ae.encode_batch(
@@ -633,14 +651,14 @@ def test_combined_loss_passes_finite_difference_check():
     pre = probe.data @ model.params["proj.w1"].data
     assert np.min(np.abs(pre)) > 1e-3, "re-seed the test: relu input near kink"
 
-    loss = combined_loss(model, graph, batch, pos_map, cfg)
+    loss = dc.add(*ae.pretrain_loss(model, graph, batch, positives, cfg))
     dc.backward(loss)
     names = list(model.params)
     analytic = [model.params[n].grad.copy() for n in names]
     arrays = [model.params[n].data for n in names]
 
     def loss_value(_arrays):
-        return float(combined_loss(model, graph, batch, pos_map, cfg).item())
+        return float(dc.add(*ae.pretrain_loss(model, graph, batch, positives, cfg)).item())
 
     numeric = finite_diff_grads(loss_value, arrays, eps=1e-5)
     for name, a, n in zip(names, analytic, numeric):

@@ -5,6 +5,10 @@ bytes can be checked directly. A small dataset and a short pretraining run
 are shared across the module to keep the suite fast.
 """
 
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -395,3 +399,15 @@ def test_ablate_reports_both_variants_and_delta(dataset, tmp_path):
         assert f"{backbone} delta:" in summary
     assert read(out / "emb_with.txt").split("\n")[0] == "48 16 nodegae"
     assert read(out / "emb_without.txt").split("\n")[0] == "48 16 nodegae"
+
+
+# ---------------------------------------------------------------------------
+# start-up cost
+# ---------------------------------------------------------------------------
+
+def test_cli_import_leaves_scipy_stats_out():
+    # scipy.stats alone costs most of a second of every command's start-up.
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = "import sys, nodegae.cli; sys.exit('scipy.stats' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], cwd=src, timeout=120)
+    assert done.returncode == 0

@@ -82,6 +82,15 @@ def test_spmm_matches_dense_product_and_checks_shapes():
         dc.spmm(SPMM_MATRIX, dc.constant(np.zeros(4)))
 
 
+def test_sum_axis_matches_numpy_and_checks_axis():
+    x = np.random.default_rng(5).standard_normal((2, 3, 4))
+    for axis in (0, 1, 2, -1):
+        out = dc.sum_axis(dc.constant(x), axis).data
+        np.testing.assert_array_equal(out, x.sum(axis=axis))
+    with pytest.raises(DimensionError):
+        dc.sum_axis(dc.constant(x), 3)
+
+
 # ---------------------------------------------------------------------------
 # Backward basics
 # ---------------------------------------------------------------------------
@@ -89,17 +98,16 @@ def test_spmm_matches_dense_product_and_checks_shapes():
 def test_quadratic_gradient():
     w = dc.parameter([1.0, 2.0, 3.0])
     sq = dc.mul(w, w)
-    loss = dc.mul(dc.mean_lastaxis(sq), dc.constant(3.0))  # sum(w*w)
-    loss = dc.reshape(loss, (1, 1))
+    loss = dc.reshape(dc.sum_axis(sq, 0), (1, 1))  # sum(w*w)
     dc.backward(dc.reshape(loss, ()))
     np.testing.assert_allclose(w.grad, [2.0, 4.0, 6.0], rtol=0, atol=1e-12)
 
 
 def test_relu_gate_gradient():
     w = dc.parameter([-1.0, 1.0])
-    loss = dc.mean_lastaxis(dc.relu(w))
+    loss = dc.sum_axis(dc.relu(w), 0)
     dc.backward(loss)
-    np.testing.assert_array_equal(w.grad, [0.0, 0.5])
+    np.testing.assert_array_equal(w.grad, [0.0, 1.0])
 
 
 def test_backward_requires_scalar():
@@ -110,7 +118,7 @@ def test_backward_requires_scalar():
 
 def test_backward_twice_doubles_grads():
     w = dc.parameter([-1.0, 0.5, 2.0])
-    loss = dc.mean_lastaxis(dc.mul(dc.relu(w), w))
+    loss = dc.sum_axis(dc.mul(dc.relu(w), w), 0)
     dc.backward(loss)
     once = w.grad.copy()
     dc.backward(loss)
@@ -120,7 +128,7 @@ def test_backward_twice_doubles_grads():
 def test_grad_accumulates_across_uses():
     w = dc.parameter([2.0])
     # w used twice: loss = w*w -> dloss/dw = 2w
-    loss = dc.mean_lastaxis(dc.mul(w, w))
+    loss = dc.sum_axis(dc.mul(w, w), 0)
     dc.backward(loss)
     np.testing.assert_allclose(w.grad, [4.0], rtol=0, atol=1e-15)
 
@@ -128,10 +136,10 @@ def test_grad_accumulates_across_uses():
 def test_intermediate_tensors_receive_grads():
     w = dc.parameter([1.0, -2.0])
     mid = dc.relu(w)
-    loss = dc.mean_lastaxis(mid)
+    loss = dc.sum_axis(mid, 0)
     dc.backward(loss)
     assert mid.grad is not None
-    np.testing.assert_array_equal(mid.grad, [0.5, 0.5])
+    np.testing.assert_array_equal(mid.grad, [1.0, 1.0])
 
 
 def test_forward_is_deterministic():
@@ -166,7 +174,7 @@ def make_op_cases(rng):
         ("softmax_lastdim", [sn((3, 5))], lambda x: dc.softmax_lastdim(x)),
         ("layernorm_lastdim", [sn((3, 6)) * 2 + 1], lambda x: dc.layernorm_lastdim(x)),
         ("embedding_lookup", [sn((6, 4))], lambda t: dc.embedding_lookup(t, ids)),
-        ("mean_lastaxis", [sn((3, 5))], lambda x: dc.mean_lastaxis(x)),
+        ("sum_axis", [sn((3, 5))], lambda x: dc.sum_axis(x, 0)),
         ("reshape", [sn((3, 4))], lambda x: dc.reshape(x, (2, 6))),
         ("concat", [sn((2, 3)), sn((2, 3))], lambda a, b: dc.concat([a, b], axis=1)),
         ("transpose_last2", [sn((2, 3, 4))], lambda x: dc.transpose_last2(x)),
