@@ -41,6 +41,8 @@ __all__ = [
 ]
 
 MASK_BIAS = -1e30
+# Rows per encode_batch call in extract_embeddings; bounds its peak memory.
+EXTRACT_BATCH = 256
 
 
 @dataclass
@@ -182,28 +184,15 @@ def _layer_norm(x, params, prefix):
     return dc.add(dc.mul(normed, params[prefix + ".g"]), params[prefix + ".b"])
 
 
-def _split_heads(x, heads):
-    b, t, d = x.shape
-    return dc.transpose(dc.reshape(x, (b, t, heads, d // heads)), (0, 2, 1, 3))
-
-
-def _merge_heads(x):
-    b, h, t, dh = x.shape
-    return dc.reshape(dc.transpose(x, (0, 2, 1, 3)), (b, t, h * dh))
-
-
 def _attention(q_src, kv_src, params, prefix, heads, bias=None):
-    """Scaled dot-product attention; bias is an additive constant mask."""
-    q = _split_heads(dc.matmul(q_src, params[prefix + ".wq"]), heads)
-    k = _split_heads(dc.matmul(kv_src, params[prefix + ".wk"]), heads)
-    v = _split_heads(dc.matmul(kv_src, params[prefix + ".wv"]), heads)
-    dh = q.shape[-1]
-    scores = dc.mul(dc.matmul(q, dc.transpose_last2(k)),
-                    dc.constant(1.0 / np.sqrt(dh)))
-    if bias is not None:
-        scores = dc.add(scores, bias)
-    ctx = dc.matmul(dc.softmax_lastdim(scores), v)
-    return dc.matmul(_merge_heads(ctx), params[prefix + ".wo"])
+    """Multi-head attention with input and output projections.
+
+    bias is an additive numpy mask that broadcasts to (B, heads, Tq, Tk).
+    """
+    q = dc.matmul(q_src, params[prefix + ".wq"])
+    k = dc.matmul(kv_src, params[prefix + ".wk"])
+    v = dc.matmul(kv_src, params[prefix + ".wv"])
+    return dc.matmul(dc.attention(q, k, v, heads, bias), params[prefix + ".wo"])
 
 
 def _feed_forward(x, params, prefix):
@@ -229,8 +218,7 @@ def encoder_hidden(model: AutoencoderModel, ids) -> dc.DiffTensor:
         raise ContractError(f"sequence length {t} exceeds max_len {cfg.max_len}")
     x = dc.add(dc.embedding_lookup(params["enc.tok_emb"], ids),
                dc.embedding_lookup(params["enc.pos_emb"], np.arange(t)))
-    key_bias = dc.constant(
-        np.where(ids == PAD_ID, MASK_BIAS, 0.0)[:, None, None, :])
+    key_bias = np.where(ids == PAD_ID, MASK_BIAS, 0.0)[:, None, None, :]
     for i in range(cfg.enc_layers):
         p = f"enc.l{i}"
         a = _layer_norm(x, params, p + ".ln1")
@@ -311,7 +299,7 @@ def decoder_logits(model: AutoencoderModel, memory: dc.DiffTensor, dec_ids
                dc.embedding_lookup(params["dec.pos_emb"], np.arange(t)))
     causal = np.triu(np.full((t, t), MASK_BIAS), k=1)
     pad = np.where(dec_ids == PAD_ID, MASK_BIAS, 0.0)[:, None, None, :]
-    self_bias = dc.constant(causal[None, None, :, :] + pad)
+    self_bias = causal[None, None, :, :] + pad
     for i in range(cfg.dec_layers):
         p = f"dec.l{i}"
         a = _layer_norm(x, params, p + ".ln1")
@@ -482,14 +470,21 @@ def pretrain_step(model: AutoencoderModel, graph: TextGraph,
 def extract_embeddings(model: AutoencoderModel, graph: TextGraph):
     """Latent vector per node as an EmbeddingMatrix; the model is unchanged.
 
-    Nodes are encoded one at a time without padding so each row is
-    bit-identical to a standalone encode_node call.
+    Nodes are encoded in batches of equal token length, at most
+    EXTRACT_BATCH rows each. No row is padded, and every recorded op treats
+    batch rows independently, so each row is bit-identical to a standalone
+    encode_node call.
     """
     from .downstream import EmbeddingMatrix
 
+    tokens = [model.tokens_for(text) for text in graph.texts]
+    lengths = np.array([t.size for t in tokens])
     out = np.empty((graph.num_nodes, model.config.d_enc))
-    for v in range(graph.num_nodes):
-        out[v] = encode_node(model, model.tokens_for(graph.texts[v])).data
+    for length in np.unique(lengths):
+        nodes = np.flatnonzero(lengths == length)
+        for start in range(0, nodes.size, EXTRACT_BATCH):
+            chunk = nodes[start:start + EXTRACT_BATCH]
+            out[chunk] = encode_batch(model, np.stack([tokens[v] for v in chunk])).data
     return EmbeddingMatrix(out, provenance="nodegae")
 
 

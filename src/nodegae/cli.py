@@ -313,15 +313,18 @@ def cmd_pretrain(cfg: RunConfig) -> int:
     if graph.num_nodes < 2:
         raise ConfigError("pretraining needs at least 2 nodes")
 
+    rng = np.random.default_rng(cfg.seed)
     if cfg.resume is not None:
-        model, adam, _ = load_model(cfg.resume)
+        model, adam, meta = load_model(cfg.resume)
         if adam is None:
             raise ConfigError(f"{cfg.resume} has no optimizer state; cannot resume")
+        # Continue the stopped run's batch and positive draws instead of replaying them.
+        if "rng_state" in meta:
+            rng.bit_generator.state = meta["rng_state"]
     else:
         model, adam = _fresh_model(cfg, graph)
 
     icfg = cfg.infonce()
-    rng = np.random.default_rng(cfg.seed)
     batch_size = min(cfg.batch_size, graph.num_nodes)
 
     log_rows: List[str] = []
@@ -330,6 +333,9 @@ def cmd_pretrain(cfg: RunConfig) -> int:
         batch = rng.choice(graph.num_nodes, size=batch_size, replace=False)
         lm, info = pretrain_step(model, graph, batch, adam, rng, icfg)
         step = adam.step_count
+        if not np.isfinite(lm + info):
+            raise NodeGaeError(
+                f"pretraining diverged at step {step}: loss {lm!r} + {info!r} is not finite")
         log_rows.append(f"{step},{_fmt(lm)},{_fmt(info)},{_fmt(lm + info)}")
         if cfg.recon_every and step % cfg.recon_every == 0:
             b, r, f = _reconstruction_scores(model, graph, cfg.recon_samples)
@@ -354,7 +360,8 @@ def cmd_pretrain(cfg: RunConfig) -> int:
         recon_path.write_text("step,bleu,rouge_l,token_f1\n" + body, encoding="utf-8")
 
     save_model(out_dir / "model.npz", model, adam,
-               extra_meta={"dataset": str(cfg.dataset)})
+               extra_meta={"dataset": str(cfg.dataset),
+                           "rng_state": rng.bit_generator.state})
     last = log_rows[-1].split(",")
     print(f"pretrained to step {last[0]} (total loss {last[3]}); "
           f"artifacts in {out_dir}")

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy.special import erf
 
 from .errors import ContractError, DimensionError
 
@@ -111,7 +110,8 @@ def add(a: DiffTensor, b: DiffTensor) -> DiffTensor:
         raise DimensionError(f"add: cannot broadcast shapes {a.shape} and {b.shape}")
 
     def backward_fn(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
+        return (_unbroadcast(g, a.shape) if a.requires_grad else None,
+                _unbroadcast(g, b.shape) if b.requires_grad else None)
 
     return _record(out, "add", (a, b), backward_fn)
 
@@ -123,23 +123,43 @@ def mul(a: DiffTensor, b: DiffTensor) -> DiffTensor:
         raise DimensionError(f"mul: cannot broadcast shapes {a.shape} and {b.shape}")
 
     def backward_fn(g):
-        return _unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)
+        return (_unbroadcast(g * b.data, a.shape) if a.requires_grad else None,
+                _unbroadcast(g * a.data, b.shape) if b.requires_grad else None)
 
     return _record(out, "mul", (a, b), backward_fn)
 
 
 def matmul(a: DiffTensor, b: DiffTensor) -> DiffTensor:
+    """Matrix product with numpy broadcasting over leading axes.
+
+    A 2-D ``b`` is a weight shared by every leading index of ``a``, so the
+    leading axes fold into one 2-D GEMM, forward and backward.
+    """
     if a.ndim < 2 or b.ndim < 2:
         raise DimensionError(f"matmul: operands must be at least 2-D, got {a.shape} and {b.shape}")
+    if a.shape[-1] != b.shape[-2]:
+        raise DimensionError(f"matmul: cannot multiply shapes {a.shape} and {b.shape}")
+    if b.ndim == 2:
+        a2 = a.data.reshape(-1, a.shape[-1])
+        out = (a2 @ b.data).reshape(a.shape[:-1] + (b.shape[1],))
+
+        def backward_fn(g):
+            g2 = g.reshape(-1, g.shape[-1])
+            return ((g2 @ b.data.T).reshape(a.shape) if a.requires_grad else None,
+                    a2.T @ g2 if b.requires_grad else None)
+
+        return _record(out, "matmul", (a, b), backward_fn)
+
     try:
         out = np.matmul(a.data, b.data)
     except ValueError:
         raise DimensionError(f"matmul: cannot multiply shapes {a.shape} and {b.shape}")
 
     def backward_fn(g):
-        ga = _unbroadcast(np.matmul(g, b.data.swapaxes(-1, -2)), a.shape)
-        gb = _unbroadcast(np.matmul(a.data.swapaxes(-1, -2), g), b.shape)
-        return ga, gb
+        return (_unbroadcast(np.matmul(g, b.data.swapaxes(-1, -2)), a.shape)
+                if a.requires_grad else None,
+                _unbroadcast(np.matmul(a.data.swapaxes(-1, -2), g), b.shape)
+                if b.requires_grad else None)
 
     return _record(out, "matmul", (a, b), backward_fn)
 
@@ -167,6 +187,8 @@ def relu(x: DiffTensor) -> DiffTensor:
 
 def gelu(x: DiffTensor) -> DiffTensor:
     """Exact (erf-based) Gaussian error linear unit."""
+    from scipy.special import erf  # imported on first use: scipy.special is slow to load
+
     cdf = 0.5 * (1.0 + erf(x.data * _INV_SQRT2))
     out = x.data * cdf
 
@@ -177,16 +199,75 @@ def gelu(x: DiffTensor) -> DiffTensor:
     return _record(out, "gelu", (x,), backward_fn)
 
 
+def _softmax(x: np.ndarray) -> np.ndarray:
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _softmax_backward(p: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Adjoint of the softmax input, given the output ``p`` and its adjoint ``g``."""
+    return p * (g - (g * p).sum(axis=-1, keepdims=True))
+
+
 def softmax_lastdim(x: DiffTensor) -> DiffTensor:
-    z = x.data - x.data.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    out = e / e.sum(axis=-1, keepdims=True)
+    out = _softmax(x.data)
 
     def backward_fn(g):
-        inner = (g * out).sum(axis=-1, keepdims=True)
-        return (out * (g - inner),)
+        return (_softmax_backward(out, g),)
 
     return _record(out, "softmax_lastdim", (x,), backward_fn)
+
+
+def attention(q: DiffTensor, k: DiffTensor, v: DiffTensor, heads: int,
+              bias: np.ndarray | None = None) -> DiffTensor:
+    """Multi-head scaled dot-product attention as one recorded op.
+
+    ``q`` is (B, Tq, d) and ``k``, ``v`` are (B, Tk, d), already projected.
+    Each head h attends over its width-d/heads slice of the last axis with
+    softmax(q_h k_hᵀ / sqrt(d/heads) + bias) v_h, and the head contexts are
+    merged back into (B, Tq, d). ``bias`` is a constant additive numpy mask
+    that broadcasts to (B, heads, Tq, Tk); it gets no gradient.
+    """
+    if (q.ndim != 3 or k.ndim != 3 or v.shape != k.shape
+            or k.shape[0] != q.shape[0] or k.shape[2] != q.shape[2]):
+        raise DimensionError(
+            f"attention: shapes q {q.shape}, k {k.shape}, v {v.shape} do not align")
+    b, tq, d = q.shape
+    if heads < 1 or d % heads:
+        raise DimensionError(f"attention: {heads} heads do not divide width {d}")
+    dh = d // heads
+    scale = 1.0 / np.sqrt(dh)
+    score_shape = (b, heads, tq, k.shape[1])
+    if bias is not None:
+        try:
+            fits = np.broadcast_shapes(np.shape(bias), score_shape) == score_shape
+        except ValueError:
+            fits = False
+        if not fits:
+            raise DimensionError(
+                f"attention: bias shape {np.shape(bias)} does not broadcast to {score_shape}")
+
+    def split(x):  # (B, T, d) -> (B, heads, T, dh)
+        return np.ascontiguousarray(x.reshape(b, -1, heads, dh).transpose(0, 2, 1, 3))
+
+    def merge(x):  # (B, heads, T, dh) -> (B, T, d)
+        return np.ascontiguousarray(x.transpose(0, 2, 1, 3)).reshape(b, -1, d)
+
+    qh, kh, vh = split(q.data), split(k.data), split(v.data)
+    scores = np.matmul(qh, kh.swapaxes(-1, -2)) * scale
+    if bias is not None:
+        scores = scores + bias
+    p = _softmax(scores)
+    out = merge(np.matmul(p, vh))
+
+    def backward_fn(g):
+        gh = split(g)
+        gs = _softmax_backward(p, np.matmul(gh, vh.swapaxes(-1, -2))) * scale
+        return (merge(np.matmul(gs, kh)) if q.requires_grad else None,
+                merge(np.matmul(gs.swapaxes(-1, -2), qh)) if k.requires_grad else None,
+                merge(np.matmul(p.swapaxes(-1, -2), gh)) if v.requires_grad else None)
+
+    return _record(out, "attention", (q, k, v), backward_fn)
 
 
 def layernorm_lastdim(x: DiffTensor) -> DiffTensor:
@@ -277,14 +358,6 @@ def transpose(x: DiffTensor, axes: Sequence[int]) -> DiffTensor:
         return (g.transpose(inv),)
 
     return _record(out, "transpose", (x,), backward_fn)
-
-
-def transpose_last2(x: DiffTensor) -> DiffTensor:
-    if x.ndim < 2:
-        raise DimensionError(f"transpose_last2: need at least 2-D, got {x.shape}")
-    axes = list(range(x.ndim))
-    axes[-1], axes[-2] = axes[-2], axes[-1]
-    return transpose(x, axes)
 
 
 def cross_entropy_logits(logits: DiffTensor, targets, ignore_index: int | None = None,

@@ -10,12 +10,14 @@ prediction.
 """
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import ConfigError, ContractError
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 __all__ = [
     "TextGraph",
@@ -168,12 +170,15 @@ def sample_positive(
     return int(candidates[int(rng.integers(len(candidates)))])
 
 
-def normalized_adjacency(graph: TextGraph, add_self_loops: bool = True) -> sp.csr_matrix:
+def normalized_adjacency(graph: TextGraph, add_self_loops: bool = True
+                         ) -> "sp.csr_matrix":
     """Symmetrically normalized adjacency D^{-1/2} A D^{-1/2}.
 
     Degrees are taken from A after optional self-loop insertion; isolated
     nodes keep zero rows and columns (0^{-1/2} is defined as 0).
     """
+    import scipy.sparse as sp  # imported on first use: commands without a graph backbone skip it
+
     n = graph.num_nodes
     adj = sp.csr_matrix(
         (np.ones(graph.indices.size, dtype=np.float64), graph.indices, graph.indptr),
@@ -189,8 +194,10 @@ def normalized_adjacency(graph: TextGraph, add_self_loops: bool = True) -> sp.cs
     return (scale @ adj @ scale).tocsr()
 
 
-def mean_adjacency(graph: TextGraph) -> sp.csr_matrix:
+def mean_adjacency(graph: TextGraph) -> "sp.csr_matrix":
     """Row-mean neighbor averaging D^{-1} A; isolated nodes keep zero rows."""
+    import scipy.sparse as sp  # imported on first use, as in normalized_adjacency
+
     deg = graph.degrees
     weights = np.repeat(1.0 / np.maximum(deg, 1), deg)
     return sp.csr_matrix((weights, graph.indices, graph.indptr),

@@ -125,6 +125,9 @@ def _op_gradient_cases(rng):
                                      [0.5, 0.0, 0.0, 0.0],
                                      [0.0, 0.0, 0.0, 0.0],
                                      [3.0, 0.0, -1.5, 1.0]]))  # not symmetric
+    pad_bias = np.zeros((2, 1, 1, 3))
+    pad_bias[1, 0, 0, 2] = ae.MASK_BIAS  # batch row 1 has a pad key in column 2
+    causal_bias = np.triu(np.full((3, 3), ae.MASK_BIAS), k=1)
     return [
         ("add", lambda: dc.add(a, b), [a, b]),
         ("mul", lambda: dc.mul(a, b), [a, b]),
@@ -139,9 +142,20 @@ def _op_gradient_cases(rng):
         ("reshape", lambda: dc.reshape(m1, (2, 6)), [m1]),
         ("concat", lambda: dc.concat([c1, c2, c3], axis=0), [c1, c2, c3]),
         ("transpose", lambda: dc.transpose(x234, (2, 0, 1)), [x234]),
-        ("transpose_last2", lambda: dc.transpose_last2(x234), [x234]),
+        ("transpose_swap_last2", lambda: dc.transpose(x234, (0, 2, 1)), [x234]),
         ("l2_normalize_lastdim", lambda: dc.l2_normalize_lastdim(m1), [m1]),
         ("spmm", lambda: dc.spmm(spmm_a, m2), [m2]),
+        # Attention reuses the draws above, viewed as (B, T, d) with d = 4.
+        ("attention_self_padded",
+         lambda: dc.attention(x234, mb, dc.reshape(x38, (2, 3, 4)), 2, pad_bias),
+         [x234, mb, x38]),
+        ("attention_causal",
+         lambda: dc.attention(mb, dc.reshape(table, (2, 3, 4)), x234, 1, causal_bias),
+         [mb, table, x234]),
+        ("attention_cross",
+         lambda: dc.attention(dc.reshape(m1, (1, 3, 4)), dc.reshape(x38, (1, 6, 4)),
+                              dc.reshape(table, (1, 6, 4)), 2),
+         [m1, x38, table]),
     ]
 
 

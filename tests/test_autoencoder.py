@@ -555,6 +555,15 @@ def test_extract_embeddings_rows_match_single_calls():
         assert np.array_equal(emb.matrix[v], single)
 
 
+def test_extract_embeddings_chunks_match_single_calls(monkeypatch):
+    # Two rows per encode_batch call splits every equal-length group.
+    graph = toy_graph(num_nodes=9, seed=3)
+    model = model_for(graph, seed=3)
+    whole = ae.extract_embeddings(model, graph).matrix
+    monkeypatch.setattr(ae, "EXTRACT_BATCH", 2)
+    assert np.array_equal(ae.extract_embeddings(model, graph).matrix, whole)
+
+
 def test_reconstruct_terminates_with_valid_ids():
     graph = toy_graph()
     model = model_for(graph)
@@ -663,3 +672,16 @@ def test_combined_loss_passes_finite_difference_check():
     numeric = finite_diff_grads(loss_value, arrays, eps=1e-5)
     for name, a, n in zip(names, analytic, numeric):
         assert_grads_close(a, n, rtol=1e-4, context=name)
+
+
+def test_pretrain_loss_records_one_attention_op_per_block():
+    # 2 encoder self-attentions + 2 decoder layers x (self, cross) = 6.
+    graph = toy_graph()
+    model = model_for(graph, enc_layers=2, dec_layers=2)
+    cfg = ae.InfoNCEConfig()
+    batch = [0, 1, 2, 3]
+    positives = ae.draw_positives(graph, batch, np.random.default_rng(0), cfg)
+    loss = dc.add(*ae.pretrain_loss(model, graph, batch, positives, cfg))
+    ops = [node._op for node in dc._topo_order(loss)]
+    assert ops.count("attention") == 6
+    assert "softmax_lastdim" not in ops

@@ -21,6 +21,13 @@ SPMM_MATRIX = sp.csr_matrix(np.array([
 ]))
 
 
+MASK = -1e30
+# Batch row 1 of the padded self-attention case has a pad in its last key column.
+PADDED_KEY_BIAS = np.zeros((2, 1, 1, 3))
+PADDED_KEY_BIAS[1, 0, 0, 2] = MASK
+CAUSAL_BIAS = np.triu(np.full((4, 4), MASK), k=1)
+
+
 def scalarize(out, rng):
     """Project an op output to a scalar with a fixed random linear functional."""
     r = dc.constant(rng.standard_normal((out.size, 1)))
@@ -89,6 +96,44 @@ def test_sum_axis_matches_numpy_and_checks_axis():
         np.testing.assert_array_equal(out, x.sum(axis=axis))
     with pytest.raises(DimensionError):
         dc.sum_axis(dc.constant(x), 3)
+
+
+def attention_oracle(q, k, v, heads, bias=None):
+    """Split heads, softmax(q kᵀ/sqrt(dh) + bias) v per head, merge heads."""
+    b, tq, d = q.shape
+    dh = d // heads
+
+    def split(x):
+        return x.reshape(b, x.shape[1], heads, dh).transpose(0, 2, 1, 3)
+
+    scores = split(q) @ split(k).transpose(0, 1, 3, 2) / np.sqrt(dh)
+    if bias is not None:
+        scores = scores + bias
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    ctx = (e / e.sum(axis=-1, keepdims=True)) @ split(v)
+    return ctx.transpose(0, 2, 1, 3).reshape(b, tq, d)
+
+
+@pytest.mark.parametrize("heads,tq,tk,bias", [
+    (2, 3, 3, PADDED_KEY_BIAS), (1, 4, 4, CAUSAL_BIAS), (2, 3, 5, None), (4, 2, 6, None)])
+def test_attention_matches_composed_oracle(heads, tq, tk, bias):
+    rng = np.random.default_rng(6)
+    q, k, v = (rng.standard_normal(s) for s in ((2, tq, 4), (2, tk, 4), (2, tk, 4)))
+    out = dc.attention(dc.constant(q), dc.constant(k), dc.constant(v), heads, bias).data
+    assert out.shape == (2, tq, 4)
+    assert np.max(np.abs(out - attention_oracle(q, k, v, heads, bias))) <= 1e-12
+
+
+def test_attention_checks_shapes():
+    x, y = dc.constant(np.zeros((2, 3, 4))), dc.constant(np.zeros((2, 5, 4)))
+    with pytest.raises(DimensionError):
+        dc.attention(x, y, x, 2)  # k and v lengths differ
+    with pytest.raises(DimensionError):
+        dc.attention(x, x, x, 3)  # heads do not divide the width
+    with pytest.raises(DimensionError):
+        dc.attention(x, y, y, 2, np.zeros((2, 1, 1, 3)))  # bias covers 3 keys, not 5
+    with pytest.raises(DimensionError):
+        dc.attention(dc.constant(np.zeros((3, 4))), x, x, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +206,7 @@ def make_op_cases(rng):
     ids = np.array([0, 2, 2, 5, 1])
     targets = np.array([1, 0, 3, 0])
     targets_masked = np.array([1, 0, 3, 0, 0])
-    return [
+    cases = [
         ("matmul", [sn((3, 4)), sn((4, 5))], lambda a, b: dc.matmul(a, b)),
         ("matmul_batched", [sn((2, 3, 4)), sn((2, 4, 5))], lambda a, b: dc.matmul(a, b)),
         ("matmul_broadcast", [sn((2, 3, 4)), sn((4, 5))], lambda a, b: dc.matmul(a, b)),
@@ -177,7 +222,7 @@ def make_op_cases(rng):
         ("sum_axis", [sn((3, 5))], lambda x: dc.sum_axis(x, 0)),
         ("reshape", [sn((3, 4))], lambda x: dc.reshape(x, (2, 6))),
         ("concat", [sn((2, 3)), sn((2, 3))], lambda a, b: dc.concat([a, b], axis=1)),
-        ("transpose_last2", [sn((2, 3, 4))], lambda x: dc.transpose_last2(x)),
+        ("transpose_swap_last2", [sn((2, 3, 4))], lambda x: dc.transpose(x, (0, 2, 1))),
         ("transpose", [sn((2, 3, 4))], lambda x: dc.transpose(x, (2, 0, 1))),
         ("l2_normalize_lastdim", [sn((3, 4)) + 0.5], lambda x: dc.l2_normalize_lastdim(x)),
         ("cross_entropy_logits", [sn((4, 6))],
@@ -188,6 +233,22 @@ def make_op_cases(rng):
              (1,))),
         ("spmm", [sn((4, 3))], lambda x: dc.spmm(SPMM_MATRIX, x)),
     ]
+    # Drawn after the cases above, so their random streams do not move.
+    w45, a234 = dc.constant(sn((4, 5))), dc.constant(sn((2, 3, 4)))
+    c34, c4 = dc.constant(sn((3, 4))), dc.constant(sn(4))
+    cases += [
+        ("matmul_const_weight", [sn((2, 3, 4))], lambda a: dc.matmul(a, w45)),
+        ("matmul_const_left", [sn((4, 5))], lambda b: dc.matmul(a234, b)),
+        ("mul_const", [sn((3, 4))], lambda a: dc.mul(a, c34)),
+        ("add_const", [sn((3, 4))], lambda b: dc.add(c4, b)),
+        ("attention_self_padded", [sn((2, 3, 4)), sn((2, 3, 4)), sn((2, 3, 4))],
+         lambda q, k, v: dc.attention(q, k, v, 2, PADDED_KEY_BIAS)),
+        ("attention_causal", [sn((2, 4, 4)), sn((2, 4, 4)), sn((2, 4, 4))],
+         lambda q, k, v: dc.attention(q, k, v, 1, CAUSAL_BIAS)),
+        ("attention_cross", [sn((2, 3, 4)), sn((2, 5, 4)), sn((2, 5, 4))],
+         lambda q, k, v: dc.attention(q, k, v, 2)),
+    ]
+    return cases
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -206,6 +267,10 @@ def test_op_gradients_match_finite_differences(seed):
         out = build(*params)
         loss = scalarize(out, np.random.default_rng(proj_seed))
         dc.backward(dc.reshape(loss, ()))
+        # Ops return no gradient for a constant operand, and it keeps none.
+        for parent, pg in zip(out._parents, out._backward_fn(np.ones_like(out.data))):
+            if not parent.requires_grad:
+                assert pg is None and parent.grad is None, f"{name} seed={seed}"
         numeric = finite_diff_grads(loss_value, [a.copy() for a in arrays])
         for p, n in zip(params, numeric):
             assert_grads_close(p.grad, n, rtol=1e-4, context=f"{name} seed={seed}")
