@@ -168,9 +168,6 @@ class AutoencoderModel:
     def parameters(self) -> List[dc.DiffTensor]:
         return list(self.params.values())
 
-    def num_parameters(self) -> int:
-        return sum(p.size for p in self.params.values())
-
     def tokens_for(self, text: str) -> np.ndarray:
         return encode(text, self.vocab, self.config.max_len)
 

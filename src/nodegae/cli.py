@@ -9,9 +9,9 @@ artifacts behind. Exit codes: 0 success, 1 configuration or input error,
 
 import argparse
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import asdict, fields, replace
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -28,6 +28,7 @@ from .autoencoder import (
 )
 from .downstream import (
     BACKBONES,
+    LINK_SCORERS,
     DownstreamConfig,
     EmbeddingMatrix,
     load_embeddings,
@@ -51,6 +52,9 @@ from .textcorpus import (
     tokenize,
 )
 
+# The flags of one command line, parsed and resolved (see `resolve`).
+Args = argparse.Namespace
+
 DATASET_FILES = ("nodes.tsv", "edges.tsv", "splits.txt")
 TASKS = ("nodecls", "linkpred")
 
@@ -69,197 +73,123 @@ def load_dataset(root) -> TextGraph:
     return load_textgraph(nodes, edges, splits)
 
 
+def _write_csv(path: Path, header: str, rows: List[str], append: bool = False) -> None:
+    """Write the header and one line per row; with `append`, add the rows to an existing file."""
+    body = "".join(row + "\n" for row in rows)
+    if append and path.exists():
+        with path.open("a", encoding="utf-8") as fh:
+            fh.write(body)
+    else:
+        path.write_text(header + "\n" + body, encoding="utf-8")
+
+
 # ---------------------------------------------------------------------------
-# Configuration
+# Configuration: library configs built from the parsed flags, and checks
 # ---------------------------------------------------------------------------
 
-@dataclass
-class RunConfig:
-    """Every knob of both stages, as parsed from the command line."""
+# Flag dests that name a pretraining optimizer setting, with the AdamState
+# field each one sets.
+OPTIMIZER_DESTS = {"pretrain_lr": "base_lr", "warmup": "warmup_steps", "clip_norm": "clip_norm"}
 
-    command: str = ""
-    seed: int = 0
-    # paths
-    dataset: Optional[str] = None
-    out: Optional[str] = None
-    out_dir: Optional[str] = None
-    checkpoint: Optional[str] = None
-    embeddings: Optional[str] = None
-    resume: Optional[str] = None
-    # synthetic dataset
-    nodes: int = 512
-    classes: int = 6
-    keywords_per_class: int = 20
-    doc_min: int = 8
-    doc_max: int = 16
-    intra_prob: float = 0.05
-    inter_prob: float = 0.005
-    class_token_fraction: float = 0.7
-    # stage 1: autoencoder pretraining
-    steps: int = 500
-    batch_size: int = 16
-    pretrain_lr: float = 1e-3
-    warmup: int = 100
-    clip_norm: float = 1.0
-    d_enc: int = 64
-    d_dec: int = 64
-    enc_layers: int = 2
-    dec_layers: int = 2
-    heads: int = 4
-    proj_len: int = 4
-    ff_mult: int = 2
-    max_len: int = 64
-    vocab_size: int = 2048
-    tau: float = 0.5
-    alpha1: float = 1.0
-    alpha2: float = 0.1
-    raw_similarity: bool = False
-    recon_every: int = 100
-    recon_samples: int = 8
-    # embedding extraction
-    baseline: str = "model"
-    dim: int = 64
-    # stage 2: downstream training
-    task: str = "nodecls"
-    backbone: str = "mlp"
-    backbones: str = "mlp"
-    repeats: int = 10
-    hidden_dim: int = 64
-    num_layers: int = 2
-    dropout: float = 0.5
-    train_lr: Optional[float] = None
-    epochs: int = 200
-    patience: int = 50
-    batch_edges: int = 128
-    link_scorer: str = "dot"
-    link_seed: int = 0
-    log_every_iter: bool = False
-    no_self_loops: bool = False
 
-    @classmethod
-    def from_args(cls, ns: argparse.Namespace) -> "RunConfig":
-        kwargs = {f.name: getattr(ns, f.name) for f in fields(cls) if hasattr(ns, f.name)}
-        return cls(**kwargs)
+def _model_config(args: Args, vocab_size: int) -> ModelConfig:
+    shape = {f.name: getattr(args, f.name) for f in fields(ModelConfig) if f.name != "vocab_size"}
+    return ModelConfig(vocab_size=vocab_size, **shape)
 
-    # -- validation helpers -------------------------------------------------
 
-    def synthetic_spec(self) -> SyntheticGraphSpec:
-        return SyntheticGraphSpec(
-            num_nodes=self.nodes,
-            num_classes=self.classes,
-            keywords_per_class=self.keywords_per_class,
-            doc_length=(self.doc_min, self.doc_max),
-            intra_class_edge_prob=self.intra_prob,
-            inter_class_edge_prob=self.inter_prob,
-            class_token_fraction=self.class_token_fraction,
-            seed=self.seed,
-        )
+def _adam_settings(args: Args) -> dict:
+    return dict(base_lr=args.pretrain_lr, warmup_steps=args.warmup,
+                clip_norm=args.clip_norm if args.clip_norm > 0 else None)
 
-    def infonce(self, alphas: Optional[Tuple[float, float]] = None) -> InfoNCEConfig:
-        if alphas is None:
-            alphas = (self.alpha1, self.alpha2)
-        return InfoNCEConfig(tau=self.tau, hops=(1, 2), alphas=alphas,
-                             normalize=not self.raw_similarity)
 
-    def backbone_list(self) -> List[str]:
-        return [b.strip() for b in self.backbones.split(",") if b.strip()]
+def _infonce(args: Args, alphas: Optional[Tuple[float, float]] = None) -> InfoNCEConfig:
+    if alphas is None:
+        alphas = (args.alpha1, args.alpha2)
+    return InfoNCEConfig(tau=args.tau, alphas=alphas, normalize=not args.raw_similarity)
 
-    def downstream(self, task: str, backbone: str, seed: int) -> DownstreamConfig:
-        kwargs = dict(
-            backbone=backbone, hidden_dim=self.hidden_dim,
-            num_layers=self.num_layers, dropout=self.dropout,
-            epochs=self.epochs, patience=self.patience, seed=seed,
-            batch_edges=self.batch_edges,
-            log_every_iter=self.log_every_iter and task == "linkpred",
-            add_self_loops=not self.no_self_loops,
-            link_scorer=self.link_scorer,
-        )
-        if self.train_lr is not None:
-            kwargs["lr"] = self.train_lr
-        build = (DownstreamConfig.for_node_classification if task == "nodecls"
-                 else DownstreamConfig.for_link_prediction)
-        return build(**kwargs)
 
-    def _require_dataset(self) -> None:
-        if self.dataset is None:
-            raise ConfigError("--dataset is required")
-        for p in dataset_paths(self.dataset):
-            if not p.is_file():
-                raise ConfigError(f"dataset file not found: {p}")
+def _downstream(args: Args, backbone: str, log_every_iter: bool = False) -> DownstreamConfig:
+    """Stage-2 config of one backbone, seeded with --seed (repeats add their index)."""
+    kwargs = dict(
+        backbone=backbone, hidden_dim=args.hidden_dim,
+        num_layers=args.num_layers, dropout=args.dropout,
+        epochs=args.epochs, patience=args.patience, seed=args.seed,
+        batch_edges=args.batch_edges,
+        log_every_iter=log_every_iter and args.task == "linkpred",
+        add_self_loops=not args.no_self_loops,
+        link_scorer=args.link_scorer,
+    )
+    if args.train_lr is not None:
+        kwargs["lr"] = args.train_lr
+    build = (DownstreamConfig.for_node_classification if args.task == "nodecls"
+             else DownstreamConfig.for_link_prediction)
+    return build(**kwargs)
 
-    def _validate_stage1(self) -> None:
-        if self.steps < 1:
-            raise ConfigError(f"--steps must be >= 1, got {self.steps}")
-        if self.batch_size < 2:
-            raise ConfigError(f"--batch-size must be >= 2, got {self.batch_size}")
-        if self.pretrain_lr <= 0:
-            raise ConfigError(f"pretraining lr must be positive, got {self.pretrain_lr}")
-        if self.warmup < 0:
-            raise ConfigError(f"--warmup must be >= 0, got {self.warmup}")
-        if self.vocab_size < 5:
-            raise ConfigError(f"--vocab-size must be >= 5, got {self.vocab_size}")
-        if self.recon_every < 0 or self.recon_samples < 1:
-            raise ConfigError("--recon-every must be >= 0 and --recon-samples >= 1")
-        # Structural check of the model shape; the real vocab size is known
-        # only after the corpus is read, so a placeholder stands in for it.
-        ModelConfig(vocab_size=5, d_enc=self.d_enc, d_dec=self.d_dec,
-                    enc_layers=self.enc_layers, dec_layers=self.dec_layers,
-                    heads=self.heads, proj_len=self.proj_len,
-                    ff_mult=self.ff_mult, max_len=self.max_len).validate()
-        self.infonce().validate()
 
-    def _validate_stage2(self) -> None:
-        if self.task not in TASKS:
-            raise ConfigError(f"--task must be one of {TASKS}, got '{self.task}'")
-        if self.repeats < 1:
-            raise ConfigError(f"--repeats must be >= 1, got {self.repeats}")
-        for backbone in ([self.backbone] if self.command == "train"
-                         else self.backbone_list()):
-            self.downstream(self.task, backbone, self.seed).validate()
+def _check_dataset(args: Args) -> None:
+    for p in dataset_paths(args.dataset):
+        if not p.is_file():
+            raise ConfigError(f"dataset file not found: {p}")
 
-    def validate(self) -> None:
-        if self.command == "generate":
-            if self.out is None:
-                raise ConfigError("--out is required")
-            self.synthetic_spec().validate()
-        elif self.command == "pretrain":
-            self._require_dataset()
-            self._validate_stage1()
-            if self.resume is not None and not Path(self.resume).is_file():
-                raise ConfigError(f"resume checkpoint not found: {self.resume}")
-        elif self.command == "embed":
-            self._require_dataset()
-            if self.baseline == "model":
-                if self.checkpoint is None:
-                    raise ConfigError("--checkpoint is required unless --baseline is used")
-                if not Path(self.checkpoint).is_file():
-                    raise ConfigError(f"checkpoint not found: {self.checkpoint}")
-            elif self.dim < 1:
-                raise ConfigError(f"--dim must be >= 1, got {self.dim}")
-        elif self.command == "train":
-            self._require_dataset()
-            if self.embeddings is None:
-                raise ConfigError("--embeddings is required")
-            if not Path(self.embeddings).is_file():
-                raise ConfigError(f"embeddings file not found: {self.embeddings}")
-            self._validate_stage2()
-        elif self.command == "ablate":
-            self._require_dataset()
-            self._validate_stage1()
-            if not self.backbone_list():
-                raise ConfigError("--backbones must name at least one backbone")
-            self._validate_stage2()
-        else:
-            raise ConfigError(f"unknown command '{self.command}'")
+
+def _check_stage1(args: Args) -> None:
+    if args.steps < 1:
+        raise ConfigError(f"--steps must be >= 1, got {args.steps}")
+    if args.batch_size < 2:
+        raise ConfigError(f"--batch-size must be >= 2, got {args.batch_size}")
+    if args.pretrain_lr <= 0:
+        raise ConfigError(f"pretraining lr must be positive, got {args.pretrain_lr}")
+    if args.warmup < 0:
+        raise ConfigError(f"--warmup must be >= 0, got {args.warmup}")
+    if args.vocab_size < 5:
+        raise ConfigError(f"--vocab-size must be >= 5, got {args.vocab_size}")
+    # The real vocabulary is known only once the corpus is read; its budget
+    # bounds it, so the model shape is checked against the budget here.
+    _model_config(args, args.vocab_size).validate()
+    _infonce(args).validate()
+
+
+def _check_stage2(args: Args, backbones: Sequence[str]) -> None:
+    if args.repeats < 1:
+        raise ConfigError(f"--repeats must be >= 1, got {args.repeats}")
+    for backbone in backbones:
+        _downstream(args, backbone).validate()
+
+
+def _pretraining_graph(args: Args, purpose: str) -> TextGraph:
+    graph = load_dataset(args.dataset)
+    if graph.num_nodes < 2:
+        raise ConfigError(f"{purpose} needs at least 2 nodes")
+    return graph
+
+
+def _task_split(args: Args, graph: TextGraph) -> Optional[LinkSplit]:
+    """The validated edge split for linkpred; nodecls needs a non-empty test split."""
+    if args.task == "linkpred":
+        split = build_link_split(graph, seed=args.link_seed)
+        split.validate(graph)
+        return split
+    if graph.splits.get("test") is None or not graph.splits["test"].size:
+        raise ConfigError("node classification needs a non-empty test split")
+    return None
 
 
 # ---------------------------------------------------------------------------
 # generate
 # ---------------------------------------------------------------------------
 
-def cmd_generate(cfg: RunConfig) -> int:
-    graph = generate_synthetic(cfg.synthetic_spec())
-    out = Path(cfg.out)
+def cmd_generate(args: Args) -> int:
+    graph = generate_synthetic(SyntheticGraphSpec(
+        num_nodes=args.nodes,
+        num_classes=args.classes,
+        keywords_per_class=args.keywords_per_class,
+        doc_length=(args.doc_min, args.doc_max),
+        intra_class_edge_prob=args.intra_prob,
+        inter_class_edge_prob=args.inter_prob,
+        class_token_fraction=args.class_token_fraction,
+        seed=args.seed,
+    ))
+    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     save_textgraph(graph, *dataset_paths(out))
     print(f"wrote {graph.num_nodes} nodes / {graph.num_edges} edges to {out}")
@@ -273,98 +203,102 @@ def cmd_generate(cfg: RunConfig) -> int:
 def _reconstruction_scores(model: AutoencoderModel, graph: TextGraph,
                            num_samples: int) -> Tuple[float, float, float]:
     """Mean BLEU / ROUGE-L / token F1 of greedy decodes on sample nodes."""
-    bleus, rouges, f1s = [], [], []
+    scores = []
     for v in range(min(num_samples, graph.num_nodes)):
         tokens = model.tokens_for(graph.texts[v])
         ref = decode(tokens, model.vocab)
-        if not ref:
-            continue
-        gen = decode(reconstruct(model, tokens), model.vocab)
-        if not gen:
-            bleus.append(0.0)
-            rouges.append(0.0)
-            f1s.append(0.0)
-        else:
-            bleus.append(bleu(gen, ref))
-            rouges.append(rouge_l(gen, ref))
-            f1s.append(token_f1(gen, ref))
-    if not bleus:
+        if ref:
+            gen = decode(reconstruct(model, tokens), model.vocab)
+            scores.append((bleu(gen, ref), rouge_l(gen, ref), token_f1(gen, ref))
+                          if gen else (0.0, 0.0, 0.0))
+    if not scores:
         return 0.0, 0.0, 0.0
-    return float(np.mean(bleus)), float(np.mean(rouges)), float(np.mean(f1s))
+    return tuple(float(np.mean(column)) for column in zip(*scores))
 
 
-def _fresh_model(cfg: RunConfig, graph: TextGraph
-                 ) -> Tuple[AutoencoderModel, dc.AdamState]:
+def _fresh_model(args: Args, graph: TextGraph) -> Tuple[AutoencoderModel, dc.AdamState]:
     """A newly initialized autoencoder over the graph's vocabulary, and its optimizer."""
-    vocab = build_vocab(graph.texts, max_size=cfg.vocab_size)
-    mcfg = ModelConfig(vocab_size=vocab.size, d_enc=cfg.d_enc, d_dec=cfg.d_dec,
-                       enc_layers=cfg.enc_layers, dec_layers=cfg.dec_layers,
-                       heads=cfg.heads, proj_len=cfg.proj_len,
-                       ff_mult=cfg.ff_mult, max_len=cfg.max_len)
-    model = AutoencoderModel.init(mcfg, vocab, seed=cfg.seed)
-    adam = dc.AdamState.for_params(
-        model.parameters(), base_lr=cfg.pretrain_lr, warmup_steps=cfg.warmup,
-        clip_norm=cfg.clip_norm if cfg.clip_norm > 0 else None)
+    vocab = build_vocab(graph.texts, max_size=args.vocab_size)
+    model = AutoencoderModel.init(_model_config(args, vocab.size), vocab, seed=args.seed)
+    adam = dc.AdamState.for_params(model.parameters(), **_adam_settings(args))
     return model, adam
 
 
-def cmd_pretrain(cfg: RunConfig) -> int:
-    graph = load_dataset(cfg.dataset)
-    if graph.num_nodes < 2:
-        raise ConfigError("pretraining needs at least 2 nodes")
+def _pretraining(args: Args, graph: TextGraph, model: AutoencoderModel, adam: dc.AdamState,
+                 rng: np.random.Generator, icfg: InfoNCEConfig
+                 ) -> Iterator[Tuple[int, float, float]]:
+    """Run --steps stage-1 steps, yielding (step, lm loss, InfoNCE loss) after each.
 
-    rng = np.random.default_rng(cfg.seed)
-    if cfg.resume is not None:
-        model, adam, meta = load_model(cfg.resume)
-        if adam is None:
-            raise ConfigError(f"{cfg.resume} has no optimizer state; cannot resume")
-        # Continue the stopped run's batch and positive draws instead of replaying them.
-        if "rng_state" in meta:
-            rng.bit_generator.state = meta["rng_state"]
-    else:
-        model, adam = _fresh_model(cfg, graph)
-
-    icfg = cfg.infonce()
-    batch_size = min(cfg.batch_size, graph.num_nodes)
-
-    log_rows: List[str] = []
-    recon_rows: List[str] = []
-    for _ in range(cfg.steps):
+    The one step loop of `pretrain` and `ablate`. A non-finite loss raises
+    NodeGaeError naming the step, so neither command writes the artifacts of
+    a run that diverged.
+    """
+    batch_size = min(args.batch_size, graph.num_nodes)
+    for _ in range(args.steps):
         batch = rng.choice(graph.num_nodes, size=batch_size, replace=False)
         lm, info = pretrain_step(model, graph, batch, adam, rng, icfg)
         step = adam.step_count
         if not np.isfinite(lm + info):
             raise NodeGaeError(
                 f"pretraining diverged at step {step}: loss {lm!r} + {info!r} is not finite")
+        yield step, lm, info
+
+
+def _check_resume_flags(args: Args, model: AutoencoderModel, adam: dc.AdamState) -> None:
+    """Refuse a model-shape or optimizer flag the user set that the checkpoint contradicts."""
+    wanted = {**asdict(_model_config(args, model.config.vocab_size)), **_adam_settings(args)}
+    saved = {**asdict(model.config), **{k: getattr(adam, k) for k in OPTIMIZER_DESTS.values()}}
+    conflicts = []
+    for flag, dest, *_ in PRETRAIN_FLAGS:
+        key = OPTIMIZER_DESTS.get(dest, dest)
+        if dest in args.user_set and key in saved and wanted[key] != saved[key]:
+            conflicts.append(f"{flag} {getattr(args, dest)} (checkpoint: {saved[key]})")
+    if conflicts:
+        raise ConfigError(f"flags disagree with the checkpoint {args.resume}: "
+                          f"{', '.join(conflicts)}; drop them to resume")
+
+
+def cmd_pretrain(args: Args) -> int:
+    _check_dataset(args)
+    _check_stage1(args)
+    if args.recon_every < 0 or args.recon_samples < 1:
+        raise ConfigError("--recon-every must be >= 0 and --recon-samples >= 1")
+    if args.resume is not None and not Path(args.resume).is_file():
+        raise ConfigError(f"resume checkpoint not found: {args.resume}")
+    graph = _pretraining_graph(args, "pretraining")
+
+    rng = np.random.default_rng(args.seed)
+    if args.resume is not None:
+        model, adam, meta = load_model(args.resume)
+        if adam is None:
+            raise ConfigError(f"{args.resume} has no optimizer state; cannot resume")
+        _check_resume_flags(args, model, adam)
+        # Continue the stopped run's batch and positive draws instead of replaying them.
+        if "rng_state" in meta:
+            rng.bit_generator.state = meta["rng_state"]
+    else:
+        model, adam = _fresh_model(args, graph)
+
+    log_rows: List[str] = []
+    recon_rows: List[str] = []
+    for step, lm, info in _pretraining(args, graph, model, adam, rng, _infonce(args)):
         log_rows.append(f"{step},{_fmt(lm)},{_fmt(info)},{_fmt(lm + info)}")
-        if cfg.recon_every and step % cfg.recon_every == 0:
-            b, r, f = _reconstruction_scores(model, graph, cfg.recon_samples)
+        if args.recon_every and step % args.recon_every == 0:
+            b, r, f = _reconstruction_scores(model, graph, args.recon_samples)
             recon_rows.append(f"{step},{_fmt(b)},{_fmt(r)},{_fmt(f)}")
 
-    out_dir = Path(cfg.out_dir)
+    out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    log_path = out_dir / "pretrain_log.csv"
-    recon_path = out_dir / "recon_metrics.csv"
-    if cfg.resume is not None and log_path.exists():
-        with log_path.open("a", encoding="utf-8") as fh:
-            fh.write("\n".join(log_rows) + "\n")
-    else:
-        log_path.write_text("step,lm_loss,infonce_loss,total\n"
-                            + "\n".join(log_rows) + "\n", encoding="utf-8")
-    if cfg.resume is not None and recon_path.exists():
-        if recon_rows:
-            with recon_path.open("a", encoding="utf-8") as fh:
-                fh.write("\n".join(recon_rows) + "\n")
-    else:
-        body = ("\n".join(recon_rows) + "\n") if recon_rows else ""
-        recon_path.write_text("step,bleu,rouge_l,token_f1\n" + body, encoding="utf-8")
+    resuming = args.resume is not None
+    _write_csv(out_dir / "pretrain_log.csv", "step,lm_loss,infonce_loss,total", log_rows,
+               append=resuming)
+    _write_csv(out_dir / "recon_metrics.csv", "step,bleu,rouge_l,token_f1", recon_rows,
+               append=resuming)
 
     save_model(out_dir / "model.npz", model, adam,
-               extra_meta={"dataset": str(cfg.dataset),
+               extra_meta={"dataset": str(args.dataset),
                            "rng_state": rng.bit_generator.state})
-    last = log_rows[-1].split(",")
-    print(f"pretrained to step {last[0]} (total loss {last[3]}); "
-          f"artifacts in {out_dir}")
+    print(f"pretrained to step {step} (total loss {_fmt(lm + info)}); artifacts in {out_dir}")
     return 0
 
 
@@ -385,17 +319,25 @@ def _check_vocab_coverage(model: AutoencoderModel, graph: TextGraph) -> None:
             "it was pretrained on a different corpus")
 
 
-def cmd_embed(cfg: RunConfig) -> int:
-    graph = load_dataset(cfg.dataset)
-    if cfg.baseline == "random":
-        emb = random_embeddings(graph.num_nodes, cfg.dim, seed=cfg.seed)
-    elif cfg.baseline == "shallow":
-        emb = shallow_embeddings(graph, cfg.dim, seed=cfg.seed)
+def cmd_embed(args: Args) -> int:
+    _check_dataset(args)
+    if args.baseline == "model":
+        if args.checkpoint is None:
+            raise ConfigError("--checkpoint is required unless --baseline is used")
+        if not Path(args.checkpoint).is_file():
+            raise ConfigError(f"checkpoint not found: {args.checkpoint}")
+    elif args.dim < 1:
+        raise ConfigError(f"--dim must be >= 1, got {args.dim}")
+    graph = load_dataset(args.dataset)
+    if args.baseline == "random":
+        emb = random_embeddings(graph.num_nodes, args.dim, seed=args.seed)
+    elif args.baseline == "shallow":
+        emb = shallow_embeddings(graph, args.dim, seed=args.seed)
     else:
-        model, _, _ = load_model(cfg.checkpoint)
+        model, _, _ = load_model(args.checkpoint)
         _check_vocab_coverage(model, graph)
         emb = extract_embeddings(model, graph)
-    out = Path(cfg.out)
+    out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     save_embeddings(emb, out)
     print(f"wrote {emb.num_rows}x{emb.dim} '{emb.provenance}' embeddings to {out}")
@@ -419,24 +361,23 @@ def _final_metric(task: str, model, emb: EmbeddingMatrix, graph: TextGraph,
     return roc_auc(scores, labels)
 
 
-def _run_repeats(cfg: RunConfig, graph: TextGraph, emb: EmbeddingMatrix,
-                 task: str, backbone: str, split: Optional[LinkSplit]
-                 ) -> Tuple[List[float], List[str], List[str]]:
-    """Train `repeats` seeded models; return metrics, epoch rows, curve rows."""
+def _run_repeats(args: Args, graph: TextGraph, emb: EmbeddingMatrix, dcfg: DownstreamConfig,
+                 split: Optional[LinkSplit]) -> Tuple[List[float], List[str], List[str]]:
+    """Train --repeats models seeded --seed + r; return metrics, epoch rows, curve rows."""
     values: List[float] = []
     epoch_rows: List[str] = []
     curve_rows: List[str] = []
-    for r in range(cfg.repeats):
-        dcfg = cfg.downstream(task, backbone, seed=cfg.seed + r)
-        if task == "nodecls":
-            model, log = train_node_classifier(emb, graph, dcfg)
+    for r in range(args.repeats):
+        seeded = replace(dcfg, seed=args.seed + r)
+        if args.task == "nodecls":
+            model, log = train_node_classifier(emb, graph, seeded)
             for row in log:
                 i = row["epoch"]
                 epoch_rows.append(f"{r},epoch,{i},train,ce,{_fmt(row['train_loss'])}")
                 epoch_rows.append(f"{r},epoch,{i},val,accuracy,{_fmt(row['val_acc'])}")
                 epoch_rows.append(f"{r},epoch,{i},test,accuracy,{_fmt(row['test_acc'])}")
         else:
-            model, log = train_link_predictor(emb, graph, split, dcfg)
+            model, log = train_link_predictor(emb, graph, split, seeded)
             for row in log:
                 if row["scope"] == "iter":
                     curve_rows.append(f"{r},{row['index']},{_fmt(row['value'])}")
@@ -444,39 +385,33 @@ def _run_repeats(cfg: RunConfig, graph: TextGraph, emb: EmbeddingMatrix,
                     epoch_rows.append(
                         f"{r},epoch,{row['index']},{row['split']},"
                         f"{row['metric']},{_fmt(row['value'])}")
-        values.append(_final_metric(task, model, emb, graph, split))
+        values.append(_final_metric(args.task, model, emb, graph, split))
     return values, epoch_rows, curve_rows
 
 
-def _write_report(out_dir: Path, cfg: RunConfig, provenance: str, task: str,
-                  backbone: str, values: List[float], epoch_rows: List[str],
+def _write_report(out_dir: Path, args: Args, provenance: str, dcfg: DownstreamConfig,
+                  values: List[float], epoch_rows: List[str],
                   curve_rows: List[str]) -> None:
+    task, backbone = args.task, dcfg.backbone
     metric_name = "accuracy" if task == "nodecls" else "roc_auc"
     mean = float(np.mean(values))
     std = float(np.std(values))
 
-    report = ["task,backbone,provenance,repeat,seed,metric,value"]
-    for r, v in enumerate(values):
-        report.append(f"{task},{backbone},{provenance},{r},{cfg.seed + r},"
-                      f"{metric_name},{_fmt(v)}")
+    report = [f"{task},{backbone},{provenance},{r},{args.seed + r},{metric_name},{_fmt(v)}"
+              for r, v in enumerate(values)]
     report.append(f"{task},{backbone},{provenance},mean,,{metric_name},{_fmt(mean)}")
     report.append(f"{task},{backbone},{provenance},std,,{metric_name},{_fmt(std)}")
-    (out_dir / "report.csv").write_text("\n".join(report) + "\n", encoding="utf-8")
-
-    (out_dir / "epochs.csv").write_text(
-        "repeat,scope,index,split,metric,value\n"
-        + ("\n".join(epoch_rows) + "\n" if epoch_rows else ""), encoding="utf-8")
-
-    if cfg.log_every_iter and task == "linkpred":
-        (out_dir / "curve.csv").write_text(
-            "repeat,iteration,val_roc_auc\n"
-            + ("\n".join(curve_rows) + "\n" if curve_rows else ""), encoding="utf-8")
+    _write_csv(out_dir / "report.csv", "task,backbone,provenance,repeat,seed,metric,value",
+               report)
+    _write_csv(out_dir / "epochs.csv", "repeat,scope,index,split,metric,value", epoch_rows)
+    if dcfg.log_every_iter:
+        _write_csv(out_dir / "curve.csv", "repeat,iteration,val_roc_auc", curve_rows)
 
     summary = [
         f"task: {task}",
         f"backbone: {backbone}",
         f"embeddings: {provenance}",
-        f"repeats: {cfg.repeats}",
+        f"repeats: {args.repeats}",
         f"metric: {metric_name}",
         "values: " + " ".join(_fmt(v) for v in values),
         f"mean: {_fmt(mean)}",
@@ -485,29 +420,27 @@ def _write_report(out_dir: Path, cfg: RunConfig, provenance: str, task: str,
     (out_dir / "summary.txt").write_text("\n".join(summary) + "\n", encoding="utf-8")
 
 
-def cmd_train(cfg: RunConfig) -> int:
-    graph = load_dataset(cfg.dataset)
-    emb = load_embeddings(cfg.embeddings)
+def cmd_train(args: Args) -> int:
+    _check_dataset(args)
+    if not Path(args.embeddings).is_file():
+        raise ConfigError(f"embeddings file not found: {args.embeddings}")
+    _check_stage2(args, [args.backbone])
+    graph = load_dataset(args.dataset)
+    emb = load_embeddings(args.embeddings)
     if emb.num_rows != graph.num_nodes:
         raise ConfigError(
             f"embeddings have {emb.num_rows} rows for a {graph.num_nodes}-node graph")
-    split = None
-    if cfg.task == "linkpred":
-        split = build_link_split(graph, seed=cfg.link_seed)
-        split.validate(graph)
-    elif graph.splits.get("test") is None or not graph.splits["test"].size:
-        raise ConfigError("node classification needs a non-empty test split")
+    split = _task_split(args, graph)
 
-    values, epoch_rows, curve_rows = _run_repeats(
-        cfg, graph, emb, cfg.task, cfg.backbone, split)
+    dcfg = _downstream(args, args.backbone, args.log_every_iter)
+    values, epoch_rows, curve_rows = _run_repeats(args, graph, emb, dcfg, split)
 
-    out_dir = Path(cfg.out_dir)
+    out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    _write_report(out_dir, cfg, emb.provenance, cfg.task, cfg.backbone,
-                  values, epoch_rows, curve_rows)
-    print(f"{cfg.task}/{cfg.backbone} on '{emb.provenance}': "
+    _write_report(out_dir, args, emb.provenance, dcfg, values, epoch_rows, curve_rows)
+    print(f"{args.task}/{args.backbone} on '{emb.provenance}': "
           f"mean {np.mean(values):.4f} +- {np.std(values):.4f} "
-          f"over {cfg.repeats} runs; report in {out_dir}")
+          f"over {args.repeats} runs; report in {out_dir}")
     return 0
 
 
@@ -515,42 +448,38 @@ def cmd_train(cfg: RunConfig) -> int:
 # ablate
 # ---------------------------------------------------------------------------
 
-def _pretrain_in_memory(cfg: RunConfig, graph: TextGraph,
-                        alphas: Tuple[float, float]) -> EmbeddingMatrix:
-    model, adam = _fresh_model(cfg, graph)
-    icfg = cfg.infonce(alphas)
-    rng = np.random.default_rng(cfg.seed)
-    batch_size = min(cfg.batch_size, graph.num_nodes)
-    for _ in range(cfg.steps):
-        batch = rng.choice(graph.num_nodes, size=batch_size, replace=False)
-        pretrain_step(model, graph, batch, adam, rng, icfg)
+def _pretrained_embeddings(args: Args, graph: TextGraph,
+                           alphas: Tuple[float, float]) -> EmbeddingMatrix:
+    model, adam = _fresh_model(args, graph)
+    rng = np.random.default_rng(args.seed)
+    for _ in _pretraining(args, graph, model, adam, rng, _infonce(args, alphas)):
+        pass
     return extract_embeddings(model, graph)
 
 
-def cmd_ablate(cfg: RunConfig) -> int:
-    graph = load_dataset(cfg.dataset)
-    if graph.num_nodes < 2:
-        raise ConfigError("ablation needs at least 2 nodes")
-    split = None
-    if cfg.task == "linkpred":
-        split = build_link_split(graph, seed=cfg.link_seed)
-        split.validate(graph)
-    elif graph.splits.get("test") is None or not graph.splits["test"].size:
-        raise ConfigError("node classification needs a non-empty test split")
+def cmd_ablate(args: Args) -> int:
+    _check_dataset(args)
+    _check_stage1(args)
+    backbones = [b.strip() for b in args.backbones.split(",") if b.strip()]
+    if not backbones:
+        raise ConfigError("--backbones must name at least one backbone")
+    _check_stage2(args, backbones)
+    graph = _pretraining_graph(args, "ablation")
+    split = _task_split(args, graph)
 
     variants = (
-        ("with-infonce", _pretrain_in_memory(cfg, graph, (cfg.alpha1, cfg.alpha2))),
-        ("without-infonce", _pretrain_in_memory(cfg, graph, (0.0, 0.0))),
+        ("with-infonce", _pretrained_embeddings(args, graph, (args.alpha1, args.alpha2))),
+        ("without-infonce", _pretrained_embeddings(args, graph, (0.0, 0.0))),
     )
 
-    metric_name = "accuracy" if cfg.task == "nodecls" else "roc_auc"
-    csv_rows = ["backbone,mean_with,std_with,mean_without,std_without,delta"]
-    summary = [f"task: {cfg.task}", f"metric: {metric_name}",
-               f"repeats: {cfg.repeats}"]
-    for backbone in cfg.backbone_list():
+    metric_name = "accuracy" if args.task == "nodecls" else "roc_auc"
+    csv_rows = []
+    summary = [f"task: {args.task}", f"metric: {metric_name}",
+               f"repeats: {args.repeats}"]
+    for backbone in backbones:
         stats = {}
         for name, emb in variants:
-            values, _, _ = _run_repeats(cfg, graph, emb, cfg.task, backbone, split)
+            values, _, _ = _run_repeats(args, graph, emb, _downstream(args, backbone), split)
             stats[name] = (float(np.mean(values)), float(np.std(values)))
             summary.append(
                 f"{backbone} {name}: mean {_fmt(stats[name][0])} "
@@ -562,143 +491,173 @@ def cmd_ablate(cfg: RunConfig) -> int:
             f"{_fmt(delta)}")
         summary.append(f"{backbone} delta: {_fmt(delta)}")
 
-    out_dir = Path(cfg.out_dir)
+    out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     save_embeddings(variants[0][1], out_dir / "emb_with.txt")
     save_embeddings(variants[1][1], out_dir / "emb_without.txt")
-    (out_dir / "ablation.csv").write_text("\n".join(csv_rows) + "\n", encoding="utf-8")
+    _write_csv(out_dir / "ablation.csv",
+               "backbone,mean_with,std_with,mean_without,std_without,delta", csv_rows)
     (out_dir / "summary.txt").write_text("\n".join(summary) + "\n", encoding="utf-8")
-    print(f"ablation over {cfg.backbone_list()} written to {out_dir}")
+    print(f"ablation over {backbones} written to {out_dir}")
     return 0
 
 
 # ---------------------------------------------------------------------------
-# argument parsing
+# Flags: one table per subcommand
 # ---------------------------------------------------------------------------
 
-def _add_stage1_args(p: argparse.ArgumentParser, lr_flag: str) -> None:
-    p.add_argument("--steps", type=int, default=500)
-    p.add_argument("--batch-size", type=int, default=16)
-    p.add_argument(lr_flag, dest="pretrain_lr", type=float, default=1e-3,
-                   help="pretraining learning rate")
-    p.add_argument("--warmup", type=int, default=100,
-                   help="linear warm-up steps for the pretraining lr")
-    p.add_argument("--clip-norm", type=float, default=1.0,
-                   help="global gradient norm clip; <= 0 disables")
-    p.add_argument("--d-enc", type=int, default=64)
-    p.add_argument("--d-dec", type=int, default=64)
-    p.add_argument("--enc-layers", type=int, default=2)
-    p.add_argument("--dec-layers", type=int, default=2)
-    p.add_argument("--heads", type=int, default=4)
-    p.add_argument("--proj-len", type=int, default=4,
-                   help="number of decoder memory slots")
-    p.add_argument("--ff-mult", type=int, default=2)
-    p.add_argument("--max-len", type=int, default=64)
-    p.add_argument("--vocab-size", type=int, default=2048)
-    p.add_argument("--tau", type=float, default=0.5)
-    p.add_argument("--alpha1", type=float, default=1.0)
-    p.add_argument("--alpha2", type=float, default=0.1)
-    p.add_argument("--raw-similarity", action="store_true",
-                   help="skip L2 normalization inside the contrastive loss")
+# One row per flag, in --help order: (flag, dest, default, help, choices).
+# The default also says how a value parses: REQUIRED marks a required
+# string, False a switch, a bare type (str, float) a flag that is None when
+# unset, and any other default parses as its own type. A default that a
+# library dataclass owns is read from that dataclass.
+REQUIRED = object()
+SEED = ("--seed", "seed", 0, None, None)
+DATASET = ("--dataset", "dataset", REQUIRED, None, None)
+OUT_DIR = ("--out-dir", "out_dir", REQUIRED, None, None)
+TASK = ("--task", "task", TASKS[0], None, TASKS)
 
 
-def _add_stage2_args(p: argparse.ArgumentParser, lr_flag: str) -> None:
-    p.add_argument("--hidden-dim", type=int, default=64)
-    p.add_argument("--num-layers", type=int, default=2)
-    p.add_argument("--dropout", type=float, default=0.5)
-    p.add_argument(lr_flag, dest="train_lr", type=float, default=None,
-                   help="downstream lr; default 1e-2 for nodecls, 1e-4 for linkpred")
-    p.add_argument("--epochs", type=int, default=200)
-    p.add_argument("--patience", type=int, default=50)
-    p.add_argument("--batch-edges", type=int, default=128)
-    p.add_argument("--link-scorer", choices=("dot", "mlp"), default="dot")
-    p.add_argument("--link-seed", type=int, default=0,
-                   help="seed of the 7:2:1 edge split for link prediction")
-    p.add_argument("--no-self-loops", action="store_true",
-                   help="drop self loops from the gcn adjacency")
+def _exp(x: float) -> str:
+    """A power of ten as help text writes it: 1e-2, not 0.01 or 1e-02."""
+    return f"{x:.0e}".replace("e-0", "e-")
+
+
+def _stage1_flags(lr_flag: str) -> list:
+    shape = [(f"--{f.name.replace('_', '-')}", f.name, f.default,
+              "number of decoder memory slots" if f.name == "proj_len" else None, None)
+             for f in fields(ModelConfig) if f.name != "vocab_size"]
+    return [
+        ("--steps", "steps", 500, None, None),
+        ("--batch-size", "batch_size", 16, None, None),
+        (lr_flag, "pretrain_lr", dc.AdamState.base_lr, "pretraining learning rate", None),
+        ("--warmup", "warmup", 100, "linear warm-up steps for the pretraining lr", None),
+        ("--clip-norm", "clip_norm", dc.AdamState.clip_norm,
+         "global gradient norm clip; <= 0 disables", None),
+        *shape,
+        ("--vocab-size", "vocab_size", 2048, None, None),
+        ("--tau", "tau", InfoNCEConfig.tau, None, None),
+        ("--alpha1", "alpha1", InfoNCEConfig.alphas[0], None, None),
+        ("--alpha2", "alpha2", InfoNCEConfig.alphas[1], None, None),
+        ("--raw-similarity", "raw_similarity", False,
+         "skip L2 normalization inside the contrastive loss", None),
+    ]
+
+
+def _stage2_flags(lr_flag: str) -> list:
+    d = DownstreamConfig
+    lr_help = (f"downstream lr; default {_exp(d.for_node_classification().lr)} for nodecls, "
+               f"{_exp(d.for_link_prediction().lr)} for linkpred")
+    return [
+        ("--hidden-dim", "hidden_dim", d.hidden_dim, None, None),
+        ("--num-layers", "num_layers", d.num_layers, None, None),
+        ("--dropout", "dropout", d.dropout, None, None),
+        (lr_flag, "train_lr", float, lr_help, None),
+        ("--epochs", "epochs", d.epochs, None, None),
+        ("--patience", "patience", d.patience, None, None),
+        ("--batch-edges", "batch_edges", d.batch_edges, None, None),
+        ("--link-scorer", "link_scorer", d.link_scorer, None, LINK_SCORERS),
+        ("--link-seed", "link_seed", 0, "seed of the 7:2:1 edge split for link prediction", None),
+        ("--no-self-loops", "no_self_loops", False, "drop self loops from the gcn adjacency", None),
+    ]
+
+
+_spec = SyntheticGraphSpec
+GENERATE_FLAGS = [
+    ("--out", "out", REQUIRED, None, None),
+    ("--nodes", "nodes", _spec.num_nodes, None, None),
+    ("--classes", "classes", _spec.num_classes, None, None),
+    ("--keywords-per-class", "keywords_per_class", _spec.keywords_per_class, None, None),
+    ("--doc-min", "doc_min", _spec.doc_length[0], None, None),
+    ("--doc-max", "doc_max", _spec.doc_length[1], None, None),
+    ("--intra-prob", "intra_prob", _spec.intra_class_edge_prob, None, None),
+    ("--inter-prob", "inter_prob", _spec.inter_class_edge_prob, None, None),
+    ("--class-token-fraction", "class_token_fraction", _spec.class_token_fraction, None, None),
+    SEED,
+]
+PRETRAIN_FLAGS = [
+    DATASET, OUT_DIR, *_stage1_flags("--lr"),
+    ("--recon-every", "recon_every", 100,
+     "steps between reconstruction metric rows; 0 disables", None),
+    ("--recon-samples", "recon_samples", 8, None, None),
+    ("--resume", "resume", str, "checkpoint to continue training from", None),
+    SEED,
+]
+EMBED_FLAGS = [
+    DATASET,
+    ("--out", "out", REQUIRED, None, None),
+    ("--checkpoint", "checkpoint", str, None, None),
+    ("--baseline", "baseline", "model", "use a baseline feature map instead of a checkpoint",
+     ("model", "random", "shallow")),
+    ("--dim", "dim", 64, "baseline embedding width", None),
+    SEED,
+]
+TRAIN_FLAGS = [
+    DATASET,
+    ("--embeddings", "embeddings", REQUIRED, None, None),
+    OUT_DIR, TASK,
+    ("--backbone", "backbone", DownstreamConfig.backbone, None, BACKBONES),
+    ("--repeats", "repeats", 10, None, None),
+    *_stage2_flags("--lr"),
+    ("--log-every-iter", "log_every_iter", False,
+     "emit a per-iteration validation curve (linkpred)", None),
+    SEED,
+]
+ABLATE_FLAGS = [
+    DATASET, OUT_DIR, TASK,
+    ("--backbones", "backbones", DownstreamConfig.backbone, "comma-separated list", None),
+    ("--repeats", "repeats", 5, None, None),
+    *_stage1_flags("--pretrain-lr"),
+    *_stage2_flags("--train-lr"),
+    SEED,
+]
+
+# name -> (command, help, flag table)
+COMMANDS = {
+    "generate": (cmd_generate, "write a synthetic node-text dataset", GENERATE_FLAGS),
+    "pretrain": (cmd_pretrain, "train the text autoencoder", PRETRAIN_FLAGS),
+    "embed": (cmd_embed, "extract per-node embeddings", EMBED_FLAGS),
+    "train": (cmd_train, "train a downstream model on embeddings", TRAIN_FLAGS),
+    "ablate": (cmd_ablate, "compare pretraining with and without the contrastive loss",
+               ABLATE_FLAGS),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """Subcommand parsers leave unset flags out of the namespace; see resolve."""
     parser = argparse.ArgumentParser(
         prog="nodegae",
         description="Text autoencoder graph pretraining and downstream training pipeline")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    g = sub.add_parser("generate", help="write a synthetic node-text dataset")
-    g.add_argument("--out", required=True)
-    g.add_argument("--nodes", type=int, default=512)
-    g.add_argument("--classes", type=int, default=6)
-    g.add_argument("--keywords-per-class", type=int, default=20)
-    g.add_argument("--doc-min", type=int, default=8)
-    g.add_argument("--doc-max", type=int, default=16)
-    g.add_argument("--intra-prob", type=float, default=0.05)
-    g.add_argument("--inter-prob", type=float, default=0.005)
-    g.add_argument("--class-token-fraction", type=float, default=0.7)
-    g.add_argument("--seed", type=int, default=0)
-
-    t = sub.add_parser("pretrain", help="train the text autoencoder")
-    t.add_argument("--dataset", required=True)
-    t.add_argument("--out-dir", required=True)
-    _add_stage1_args(t, "--lr")
-    t.add_argument("--recon-every", type=int, default=100,
-                   help="steps between reconstruction metric rows; 0 disables")
-    t.add_argument("--recon-samples", type=int, default=8)
-    t.add_argument("--resume", default=None,
-                   help="checkpoint to continue training from")
-    t.add_argument("--seed", type=int, default=0)
-
-    e = sub.add_parser("embed", help="extract per-node embeddings")
-    e.add_argument("--dataset", required=True)
-    e.add_argument("--out", required=True)
-    e.add_argument("--checkpoint", default=None)
-    e.add_argument("--baseline", choices=("model", "random", "shallow"),
-                   default="model",
-                   help="use a baseline feature map instead of a checkpoint")
-    e.add_argument("--dim", type=int, default=64,
-                   help="baseline embedding width")
-    e.add_argument("--seed", type=int, default=0)
-
-    r = sub.add_parser("train", help="train a downstream model on embeddings")
-    r.add_argument("--dataset", required=True)
-    r.add_argument("--embeddings", required=True)
-    r.add_argument("--out-dir", required=True)
-    r.add_argument("--task", choices=TASKS, default="nodecls")
-    r.add_argument("--backbone", choices=BACKBONES, default="mlp")
-    r.add_argument("--repeats", type=int, default=10)
-    _add_stage2_args(r, "--lr")
-    r.add_argument("--log-every-iter", action="store_true",
-                   help="emit a per-iteration validation curve (linkpred)")
-    r.add_argument("--seed", type=int, default=0)
-
-    a = sub.add_parser("ablate", help="compare pretraining with and without "
-                                      "the contrastive loss")
-    a.add_argument("--dataset", required=True)
-    a.add_argument("--out-dir", required=True)
-    a.add_argument("--task", choices=TASKS, default="nodecls")
-    a.add_argument("--backbones", default="mlp", help="comma-separated list")
-    a.add_argument("--repeats", type=int, default=5)
-    _add_stage1_args(a, "--pretrain-lr")
-    _add_stage2_args(a, "--train-lr")
-    a.add_argument("--seed", type=int, default=0)
-
+    for name, (_, command_help, table) in COMMANDS.items():
+        p = sub.add_parser(name, help=command_help, argument_default=argparse.SUPPRESS)
+        for flag, dest, default, flag_help, choices in table:
+            if default is False:
+                p.add_argument(flag, dest=dest, action="store_true", help=flag_help)
+                continue
+            kind = (str if default is REQUIRED
+                    else default if isinstance(default, type) else type(default))
+            p.add_argument(flag, dest=dest, type=kind, choices=choices,
+                           required=default is REQUIRED, help=flag_help)
     return parser
 
 
-COMMANDS = {
-    "generate": cmd_generate,
-    "pretrain": cmd_pretrain,
-    "embed": cmd_embed,
-    "train": cmd_train,
-    "ablate": cmd_ablate,
-}
+def resolve(args: Args) -> Args:
+    """Fill in the table defaults of every flag left unset.
+
+    `args.user_set` keeps the dests of the flags that the command line set.
+    """
+    args.user_set = frozenset(vars(args)) - {"command"}
+    for _, dest, default, _, _ in COMMANDS[args.command][2]:
+        if dest not in args.user_set:
+            setattr(args, dest, None if isinstance(default, type) else default)
+    return args
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = resolve(build_parser().parse_args(argv))
     try:
-        cfg = RunConfig.from_args(args)
-        cfg.validate()
-        return COMMANDS[cfg.command](cfg)
+        return COMMANDS[args.command][0](args)
     except (ConfigError, IngestionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -60,9 +60,6 @@ class DiffTensor:
             raise ContractError(f"item() on non-scalar tensor of shape {self.shape}")
         return float(self.data.reshape(()))
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def __repr__(self) -> str:
         return f"DiffTensor(shape={self.shape}, requires_grad={self.requires_grad}, op={self._op!r})"
 

@@ -128,11 +128,6 @@ class TextGraph:
                     out.add((u, int(v)))
         return out
 
-    def has_edge(self, u: int, v: int) -> bool:
-        row = self.neighbors(u)
-        pos = np.searchsorted(row, v)
-        return bool(pos < row.size and row[pos] == v)
-
 
 def k_hop_neighbors(graph: TextGraph, node: int, k: int) -> set:
     """Nodes at shortest-path distance exactly k from node.

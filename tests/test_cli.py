@@ -166,8 +166,9 @@ def test_pretrain_resume_equals_uninterrupted_run(dataset, tmp_path):
             assert np.array_equal(a[key], b[key]), key
 
 
-def test_pretrain_divergence_exits_two_without_artifacts(dataset, tmp_path,
-                                                         monkeypatch, capsys):
+@pytest.mark.parametrize("command", ["pretrain", "ablate"])
+def test_pretrain_divergence_exits_two_without_artifacts(dataset, tmp_path, monkeypatch,
+                                                         capsys, command):
     real_step = cli.pretrain_step
     calls = []
 
@@ -178,13 +179,53 @@ def test_pretrain_divergence_exits_two_without_artifacts(dataset, tmp_path,
 
     monkeypatch.setattr(cli, "pretrain_step", step_that_diverges)
     out = tmp_path / "run"
-    rc = main(["pretrain", "--dataset", str(dataset), "--out-dir", str(out),
-               "--steps", "6", "--recon-every", "0", "--seed", "3"] + TINY_MODEL)
+    args = [command, "--dataset", str(dataset), "--out-dir", str(out),
+            "--steps", "6", "--seed", "3"] + TINY_MODEL
+    args += (["--recon-every", "0"] if command == "pretrain"
+             else ["--repeats", "1", "--epochs", "1"])
+    rc = main(args)
     assert rc == 2
     assert len(calls) == 3
     assert "step 3" in capsys.readouterr().err
     assert not (out / "model.npz").exists()
     assert not (out / "pretrain_log.csv").exists()
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags, named", [
+    (["--d-enc", "32", "--lr", "5"], ["--d-enc 32", "--lr 5.0"]),
+    (["--heads", "4"], ["--heads 4"]),
+    (["--max-len", "32"], ["--max-len 32"]),
+    (["--warmup", "7"], ["--warmup 7"]),
+    (["--clip-norm", "0"], ["--clip-norm 0.0"]),
+], ids=["d-enc-and-lr", "heads", "max-len", "warmup", "clip-norm"])
+def test_pretrain_resume_refuses_conflicting_flags(dataset, tmp_path, capsys, flags, named):
+    out = tmp_path / "run"
+    base = ["pretrain", "--dataset", str(dataset), "--out-dir", str(out),
+            "--steps", "2", "--recon-every", "0"]
+    assert main(base + TINY_MODEL) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    capsys.readouterr()
+    assert main(base + ["--resume", str(out / "model.npz")] + flags) == 1
+    err = capsys.readouterr().err
+    for text in named:
+        assert text in err
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+def test_pretrain_resume_takes_unset_flags_from_checkpoint(dataset, tmp_path):
+    out = tmp_path / "run"
+    base = ["pretrain", "--dataset", str(dataset), "--out-dir", str(out),
+            "--steps", "2", "--recon-every", "0"]
+    assert main(base + TINY_MODEL + ["--lr", "0.01", "--warmup", "3",
+                                     "--clip-norm", "0"]) == 0
+    # A non-positive --clip-norm means no clipping, as the checkpoint records.
+    assert main(base + ["--resume", str(out / "model.npz"), "--clip-norm", "-1",
+                        "--d-enc", "16"]) == 0
+    model, adam, _ = ae.load_model(out / "model.npz")
+    assert (model.config.d_enc, model.config.max_len) == (16, 16)
+    assert (adam.base_lr, adam.warmup_steps, adam.clip_norm) == (0.01, 3, None)
+    assert adam.step_count == 4
 
 
 def test_pretrain_rejects_missing_dataset(workdir, tmp_path):
