@@ -468,20 +468,21 @@ def extract_embeddings(model: AutoencoderModel, graph: TextGraph):
     """Latent vector per node as an EmbeddingMatrix; the model is unchanged.
 
     Nodes are encoded in batches of equal token length, at most
-    EXTRACT_BATCH rows each. No row is padded, and every recorded op treats
-    batch rows independently, so each row is bit-identical to a standalone
-    encode_node call.
+    EXTRACT_BATCH rows each, with no ops recorded. No row is padded, and
+    every op treats batch rows independently, so each row is bit-identical
+    to a standalone encode_node call.
     """
     from .downstream import EmbeddingMatrix
 
     tokens = [model.tokens_for(text) for text in graph.texts]
     lengths = np.array([t.size for t in tokens])
     out = np.empty((graph.num_nodes, model.config.d_enc))
-    for length in np.unique(lengths):
-        nodes = np.flatnonzero(lengths == length)
-        for start in range(0, nodes.size, EXTRACT_BATCH):
-            chunk = nodes[start:start + EXTRACT_BATCH]
-            out[chunk] = encode_batch(model, np.stack([tokens[v] for v in chunk])).data
+    with dc.no_grad():
+        for length in np.unique(lengths):
+            nodes = np.flatnonzero(lengths == length)
+            for start in range(0, nodes.size, EXTRACT_BATCH):
+                chunk = nodes[start:start + EXTRACT_BATCH]
+                out[chunk] = encode_batch(model, np.stack([tokens[v] for v in chunk])).data
     return EmbeddingMatrix(out, provenance="nodegae")
 
 
@@ -490,15 +491,16 @@ def reconstruct(model: AutoencoderModel, tokens, max_gen_len: Optional[int] = No
     """Greedy decode conditioned on the latent of tokens; stops at EOS."""
     if max_gen_len is None:
         max_gen_len = model.config.max_len
-    memory = project(model, encode_node(model, tokens))
-    memory = dc.reshape(memory, (1,) + memory.shape)
     generated = [BOS_ID]
-    for _ in range(max_gen_len):
-        logits = decoder_logits(model, memory, np.asarray(generated)[None, :])
-        nxt = int(np.argmax(logits.data[0, -1]))
-        generated.append(nxt)
-        if nxt == EOS_ID:
-            break
+    with dc.no_grad():
+        memory = project(model, encode_node(model, tokens))
+        memory = dc.reshape(memory, (1,) + memory.shape)
+        for _ in range(max_gen_len):
+            logits = decoder_logits(model, memory, np.asarray(generated)[None, :])
+            nxt = int(np.argmax(logits.data[0, -1]))
+            generated.append(nxt)
+            if nxt == EOS_ID:
+                break
     return np.asarray(generated[1:], dtype=np.int64)
 
 

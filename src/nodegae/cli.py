@@ -90,6 +90,9 @@ def _write_csv(path: Path, header: str, rows: List[str], append: bool = False) -
 # Flag dests that name a pretraining optimizer setting, with the AdamState
 # field each one sets.
 OPTIMIZER_DESTS = {"pretrain_lr": "base_lr", "warmup": "warmup_steps", "clip_norm": "clip_norm"}
+# Stage-1 flag dests that `pretrain` stores as given in the checkpoint's
+# "stage1_flags" metadata: the vocabulary budget, the seed, the InfoNCE config.
+STORED_DESTS = ("vocab_size", "seed", "tau", "alpha1", "alpha2", "raw_similarity")
 
 
 def _model_config(args: Args, vocab_size: int) -> ModelConfig:
@@ -244,10 +247,18 @@ def _pretraining(args: Args, graph: TextGraph, model: AutoencoderModel, adam: dc
         yield step, lm, info
 
 
-def _check_resume_flags(args: Args, model: AutoencoderModel, adam: dc.AdamState) -> None:
-    """Refuse a model-shape or optimizer flag the user set that the checkpoint contradicts."""
-    wanted = {**asdict(_model_config(args, model.config.vocab_size)), **_adam_settings(args)}
-    saved = {**asdict(model.config), **{k: getattr(adam, k) for k in OPTIMIZER_DESTS.values()}}
+def _resume_flags(args: Args, model: AutoencoderModel, adam: dc.AdamState, meta: dict) -> None:
+    """Refuse a flag the user set that the checkpoint contradicts; take unset ones from it.
+
+    The model shape and the optimizer are always checked. The flags in
+    STORED_DESTS are checked, and filled in, only when the checkpoint
+    stores them.
+    """
+    stored = meta.get("stage1_flags", {})
+    wanted = {**asdict(_model_config(args, model.config.vocab_size)), **_adam_settings(args),
+              **{dest: getattr(args, dest) for dest in stored}}
+    saved = {**asdict(model.config), **{k: getattr(adam, k) for k in OPTIMIZER_DESTS.values()},
+             **stored}
     conflicts = []
     for flag, dest, *_ in PRETRAIN_FLAGS:
         key = OPTIMIZER_DESTS.get(dest, dest)
@@ -256,6 +267,8 @@ def _check_resume_flags(args: Args, model: AutoencoderModel, adam: dc.AdamState)
     if conflicts:
         raise ConfigError(f"flags disagree with the checkpoint {args.resume}: "
                           f"{', '.join(conflicts)}; drop them to resume")
+    for dest, value in stored.items():
+        setattr(args, dest, value)
 
 
 def cmd_pretrain(args: Args) -> int:
@@ -272,7 +285,7 @@ def cmd_pretrain(args: Args) -> int:
         model, adam, meta = load_model(args.resume)
         if adam is None:
             raise ConfigError(f"{args.resume} has no optimizer state; cannot resume")
-        _check_resume_flags(args, model, adam)
+        _resume_flags(args, model, adam, meta)
         # Continue the stopped run's batch and positive draws instead of replaying them.
         if "rng_state" in meta:
             rng.bit_generator.state = meta["rng_state"]
@@ -297,7 +310,8 @@ def cmd_pretrain(args: Args) -> int:
 
     save_model(out_dir / "model.npz", model, adam,
                extra_meta={"dataset": str(args.dataset),
-                           "rng_state": rng.bit_generator.state})
+                           "rng_state": rng.bit_generator.state,
+                           "stage1_flags": {dest: getattr(args, dest) for dest in STORED_DESTS}})
     print(f"pretrained to step {step} (total loss {_fmt(lm + info)}); artifacts in {out_dir}")
     return 0
 
@@ -351,7 +365,8 @@ def cmd_embed(args: Args) -> int:
 def _final_metric(task: str, model, emb: EmbeddingMatrix, graph: TextGraph,
                   split: Optional[LinkSplit]) -> float:
     if task == "nodecls":
-        preds = np.argmax(model.forward(emb.matrix).data, axis=1)
+        with dc.no_grad():
+            preds = np.argmax(model.forward(emb.matrix).data, axis=1)
         test_idx = graph.splits["test"]
         return accuracy(preds[test_idx], graph.labels[test_idx])
     pos, neg = split.positives("test"), split.negatives("test")

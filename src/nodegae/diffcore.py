@@ -2,20 +2,24 @@
 
 Every trainable part of the package (autoencoder, GNN heads) is built from the
 operations in this module. Tensors are immutable after creation except for
-their ``grad`` buffer; ``backward`` walks the recorded graph once per call and
-accumulates into ``grad``, so calling it twice without zeroing doubles every
-gradient exactly.
+their ``grad`` buffer. An op whose inputs require gradients records its
+parents and a backward closure; ``backward`` walks that graph once per call
+and accumulates into ``grad`` of the leaves only (tensors with no recorded
+backward, such as parameters), so calling it twice without zeroing doubles
+every leaf gradient exactly. Intermediate tensors keep ``grad`` None. Inside
+``with no_grad():`` ops record nothing, which is how inference runs.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from contextlib import contextmanager
+from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import ContractError, DimensionError
+from .errors import ContractError, DimensionError, NodeGaeError
 
 LAYERNORM_EPS = 1e-12
 
@@ -74,10 +78,29 @@ def parameter(data) -> DiffTensor:
     return DiffTensor(data, requires_grad=True)
 
 
+_recording = True
+
+
+@contextmanager
+def no_grad():
+    """Ops inside the block record no parents and no backward closure.
+
+    Their outputs are plain tensors that require no gradient. Values are the
+    same as with recording on; the previous mode returns when the block
+    exits, also on an exception.
+    """
+    global _recording
+    previous, _recording = _recording, False
+    try:
+        yield
+    finally:
+        _recording = previous
+
+
 def _record(out_data: np.ndarray, op: str, parents: Sequence[DiffTensor],
             backward_fn: Callable[[np.ndarray], Sequence[np.ndarray | None]]) -> DiffTensor:
     out = DiffTensor(out_data)
-    if any(p.requires_grad for p in parents):
+    if _recording and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._backward_fn = backward_fn
@@ -439,9 +462,12 @@ def _topo_order(root: DiffTensor) -> list[DiffTensor]:
 
 
 def backward(loss: DiffTensor) -> None:
-    """Populate ``grad`` of every reachable requires_grad tensor with d(loss)/d(t).
+    """Add d(loss)/d(t) into ``grad`` of every reachable requires_grad leaf t.
 
-    Adjoints are kept per call, so repeated calls add identical contributions.
+    Leaves are the tensors with no recorded backward; intermediate tensors
+    keep ``grad`` None. A node's adjoint is dropped once its backward closure
+    has run. Adjoints are kept per call, so repeated calls add identical
+    contributions.
     """
     if loss.data.size != 1:
         raise ContractError(f"backward: loss must be scalar, got shape {loss.shape}")
@@ -449,23 +475,33 @@ def backward(loss: DiffTensor) -> None:
         return
     order = _topo_order(loss)
     adjoint: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
+    # Adjoints that backward allocated itself by summing, so it may add into
+    # them in place. A closure's result may be a view, or be shared between
+    # parents (add hands out g twice), so it is never written to.
+    owned: set[int] = {id(loss)}
     for node in reversed(order):
-        g = adjoint.pop(id(node), None)
+        nid = id(node)
+        g = adjoint.pop(nid, None)
         if g is None:
             continue
-        if node.requires_grad:
-            node.grad = g.copy() if node.grad is None else node.grad + g
         if node._backward_fn is None:
+            if node.grad is not None:
+                node.grad = node.grad + g
+            else:
+                node.grad = g if nid in owned else g.copy()
             continue
-        parent_grads = node._backward_fn(g)
-        for parent, pg in zip(node._parents, parent_grads):
+        owned.discard(nid)
+        for parent, pg in zip(node._parents, node._backward_fn(g)):
             if pg is None or not parent.requires_grad:
                 continue
             pid = id(parent)
-            if pid in adjoint:
-                adjoint[pid] = adjoint[pid] + pg
-            else:
+            if pid not in adjoint:
                 adjoint[pid] = pg
+            elif pid in owned:
+                adjoint[pid] += pg
+            else:
+                adjoint[pid] = adjoint[pid] + pg
+                owned.add(pid)
 
 
 # ---------------------------------------------------------------------------
@@ -514,7 +550,12 @@ def global_grad_norm(params: Sequence[DiffTensor]) -> float:
 
 
 def adam_step(params: Sequence[DiffTensor], state: AdamState) -> None:
-    """One in-place Adam update with bias correction; clears grads afterwards."""
+    """One in-place Adam update with bias correction; clears grads afterwards.
+
+    A non-finite global gradient norm raises NodeGaeError before anything
+    changes, and so does a non-finite parameter after the update; both name
+    the step, counted from 1 like ``state.step_count`` after it.
+    """
     if len(params) != len(state.first_moment):
         raise ContractError(
             f"adam_step: {len(params)} params vs state for {len(state.first_moment)}")
@@ -527,11 +568,13 @@ def adam_step(params: Sequence[DiffTensor], state: AdamState) -> None:
                 f"match parameter shape {p.grad.shape}")
 
     grads = [p.grad for p in params]
-    if state.clip_norm is not None:
-        norm = global_grad_norm(params)
-        if norm > state.clip_norm:
-            scale = state.clip_norm / norm
-            grads = [g * scale for g in grads]
+    norm = global_grad_norm(params)
+    if not np.isfinite(norm):
+        raise NodeGaeError(
+            f"training diverged at step {state.step_count + 1}: gradient norm {norm!r}")
+    if state.clip_norm is not None and norm > state.clip_norm:
+        scale = state.clip_norm / norm
+        grads = [g * scale for g in grads]
 
     state.step_count += 1
     t = state.step_count
@@ -545,6 +588,10 @@ def adam_step(params: Sequence[DiffTensor], state: AdamState) -> None:
         v += (1.0 - state.beta2) * g * g
         p.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + state.epsilon)
         p.grad = None
+    for i, p in enumerate(params):
+        if not np.isfinite(p.data).all():
+            raise NodeGaeError(
+                f"training diverged at step {t}: parameter {i} is not finite after the update")
 
 
 def zero_grads(params: Iterable[DiffTensor]) -> None:

@@ -314,7 +314,8 @@ def train_node_classifier(embeddings, graph: TextGraph, cfg: DownstreamConfig
         dc.backward(loss)
         dc.adam_step(model.parameters(), adam)
 
-        eval_logits = model.forward(features, train=False).data
+        with dc.no_grad():
+            eval_logits = model.forward(features, train=False).data
         preds = np.argmax(eval_logits, axis=1)
         val_acc = accuracy(preds[val_idx], graph.labels[val_idx]) if val_idx.size else float("nan")
         test_acc = accuracy(preds[test_idx], graph.labels[test_idx]) if test_idx.size else float("nan")
@@ -390,8 +391,8 @@ def predict_links(model: GnnModel, embeddings, pairs) -> np.ndarray:
     feats = _feature_matrix(embeddings)
     if pairs.size and (pairs.min() < 0 or pairs.max() >= feats.shape[0]):
         raise IndexError("link pair references a node outside the embedding matrix")
-    z = model.forward(feats, train=False)
-    logits = _pair_logits(dc.constant(z.data), pairs, model).data
+    with dc.no_grad():
+        logits = _pair_logits(model.forward(feats, train=False), pairs, model).data
     return 1.0 / (1.0 + np.exp(-logits))
 
 

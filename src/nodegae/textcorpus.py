@@ -214,39 +214,26 @@ def generate_synthetic(spec: SyntheticGraphSpec) -> TextGraph:
 # Three-file dataset format.
 #
 # nodes file:  node_id <TAB> label <TAB> text   (label -1 when unlabeled;
-#              tabs, newlines, and backslashes in text are escaped as \t,
-#              \n, and \\ so each record stays on one line)
+#              tabs, line feeds, carriage returns, and backslashes in text
+#              are escaped as \t, \n, \r, and \\ so each record stays on
+#              one line; a record ends at \n, \r\n or \r and nowhere else)
 # edges file:  src <TAB> dst, one pair per line
 # splits file: three lines "train:", "val:", "test:", each followed by
 #              comma-separated node ids
 # ---------------------------------------------------------------------------
 
+_ESCAPES = {"\\": "\\\\", "\t": "\\t", "\n": "\\n", "\r": "\\r"}
+_UNESCAPES = {code[1]: ch for ch, code in _ESCAPES.items()}
+_ESCAPE_TABLE = str.maketrans(_ESCAPES)
+_ESCAPED = re.compile(r"\\([\\tnr])")
+
+
 def _escape_text(text: str) -> str:
-    return text.replace("\\", "\\\\").replace("\t", "\\t").replace("\n", "\\n")
+    return text.translate(_ESCAPE_TABLE)
 
 
 def _unescape_text(text: str) -> str:
-    out = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\\" and i + 1 < len(text):
-            nxt = text[i + 1]
-            if nxt == "t":
-                out.append("\t")
-                i += 2
-                continue
-            if nxt == "n":
-                out.append("\n")
-                i += 2
-                continue
-            if nxt == "\\":
-                out.append("\\")
-                i += 2
-                continue
-        out.append(ch)
-        i += 1
-    return "".join(out)
+    return _ESCAPED.sub(lambda m: _UNESCAPES[m.group(1)], text)
 
 
 def save_textgraph(graph: TextGraph, nodes_path, edges_path, splits_path) -> None:
@@ -280,7 +267,9 @@ def load_textgraph(nodes_path, edges_path, splits_path) -> TextGraph:
     nodes_path, edges_path, splits_path = Path(nodes_path), Path(edges_path), Path(splits_path)
 
     records = {}
-    for lineno, line in enumerate(nodes_path.read_text(encoding="utf-8").splitlines(), 1):
+    # read_text turns \r\n and \r into \n. str.splitlines would also break a
+    # record at characters such as \x0c or \u2028 that the text keeps verbatim.
+    for lineno, line in enumerate(nodes_path.read_text(encoding="utf-8").split("\n"), 1):
         if not line:
             continue
         fields = line.split("\t")

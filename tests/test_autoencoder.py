@@ -564,6 +564,15 @@ def test_extract_embeddings_chunks_match_single_calls(monkeypatch):
     assert np.array_equal(ae.extract_embeddings(model, graph).matrix, whole)
 
 
+def test_extract_and_reconstruct_record_no_backward(recorded_ops):
+    graph = toy_graph(num_nodes=6)
+    model = model_for(graph)
+    ae.extract_embeddings(model, graph)
+    ae.reconstruct(model, model.tokens_for(graph.texts[0]), max_gen_len=3)
+    assert recorded_ops
+    assert all(t._parents == () and t._backward_fn is None for t in recorded_ops)
+
+
 def test_reconstruct_terminates_with_valid_ids():
     graph = toy_graph()
     model = model_for(graph)

@@ -14,6 +14,7 @@ import pytest
 
 from nodegae import autoencoder as ae
 from nodegae import cli
+from nodegae import diffcore as dc
 from nodegae.cli import dataset_paths, main
 from nodegae.downstream import load_embeddings
 from nodegae.graphstore import TextGraph, build_link_split
@@ -226,6 +227,85 @@ def test_pretrain_resume_takes_unset_flags_from_checkpoint(dataset, tmp_path):
     assert (model.config.d_enc, model.config.max_len) == (16, 16)
     assert (adam.base_lr, adam.warmup_steps, adam.clip_norm) == (0.01, 3, None)
     assert adam.step_count == 4
+
+
+# Every flag that model.npz stores as given; TINY_MODEL[:-2] drops TINY_MODEL's --vocab-size.
+STORED_FLAGS = ["--vocab-size", "64", "--seed", "5", "--tau", "0.25", "--alpha1", "0.5",
+                "--alpha2", "0.5", "--raw-similarity"]
+
+
+@pytest.mark.parametrize("flags, named", [
+    (["--vocab-size", "8", "--seed", "99"], ["--vocab-size 8", "--seed 99"]),
+    (["--tau", "0.3"], ["--tau 0.3"]),
+    (["--alpha1", "1.0", "--alpha2", "0.1"], ["--alpha1 1.0", "--alpha2 0.1"]),
+], ids=["vocab-size-and-seed", "tau", "alphas"])
+def test_pretrain_resume_refuses_conflicting_stored_flags(dataset, tmp_path, capsys,
+                                                          flags, named):
+    out = tmp_path / "run"
+    base = ["pretrain", "--dataset", str(dataset), "--out-dir", str(out),
+            "--steps", "2", "--recon-every", "0"]
+    assert main(base + TINY_MODEL[:-2] + STORED_FLAGS) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    capsys.readouterr()
+    assert main(base + ["--resume", str(out / "model.npz")] + flags) == 1
+    err = capsys.readouterr().err
+    for text in named:
+        assert text in err
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+def test_pretrain_resume_refuses_raw_similarity_the_checkpoint_did_not_use(dataset, tmp_path,
+                                                                           capsys):
+    out = tmp_path / "run"
+    base = ["pretrain", "--dataset", str(dataset), "--out-dir", str(out),
+            "--steps", "2", "--recon-every", "0"] + TINY_MODEL
+    assert main(base) == 0
+    assert main(base + ["--resume", str(out / "model.npz"), "--raw-similarity"]) == 1
+    assert "--raw-similarity True (checkpoint: False)" in capsys.readouterr().err
+
+
+def test_pretrain_resume_takes_stored_flags_from_checkpoint(dataset, tmp_path):
+    base = ["pretrain", "--dataset", str(dataset), "--recon-every", "0"] + TINY_MODEL[:-2]
+    whole, split = tmp_path / "whole", tmp_path / "split"
+    assert main(base + ["--steps", "4", "--out-dir", str(whole)] + STORED_FLAGS) == 0
+    assert main(base + ["--steps", "2", "--out-dir", str(split)] + STORED_FLAGS) == 0
+    assert main(base + ["--steps", "2", "--out-dir", str(split),
+                        "--resume", str(split / "model.npz")]) == 0
+    assert (split / "pretrain_log.csv").read_bytes() == (whole / "pretrain_log.csv").read_bytes()
+    _, _, meta = ae.load_model(split / "model.npz")
+    assert meta["stage1_flags"] == {"vocab_size": 64, "seed": 5, "tau": 0.25, "alpha1": 0.5,
+                                    "alpha2": 0.5, "raw_similarity": True}
+
+
+def test_pretrain_resume_of_checkpoint_without_stored_flags_applies_them(dataset, tmp_path):
+    out = tmp_path / "run"
+    base = ["pretrain", "--dataset", str(dataset), "--out-dir", str(out),
+            "--steps", "2", "--recon-every", "0"] + TINY_MODEL
+    assert main(base) == 0
+    tensors, meta = dc.load_checkpoint(out / "model.npz")
+    del meta["stage1_flags"]
+    dc.save_checkpoint(out / "model.npz", tensors, meta)
+    assert main(base[:-2] + ["--resume", str(out / "model.npz"), "--vocab-size", "8",
+                             "--seed", "99", "--tau", "0.3"]) == 0
+    _, _, meta = ae.load_model(out / "model.npz")
+    assert (meta["stage1_flags"]["vocab_size"], meta["stage1_flags"]["tau"]) == (8, 0.3)
+
+
+@pytest.mark.parametrize("command, task", [
+    ("train", "nodecls"), ("train", "linkpred"), ("ablate", "nodecls")])
+def test_stage2_divergence_exits_two_without_artifacts(dataset, embedded, tmp_path, capsys,
+                                                       command, task):
+    out = tmp_path / "run"
+    args = [command, "--dataset", str(dataset), "--out-dir", str(out), "--task", task,
+            "--repeats", "1", "--epochs", "5"]
+    if command == "train":
+        args += ["--embeddings", str(embedded), "--backbone", "mlp", "--lr", "1e300"]
+    else:
+        args += ["--steps", "1", "--train-lr", "1e300"] + TINY_MODEL
+    with np.errstate(all="ignore"):
+        assert main(args) == 2
+    assert "diverged at step" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_pretrain_rejects_missing_dataset(workdir, tmp_path):

@@ -3,11 +3,14 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nodegae import diffcore as dc
-from nodegae.errors import ContractError, DimensionError
+from nodegae.errors import ContractError, DimensionError, NodeGaeError
 
 from fdcheck import assert_grads_close, finite_diff_grads, nudge_from_kinks
+from reference_tape import reference_leaf_grads
 
 SEEDS = range(10)
 
@@ -178,13 +181,130 @@ def test_grad_accumulates_across_uses():
     np.testing.assert_allclose(w.grad, [4.0], rtol=0, atol=1e-15)
 
 
-def test_intermediate_tensors_receive_grads():
+def test_only_leaf_tensors_receive_grads():
     w = dc.parameter([1.0, -2.0])
     mid = dc.relu(w)
     loss = dc.sum_axis(mid, 0)
     dc.backward(loss)
-    assert mid.grad is not None
-    np.testing.assert_array_equal(mid.grad, [1.0, 1.0])
+    np.testing.assert_array_equal(w.grad, [1.0, 0.0])
+    assert mid.grad is None
+    assert loss.grad is None
+
+
+def test_leaf_grad_is_not_shared_with_a_sibling():
+    # add hands the same adjoint to both operands; each leaf must own its grad.
+    a = dc.parameter([1.0, 2.0])
+    b = dc.parameter([3.0, 4.0])
+    dc.backward(dc.sum_axis(dc.add(a, b), 0))
+    assert not np.shares_memory(a.grad, b.grad)
+    a.grad *= 5.0
+    np.testing.assert_array_equal(b.grad, [1.0, 1.0])
+
+
+# ---------------------------------------------------------------------------
+# Random expression DAGs: shared operands, views and broadcasts
+# ---------------------------------------------------------------------------
+
+DAG_LEAVES = {"A": (2, 3), "B": (2, 3), "r": (3,), "c": (2, 1), "M": (2, 2)}
+
+
+def _dag_step(kind, x, y, leaves):
+    """One (2, 3) -> (2, 3) node reading pool tensors x and y and the leaves."""
+    if kind == "add":
+        return dc.add(x, y)
+    if kind == "add_self":
+        return dc.add(x, x)
+    if kind == "mul":
+        return dc.mul(x, y)
+    if kind == "mul_reshape":
+        return dc.mul(x, dc.reshape(dc.reshape(y, (6,)), (2, 3)))
+    if kind == "row":
+        return dc.add(x, leaves["r"])
+    if kind == "col":
+        return dc.add(leaves["c"], x)
+    if kind == "transpose":
+        t = dc.matmul(dc.transpose(x, (1, 0)), leaves["M"])
+        return dc.add(dc.transpose(t, (1, 0)), y)
+    if kind == "sum":
+        return dc.add(x, dc.reshape(dc.sum_axis(y, 0), (1, 3)))
+    return dc.gelu(x)
+
+
+DAG_KINDS = ("add", "add_self", "mul", "mul_reshape", "row", "col", "transpose", "sum", "gelu")
+
+
+def _build_dag(leaves, program, tail):
+    pool = [leaves["A"], leaves["B"]]
+    for kind, i, j in program:
+        pool.append(_dag_step(kind, pool[i % len(pool)], pool[j % len(pool)], leaves))
+    out = dc.add(pool[-1], pool[tail % len(pool)])
+    weights = dc.constant(np.linspace(-1.0, 1.5, 6).reshape(6, 1))
+    return dc.reshape(dc.matmul(dc.reshape(out, (1, 6)), weights), ())
+
+
+@settings(max_examples=80)
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       program=st.lists(st.tuples(st.sampled_from(DAG_KINDS), st.integers(0, 7),
+                                  st.integers(0, 7)), min_size=1, max_size=5),
+       tail=st.integers(0, 7))
+def test_random_dag_leaf_grads_match_reference_and_finite_differences(seed, program, tail):
+    rng = np.random.default_rng(seed)
+    arrays = {name: rng.uniform(-1.0, 1.0, shape) for name, shape in DAG_LEAVES.items()}
+    leaves = {name: dc.parameter(a.copy()) for name, a in arrays.items()}
+    loss = _build_dag(leaves, program, tail)
+    reference = reference_leaf_grads(loss)
+    dc.backward(loss)
+
+    for node in dc._topo_order(loss):
+        if node._backward_fn is not None:
+            assert node.grad is None, node
+    for name, leaf in leaves.items():
+        if id(leaf) not in reference:
+            assert leaf.grad is None, name
+            continue
+        want = np.asarray(reference[id(leaf)])
+        got = np.asarray(leaf.grad)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
+
+    names = list(arrays)
+
+    def loss_value(arrs):
+        return _build_dag({n: dc.constant(a) for n, a in zip(names, arrs)}, program, tail).item()
+
+    numeric = finite_diff_grads(loss_value, [arrays[n].copy() for n in names])
+    for name, n in zip(names, numeric):
+        got = leaves[name].grad
+        assert_grads_close(np.zeros_like(n) if got is None else got, n, rtol=1e-4,
+                           context=f"{name} {program} tail={tail}")
+
+
+# ---------------------------------------------------------------------------
+# no_grad
+# ---------------------------------------------------------------------------
+
+def test_no_grad_records_no_parents_and_restores_recording():
+    w = dc.parameter([1.0, 2.0])
+    with dc.no_grad():
+        y = dc.mul(w, w)
+        with dc.no_grad():
+            pass
+        z = dc.add(y, w)
+    for t in (y, z):
+        assert t._parents == () and t._backward_fn is None and not t.requires_grad
+    np.testing.assert_array_equal(z.data, [2.0, 6.0])
+    after = dc.mul(w, w)
+    assert after.requires_grad and after._parents == (w, w)
+
+
+def test_no_grad_restores_recording_after_an_exception():
+    w = dc.parameter([3.0])
+    with pytest.raises(RuntimeError):
+        with dc.no_grad():
+            raise RuntimeError("boom")
+    y = dc.mul(w, w)
+    assert y._parents == (w, w)
+    dc.backward(dc.sum_axis(y, 0))
+    np.testing.assert_array_equal(w.grad, [6.0])
 
 
 def test_forward_is_deterministic():
@@ -328,6 +448,29 @@ def test_adam_global_norm_clip_scales_gradients():
     # After one step the first moment holds (1 - beta1) * clipped grad.
     np.testing.assert_allclose(state.first_moment[0], 0.1 * 3.0 / norm * np.ones(4),
                                rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("clip_norm", [1.0, None])
+def test_adam_non_finite_gradient_raises_before_updating(clip_norm):
+    p = dc.parameter([1.0, 2.0])
+    state = dc.AdamState.for_params([p], base_lr=0.1, clip_norm=clip_norm)
+    p.grad = np.array([1.0, 1.0])
+    dc.adam_step([p], state)
+    before = p.data.copy()
+    p.grad = np.array([np.nan, 1.0])
+    with pytest.raises(NodeGaeError, match="step 2"):
+        dc.adam_step([p], state)
+    assert state.step_count == 1
+    np.testing.assert_array_equal(p.data, before)
+
+
+def test_adam_non_finite_parameter_after_update_raises():
+    # The first step moves each entry by lr against the sign of its gradient.
+    p = dc.parameter([0.0, 1.7e308])
+    state = dc.AdamState.for_params([p], base_lr=1e308, clip_norm=None)
+    p.grad = np.array([1.0, -1.0])
+    with np.errstate(over="ignore"), pytest.raises(NodeGaeError, match="step 1: parameter 0"):
+        dc.adam_step([p], state)
 
 
 def test_adam_warmup_ramp_is_linear():

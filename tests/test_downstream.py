@@ -489,6 +489,27 @@ def test_link_predictor_mlp_scorer_trains_and_stays_symmetric():
     assert np.all((fwd > 0.0) & (fwd < 1.0))
 
 
+def test_predict_links_records_no_backward(recorded_ops):
+    graph = community_graph(seed=3)
+    model = ds.GnnModel.build("gcn", 6, 8, 8, dropout=0.0, graph=graph)
+    ds._add_mlp_scorer(model, 8, np.random.default_rng(0))
+    ds.predict_links(model, community_embeddings(graph, seed=3), [(0, 5), (3, 20)])
+    assert recorded_ops
+    assert all(t._backward_fn is None for t in recorded_ops)
+
+
+def test_node_classifier_eval_forward_records_no_backward(recorded_ops, monkeypatch):
+    graph = labeled_graph(seed=1)
+    step = dc.adam_step
+    monkeypatch.setattr(dc, "adam_step", lambda *a: (recorded_ops.append("step"), step(*a)))
+    cfg = ds.DownstreamConfig.for_node_classification(hidden_dim=8, epochs=1, seed=0)
+    ds.train_node_classifier(one_hot_embeddings(graph, 3), graph, cfg)
+    after = recorded_ops.index("step")
+    assert any(t._backward_fn is not None for t in recorded_ops[:after])
+    assert recorded_ops[after + 1:]
+    assert all(t._backward_fn is None for t in recorded_ops[after + 1:])
+
+
 def test_link_predictor_rejects_row_mismatch():
     graph = community_graph(seed=4)
     split = gs.build_link_split(graph, seed=4)

@@ -4,6 +4,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from nodegae import textcorpus as tc
 from nodegae.errors import ConfigError, IngestionError
@@ -301,6 +303,32 @@ def test_save_load_round_trip_with_tabs_in_text(tmp_path):
     assert np.array_equal(back.labels, g.labels)
     for name in ("train", "val", "test"):
         assert np.array_equal(back.splits[name], g.splits[name])
+
+
+def _round_trip_texts(tmp_path, texts):
+    g = tc.generate_synthetic(make_spec(num_nodes=len(texts), seed=1))
+    g.texts[:] = texts
+    paths = (tmp_path / "n.tsv", tmp_path / "e.tsv", tmp_path / "s.txt")
+    tc.save_textgraph(g, *paths)
+    return tc.load_textgraph(*paths).texts
+
+
+def test_save_load_round_trip_with_line_break_characters(tmp_path):
+    # str.splitlines breaks at each of these; only \r needs an escape on disk.
+    texts = ["carriage\rreturn", "crlf\r\n", "form\x0cfeed", "line\u2028sep",
+             "para\u2029sep", "next\x85line", "vt\x0bgs\x1d", "\\r is not \r"]
+    assert _round_trip_texts(tmp_path, texts) == texts
+
+
+def test_load_accepts_crlf_line_endings(tmp_path):
+    paths = write_dataset(tmp_path, "0\t0\tab\r\n1\t1\tcd\r\n", "0\t1\r\n",
+                          "train: 0\r\nval: 1\r\ntest:\r\n")
+    assert tc.load_textgraph(*paths).texts == ["ab", "cd"]
+
+
+@given(st.lists(st.text(), min_size=1, max_size=4))
+def test_save_load_round_trips_arbitrary_text(tmp_path_factory, texts):
+    assert _round_trip_texts(tmp_path_factory.mktemp("rt"), texts) == texts
 
 
 def test_save_load_save_is_stable(tmp_path):
