@@ -523,15 +523,7 @@ def save_model(path, model: AutoencoderModel, adam: Optional[dc.AdamState] = Non
         for name, m, v in zip(model.params, adam.first_moment, adam.second_moment):
             tensors["opt.m." + name] = m
             tensors["opt.v." + name] = v
-        meta["optimizer"] = {
-            "step_count": adam.step_count,
-            "beta1": adam.beta1,
-            "beta2": adam.beta2,
-            "epsilon": adam.epsilon,
-            "base_lr": adam.base_lr,
-            "warmup_steps": adam.warmup_steps,
-            "clip_norm": adam.clip_norm,
-        }
+        meta["optimizer"] = adam.settings()
     dc.save_checkpoint(path, tensors, meta)
 
 
@@ -552,16 +544,7 @@ def load_model(path) -> Tuple[AutoencoderModel, Optional[dc.AdamState], dict]:
 
     adam = None
     if "optimizer" in meta:
-        opt = meta["optimizer"]
-        adam = dc.AdamState(
-            first_moment=[tensors["opt.m." + name] for name in model.params],
-            second_moment=[tensors["opt.v." + name] for name in model.params],
-            step_count=int(opt["step_count"]),
-            beta1=float(opt["beta1"]),
-            beta2=float(opt["beta2"]),
-            epsilon=float(opt["epsilon"]),
-            base_lr=float(opt["base_lr"]),
-            warmup_steps=int(opt["warmup_steps"]),
-            clip_norm=None if opt["clip_norm"] is None else float(opt["clip_norm"]),
-        )
+        adam = dc.AdamState.from_settings(
+            [tensors["opt.m." + name] for name in model.params],
+            [tensors["opt.v." + name] for name in model.params], meta["optimizer"])
     return model, adam, meta

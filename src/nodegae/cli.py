@@ -32,15 +32,15 @@ from .downstream import (
     DownstreamConfig,
     EmbeddingMatrix,
     load_embeddings,
-    predict_links,
     random_embeddings,
     save_embeddings,
+    score_splits,
     shallow_embeddings,
     train_link_predictor,
     train_node_classifier,
 )
 from .errors import ConfigError, IngestionError, NodeGaeError
-from .evalmetrics import accuracy, bleu, roc_auc, rouge_l, token_f1
+from .evalmetrics import bleu, rouge_l, token_f1
 from .graphstore import LinkSplit, TextGraph, build_link_split
 from .textcorpus import (
     SyntheticGraphSpec,
@@ -362,20 +362,6 @@ def cmd_embed(args: Args) -> int:
 # train
 # ---------------------------------------------------------------------------
 
-def _final_metric(task: str, model, emb: EmbeddingMatrix, graph: TextGraph,
-                  split: Optional[LinkSplit]) -> float:
-    if task == "nodecls":
-        with dc.no_grad():
-            preds = np.argmax(model.forward(emb.matrix).data, axis=1)
-        test_idx = graph.splits["test"]
-        return accuracy(preds[test_idx], graph.labels[test_idx])
-    pos, neg = split.positives("test"), split.negatives("test")
-    scores = predict_links(model, emb, np.concatenate([pos, neg], axis=0))
-    labels = np.concatenate([np.ones(len(pos), dtype=int),
-                             np.zeros(len(neg), dtype=int)])
-    return roc_auc(scores, labels)
-
-
 def _run_repeats(args: Args, graph: TextGraph, emb: EmbeddingMatrix, dcfg: DownstreamConfig,
                  split: Optional[LinkSplit]) -> Tuple[List[float], List[str], List[str]]:
     """Train --repeats models seeded --seed + r; return metrics, epoch rows, curve rows."""
@@ -400,7 +386,7 @@ def _run_repeats(args: Args, graph: TextGraph, emb: EmbeddingMatrix, dcfg: Downs
                     epoch_rows.append(
                         f"{r},epoch,{row['index']},{row['split']},"
                         f"{row['metric']},{_fmt(row['value'])}")
-        values.append(_final_metric(args.task, model, emb, graph, split))
+        values.append(score_splits(model, emb, graph, split, ("test",))["test"])
     return values, epoch_rows, curve_rows
 
 

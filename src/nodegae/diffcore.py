@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -524,15 +524,23 @@ class AdamState:
 
     @classmethod
     def for_params(cls, params: Sequence[DiffTensor], base_lr: float,
-                   warmup_steps: int = 0, clip_norm: float | None = 1.0,
-                   beta1: float = 0.9, beta2: float = 0.999,
-                   epsilon: float = 1e-8) -> "AdamState":
-        return cls(
-            first_moment=[np.zeros_like(p.data) for p in params],
-            second_moment=[np.zeros_like(p.data) for p in params],
-            beta1=beta1, beta2=beta2, epsilon=epsilon,
-            base_lr=base_lr, warmup_steps=warmup_steps, clip_norm=clip_norm,
-        )
+                   **settings) -> "AdamState":
+        """Zero moments for params; settings left out keep the field defaults."""
+        return cls([np.zeros_like(p.data) for p in params],
+                   [np.zeros_like(p.data) for p in params], base_lr=base_lr, **settings)
+
+    def settings(self) -> dict:
+        """The scalar fields (all but the moments) by name, as checkpoints store them."""
+        return {f.name: getattr(self, f.name) for f in fields(self)[2:]}
+
+    @classmethod
+    def from_settings(cls, first_moment: list[np.ndarray], second_moment: list[np.ndarray],
+                      settings: Mapping) -> "AdamState":
+        """The inverse of settings(); keys other than the scalar fields raise ContractError."""
+        names = sorted(f.name for f in fields(cls)[2:])
+        if sorted(settings) != names:
+            raise ContractError(f"optimizer settings {sorted(settings)} are not the fields {names}")
+        return cls(first_moment, second_moment, **settings)
 
     @property
     def effective_lr(self) -> float:

@@ -7,13 +7,14 @@ adjacency) once, when the model is built, and apply it with
 ``diffcore.spmm``. Node classification trains full batch with
 cross-entropy; link prediction trains on minibatches of positive and
 sampled negative pairs with a dot-product-plus-logistic scorer, or a
-small MLP head when the model carries one. Both keep the weights from the
-best validation epoch.
+small MLP head when the model carries one. Both trainers share one set-up,
+one loop that keeps the weights of the best validation epoch, and one
+scorer, ``score_splits``, which the CLI also uses for the test metric.
 """
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -33,6 +34,7 @@ __all__ = [
     "DownstreamConfig",
     "train_node_classifier",
     "predict_links",
+    "score_splits",
     "train_link_predictor",
     "link_bce",
 ]
@@ -79,16 +81,21 @@ def load_embeddings(path) -> EmbeddingMatrix:
     if not text:
         raise ContractError(f"{path}: empty embedding file")
     header = text[0].split()
-    if len(header) != 3:
-        raise ContractError(f"{path}: header must be 'rows dim provenance'")
+    if len(header) != 3 or not all(h.isdecimal() for h in header[:2]):
+        raise ContractError(f"{path}:1: header must be 'rows dim provenance', got '{text[0]}'")
     rows, dim, provenance = int(header[0]), int(header[1]), header[2]
-    body = [line for line in text[1:] if line]
+    body = [(i, line.split()) for i, line in enumerate(text[1:], start=2) if line]
     if len(body) != rows:
         raise ContractError(f"{path}: header promises {rows} rows, found {len(body)}")
-    matrix = np.array([[float(x) for x in line.split()] for line in body])
-    if matrix.size and matrix.shape[1] != dim:
-        raise ContractError(f"{path}: header promises dim {dim}, rows have {matrix.shape[1]}")
-    return EmbeddingMatrix(matrix.reshape(rows, dim), provenance)
+    matrix = np.empty((rows, dim))
+    for r, (lineno, entries) in enumerate(body):
+        try:
+            if len(entries) != dim:
+                raise ValueError(f"header promises dim {dim}, row has {len(entries)} entries")
+            matrix[r] = [float(x) for x in entries]
+        except ValueError as exc:
+            raise ContractError(f"{path}:{lineno}: {exc}") from None
+    return EmbeddingMatrix(matrix, provenance)
 
 
 def random_embeddings(num_nodes: int, dim: int, seed: int = 0) -> EmbeddingMatrix:
@@ -158,14 +165,13 @@ class GnnModel:
         for i in range(num_layers):
             fan_in, fan_out = dims[i], dims[i + 1]
             scale = fan_in ** -0.5
-            if backbone == "mlp":
-                params[f"l{i}.w"] = dc.parameter(rng.normal(0.0, scale, (fan_in, fan_out)))
-                params[f"l{i}.b"] = dc.parameter(np.zeros(fan_out))
-            elif backbone == "gcn":
-                params[f"l{i}.w"] = dc.parameter(rng.normal(0.0, scale, (fan_in, fan_out)))
-            else:
+            if backbone == "sage":
                 params[f"l{i}.self"] = dc.parameter(rng.normal(0.0, scale, (fan_in, fan_out)))
                 params[f"l{i}.neigh"] = dc.parameter(rng.normal(0.0, scale, (fan_in, fan_out)))
+            else:
+                params[f"l{i}.w"] = dc.parameter(rng.normal(0.0, scale, (fan_in, fan_out)))
+                if backbone == "mlp":
+                    params[f"l{i}.b"] = dc.parameter(np.zeros(fan_out))
         operator = None
         if backbone == "gcn":
             operator = normalized_adjacency(graph, add_self_loops=add_self_loops)
@@ -271,71 +277,8 @@ def _feature_matrix(embeddings) -> np.ndarray:
     return np.asarray(matrix, dtype=np.float64)
 
 
-def train_node_classifier(embeddings, graph: TextGraph, cfg: DownstreamConfig
-                          ) -> Tuple[GnnModel, List[dict]]:
-    """Full-batch cross-entropy on the train split, best-val weights kept.
-
-    Log rows carry (epoch, train_loss, val_acc, test_acc). Training stops
-    early when the validation accuracy has not improved for cfg.patience
-    epochs.
-    """
-    cfg.validate()
-    feats = _feature_matrix(embeddings)
-    if feats.shape[0] != graph.num_nodes:
-        raise ConfigError(
-            f"embeddings have {feats.shape[0]} rows for a {graph.num_nodes}-node graph")
-    train_idx = graph.splits.get("train", np.zeros(0, dtype=np.int64))
-    val_idx = graph.splits.get("val", np.zeros(0, dtype=np.int64))
-    test_idx = graph.splits.get("test", np.zeros(0, dtype=np.int64))
-    if train_idx.size == 0:
-        raise ConfigError("node classification needs a non-empty train split")
-    for name, idx in (("train", train_idx), ("val", val_idx), ("test", test_idx)):
-        if idx.size and np.any(graph.labels[idx] < 0):
-            raise ConfigError(f"{name} split contains unlabeled nodes")
-    num_classes = int(graph.labels.max()) + 1
-
-    model = GnnModel.build(cfg.backbone, feats.shape[1], cfg.hidden_dim,
-                           num_classes, cfg.num_layers, cfg.dropout, cfg.seed,
-                           graph=graph, add_self_loops=cfg.add_self_loops)
-    adam = dc.AdamState.for_params(model.parameters(), base_lr=cfg.lr,
-                                   clip_norm=None)
-    rng = np.random.default_rng(cfg.seed)
-    features = dc.constant(feats)
-
-    log: List[dict] = []
-    best_metric = -np.inf
-    best_snap = model.snapshot()
-    stale = 0
-    for epoch in range(cfg.epochs):
-        logits = model.forward(features, train=True, rng=rng)
-        picked = dc.embedding_lookup(logits, train_idx)
-        loss = dc.cross_entropy_logits(picked, graph.labels[train_idx],
-                                       reduction="mean")
-        dc.backward(loss)
-        dc.adam_step(model.parameters(), adam)
-
-        with dc.no_grad():
-            eval_logits = model.forward(features, train=False).data
-        preds = np.argmax(eval_logits, axis=1)
-        val_acc = accuracy(preds[val_idx], graph.labels[val_idx]) if val_idx.size else float("nan")
-        test_acc = accuracy(preds[test_idx], graph.labels[test_idx]) if test_idx.size else float("nan")
-        log.append({
-            "epoch": epoch,
-            "train_loss": float(loss.item()),
-            "val_acc": val_acc,
-            "test_acc": test_acc,
-        })
-        tracked = val_acc if val_idx.size else -float(loss.item())
-        if tracked > best_metric:
-            best_metric = tracked
-            best_snap = model.snapshot()
-            stale = 0
-        else:
-            stale += 1
-            if stale >= cfg.patience:
-                break
-    model.restore(best_snap)
-    return model, log
+def _node_split(graph: TextGraph, name: str) -> np.ndarray:
+    return graph.splits.get(name, np.zeros(0, dtype=np.int64))
 
 
 def _scorer_mlp_logits(model: GnnModel, u: dc.DiffTensor, v: dc.DiffTensor
@@ -385,6 +328,11 @@ def _add_mlp_scorer(model: GnnModel, hidden_dim: int,
     model.params["scorer.b2"] = dc.parameter(np.zeros(1))
 
 
+def _link_scores(model: GnnModel, z: dc.DiffTensor, pairs: np.ndarray) -> np.ndarray:
+    """logistic(pair logit) over node outputs z from an inference forward."""
+    return 1.0 / (1.0 + np.exp(-_pair_logits(z, pairs, model).data))
+
+
 def predict_links(model: GnnModel, embeddings, pairs) -> np.ndarray:
     """Scores logistic(pair logit) in (0, 1), symmetric in (u, v)."""
     pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
@@ -392,16 +340,105 @@ def predict_links(model: GnnModel, embeddings, pairs) -> np.ndarray:
     if pairs.size and (pairs.min() < 0 or pairs.max() >= feats.shape[0]):
         raise IndexError("link pair references a node outside the embedding matrix")
     with dc.no_grad():
-        logits = _pair_logits(model.forward(feats, train=False), pairs, model).data
-    return 1.0 / (1.0 + np.exp(-logits))
+        return _link_scores(model, model.forward(feats, train=False), pairs)
 
 
-def _auc_for(model: GnnModel, feats: np.ndarray, split: LinkSplit, part: str) -> float:
-    pos = split.positives(part)
-    neg = split.negatives(part)
-    pairs = np.concatenate([pos, neg], axis=0)
-    labels = np.concatenate([np.ones(len(pos), dtype=int), np.zeros(len(neg), dtype=int)])
-    return roc_auc(predict_links(model, feats, pairs), labels)
+def score_splits(model: GnnModel, embeddings, graph: TextGraph,
+                 split: Optional[LinkSplit] = None,
+                 parts: Sequence[str] = ("val", "test")) -> Dict[str, float]:
+    """Each part's score from one inference forward, keyed by part.
+
+    Without a link split: accuracy of the argmax class on that node split of
+    graph, nan when it is empty. With one: ROC-AUC of predict_links' scores
+    over the part's positives followed by its negatives.
+    """
+    scores = {}
+    with dc.no_grad():
+        z = model.forward(_feature_matrix(embeddings), train=False)
+        for part in parts:
+            if split is None:
+                idx = _node_split(graph, part)
+                scores[part] = (accuracy(np.argmax(z.data[idx], axis=1), graph.labels[idx])
+                                if idx.size else float("nan"))
+            else:
+                pos, neg = split.positives(part), split.negatives(part)
+                scores[part] = roc_auc(_link_scores(model, z, np.concatenate([pos, neg])),
+                                       np.repeat([1, 0], [len(pos), len(neg)]))
+    return scores
+
+
+def _fit_setup(embeddings, graph: TextGraph, cfg: DownstreamConfig,
+               split: Optional[LinkSplit] = None
+               ) -> Tuple[np.ndarray, GnnModel, dc.AdamState, np.random.Generator]:
+    """Checked features, then the model, its optimizer and the training rng.
+
+    Without a link split the model classifies graph's (checked) node splits;
+    with one it sees only the train positives, and an mlp scorer draws first.
+    """
+    cfg.validate()
+    feats = _feature_matrix(embeddings)
+    if feats.shape[0] != graph.num_nodes:
+        raise ConfigError(
+            f"embeddings have {feats.shape[0]} rows for a {graph.num_nodes}-node graph")
+    if split is None:
+        if _node_split(graph, "train").size == 0:
+            raise ConfigError("node classification needs a non-empty train split")
+        for name in ("train", "val", "test"):
+            if np.any(graph.labels[_node_split(graph, name)] < 0):
+                raise ConfigError(f"{name} split contains unlabeled nodes")
+        out_dim, model_graph = int(graph.labels.max()) + 1, graph
+    else:
+        out_dim, model_graph = cfg.hidden_dim, split.train_message_graph(graph)
+    model = GnnModel.build(cfg.backbone, feats.shape[1], cfg.hidden_dim, out_dim,
+                           cfg.num_layers, cfg.dropout, cfg.seed,
+                           graph=model_graph, add_self_loops=cfg.add_self_loops)
+    rng = np.random.default_rng(cfg.seed)
+    if split is not None and cfg.link_scorer == "mlp":
+        _add_mlp_scorer(model, cfg.hidden_dim, rng)
+    adam = dc.AdamState.for_params(model.parameters(), base_lr=cfg.lr, clip_norm=None)
+    return feats, model, adam, rng
+
+
+def _keep_best(model: GnnModel, patience: int, tracked: Iterator[float]) -> None:
+    """Run the epochs that yield a tracked score until `patience` in a row miss
+    the best one, then restore the weights of the best epoch."""
+    best, best_snap, stale = -np.inf, model.snapshot(), 0
+    for score in tracked:
+        if score > best:
+            best, best_snap, stale = score, model.snapshot(), 0
+        else:
+            stale += 1
+            if stale >= patience:
+                break
+    model.restore(best_snap)
+
+
+def train_node_classifier(embeddings, graph: TextGraph, cfg: DownstreamConfig
+                          ) -> Tuple[GnnModel, List[dict]]:
+    """Full-batch cross-entropy on the train split, best-val weights kept.
+
+    Log rows carry (epoch, train_loss, val_acc, test_acc). Training stops
+    early when the validation accuracy has not improved for cfg.patience
+    epochs; without a validation split the train loss is tracked instead.
+    """
+    feats, model, adam, rng = _fit_setup(embeddings, graph, cfg)
+    train_idx = graph.splits["train"]
+    has_val = _node_split(graph, "val").size > 0
+    log: List[dict] = []
+
+    def epochs() -> Iterator[float]:
+        for epoch in range(cfg.epochs):
+            logits = dc.embedding_lookup(model.forward(feats, train=True, rng=rng), train_idx)
+            loss = dc.cross_entropy_logits(logits, graph.labels[train_idx], reduction="mean")
+            dc.backward(loss)
+            dc.adam_step(model.parameters(), adam)
+            acc = score_splits(model, feats, graph)
+            log.append({"epoch": epoch, "train_loss": float(loss.item()),
+                        "val_acc": acc["val"], "test_acc": acc["test"]})
+            yield acc["val"] if has_val else -float(loss.item())
+
+    _keep_best(model, cfg.patience, epochs())
+    return model, log
 
 
 def train_link_predictor(embeddings, graph: TextGraph, split: LinkSplit,
@@ -413,69 +450,35 @@ def train_link_predictor(embeddings, graph: TextGraph, split: LinkSplit,
     cfg.log_every_iter every optimizer step adds a validation ROC-AUC row.
     The returned model carries the best-validation weights.
     """
-    cfg.validate()
-    feats = _feature_matrix(embeddings)
-    if feats.shape[0] != graph.num_nodes:
-        raise ConfigError(
-            f"embeddings have {feats.shape[0]} rows for a {graph.num_nodes}-node graph")
-    message_graph = split.train_message_graph(graph)
-
-    model = GnnModel.build(cfg.backbone, feats.shape[1], cfg.hidden_dim,
-                           cfg.hidden_dim, cfg.num_layers, cfg.dropout, cfg.seed,
-                           graph=message_graph, add_self_loops=cfg.add_self_loops)
-    rng = np.random.default_rng(cfg.seed)
-    if cfg.link_scorer == "mlp":
-        _add_mlp_scorer(model, cfg.hidden_dim, rng)
-    adam = dc.AdamState.for_params(model.parameters(), base_lr=cfg.lr,
-                                   clip_norm=None)
-
+    feats, model, adam, rng = _fit_setup(embeddings, graph, cfg, split)
     pairs = np.concatenate([split.train_pos, split.train_neg], axis=0)
-    labels = np.concatenate([
-        np.ones(len(split.train_pos), dtype=np.int64),
-        np.zeros(len(split.train_neg), dtype=np.int64),
-    ])
-
+    labels = np.repeat([1, 0], [len(split.train_pos), len(split.train_neg)])
     log: List[dict] = []
-    best_metric = -np.inf
-    best_snap = model.snapshot()
-    stale = 0
-    iteration = 0
-    for epoch in range(cfg.epochs):
-        order = rng.permutation(len(pairs))
-        epoch_loss = 0.0
-        n_batches = 0
-        for start in range(0, len(order), cfg.batch_edges):
-            batch = order[start : start + cfg.batch_edges]
-            if batch.size < 2:
-                continue
-            z = model.forward(feats, train=True, rng=rng)
-            loss = link_bce(z, pairs[batch], labels[batch], model)
-            dc.backward(loss)
-            dc.adam_step(model.parameters(), adam)
-            epoch_loss += float(loss.item())
-            n_batches += 1
-            iteration += 1
-            if cfg.log_every_iter:
-                log.append({
-                    "scope": "iter", "index": iteration, "split": "val",
-                    "metric": "roc_auc",
-                    "value": _auc_for(model, feats, split, "val"),
-                })
-        val_auc = _auc_for(model, feats, split, "val")
-        test_auc = _auc_for(model, feats, split, "test")
-        log.append({"scope": "epoch", "index": epoch, "split": "train",
-                    "metric": "bce", "value": epoch_loss / max(1, n_batches)})
-        log.append({"scope": "epoch", "index": epoch, "split": "val",
-                    "metric": "roc_auc", "value": val_auc})
-        log.append({"scope": "epoch", "index": epoch, "split": "test",
-                    "metric": "roc_auc", "value": test_auc})
-        if val_auc > best_metric:
-            best_metric = val_auc
-            best_snap = model.snapshot()
-            stale = 0
-        else:
-            stale += 1
-            if stale >= cfg.patience:
-                break
-    model.restore(best_snap)
+
+    def epochs() -> Iterator[float]:
+        for epoch in range(cfg.epochs):
+            order = rng.permutation(len(pairs))
+            losses = []
+            for start in range(0, len(order), cfg.batch_edges):
+                batch = order[start : start + cfg.batch_edges]
+                if batch.size < 2:
+                    continue
+                z = model.forward(feats, train=True, rng=rng)
+                loss = link_bce(z, pairs[batch], labels[batch], model)
+                dc.backward(loss)
+                dc.adam_step(model.parameters(), adam)
+                losses.append(float(loss.item()))
+                if cfg.log_every_iter:
+                    auc = score_splits(model, feats, graph, split, ("val",))
+                    log.append({"scope": "iter", "index": adam.step_count, "split": "val",
+                                "metric": "roc_auc", "value": auc["val"]})
+            auc = score_splits(model, feats, graph, split)
+            log.append({"scope": "epoch", "index": epoch, "split": "train",
+                        "metric": "bce", "value": sum(losses) / max(1, len(losses))})
+            for part in ("val", "test"):
+                log.append({"scope": "epoch", "index": epoch, "split": part,
+                            "metric": "roc_auc", "value": auc[part]})
+            yield auc["val"]
+
+    _keep_best(model, cfg.patience, epochs())
     return model, log

@@ -627,6 +627,22 @@ def test_save_load_round_trip(tmp_path):
     assert loaded_adam.step_count == 4
 
 
+@pytest.mark.parametrize("edit", ["drop", "add"])
+def test_load_refuses_optimizer_block_with_other_keys(tmp_path, edit):
+    graph = toy_graph()
+    model = model_for(graph)
+    path = tmp_path / "model.npz"
+    ae.save_model(path, model, dc.AdamState.for_params(model.parameters(), base_lr=1e-3))
+    tensors, meta = dc.load_checkpoint(path)
+    if edit == "drop":
+        del meta["optimizer"]["warmup_steps"]
+    else:
+        meta["optimizer"]["momentum"] = 0.9
+    dc.save_checkpoint(path, tensors, meta)
+    with pytest.raises(ContractError, match="warmup_steps" if edit == "drop" else "momentum"):
+        ae.load_model(path)
+
+
 def test_load_detects_missing_parameter(tmp_path):
     import dataclasses
 

@@ -19,6 +19,7 @@ from nodegae.cli import dataset_paths, main
 from nodegae.downstream import load_embeddings
 from nodegae.graphstore import TextGraph, build_link_split
 from nodegae.textcorpus import load_textgraph, save_textgraph
+from test_downstream import MALFORMED_EMBEDDINGS
 
 TINY_MODEL = [
     "--batch-size", "8", "--d-enc", "16", "--d-dec", "16",
@@ -523,6 +524,21 @@ def test_train_rejects_row_mismatch(dataset, tmp_path):
     rc = main(["train", "--dataset", str(dataset), "--embeddings", str(small),
                "--out-dir", str(tmp_path / "o")])
     assert rc == 1
+
+
+@pytest.mark.parametrize("text, line, fragment", MALFORMED_EMBEDDINGS)
+def test_train_malformed_embeddings_exit_two_without_artifacts(dataset, tmp_path, capsys,
+                                                              text, line, fragment):
+    emb = tmp_path / "emb.txt"
+    emb.write_text(text, encoding="utf-8")
+    out = tmp_path / "o"
+    rc = main(["train", "--dataset", str(dataset), "--embeddings", str(emb),
+               "--out-dir", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("runtime error:")
+    assert f"emb.txt{line}" in err[0] and fragment in err[0]
+    assert not out.exists()
 
 
 def test_train_rejects_zero_repeats(dataset, embedded, tmp_path):

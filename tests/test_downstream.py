@@ -7,6 +7,8 @@ from nodegae import diffcore as dc
 from nodegae import downstream as ds
 from nodegae import graphstore as gs
 from nodegae.errors import ConfigError, ContractError, DimensionError
+from nodegae.evalmetrics import accuracy, roc_auc
+from nodegae.textcorpus import SyntheticGraphSpec, generate_synthetic
 
 
 def graph_from(num_nodes, edges, labels=None, splits=None):
@@ -68,6 +70,25 @@ def test_load_embeddings_rejects_row_mismatch(tmp_path):
     path.write_text("3 2 random\n1.0 2.0\n3.0 4.0\n", encoding="utf-8")
     with pytest.raises(ContractError):
         ds.load_embeddings(path)
+
+
+# One malformed file per way a row or the header can fail to parse, with the
+# line the error must name and a fragment of its message.
+MALFORMED_EMBEDDINGS = [
+    pytest.param("2 2 random\n1.0 2.0\nnanx 4.0\n", ":3:", "nanx", id="non-numeric-entry"),
+    pytest.param("x 2 random\n1.0 2.0\n3.0 4.0\n", ":1:", "rows dim provenance",
+                 id="non-integer-header"),
+    pytest.param("2 2 random\n1.0 2.0\n3.0\n", ":3:", "dim 2", id="ragged-row"),
+]
+
+
+@pytest.mark.parametrize("text, line, fragment", MALFORMED_EMBEDDINGS)
+def test_load_embeddings_names_the_malformed_line(tmp_path, text, line, fragment):
+    path = tmp_path / "emb.txt"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ContractError) as info:
+        ds.load_embeddings(path)
+    assert f"emb.txt{line}" in str(info.value) and fragment in str(info.value)
 
 
 def test_random_embeddings_deterministic():
@@ -528,3 +549,55 @@ def test_config_task_defaults_and_validation():
         ds.DownstreamConfig(batch_edges=1).validate()
     with pytest.raises(ConfigError):
         ds.DownstreamConfig(lr=0.0).validate()
+
+
+# ---------------------------------------------------------------------------
+# split scoring
+# ---------------------------------------------------------------------------
+
+def test_score_splits_matches_accuracy_on_each_node_split():
+    graph = labeled_graph(seed=5)
+    emb = ds.random_embeddings(graph.num_nodes, 4, seed=5)
+    model = ds.GnnModel.build("gcn", 4, 8, 3, dropout=0.5, seed=5, graph=graph)
+    preds = np.argmax(model.forward(emb.matrix).data, axis=1)
+    got = ds.score_splits(model, emb, graph, parts=("train", "val", "test", "holdout"))
+    for part in ("train", "val", "test"):
+        idx = graph.splits[part]
+        assert got[part] == accuracy(preds[idx], graph.labels[idx])
+    assert np.isnan(got["holdout"])
+
+
+@pytest.mark.parametrize("scorer", ds.LINK_SCORERS)
+def test_score_splits_matches_roc_auc_of_predict_links(scorer):
+    graph = community_graph(seed=6)
+    split = gs.build_link_split(graph, seed=6)
+    emb = community_embeddings(graph, seed=6)
+    cfg = ds.DownstreamConfig.for_link_prediction(
+        backbone="sage", hidden_dim=8, dropout=0.0, epochs=2, patience=2, seed=1,
+        batch_edges=32, lr=1e-2, link_scorer=scorer)
+    model, _ = ds.train_link_predictor(emb, graph, split, cfg)
+    got = ds.score_splits(model, emb, graph, split, parts=("train", "val", "test"))
+    for part in ("train", "val", "test"):
+        pos, neg = split.positives(part), split.negatives(part)
+        labels = np.concatenate([np.ones(len(pos), int), np.zeros(len(neg), int)])
+        want = roc_auc(ds.predict_links(model, emb, np.concatenate([pos, neg])), labels)
+        assert got[part] == want
+
+
+@pytest.mark.parametrize("log_every_iter, eval_forwards", [(False, 2), (True, 8)])
+def test_link_predictor_runs_one_eval_forward_per_score(monkeypatch, log_every_iter,
+                                                        eval_forwards):
+    # 330 train pairs make 3 steps per epoch at the default 128-pair batches;
+    # each epoch scores val and test from one forward, each logged step one more.
+    graph = generate_synthetic(SyntheticGraphSpec(num_nodes=200, seed=0))
+    split = gs.build_link_split(graph, seed=0)
+    assert len(split.train_pos) + len(split.train_neg) == 330
+    modes = []
+    forward = ds.GnnModel.forward
+    monkeypatch.setattr(ds.GnnModel, "forward", lambda self, features, train=False, rng=None:
+                        modes.append(train) or forward(self, features, train, rng))
+    cfg = ds.DownstreamConfig.for_link_prediction(
+        backbone="gcn", epochs=2, patience=2, log_every_iter=log_every_iter)
+    ds.train_link_predictor(ds.random_embeddings(200, 8), graph, split, cfg)
+    assert modes.count(True) == 6
+    assert modes.count(False) == eval_forwards

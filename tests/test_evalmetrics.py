@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from nodegae import evalmetrics as em
 from nodegae.errors import MetricError
@@ -138,6 +140,27 @@ def test_roc_auc_matches_pairwise_oracle(seed):
     got = em.roc_auc(scores, labels)
     want = auc_pairwise(scores.tolist(), labels.tolist())
     assert abs(got - want) < 1e-12
+
+
+# Scores from a handful of integers tie often; the wide floats rarely do.
+SCORES = st.one_of(st.integers(-3, 3).map(float),
+                   st.floats(-1e6, 1e6, allow_nan=False, allow_subnormal=False))
+
+
+@st.composite
+def scored_labels(draw):
+    """Scores and 0/1 labels in a drawn order, with both classes present."""
+    pos = draw(st.lists(SCORES, min_size=1, max_size=20))
+    neg = draw(st.lists(SCORES, min_size=1, max_size=20))
+    rows = draw(st.permutations([(s, 1) for s in pos] + [(s, 0) for s in neg]))
+    return [s for s, _ in rows], [y for _, y in rows]
+
+
+@given(scored_labels())
+def test_roc_auc_equals_brute_force_pair_count(data):
+    scores, labels = data
+    assert em.roc_auc(scores, labels) == pytest.approx(auc_pairwise(scores, labels),
+                                                       rel=0, abs=1e-12)
 
 
 @pytest.mark.parametrize("seed", range(5))
