@@ -31,6 +31,7 @@ from .downstream import (
     LINK_SCORERS,
     DownstreamConfig,
     EmbeddingMatrix,
+    graph_operator,
     load_embeddings,
     random_embeddings,
     save_embeddings,
@@ -90,6 +91,9 @@ def _write_csv(path: Path, header: str, rows: List[str], append: bool = False) -
 # Flag dests that name a pretraining optimizer setting, with the AdamState
 # field each one sets.
 OPTIMIZER_DESTS = {"pretrain_lr": "base_lr", "warmup": "warmup_steps", "clip_norm": "clip_norm"}
+# Stage-2 flag dests that only link prediction reads; setting one under
+# another task is an error.
+LINKPRED_DESTS = ("batch_edges", "link_scorer", "link_seed", "log_every_iter")
 # Stage-1 flag dests that `pretrain` stores as given in the checkpoint's
 # "stage1_flags" metadata: the vocabulary budget, the seed, the InfoNCE config.
 STORED_DESTS = ("vocab_size", "seed", "tau", "alpha1", "alpha2", "raw_similarity")
@@ -118,7 +122,7 @@ def _downstream(args: Args, backbone: str, log_every_iter: bool = False) -> Down
         num_layers=args.num_layers, dropout=args.dropout,
         epochs=args.epochs, patience=args.patience, seed=args.seed,
         batch_edges=args.batch_edges,
-        log_every_iter=log_every_iter and args.task == "linkpred",
+        log_every_iter=log_every_iter,
         add_self_loops=not args.no_self_loops,
         link_scorer=args.link_scorer,
     )
@@ -155,6 +159,12 @@ def _check_stage1(args: Args) -> None:
 def _check_stage2(args: Args, backbones: Sequence[str]) -> None:
     if args.repeats < 1:
         raise ConfigError(f"--repeats must be >= 1, got {args.repeats}")
+    if args.task != "linkpred":
+        unread = [flag for flag, dest, *_ in COMMANDS[args.command][2]
+                  if dest in LINKPRED_DESTS and dest in args.user_set]
+        if unread:
+            raise ConfigError(f"--task {args.task} ignores {', '.join(unread)} "
+                              "(link prediction only)")
     for backbone in backbones:
         _downstream(args, backbone).validate()
 
@@ -364,21 +374,25 @@ def cmd_embed(args: Args) -> int:
 
 def _run_repeats(args: Args, graph: TextGraph, emb: EmbeddingMatrix, dcfg: DownstreamConfig,
                  split: Optional[LinkSplit]) -> Tuple[List[float], List[str], List[str]]:
-    """Train --repeats models seeded --seed + r; return metrics, epoch rows, curve rows."""
+    """Train --repeats models seeded --seed + r; return metrics, epoch rows, curve rows.
+
+    The repeats share one graph operator, built once here.
+    """
     values: List[float] = []
     epoch_rows: List[str] = []
     curve_rows: List[str] = []
+    operator = graph_operator(dcfg, graph, split)
     for r in range(args.repeats):
         seeded = replace(dcfg, seed=args.seed + r)
         if args.task == "nodecls":
-            model, log = train_node_classifier(emb, graph, seeded)
+            model, log = train_node_classifier(emb, graph, seeded, operator=operator)
             for row in log:
                 i = row["epoch"]
                 epoch_rows.append(f"{r},epoch,{i},train,ce,{_fmt(row['train_loss'])}")
                 epoch_rows.append(f"{r},epoch,{i},val,accuracy,{_fmt(row['val_acc'])}")
                 epoch_rows.append(f"{r},epoch,{i},test,accuracy,{_fmt(row['test_acc'])}")
         else:
-            model, log = train_link_predictor(emb, graph, split, seeded)
+            model, log = train_link_predictor(emb, graph, split, seeded, operator=operator)
             for row in log:
                 if row["scope"] == "iter":
                     curve_rows.append(f"{r},{row['index']},{_fmt(row['value'])}")

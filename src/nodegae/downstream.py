@@ -3,9 +3,10 @@
 Three backbones (plain MLP, graph convolution, mean-aggregating
 message passing) share one parameter store and training loop. The graph
 backbones build their sparse operator (graphstore's normalized or mean
-adjacency) once, when the model is built, and apply it with
-``diffcore.spmm``. Node classification trains full batch with
-cross-entropy; link prediction trains on minibatches of positive and
+adjacency) once, when the model is built, or take one from
+``graph_operator``, and apply it with ``diffcore.spmm``. A forward computes
+only the node rows its caller reads. Node classification trains full batch
+with cross-entropy; link prediction trains on minibatches of positive and
 sampled negative pairs with a dot-product-plus-logistic scorer, or a
 small MLP head when the model carries one. Both trainers share one set-up,
 one loop that keeps the weights of the best validation epoch, and one
@@ -35,6 +36,7 @@ __all__ = [
     "train_node_classifier",
     "predict_links",
     "score_splits",
+    "graph_operator",
     "train_link_predictor",
     "link_bce",
 ]
@@ -149,16 +151,17 @@ class GnnModel:
     @classmethod
     def build(cls, backbone: str, in_dim: int, hidden_dim: int, out_dim: int,
               num_layers: int = 2, dropout: float = 0.5, seed: int = 0,
-              graph: Optional[TextGraph] = None, add_self_loops: bool = True
-              ) -> "GnnModel":
+              operator=None) -> "GnnModel":
+        """A freshly initialized model; a graph backbone propagates with
+        `operator`, which graph_operator builds."""
         if backbone not in BACKBONES:
             raise ConfigError(f"backbone must be one of {BACKBONES}, got '{backbone}'")
         if not (0.0 <= dropout < 1.0):
             raise ConfigError(f"dropout must be in [0, 1), got {dropout}")
         if num_layers < 1:
             raise ConfigError(f"num_layers must be >= 1, got {num_layers}")
-        if backbone != "mlp" and graph is None:
-            raise ConfigError(f"the {backbone} backbone needs a graph")
+        if backbone != "mlp" and operator is None:
+            raise ConfigError(f"the {backbone} backbone needs a graph operator")
         dims = [in_dim] + [hidden_dim] * (num_layers - 1) + [out_dim]
         rng = np.random.default_rng(seed)
         params: Dict[str, dc.DiffTensor] = {}
@@ -172,11 +175,6 @@ class GnnModel:
                 params[f"l{i}.w"] = dc.parameter(rng.normal(0.0, scale, (fan_in, fan_out)))
                 if backbone == "mlp":
                     params[f"l{i}.b"] = dc.parameter(np.zeros(fan_out))
-        operator = None
-        if backbone == "gcn":
-            operator = normalized_adjacency(graph, add_self_loops=add_self_loops)
-        elif backbone == "sage":
-            operator = mean_adjacency(graph)
         return cls(backbone, dims, dropout, params, operator)
 
     @property
@@ -194,32 +192,50 @@ class GnnModel:
             p.data = snap[name].copy()
 
     def forward(self, features, train: bool = False,
-                rng: Optional[np.random.Generator] = None) -> dc.DiffTensor:
-        """Node outputs (N, out_dim); dropout active only in train mode.
+                rng: Optional[np.random.Generator] = None, rows=None) -> dc.DiffTensor:
+        """Outputs (len(rows), out_dim) of the nodes `rows`, in that order, or
+        (N, out_dim) of all nodes when rows is None; dropout only in train mode.
 
         Every layer but the last ends in relu. Graph backbones propagate
-        with their operator, so features need one row per graph node.
+        with their operator, so features need one row per graph node; all
+        their layers but the last run over the whole graph, and the last
+        aggregates into `rows` only (sage's self term takes those rows of its
+        product). mlp layers are row-local, so mlp slices the features to
+        `rows` first. Dropout masks are drawn at the full (N, width) shape
+        whatever `rows` is, so the rng advances alike.
         """
         x = features if isinstance(features, dc.DiffTensor) else dc.constant(features)
         if x.shape[-1] != self.dims[0]:
             raise DimensionError(
                 f"features have dim {x.shape[-1]}, model expects {self.dims[0]}")
+        num_nodes, last = x.shape[0], self.num_layers - 1
+        row_local = rows is not None and self.backbone == "mlp"
+        if row_local:
+            x = dc.embedding_lookup(x, rows)
         p = self.params
         for i in range(self.num_layers):
             if train and self.dropout > 0.0:
                 if rng is None:
                     raise ContractError("dropout in train mode needs an rng")
                 keep = 1.0 - self.dropout
-                mask = (rng.random(x.shape) < keep).astype(np.float64) / keep
-                x = dc.mul(x, dc.constant(mask))
+                draws = rng.random((num_nodes, self.dims[i]))
+                if row_local:
+                    draws = draws[rows]
+                x = dc.mul(x, dc.constant((draws < keep).astype(np.float64) / keep))
+            sliced = i == last and rows is not None and not row_local
+            op = self.operator[rows] if sliced else self.operator
             if self.backbone == "mlp":
                 x = dc.add(dc.matmul(x, p[f"l{i}.w"]), p[f"l{i}.b"])
             elif self.backbone == "gcn":
-                x = dc.matmul(dc.spmm(self.operator, x), p[f"l{i}.w"])
+                x = dc.matmul(dc.spmm(op, x), p[f"l{i}.w"])
             else:
-                x = dc.add(dc.matmul(x, p[f"l{i}.self"]),
-                           dc.matmul(dc.spmm(self.operator, x), p[f"l{i}.neigh"]))
-            if i < self.num_layers - 1:
+                # Indexing the self term's product rather than x keeps x's
+                # gradient a GEMM instead of a scatter, and holds less memory.
+                own = dc.matmul(x, p[f"l{i}.self"])
+                if sliced:
+                    own = dc.embedding_lookup(own, rows)
+                x = dc.add(own, dc.matmul(dc.spmm(op, x), p[f"l{i}.neigh"]))
+            if i < last:
                 x = dc.relu(x)
         return x
 
@@ -328,6 +344,12 @@ def _add_mlp_scorer(model: GnnModel, hidden_dim: int,
     model.params["scorer.b2"] = dc.parameter(np.zeros(1))
 
 
+def _endpoints(pairs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The distinct nodes of pairs, sorted, and the pairs as positions among them."""
+    rows, local = np.unique(pairs, return_inverse=True)
+    return rows, local.reshape(pairs.shape)
+
+
 def _link_scores(model: GnnModel, z: dc.DiffTensor, pairs: np.ndarray) -> np.ndarray:
     """logistic(pair logit) over node outputs z from an inference forward."""
     return 1.0 / (1.0 + np.exp(-_pair_logits(z, pairs, model).data))
@@ -339,8 +361,9 @@ def predict_links(model: GnnModel, embeddings, pairs) -> np.ndarray:
     feats = _feature_matrix(embeddings)
     if pairs.size and (pairs.min() < 0 or pairs.max() >= feats.shape[0]):
         raise IndexError("link pair references a node outside the embedding matrix")
+    rows, local = _endpoints(pairs)
     with dc.no_grad():
-        return _link_scores(model, model.forward(feats, train=False), pairs)
+        return _link_scores(model, model.forward(feats, train=False, rows=rows), local)
 
 
 def score_splits(model: GnnModel, embeddings, graph: TextGraph,
@@ -350,30 +373,57 @@ def score_splits(model: GnnModel, embeddings, graph: TextGraph,
 
     Without a link split: accuracy of the argmax class on that node split of
     graph, nan when it is empty. With one: ROC-AUC of predict_links' scores
-    over the part's positives followed by its negatives.
+    over the part's positives followed by its negatives. The forward
+    computes only the nodes that some part reads.
     """
+    if split is None:
+        wanted = {part: _node_split(graph, part) for part in parts}
+    else:
+        wanted = {part: np.concatenate([split.positives(part), split.negatives(part)])
+                  for part in parts}
+    rows = np.unique(np.concatenate([np.zeros(0, np.int64)]
+                                    + [ids.ravel() for ids in wanted.values()]))
     scores = {}
     with dc.no_grad():
-        z = model.forward(_feature_matrix(embeddings), train=False)
-        for part in parts:
+        z = model.forward(_feature_matrix(embeddings), train=False, rows=rows)
+        for part, ids in wanted.items():
+            local = np.searchsorted(rows, ids)
             if split is None:
-                idx = _node_split(graph, part)
-                scores[part] = (accuracy(np.argmax(z.data[idx], axis=1), graph.labels[idx])
-                                if idx.size else float("nan"))
+                scores[part] = (accuracy(np.argmax(z.data[local], axis=1), graph.labels[ids])
+                                if ids.size else float("nan"))
             else:
-                pos, neg = split.positives(part), split.negatives(part)
-                scores[part] = roc_auc(_link_scores(model, z, np.concatenate([pos, neg])),
-                                       np.repeat([1, 0], [len(pos), len(neg)]))
+                num_pos = len(split.positives(part))
+                scores[part] = roc_auc(_link_scores(model, z, local),
+                                       np.repeat([1, 0], [num_pos, len(ids) - num_pos]))
     return scores
 
 
+def graph_operator(cfg: DownstreamConfig, graph: TextGraph,
+                   split: Optional[LinkSplit] = None):
+    """The sparse operator of the model a trainer fits: the normalized
+    adjacency for gcn, the neighbor mean for sage, None for mlp.
+
+    It spans graph for node classification and only the train positives of
+    split for link prediction. A caller that fits several models of one
+    backbone on one graph builds it once and hands it to each trainer.
+    """
+    if cfg.backbone == "mlp":
+        return None
+    if split is not None:
+        graph = split.train_message_graph(graph)
+    if cfg.backbone == "gcn":
+        return normalized_adjacency(graph, add_self_loops=cfg.add_self_loops)
+    return mean_adjacency(graph)
+
+
 def _fit_setup(embeddings, graph: TextGraph, cfg: DownstreamConfig,
-               split: Optional[LinkSplit] = None
+               split: Optional[LinkSplit] = None, operator=None
                ) -> Tuple[np.ndarray, GnnModel, dc.AdamState, np.random.Generator]:
     """Checked features, then the model, its optimizer and the training rng.
 
     Without a link split the model classifies graph's (checked) node splits;
     with one it sees only the train positives, and an mlp scorer draws first.
+    A graph backbone uses `operator`, or graph_operator's when it is None.
     """
     cfg.validate()
     feats = _feature_matrix(embeddings)
@@ -386,12 +436,13 @@ def _fit_setup(embeddings, graph: TextGraph, cfg: DownstreamConfig,
         for name in ("train", "val", "test"):
             if np.any(graph.labels[_node_split(graph, name)] < 0):
                 raise ConfigError(f"{name} split contains unlabeled nodes")
-        out_dim, model_graph = int(graph.labels.max()) + 1, graph
+        out_dim = int(graph.labels.max()) + 1
     else:
-        out_dim, model_graph = cfg.hidden_dim, split.train_message_graph(graph)
+        out_dim = cfg.hidden_dim
+    if operator is None:
+        operator = graph_operator(cfg, graph, split)
     model = GnnModel.build(cfg.backbone, feats.shape[1], cfg.hidden_dim, out_dim,
-                           cfg.num_layers, cfg.dropout, cfg.seed,
-                           graph=model_graph, add_self_loops=cfg.add_self_loops)
+                           cfg.num_layers, cfg.dropout, cfg.seed, operator=operator)
     rng = np.random.default_rng(cfg.seed)
     if split is not None and cfg.link_scorer == "mlp":
         _add_mlp_scorer(model, cfg.hidden_dim, rng)
@@ -413,22 +464,23 @@ def _keep_best(model: GnnModel, patience: int, tracked: Iterator[float]) -> None
     model.restore(best_snap)
 
 
-def train_node_classifier(embeddings, graph: TextGraph, cfg: DownstreamConfig
-                          ) -> Tuple[GnnModel, List[dict]]:
+def train_node_classifier(embeddings, graph: TextGraph, cfg: DownstreamConfig, *,
+                          operator=None) -> Tuple[GnnModel, List[dict]]:
     """Full-batch cross-entropy on the train split, best-val weights kept.
 
     Log rows carry (epoch, train_loss, val_acc, test_acc). Training stops
     early when the validation accuracy has not improved for cfg.patience
     epochs; without a validation split the train loss is tracked instead.
+    A caller that fits several models passes graph_operator's `operator`.
     """
-    feats, model, adam, rng = _fit_setup(embeddings, graph, cfg)
+    feats, model, adam, rng = _fit_setup(embeddings, graph, cfg, operator=operator)
     train_idx = graph.splits["train"]
     has_val = _node_split(graph, "val").size > 0
     log: List[dict] = []
 
     def epochs() -> Iterator[float]:
         for epoch in range(cfg.epochs):
-            logits = dc.embedding_lookup(model.forward(feats, train=True, rng=rng), train_idx)
+            logits = model.forward(feats, train=True, rng=rng, rows=train_idx)
             loss = dc.cross_entropy_logits(logits, graph.labels[train_idx], reduction="mean")
             dc.backward(loss)
             dc.adam_step(model.parameters(), adam)
@@ -442,15 +494,17 @@ def train_node_classifier(embeddings, graph: TextGraph, cfg: DownstreamConfig
 
 
 def train_link_predictor(embeddings, graph: TextGraph, split: LinkSplit,
-                         cfg: DownstreamConfig) -> Tuple[GnnModel, List[dict]]:
+                         cfg: DownstreamConfig, *, operator=None
+                         ) -> Tuple[GnnModel, List[dict]]:
     """Minibatch logistic link training over the train partition.
 
     Message-passing backbones see only the training-positive adjacency.
     Log rows are dicts (scope, index, split, metric, value); with
     cfg.log_every_iter every optimizer step adds a validation ROC-AUC row.
-    The returned model carries the best-validation weights.
+    The returned model carries the best-validation weights. A caller that
+    fits several models passes graph_operator's `operator`.
     """
-    feats, model, adam, rng = _fit_setup(embeddings, graph, cfg, split)
+    feats, model, adam, rng = _fit_setup(embeddings, graph, cfg, split, operator)
     pairs = np.concatenate([split.train_pos, split.train_neg], axis=0)
     labels = np.repeat([1, 0], [len(split.train_pos), len(split.train_neg)])
     log: List[dict] = []
@@ -463,8 +517,9 @@ def train_link_predictor(embeddings, graph: TextGraph, split: LinkSplit,
                 batch = order[start : start + cfg.batch_edges]
                 if batch.size < 2:
                     continue
-                z = model.forward(feats, train=True, rng=rng)
-                loss = link_bce(z, pairs[batch], labels[batch], model)
+                rows, local = _endpoints(pairs[batch])
+                z = model.forward(feats, train=True, rng=rng, rows=rows)
+                loss = link_bce(z, local, labels[batch], model)
                 dc.backward(loss)
                 dc.adam_step(model.parameters(), adam)
                 losses.append(float(loss.item()))

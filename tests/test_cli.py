@@ -508,6 +508,60 @@ def test_leaky_link_split_fails_before_training(dataset, embedded, tmp_path,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, flags, named", [
+    ("train", ["--link-scorer", "mlp"], ["--link-scorer"]),
+    ("train", ["--batch-edges", "7"], ["--batch-edges"]),
+    ("train", ["--link-seed", "3"], ["--link-seed"]),
+    ("train", ["--log-every-iter"], ["--log-every-iter"]),
+    ("train", ["--link-scorer", "mlp", "--batch-edges", "7", "--log-every-iter"],
+     ["--batch-edges", "--link-scorer", "--log-every-iter"]),
+    ("ablate", ["--link-scorer", "mlp"], ["--link-scorer"]),
+    ("ablate", ["--batch-edges", "7"], ["--batch-edges"]),
+    ("ablate", ["--link-seed", "3"], ["--link-seed"]),
+])
+def test_linkpred_flags_under_nodecls_exit_one_without_artifacts(dataset, embedded, tmp_path,
+                                                                 capsys, command, flags, named):
+    out = tmp_path / "o"
+    args = [command, "--dataset", str(dataset), "--out-dir", str(out), "--task", "nodecls",
+            "--repeats", "1", "--epochs", "1"] + flags
+    if command == "train":
+        args += ["--embeddings", str(embedded)]
+    else:
+        args += ["--steps", "1"] + TINY_MODEL
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: --task nodecls ignores") and "link prediction only" in err
+    assert all(flag in err for flag in named)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("backbone, builder", [
+    ("gcn", "normalized_adjacency"), ("sage", "mean_adjacency")])
+@pytest.mark.parametrize("task", ["nodecls", "linkpred"])
+def test_train_repeats_build_the_graph_operator_once(dataset, embedded, tmp_path, monkeypatch,
+                                                    task, backbone, builder):
+    from nodegae import downstream
+    from nodegae.graphstore import LinkSplit
+
+    calls = {builder: 0, "train_message_graph": 0}
+
+    def counted(owner, name):
+        original = getattr(owner, name)
+
+        def spy(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, spy)
+
+    counted(downstream, builder)
+    counted(LinkSplit, "train_message_graph")
+    assert main(["train", "--dataset", str(dataset), "--embeddings", str(embedded),
+                 "--out-dir", str(tmp_path / "o"), "--task", task, "--backbone", backbone,
+                 "--repeats", "5", "--epochs", "1"]) == 0
+    assert calls == {builder: 1, "train_message_graph": int(task == "linkpred")}
+
+
 def test_train_rejects_missing_embeddings(dataset, tmp_path):
     rc = main(["train", "--dataset", str(dataset), "--embeddings",
                str(tmp_path / "nope.txt"), "--out-dir", str(tmp_path / "o")])

@@ -127,6 +127,37 @@ def test_attention_matches_composed_oracle(heads, tq, tk, bias):
     assert np.max(np.abs(out - attention_oracle(q, k, v, heads, bias))) <= 1e-12
 
 
+@settings(max_examples=60)
+@given(seed=st.integers(0, 2 ** 32 - 1), b=st.integers(1, 5), tq=st.integers(1, 5),
+       tk=st.integers(1, 5), heads=st.sampled_from([1, 2, 4]), head_dim=st.integers(1, 2),
+       mask=st.sampled_from(["none", "padded", "causal"]))
+def test_attention_random_shapes_match_oracle_and_finite_differences(seed, b, tq, tk, heads,
+                                                                      head_dim, mask):
+    rng = np.random.default_rng(seed)
+    d = heads * head_dim
+    arrays = [rng.standard_normal(s) for s in ((b, tq, d), (b, tk, d), (b, tk, d))]
+    bias = None
+    if mask == "padded":  # every batch row keeps at least its first key
+        bias = np.zeros((b, 1, 1, tk))
+        for row, kept in enumerate(rng.integers(1, tk + 1, size=b)):
+            bias[row, 0, 0, kept:] = MASK
+    elif mask == "causal":
+        bias = np.triu(np.full((tq, tk), MASK), k=1)
+    proj_seed = int(rng.integers(1 << 31))
+
+    def loss_value(arrs):
+        out = dc.attention(*(dc.constant(a) for a in arrs), heads, bias)
+        return scalarize(out, np.random.default_rng(proj_seed)).item()
+
+    params = [dc.parameter(a.copy()) for a in arrays]
+    out = dc.attention(*params, heads, bias)
+    assert np.max(np.abs(out.data - attention_oracle(*arrays, heads, bias))) <= 1e-12
+    dc.backward(dc.reshape(scalarize(out, np.random.default_rng(proj_seed)), ()))
+    numeric = finite_diff_grads(loss_value, [a.copy() for a in arrays])
+    for name, p, n in zip("qkv", params, numeric):
+        assert_grads_close(p.grad, n, rtol=1e-4, context=f"attention d{name}")
+
+
 def test_attention_checks_shapes():
     x, y = dc.constant(np.zeros((2, 3, 4))), dc.constant(np.zeros((2, 5, 4)))
     with pytest.raises(DimensionError):

@@ -119,6 +119,11 @@ def test_shallow_embeddings_reflect_text():
 # graph layers, through GnnModel.forward
 # ---------------------------------------------------------------------------
 
+def operator_of(backbone, graph, add_self_loops=True):
+    cfg = ds.DownstreamConfig(backbone=backbone, add_self_loops=add_self_loops)
+    return ds.graph_operator(cfg, graph)
+
+
 def graph_model(backbone, graph, layers, add_self_loops=True):
     """A dropout-free model whose layer weights are set to the given arrays.
 
@@ -128,8 +133,8 @@ def graph_model(backbone, graph, layers, add_self_loops=True):
     first = layers[0] if backbone == "gcn" else layers[0][0]
     last = layers[-1] if backbone == "gcn" else layers[-1][0]
     model = ds.GnnModel.build(backbone, first.shape[0], first.shape[1], last.shape[1],
-                              num_layers=len(layers), dropout=0.0, graph=graph,
-                              add_self_loops=add_self_loops)
+                              num_layers=len(layers), dropout=0.0,
+                              operator=operator_of(backbone, graph, add_self_loops))
     for i, weights in enumerate(layers):
         if backbone == "gcn":
             model.params[f"l{i}.w"].data = weights
@@ -512,7 +517,7 @@ def test_link_predictor_mlp_scorer_trains_and_stays_symmetric():
 
 def test_predict_links_records_no_backward(recorded_ops):
     graph = community_graph(seed=3)
-    model = ds.GnnModel.build("gcn", 6, 8, 8, dropout=0.0, graph=graph)
+    model = ds.GnnModel.build("gcn", 6, 8, 8, dropout=0.0, operator=operator_of("gcn", graph))
     ds._add_mlp_scorer(model, 8, np.random.default_rng(0))
     ds.predict_links(model, community_embeddings(graph, seed=3), [(0, 5), (3, 20)])
     assert recorded_ops
@@ -558,7 +563,8 @@ def test_config_task_defaults_and_validation():
 def test_score_splits_matches_accuracy_on_each_node_split():
     graph = labeled_graph(seed=5)
     emb = ds.random_embeddings(graph.num_nodes, 4, seed=5)
-    model = ds.GnnModel.build("gcn", 4, 8, 3, dropout=0.5, seed=5, graph=graph)
+    model = ds.GnnModel.build("gcn", 4, 8, 3, dropout=0.5, seed=5,
+                              operator=operator_of("gcn", graph))
     preds = np.argmax(model.forward(emb.matrix).data, axis=1)
     got = ds.score_splits(model, emb, graph, parts=("train", "val", "test", "holdout"))
     for part in ("train", "val", "test"):
@@ -594,10 +600,87 @@ def test_link_predictor_runs_one_eval_forward_per_score(monkeypatch, log_every_i
     assert len(split.train_pos) + len(split.train_neg) == 330
     modes = []
     forward = ds.GnnModel.forward
-    monkeypatch.setattr(ds.GnnModel, "forward", lambda self, features, train=False, rng=None:
-                        modes.append(train) or forward(self, features, train, rng))
+    monkeypatch.setattr(ds.GnnModel, "forward",
+                        lambda self, features, train=False, rng=None, rows=None:
+                        modes.append(train) or forward(self, features, train, rng, rows))
     cfg = ds.DownstreamConfig.for_link_prediction(
         backbone="gcn", epochs=2, patience=2, log_every_iter=log_every_iter)
     ds.train_link_predictor(ds.random_embeddings(200, 8), graph, split, cfg)
     assert modes.count(True) == 6
     assert modes.count(False) == eval_forwards
+
+
+# ---------------------------------------------------------------------------
+# row-sliced forwards
+# ---------------------------------------------------------------------------
+
+ROW_SETS = {
+    "unsorted": np.array([17, 3, 29, 0, 11]),
+    "repeated": np.array([5, 5, 22, 1, 22, 5]),
+}
+
+
+@pytest.mark.parametrize("backbone", ds.BACKBONES)
+@pytest.mark.parametrize("num_layers", [1, 2, 3])
+@pytest.mark.parametrize("rows", ROW_SETS.values(), ids=ROW_SETS.keys())
+def test_forward_rows_equal_full_forward_rows_bit_for_bit(backbone, num_layers, rows):
+    # BLAS computes each output row of these products alike whatever the
+    # row count. It does not for a single row (a matrix-vector product) or
+    # for outputs narrower than 4 columns, where only the last bit may move.
+    graph = labeled_graph(seed=2)
+    feats = np.random.default_rng(2).standard_normal((graph.num_nodes, 5))
+    model = ds.GnnModel.build(backbone, 5, 8, 4, num_layers=num_layers, dropout=0.4,
+                              seed=2, operator=operator_of(backbone, graph))
+    for train in (False, True):
+        r1, r2 = np.random.default_rng(7), np.random.default_rng(7)
+        got = model.forward(feats, train=train, rng=r1, rows=rows).data
+        full = model.forward(feats, train=train, rng=r2).data
+        assert got.shape == (len(rows), 4)
+        assert np.array_equal(got, full[rows])
+        # Masks are drawn at the full shape, so the rng ends where it would.
+        assert r1.bit_generator.state == r2.bit_generator.state
+
+
+@pytest.mark.parametrize("backbone", ds.BACKBONES)
+def test_forward_rows_gradients_match_full_forward_lookup(backbone):
+    graph = labeled_graph(seed=3)
+    feats = np.random.default_rng(3).standard_normal((graph.num_nodes, 4))
+    rows = ROW_SETS["repeated"]
+    weights = dc.constant(np.random.default_rng(4).standard_normal((len(rows), 3)))
+    grads = []
+    for sliced in (True, False):
+        model = ds.GnnModel.build(backbone, 4, 6, 3, dropout=0.3, seed=3,
+                                  operator=operator_of(backbone, graph))
+        rng = np.random.default_rng(8)
+        out = (model.forward(feats, train=True, rng=rng, rows=rows) if sliced else
+               dc.embedding_lookup(model.forward(feats, train=True, rng=rng), rows))
+        dc.backward(dc.sum_axis(dc.sum_axis(dc.mul(out, weights), 1), 0))
+        grads.append({name: p.grad for name, p in model.params.items()})
+    for name, want in grads[1].items():
+        np.testing.assert_allclose(grads[0][name], want, rtol=1e-12, atol=1e-14)
+
+
+def test_link_fit_mlp_head_matmuls_see_only_batch_endpoints(recorded_ops, monkeypatch):
+    graph = community_graph(seed=5)
+    split = gs.build_link_split(graph, seed=5)
+    steps = []
+    bce = ds.link_bce
+
+    def spy(z, pairs, labels, model=None):
+        steps.append((len(recorded_ops), np.unique(pairs).size))
+        return bce(z, pairs, labels, model)
+
+    monkeypatch.setattr(ds, "link_bce", spy)
+    cfg = ds.DownstreamConfig.for_link_prediction(
+        backbone="mlp", hidden_dim=8, epochs=2, patience=2, batch_edges=16)
+    ds.train_link_predictor(community_embeddings(graph, seed=5), graph, split, cfg)
+    assert len(steps) > 2
+    start = 0
+    for end, endpoints in steps:
+        # Each step's 2-D training matmuls are the head's layers; the dot
+        # scorer's pair products are 3-D and eval forwards record no op.
+        heights = [t.shape[0] for t in recorded_ops[start:end]
+                   if t._op == "matmul" and t.ndim == 2]
+        assert heights == [endpoints] * cfg.num_layers
+        assert endpoints < graph.num_nodes
+        start = end
