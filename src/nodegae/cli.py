@@ -373,15 +373,15 @@ def cmd_embed(args: Args) -> int:
 # ---------------------------------------------------------------------------
 
 def _run_repeats(args: Args, graph: TextGraph, emb: EmbeddingMatrix, dcfg: DownstreamConfig,
-                 split: Optional[LinkSplit]) -> Tuple[List[float], List[str], List[str]]:
+                 split: Optional[LinkSplit], operator
+                 ) -> Tuple[List[float], List[str], List[str]]:
     """Train --repeats models seeded --seed + r; return metrics, epoch rows, curve rows.
 
-    The repeats share one graph operator, built once here.
+    The repeats share `operator`, which the caller builds with graph_operator.
     """
     values: List[float] = []
     epoch_rows: List[str] = []
     curve_rows: List[str] = []
-    operator = graph_operator(dcfg, graph, split)
     for r in range(args.repeats):
         seeded = replace(dcfg, seed=args.seed + r)
         if args.task == "nodecls":
@@ -448,7 +448,8 @@ def cmd_train(args: Args) -> int:
     split = _task_split(args, graph)
 
     dcfg = _downstream(args, args.backbone, args.log_every_iter)
-    values, epoch_rows, curve_rows = _run_repeats(args, graph, emb, dcfg, split)
+    values, epoch_rows, curve_rows = _run_repeats(args, graph, emb, dcfg, split,
+                                                  graph_operator(dcfg, graph, split))
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -492,9 +493,11 @@ def cmd_ablate(args: Args) -> int:
     summary = [f"task: {args.task}", f"metric: {metric_name}",
                f"repeats: {args.repeats}"]
     for backbone in backbones:
+        dcfg = _downstream(args, backbone)
+        operator = graph_operator(dcfg, graph, split)
         stats = {}
         for name, emb in variants:
-            values, _, _ = _run_repeats(args, graph, emb, _downstream(args, backbone), split)
+            values, _, _ = _run_repeats(args, graph, emb, dcfg, split, operator)
             stats[name] = (float(np.mean(values)), float(np.std(values)))
             summary.append(
                 f"{backbone} {name}: mean {_fmt(stats[name][0])} "

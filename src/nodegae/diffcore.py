@@ -316,11 +316,21 @@ def embedding_lookup(table: DiffTensor, ids) -> DiffTensor:
         raise ContractError(
             f"embedding_lookup: ids out of range [0, {table.shape[0]})")
     out = table.data[idx]
+    flat = idx.reshape(-1)
+    d = table.shape[1]
 
     def backward_fn(g):
-        gt = np.zeros_like(table.data)
-        np.add.at(gt, idx, g)
-        return (gt,)
+        # Bit-identical to np.add.at into zeros: each cell adds its gradient
+        # rows in the order their ids occur, starting from 0.0 (so a lone
+        # -0.0 becomes +0.0). np.add.reduceat would sum in another order.
+        g = g.reshape(flat.size, d)
+        if np.all(flat[1:] > flat[:-1]):  # increasing ids are unique: nothing to sum
+            gt = np.zeros_like(table.data)
+            gt[flat] = g + 0.0
+            return (gt,)
+        cells = (flat[:, None] * d + np.arange(d)).reshape(-1)
+        return (np.bincount(cells, weights=g.reshape(-1),
+                            minlength=table.data.size).reshape(table.shape),)
 
     return _record(out, "embedding_lookup", (table,), backward_fn)
 

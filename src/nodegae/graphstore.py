@@ -2,7 +2,8 @@
 
 The central type is TextGraph: an undirected graph in compressed sparse row
 form whose nodes carry documents, optional labels, and named node splits.
-On top of it live the exact-distance k-hop query used to draw contrastive
+On top of it live the exact-distance k-hop frontier of a node set (one
+numpy gather, np.unique and visited mask per hop) used to draw contrastive
 positives, the sparse propagation operators of the graph backbones (the
 symmetric degree normalization for graph convolutions and the neighbor mean
 for GraphSAGE), and the train/val/test edge-split construction for link
@@ -22,6 +23,7 @@ if TYPE_CHECKING:
 __all__ = [
     "TextGraph",
     "LinkSplit",
+    "hop_frontier",
     "k_hop_neighbors",
     "sample_positive",
     "normalized_adjacency",
@@ -129,40 +131,71 @@ class TextGraph:
         return out
 
 
+def _gather_neighbors(graph: TextGraph, nodes: np.ndarray) -> np.ndarray:
+    """Concatenated CSR neighbour slices of `nodes`, in their order."""
+    starts = graph.indptr[nodes]
+    lengths = graph.indptr[nodes + 1] - starts
+    # Entry j of node i's slice sits at starts[i] + j, and at
+    # (sum of earlier lengths) + j in the concatenation.
+    shift = np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
+    return graph.indices[shift + np.arange(shift.size)]
+
+
+def _reach(graph: TextGraph, nodes: np.ndarray) -> np.ndarray:
+    """Sorted, duplicate-free neighbours of the duplicate-free id array `nodes`."""
+    if nodes.size == 1:  # one CSR slice is already sorted and duplicate-free
+        return graph.indices[graph.indptr[nodes[0]]:graph.indptr[nodes[0] + 1]]
+    return np.unique(_gather_neighbors(graph, nodes))
+
+
+def hop_frontier(graph: TextGraph, nodes, k: int) -> np.ndarray:
+    """Sorted ids of the nodes at shortest-path distance exactly k from the set `nodes`.
+
+    Each hop takes the frontier's neighbours (np.unique over its gathered CSR
+    slices) and drops visited nodes with a boolean mask, so nodes closer
+    than k, the set itself included, are never returned. k = 0 gives the
+    set itself.
+    """
+    frontier = np.array(nodes, dtype=np.int64).reshape(-1)
+    if frontier.size > 1:  # a single id is already sorted and unique
+        frontier = np.unique(frontier)
+    visited = np.zeros(graph.num_nodes, dtype=bool)
+    visited[frontier] = True
+    for _ in range(k):
+        reached = _reach(graph, frontier)
+        frontier = reached[~visited[reached]]
+        if not frontier.size:
+            break
+        visited[frontier] = True
+    return frontier
+
+
+def _exact_hop(graph: TextGraph, node: int, k: int) -> np.ndarray:
+    """hop_frontier of one node, after checking the node id and k >= 1."""
+    if not (0 <= node < graph.num_nodes):
+        raise IndexError(f"node {node} out of range for {graph.num_nodes} nodes")
+    if k < 1:
+        raise ContractError(f"hop distance must be >= 1, got {k}")
+    return hop_frontier(graph, [node], k)
+
+
 def k_hop_neighbors(graph: TextGraph, node: int, k: int) -> set:
     """Nodes at shortest-path distance exactly k from node.
 
     Closer nodes and the anchor itself are excluded, so the returned sets
     for different k never overlap.
     """
-    if not (0 <= node < graph.num_nodes):
-        raise IndexError(f"node {node} out of range for {graph.num_nodes} nodes")
-    if k < 1:
-        raise ContractError(f"hop distance must be >= 1, got {k}")
-    visited = {node}
-    frontier = {node}
-    for _ in range(k):
-        nxt = set()
-        for u in frontier:
-            for v in graph.neighbors(u):
-                v = int(v)
-                if v not in visited:
-                    nxt.add(v)
-        visited.update(nxt)
-        frontier = nxt
-        if not frontier:
-            break
-    return frontier
+    return set(_exact_hop(graph, node, k).tolist())
 
 
 def sample_positive(
     graph: TextGraph, node: int, k: int, rng: np.random.Generator
 ) -> Optional[int]:
     """Uniform draw from the exact-k-hop set; None when that set is empty."""
-    candidates = sorted(k_hop_neighbors(graph, node, k))
-    if not candidates:
+    candidates = _exact_hop(graph, node, k)
+    if not candidates.size:
         return None
-    return int(candidates[int(rng.integers(len(candidates)))])
+    return int(candidates[int(rng.integers(candidates.size))])
 
 
 def normalized_adjacency(graph: TextGraph, add_self_loops: bool = True

@@ -7,6 +7,7 @@ from class-specific keyword pools; real datasets load from a three-file
 format (nodes, edges, splits) described next to the load/save functions.
 """
 
+import os
 import re
 from collections import Counter
 from dataclasses import dataclass
@@ -42,6 +43,9 @@ EOS_ID = 3
 RESERVED_TOKENS = ("<pad>", "<unk>", "<bos>", "<eos>")
 
 _TOKEN_RE = re.compile(r"\w+")
+# Uniform draws held at once while sampling a synthetic graph's edges: whole
+# rows of the n x n draw, at least one, in a float64 buffer of about 8 MiB.
+EDGE_DRAW_BLOCK = 1 << 20
 
 
 def tokenize(text: str) -> List[str]:
@@ -167,6 +171,33 @@ class SyntheticGraphSpec:
             )
 
 
+def _draw_edges(rng: np.random.Generator, labels: np.ndarray, intra: float,
+                inter: float) -> List[Tuple[int, int]]:
+    """Upper-triangle pairs (u, v) whose uniform draw falls below their class-pair probability.
+
+    The draws are one row-major (n, n) stream taken EDGE_DRAW_BLOCK entries at
+    a time, so rng ends where a single rng.random((n, n)) would leave it and
+    the edges come out in the same row-major order, in O(block) memory.
+    """
+    n = labels.size
+    rows = max(1, EDGE_DRAW_BLOCK // n)
+    buf = np.empty((min(rows, n), n))
+    cut = max(intra, inter)
+    us, vs = [], []
+    for start in range(0, n, rows):
+        block = buf[: min(rows, n - start)]
+        rng.random(out=block)
+        hits = np.flatnonzero(block < cut)  # row-major; far faster than a 2-D nonzero
+        u, v = np.divmod(hits, n)
+        u += start
+        upper = v > u
+        hits, u, v = hits[upper], u[upper], v[upper]
+        keep = block.reshape(-1)[hits] < np.where(labels[u] == labels[v], intra, inter)
+        us.append(u[keep])
+        vs.append(v[keep])
+    return list(zip(np.concatenate(us).tolist(), np.concatenate(vs).tolist()))
+
+
 def generate_synthetic(spec: SyntheticGraphSpec) -> TextGraph:
     """Sample a labeled textual graph plus a 54/18/28 node split."""
     spec.validate()
@@ -192,12 +223,7 @@ def generate_synthetic(spec: SyntheticGraphSpec) -> TextGraph:
         ]
         texts.append(" ".join(words))
 
-    same = labels[:, None] == labels[None, :]
-    probs = np.where(same, spec.intra_class_edge_prob, spec.inter_class_edge_prob)
-    draws = rng.random((n, n))
-    iu, ju = np.triu_indices(n, k=1)
-    mask = draws[iu, ju] < probs[iu, ju]
-    edges = list(zip(iu[mask].tolist(), ju[mask].tolist()))
+    edges = _draw_edges(rng, labels, spec.intra_class_edge_prob, spec.inter_class_edge_prob)
 
     perm = rng.permutation(n)
     n_train = int(round(0.54 * n))
@@ -236,25 +262,47 @@ def _unescape_text(text: str) -> str:
     return _ESCAPED.sub(lambda m: _UNESCAPES[m.group(1)], text)
 
 
+def _replace_files(contents: Sequence[Tuple[Path, str]]) -> None:
+    """Write each text to a temp file beside its path, then rename all over their paths.
+
+    No path changes until every text is written, so a failed write leaves the
+    old files as they were; its temp files are removed.
+    """
+    temps: List[Path] = []
+    try:
+        for i, (path, text) in enumerate(contents):
+            temps.append(path.with_name(f".{path.name}.{os.getpid()}.{i}.tmp"))
+            with open(temps[-1], "w", encoding="utf-8") as fh:
+                fh.write(text)
+        for (path, _), temp in zip(contents, temps):
+            os.replace(temp, path)
+    except BaseException:
+        for temp in temps:
+            temp.unlink(missing_ok=True)
+        raise
+
+
 def save_textgraph(graph: TextGraph, nodes_path, edges_path, splits_path) -> None:
-    """Serialize a TextGraph into the three-file dataset format."""
+    """Serialize a TextGraph into the three-file dataset format.
+
+    The files are replaced only once all three are written, so an
+    interrupted save leaves the previous dataset loadable.
+    """
     nodes_lines = [
         f"{v}\t{int(graph.labels[v])}\t{_escape_text(graph.texts[v])}"
         for v in range(graph.num_nodes)
     ]
-    Path(nodes_path).write_text("\n".join(nodes_lines) + "\n", encoding="utf-8")
-
     edge_lines = [f"{u}\t{v}" for u, v in sorted(graph.edge_set())]
-    Path(edges_path).write_text(
-        "\n".join(edge_lines) + ("\n" if edge_lines else ""), encoding="utf-8"
-    )
-
     split_lines = []
     for name in ("train", "val", "test"):
         ids = graph.splits.get(name, np.zeros(0, dtype=np.int64))
         joined = ",".join(str(int(i)) for i in ids)
         split_lines.append(f"{name}: {joined}" if joined else f"{name}:")
-    Path(splits_path).write_text("\n".join(split_lines) + "\n", encoding="utf-8")
+    _replace_files([
+        (Path(nodes_path), "\n".join(nodes_lines) + "\n"),
+        (Path(edges_path), "\n".join(edge_lines) + ("\n" if edge_lines else "")),
+        (Path(splits_path), "\n".join(split_lines) + "\n"),
+    ])
 
 
 def load_textgraph(nodes_path, edges_path, splits_path) -> TextGraph:

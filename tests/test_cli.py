@@ -107,6 +107,31 @@ def test_generate_rejects_zero_classes(tmp_path):
     assert not (tmp_path / "x").exists()
 
 
+def test_generate_at_8192_nodes_stays_small_and_numpy_only(tmp_path):
+    # The edge draw holds one row block of the 8192 x 8192 uniform matrix at a
+    # time (drawing the whole matrix at once peaked at ~2.2 GB), and the
+    # command loads no scipy module.
+    # Edge probabilities are the defaults scaled by 512 / N, which keeps the
+    # mean degree of the 512-node default graph.
+    from nodegae.textcorpus import SyntheticGraphSpec
+
+    nodes, base = 8192, SyntheticGraphSpec()
+    scale = base.num_nodes / nodes
+    args = ["generate", "--out", str(tmp_path / "big"), "--nodes", str(nodes),
+            "--intra-prob", repr(base.intra_class_edge_prob * scale),
+            "--inter-prob", repr(base.inter_class_edge_prob * scale), "--seed", "0"]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = ("import resource, sys; from nodegae.cli import main; rc = main(sys.argv[1:]); "
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, "
+            "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')); sys.exit(rc)")
+    done = subprocess.run([sys.executable, "-c", code] + args, cwd=src, timeout=300,
+                          capture_output=True, text=True, check=True)
+    maxrss_kb, scipy_modules = done.stdout.strip().split("\n")[-1].split(" ", 1)
+    assert int(maxrss_kb) < 500 * 1024
+    assert scipy_modules == "[]"
+    assert load_textgraph(*dataset_paths(tmp_path / "big")).num_nodes == nodes
+
+
 # ---------------------------------------------------------------------------
 # pretrain
 # ---------------------------------------------------------------------------
@@ -535,15 +560,12 @@ def test_linkpred_flags_under_nodecls_exit_one_without_artifacts(dataset, embedd
     assert not out.exists()
 
 
-@pytest.mark.parametrize("backbone, builder", [
-    ("gcn", "normalized_adjacency"), ("sage", "mean_adjacency")])
-@pytest.mark.parametrize("task", ["nodecls", "linkpred"])
-def test_train_repeats_build_the_graph_operator_once(dataset, embedded, tmp_path, monkeypatch,
-                                                    task, backbone, builder):
+def count_operator_builds(monkeypatch, builders):
+    """Count calls of the downstream operator builders and of train_message_graph."""
     from nodegae import downstream
     from nodegae.graphstore import LinkSplit
 
-    calls = {builder: 0, "train_message_graph": 0}
+    calls = dict.fromkeys(list(builders) + ["train_message_graph"], 0)
 
     def counted(owner, name):
         original = getattr(owner, name)
@@ -554,12 +576,32 @@ def test_train_repeats_build_the_graph_operator_once(dataset, embedded, tmp_path
 
         monkeypatch.setattr(owner, name, spy)
 
-    counted(downstream, builder)
+    for builder in builders:
+        counted(downstream, builder)
     counted(LinkSplit, "train_message_graph")
+    return calls
+
+
+@pytest.mark.parametrize("backbone, builder", [
+    ("gcn", "normalized_adjacency"), ("sage", "mean_adjacency")])
+@pytest.mark.parametrize("task", ["nodecls", "linkpred"])
+def test_train_repeats_build_the_graph_operator_once(dataset, embedded, tmp_path, monkeypatch,
+                                                    task, backbone, builder):
+    calls = count_operator_builds(monkeypatch, [builder])
     assert main(["train", "--dataset", str(dataset), "--embeddings", str(embedded),
                  "--out-dir", str(tmp_path / "o"), "--task", task, "--backbone", backbone,
                  "--repeats", "5", "--epochs", "1"]) == 0
     assert calls == {builder: 1, "train_message_graph": int(task == "linkpred")}
+
+
+@pytest.mark.parametrize("task", ["nodecls", "linkpred"])
+def test_ablate_builds_each_backbones_graph_operator_once(dataset, tmp_path, monkeypatch, task):
+    calls = count_operator_builds(monkeypatch, ["normalized_adjacency", "mean_adjacency"])
+    assert main(["ablate", "--dataset", str(dataset), "--out-dir", str(tmp_path / "o"),
+                 "--task", task, "--backbones", "gcn,sage", "--repeats", "2", "--epochs", "1",
+                 "--steps", "1"] + TINY_MODEL) == 0
+    assert calls == {"normalized_adjacency": 1, "mean_adjacency": 1,
+                     "train_message_graph": 2 * int(task == "linkpred")}
 
 
 def test_train_rejects_missing_embeddings(dataset, tmp_path):

@@ -170,6 +170,28 @@ def test_attention_checks_shapes():
         dc.attention(dc.constant(np.zeros((3, 4))), x, x, 2)
 
 
+@given(seed=st.integers(0, 2 ** 32 - 1), rows=st.integers(1, 6), width=st.integers(0, 4),
+       shape=st.sampled_from([(0,), (1,), (5,), (12,), (3, 4), (2, 3, 2)]),
+       increasing=st.booleans())
+def test_embedding_lookup_backward_is_bit_identical_to_add_at(seed, rows, width, shape,
+                                                               increasing):
+    rng = np.random.default_rng(seed)
+    ids = rng.integers(0, rows, size=shape)
+    if increasing:  # unique ids, the direct-write path
+        ids = np.arange(min(rows, ids.size))
+    shape = ids.shape + (width,)
+    g = rng.standard_normal(shape) * 10.0 ** rng.integers(-20, 20, shape)
+    g[rng.random(g.shape) < 0.3] = -0.0
+    g[rng.random(g.shape) < 0.1] = 0.0
+    table = dc.parameter(rng.standard_normal((rows, width)))
+    out = dc.embedding_lookup(table, ids)
+    (got,) = out._backward_fn(g)
+    want = np.zeros((rows, width))
+    np.add.at(want, ids, g)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # Backward basics
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Tests for graph storage, k-hop queries, normalization, and link splits.
 
 Derived quantities are checked against independent oracles: a queue-based
-BFS for hop distances, dense matrix algebra for the normalized adjacency,
+BFS for hop distances, a Python-set BFS for the numpy hop frontier, dense matrix algebra for the normalized adjacency,
 a per-node loop for the mean adjacency, and exhaustive set arithmetic for
 link-split leakage.
 """
@@ -11,9 +11,12 @@ from collections import deque
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given
+from hypothesis import strategies as st
 
 from nodegae import graphstore as gs
 from nodegae.errors import ConfigError, ContractError
+from reference_graphs import bfs_k_hop, bfs_sample_positive
 
 # ---------------------------------------------------------------------------
 # Oracles
@@ -145,6 +148,40 @@ def test_hop_sets_disjoint_and_exclude_anchor(seed):
         two = gs.k_hop_neighbors(g, node, 2)
         assert node not in one and node not in two
         assert one.isdisjoint(two)
+
+
+@st.composite
+def graphs(draw, max_nodes=24):
+    """A random graph with possibly isolated nodes, components and dense patches."""
+    n = draw(st.integers(1, max_nodes))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                          max_size=3 * n))
+    return gs.TextGraph.from_edges(n, pairs)
+
+
+@given(graphs(), st.integers(1, 5))
+def test_k_hop_neighbors_match_set_bfs(g, k):
+    for node in range(g.num_nodes):
+        assert gs.k_hop_neighbors(g, node, k) == bfs_k_hop(g, [node], k)
+
+
+@given(graphs(), st.data())
+def test_hop_frontier_of_node_sets_matches_set_bfs(g, data):
+    sources = data.draw(st.lists(st.integers(0, g.num_nodes - 1), max_size=6))
+    for k in range(5):
+        got = gs.hop_frontier(g, sources, k)
+        assert got.dtype == np.int64
+        assert got.tolist() == sorted(bfs_k_hop(g, sources, k))
+
+
+@given(graphs(), st.integers(0, 2**32 - 1))
+def test_sample_positive_draws_match_set_bfs(g, seed):
+    rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    for node in range(g.num_nodes):
+        for k in (1, 2, 3):
+            assert gs.sample_positive(g, node, k, rng) == bfs_sample_positive(
+                g, node, k, want_rng)
+    assert rng.bit_generator.state == want_rng.bit_generator.state
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from nodegae import textcorpus as tc
 from nodegae.errors import ConfigError, IngestionError
+from reference_graphs import dense_draw_edges
 
 
 # ---------------------------------------------------------------------------
@@ -225,6 +226,62 @@ def test_synthetic_homophily(seed):
     assert intra_edges / intra_pairs > inter_edges / inter_pairs
 
 
+def generate_with_rng(monkeypatch, spec):
+    """generate_synthetic(spec) and the generator it drew from, in its final state."""
+    made = []
+    default_rng = np.random.default_rng
+
+    def capture(seed):
+        made.append(default_rng(seed))
+        return made[-1]
+
+    with monkeypatch.context() as m:
+        m.setattr(tc.np.random, "default_rng", capture)
+        graph = tc.generate_synthetic(spec)
+    assert len(made) == 1
+    return graph, made[0]
+
+
+def assert_same_generation(monkeypatch, spec):
+    """The row-block edge draw gives the dense oracle's graph and rng end state."""
+    graph, rng = generate_with_rng(monkeypatch, spec)
+    with monkeypatch.context() as m:
+        m.setattr(tc, "_draw_edges", dense_draw_edges)
+        want, want_rng = generate_with_rng(monkeypatch, spec)
+    assert np.array_equal(graph.indptr, want.indptr)
+    assert np.array_equal(graph.indices, want.indices)
+    assert graph.texts == want.texts
+    assert np.array_equal(graph.labels, want.labels)
+    assert graph.splits.keys() == want.splits.keys()
+    for name in want.splits:
+        assert np.array_equal(graph.splits[name], want.splits[name])
+    assert rng.bit_generator.state == want_rng.bit_generator.state
+
+
+# The node count whose n x n draw exactly fills one EDGE_DRAW_BLOCK buffer.
+ONE_BLOCK = int(np.sqrt(tc.EDGE_DRAW_BLOCK))
+
+
+@pytest.mark.parametrize("probs", [(0.05, 0.005), (1.0, 0.0), (0.0, 0.0), (0.02, 0.02)])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("n", [1, 2, ONE_BLOCK - 1, ONE_BLOCK, ONE_BLOCK + 1, 300, 1000])
+def test_block_edge_draw_matches_dense_oracle(monkeypatch, n, seed, probs):
+    assert ONE_BLOCK ** 2 == tc.EDGE_DRAW_BLOCK
+    assert_same_generation(monkeypatch, make_spec(
+        num_nodes=n, seed=seed, intra_class_edge_prob=probs[0],
+        inter_class_edge_prob=probs[1]))
+
+
+@pytest.mark.parametrize("block", [1, 5, 16, 63])
+@pytest.mark.parametrize("n", [1, 2, 7, 8, 31])
+def test_block_edge_draw_matches_dense_oracle_across_many_blocks(monkeypatch, n, block):
+    monkeypatch.setattr(tc, "EDGE_DRAW_BLOCK", block)
+    for probs in ((1.0, 1.0), (0.6, 0.2), (0.0, 0.0)):
+        assert_same_generation(monkeypatch, make_spec(
+            num_nodes=n, seed=n + block, intra_class_edge_prob=probs[0],
+            inter_class_edge_prob=probs[1]))
+
+
 # ---------------------------------------------------------------------------
 # file ingestion
 # ---------------------------------------------------------------------------
@@ -351,3 +408,45 @@ def test_load_hundred_nodes_matches_line_counts(tmp_path):
     edge_lines = sum(1 for line in paths[1].read_text().splitlines() if line)
     assert node_lines == 100
     assert back.num_edges == edge_lines
+
+
+def test_failed_save_leaves_the_old_dataset_and_no_temp_files(tmp_path, monkeypatch):
+    old = tc.generate_synthetic(make_spec(num_nodes=30, seed=1))
+    paths = (tmp_path / "nodes.tsv", tmp_path / "edges.tsv", tmp_path / "splits.txt")
+    tc.save_textgraph(old, *paths)
+    before = [p.read_bytes() for p in paths]
+
+    class DiskFull:
+        """A file whose write stores the first half of the text, then raises."""
+
+        def __init__(self, fh):
+            self.fh = fh
+
+        def write(self, text):
+            self.fh.write(text[: len(text) // 2])
+            self.fh.flush()
+            raise OSError("No space left on device")
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+    def faulty_open(path, *args, **kwargs):
+        fh = open(path, *args, **kwargs)
+        return DiskFull(fh) if ".edges.tsv." in str(path) else fh
+
+    monkeypatch.setattr(tc, "open", faulty_open, raising=False)
+    new = tc.generate_synthetic(make_spec(num_nodes=40, seed=2))
+    with pytest.raises(OSError, match="No space left"):
+        tc.save_textgraph(new, *paths)
+    monkeypatch.undo()
+
+    assert [p.read_bytes() for p in paths] == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["edges.tsv", "nodes.tsv",
+                                                          "splits.txt"]
+    back = tc.load_textgraph(*paths)
+    assert back.texts == old.texts
+    assert np.array_equal(back.indptr, old.indptr)
+    assert np.array_equal(back.indices, old.indices)
