@@ -2,16 +2,18 @@
 
 The central type is TextGraph: an undirected graph in compressed sparse row
 form whose nodes carry documents, optional labels, and named node splits.
-On top of it live the exact-distance k-hop frontier of a node set (one
-numpy gather, np.unique and visited mask per hop) used to draw contrastive
-positives, the sparse propagation operators of the graph backbones (the
-symmetric degree normalization for graph convolutions and the neighbor mean
-for GraphSAGE), and the train/val/test edge-split construction for link
-prediction.
+Edge lists in and out of it, and the link-split arrays, have one format: an
+(m, 2) int64 array of rows u < v sorted by (u, v), deduplicated through the
+int64 key u * n + v. On top of it live the exact-distance k-hop frontier of
+a node set (one numpy gather, sort-based dedup and visited mask per hop)
+used to draw contrastive positives, the sparse propagation operators of the
+graph backbones (the symmetric degree normalization for graph convolutions
+and the neighbor mean for GraphSAGE), and the train/val/test edge-split
+construction for link prediction.
 """
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -24,7 +26,6 @@ __all__ = [
     "TextGraph",
     "LinkSplit",
     "hop_frontier",
-    "k_hop_neighbors",
     "sample_positive",
     "normalized_adjacency",
     "mean_adjacency",
@@ -32,19 +33,47 @@ __all__ = [
 ]
 
 
-def _canonical_edges(num_nodes: int, edges: Iterable[Tuple[int, int]]):
-    """Validate endpoints, drop self-loops, deduplicate as (min, max) pairs."""
-    canon = set()
-    for u, v in edges:
-        u, v = int(u), int(v)
-        if not (0 <= u < num_nodes and 0 <= v < num_nodes):
-            raise ContractError(
-                f"edge ({u}, {v}) out of range for a {num_nodes}-node graph"
-            )
-        if u == v:
-            continue
-        canon.add((u, v) if u < v else (v, u))
-    return sorted(canon)
+def _keys(pairs: np.ndarray, num_nodes: int) -> np.ndarray:
+    """int64 key u * n + v of each (u, v) row; sorting keys sorts rows by (u, v)."""
+    return pairs[:, 0] * num_nodes + pairs[:, 1]
+
+
+def _pairs(keys: np.ndarray, num_nodes: int) -> np.ndarray:
+    """(m, 2) rows of the keys made by _keys."""
+    return np.stack(np.divmod(keys, num_nodes), axis=1)
+
+
+def _unique(values: np.ndarray) -> np.ndarray:
+    """Sorted distinct values by np.sort (numpy 2's hash-based np.unique is slower on ints)."""
+    values = np.sort(values)
+    first = np.ones(values.size, dtype=bool)
+    first[1:] = values[1:] != values[:-1]
+    return values[first]
+
+
+def _member(values: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Mask of the entries of `values` that occur in the sorted array `table`."""
+    at = np.minimum(np.searchsorted(table, values), table.size - 1)
+    return table[at] == values if table.size else np.zeros(values.shape, dtype=bool)
+
+
+def _canonical_edges(num_nodes: int, edges) -> np.ndarray:
+    """Sorted (m, 2) rows u < v of an (m, 2) array-like, after checking endpoints.
+
+    The first out-of-range edge in input order is reported; self-loops and
+    duplicates, in either direction, are dropped.
+    """
+    pairs = np.asarray(edges, dtype=np.int64)
+    pairs = pairs.reshape(0, 2) if pairs.size == 0 else pairs
+    if pairs.ndim != 2 or pairs.shape[1] != 2:
+        raise ContractError(f"edges must form an (m, 2) array, got shape {pairs.shape}")
+    bad = np.flatnonzero(((pairs < 0) | (pairs >= num_nodes)).any(axis=1))
+    if bad.size:
+        u, v = pairs[bad[0]].tolist()
+        raise ContractError(f"edge ({u}, {v}) out of range for a {num_nodes}-node graph")
+    pairs = np.sort(pairs, axis=1)
+    pairs = pairs[pairs[:, 0] != pairs[:, 1]]
+    return _pairs(_unique(_keys(pairs, num_nodes)), num_nodes)
 
 
 @dataclass
@@ -67,23 +96,23 @@ class TextGraph:
     def from_edges(
         cls,
         num_nodes: int,
-        edges: Iterable[Tuple[int, int]],
+        edges,
         texts: Optional[List[str]] = None,
         labels=None,
         splits: Optional[Dict[str, Sequence[int]]] = None,
     ) -> "TextGraph":
+        """CSR graph of an (m, 2) array-like of pairs in either direction, repeats allowed.
+
+        Self-loops are dropped; the first pair with an endpoint outside
+        [0, num_nodes) raises ContractError.
+        """
         if num_nodes < 1:
             raise ContractError(f"graph needs at least one node, got {num_nodes}")
-        canon = _canonical_edges(num_nodes, edges)
-        if canon:
-            pairs = np.asarray(canon, dtype=np.int64)
-            src = np.concatenate([pairs[:, 0], pairs[:, 1]])
-            dst = np.concatenate([pairs[:, 1], pairs[:, 0]])
-            order = np.lexsort((dst, src))
-            src, dst = src[order], dst[order]
-        else:
-            src = np.zeros(0, dtype=np.int64)
-            dst = np.zeros(0, dtype=np.int64)
+        pairs = _canonical_edges(num_nodes, edges)
+        src = np.concatenate([pairs[:, 0], pairs[:, 1]])
+        dst = np.concatenate([pairs[:, 1], pairs[:, 0]])
+        order = np.lexsort((dst, src))
+        src, dst = src[order], dst[order]
         indptr = np.zeros(num_nodes + 1, dtype=np.int64)
         indptr[1:] = np.cumsum(np.bincount(src, minlength=num_nodes))
 
@@ -121,14 +150,11 @@ class TextGraph:
             raise IndexError(f"node {node} out of range for {self.num_nodes} nodes")
         return self.indices[self.indptr[node] : self.indptr[node + 1]]
 
-    def edge_set(self):
-        """All undirected edges as a set of (u, v) tuples with u < v."""
-        out = set()
-        for u in range(self.num_nodes):
-            for v in self.neighbors(u):
-                if u < v:
-                    out.add((u, int(v)))
-        return out
+    def edges(self) -> np.ndarray:
+        """All undirected edges as (m, 2) int64 rows u < v, sorted by (u, v)."""
+        src = np.repeat(np.arange(self.num_nodes, dtype=np.int64), self.degrees)
+        upper = src < self.indices
+        return np.stack([src[upper], self.indices[upper]], axis=1)
 
 
 def _gather_neighbors(graph: TextGraph, nodes: np.ndarray) -> np.ndarray:
@@ -144,21 +170,21 @@ def _gather_neighbors(graph: TextGraph, nodes: np.ndarray) -> np.ndarray:
 def _reach(graph: TextGraph, nodes: np.ndarray) -> np.ndarray:
     """Sorted, duplicate-free neighbours of the duplicate-free id array `nodes`."""
     if nodes.size == 1:  # one CSR slice is already sorted and duplicate-free
-        return graph.indices[graph.indptr[nodes[0]]:graph.indptr[nodes[0] + 1]]
-    return np.unique(_gather_neighbors(graph, nodes))
+        return graph.neighbors(nodes[0])
+    return _unique(_gather_neighbors(graph, nodes))
 
 
 def hop_frontier(graph: TextGraph, nodes, k: int) -> np.ndarray:
     """Sorted ids of the nodes at shortest-path distance exactly k from the set `nodes`.
 
-    Each hop takes the frontier's neighbours (np.unique over its gathered CSR
-    slices) and drops visited nodes with a boolean mask, so nodes closer
+    Each hop takes the frontier's neighbours (its gathered CSR slices, sorted
+    and deduplicated) and drops visited nodes with a boolean mask, so nodes closer
     than k, the set itself included, are never returned. k = 0 gives the
     set itself.
     """
     frontier = np.array(nodes, dtype=np.int64).reshape(-1)
     if frontier.size > 1:  # a single id is already sorted and unique
-        frontier = np.unique(frontier)
+        frontier = _unique(frontier)
     visited = np.zeros(graph.num_nodes, dtype=bool)
     visited[frontier] = True
     for _ in range(k):
@@ -170,29 +196,15 @@ def hop_frontier(graph: TextGraph, nodes, k: int) -> np.ndarray:
     return frontier
 
 
-def _exact_hop(graph: TextGraph, node: int, k: int) -> np.ndarray:
-    """hop_frontier of one node, after checking the node id and k >= 1."""
+def sample_positive(
+    graph: TextGraph, node: int, k: int, rng: np.random.Generator
+) -> Optional[int]:
+    """Uniform draw from the nodes at distance exactly k >= 1; None when there are none."""
     if not (0 <= node < graph.num_nodes):
         raise IndexError(f"node {node} out of range for {graph.num_nodes} nodes")
     if k < 1:
         raise ContractError(f"hop distance must be >= 1, got {k}")
-    return hop_frontier(graph, [node], k)
-
-
-def k_hop_neighbors(graph: TextGraph, node: int, k: int) -> set:
-    """Nodes at shortest-path distance exactly k from node.
-
-    Closer nodes and the anchor itself are excluded, so the returned sets
-    for different k never overlap.
-    """
-    return set(_exact_hop(graph, node, k).tolist())
-
-
-def sample_positive(
-    graph: TextGraph, node: int, k: int, rng: np.random.Generator
-) -> Optional[int]:
-    """Uniform draw from the exact-k-hop set; None when that set is empty."""
-    candidates = _exact_hop(graph, node, k)
+    candidates = hop_frontier(graph, [node], k)
     if not candidates.size:
         return None
     return int(candidates[int(rng.integers(candidates.size))])
@@ -236,10 +248,11 @@ def mean_adjacency(graph: TextGraph) -> "sp.csr_matrix":
 class LinkSplit:
     """Edge-level train/val/test split with one negative per positive.
 
-    Edge arrays have shape (m, 2) with canonical u < v rows. Negatives are
-    uniform over non-edges of the full graph and distinct across all six
-    arrays. The training message-passing graph must contain train positives
-    only; train_message_graph builds it.
+    The six edge arrays are in the graph's one edge format: (m, 2) int64
+    rows u < v, sorted by (u, v). Negatives are uniform over non-edges of
+    the full graph and distinct across all six arrays. The training
+    message-passing graph must contain train positives only;
+    train_message_graph builds it.
     """
 
     num_nodes: int
@@ -259,34 +272,33 @@ class LinkSplit:
 
     def train_message_graph(self, graph: TextGraph) -> TextGraph:
         """Graph restricted to train positives, payload carried over."""
-        return TextGraph.from_edges(
-            graph.num_nodes,
-            [tuple(row) for row in self.train_pos],
-            texts=graph.texts,
-            labels=graph.labels,
-            splits=graph.splits,
-        )
+        return TextGraph.from_edges(graph.num_nodes, self.train_pos, texts=graph.texts,
+                                    labels=graph.labels, splits=graph.splits)
 
     def validate(self, graph: TextGraph) -> None:
-        """Raise ContractError on any leakage or partition violation."""
-        full = graph.edge_set()
-        seen = set()
+        """Raise ContractError on a non-canonical row, leakage or a partition violation."""
+        n = graph.num_nodes
+        full = _keys(graph.edges(), n)
+        seen = np.zeros(0, dtype=np.int64)
         for part in ("train", "val", "test"):
-            pos = {(int(u), int(v)) for u, v in self.positives(part)}
-            neg = {(int(u), int(v)) for u, v in self.negatives(part)}
-            if len(pos) != self.positives(part).shape[0]:
+            pos, neg = self.positives(part), self.negatives(part)
+            for kind, arr in (("positives", pos), ("negatives", neg)):  # keys need u < v < n
+                if not ((0 <= arr[:, 0]) & (arr[:, 0] < arr[:, 1]) & (arr[:, 1] < n)).all():
+                    raise ContractError(f"{part} {kind} have rows outside [0, {n}) or with u >= v")
+            pos, neg = _keys(pos, n), _keys(neg, n)
+            if _unique(pos).size != pos.size:
                 raise ContractError(f"{part} positives contain duplicates")
-            if not pos <= full:
+            if not _member(pos, full).all():
                 raise ContractError(f"{part} positives are not edges of the graph")
-            if neg & full:
+            if _member(neg, full).any():
                 raise ContractError(f"{part} negatives collide with real edges")
-            if len(neg) != self.negatives(part).shape[0]:
+            if _unique(neg).size != neg.size:
                 raise ContractError(f"{part} negatives contain duplicates")
-            if (pos | neg) & seen:
+            if _member(np.concatenate([pos, neg]), seen).any():
                 raise ContractError(f"{part} overlaps another partition")
-            seen |= pos | neg
+            seen = np.sort(np.concatenate([seen, pos, neg]))
         total_pos = sum(self.positives(p).shape[0] for p in ("train", "val", "test"))
-        if total_pos != len(full):
+        if total_pos != full.size:
             raise ContractError("positives do not partition the edge set")
 
 
@@ -300,8 +312,8 @@ def build_link_split(
         raise ConfigError(f"ratios must be three non-negative numbers, got {ratios}")
     if abs(sum(ratios) - 1.0) > 1e-9:
         raise ConfigError(f"ratios must sum to 1, got {ratios}")
-    edges = sorted(graph.edge_set())
-    n_edges = len(edges)
+    edges = graph.edges()
+    n_edges = edges.shape[0]
     if n_edges < 10:
         raise ConfigError(f"link split needs >= 10 edges, graph has {n_edges}")
     n = graph.num_nodes
@@ -313,47 +325,28 @@ def build_link_split(
 
     rng = np.random.default_rng(seed)
     perm = rng.permutation(n_edges)
-    n_train = int(round(ratios[0] * n_edges))
-    n_val = int(round(ratios[1] * n_edges))
-    n_train = min(n_train, n_edges)
-    n_val = min(n_val, n_edges - n_train)
-    bounds = (n_train, n_train + n_val)
+    n_train = min(int(round(ratios[0] * n_edges)), n_edges)
+    n_val = min(int(round(ratios[1] * n_edges)), n_edges - n_train)
+    parts = (slice(0, n_train), slice(n_train, n_train + n_val), slice(n_train + n_val, None))
+    pos_parts = [edges[np.sort(perm[part])] for part in parts]
 
-    edge_arr = np.asarray(edges, dtype=np.int64)
-    pos_parts = [
-        edge_arr[np.sort(perm[: bounds[0]])],
-        edge_arr[np.sort(perm[bounds[0] : bounds[1]])],
-        edge_arr[np.sort(perm[bounds[1] :])],
-    ]
+    # Negatives: the first n_edges distinct non-edges, u != v, in the stream
+    # that scalar rng.integers(n) calls give. A chunk is the expected number of
+    # draws for the `needed` ones (2 * free of the n * n ordered pairs hit one
+    # of the `free` unchosen non-edges); rng is local, so extra draws are harmless.
+    taken = _keys(edges, n)
+    chosen = []
+    needed, free = n_edges, max_non_edges
+    while needed:
+        uv = np.sort(rng.integers(n, size=(-(-needed * n * n // (2 * free)), 2)), axis=1)
+        keys = _keys(uv, n)[uv[:, 0] != uv[:, 1]]
+        keys = keys[~_member(keys, taken)]
+        _, first = np.unique(keys, return_index=True)
+        keys = keys[np.sort(first)][:needed]
+        chosen.append(keys)
+        taken = np.sort(np.concatenate([taken, keys]))
+        needed, free = needed - keys.size, free - keys.size
+    neg_keys = np.concatenate(chosen)
+    neg_parts = [_pairs(np.sort(neg_keys[part]), n) for part in parts]
 
-    full = set(edges)
-    chosen = set()
-    negatives = []
-    while len(negatives) < n_edges:
-        u = int(rng.integers(n))
-        v = int(rng.integers(n))
-        if u == v:
-            continue
-        e = (u, v) if u < v else (v, u)
-        if e in full or e in chosen:
-            continue
-        chosen.add(e)
-        negatives.append(e)
-    neg_arr = np.asarray(negatives, dtype=np.int64)
-    neg_parts = [
-        neg_arr[: bounds[0]],
-        neg_arr[bounds[0] : bounds[1]],
-        neg_arr[bounds[1] :],
-    ]
-    neg_parts = [part[np.lexsort((part[:, 1], part[:, 0]))] for part in neg_parts]
-
-    return LinkSplit(
-        num_nodes=n,
-        train_pos=pos_parts[0],
-        val_pos=pos_parts[1],
-        test_pos=pos_parts[2],
-        train_neg=neg_parts[0],
-        val_neg=neg_parts[1],
-        test_neg=neg_parts[2],
-        seed=seed,
-    )
+    return LinkSplit(n, *pos_parts, *neg_parts, seed=seed)

@@ -172,8 +172,8 @@ class SyntheticGraphSpec:
 
 
 def _draw_edges(rng: np.random.Generator, labels: np.ndarray, intra: float,
-                inter: float) -> List[Tuple[int, int]]:
-    """Upper-triangle pairs (u, v) whose uniform draw falls below their class-pair probability.
+                inter: float) -> np.ndarray:
+    """(m, 2) pairs u < v whose uniform draw falls below their class-pair probability.
 
     The draws are one row-major (n, n) stream taken EDGE_DRAW_BLOCK entries at
     a time, so rng ends where a single rng.random((n, n)) would leave it and
@@ -183,7 +183,7 @@ def _draw_edges(rng: np.random.Generator, labels: np.ndarray, intra: float,
     rows = max(1, EDGE_DRAW_BLOCK // n)
     buf = np.empty((min(rows, n), n))
     cut = max(intra, inter)
-    us, vs = [], []
+    pairs = []
     for start in range(0, n, rows):
         block = buf[: min(rows, n - start)]
         rng.random(out=block)
@@ -193,9 +193,8 @@ def _draw_edges(rng: np.random.Generator, labels: np.ndarray, intra: float,
         upper = v > u
         hits, u, v = hits[upper], u[upper], v[upper]
         keep = block.reshape(-1)[hits] < np.where(labels[u] == labels[v], intra, inter)
-        us.append(u[keep])
-        vs.append(v[keep])
-    return list(zip(np.concatenate(us).tolist(), np.concatenate(vs).tolist()))
+        pairs.append(np.stack([u[keep], v[keep]], axis=1))
+    return np.concatenate(pairs)
 
 
 def generate_synthetic(spec: SyntheticGraphSpec) -> TextGraph:
@@ -292,7 +291,7 @@ def save_textgraph(graph: TextGraph, nodes_path, edges_path, splits_path) -> Non
         f"{v}\t{int(graph.labels[v])}\t{_escape_text(graph.texts[v])}"
         for v in range(graph.num_nodes)
     ]
-    edge_lines = [f"{u}\t{v}" for u, v in sorted(graph.edge_set())]
+    edge_lines = [f"{u}\t{v}" for u, v in graph.edges().tolist()]
     split_lines = []
     for name in ("train", "val", "test"):
         ids = graph.splits.get(name, np.zeros(0, dtype=np.int64))
@@ -359,7 +358,7 @@ def load_textgraph(nodes_path, edges_path, splits_path) -> TextGraph:
             raise IngestionError(
                 f"{edges_path} line {lineno}: edge ({u}, {v}) references a missing node"
             )
-        edges.append((u, v))
+        edges += (u, v)
 
     splits: Dict[str, List[int]] = {}
     claimed: Dict[int, str] = {}
@@ -394,4 +393,5 @@ def load_textgraph(nodes_path, edges_path, splits_path) -> TextGraph:
     for name in ("train", "val", "test"):
         splits.setdefault(name, [])
 
-    return TextGraph.from_edges(n, edges, texts=texts, labels=labels, splits=splits)
+    return TextGraph.from_edges(n, np.reshape(edges, (-1, 2)), texts=texts, labels=labels,
+                                splits=splits)

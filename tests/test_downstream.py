@@ -403,14 +403,14 @@ def test_classifier_rejects_bad_inputs():
             ds.random_embeddings(graph.num_nodes + 1, 4), graph,
             ds.DownstreamConfig())
     no_train = gs.TextGraph.from_edges(
-        graph.num_nodes, list(graph.edge_set()), texts=graph.texts,
+        graph.num_nodes, graph.edges(), texts=graph.texts,
         labels=graph.labels, splits={"val": graph.splits["val"]})
     with pytest.raises(ConfigError):
         ds.train_node_classifier(emb, no_train, ds.DownstreamConfig())
     unlabeled = graph.labels.copy()
     unlabeled[graph.splits["train"][0]] = -1
     bad = gs.TextGraph.from_edges(
-        graph.num_nodes, list(graph.edge_set()), texts=graph.texts,
+        graph.num_nodes, graph.edges(), texts=graph.texts,
         labels=unlabeled, splits=graph.splits)
     with pytest.raises(ConfigError):
         ds.train_node_classifier(emb, bad, ds.DownstreamConfig())

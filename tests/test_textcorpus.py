@@ -221,7 +221,7 @@ def test_synthetic_homophily(seed):
     same = g.labels[:, None] == g.labels[None, :]
     intra_pairs = (np.sum(same) - g.num_nodes) / 2
     inter_pairs = g.num_nodes * (g.num_nodes - 1) / 2 - intra_pairs
-    intra_edges = sum(1 for u, v in g.edge_set() if g.labels[u] == g.labels[v])
+    intra_edges = sum(1 for u, v in g.edges() if g.labels[u] == g.labels[v])
     inter_edges = g.num_edges - intra_edges
     assert intra_edges / intra_pairs > inter_edges / inter_pairs
 
