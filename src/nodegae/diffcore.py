@@ -205,11 +205,75 @@ def relu(x: DiffTensor) -> DiffTensor:
     return _record(out, "relu", (x,), backward_fn)
 
 
+# Cephes erf/erfc (ndtr.c), the routine that SciPy's erf runs, with its
+# coefficients: T/U for |x| <= 1 and P/Q for 1 < |x| < 8. The R/S set for
+# |x| >= 8 is not needed, since |x| is clamped to _ERF_SATURATES first.
+_ERF_T = (9.60497373987051638749E0, 9.00260197203842689217E1, 2.23200534594684319226E3,
+          7.00332514112805075473E3, 5.55923013010394962768E4)
+_ERF_U = (3.35617141647503099647E1, 5.21357949780152679795E2, 4.59432382970980127987E3,
+          2.26290000613890934246E4, 4.92673942608635921086E4)
+_ERFC_P = (2.46196981473530512524E-10, 5.64189564831068821977E-1, 7.46321056442269912687E0,
+           4.86371970985681366614E1, 1.96520832956077098242E2, 5.26445194995477358631E2,
+           9.34528527171957607540E2, 1.02755188689515710272E3, 5.57535335369399327526E2)
+_ERFC_Q = (1.32281951154744992508E1, 8.67072140885989742329E1, 3.54937778887819891062E2,
+           9.75708501743205489753E2, 1.82390916687909736289E3, 2.24633760818710981792E3,
+           1.65666309194161350182E3, 5.57535340817727675546E2)
+# Cephes erf rounds to exactly +-1 from |x| ~ 5.92 on, so clamping there changes
+# no result and keeps inf and overflow out of the polynomials.
+_ERF_SATURATES = 6.0
+
+
+def _polevl(x: np.ndarray, coefs) -> np.ndarray:
+    """Cephes polevl: coefs[0] x^n + ... + coefs[n] by Horner's rule, in one buffer."""
+    acc = x * coefs[0]
+    for c in coefs[1:-1]:
+        acc += c
+        acc *= x
+    acc += coefs[-1]
+    return acc
+
+
+def _p1evl(x: np.ndarray, coefs, out: np.ndarray | None = None) -> np.ndarray:
+    """Cephes p1evl: _polevl with an implied leading coefficient 1, into out if given."""
+    acc = np.add(x, coefs[0], out=out)
+    for c in coefs[1:]:
+        acc *= x
+        acc += c
+    return acc
+
+
+def _erf(x: np.ndarray) -> np.ndarray:
+    """Cephes erf, elementwise, in its operation order.
+
+    |x| <= 1: x T(x^2) / U(x^2). |x| > 1: sign(x) (1 - exp(-x^2) P(|x|) / Q(|x|)).
+    Results equal Cephes' bit for bit, except that np.exp may differ from libm's
+    exp in the last bit, which moves some results for 1 < |x| < 6 by one ulp.
+    The first form runs on every element (most GELU inputs are small) and the
+    second overwrites the elements with |x| > 1. Fresh pages cost more than the
+    arithmetic here, so the clamped copy of x also holds U(x^2).
+    """
+    shape = np.shape(x)
+    x = np.clip(np.ravel(x), -_ERF_SATURATES, _ERF_SATURATES)
+    z = x * x
+    out = _polevl(z, _ERF_T)
+    out *= x
+    tail = np.flatnonzero(z > 1.0)  # z > 1 exactly when |x| > 1; NaN stays in the first form
+    s = x[tail]
+    out /= _p1evl(z, _ERF_U, out=x)
+    if tail.size:
+        a = np.abs(s)
+        erfc = np.exp(-(a * a))
+        erfc *= _polevl(a, _ERFC_P)
+        erfc /= _p1evl(a, _ERFC_Q)
+        out[tail] = np.copysign(1.0 - erfc, s)
+    return out.reshape(shape)
+
+
 def gelu(x: DiffTensor) -> DiffTensor:
     """Exact (erf-based) Gaussian error linear unit."""
-    from scipy.special import erf  # imported on first use: scipy.special is slow to load
-
-    cdf = 0.5 * (1.0 + erf(x.data * _INV_SQRT2))
+    cdf = _erf(x.data * _INV_SQRT2)
+    cdf += 1.0
+    cdf *= 0.5  # 0.5 * (1 + erf), in place
     out = x.data * cdf
 
     def backward_fn(g):

@@ -22,7 +22,7 @@ import numpy as np
 from . import diffcore as dc
 from .errors import ConfigError, ContractError, DimensionError
 from .evalmetrics import accuracy, roc_auc
-from .graphstore import LinkSplit, TextGraph, mean_adjacency, normalized_adjacency
+from .graphstore import LinkSplit, TextGraph, _unique, mean_adjacency, normalized_adjacency
 from .textcorpus import build_vocab, tokenize
 
 __all__ = [
@@ -346,8 +346,8 @@ def _add_mlp_scorer(model: GnnModel, hidden_dim: int,
 
 def _endpoints(pairs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """The distinct nodes of pairs, sorted, and the pairs as positions among them."""
-    rows, local = np.unique(pairs, return_inverse=True)
-    return rows, local.reshape(pairs.shape)
+    rows = _unique(pairs.ravel())
+    return rows, np.searchsorted(rows, pairs)
 
 
 def _link_scores(model: GnnModel, z: dc.DiffTensor, pairs: np.ndarray) -> np.ndarray:
@@ -381,8 +381,8 @@ def score_splits(model: GnnModel, embeddings, graph: TextGraph,
     else:
         wanted = {part: np.concatenate([split.positives(part), split.negatives(part)])
                   for part in parts}
-    rows = np.unique(np.concatenate([np.zeros(0, np.int64)]
-                                    + [ids.ravel() for ids in wanted.values()]))
+    rows = _unique(np.concatenate([np.zeros(0, np.int64)]
+                                  + [ids.ravel() for ids in wanted.values()]))
     scores = {}
     with dc.no_grad():
         z = model.forward(_feature_matrix(embeddings), train=False, rows=rows)

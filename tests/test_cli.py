@@ -5,6 +5,8 @@ bytes can be checked directly. A small dataset and a short pretraining run
 are shared across the module to keep the suite fast.
 """
 
+import inspect
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -35,8 +37,26 @@ GEN_ARGS = [
 ]
 
 
+FRESH_MAIN = ("import resource, sys; from nodegae.cli import main; rc = main(sys.argv[1:]); "
+              "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, "
+              "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')); sys.exit(rc)")
+
+
 def read(path) -> str:
     return path.read_text(encoding="utf-8")
+
+
+def fresh_main(args):
+    """cli.main(args) in a new interpreter.
+
+    Returns the exit code, the peak RSS in KiB, the sorted scipy modules it
+    loaded (as printed) and its standard error. Paths in args must be absolute.
+    """
+    src = str(Path(cli.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", FRESH_MAIN] + args, cwd=src, timeout=300,
+                          capture_output=True, text=True)
+    maxrss_kb, scipy_modules = done.stdout.strip().split("\n")[-1].split(" ", 1)
+    return done.returncode, int(maxrss_kb), scipy_modules, done.stderr
 
 
 def csv_rows(path):
@@ -120,14 +140,9 @@ def test_generate_at_8192_nodes_stays_small_and_numpy_only(tmp_path):
     args = ["generate", "--out", str(tmp_path / "big"), "--nodes", str(nodes),
             "--intra-prob", repr(base.intra_class_edge_prob * scale),
             "--inter-prob", repr(base.inter_class_edge_prob * scale), "--seed", "0"]
-    src = str(Path(cli.__file__).resolve().parents[1])
-    code = ("import resource, sys; from nodegae.cli import main; rc = main(sys.argv[1:]); "
-            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, "
-            "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')); sys.exit(rc)")
-    done = subprocess.run([sys.executable, "-c", code] + args, cwd=src, timeout=300,
-                          capture_output=True, text=True, check=True)
-    maxrss_kb, scipy_modules = done.stdout.strip().split("\n")[-1].split(" ", 1)
-    assert int(maxrss_kb) < 500 * 1024
+    rc, maxrss_kb, scipy_modules, _ = fresh_main(args)
+    assert rc == 0
+    assert maxrss_kb < 500 * 1024
     assert scipy_modules == "[]"
     assert load_textgraph(*dataset_paths(tmp_path / "big")).num_nodes == nodes
 
@@ -676,10 +691,48 @@ def test_ablate_reports_both_variants_and_delta(dataset, tmp_path):
 
 def test_cli_import_leaves_scipy_stats_out():
     # scipy.stats alone costs most of a second of every command's start-up;
-    # scipy.special and scipy.sparse load on first use (gelu, graph operators).
+    # scipy.sparse loads on first use (graph operators), and gelu's erf is
+    # numpy code, so no command loads scipy.special.
     src = str(Path(cli.__file__).resolve().parents[1])
     code = ("import sys, nodegae.cli; print(sorted(m for m in sys.modules if m in "
             "('scipy.stats', 'scipy.special', 'scipy.sparse')))")
     done = subprocess.run([sys.executable, "-c", code], cwd=src, timeout=120,
                           capture_output=True, text=True, check=True)
     assert done.stdout.strip() == "[]"
+
+
+def test_pretrain_and_embed_load_no_scipy_module(dataset, tmp_path):
+    # Stage 1 runs on numpy alone: gelu's erf is a numpy port of Cephes erf.
+    out = tmp_path / "run"
+    rc, _, scipy_modules, err = fresh_main(
+        ["pretrain", "--dataset", str(dataset), "--out-dir", str(out), "--steps", "4",
+         "--recon-every", "4", "--recon-samples", "2", "--seed", "3"] + TINY_MODEL)
+    assert rc == 0, err
+    assert scipy_modules == "[]"
+    rc, _, scipy_modules, err = fresh_main(
+        ["embed", "--dataset", str(dataset), "--checkpoint", str(out / "model.npz"),
+         "--out", str(tmp_path / "emb.txt")])
+    assert rc == 0, err
+    assert scipy_modules == "[]"
+
+
+def test_pretrain_blow_up_exits_two_and_gelu_prints_no_warning(tmp_path):
+    # At --lr 1e6 (--clip-norm 0 --warmup 0) the 64-node run stays finite, with
+    # a total loss near 4e14 after 500 steps, and exits 0. At 1e60 the second
+    # step feeds gelu inputs near 1e60 and then reaches a non-finite gradient
+    # norm. The layernorm, matmul and softmax overflow warnings it prints must
+    # not be joined by any from gelu: its erf clamps |x| to 6 before x^2 and
+    # the polynomials could overflow.
+    data, out = tmp_path / "data", tmp_path / "run"
+    assert main(["generate", "--out", str(data), "--nodes", "64", "--seed", "0"]) == 0
+    rc, _, _, err = fresh_main(["pretrain", "--dataset", str(data), "--out-dir", str(out),
+                                "--lr", "1e60", "--clip-norm", "0", "--warmup", "0",
+                                "--steps", "5"])
+    assert rc == 2
+    assert "diverged at step" in err
+    assert not out.exists()
+    warned = [int(line) for line in re.findall(r"diffcore\.py:(\d+): RuntimeWarning", err)]
+    assert warned, err
+    for fn in (dc.gelu, dc._erf, dc._polevl, dc._p1evl):
+        lines, first = inspect.getsourcelines(fn)
+        assert not set(warned) & set(range(first, first + len(lines))), fn.__name__

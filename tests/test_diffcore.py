@@ -1,10 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import erf as cephes_erf
 
 from nodegae import diffcore as dc
 from nodegae.errors import ContractError, DimensionError, NodeGaeError
@@ -190,6 +192,58 @@ def test_embedding_lookup_backward_is_bit_identical_to_add_at(seed, rows, width,
     np.add.at(want, ids, g)
     assert got.shape == want.shape
     assert got.tobytes() == want.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# erf: the numpy port of Cephes erf behind gelu, against SciPy's Cephes erf
+# ---------------------------------------------------------------------------
+
+def erf_draws() -> np.ndarray:
+    """A dense grid on [-8, 8], random draws at scales 0.5-10, and the |x| >= 8 range."""
+    rng = np.random.default_rng(0)
+    return np.concatenate([np.linspace(-8.0, 8.0, 160_001), np.linspace(8.0, 40.0, 3_201)]
+                          + [rng.normal(0.0, scale, 40_000) for scale in (0.5, 1.0, 2.0, 4.0, 10.0)])
+
+
+def test_erf_equals_cephes_bit_for_bit_up_to_one_and_from_six():
+    x = erf_draws()
+    outside = (np.abs(x) <= 1.0) | (np.abs(x) >= 6.0)
+    assert outside.sum() > 100_000
+    np.testing.assert_array_equal(dc._erf(x[outside]), cephes_erf(x[outside]))
+
+
+def test_erf_is_at_most_one_ulp_from_cephes_between_one_and_six():
+    # np.exp and libm's exp may round e^(-x^2) differently in the last bit.
+    x = erf_draws()
+    x = x[(np.abs(x) > 1.0) & (np.abs(x) < 6.0)]
+    got, want = dc._erf(x), cephes_erf(x)
+    np.testing.assert_array_equal(np.sign(got), np.sign(x))
+    assert np.abs(got.view(np.int64) - want.view(np.int64)).max() <= 1
+
+
+def test_cephes_erf_is_exactly_one_from_the_clamp_on():
+    # Clamping |x| to 6 changes no result only because Cephes erf saturates there.
+    x = np.concatenate([np.linspace(6.0, 40.0, 34_001), [1e10, 1e300, np.inf]])
+    np.testing.assert_array_equal(cephes_erf(x), 1.0)
+    np.testing.assert_array_equal(cephes_erf(-x), -1.0)
+    assert cephes_erf(np.nextafter(6.0, 0.0)) == 1.0
+
+
+def test_erf_special_values_raise_no_floating_point_error():
+    x = np.array([0.0, -0.0, np.inf, -np.inf, 1e300, -1e300, np.nan])
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        got = dc._erf(x)
+    np.testing.assert_array_equal(got, [0.0, -0.0, 1.0, -1.0, 1.0, -1.0, np.nan])
+    np.testing.assert_array_equal(np.signbit(got[:2]), [False, True])
+
+
+@pytest.mark.parametrize("shape", [(), (0,), (3, 0, 2), (2, 3, 4)])
+def test_erf_keeps_the_input_shape(shape):
+    x = np.random.default_rng(1).normal(0.0, 2.0, shape)
+    got = dc._erf(x)
+    assert got.shape == shape
+    np.testing.assert_allclose(got, cephes_erf(x), rtol=2e-16, atol=0)
 
 
 # ---------------------------------------------------------------------------

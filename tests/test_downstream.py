@@ -660,6 +660,19 @@ def test_forward_rows_gradients_match_full_forward_lookup(backbone):
         np.testing.assert_allclose(grads[0][name], want, rtol=1e-12, atol=1e-14)
 
 
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("num_pairs, num_nodes", [(0, 4), (1, 3), (7, 5), (128, 40), (128, 1024)])
+def test_endpoints_equal_np_unique_with_inverse(seed, num_pairs, num_nodes):
+    # Drawing from few nodes repeats ids within and across pairs.
+    pairs = np.random.default_rng(seed).integers(num_nodes, size=(num_pairs, 2))
+    rows, local = ds._endpoints(pairs)
+    want_rows, want_local = np.unique(pairs, return_inverse=True)
+    np.testing.assert_array_equal(rows, want_rows)
+    np.testing.assert_array_equal(local, want_local.reshape(pairs.shape))
+    assert rows.dtype == want_rows.dtype and local.dtype == want_local.dtype
+    np.testing.assert_array_equal(rows[local], pairs)
+
+
 def test_link_fit_mlp_head_matmuls_see_only_batch_endpoints(recorded_ops, monkeypatch):
     graph = community_graph(seed=5)
     split = gs.build_link_split(graph, seed=5)
