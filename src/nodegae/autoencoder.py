@@ -177,8 +177,7 @@ class AutoencoderModel:
 # ---------------------------------------------------------------------------
 
 def _layer_norm(x, params, prefix):
-    normed = dc.layernorm_lastdim(x)
-    return dc.add(dc.mul(normed, params[prefix + ".g"]), params[prefix + ".b"])
+    return dc.layer_norm(x, params[prefix + ".g"], params[prefix + ".b"])
 
 
 def _attention(q_src, kv_src, params, prefix, heads, bias=None):
@@ -193,8 +192,8 @@ def _attention(q_src, kv_src, params, prefix, heads, bias=None):
 
 
 def _feed_forward(x, params, prefix):
-    h = dc.gelu(dc.add(dc.matmul(x, params[prefix + ".w1"]), params[prefix + ".b1"]))
-    return dc.add(dc.matmul(h, params[prefix + ".w2"]), params[prefix + ".b2"])
+    h = dc.gelu(dc.linear(x, params[prefix + ".w1"], params[prefix + ".b1"]))
+    return dc.linear(h, params[prefix + ".w2"], params[prefix + ".b2"])
 
 
 def _as_id_matrix(ids) -> np.ndarray:

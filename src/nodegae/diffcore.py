@@ -13,13 +13,16 @@ every leaf gradient exactly. Intermediate tensors keep ``grad`` None. Inside
 from __future__ import annotations
 
 import json
+import os
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
+from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .errors import ContractError, DimensionError, NodeGaeError
+from .textcorpus import replace_files
 
 LAYERNORM_EPS = 1e-12
 
@@ -184,6 +187,27 @@ def matmul(a: DiffTensor, b: DiffTensor) -> DiffTensor:
     return _record(out, "matmul", (a, b), backward_fn)
 
 
+def linear(x: DiffTensor, w: DiffTensor, b: DiffTensor) -> DiffTensor:
+    """``x @ w + b`` for a 2-D weight ``w`` and a 1-D bias ``b``, as one recorded op.
+
+    The leading axes of ``x`` fold into one GEMM, as in ``matmul``. Values and
+    gradients equal those of ``add(matmul(x, w), b)`` bit for bit.
+    """
+    if x.ndim < 2 or w.ndim != 2 or b.shape != (w.shape[1],) or x.shape[-1] != w.shape[0]:
+        raise DimensionError(f"linear: shapes x {x.shape}, w {w.shape}, b {b.shape} do not align")
+    x2 = x.data.reshape(-1, x.shape[-1])
+    out = (x2 @ w.data).reshape(x.shape[:-1] + (w.shape[1],))
+    out += b.data
+
+    def backward_fn(g):
+        g2 = g.reshape(-1, g.shape[-1])
+        return ((g2 @ w.data.T).reshape(x.shape) if x.requires_grad else None,
+                x2.T @ g2 if w.requires_grad else None,
+                _unbroadcast(g, b.shape) if b.requires_grad else None)
+
+    return _record(out, "linear", (x, w, b), backward_fn)
+
+
 def spmm(a, x: DiffTensor) -> DiffTensor:
     """Constant scipy sparse matrix ``a`` times a 2-D tensor; only ``x`` gets gradients."""
     if x.ndim != 2 or a.shape[1] != x.shape[0]:
@@ -289,15 +313,20 @@ def _softmax(x: np.ndarray) -> np.ndarray:
 
 
 def _softmax_backward(p: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Adjoint of the softmax input, given the output ``p`` and its adjoint ``g``."""
-    return p * (g - (g * p).sum(axis=-1, keepdims=True))
+    """Adjoint of the softmax input, given the output ``p`` and its adjoint ``g``.
+
+    The result is written over ``g``, so callers pass a buffer they own.
+    """
+    g -= (g * p).sum(axis=-1, keepdims=True)
+    g *= p
+    return g
 
 
 def softmax_lastdim(x: DiffTensor) -> DiffTensor:
     out = _softmax(x.data)
 
     def backward_fn(g):
-        return (_softmax_backward(out, g),)
+        return (_softmax_backward(out, g.copy()),)
 
     return _record(out, "softmax_lastdim", (x,), backward_fn)
 
@@ -337,36 +366,80 @@ def attention(q: DiffTensor, k: DiffTensor, v: DiffTensor, heads: int,
     def merge(x):  # (B, heads, T, dh) -> (B, T, d)
         return np.ascontiguousarray(x.transpose(0, 2, 1, 3)).reshape(b, -1, d)
 
-    qh, kh, vh = split(q.data), split(k.data), split(v.data)
-    scores = np.matmul(qh, kh.swapaxes(-1, -2)) * scale
+    scores = np.matmul(split(q.data), split(k.data).swapaxes(-1, -2))
+    scores *= scale
     if bias is not None:
-        scores = scores + bias
+        scores += bias
     p = _softmax(scores)
-    out = merge(np.matmul(p, vh))
+    out = merge(np.matmul(p, split(v.data)))
 
+    # The closure keeps only p; the head-split copies of q, k and v are cut
+    # again from the inputs' data, which the tape holds anyway.
     def backward_fn(g):
         gh = split(g)
-        gs = _softmax_backward(p, np.matmul(gh, vh.swapaxes(-1, -2))) * scale
-        return (merge(np.matmul(gs, kh)) if q.requires_grad else None,
-                merge(np.matmul(gs.swapaxes(-1, -2), qh)) if k.requires_grad else None,
+        gs = _softmax_backward(p, np.matmul(gh, split(v.data).swapaxes(-1, -2)))
+        gs *= scale
+        return (merge(np.matmul(gs, split(k.data))) if q.requires_grad else None,
+                merge(np.matmul(gs.swapaxes(-1, -2), split(q.data)))
+                if k.requires_grad else None,
                 merge(np.matmul(p.swapaxes(-1, -2), gh)) if v.requires_grad else None)
 
     return _record(out, "attention", (q, k, v), backward_fn)
 
 
+def _normalize(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of ``x`` at mean 0 and variance 1 over the last axis, and their inverse std."""
+    centered = x - x.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt((centered ** 2).mean(axis=-1, keepdims=True) + LAYERNORM_EPS)
+    centered *= inv
+    return centered, inv
+
+
+def _normalize_backward(normed: np.ndarray, inv: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Adjoint of _normalize's input, given its outputs and the adjoint ``g`` of ``normed``.
+
+    The result is written over ``g``, so callers pass a buffer they own.
+    """
+    prod = g * normed
+    gym = prod.mean(axis=-1, keepdims=True)
+    g -= g.mean(axis=-1, keepdims=True)
+    g -= np.multiply(normed, gym, out=prod)
+    g *= inv
+    return g
+
+
 def layernorm_lastdim(x: DiffTensor) -> DiffTensor:
     """Normalize the last dimension to mean 0 and variance 1 (no affine)."""
-    mu = x.data.mean(axis=-1, keepdims=True)
-    var = ((x.data - mu) ** 2).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + LAYERNORM_EPS)
-    out = (x.data - mu) * inv
+    out, inv = _normalize(x.data)
 
     def backward_fn(g):
-        gm = g.mean(axis=-1, keepdims=True)
-        gym = (g * out).mean(axis=-1, keepdims=True)
-        return (inv * (g - gm - out * gym),)
+        return (_normalize_backward(out, inv, g.copy()),)
 
     return _record(out, "layernorm_lastdim", (x,), backward_fn)
+
+
+def layer_norm(x: DiffTensor, gain: DiffTensor, bias: DiffTensor) -> DiffTensor:
+    """``layernorm_lastdim(x) * gain + bias`` as one recorded op, bit for bit.
+
+    ``gain`` and ``bias`` broadcast against ``x``'s shape, which the output keeps.
+    """
+    try:
+        fits = np.broadcast_shapes(x.shape, gain.shape, bias.shape) == x.shape
+    except ValueError:
+        fits = False
+    if not fits:
+        raise DimensionError(
+            f"layer_norm: gain {gain.shape} and bias {bias.shape} do not broadcast to {x.shape}")
+    normed, inv = _normalize(x.data)
+    out = normed * gain.data
+    out += bias.data
+
+    def backward_fn(g):
+        return (_normalize_backward(normed, inv, g * gain.data) if x.requires_grad else None,
+                _unbroadcast(g * normed, gain.shape) if gain.requires_grad else None,
+                _unbroadcast(g, bias.shape) if bias.requires_grad else None)
+
+    return _record(out, "layer_norm", (x, gain, bias), backward_fn)
 
 
 def embedding_lookup(table: DiffTensor, ids) -> DiffTensor:
@@ -690,7 +763,12 @@ CHECKPOINT_FORMAT_VERSION = 1
 
 def save_checkpoint(path, tensors: Mapping[str, "np.ndarray | DiffTensor"],
                     meta: dict | None = None) -> None:
-    """Write named float arrays plus a JSON metadata block; round-trips bitwise."""
+    """Write named float arrays plus a JSON metadata block; round-trips bitwise.
+
+    As with ``np.savez``, ".npz" is appended to a path that does not end in
+    it. The file is written beside its path and renamed over it, so a failed
+    save leaves the previous checkpoint as it was.
+    """
     payload = {}
     for name, value in tensors.items():
         arr = value.data if isinstance(value, DiffTensor) else np.asarray(value)
@@ -698,7 +776,10 @@ def save_checkpoint(path, tensors: Mapping[str, "np.ndarray | DiffTensor"],
     header = dict(meta or {})
     header["format_version"] = CHECKPOINT_FORMAT_VERSION
     payload["__meta__"] = np.array(json.dumps(header, sort_keys=True))
-    np.savez(path, **payload)
+    path = os.fspath(path)
+    if not path.endswith(".npz"):
+        path += ".npz"
+    replace_files([(Path(path), lambda fh: np.savez(fh, **payload))])
 
 
 def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:

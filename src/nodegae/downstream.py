@@ -23,7 +23,7 @@ from . import diffcore as dc
 from .errors import ConfigError, ContractError, DimensionError
 from .evalmetrics import accuracy, roc_auc
 from .graphstore import LinkSplit, TextGraph, _unique, mean_adjacency, normalized_adjacency
-from .textcorpus import build_vocab, tokenize
+from .textcorpus import build_vocab, replace_files, tokenize
 
 __all__ = [
     "EmbeddingMatrix",
@@ -71,11 +71,15 @@ class EmbeddingMatrix:
 
 
 def save_embeddings(embeddings: EmbeddingMatrix, path) -> None:
-    """Text format: a "rows dim provenance" header, then one row per line."""
+    """Text format: a "rows dim provenance" header, then one row per line.
+
+    The file is written beside its path and renamed over it, so a failed save
+    leaves the previous file as it was.
+    """
     lines = [f"{embeddings.num_rows} {embeddings.dim} {embeddings.provenance}"]
     for row in embeddings.matrix:
         lines.append(" ".join(repr(float(x)) for x in row))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    replace_files([(Path(path), "\n".join(lines) + "\n")])
 
 
 def load_embeddings(path) -> EmbeddingMatrix:
@@ -225,7 +229,7 @@ class GnnModel:
             sliced = i == last and rows is not None and not row_local
             op = self.operator[rows] if sliced else self.operator
             if self.backbone == "mlp":
-                x = dc.add(dc.matmul(x, p[f"l{i}.w"]), p[f"l{i}.b"])
+                x = dc.linear(x, p[f"l{i}.w"], p[f"l{i}.b"])
             elif self.backbone == "gcn":
                 x = dc.matmul(dc.spmm(op, x), p[f"l{i}.w"])
             else:
@@ -304,8 +308,8 @@ def _scorer_mlp_logits(model: GnnModel, u: dc.DiffTensor, v: dc.DiffTensor
 
     def head(a, b):
         cat = dc.concat([a, b], axis=1)
-        h = dc.relu(dc.add(dc.matmul(cat, p["scorer.w1"]), p["scorer.b1"]))
-        return dc.add(dc.matmul(h, p["scorer.w2"]), p["scorer.b2"])
+        h = dc.relu(dc.linear(cat, p["scorer.w1"], p["scorer.b1"]))
+        return dc.linear(h, p["scorer.w2"], p["scorer.b2"])
 
     return dc.mul(dc.add(head(u, v), head(v, u)), dc.constant(0.5))
 

@@ -12,7 +12,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import BinaryIO, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -261,18 +261,24 @@ def _unescape_text(text: str) -> str:
     return _ESCAPED.sub(lambda m: _UNESCAPES[m.group(1)], text)
 
 
-def _replace_files(contents: Sequence[Tuple[Path, str]]) -> None:
-    """Write each text to a temp file beside its path, then rename all over their paths.
+def replace_files(contents: Sequence[Tuple[Path, Union[str, Callable[[BinaryIO], object]]]]
+                  ) -> None:
+    """Write each content to a temp file beside its path, then rename all over their paths.
 
-    No path changes until every text is written, so a failed write leaves the
-    old files as they were; its temp files are removed.
+    A content is a text, written as UTF-8, or a function that writes the
+    file's bytes to the open binary file it is given. No path changes until
+    every content is written, so a failed write leaves the old files as they
+    were; its temp files are removed.
     """
     temps: List[Path] = []
     try:
-        for i, (path, text) in enumerate(contents):
+        for i, (path, content) in enumerate(contents):
             temps.append(path.with_name(f".{path.name}.{os.getpid()}.{i}.tmp"))
-            with open(temps[-1], "w", encoding="utf-8") as fh:
-                fh.write(text)
+            with open(temps[-1], "wb") as fh:
+                if isinstance(content, str):
+                    fh.write(content.encode("utf-8"))
+                else:
+                    content(fh)
         for (path, _), temp in zip(contents, temps):
             os.replace(temp, path)
     except BaseException:
@@ -297,7 +303,7 @@ def save_textgraph(graph: TextGraph, nodes_path, edges_path, splits_path) -> Non
         ids = graph.splits.get(name, np.zeros(0, dtype=np.int64))
         joined = ",".join(str(int(i)) for i in ids)
         split_lines.append(f"{name}: {joined}" if joined else f"{name}:")
-    _replace_files([
+    replace_files([
         (Path(nodes_path), "\n".join(nodes_lines) + "\n"),
         (Path(edges_path), "\n".join(edge_lines) + ("\n" if edge_lines else "")),
         (Path(splits_path), "\n".join(split_lines) + "\n"),

@@ -1,6 +1,8 @@
+import errno
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import settings
 
@@ -27,3 +29,74 @@ def recorded_ops(monkeypatch):
 
     monkeypatch.setattr(dc, "_record", spy)
     return seen
+
+
+def saved_arrays(node):
+    """The arrays node's backward closure holds beyond its output and its inputs.
+
+    Walks the closure's cells, and those of the helper functions it calls,
+    and drops every array that shares memory with the output's or a parent's
+    data (so views of them are dropped too). What is left is what the tape
+    keeps alive only for this op's backward.
+    """
+    from nodegae import diffcore as dc
+
+    own = [node.data] + [p.data for p in node._parents]
+    found, seen = [], set()
+
+    def visit(obj):
+        if id(obj) in seen:
+            return
+        seen.add(id(obj))
+        if isinstance(obj, dc.DiffTensor):
+            visit(obj.data)
+        elif isinstance(obj, np.ndarray):
+            if not any(np.shares_memory(obj, a) for a in own):
+                found.append(obj)
+        elif callable(obj):
+            for cell in getattr(obj, "__closure__", None) or ():
+                visit(cell.cell_contents)
+
+    visit(node._backward_fn)
+    return found
+
+
+class _FullDisk:
+    """A binary file that stores its first ``budget`` bytes, then raises ENOSPC."""
+
+    def __init__(self, fh, budget):
+        self.fh, self.budget = fh, budget
+
+    def write(self, data):
+        data = memoryview(data).cast("B")
+        self.fh.write(data[:self.budget])
+        self.fh.flush()
+        self.budget -= min(self.budget, len(data))
+        if not self.budget:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return len(data)
+
+    def __getattr__(self, name):
+        return getattr(self.fh, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+
+@pytest.fixture
+def disk_full(monkeypatch):
+    """fill(marker, budget): the next writes of textcorpus.replace_files to a temp
+    file whose name holds marker store budget bytes, then raise as on a full disk."""
+    from nodegae import textcorpus as tc
+
+    def fill(marker, budget):
+        def faulty_open(path, *args, **kwargs):
+            fh = open(path, *args, **kwargs)
+            return _FullDisk(fh, budget) if marker in str(path) else fh
+
+        monkeypatch.setattr(tc, "open", faulty_open, raising=False)
+
+    return fill

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import erf
 
+from conftest import saved_arrays
 from fdcheck import assert_grads_close, finite_diff_grads
 
 from nodegae import autoencoder as ae
@@ -701,12 +702,25 @@ def test_combined_loss_passes_finite_difference_check():
 
 def test_pretrain_loss_records_one_attention_op_per_block():
     # 2 encoder self-attentions + 2 decoder layers x (self, cross) = 6.
+    # Layer norms: 2 x 2 in the encoder, 2 x 3 in the decoder, and one after
+    # each stack = 12. Linear: the two biased feed-forward GEMMs of each of
+    # the 4 layers = 8.
     graph = toy_graph()
     model = model_for(graph, enc_layers=2, dec_layers=2)
     cfg = ae.InfoNCEConfig()
     batch = [0, 1, 2, 3]
     positives = ae.draw_positives(graph, batch, np.random.default_rng(0), cfg)
     loss = dc.add(*ae.pretrain_loss(model, graph, batch, positives, cfg))
-    ops = [node._op for node in dc._topo_order(loss)]
+    nodes = dc._topo_order(loss)
+    ops = [node._op for node in nodes]
     assert ops.count("attention") == 6
+    assert ops.count("layer_norm") == 12
+    assert ops.count("linear") == 8
     assert "softmax_lastdim" not in ops
+    assert "layernorm_lastdim" not in ops
+    # Attention keeps its probabilities, (B, heads, Tq, Tk), and no copy of q, k or v.
+    for node in nodes:
+        if node._op == "attention":
+            q, k, _ = node._parents
+            (p,) = saved_arrays(node)
+            assert p.shape == (q.shape[0], model.config.heads, q.shape[1], k.shape[1])

@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 
@@ -11,6 +12,7 @@ from scipy.special import erf as cephes_erf
 from nodegae import diffcore as dc
 from nodegae.errors import ContractError, DimensionError, NodeGaeError
 
+from conftest import saved_arrays
 from fdcheck import assert_grads_close, finite_diff_grads, nudge_from_kinks
 from reference_tape import reference_leaf_grads
 
@@ -172,6 +174,81 @@ def test_attention_checks_shapes():
         dc.attention(dc.constant(np.zeros((3, 4))), x, x, 2)
 
 
+# ---------------------------------------------------------------------------
+# What each op's backward keeps, and the fused ops against the chains they replace
+# ---------------------------------------------------------------------------
+
+def test_attention_keeps_only_its_probabilities():
+    rng = np.random.default_rng(12)
+    q, k, v = (dc.parameter(rng.standard_normal(s)) for s in ((2, 3, 4), (2, 5, 4), (2, 5, 4)))
+    out = dc.attention(q, k, v, 2)
+    (p,) = saved_arrays(out)
+    assert p.shape == (2, 2, 3, 5)
+    np.testing.assert_allclose(p.sum(axis=-1), 1.0, rtol=0, atol=1e-15)
+
+
+def test_layer_norm_keeps_its_normalised_rows_and_inverse_std():
+    rng = np.random.default_rng(13)
+    x = dc.parameter(rng.standard_normal((2, 3, 4)) * 3 + 2)
+    out = dc.layer_norm(x, dc.parameter(rng.standard_normal(4)), dc.parameter(rng.standard_normal(4)))
+    normed, inv = sorted(saved_arrays(out), key=lambda a: -a.size)
+    assert normed.tobytes() == dc.layernorm_lastdim(x).data.tobytes()
+    assert inv.shape == (2, 3, 1)
+    np.testing.assert_allclose(inv, 1.0 / x.data.std(axis=-1, keepdims=True), rtol=1e-12)
+
+
+def test_linear_keeps_nothing_beyond_its_operands():
+    rng = np.random.default_rng(14)
+    x, w, b = (dc.parameter(rng.standard_normal(s)) for s in ((2, 3, 4), (4, 5), (5,)))
+    assert saved_arrays(dc.linear(x, w, b)) == []
+
+
+def _leaf_grads(build, arrays, trainable, weights):
+    """Output bytes and each trainable leaf's gradient bytes of sum(build(*leaves) * weights)."""
+    leaves = [dc.parameter(a.copy()) if t else dc.constant(a) for a, t in zip(arrays, trainable)]
+    out = build(*leaves)
+    if any(trainable):
+        dc.backward(dc.sum_axis(dc.reshape(dc.mul(out, dc.constant(weights)), (-1,)), 0))
+    return [out.data.tobytes()] + [None if leaf.grad is None else leaf.grad.tobytes()
+                                   for leaf in leaves]
+
+
+FUSED_OPS = {  # name: (fused op, the chain it replaces, input draws for leading axes)
+    "linear": (dc.linear, lambda x, w, b: dc.add(dc.matmul(x, w), b),
+               lambda lead, rng: [rng.standard_normal(lead + (4,)), rng.standard_normal((4, 5)),
+                                  rng.standard_normal(5)]),
+    "layer_norm": (dc.layer_norm, lambda x, g, b: dc.add(dc.mul(dc.layernorm_lastdim(x), g), b),
+                   lambda lead, rng: [rng.standard_normal(lead + (6,)) * 3 + 1,
+                                      rng.standard_normal(6), rng.standard_normal(6)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FUSED_OPS))
+@pytest.mark.parametrize("lead", [(5,), (2, 3)])
+@pytest.mark.parametrize("trainable", list(itertools.product((True, False), repeat=3)))
+def test_fused_op_equals_its_chain_bit_for_bit(name, lead, trainable):
+    fused, chain, draw = FUSED_OPS[name]
+    rng = np.random.default_rng(15)
+    arrays = draw(lead, rng)
+    weights = rng.standard_normal(fused(*(dc.constant(a) for a in arrays)).shape)
+    assert (_leaf_grads(fused, arrays, trainable, weights)
+            == _leaf_grads(chain, arrays, trainable, weights))
+
+
+def test_fused_ops_check_shapes():
+    x, w = dc.constant(np.zeros((2, 3, 4))), dc.constant(np.zeros((4, 5)))
+    with pytest.raises(DimensionError):
+        dc.linear(x, w, dc.constant(np.zeros(4)))  # bias width is not w's
+    with pytest.raises(DimensionError):
+        dc.linear(x, dc.constant(np.zeros((3, 5))), dc.constant(np.zeros(5)))
+    with pytest.raises(DimensionError):
+        dc.linear(dc.constant(np.zeros(4)), w, dc.constant(np.zeros(5)))
+    with pytest.raises(DimensionError):
+        dc.layer_norm(x, dc.constant(np.ones(3)), dc.constant(np.zeros(4)))
+    with pytest.raises(DimensionError):
+        dc.layer_norm(x, dc.constant(np.ones(4)), dc.constant(np.zeros((5, 2, 3, 4))))
+
+
 @given(seed=st.integers(0, 2 ** 32 - 1), rows=st.integers(1, 6), width=st.integers(0, 4),
        shape=st.sampled_from([(0,), (1,), (5,), (12,), (3, 4), (2, 3, 2)]),
        increasing=st.booleans())
@@ -312,7 +389,7 @@ def test_leaf_grad_is_not_shared_with_a_sibling():
 # Random expression DAGs: shared operands, views and broadcasts
 # ---------------------------------------------------------------------------
 
-DAG_LEAVES = {"A": (2, 3), "B": (2, 3), "r": (3,), "c": (2, 1), "M": (2, 2)}
+DAG_LEAVES = {"A": (2, 3), "B": (2, 3), "r": (3,), "c": (2, 1), "M": (2, 2), "W": (3, 3)}
 
 
 def _dag_step(kind, x, y, leaves):
@@ -334,10 +411,15 @@ def _dag_step(kind, x, y, leaves):
         return dc.add(dc.transpose(t, (1, 0)), y)
     if kind == "sum":
         return dc.add(x, dc.reshape(dc.sum_axis(y, 0), (1, 3)))
+    if kind == "linear":
+        return dc.linear(x, leaves["W"], leaves["r"])
+    if kind == "layer_norm":
+        return dc.layer_norm(x, leaves["r"], y)
     return dc.gelu(x)
 
 
-DAG_KINDS = ("add", "add_self", "mul", "mul_reshape", "row", "col", "transpose", "sum", "gelu")
+DAG_KINDS = ("add", "add_self", "mul", "mul_reshape", "row", "col", "transpose", "sum", "gelu",
+             "linear", "layer_norm")
 
 
 def _build_dag(leaves, program, tail):
@@ -474,6 +556,17 @@ def make_op_cases(rng):
          lambda q, k, v: dc.attention(q, k, v, 1, CAUSAL_BIAS)),
         ("attention_cross", [sn((2, 3, 4)), sn((2, 5, 4)), sn((2, 5, 4))],
          lambda q, k, v: dc.attention(q, k, v, 2)),
+    ]
+    # Drawn after every case above, so their random streams do not move.
+    cases += [
+        ("linear", [sn((3, 4)), sn((4, 5)), sn(5)], lambda x, w, b: dc.linear(x, w, b)),
+        ("linear_3d_const_weight", [sn((2, 3, 4)), sn(5)], lambda x, b: dc.linear(x, w45, b)),
+        ("layer_norm", [sn((3, 6)) * 2 + 1, sn(6), sn(6)],
+         lambda x, g, b: dc.layer_norm(x, g, b)),
+        ("layer_norm_3d_const_affine", [sn((2, 3, 4)) * 2 + 1],
+         lambda x: dc.layer_norm(x, c4, c34)),
+        ("layer_norm_const_input", [sn(4), sn((3, 4))],
+         lambda g, b: dc.layer_norm(c34, g, b)),
     ]
     return cases
 
@@ -627,3 +720,24 @@ def test_checkpoint_roundtrip_is_bitwise(tmp_path):
     assert got_meta["step_count"] == 42
     assert got_meta["d_enc"] == 8
     assert got_meta["format_version"] == dc.CHECKPOINT_FORMAT_VERSION
+
+
+@pytest.mark.parametrize("name, written", [("model.npz", "model.npz"), ("model", "model.npz"),
+                                           ("model.ckpt", "model.ckpt.npz")])
+def test_checkpoint_keeps_the_np_savez_suffix_rule(tmp_path, name, written):
+    dc.save_checkpoint(str(tmp_path / name), {"w": np.ones(3)})
+    assert [p.name for p in tmp_path.iterdir()] == [written]
+    assert dc.load_checkpoint(tmp_path / written)[0]["w"].tolist() == [1.0, 1.0, 1.0]
+
+
+def test_failed_checkpoint_save_leaves_the_old_file_and_no_temp_files(tmp_path, disk_full):
+    rng = np.random.default_rng(5)
+    path = tmp_path / "model.npz"
+    dc.save_checkpoint(path, {"w": rng.standard_normal((40, 30))}, {"step_count": 1})
+    before = path.read_bytes()
+    disk_full(".model.npz.", len(before) // 2)
+    with pytest.raises(OSError, match="No space left"):
+        dc.save_checkpoint(path, {"w": rng.standard_normal((40, 30))}, {"step_count": 2})
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["model.npz"]
+    assert dc.load_checkpoint(path)[1]["step_count"] == 1

@@ -65,6 +65,20 @@ def test_embeddings_save_load_round_trip(tmp_path):
     assert np.array_equal(back.matrix, emb.matrix)
 
 
+def test_failed_embedding_save_leaves_the_old_file_and_no_temp_files(tmp_path, disk_full):
+    rng = np.random.default_rng(1)
+    old = ds.EmbeddingMatrix(rng.standard_normal((20, 4)), provenance="random")
+    path = tmp_path / "emb.txt"
+    ds.save_embeddings(old, path)
+    before = path.read_bytes()
+    disk_full(".emb.txt.", len(before) // 2)
+    with pytest.raises(OSError, match="No space left"):
+        ds.save_embeddings(ds.EmbeddingMatrix(rng.standard_normal((20, 4)), "random"), path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["emb.txt"]
+    np.testing.assert_array_equal(ds.load_embeddings(path).matrix, old.matrix)
+
+
 def test_load_embeddings_rejects_row_mismatch(tmp_path):
     path = tmp_path / "emb.txt"
     path.write_text("3 2 random\n1.0 2.0\n3.0 4.0\n", encoding="utf-8")
@@ -690,10 +704,9 @@ def test_link_fit_mlp_head_matmuls_see_only_batch_endpoints(recorded_ops, monkey
     assert len(steps) > 2
     start = 0
     for end, endpoints in steps:
-        # Each step's 2-D training matmuls are the head's layers; the dot
-        # scorer's pair products are 3-D and eval forwards record no op.
-        heights = [t.shape[0] for t in recorded_ops[start:end]
-                   if t._op == "matmul" and t.ndim == 2]
+        # Each step's training linear ops are the head's layers; the dot
+        # scorer's pair products are matmuls and eval forwards record no op.
+        heights = [t.shape[0] for t in recorded_ops[start:end] if t._op == "linear"]
         assert heights == [endpoints] * cfg.num_layers
         assert endpoints < graph.num_nodes
         start = end

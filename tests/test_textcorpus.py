@@ -410,38 +410,17 @@ def test_load_hundred_nodes_matches_line_counts(tmp_path):
     assert back.num_edges == edge_lines
 
 
-def test_failed_save_leaves_the_old_dataset_and_no_temp_files(tmp_path, monkeypatch):
+def test_failed_save_leaves_the_old_dataset_and_no_temp_files(tmp_path, disk_full):
     old = tc.generate_synthetic(make_spec(num_nodes=30, seed=1))
     paths = (tmp_path / "nodes.tsv", tmp_path / "edges.tsv", tmp_path / "splits.txt")
     tc.save_textgraph(old, *paths)
     before = [p.read_bytes() for p in paths]
 
-    class DiskFull:
-        """A file whose write stores the first half of the text, then raises."""
-
-        def __init__(self, fh):
-            self.fh = fh
-
-        def write(self, text):
-            self.fh.write(text[: len(text) // 2])
-            self.fh.flush()
-            raise OSError("No space left on device")
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            self.fh.close()
-
-    def faulty_open(path, *args, **kwargs):
-        fh = open(path, *args, **kwargs)
-        return DiskFull(fh) if ".edges.tsv." in str(path) else fh
-
-    monkeypatch.setattr(tc, "open", faulty_open, raising=False)
+    # The new edges file is larger than the old one, so it fails midway.
+    disk_full(".edges.tsv.", len(before[1]) // 2)
     new = tc.generate_synthetic(make_spec(num_nodes=40, seed=2))
     with pytest.raises(OSError, match="No space left"):
         tc.save_textgraph(new, *paths)
-    monkeypatch.undo()
 
     assert [p.read_bytes() for p in paths] == before
     assert sorted(p.name for p in tmp_path.iterdir()) == ["edges.tsv", "nodes.tsv",
