@@ -8,10 +8,11 @@ artifacts behind. Exit codes: 0 success, 1 configuration or input error,
 """
 
 import argparse
+import hashlib
 import sys
 from dataclasses import asdict, fields, replace
 from pathlib import Path
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -67,6 +68,15 @@ def _fmt(x: float) -> str:
 def dataset_paths(root) -> Tuple[Path, Path, Path]:
     root = Path(root)
     return root / DATASET_FILES[0], root / DATASET_FILES[1], root / DATASET_FILES[2]
+
+
+def dataset_sha256(root) -> Dict[str, str]:
+    """The sha256 hex digest of each dataset file, keyed by file name.
+
+    It names the data whatever path reached it, so artifacts that store it
+    do not depend on the working directory.
+    """
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in dataset_paths(root)}
 
 
 def load_dataset(root) -> TextGraph:
@@ -319,7 +329,7 @@ def cmd_pretrain(args: Args) -> int:
                append=resuming)
 
     save_model(out_dir / "model.npz", model, adam,
-               extra_meta={"dataset": str(args.dataset),
+               extra_meta={"dataset_sha256": dataset_sha256(args.dataset),
                            "rng_state": rng.bit_generator.state,
                            "stage1_flags": {dest: getattr(args, dest) for dest in STORED_DESTS}})
     print(f"pretrained to step {step} (total loss {_fmt(lm + info)}); artifacts in {out_dir}")

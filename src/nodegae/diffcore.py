@@ -37,7 +37,7 @@ class DiffTensor:
     leaf tensors created by callers have neither.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward_fn", "_op")
+    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward_fn", "_op", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float64)
@@ -46,7 +46,7 @@ class DiffTensor:
         self.data = arr
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
-        self._parents: tuple[DiffTensor, ...] = ()
+        self._parents: tuple[DiffTensor | None, ...] = ()
         self._backward_fn: Callable[[np.ndarray], Sequence[np.ndarray | None]] | None = None
         self._op = ""
 
@@ -105,7 +105,9 @@ def _record(out_data: np.ndarray, op: str, parents: Sequence[DiffTensor],
     out = DiffTensor(out_data)
     if _recording and any(p.requires_grad for p in parents):
         out.requires_grad = True
-        out._parents = tuple(parents)
+        # An input that needs no gradient is held as None, so the tape does
+        # not keep it alive; backward_fn's results still line up by position.
+        out._parents = tuple(p if p.requires_grad else None for p in parents)
         out._backward_fn = backward_fn
         out._op = op
     return out
@@ -208,16 +210,79 @@ def linear(x: DiffTensor, w: DiffTensor, b: DiffTensor) -> DiffTensor:
     return _record(out, "linear", (x, w, b), backward_fn)
 
 
-def spmm(a, x: DiffTensor) -> DiffTensor:
-    """Constant scipy sparse matrix ``a`` times a 2-D tensor; only ``x`` gets gradients."""
+def graph_layer(a, x: DiffTensor, w: DiffTensor, w_self: DiffTensor | None = None,
+                rows=None, relu: bool = False) -> DiffTensor:
+    """One gcn or sage layer, ``relu?((a @ x) @ w [+ (x @ w_self)[rows]])``, as one recorded op.
+
+    ``a`` is a constant scipy sparse operator whose rows are the output rows.
+    With ``w_self`` (sage's self weight), ``rows`` picks the rows of the self
+    term, all of them when None. Values and gradients equal those of the chain
+    of ``matmul``, ``embedding_lookup``, ``add`` and ``relu`` ops around
+    ``a @ x`` bit for bit. The closure keeps ``a @ x``, the output for relu,
+    and ``x`` only for the gradient of a trainable ``w_self``.
+    """
     if x.ndim != 2 or a.shape[1] != x.shape[0]:
-        raise DimensionError(f"spmm: cannot multiply shapes {a.shape} and {x.shape}")
-    out = a @ x.data
+        raise DimensionError(f"graph_layer: cannot multiply shapes {a.shape} and {x.shape}")
+    weights = (w,) if w_self is None else (w, w_self)
+    if w.ndim != 2 or w.shape[0] != x.shape[1] or weights[-1].shape != w.shape:
+        raise DimensionError(
+            f"graph_layer: weights {[t.shape for t in weights]} do not fit input {x.shape}")
+    n = x.shape[0]
+    ids = None
+    if rows is not None:
+        if w_self is None:
+            raise ContractError("graph_layer: rows pick self-term rows, which need w_self")
+        ids = _row_ids("graph_layer", rows, n).reshape(-1)
+    if w_self is not None and a.shape[0] != (n if ids is None else ids.size):
+        raise DimensionError(f"graph_layer: operator rows {a.shape[0]} do not match the self term")
+    ax = a @ x.data
+    out = ax @ w.data
+    if w_self is not None:
+        # Indexing the self term's product rather than x keeps x's gradient
+        # a GEMM instead of a scatter, and holds less memory.
+        own = x.data @ w_self.data
+        out += own if ids is None else own[ids]
+    if relu:
+        np.maximum(out, 0.0, out=out)
+    x_grad = x.requires_grad
+    xd = x.data if w_self is not None and w_self.requires_grad else None
 
     def backward_fn(g):
-        return (a.T @ g,)
+        if relu:
+            g = g * (out > 0.0)
+        g_own = g if ids is None else _scatter_rows(g, ids, (n, g.shape[1]))
+        gx = None
+        if x_grad:
+            gx = a.T @ (g @ w.data.T)
+            if w_self is not None:
+                gx += g_own @ w_self.data.T
+        return (gx, ax.T @ g if w.requires_grad else None,
+                None if xd is None else xd.T @ g_own)
 
-    return _record(out, "spmm", (x,), backward_fn)
+    return _record(out, "graph_layer", (x,) + weights, backward_fn)
+
+
+def dropout(x: DiffTensor, keep_mask: np.ndarray, keep: float) -> DiffTensor:
+    """Inverted dropout: ``x * keep_mask / keep`` for a boolean mask of x's shape.
+
+    Values and gradients equal ``mul(x, constant(keep_mask.astype(float) / keep))``
+    bit for bit; the closure keeps only the boolean mask.
+    """
+    keep_mask = np.asarray(keep_mask)
+    if keep_mask.dtype != np.bool_ or keep_mask.shape != x.shape:
+        raise DimensionError(
+            f"dropout: mask of {keep_mask.dtype} {keep_mask.shape} for input {x.shape}")
+    if not 0.0 < keep <= 1.0:
+        raise ContractError(f"dropout: keep must be in (0, 1], got {keep}")
+    scale = 1.0 / keep
+    out = x.data * (keep_mask * scale)
+
+    def backward_fn(g):
+        gx = keep_mask * scale
+        gx *= g
+        return (gx,)
+
+    return _record(out, "dropout", (x,), backward_fn)
 
 
 def relu(x: DiffTensor) -> DiffTensor:
@@ -442,32 +507,43 @@ def layer_norm(x: DiffTensor, gain: DiffTensor, bias: DiffTensor) -> DiffTensor:
     return _record(out, "layer_norm", (x, gain, bias), backward_fn)
 
 
+def _row_ids(op: str, ids, n: int) -> np.ndarray:
+    """ids as an integer array, checked to index rows of an n-row table."""
+    idx = np.asarray(ids)
+    if not np.issubdtype(idx.dtype, np.integer):
+        raise ContractError(f"{op}: ids must be integers")
+    if idx.size and (idx.min() < 0 or idx.max() >= n):
+        raise ContractError(f"{op}: ids out of range [0, {n})")
+    return idx
+
+
+def _scatter_rows(g: np.ndarray, ids: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+    """The rows of ``g`` summed into a zeros table of ``shape`` at the flat ``ids``.
+
+    Bit-identical to np.add.at into zeros: each cell adds its gradient rows in
+    the order their ids occur, starting from 0.0 (so a lone -0.0 becomes
+    +0.0). np.add.reduceat would sum in another order.
+    """
+    g = g.reshape(ids.size, shape[1])
+    if np.all(ids[1:] > ids[:-1]):  # increasing ids are unique: nothing to sum
+        gt = np.zeros(shape)
+        gt[ids] = g + 0.0
+        return gt
+    cells = (ids[:, None] * shape[1] + np.arange(shape[1])).reshape(-1)
+    return np.bincount(cells, weights=g.reshape(-1),
+                       minlength=shape[0] * shape[1]).reshape(shape)
+
+
 def embedding_lookup(table: DiffTensor, ids) -> DiffTensor:
     """Gather rows of a 2-D table; gradients scatter-add back into the table."""
     if table.ndim != 2:
         raise DimensionError(f"embedding_lookup: table must be 2-D, got {table.shape}")
-    idx = np.asarray(ids)
-    if not np.issubdtype(idx.dtype, np.integer):
-        raise ContractError("embedding_lookup: ids must be integers")
-    if idx.size and (idx.min() < 0 or idx.max() >= table.shape[0]):
-        raise ContractError(
-            f"embedding_lookup: ids out of range [0, {table.shape[0]})")
+    idx = _row_ids("embedding_lookup", ids, table.shape[0])
     out = table.data[idx]
     flat = idx.reshape(-1)
-    d = table.shape[1]
 
     def backward_fn(g):
-        # Bit-identical to np.add.at into zeros: each cell adds its gradient
-        # rows in the order their ids occur, starting from 0.0 (so a lone
-        # -0.0 becomes +0.0). np.add.reduceat would sum in another order.
-        g = g.reshape(flat.size, d)
-        if np.all(flat[1:] > flat[:-1]):  # increasing ids are unique: nothing to sum
-            gt = np.zeros_like(table.data)
-            gt[flat] = g + 0.0
-            return (gt,)
-        cells = (flat[:, None] * d + np.arange(d)).reshape(-1)
-        return (np.bincount(cells, weights=g.reshape(-1),
-                            minlength=table.data.size).reshape(table.shape),)
+        return (_scatter_rows(g, flat, table.shape),)
 
     return _record(out, "embedding_lookup", (table,), backward_fn)
 
@@ -603,7 +679,7 @@ def _topo_order(root: DiffTensor) -> list[DiffTensor]:
         seen.add(id(node))
         stack.append((node, True))
         for p in node._parents:
-            if id(p) not in seen:
+            if p is not None and id(p) not in seen:
                 stack.append((p, False))
     return order
 
@@ -639,7 +715,7 @@ def backward(loss: DiffTensor) -> None:
             continue
         owned.discard(nid)
         for parent, pg in zip(node._parents, node._backward_fn(g)):
-            if pg is None or not parent.requires_grad:
+            if pg is None or parent is None or not parent.requires_grad:
                 continue
             pid = id(parent)
             if pid not in adjoint:

@@ -4,8 +4,9 @@ Three backbones (plain MLP, graph convolution, mean-aggregating
 message passing) share one parameter store and training loop. The graph
 backbones build their sparse operator (graphstore's normalized or mean
 adjacency) once, when the model is built, or take one from
-``graph_operator``, and apply it with ``diffcore.spmm``. A forward computes
-only the node rows its caller reads. Node classification trains full batch
+``graph_operator``. A gcn or sage layer is one ``diffcore.graph_layer`` op
+and a dropout one ``diffcore.dropout`` op. A forward computes only the node
+rows its caller reads. Node classification trains full batch
 with cross-entropy; link prediction trains on minibatches of positive and
 sampled negative pairs with a dot-product-plus-logistic scorer, or a
 small MLP head when the model carries one. Both trainers share one set-up,
@@ -200,13 +201,16 @@ class GnnModel:
         """Outputs (len(rows), out_dim) of the nodes `rows`, in that order, or
         (N, out_dim) of all nodes when rows is None; dropout only in train mode.
 
-        Every layer but the last ends in relu. Graph backbones propagate
+        Every layer but the last ends in relu. A gcn or sage layer is one
+        `dc.graph_layer` op, and each dropout is one `dc.dropout` op (none
+        is recorded on the constant features). Graph backbones propagate
         with their operator, so features need one row per graph node; all
         their layers but the last run over the whole graph, and the last
-        aggregates into `rows` only (sage's self term takes those rows of its
-        product). mlp layers are row-local, so mlp slices the features to
-        `rows` first. Dropout masks are drawn at the full (N, width) shape
-        whatever `rows` is, so the rng advances alike.
+        aggregates into `rows` only, through `operator[rows]` (sage's self
+        term takes those rows of its product). mlp layers are row-local, so
+        mlp slices the features to `rows` first. Dropout masks are drawn at
+        the full (N, width) shape whatever `rows` is, so the rng advances
+        alike.
         """
         x = features if isinstance(features, dc.DiffTensor) else dc.constant(features)
         if x.shape[-1] != self.dims[0]:
@@ -222,25 +226,19 @@ class GnnModel:
                 if rng is None:
                     raise ContractError("dropout in train mode needs an rng")
                 keep = 1.0 - self.dropout
-                draws = rng.random((num_nodes, self.dims[i]))
-                if row_local:
-                    draws = draws[rows]
-                x = dc.mul(x, dc.constant((draws < keep).astype(np.float64) / keep))
-            sliced = i == last and rows is not None and not row_local
-            op = self.operator[rows] if sliced else self.operator
+                mask = rng.random((num_nodes, self.dims[i])) < keep
+                x = dc.dropout(x, mask[rows] if row_local else mask, keep)
             if self.backbone == "mlp":
                 x = dc.linear(x, p[f"l{i}.w"], p[f"l{i}.b"])
-            elif self.backbone == "gcn":
-                x = dc.matmul(dc.spmm(op, x), p[f"l{i}.w"])
+                x = dc.relu(x) if i < last else x
+                continue
+            at = rows if i == last else None
+            op = self.operator if at is None else self.operator[at]
+            if self.backbone == "gcn":
+                x = dc.graph_layer(op, x, p[f"l{i}.w"], relu=i < last)
             else:
-                # Indexing the self term's product rather than x keeps x's
-                # gradient a GEMM instead of a scatter, and holds less memory.
-                own = dc.matmul(x, p[f"l{i}.self"])
-                if sliced:
-                    own = dc.embedding_lookup(own, rows)
-                x = dc.add(own, dc.matmul(dc.spmm(op, x), p[f"l{i}.neigh"]))
-            if i < last:
-                x = dc.relu(x)
+                x = dc.graph_layer(op, x, p[f"l{i}.neigh"], p[f"l{i}.self"], at,
+                                   relu=i < last)
         return x
 
 

@@ -36,12 +36,13 @@ def saved_arrays(node):
 
     Walks the closure's cells, and those of the helper functions it calls,
     and drops every array that shares memory with the output's or a parent's
-    data (so views of them are dropped too). What is left is what the tape
-    keeps alive only for this op's backward.
+    data (so views of them are dropped too). An input that needs no gradient
+    is no parent, so its data counts when the closure holds it. What is left
+    is what the tape keeps alive only for this op's backward.
     """
     from nodegae import diffcore as dc
 
-    own = [node.data] + [p.data for p in node._parents]
+    own = [node.data] + [p.data for p in node._parents if p is not None]
     found, seen = [], set()
 
     def visit(obj):

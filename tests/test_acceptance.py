@@ -121,10 +121,11 @@ def _op_gradient_cases(rng):
     c1 = dc.parameter(rng.normal(size=(2, 3)))
     c2 = dc.parameter(rng.normal(size=(3, 3)))
     c3 = dc.parameter(rng.normal(size=(1, 3)))
-    spmm_a = sp.csr_matrix(np.array([[0.0, 1.0, 0.0, -2.0],
-                                     [0.5, 0.0, 0.0, 0.0],
-                                     [0.0, 0.0, 0.0, 0.0],
-                                     [3.0, 0.0, -1.5, 1.0]]))  # not symmetric
+    graph_a = sp.csr_matrix(np.array([[0.0, 1.0, 0.0, -2.0],
+                                      [0.5, 0.0, 0.0, 0.0],
+                                      [0.0, 0.0, 0.0, 0.0],
+                                      [3.0, 0.0, -1.5, 1.0]]))  # not symmetric
+    self_rows = np.array([3, 0, 3])
     pad_bias = np.zeros((2, 1, 1, 3))
     pad_bias[1, 0, 0, 2] = ae.MASK_BIAS  # batch row 1 has a pad key in column 2
     causal_bias = np.triu(np.full((3, 3), ae.MASK_BIAS), k=1)
@@ -144,7 +145,13 @@ def _op_gradient_cases(rng):
         ("transpose", lambda: dc.transpose(x234, (2, 0, 1)), [x234]),
         ("transpose_swap_last2", lambda: dc.transpose(x234, (0, 2, 1)), [x234]),
         ("l2_normalize_lastdim", lambda: dc.l2_normalize_lastdim(m1), [m1]),
-        ("spmm", lambda: dc.spmm(spmm_a, m2), [m2]),
+        # The graph layers reuse the draws above: x44 is the input, and the
+        # transposes of a and m1 are sage's (4, 3) weights.
+        ("graph_layer_gcn", lambda: dc.graph_layer(graph_a, x44, m2, relu=True), [x44, m2]),
+        ("graph_layer_sage_rows",
+         lambda: dc.graph_layer(graph_a[self_rows], x44, dc.transpose(a, (1, 0)),
+                                dc.transpose(m1, (1, 0)), self_rows),
+         [x44, a, m1]),
         # Attention reuses the draws above, viewed as (B, T, d) with d = 4.
         ("attention_self_padded",
          lambda: dc.attention(x234, mb, dc.reshape(x38, (2, 3, 4)), 2, pad_bias),

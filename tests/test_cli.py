@@ -5,6 +5,7 @@ bytes can be checked directly. A small dataset and a short pretraining run
 are shared across the module to keep the suite fast.
 """
 
+import hashlib
 import inspect
 import re
 import subprocess
@@ -330,6 +331,22 @@ def test_pretrain_resume_of_checkpoint_without_stored_flags_applies_them(dataset
                              "--seed", "99", "--tau", "0.3"]) == 0
     _, _, meta = ae.load_model(out / "model.npz")
     assert (meta["stage1_flags"]["vocab_size"], meta["stage1_flags"]["tau"]) == (8, 0.3)
+
+
+def test_pretrain_checkpoint_names_its_dataset_by_hash_not_path(dataset, tmp_path, monkeypatch):
+    """The same run from another directory, through another path, writes the same bytes."""
+    runs = []
+    for cwd, data in ((dataset.parent, Path(dataset.name)), (tmp_path, dataset.resolve())):
+        monkeypatch.chdir(cwd)
+        out = tmp_path / f"run{len(runs)}"
+        assert main(["pretrain", "--dataset", str(data), "--out-dir", str(out), "--steps", "2",
+                     "--recon-every", "0"] + TINY_MODEL) == 0
+        runs.append((out / "model.npz").read_bytes())
+    assert runs[0] == runs[1]
+    _, meta = dc.load_checkpoint(tmp_path / "run0" / "model.npz")
+    assert meta["dataset_sha256"] == {
+        p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in dataset_paths(dataset)}
+    assert "dataset" not in meta
 
 
 @pytest.mark.parametrize("command, task", [

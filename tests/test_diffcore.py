@@ -1,6 +1,8 @@
+import gc
 import itertools
 import math
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -14,13 +16,13 @@ from nodegae.errors import ContractError, DimensionError, NodeGaeError
 
 from conftest import saved_arrays
 from fdcheck import assert_grads_close, finite_diff_grads, nudge_from_kinks
-from reference_tape import reference_leaf_grads
+from reference_tape import chain_dropout, chain_graph_layer, reference_leaf_grads
 
 SEEDS = range(10)
 
 # Not symmetric and with an empty row, so a backward pass that multiplied by
 # the matrix instead of its transpose would fail the check.
-SPMM_MATRIX = sp.csr_matrix(np.array([
+SPARSE_OPERATOR = sp.csr_matrix(np.array([
     [0.0, 2.0, 0.0, -1.0],
     [0.5, 0.0, 0.0, 0.0],
     [0.0, 0.0, 0.0, 0.0],
@@ -33,6 +35,8 @@ MASK = -1e30
 PADDED_KEY_BIAS = np.zeros((2, 1, 1, 3))
 PADDED_KEY_BIAS[1, 0, 0, 2] = MASK
 CAUSAL_BIAS = np.triu(np.full((4, 4), MASK), k=1)
+DROPOUT_MASK = np.array([[True, False, True, True], [False, True, True, False],
+                         [True, True, False, True]])
 
 
 def scalarize(out, rng):
@@ -86,14 +90,50 @@ def test_shape_error_names_op_and_shapes():
     assert "matmul" in msg and "(2, 3)" in msg
 
 
-def test_spmm_matches_dense_product_and_checks_shapes():
-    x = np.random.default_rng(4).standard_normal((4, 3))
-    out = dc.spmm(SPMM_MATRIX, dc.constant(x)).data
-    assert np.max(np.abs(out - SPMM_MATRIX.toarray() @ x)) < 1e-12
+def test_graph_layer_matches_dense_products_and_checks_shapes():
+    rng = np.random.default_rng(4)
+    x, w, ws = rng.standard_normal((4, 3)), rng.standard_normal((3, 2)), rng.standard_normal((3, 2))
+    dense, rows = SPARSE_OPERATOR.toarray(), np.array([3, 0, 3])
+    x_, w_, ws_ = dc.constant(x), dc.constant(w), dc.constant(ws)
+    cases = [
+        (dc.graph_layer(SPARSE_OPERATOR, x_, w_), dense @ x @ w),
+        (dc.graph_layer(SPARSE_OPERATOR, x_, w_, relu=True), np.maximum(dense @ x @ w, 0.0)),
+        (dc.graph_layer(SPARSE_OPERATOR, x_, w_, ws_), dense @ x @ w + x @ ws),
+        (dc.graph_layer(SPARSE_OPERATOR[rows], x_, w_, ws_, rows), (dense @ x @ w + x @ ws)[rows]),
+    ]
+    for got, want in cases:
+        assert got.shape == want.shape
+        assert np.max(np.abs(got.data - want)) < 1e-12
     with pytest.raises(DimensionError):
-        dc.spmm(SPMM_MATRIX, dc.constant(np.zeros((3, 3))))
+        dc.graph_layer(SPARSE_OPERATOR, dc.constant(np.zeros((3, 3))), w_)  # 3 rows for 4 columns
     with pytest.raises(DimensionError):
-        dc.spmm(SPMM_MATRIX, dc.constant(np.zeros(4)))
+        dc.graph_layer(SPARSE_OPERATOR, dc.constant(np.zeros(4)), w_)
+    with pytest.raises(DimensionError):
+        dc.graph_layer(SPARSE_OPERATOR, x_, dc.constant(np.zeros((2, 2))))
+    with pytest.raises(DimensionError):
+        dc.graph_layer(SPARSE_OPERATOR, x_, w_, dc.constant(np.zeros((3, 3))))
+    with pytest.raises(DimensionError):
+        dc.graph_layer(SPARSE_OPERATOR[rows], x_, w_, ws_)  # 3 operator rows, 4 self rows
+    with pytest.raises(DimensionError):
+        dc.graph_layer(SPARSE_OPERATOR, x_, w_, ws_, rows)
+    with pytest.raises(ContractError):
+        dc.graph_layer(SPARSE_OPERATOR[rows], x_, w_, rows=rows)  # gcn has no self term
+    with pytest.raises(ContractError):
+        dc.graph_layer(SPARSE_OPERATOR[[0]], x_, w_, ws_, [4])
+
+
+def test_dropout_scales_kept_entries_and_checks_its_mask():
+    x = np.arange(1.0, 7.0).reshape(2, 3)
+    mask = np.array([[True, False, True], [False, False, True]])
+    np.testing.assert_array_equal(dc.dropout(dc.constant(x), mask, 0.5).data,
+                                  [[2.0, 0.0, 6.0], [0.0, 0.0, 12.0]])
+    with pytest.raises(DimensionError):
+        dc.dropout(dc.constant(x), mask.astype(np.float64), 0.5)
+    with pytest.raises(DimensionError):
+        dc.dropout(dc.constant(x), mask[:1], 0.5)
+    for keep in (0.0, 1.5):
+        with pytest.raises(ContractError):
+            dc.dropout(dc.constant(x), mask, keep)
 
 
 def test_sum_axis_matches_numpy_and_checks_axis():
@@ -233,6 +273,89 @@ def test_fused_op_equals_its_chain_bit_for_bit(name, lead, trainable):
     weights = rng.standard_normal(fused(*(dc.constant(a) for a in arrays)).shape)
     assert (_leaf_grads(fused, arrays, trainable, weights)
             == _leaf_grads(chain, arrays, trainable, weights))
+
+
+def _graph_inputs():
+    """A 37-node operator with an empty row, (37, 6) features and two (6, 5) weights,
+    each with signed zeros, plus output weights that hold signed zeros too."""
+    rng = np.random.default_rng(16)
+    dense = rng.standard_normal((37, 37)) * (rng.random((37, 37)) < 0.15)
+    dense[5] = 0.0
+    arrays = [rng.standard_normal(shape) for shape in ((37, 6), (6, 5), (6, 5))]
+    for arr in arrays:
+        arr.reshape(-1)[::7] = 0.0
+        arr.reshape(-1)[3::7] = -0.0
+    rows = {"all": None, "increasing": np.flatnonzero(rng.random(37) < 0.4),
+            "repeated": rng.integers(0, 37, 25)}
+    weights = rng.standard_normal((37, 5))
+    weights.reshape(-1)[::5] = -0.0
+    return sp.csr_matrix(dense), arrays, rows, weights
+
+
+@pytest.mark.parametrize("relu", [True, False])
+@pytest.mark.parametrize("rows", ["all", "increasing", "repeated"])
+@pytest.mark.parametrize("trainable", [t + (s,) for t in itertools.product((True, False), repeat=2)
+                                       for s in (None, True, False)])
+def test_graph_layer_equals_its_chain_bit_for_bit(relu, rows, trainable):
+    """trainable flags x and w, then sage's self weight (None for a gcn layer)."""
+    a, arrays, row_sets, weights = _graph_inputs()
+    ids = row_sets[rows]
+    if ids is not None:
+        a, weights = a[ids], weights[:ids.size]
+    if trainable[2] is None:  # gcn: a row slice of the operator, no self term
+        trainable, arrays = trainable[:2], arrays[:2]
+        fused = lambda x, w: dc.graph_layer(a, x, w, relu=relu)
+        chain = lambda x, w: chain_graph_layer(a, x, w, relu=relu)
+    else:
+        fused = lambda x, w, ws: dc.graph_layer(a, x, w, ws, ids, relu=relu)
+        chain = lambda x, w, ws: chain_graph_layer(a, x, w, ws, ids, relu=relu)
+    assert (_leaf_grads(fused, arrays, trainable, weights)
+            == _leaf_grads(chain, arrays, trainable, weights))
+
+
+@pytest.mark.parametrize("keep", [0.5, 0.7, 0.9])
+@pytest.mark.parametrize("trainable", [True, False])
+def test_dropout_equals_its_chain_bit_for_bit(keep, trainable):
+    rng = np.random.default_rng(17)
+    x = rng.standard_normal((9, 7))
+    x.reshape(-1)[::4] = -0.0
+    x.reshape(-1)[1::4] = 0.0
+    mask = rng.random(x.shape) < keep
+    weights = rng.standard_normal(x.shape)
+    assert (_leaf_grads(lambda t: dc.dropout(t, mask, keep), [x], [trainable], weights)
+            == _leaf_grads(lambda t: chain_dropout(t, mask, keep), [x], [trainable], weights))
+
+
+def test_dropout_keeps_only_its_bool_mask():
+    rng = np.random.default_rng(18)
+    mask = rng.random((5, 3)) < 0.5
+    (kept,) = saved_arrays(dc.dropout(dc.parameter(rng.standard_normal((5, 3))), mask, 0.5))
+    assert kept.dtype == np.bool_ and kept.shape == (5, 3)
+
+
+@pytest.mark.parametrize("backbone", ["gcn", "sage"])
+def test_graph_layer_keeps_a_x_and_only_sage_keeps_x(backbone):
+    """A constant input is no parent: the gcn op lets it go, the sage op keeps its
+    data for the self weight's gradient, and neither keeps the tensor itself."""
+    rng = np.random.default_rng(19)
+    data = rng.standard_normal((4, 3))
+    x = dc.constant(data)
+    alive = weakref.ref(x)
+    w = dc.parameter(rng.standard_normal((3, 2)))
+    w_self = dc.parameter(rng.standard_normal((3, 2))) if backbone == "sage" else None
+    out = dc.graph_layer(SPARSE_OPERATOR, x, w, w_self, relu=True)
+    del x
+    gc.collect()
+    assert alive() is None
+    saved = sorted(saved_arrays(out), key=lambda arr: np.shares_memory(arr, data))
+    assert saved[0].tobytes() == (SPARSE_OPERATOR @ data).tobytes()
+    if backbone == "gcn":
+        assert len(saved) == 1
+    else:
+        assert len(saved) == 2 and np.shares_memory(saved[1], data)
+    dc.backward(dc.sum_axis(dc.reshape(out, (-1,)), 0))
+    relu_grad = np.ones(out.shape) * (out.data > 0.0)
+    assert w.grad.tobytes() == ((SPARSE_OPERATOR @ data).T @ relu_grad).tobytes()
 
 
 def test_fused_ops_check_shapes():
@@ -540,7 +663,10 @@ def make_op_cases(rng):
          lambda x: dc.reshape(
              dc.cross_entropy_logits(x, targets_masked, ignore_index=0, reduction="sum"),
              (1,))),
-        ("spmm", [sn((4, 3))], lambda x: dc.spmm(SPMM_MATRIX, x)),
+        # This slot's draw stays where it was, so later streams do not move;
+        # c34 is drawn below.
+        ("graph_layer_const_weight", [sn((4, 3))],
+         lambda x: dc.graph_layer(SPARSE_OPERATOR, x, c34)),
     ]
     # Drawn after the cases above, so their random streams do not move.
     w45, a234 = dc.constant(sn((4, 5))), dc.constant(sn((2, 3, 4)))
@@ -568,6 +694,22 @@ def make_op_cases(rng):
         ("layer_norm_const_input", [sn(4), sn((3, 4))],
          lambda g, b: dc.layer_norm(c34, g, b)),
     ]
+    # Drawn after every case above, so their random streams do not move.
+    c43 = dc.constant(sn((4, 3)))
+    cases += [
+        ("graph_layer_gcn_relu", [sn((4, 3)), sn((3, 2))],
+         lambda x, w: dc.graph_layer(SPARSE_OPERATOR, x, w, relu=True)),
+        ("graph_layer_sage", [sn((4, 3)), sn((3, 2)), sn((3, 2))],
+         lambda x, w, ws: dc.graph_layer(SPARSE_OPERATOR, x, w, ws)),
+        ("graph_layer_sage_rows_increasing", [sn((4, 3)), sn((3, 2)), sn((3, 2))],
+         lambda x, w, ws: dc.graph_layer(SPARSE_OPERATOR[[0, 2, 3]], x, w, ws, [0, 2, 3],
+                                         relu=True)),
+        ("graph_layer_sage_rows_repeated", [sn((4, 3)), sn((3, 2)), sn((3, 2))],
+         lambda x, w, ws: dc.graph_layer(SPARSE_OPERATOR[[3, 1, 3, 0]], x, w, ws, [3, 1, 3, 0])),
+        ("graph_layer_sage_const_input", [sn((3, 2)), sn((3, 2))],
+         lambda w, ws: dc.graph_layer(SPARSE_OPERATOR, c43, w, ws, relu=True)),
+        ("dropout", [sn((3, 4))], lambda x: dc.dropout(x, DROPOUT_MASK, 0.7)),
+    ]
     return cases
 
 
@@ -588,9 +730,10 @@ def test_op_gradients_match_finite_differences(seed):
         loss = scalarize(out, np.random.default_rng(proj_seed))
         dc.backward(dc.reshape(loss, ()))
         # Ops return no gradient for a constant operand, and it keeps none.
+        # The tape holds such an operand as None.
         for parent, pg in zip(out._parents, out._backward_fn(np.ones_like(out.data))):
-            if not parent.requires_grad:
-                assert pg is None and parent.grad is None, f"{name} seed={seed}"
+            if parent is None or not parent.requires_grad:
+                assert pg is None and (parent is None or parent.grad is None), f"{name} seed={seed}"
         numeric = finite_diff_grads(loss_value, [a.copy() for a in arrays])
         for p, n in zip(params, numeric):
             assert_grads_close(p.grad, n, rtol=1e-4, context=f"{name} seed={seed}")

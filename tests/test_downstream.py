@@ -10,6 +10,8 @@ from nodegae.errors import ConfigError, ContractError, DimensionError
 from nodegae.evalmetrics import accuracy, roc_auc
 from nodegae.textcorpus import SyntheticGraphSpec, generate_synthetic
 
+from reference_tape import chain_dropout, chain_graph_layer
+
 
 def graph_from(num_nodes, edges, labels=None, splits=None):
     return gs.TextGraph.from_edges(num_nodes, edges,
@@ -710,3 +712,56 @@ def test_link_fit_mlp_head_matmuls_see_only_batch_endpoints(recorded_ops, monkey
         assert heights == [endpoints] * cfg.num_layers
         assert endpoints < graph.num_nodes
         start = end
+
+
+# ---------------------------------------------------------------------------
+# one recorded op per graph layer and per dropout
+# ---------------------------------------------------------------------------
+
+def chain_forward(model, feats, rng, rows):
+    """GnnModel.forward in train mode for gcn/sage, built from the op chains
+    that graph_layer and dropout replace, in the order they were recorded."""
+    p, last, x = model.params, model.num_layers - 1, dc.constant(feats)
+    for i in range(model.num_layers):
+        keep = 1.0 - model.dropout
+        x = chain_dropout(x, rng.random((feats.shape[0], model.dims[i])) < keep, keep)
+        sliced = i == last and rows is not None
+        op = model.operator[rows] if sliced else model.operator
+        if model.backbone == "gcn":
+            x = chain_graph_layer(op, x, p[f"l{i}.w"], relu=i < last)
+        else:
+            x = chain_graph_layer(op, x, p[f"l{i}.neigh"], p[f"l{i}.self"],
+                                  rows if sliced else None, relu=i < last)
+    return x
+
+
+@pytest.mark.parametrize("backbone", ["gcn", "sage"])
+@pytest.mark.parametrize("num_layers", [1, 2, 3])
+@pytest.mark.parametrize("rows", [None] + list(ROW_SETS.values()), ids=["all"] + list(ROW_SETS))
+def test_graph_forward_equals_the_op_chains_bit_for_bit(backbone, num_layers, rows):
+    graph = labeled_graph(seed=4)
+    feats = np.random.default_rng(4).standard_normal((graph.num_nodes, 5))
+    results = []
+    for forward in (lambda m, r: m.forward(feats, train=True, rng=r, rows=rows),
+                    lambda m, r: chain_forward(m, feats, r, rows)):
+        model = ds.GnnModel.build(backbone, 5, 8, 4, num_layers=num_layers, dropout=0.4,
+                                  seed=4, operator=operator_of(backbone, graph))
+        rng = np.random.default_rng(9)
+        out = forward(model, rng)
+        weights = np.random.default_rng(10).standard_normal(out.shape)
+        dc.backward(dc.sum_axis(dc.reshape(dc.mul(out, dc.constant(weights)), (-1,)), 0))
+        results.append((out.data.tobytes(), rng.bit_generator.state,
+                        {name: t.grad.tobytes() for name, t in model.params.items()}))
+    assert results[0] == results[1]
+
+
+@pytest.mark.parametrize("backbone", ["gcn", "sage"])
+def test_graph_train_forward_records_one_op_per_layer_and_dropout(recorded_ops, backbone):
+    graph = labeled_graph(seed=5)
+    model = ds.GnnModel.build(backbone, 5, 8, 3, num_layers=2, dropout=0.5, seed=5,
+                              operator=operator_of(backbone, graph))
+    feats = np.random.default_rng(5).standard_normal((graph.num_nodes, 5))
+    model.forward(feats, train=True, rng=np.random.default_rng(6), rows=ROW_SETS["repeated"])
+    # The first dropout acts on the constant features, so it records nothing.
+    assert [t._op for t in recorded_ops if t._backward_fn is not None] == [
+        "graph_layer", "dropout", "graph_layer"]
