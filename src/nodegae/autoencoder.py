@@ -192,16 +192,14 @@ def _attention(q_src, kv_src, params, prefix, heads, bias=None):
 
 
 def _feed_forward(x, params, prefix):
-    h = dc.gelu(dc.linear(x, params[prefix + ".w1"], params[prefix + ".b1"]))
-    return dc.linear(h, params[prefix + ".w2"], params[prefix + ".b2"])
+    h = dc.gelu(dc.matmul(x, params[prefix + ".w1"], params[prefix + ".b1"]))
+    return dc.matmul(h, params[prefix + ".w2"], params[prefix + ".b2"])
 
 
 def _as_id_matrix(ids) -> np.ndarray:
     arr = np.asarray(ids, dtype=np.int64)
-    if arr.ndim == 1:
-        arr = arr[None, :]
     if arr.ndim != 2:
-        raise ContractError(f"token ids must be 1- or 2-dimensional, got {arr.shape}")
+        raise ContractError(f"token ids must be a (B, T) matrix, got {arr.shape}")
     return arr
 
 
@@ -253,23 +251,14 @@ def encode_node(model: AutoencoderModel, tokens) -> dc.DiffTensor:
 
 
 def project(model: AutoencoderModel, h: dc.DiffTensor) -> dc.DiffTensor:
-    """Map latents to decoder input slots: relu(h W1) W2 reshaped to rows.
-
-    A (d_enc,) input yields (proj_len, d_dec); a batch (B, d_enc) yields
-    (B, proj_len, d_dec).
+    """Map latents (B, d_enc) to decoder input slots (B, proj_len, d_dec):
+    relu(h W1) W2 reshaped to rows.
     """
     cfg = model.config
-    if h.shape[-1] != cfg.d_enc:
-        raise DimensionError(
-            f"project expects last dimension {cfg.d_enc}, got {h.shape}")
-    if h.ndim > 2:
-        raise DimensionError(f"project expects 1- or 2-d input, got {h.shape}")
-    single = h.ndim == 1
-    rows = dc.reshape(h, (1, cfg.d_enc)) if single else h
-    z = dc.relu(dc.matmul(rows, model.params["proj.w1"]))
+    if h.ndim != 2 or h.shape[1] != cfg.d_enc:
+        raise DimensionError(f"project expects (B, {cfg.d_enc}) latents, got {h.shape}")
+    z = dc.relu(dc.matmul(h, model.params["proj.w1"]))
     flat = dc.matmul(z, model.params["proj.w2"])
-    if single:
-        return dc.reshape(flat, (cfg.proj_len, cfg.d_dec))
     return dc.reshape(flat, (h.shape[0], cfg.proj_len, cfg.d_dec))
 
 
@@ -278,19 +267,18 @@ def decoder_logits(model: AutoencoderModel, memory: dc.DiffTensor, dec_ids
     """Next-token logits (B, T, vocab) for teacher-forced decoder inputs.
 
     Self-attention is causal (each position sees itself and the left
-    context); cross-attention reads the projected memory rows.
+    context); cross-attention reads memory, the (B, slots, d_dec) rows that
+    project returns.
     """
     dec_ids = _as_id_matrix(dec_ids)
     cfg, params = model.config, model.params
     b, t = dec_ids.shape
     if t > cfg.max_len:
         raise ContractError(f"decoder length {t} exceeds max_len {cfg.max_len}")
-    if memory.ndim == 2:
-        memory = dc.reshape(memory, (1,) + memory.shape)
-    if memory.shape[0] != b or memory.shape[-1] != cfg.d_dec:
+    if memory.ndim != 3 or memory.shape[0] != b or memory.shape[-1] != cfg.d_dec:
         raise DimensionError(
-            f"memory shape {memory.shape} does not match batch {b} and "
-            f"d_dec {cfg.d_dec}")
+            f"memory shape {memory.shape} is not (batch {b}, slots, "
+            f"d_dec {cfg.d_dec})")
     x = dc.add(dc.embedding_lookup(params["dec.tok_emb"], dec_ids),
                dc.embedding_lookup(params["dec.pos_emb"], np.arange(t)))
     causal = np.triu(np.full((t, t), MASK_BIAS), k=1)
@@ -319,13 +307,7 @@ def shift_for_teacher_forcing(targets) -> np.ndarray:
 
 def lm_loss(logits: dc.DiffTensor, targets) -> dc.DiffTensor:
     """Mean negative log-likelihood of targets, PAD positions excluded."""
-    targets = np.asarray(targets, dtype=np.int64)
-    if logits.shape[:-1] != targets.shape:
-        raise DimensionError(
-            f"logits {logits.shape} do not align with targets {targets.shape}")
-    vocab = logits.shape[-1]
-    flat = dc.reshape(logits, (int(np.prod(targets.shape)), vocab))
-    return dc.cross_entropy_logits(flat, targets.ravel(),
+    return dc.cross_entropy_logits(logits, np.asarray(targets, dtype=np.int64),
                                    ignore_index=PAD_ID, reduction="mean")
 
 
@@ -487,13 +469,15 @@ def extract_embeddings(model: AutoencoderModel, graph: TextGraph):
 
 def reconstruct(model: AutoencoderModel, tokens, max_gen_len: Optional[int] = None
                 ) -> np.ndarray:
-    """Greedy decode conditioned on the latent of tokens; stops at EOS."""
+    """Greedy decode conditioned on the latent of tokens; stops at EOS.
+
+    The forward is the batch one with B = 1.
+    """
     if max_gen_len is None:
         max_gen_len = model.config.max_len
     generated = [BOS_ID]
     with dc.no_grad():
-        memory = project(model, encode_node(model, tokens))
-        memory = dc.reshape(memory, (1,) + memory.shape)
+        memory = project(model, encode_batch(model, np.asarray(tokens)[None]))
         for _ in range(max_gen_len):
             logits = decoder_logits(model, memory, np.asarray(generated)[None, :])
             nxt = int(np.argmax(logits.data[0, -1]))

@@ -50,6 +50,7 @@ from .textcorpus import (
     decode,
     generate_synthetic,
     load_textgraph,
+    replace_files,
     save_textgraph,
     tokenize,
 )
@@ -84,14 +85,14 @@ def load_dataset(root) -> TextGraph:
     return load_textgraph(nodes, edges, splits)
 
 
-def _write_csv(path: Path, header: str, rows: List[str], append: bool = False) -> None:
-    """Write the header and one line per row; with `append`, add the rows to an existing file."""
-    body = "".join(row + "\n" for row in rows)
-    if append and path.exists():
-        with path.open("a", encoding="utf-8") as fh:
-            fh.write(body)
-    else:
-        path.write_text(header + "\n" + body, encoding="utf-8")
+def _csv(path: Path, header: str, rows: List[str], resume: bool = False) -> Tuple[Path, str]:
+    """The (path, text) of a CSV artifact: the header and one line per row.
+
+    With `resume`, an existing file's own text stands in for the header, so
+    the rows follow the lines a stopped run wrote.
+    """
+    head = path.read_text(encoding="utf-8") if resume and path.exists() else header + "\n"
+    return path, head + "".join(row + "\n" for row in rows)
 
 
 # ---------------------------------------------------------------------------
@@ -323,10 +324,10 @@ def cmd_pretrain(args: Args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     resuming = args.resume is not None
-    _write_csv(out_dir / "pretrain_log.csv", "step,lm_loss,infonce_loss,total", log_rows,
-               append=resuming)
-    _write_csv(out_dir / "recon_metrics.csv", "step,bleu,rouge_l,token_f1", recon_rows,
-               append=resuming)
+    replace_files([
+        _csv(out_dir / "pretrain_log.csv", "step,lm_loss,infonce_loss,total", log_rows, resuming),
+        _csv(out_dir / "recon_metrics.csv", "step,bleu,rouge_l,token_f1", recon_rows, resuming),
+    ])
 
     save_model(out_dir / "model.npz", model, adam,
                extra_meta={"dataset_sha256": dataset_sha256(args.dataset),
@@ -426,11 +427,11 @@ def _write_report(out_dir: Path, args: Args, provenance: str, dcfg: DownstreamCo
               for r, v in enumerate(values)]
     report.append(f"{task},{backbone},{provenance},mean,,{metric_name},{_fmt(mean)}")
     report.append(f"{task},{backbone},{provenance},std,,{metric_name},{_fmt(std)}")
-    _write_csv(out_dir / "report.csv", "task,backbone,provenance,repeat,seed,metric,value",
-               report)
-    _write_csv(out_dir / "epochs.csv", "repeat,scope,index,split,metric,value", epoch_rows)
+    files = [_csv(out_dir / "report.csv", "task,backbone,provenance,repeat,seed,metric,value",
+                  report),
+             _csv(out_dir / "epochs.csv", "repeat,scope,index,split,metric,value", epoch_rows)]
     if dcfg.log_every_iter:
-        _write_csv(out_dir / "curve.csv", "repeat,iteration,val_roc_auc", curve_rows)
+        files.append(_csv(out_dir / "curve.csv", "repeat,iteration,val_roc_auc", curve_rows))
 
     summary = [
         f"task: {task}",
@@ -442,7 +443,7 @@ def _write_report(out_dir: Path, args: Args, provenance: str, dcfg: DownstreamCo
         f"mean: {_fmt(mean)}",
         f"std: {_fmt(std)}",
     ]
-    (out_dir / "summary.txt").write_text("\n".join(summary) + "\n", encoding="utf-8")
+    replace_files(files + [(out_dir / "summary.txt", "\n".join(summary) + "\n")])
 
 
 def cmd_train(args: Args) -> int:
@@ -452,9 +453,6 @@ def cmd_train(args: Args) -> int:
     _check_stage2(args, [args.backbone])
     graph = load_dataset(args.dataset)
     emb = load_embeddings(args.embeddings)
-    if emb.num_rows != graph.num_nodes:
-        raise ConfigError(
-            f"embeddings have {emb.num_rows} rows for a {graph.num_nodes}-node graph")
     split = _task_split(args, graph)
 
     dcfg = _downstream(args, args.backbone, args.log_every_iter)
@@ -523,9 +521,11 @@ def cmd_ablate(args: Args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     save_embeddings(variants[0][1], out_dir / "emb_with.txt")
     save_embeddings(variants[1][1], out_dir / "emb_without.txt")
-    _write_csv(out_dir / "ablation.csv",
-               "backbone,mean_with,std_with,mean_without,std_without,delta", csv_rows)
-    (out_dir / "summary.txt").write_text("\n".join(summary) + "\n", encoding="utf-8")
+    replace_files([
+        _csv(out_dir / "ablation.csv",
+             "backbone,mean_with,std_with,mean_without,std_without,delta", csv_rows),
+        (out_dir / "summary.txt", "\n".join(summary) + "\n"),
+    ])
     print(f"ablation over {backbones} written to {out_dir}")
     return 0
 
@@ -689,10 +689,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ConfigError, IngestionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except NodeGaeError as exc:
-        print(f"runtime error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (NodeGaeError, OSError) as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return 2
 

@@ -154,26 +154,35 @@ def mul(a: DiffTensor, b: DiffTensor) -> DiffTensor:
     return _record(out, "mul", (a, b), backward_fn)
 
 
-def matmul(a: DiffTensor, b: DiffTensor) -> DiffTensor:
-    """Matrix product with numpy broadcasting over leading axes.
+def matmul(a: DiffTensor, b: DiffTensor, bias: DiffTensor | None = None) -> DiffTensor:
+    """Matrix product with numpy broadcasting over leading axes, plus an optional bias.
 
     A 2-D ``b`` is a weight shared by every leading index of ``a``, so the
-    leading axes fold into one 2-D GEMM, forward and backward.
+    leading axes fold into one 2-D GEMM, forward and backward. Only then may
+    a 1-D ``bias`` of ``b``'s width be given; it is added in place to the
+    product, so ``x @ w + bias`` is one recorded op whose values and
+    gradients equal those of ``add(matmul(x, w), bias)`` bit for bit.
     """
     if a.ndim < 2 or b.ndim < 2:
         raise DimensionError(f"matmul: operands must be at least 2-D, got {a.shape} and {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise DimensionError(f"matmul: cannot multiply shapes {a.shape} and {b.shape}")
+    if bias is not None and (b.ndim != 2 or bias.shape != (b.shape[1],)):
+        raise DimensionError(f"matmul: bias {bias.shape} does not fit a 2-D b, got {b.shape}")
     if b.ndim == 2:
         a2 = a.data.reshape(-1, a.shape[-1])
         out = (a2 @ b.data).reshape(a.shape[:-1] + (b.shape[1],))
+        if bias is not None:
+            out += bias.data
 
         def backward_fn(g):
             g2 = g.reshape(-1, g.shape[-1])
             return ((g2 @ b.data.T).reshape(a.shape) if a.requires_grad else None,
-                    a2.T @ g2 if b.requires_grad else None)
+                    a2.T @ g2 if b.requires_grad else None,
+                    _unbroadcast(g, bias.shape) if bias is not None and bias.requires_grad
+                    else None)
 
-        return _record(out, "matmul", (a, b), backward_fn)
+        return _record(out, "matmul", (a, b) if bias is None else (a, b, bias), backward_fn)
 
     try:
         out = np.matmul(a.data, b.data)
@@ -187,27 +196,6 @@ def matmul(a: DiffTensor, b: DiffTensor) -> DiffTensor:
                 if b.requires_grad else None)
 
     return _record(out, "matmul", (a, b), backward_fn)
-
-
-def linear(x: DiffTensor, w: DiffTensor, b: DiffTensor) -> DiffTensor:
-    """``x @ w + b`` for a 2-D weight ``w`` and a 1-D bias ``b``, as one recorded op.
-
-    The leading axes of ``x`` fold into one GEMM, as in ``matmul``. Values and
-    gradients equal those of ``add(matmul(x, w), b)`` bit for bit.
-    """
-    if x.ndim < 2 or w.ndim != 2 or b.shape != (w.shape[1],) or x.shape[-1] != w.shape[0]:
-        raise DimensionError(f"linear: shapes x {x.shape}, w {w.shape}, b {b.shape} do not align")
-    x2 = x.data.reshape(-1, x.shape[-1])
-    out = (x2 @ w.data).reshape(x.shape[:-1] + (w.shape[1],))
-    out += b.data
-
-    def backward_fn(g):
-        g2 = g.reshape(-1, g.shape[-1])
-        return ((g2 @ w.data.T).reshape(x.shape) if x.requires_grad else None,
-                x2.T @ g2 if w.requires_grad else None,
-                _unbroadcast(g, b.shape) if b.requires_grad else None)
-
-    return _record(out, "linear", (x, w, b), backward_fn)
 
 
 def graph_layer(a, x: DiffTensor, w: DiffTensor, w_self: DiffTensor | None = None,

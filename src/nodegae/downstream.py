@@ -229,7 +229,7 @@ class GnnModel:
                 mask = rng.random((num_nodes, self.dims[i])) < keep
                 x = dc.dropout(x, mask[rows] if row_local else mask, keep)
             if self.backbone == "mlp":
-                x = dc.linear(x, p[f"l{i}.w"], p[f"l{i}.b"])
+                x = dc.matmul(x, p[f"l{i}.w"], p[f"l{i}.b"])
                 x = dc.relu(x) if i < last else x
                 continue
             at = rows if i == last else None
@@ -306,8 +306,8 @@ def _scorer_mlp_logits(model: GnnModel, u: dc.DiffTensor, v: dc.DiffTensor
 
     def head(a, b):
         cat = dc.concat([a, b], axis=1)
-        h = dc.relu(dc.linear(cat, p["scorer.w1"], p["scorer.b1"]))
-        return dc.linear(h, p["scorer.w2"], p["scorer.b2"])
+        h = dc.relu(dc.matmul(cat, p["scorer.w1"], p["scorer.b1"]))
+        return dc.matmul(h, p["scorer.w2"], p["scorer.b2"])
 
     return dc.mul(dc.add(head(u, v), head(v, u)), dc.constant(0.5))
 

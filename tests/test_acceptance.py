@@ -164,8 +164,8 @@ def _op_gradient_cases(rng):
                               dc.reshape(table, (1, 6, 4)), 2),
          [m1, x38, table]),
         # The fused ops reuse the draws above too: b is a (4,) bias or gain.
-        ("linear", lambda: dc.linear(m1, x44, b), [m1, x44, b]),
-        ("linear_3d", lambda: dc.linear(mb, x44, b), [mb, x44, b]),
+        ("linear", lambda: dc.matmul(m1, x44, b), [m1, x44, b]),
+        ("linear_3d", lambda: dc.matmul(mb, x44, b), [mb, x44, b]),
         ("layer_norm", lambda: dc.layer_norm(m1, b, a), [m1, b, a]),
         ("layer_norm_3d", lambda: dc.layer_norm(x234, b, a), [x234, b, a]),
     ]

@@ -116,6 +116,12 @@ def test_single_token_latent_is_that_position_state():
     assert np.array_equal(h, hidden)
 
 
+def test_encode_batch_rejects_1d_ids():
+    model = tiny_model()
+    with pytest.raises(ContractError):
+        ae.encode_batch(model, np.array([4, 5, tc.EOS_ID]))
+
+
 def test_all_pad_sequence_rejected():
     model = tiny_model()
     with pytest.raises(ContractError):
@@ -152,15 +158,15 @@ def test_batched_rows_match_single_encoding():
 def test_project_zero_w1_gives_zero_matrix():
     model = tiny_model()
     model.params["proj.w1"].data[:] = 0.0
-    h = dc.constant(np.ones(model.config.d_enc))
+    h = dc.constant(np.ones((1, model.config.d_enc)))
     assert np.all(ae.project(model, h).data == 0.0)
 
 
 def test_project_single_slot_degenerates_to_vector_head():
     model = tiny_model(proj_len=1)
-    h = dc.constant(np.arange(8, dtype=np.float64))
+    h = dc.constant(np.arange(8, dtype=np.float64)[None, :])
     out = ae.project(model, h)
-    assert out.shape == (1, 8)
+    assert out.shape == (1, 1, 8)
 
 
 def test_project_matches_hand_multiplication():
@@ -170,16 +176,18 @@ def test_project_matches_hand_multiplication():
     w2 = rng.standard_normal((4, 4))
     model.params["proj.w1"].data = w1.copy()
     model.params["proj.w2"].data = w2.copy()
-    h = rng.standard_normal(4)
+    h = rng.standard_normal((1, 4))
     got = ae.project(model, dc.constant(h)).data
-    want = (np.maximum(h @ w1, 0.0) @ w2).reshape(1, 4)
+    want = (np.maximum(h @ w1, 0.0) @ w2).reshape(1, 1, 4)
     assert np.max(np.abs(got - want)) < 1e-12
 
 
 def test_project_rejects_wrong_width():
     model = tiny_model()
     with pytest.raises(DimensionError):
-        ae.project(model, dc.constant(np.ones(5)))
+        ae.project(model, dc.constant(np.ones((1, 5))))
+    with pytest.raises(DimensionError):  # one latent vector, not a (1, d_enc) batch
+        ae.project(model, dc.constant(np.ones(model.config.d_enc)))
 
 
 # ---------------------------------------------------------------------------
@@ -198,6 +206,13 @@ def test_decoder_logits_shape_and_causality():
     altered[0, 3] = 9
     logits2 = ae.decoder_logits(model, memory, altered).data
     assert np.array_equal(logits[0, :3], logits2[0, :3])
+
+
+def test_decoder_logits_rejects_2d_memory():
+    model = tiny_model()
+    memory = dc.constant(np.zeros((model.config.proj_len, 8)))
+    with pytest.raises(DimensionError):
+        ae.decoder_logits(model, memory, np.array([[tc.BOS_ID, 4]]))
 
 
 def test_shift_for_teacher_forcing():
@@ -703,8 +718,8 @@ def test_combined_loss_passes_finite_difference_check():
 def test_pretrain_loss_records_one_attention_op_per_block():
     # 2 encoder self-attentions + 2 decoder layers x (self, cross) = 6.
     # Layer norms: 2 x 2 in the encoder, 2 x 3 in the decoder, and one after
-    # each stack = 12. Linear: the two biased feed-forward GEMMs of each of
-    # the 4 layers = 8.
+    # each stack = 12. Biased matmuls: the two feed-forward GEMMs of each of
+    # the 4 layers = 8. 96 recorded ops in all.
     graph = toy_graph()
     model = model_for(graph, enc_layers=2, dec_layers=2)
     cfg = ae.InfoNCEConfig()
@@ -715,7 +730,9 @@ def test_pretrain_loss_records_one_attention_op_per_block():
     ops = [node._op for node in nodes]
     assert ops.count("attention") == 6
     assert ops.count("layer_norm") == 12
-    assert ops.count("linear") == 8
+    assert sum(node._op == "matmul" and len(node._parents) == 3 for node in nodes) == 8
+    assert sum(node._backward_fn is not None for node in nodes) == 96
+    assert "linear" not in ops
     assert "softmax_lastdim" not in ops
     assert "layernorm_lastdim" not in ops
     # Attention keeps its probabilities, (B, heads, Tq, Tk), and no copy of q, k or v.

@@ -209,6 +209,19 @@ def test_pretrain_resume_equals_uninterrupted_run(dataset, tmp_path):
             assert np.array_equal(a[key], b[key]), key
 
 
+def test_failed_resume_write_leaves_the_old_run_and_no_temp_files(dataset, tmp_path, capsys,
+                                                                  disk_full):
+    out = tmp_path / "run"
+    base = ["pretrain", "--dataset", str(dataset), "--out-dir", str(out),
+            "--recon-every", "2", "--recon-samples", "2", "--seed", "11"] + TINY_MODEL
+    assert main(base + ["--steps", "4"]) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    disk_full(".recon_metrics.csv.", len(before["recon_metrics.csv"]) // 2)
+    assert main(base + ["--steps", "2", "--resume", str(out / "model.npz")]) == 2
+    assert "No space left" in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
 @pytest.mark.parametrize("command", ["pretrain", "ablate"])
 def test_pretrain_divergence_exits_two_without_artifacts(dataset, tmp_path, monkeypatch,
                                                          capsys, command):
@@ -517,6 +530,20 @@ def test_train_rerun_byte_identical(dataset, embedded, tmp_path):
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
+def test_failed_train_write_leaves_the_old_report_and_no_temp_files(dataset, embedded, tmp_path,
+                                                                    capsys, disk_full):
+    out = tmp_path / "tr"
+    args = ["train", "--dataset", str(dataset), "--embeddings", str(embedded),
+            "--out-dir", str(out), "--task", "nodecls", "--backbone", "mlp",
+            "--repeats", "1", "--epochs", "4", "--patience", "4"]
+    assert main(args + ["--seed", "1"]) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    disk_full(".summary.txt.", len(before["summary.txt"]) // 2)
+    assert main(args + ["--seed", "2"]) == 2
+    assert "No space left" in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
 def test_train_linkpred_curve_file(dataset, embedded, tmp_path):
     out = tmp_path / "tl"
     rc = main(["train", "--dataset", str(dataset), "--embeddings", str(embedded),
@@ -643,15 +670,18 @@ def test_train_rejects_missing_embeddings(dataset, tmp_path):
     assert not (tmp_path / "o").exists()
 
 
-def test_train_rejects_row_mismatch(dataset, tmp_path):
+def test_train_rejects_row_mismatch(dataset, tmp_path, capsys):
     small = tmp_path / "small.txt"
     assert main(["generate", "--out", str(tmp_path / "d10"), "--nodes", "10",
                  "--classes", "2", "--seed", "0"]) == 0
     assert main(["embed", "--dataset", str(tmp_path / "d10"), "--baseline",
                  "random", "--dim", "4", "--out", str(small)]) == 0
+    capsys.readouterr()
     rc = main(["train", "--dataset", str(dataset), "--embeddings", str(small),
                "--out-dir", str(tmp_path / "o")])
     assert rc == 1
+    assert not (tmp_path / "o").exists()
+    assert "rows for a" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("text, line, fragment", MALFORMED_EMBEDDINGS)

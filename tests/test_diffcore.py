@@ -240,7 +240,7 @@ def test_layer_norm_keeps_its_normalised_rows_and_inverse_std():
 def test_linear_keeps_nothing_beyond_its_operands():
     rng = np.random.default_rng(14)
     x, w, b = (dc.parameter(rng.standard_normal(s)) for s in ((2, 3, 4), (4, 5), (5,)))
-    assert saved_arrays(dc.linear(x, w, b)) == []
+    assert saved_arrays(dc.matmul(x, w, b)) == []
 
 
 def _leaf_grads(build, arrays, trainable, weights):
@@ -253,8 +253,9 @@ def _leaf_grads(build, arrays, trainable, weights):
                                    for leaf in leaves]
 
 
+# "linear" is matmul with a bias: x @ w + b as one recorded op.
 FUSED_OPS = {  # name: (fused op, the chain it replaces, input draws for leading axes)
-    "linear": (dc.linear, lambda x, w, b: dc.add(dc.matmul(x, w), b),
+    "linear": (dc.matmul, lambda x, w, b: dc.add(dc.matmul(x, w), b),
                lambda lead, rng: [rng.standard_normal(lead + (4,)), rng.standard_normal((4, 5)),
                                   rng.standard_normal(5)]),
     "layer_norm": (dc.layer_norm, lambda x, g, b: dc.add(dc.mul(dc.layernorm_lastdim(x), g), b),
@@ -360,12 +361,16 @@ def test_graph_layer_keeps_a_x_and_only_sage_keeps_x(backbone):
 
 def test_fused_ops_check_shapes():
     x, w = dc.constant(np.zeros((2, 3, 4))), dc.constant(np.zeros((4, 5)))
+    with pytest.raises(DimensionError, match="bias"):
+        dc.matmul(x, w, dc.constant(np.zeros(4)))  # bias width is not w's
+    with pytest.raises(DimensionError, match="bias"):
+        dc.matmul(x, w, dc.constant(np.zeros((1, 5))))
+    with pytest.raises(DimensionError, match="bias"):
+        dc.matmul(x, dc.constant(np.zeros((2, 4, 5))), dc.constant(np.zeros(5)))  # batched b
     with pytest.raises(DimensionError):
-        dc.linear(x, w, dc.constant(np.zeros(4)))  # bias width is not w's
+        dc.matmul(x, dc.constant(np.zeros((3, 5))), dc.constant(np.zeros(5)))
     with pytest.raises(DimensionError):
-        dc.linear(x, dc.constant(np.zeros((3, 5))), dc.constant(np.zeros(5)))
-    with pytest.raises(DimensionError):
-        dc.linear(dc.constant(np.zeros(4)), w, dc.constant(np.zeros(5)))
+        dc.matmul(dc.constant(np.zeros(4)), w, dc.constant(np.zeros(5)))
     with pytest.raises(DimensionError):
         dc.layer_norm(x, dc.constant(np.ones(3)), dc.constant(np.zeros(4)))
     with pytest.raises(DimensionError):
@@ -535,7 +540,7 @@ def _dag_step(kind, x, y, leaves):
     if kind == "sum":
         return dc.add(x, dc.reshape(dc.sum_axis(y, 0), (1, 3)))
     if kind == "linear":
-        return dc.linear(x, leaves["W"], leaves["r"])
+        return dc.matmul(x, leaves["W"], leaves["r"])
     if kind == "layer_norm":
         return dc.layer_norm(x, leaves["r"], y)
     return dc.gelu(x)
@@ -685,8 +690,8 @@ def make_op_cases(rng):
     ]
     # Drawn after every case above, so their random streams do not move.
     cases += [
-        ("linear", [sn((3, 4)), sn((4, 5)), sn(5)], lambda x, w, b: dc.linear(x, w, b)),
-        ("linear_3d_const_weight", [sn((2, 3, 4)), sn(5)], lambda x, b: dc.linear(x, w45, b)),
+        ("linear", [sn((3, 4)), sn((4, 5)), sn(5)], lambda x, w, b: dc.matmul(x, w, b)),
+        ("linear_3d_const_weight", [sn((2, 3, 4)), sn(5)], lambda x, b: dc.matmul(x, w45, b)),
         ("layer_norm", [sn((3, 6)) * 2 + 1, sn(6), sn(6)],
          lambda x, g, b: dc.layer_norm(x, g, b)),
         ("layer_norm_3d_const_affine", [sn((2, 3, 4)) * 2 + 1],

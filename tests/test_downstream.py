@@ -706,9 +706,10 @@ def test_link_fit_mlp_head_matmuls_see_only_batch_endpoints(recorded_ops, monkey
     assert len(steps) > 2
     start = 0
     for end, endpoints in steps:
-        # Each step's training linear ops are the head's layers; the dot
-        # scorer's pair products are matmuls and eval forwards record no op.
-        heights = [t.shape[0] for t in recorded_ops[start:end] if t._op == "linear"]
+        # Each step's biased matmuls are the head's layers; the dot scorer's
+        # pair products have no bias and eval forwards record no op.
+        heights = [t.shape[0] for t in recorded_ops[start:end]
+                   if t._op == "matmul" and len(t._parents) == 3]
         assert heights == [endpoints] * cfg.num_layers
         assert endpoints < graph.num_nodes
         start = end
