@@ -10,15 +10,17 @@ After pretraining the encoder is frozen and used purely as a feature
 extractor for downstream graph models.
 """
 
+import json
 from dataclasses import asdict, dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from pathlib import Path
+from typing import BinaryIO, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import diffcore as dc
 from .errors import ConfigError, ContractError, DimensionError
 from .graphstore import TextGraph, sample_positive
-from .textcorpus import BOS_ID, EOS_ID, PAD_ID, Vocabulary, encode, pad_sequences
+from .textcorpus import BOS_ID, EOS_ID, PAD_ID, Vocabulary, encode, pad_sequences, replace_files
 
 __all__ = [
     "ModelConfig",
@@ -36,6 +38,7 @@ __all__ = [
     "pretrain_step",
     "extract_embeddings",
     "reconstruct",
+    "model_file",
     "save_model",
     "load_model",
 ]
@@ -491,10 +494,17 @@ def reconstruct(model: AutoencoderModel, tokens, max_gen_len: Optional[int] = No
 # Checkpointing
 # ---------------------------------------------------------------------------
 
-def save_model(path, model: AutoencoderModel, adam: Optional[dc.AdamState] = None,
-               extra_meta: Optional[dict] = None) -> None:
-    """Persist parameters (and optimizer state for resumable training)."""
-    tensors: Dict[str, object] = dict(model.params)
+CHECKPOINT_FORMAT_VERSION = 1
+
+
+def model_file(path, model: AutoencoderModel, adam: Optional[dc.AdamState] = None,
+               extra_meta: Optional[dict] = None) -> Tuple[Path, Callable[[BinaryIO], None]]:
+    """The (path, writer) of a checkpoint npz, as textcorpus.replace_files takes them.
+
+    It holds the parameters as "t:<name>", then the Adam moments as
+    "t:opt.m.<name>" and "t:opt.v.<name>", all float64, and a JSON "__meta__".
+    """
+    arrays = {name: p.data for name, p in model.params.items()}
     meta = {
         "kind": "autoencoder",
         "config": asdict(model.config),
@@ -504,15 +514,35 @@ def save_model(path, model: AutoencoderModel, adam: Optional[dc.AdamState] = Non
         meta.update(extra_meta)
     if adam is not None:
         for name, m, v in zip(model.params, adam.first_moment, adam.second_moment):
-            tensors["opt.m." + name] = m
-            tensors["opt.v." + name] = v
+            arrays["opt.m." + name] = m
+            arrays["opt.v." + name] = v
         meta["optimizer"] = adam.settings()
-    dc.save_checkpoint(path, tensors, meta)
+    meta["format_version"] = CHECKPOINT_FORMAT_VERSION
+    payload = {"t:" + k: np.ascontiguousarray(a, dtype=np.float64) for k, a in arrays.items()}
+    payload["__meta__"] = np.array(json.dumps(meta, sort_keys=True))
+    return Path(path), lambda fh: np.savez(fh, **payload)
+
+
+def save_model(path, model: AutoencoderModel, adam: Optional[dc.AdamState] = None,
+               extra_meta: Optional[dict] = None, alongside: Sequence[tuple] = ()) -> None:
+    """Replace path with model_file's checkpoint and each (path, content) of alongside.
+
+    One textcorpus.replace_files call writes them all, so a failed save
+    leaves every old file as it was.
+    """
+    replace_files([*alongside, model_file(path, model, adam, extra_meta)])
 
 
 def load_model(path) -> Tuple[AutoencoderModel, Optional[dc.AdamState], dict]:
-    """Rebuild a model (and optimizer state if stored) from a checkpoint."""
-    tensors, meta = dc.load_checkpoint(path)
+    """Rebuild a model (and optimizer state if stored) from a model_file checkpoint."""
+    with np.load(path, allow_pickle=False) as bundle:
+        if "__meta__" not in bundle:
+            raise ContractError(f"checkpoint {path}: missing metadata block")
+        meta = json.loads(str(bundle["__meta__"]))
+        if meta.get("format_version") != CHECKPOINT_FORMAT_VERSION:
+            raise ContractError(
+                f"checkpoint {path}: unsupported format version {meta.get('format_version')}")
+        tensors = {k[2:]: bundle[k].copy() for k in bundle.files if k.startswith("t:")}
     config = ModelConfig(**meta["config"])
     vocab = Vocabulary.from_tokens(meta["vocab"])
     model = AutoencoderModel.init(config, vocab, seed=0)

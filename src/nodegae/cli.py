@@ -32,6 +32,7 @@ from .downstream import (
     LINK_SCORERS,
     DownstreamConfig,
     EmbeddingMatrix,
+    embeddings_file,
     graph_operator,
     load_embeddings,
     random_embeddings,
@@ -302,10 +303,16 @@ def cmd_pretrain(args: Args) -> int:
     graph = _pretraining_graph(args, "pretraining")
 
     rng = np.random.default_rng(args.seed)
+    data_sha256 = dataset_sha256(args.dataset)
     if args.resume is not None:
         model, adam, meta = load_model(args.resume)
         if adam is None:
             raise ConfigError(f"{args.resume} has no optimizer state; cannot resume")
+        trained_on = meta.get("dataset_sha256", data_sha256)
+        changed = [f"{name} {digest} (checkpoint: {trained_on.get(name)})"
+                   for name, digest in data_sha256.items() if trained_on.get(name) != digest]
+        if changed:
+            raise ConfigError(f"{args.resume} was trained on other data: {', '.join(changed)}")
         _resume_flags(args, model, adam, meta)
         # Continue the stopped run's batch and positive draws instead of replaying them.
         if "rng_state" in meta:
@@ -324,13 +331,12 @@ def cmd_pretrain(args: Args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     resuming = args.resume is not None
-    replace_files([
+    logs = [
         _csv(out_dir / "pretrain_log.csv", "step,lm_loss,infonce_loss,total", log_rows, resuming),
         _csv(out_dir / "recon_metrics.csv", "step,bleu,rouge_l,token_f1", recon_rows, resuming),
-    ])
-
-    save_model(out_dir / "model.npz", model, adam,
-               extra_meta={"dataset_sha256": dataset_sha256(args.dataset),
+    ]
+    save_model(out_dir / "model.npz", model, adam, alongside=logs,
+               extra_meta={"dataset_sha256": data_sha256,
                            "rng_state": rng.bit_generator.state,
                            "stage1_flags": {dest: getattr(args, dest) for dest in STORED_DESTS}})
     print(f"pretrained to step {step} (total loss {_fmt(lm + info)}); artifacts in {out_dir}")
@@ -519,9 +525,9 @@ def cmd_ablate(args: Args) -> int:
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    save_embeddings(variants[0][1], out_dir / "emb_with.txt")
-    save_embeddings(variants[1][1], out_dir / "emb_without.txt")
     replace_files([
+        embeddings_file(variants[0][1], out_dir / "emb_with.txt"),
+        embeddings_file(variants[1][1], out_dir / "emb_without.txt"),
         _csv(out_dir / "ablation.csv",
              "backbone,mean_with,std_with,mean_without,std_without,delta", csv_rows),
         (out_dir / "summary.txt", "\n".join(summary) + "\n"),

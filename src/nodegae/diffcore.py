@@ -12,17 +12,13 @@ every leaf gradient exactly. Intermediate tensors keep ``grad`` None. Inside
 
 from __future__ import annotations
 
-import json
-import os
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
-from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .errors import ContractError, DimensionError, NodeGaeError
-from .textcorpus import replace_files
 
 LAYERNORM_EPS = 1e-12
 
@@ -816,43 +812,3 @@ def adam_step(params: Sequence[DiffTensor], state: AdamState) -> None:
 def zero_grads(params: Iterable[DiffTensor]) -> None:
     for p in params:
         p.grad = None
-
-
-# ---------------------------------------------------------------------------
-# Checkpoint container
-# ---------------------------------------------------------------------------
-
-CHECKPOINT_FORMAT_VERSION = 1
-
-
-def save_checkpoint(path, tensors: Mapping[str, "np.ndarray | DiffTensor"],
-                    meta: dict | None = None) -> None:
-    """Write named float arrays plus a JSON metadata block; round-trips bitwise.
-
-    As with ``np.savez``, ".npz" is appended to a path that does not end in
-    it. The file is written beside its path and renamed over it, so a failed
-    save leaves the previous checkpoint as it was.
-    """
-    payload = {}
-    for name, value in tensors.items():
-        arr = value.data if isinstance(value, DiffTensor) else np.asarray(value)
-        payload["t:" + name] = np.ascontiguousarray(arr, dtype=np.float64)
-    header = dict(meta or {})
-    header["format_version"] = CHECKPOINT_FORMAT_VERSION
-    payload["__meta__"] = np.array(json.dumps(header, sort_keys=True))
-    path = os.fspath(path)
-    if not path.endswith(".npz"):
-        path += ".npz"
-    replace_files([(Path(path), lambda fh: np.savez(fh, **payload))])
-
-
-def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
-    with np.load(path, allow_pickle=False) as bundle:
-        if "__meta__" not in bundle:
-            raise ContractError(f"checkpoint {path}: missing metadata block")
-        meta = json.loads(str(bundle["__meta__"]))
-        if meta.get("format_version") != CHECKPOINT_FORMAT_VERSION:
-            raise ContractError(
-                f"checkpoint {path}: unsupported format version {meta.get('format_version')}")
-        tensors = {k[2:]: bundle[k].copy() for k in bundle.files if k.startswith("t:")}
-    return tensors, meta

@@ -28,6 +28,7 @@ from .textcorpus import build_vocab, replace_files, tokenize
 
 __all__ = [
     "EmbeddingMatrix",
+    "embeddings_file",
     "save_embeddings",
     "load_embeddings",
     "random_embeddings",
@@ -43,6 +44,8 @@ __all__ = [
 ]
 
 PROVENANCES = ("shallow-baseline", "nodegae", "random")
+# Vocabulary budget of the shallow bag-of-words baseline.
+SHALLOW_VOCAB = 2048
 
 
 @dataclass
@@ -71,16 +74,20 @@ class EmbeddingMatrix:
         return self.matrix.shape[1]
 
 
-def save_embeddings(embeddings: EmbeddingMatrix, path) -> None:
-    """Text format: a "rows dim provenance" header, then one row per line.
+def embeddings_file(embeddings: EmbeddingMatrix, path) -> Tuple[Path, str]:
+    """The (path, text) of an embeddings file, as textcorpus.replace_files takes them.
 
-    The file is written beside its path and renamed over it, so a failed save
-    leaves the previous file as it was.
+    Text format: a "rows dim provenance" header, then one row per line.
     """
     lines = [f"{embeddings.num_rows} {embeddings.dim} {embeddings.provenance}"]
     for row in embeddings.matrix:
         lines.append(" ".join(repr(float(x)) for x in row))
-    replace_files([(Path(path), "\n".join(lines) + "\n")])
+    return Path(path), "\n".join(lines) + "\n"
+
+
+def save_embeddings(embeddings: EmbeddingMatrix, path) -> None:
+    """Replace path with the embeddings_file text; a failed save leaves the old file."""
+    replace_files([embeddings_file(embeddings, path)])
 
 
 def load_embeddings(path) -> EmbeddingMatrix:
@@ -111,14 +118,14 @@ def random_embeddings(num_nodes: int, dim: int, seed: int = 0) -> EmbeddingMatri
     return EmbeddingMatrix(rng.standard_normal((num_nodes, dim)), provenance="random")
 
 
-def shallow_embeddings(graph: TextGraph, dim: int, seed: int = 0,
-                       vocab_budget: int = 2048) -> EmbeddingMatrix:
+def shallow_embeddings(graph: TextGraph, dim: int, seed: int = 0) -> EmbeddingMatrix:
     """Word-count features squeezed to dim by a fixed random projection.
 
     Each node's document becomes a bag-of-words vector over the corpus
-    vocabulary, L2-normalized, then projected with a seeded Gaussian map.
+    vocabulary (at most SHALLOW_VOCAB tokens), L2-normalized, then projected
+    with a seeded Gaussian map.
     """
-    vocab = build_vocab(graph.texts, max_size=vocab_budget)
+    vocab = build_vocab(graph.texts, max_size=SHALLOW_VOCAB)
     counts = np.zeros((graph.num_nodes, vocab.size), dtype=np.float64)
     for v, text in enumerate(graph.texts):
         for tok in tokenize(text):
@@ -314,22 +321,21 @@ def _scorer_mlp_logits(model: GnnModel, u: dc.DiffTensor, v: dc.DiffTensor
 
 def _pair_logits(z: dc.DiffTensor, pairs: np.ndarray,
                  model: Optional[GnnModel] = None) -> dc.DiffTensor:
-    """Pair logits as a (m,) tensor; dot products unless the model has an mlp scorer."""
+    """Pair logits as a (m, 1) tensor; dot products unless the model has an mlp scorer."""
     m, d = pairs.shape[0], z.shape[1]
     u = dc.embedding_lookup(z, pairs[:, 0])
     v = dc.embedding_lookup(z, pairs[:, 1])
     if model is not None and "scorer.w1" in model.params:
-        return dc.reshape(_scorer_mlp_logits(model, u, v), (m,))
+        return _scorer_mlp_logits(model, u, v)
     dots = dc.matmul(dc.reshape(u, (m, 1, d)), dc.reshape(v, (m, d, 1)))
-    return dc.reshape(dots, (m,))
+    return dc.reshape(dots, (m, 1))
 
 
 def link_bce(z: dc.DiffTensor, pairs: np.ndarray, labels: np.ndarray,
              model: Optional[GnnModel] = None) -> dc.DiffTensor:
     """Binary cross-entropy of logistic pair scores against 0/1 labels."""
-    m = pairs.shape[0]
-    s = dc.reshape(_pair_logits(z, pairs, model), (m, 1))
-    two_class = dc.concat([dc.constant(np.zeros((m, 1))), s], axis=1)
+    s = _pair_logits(z, pairs, model)
+    two_class = dc.concat([dc.constant(np.zeros(s.shape)), s], axis=1)
     return dc.cross_entropy_logits(two_class, np.asarray(labels, dtype=np.int64),
                                    reduction="mean")
 
@@ -354,7 +360,7 @@ def _endpoints(pairs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 
 def _link_scores(model: GnnModel, z: dc.DiffTensor, pairs: np.ndarray) -> np.ndarray:
     """logistic(pair logit) over node outputs z from an inference forward."""
-    return 1.0 / (1.0 + np.exp(-_pair_logits(z, pairs, model).data))
+    return 1.0 / (1.0 + np.exp(-_pair_logits(z, pairs, model).data[:, 0]))
 
 
 def predict_links(model: GnnModel, embeddings, pairs) -> np.ndarray:

@@ -21,6 +21,9 @@ __all__ = [
     "token_f1",
 ]
 
+# Longest n-gram that bleu scores.
+BLEU_MAX_ORDER = 4
+
 
 def accuracy(predicted, expected) -> float:
     """Fraction of positions where predicted and expected labels agree."""
@@ -76,17 +79,17 @@ def _ngram_counter(tokens: Sequence, n: int) -> Counter:
     return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
 
 
-def bleu(candidate: Sequence, reference: Sequence, max_order: int = 4) -> float:
+def bleu(candidate: Sequence, reference: Sequence) -> float:
     """Sentence BLEU with uniform n-gram weights and a brevity penalty.
 
-    Modified precisions are computed for orders 1..max_order. A zero match
+    Modified precisions are computed for orders 1..BLEU_MAX_ORDER. A zero match
     count at order 1 short-circuits to 0.0; zero counts at higher orders get
     add-one smoothing so short texts still yield informative scores.
     """
     if len(candidate) == 0 or len(reference) == 0:
         raise MetricError("bleu needs non-empty candidate and reference")
     log_sum = 0.0
-    for n in range(1, max_order + 1):
+    for n in range(1, BLEU_MAX_ORDER + 1):
         cand = _ngram_counter(candidate, n)
         ref = _ngram_counter(reference, n)
         total = sum(cand.values())
@@ -99,7 +102,7 @@ def bleu(candidate: Sequence, reference: Sequence, max_order: int = 4) -> float:
         log_sum += np.log(matched / total)
     c, r = len(candidate), len(reference)
     brevity = 1.0 if c > r else float(np.exp(1.0 - r / c))
-    return float(brevity * np.exp(log_sum / max_order))
+    return float(brevity * np.exp(log_sum / BLEU_MAX_ORDER))
 
 
 def _lcs_length(a: Sequence, b: Sequence) -> int:

@@ -112,16 +112,11 @@ def decode(ids, vocab: Vocabulary) -> List[str]:
     return [vocab.token_for(int(i)) for i in ids if int(i) not in structural]
 
 
-def pad_sequences(seqs: Sequence[np.ndarray], length: Optional[int] = None) -> np.ndarray:
-    """Stack variable-length id sequences into a PAD-filled (N, T) matrix."""
+def pad_sequences(seqs: Sequence[np.ndarray]) -> np.ndarray:
+    """Stack variable-length id sequences into a PAD-filled (N, longest) matrix."""
     if len(seqs) == 0:
         raise ContractError("pad_sequences needs at least one sequence")
-    longest = max(len(s) for s in seqs)
-    if length is None:
-        length = longest
-    elif longest > length:
-        raise ContractError(f"sequence of length {longest} exceeds requested {length}")
-    out = np.full((len(seqs), length), PAD_ID, dtype=np.int64)
+    out = np.full((len(seqs), max(len(s) for s in seqs)), PAD_ID, dtype=np.int64)
     for i, s in enumerate(seqs):
         out[i, : len(s)] = s
     return out

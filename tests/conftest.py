@@ -1,4 +1,5 @@
 import errno
+import json
 import sys
 from pathlib import Path
 
@@ -60,6 +61,19 @@ def saved_arrays(node):
 
     visit(node._backward_fn)
     return found
+
+
+def edit_checkpoint(path, edit_meta=None, drop=()):
+    """Rewrite the checkpoint npz at path: edit_meta(meta) changes its __meta__
+    block in place, and the "t:<name>" entry of each name in drop goes."""
+    gone = {"t:" + name for name in drop}
+    with np.load(path, allow_pickle=False) as bundle:
+        payload = {k: bundle[k] for k in bundle.files if k not in gone}
+    meta = json.loads(str(payload["__meta__"]))
+    if edit_meta is not None:
+        edit_meta(meta)
+    payload["__meta__"] = np.array(json.dumps(meta, sort_keys=True))
+    np.savez(path, **payload)
 
 
 class _FullDisk:

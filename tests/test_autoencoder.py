@@ -1,10 +1,12 @@
 """Tests for the text autoencoder: forward oracles, losses, pretraining."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy.special import erf
 
-from conftest import saved_arrays
+from conftest import edit_checkpoint, saved_arrays
 from fdcheck import assert_grads_close, finite_diff_grads
 
 from nodegae import autoencoder as ae
@@ -643,36 +645,72 @@ def test_save_load_round_trip(tmp_path):
     assert loaded_adam.step_count == 4
 
 
+def test_checkpoint_roundtrip_is_bitwise(tmp_path):
+    rng = np.random.default_rng(3)
+    model = model_for(toy_graph())
+    for p in model.params.values():
+        p.data = rng.standard_normal(p.data.shape)
+    model.params["dec.out_ln.b"].data *= 1e-12
+    adam = dc.AdamState.for_params(model.parameters(), base_lr=1e-3)
+    for m, v in zip(adam.first_moment, adam.second_moment):
+        m[...] = rng.standard_normal(m.shape)
+        v[...] = rng.random(v.shape) * math.pi
+    path = tmp_path / "model.npz"
+    ae.save_model(path, model, adam, extra_meta={"step_count": 42, "d_enc": 8})
+    with np.load(path) as bundle:
+        keys = bundle.files
+    opt = [f"t:opt.{k}.{name}" for name in model.params for k in "mv"]
+    assert keys == [f"t:{name}" for name in model.params] + opt + ["__meta__"]
+    loaded, loaded_adam, got_meta = ae.load_model(path)
+    for name, p in model.params.items():
+        assert loaded.params[name].data.dtype == np.float64
+        np.testing.assert_array_equal(loaded.params[name].data, p.data)
+    for a, b in zip(adam.first_moment + adam.second_moment,
+                    loaded_adam.first_moment + loaded_adam.second_moment):
+        np.testing.assert_array_equal(a, b)
+    assert got_meta["step_count"] == 42
+    assert got_meta["d_enc"] == 8
+    assert got_meta["format_version"] == ae.CHECKPOINT_FORMAT_VERSION
+
+
+def test_failed_checkpoint_save_leaves_the_old_file_and_no_temp_files(tmp_path, disk_full):
+    rng = np.random.default_rng(5)
+    model = model_for(toy_graph())
+    model.params["lm_head"].data = rng.standard_normal(model.params["lm_head"].data.shape)
+    path, log = tmp_path / "model.npz", tmp_path / "log.csv"
+    ae.save_model(path, model, extra_meta={"step_count": 1}, alongside=[(log, "step 1\n")])
+    before = path.read_bytes()
+    disk_full(".model.npz.", len(before) // 2)
+    model.params["lm_head"].data = rng.standard_normal(model.params["lm_head"].data.shape)
+    with pytest.raises(OSError, match="No space left"):
+        ae.save_model(path, model, extra_meta={"step_count": 2}, alongside=[(log, "step 2\n")])
+    assert path.read_bytes() == before
+    assert log.read_text() == "step 1\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["log.csv", "model.npz"]
+    assert ae.load_model(path)[2]["step_count"] == 1
+
+
 @pytest.mark.parametrize("edit", ["drop", "add"])
 def test_load_refuses_optimizer_block_with_other_keys(tmp_path, edit):
     graph = toy_graph()
     model = model_for(graph)
     path = tmp_path / "model.npz"
     ae.save_model(path, model, dc.AdamState.for_params(model.parameters(), base_lr=1e-3))
-    tensors, meta = dc.load_checkpoint(path)
     if edit == "drop":
-        del meta["optimizer"]["warmup_steps"]
+        edit_checkpoint(path, lambda meta: meta["optimizer"].pop("warmup_steps"))
     else:
-        meta["optimizer"]["momentum"] = 0.9
-    dc.save_checkpoint(path, tensors, meta)
+        edit_checkpoint(path, lambda meta: meta["optimizer"].update(momentum=0.9))
     with pytest.raises(ContractError, match="warmup_steps" if edit == "drop" else "momentum"):
         ae.load_model(path)
 
 
 def test_load_detects_missing_parameter(tmp_path):
-    import dataclasses
-
     graph = toy_graph()
     model = model_for(graph)
     path = tmp_path / "model.npz"
-    tensors = dict(model.params)
-    tensors.pop("lm_head")
-    dc.save_checkpoint(path, tensors, {
-        "kind": "autoencoder",
-        "config": dataclasses.asdict(model.config),
-        "vocab": model.vocab.id_to_token,
-    })
-    with pytest.raises(ContractError):
+    ae.save_model(path, model)
+    edit_checkpoint(path, drop=["lm_head"])
+    with pytest.raises(ContractError, match="lm_head"):
         ae.load_model(path)
 
 

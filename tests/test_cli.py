@@ -8,6 +8,7 @@ are shared across the module to keep the suite fast.
 import hashlib
 import inspect
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -22,6 +23,7 @@ from nodegae.cli import dataset_paths, main
 from nodegae.downstream import load_embeddings
 from nodegae.graphstore import TextGraph, build_link_split
 from nodegae.textcorpus import load_textgraph, save_textgraph
+from conftest import edit_checkpoint
 from test_downstream import MALFORMED_EMBEDDINGS
 
 TINY_MODEL = [
@@ -209,14 +211,16 @@ def test_pretrain_resume_equals_uninterrupted_run(dataset, tmp_path):
             assert np.array_equal(a[key], b[key]), key
 
 
+@pytest.mark.parametrize("failing", ["recon_metrics.csv", "model.npz"])
 def test_failed_resume_write_leaves_the_old_run_and_no_temp_files(dataset, tmp_path, capsys,
-                                                                  disk_full):
+                                                                  disk_full, failing):
     out = tmp_path / "run"
     base = ["pretrain", "--dataset", str(dataset), "--out-dir", str(out),
             "--recon-every", "2", "--recon-samples", "2", "--seed", "11"] + TINY_MODEL
     assert main(base + ["--steps", "4"]) == 0
     before = {p.name: p.read_bytes() for p in out.iterdir()}
-    disk_full(".recon_metrics.csv.", len(before["recon_metrics.csv"]) // 2)
+    assert sorted(before) == ["model.npz", "pretrain_log.csv", "recon_metrics.csv"]
+    disk_full(f".{failing}.", len(before[failing]) // 2)
     assert main(base + ["--steps", "2", "--resume", str(out / "model.npz")]) == 2
     assert "No space left" in capsys.readouterr().err
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
@@ -337,9 +341,7 @@ def test_pretrain_resume_of_checkpoint_without_stored_flags_applies_them(dataset
     base = ["pretrain", "--dataset", str(dataset), "--out-dir", str(out),
             "--steps", "2", "--recon-every", "0"] + TINY_MODEL
     assert main(base) == 0
-    tensors, meta = dc.load_checkpoint(out / "model.npz")
-    del meta["stage1_flags"]
-    dc.save_checkpoint(out / "model.npz", tensors, meta)
+    edit_checkpoint(out / "model.npz", lambda meta: meta.pop("stage1_flags"))
     assert main(base[:-2] + ["--resume", str(out / "model.npz"), "--vocab-size", "8",
                              "--seed", "99", "--tau", "0.3"]) == 0
     _, _, meta = ae.load_model(out / "model.npz")
@@ -356,10 +358,30 @@ def test_pretrain_checkpoint_names_its_dataset_by_hash_not_path(dataset, tmp_pat
                      "--recon-every", "0"] + TINY_MODEL) == 0
         runs.append((out / "model.npz").read_bytes())
     assert runs[0] == runs[1]
-    _, meta = dc.load_checkpoint(tmp_path / "run0" / "model.npz")
+    _, _, meta = ae.load_model(tmp_path / "run0" / "model.npz")
     assert meta["dataset_sha256"] == {
         p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in dataset_paths(dataset)}
     assert "dataset" not in meta
+
+
+def test_pretrain_resume_refuses_a_checkpoint_trained_on_other_data(dataset, tmp_path, capsys):
+    other, out = tmp_path / "other", tmp_path / "run"
+    shutil.copytree(dataset, other)
+    edges = other / "edges.tsv"
+    edges.write_text("".join(edges.read_text().splitlines(keepends=True)[:-1]))
+    base = ["pretrain", "--out-dir", str(out), "--steps", "2", "--recon-every", "0"] + TINY_MODEL
+    assert main(base + ["--dataset", str(dataset)]) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    resume = base + ["--dataset", str(other), "--resume", str(out / "model.npz")]
+    assert main(resume) == 1
+    err = capsys.readouterr().err
+    for data in (dataset, other):
+        assert hashlib.sha256((data / "edges.tsv").read_bytes()).hexdigest() in err
+    assert "edges.tsv" in err and "nodes.tsv" not in err
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+    # A checkpoint that does not store its dataset resumes on any data.
+    edit_checkpoint(out / "model.npz", lambda meta: meta.pop("dataset_sha256"))
+    assert main(resume) == 0
 
 
 @pytest.mark.parametrize("command, task", [
@@ -472,10 +494,9 @@ def test_embed_vocab_mismatch_exits_one(tmp_path, capsys):
 
 
 def test_embed_tampered_checkpoint_exits_two(dataset, pretrained, tmp_path, capsys):
-    with np.load(pretrained / "model.npz", allow_pickle=False) as bundle:
-        payload = {k: bundle[k] for k in bundle.files if k != "t:lm_head"}
     bad = tmp_path / "tampered.npz"
-    np.savez(bad, **payload)
+    shutil.copy(pretrained / "model.npz", bad)
+    edit_checkpoint(bad, drop=["lm_head"])
     rc = main(["embed", "--dataset", str(dataset), "--checkpoint", str(bad),
                "--out", str(tmp_path / "e.txt")])
     assert rc == 2
@@ -730,6 +751,20 @@ def test_ablate_reports_both_variants_and_delta(dataset, tmp_path):
         assert f"{backbone} delta:" in summary
     assert read(out / "emb_with.txt").split("\n")[0] == "48 16 nodegae"
     assert read(out / "emb_without.txt").split("\n")[0] == "48 16 nodegae"
+
+
+def test_failed_ablate_write_leaves_the_old_run_and_no_temp_files(dataset, tmp_path, capsys,
+                                                                  disk_full):
+    out = tmp_path / "abl"
+    args = ["ablate", "--dataset", str(dataset), "--out-dir", str(out), "--task", "nodecls",
+            "--backbones", "mlp", "--repeats", "1", "--steps", "2", "--epochs", "2"] + TINY_MODEL
+    assert main(args + ["--seed", "1"]) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert sorted(before) == ["ablation.csv", "emb_with.txt", "emb_without.txt", "summary.txt"]
+    disk_full(".emb_without.txt.", len(before["emb_without.txt"]) // 2)
+    assert main(args + ["--seed", "2"]) == 2
+    assert "No space left" in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
 # ---------------------------------------------------------------------------

@@ -352,6 +352,17 @@ def test_link_bce_of_zero_logits_is_log_two():
     assert abs(loss.item() - np.log(2.0)) < 1e-15
 
 
+@pytest.mark.parametrize("scorer, reshapes", [("dot", 3), ("mlp", 0)])
+def test_link_bce_reshapes_only_for_the_dot_products(recorded_ops, scorer, reshapes):
+    # Pair logits come out (m, 1), the column link_bce's two-class logits take.
+    model = ds.GnnModel.build("mlp", 3, 4, 3, dropout=0.0, seed=1)
+    if scorer == "mlp":
+        ds._add_mlp_scorer(model, 5, np.random.default_rng(2))
+    z = dc.parameter(np.random.default_rng(3).standard_normal((6, 3)))
+    ds.link_bce(z, np.array([(0, 1), (2, 3), (4, 5)]), np.array([1, 0, 1]), model)
+    assert [t._op for t in recorded_ops].count("reshape") == reshapes
+
+
 # ---------------------------------------------------------------------------
 # node classification
 # ---------------------------------------------------------------------------
