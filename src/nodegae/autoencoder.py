@@ -11,6 +11,7 @@ extractor for downstream graph models.
 """
 
 import json
+import zipfile
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import BinaryIO, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
@@ -183,15 +184,17 @@ def _layer_norm(x, params, prefix):
     return dc.layer_norm(x, params[prefix + ".g"], params[prefix + ".b"])
 
 
-def _attention(q_src, kv_src, params, prefix, heads, bias=None):
-    """Multi-head attention with input and output projections.
+def _attention(q_src, kv_src, params, prefix, heads, bias, layout):
+    """Multi-head attention with input and output projections over packed rows.
 
-    bias is an additive numpy mask that broadcasts to (B, heads, Tq, Tk).
+    q_src holds the rows at layout's positions, and so does a 2-D kv_src; a
+    3-D kv_src is the (B, slots, d) memory. bias is an additive numpy mask
+    that broadcasts to (B, heads, Tq, Tk).
     """
     q = dc.matmul(q_src, params[prefix + ".wq"])
     k = dc.matmul(kv_src, params[prefix + ".wk"])
     v = dc.matmul(kv_src, params[prefix + ".wv"])
-    return dc.matmul(dc.attention(q, k, v, heads, bias), params[prefix + ".wo"])
+    return dc.matmul(dc.attention(q, k, v, heads, bias, layout), params[prefix + ".wo"])
 
 
 def _feed_forward(x, params, prefix):
@@ -206,20 +209,38 @@ def _as_id_matrix(ids) -> np.ndarray:
     return arr
 
 
+def _layout(ids: np.ndarray, positions=None) -> Tuple[int, int, np.ndarray]:
+    """The dc.attention layout (B, T, flat) of a (B, T) id matrix.
+
+    flat holds the given flat positions, by default the non-PAD ones.
+    """
+    if positions is None:
+        return ids.shape[0], ids.shape[1], np.flatnonzero(ids != PAD_ID)
+    return dc.check_layout("decoder_logits", (*ids.shape, positions), np.size(positions))
+
+
+def _embed(params, prefix: str, ids: np.ndarray, flat: np.ndarray) -> dc.DiffTensor:
+    """Token plus position embeddings of the ids at the flat positions, (n, d)."""
+    return dc.add(dc.embedding_lookup(params[prefix + ".tok_emb"], ids.reshape(-1)[flat]),
+                  dc.embedding_lookup(params[prefix + ".pos_emb"], flat % ids.shape[1]))
+
+
 def encoder_hidden(model: AutoencoderModel, ids) -> dc.DiffTensor:
-    """Final per-position encoder states, shape (B, T, d_enc)."""
+    """Final encoder states of the non-PAD positions, packed (n, d_enc) in row-major order.
+
+    Every per-token op runs on these rows; only attention sees the (B, T) grid.
+    """
     ids = _as_id_matrix(ids)
     cfg, params = model.config, model.params
-    b, t = ids.shape
-    if t > cfg.max_len:
-        raise ContractError(f"sequence length {t} exceeds max_len {cfg.max_len}")
-    x = dc.add(dc.embedding_lookup(params["enc.tok_emb"], ids),
-               dc.embedding_lookup(params["enc.pos_emb"], np.arange(t)))
+    if ids.shape[1] > cfg.max_len:
+        raise ContractError(f"sequence length {ids.shape[1]} exceeds max_len {cfg.max_len}")
+    layout = _layout(ids)
+    x = _embed(params, "enc", ids, layout[2])
     key_bias = np.where(ids == PAD_ID, MASK_BIAS, 0.0)[:, None, None, :]
     for i in range(cfg.enc_layers):
         p = f"enc.l{i}"
         a = _layer_norm(x, params, p + ".ln1")
-        x = dc.add(x, _attention(a, a, params, p + ".attn", cfg.heads, key_bias))
+        x = dc.add(x, _attention(a, a, params, p + ".attn", cfg.heads, key_bias, layout))
         f = _layer_norm(x, params, p + ".ln2")
         x = dc.add(x, _feed_forward(f, params, p + ".ff"))
     return _layer_norm(x, params, "enc.out_ln")
@@ -228,20 +249,19 @@ def encoder_hidden(model: AutoencoderModel, ids) -> dc.DiffTensor:
 def encode_batch(model: AutoencoderModel, ids) -> dc.DiffTensor:
     """Latent vectors for a padded id matrix: mean of non-pad positions.
 
-    Pooling is a mask-weighted sum divided by the non-pad count, so
-    appending pad columns leaves every row of the result unchanged.
+    Pooling places the packed states in the (B, T, d_enc) grid, with zeros
+    at pad, sums over T and divides by the non-pad count, so appending pad
+    columns leaves every row of the result unchanged.
     """
     ids = _as_id_matrix(ids)
-    mask = ids != PAD_ID
-    counts = mask.sum(axis=1)
+    counts = (ids != PAD_ID).sum(axis=1)
     if np.any(counts == 0):
         raise ContractError("encode: a sequence consists entirely of padding")
-    hidden = encoder_hidden(model, ids)
     # numpy sums over a middle axis one position at a time, in order, so pad
     # positions add exact zeros and each row is bit-identical to the sum over
     # its unpadded sequence, whatever the padded length is.
-    masked = dc.mul(hidden, dc.constant(mask[:, :, None].astype(np.float64)))
-    return dc.mul(dc.sum_axis(masked, 1), dc.constant((1.0 / counts)[:, None]))
+    grid = dc.to_grid(encoder_hidden(model, ids), _layout(ids))
+    return dc.mul(dc.sum_axis(grid, 1), dc.constant((1.0 / counts)[:, None]))
 
 
 def encode_node(model: AutoencoderModel, tokens) -> dc.DiffTensor:
@@ -265,13 +285,16 @@ def project(model: AutoencoderModel, h: dc.DiffTensor) -> dc.DiffTensor:
     return dc.reshape(flat, (h.shape[0], cfg.proj_len, cfg.d_dec))
 
 
-def decoder_logits(model: AutoencoderModel, memory: dc.DiffTensor, dec_ids
-                   ) -> dc.DiffTensor:
-    """Next-token logits (B, T, vocab) for teacher-forced decoder inputs.
+def decoder_logits(model: AutoencoderModel, memory: dc.DiffTensor, dec_ids,
+                   positions=None) -> dc.DiffTensor:
+    """Next-token logits (n, vocab) for the non-PAD teacher-forced decoder inputs.
 
-    Self-attention is causal (each position sees itself and the left
-    context); cross-attention reads memory, the (B, slots, d_dec) rows that
-    project returns.
+    Rows follow the inputs in row-major (B, T) order. positions, increasing
+    flat positions of dec_ids, replaces the non-PAD ones as the inputs that
+    get a row; a PAD input among them stays masked as a key. Self-attention
+    is causal (each position sees itself and the left context);
+    cross-attention reads memory, the (B, slots, d_dec) rows that project
+    returns.
     """
     dec_ids = _as_id_matrix(dec_ids)
     cfg, params = model.config, model.params
@@ -282,17 +305,17 @@ def decoder_logits(model: AutoencoderModel, memory: dc.DiffTensor, dec_ids
         raise DimensionError(
             f"memory shape {memory.shape} is not (batch {b}, slots, "
             f"d_dec {cfg.d_dec})")
-    x = dc.add(dc.embedding_lookup(params["dec.tok_emb"], dec_ids),
-               dc.embedding_lookup(params["dec.pos_emb"], np.arange(t)))
+    layout = _layout(dec_ids, positions)
+    x = _embed(params, "dec", dec_ids, layout[2])
     causal = np.triu(np.full((t, t), MASK_BIAS), k=1)
     pad = np.where(dec_ids == PAD_ID, MASK_BIAS, 0.0)[:, None, None, :]
     self_bias = causal[None, None, :, :] + pad
     for i in range(cfg.dec_layers):
         p = f"dec.l{i}"
         a = _layer_norm(x, params, p + ".ln1")
-        x = dc.add(x, _attention(a, a, params, p + ".attn", cfg.heads, self_bias))
+        x = dc.add(x, _attention(a, a, params, p + ".attn", cfg.heads, self_bias, layout))
         c = _layer_norm(x, params, p + ".ln2")
-        x = dc.add(x, _attention(c, memory, params, p + ".cross", cfg.heads))
+        x = dc.add(x, _attention(c, memory, params, p + ".cross", cfg.heads, None, layout))
         f = _layer_norm(x, params, p + ".ln3")
         x = dc.add(x, _feed_forward(f, params, p + ".ff"))
     x = _layer_norm(x, params, "dec.out_ln")
@@ -309,7 +332,7 @@ def shift_for_teacher_forcing(targets) -> np.ndarray:
 
 
 def lm_loss(logits: dc.DiffTensor, targets) -> dc.DiffTensor:
-    """Mean negative log-likelihood of targets, PAD positions excluded."""
+    """Mean negative log-likelihood of targets, one per logits row; PAD targets excluded."""
     return dc.cross_entropy_logits(logits, np.asarray(targets, dtype=np.int64),
                                    ignore_index=PAD_ID, reduction="mean")
 
@@ -420,8 +443,11 @@ def pretrain_loss(model: AutoencoderModel, graph: TextGraph,
     info = infonce_loss(latents, positive_rows, cfg)
     targets = ids[:b]
     memory = project(model, dc.embedding_lookup(latents, np.arange(b)))
-    logits = decoder_logits(model, memory, shift_for_teacher_forcing(targets))
-    return lm_loss(logits, targets), info
+    dec_ids = shift_for_teacher_forcing(targets)
+    logits = decoder_logits(model, memory, dec_ids)
+    # The logits rows are the non-PAD decoder inputs. Their targets include
+    # PAD after each shorter row's EOS input, which lm_loss ignores.
+    return lm_loss(logits, targets[dec_ids != PAD_ID]), info
 
 
 def pretrain_step(model: AutoencoderModel, graph: TextGraph,
@@ -474,7 +500,8 @@ def reconstruct(model: AutoencoderModel, tokens, max_gen_len: Optional[int] = No
                 ) -> np.ndarray:
     """Greedy decode conditioned on the latent of tokens; stops at EOS.
 
-    The forward is the batch one with B = 1.
+    The forward is the batch one with B = 1, and every generated position
+    gets a logits row, so a generated PAD is read like any other token.
     """
     if max_gen_len is None:
         max_gen_len = model.config.max_len
@@ -482,8 +509,9 @@ def reconstruct(model: AutoencoderModel, tokens, max_gen_len: Optional[int] = No
     with dc.no_grad():
         memory = project(model, encode_batch(model, np.asarray(tokens)[None]))
         for _ in range(max_gen_len):
-            logits = decoder_logits(model, memory, np.asarray(generated)[None, :])
-            nxt = int(np.argmax(logits.data[0, -1]))
+            logits = decoder_logits(model, memory, np.asarray(generated)[None, :],
+                                    positions=np.arange(len(generated)))
+            nxt = int(np.argmax(logits.data[-1]))
             generated.append(nxt)
             if nxt == EOS_ID:
                 break
@@ -534,17 +562,31 @@ def save_model(path, model: AutoencoderModel, adam: Optional[dc.AdamState] = Non
 
 
 def load_model(path) -> Tuple[AutoencoderModel, Optional[dc.AdamState], dict]:
-    """Rebuild a model (and optimizer state if stored) from a model_file checkpoint."""
-    with np.load(path, allow_pickle=False) as bundle:
-        if "__meta__" not in bundle:
-            raise ContractError(f"checkpoint {path}: missing metadata block")
-        meta = json.loads(str(bundle["__meta__"]))
-        if meta.get("format_version") != CHECKPOINT_FORMAT_VERSION:
-            raise ContractError(
-                f"checkpoint {path}: unsupported format version {meta.get('format_version')}")
-        tensors = {k[2:]: bundle[k].copy() for k in bundle.files if k.startswith("t:")}
-    config = ModelConfig(**meta["config"])
-    vocab = Vocabulary.from_tokens(meta["vocab"])
+    """Rebuild a model (and optimizer state if stored) from a model_file checkpoint.
+
+    A file that is no npz archive, or that misses a block the format needs,
+    raises ContractError naming the path and what is missing.
+    """
+    try:
+        with np.load(path, allow_pickle=False) as bundle:
+            if "__meta__" not in bundle:
+                raise ContractError(f"checkpoint {path}: missing metadata block")
+            meta = json.loads(str(bundle["__meta__"]))
+            tensors = {k[2:]: bundle[k].copy() for k in bundle.files if k.startswith("t:")}
+    except (ValueError, EOFError, zipfile.BadZipFile) as exc:
+        # numpy reads a file that is no zip archive as a pickle, and says so.
+        raise ContractError(f"checkpoint {path} cannot be read as a model_file npz") from exc
+    if meta.get("format_version") != CHECKPOINT_FORMAT_VERSION:
+        raise ContractError(
+            f"checkpoint {path}: unsupported format version {meta.get('format_version')}")
+
+    def stored(block, key):
+        if key not in block:
+            raise ContractError(f"checkpoint {path} is missing '{key}'")
+        return block[key]
+
+    config = ModelConfig(**stored(meta, "config"))
+    vocab = Vocabulary.from_tokens(stored(meta, "vocab"))
     model = AutoencoderModel.init(config, vocab, seed=0)
     for name, param in model.params.items():
         if name not in tensors:
@@ -558,6 +600,6 @@ def load_model(path) -> Tuple[AutoencoderModel, Optional[dc.AdamState], dict]:
     adam = None
     if "optimizer" in meta:
         adam = dc.AdamState.from_settings(
-            [tensors["opt.m." + name] for name in model.params],
-            [tensors["opt.v." + name] for name in model.params], meta["optimizer"])
+            [stored(tensors, "opt.m." + name) for name in model.params],
+            [stored(tensors, "opt.v." + name) for name in model.params], meta["optimizer"])
     return model, adam, meta

@@ -81,6 +81,19 @@ def dataset_sha256(root) -> Dict[str, str]:
     return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in dataset_paths(root)}
 
 
+def _check_trained_on(checkpoint, meta: dict, data_sha256: Dict[str, str]) -> None:
+    """Refuse a checkpoint whose stored dataset hashes differ from data_sha256.
+
+    The error names both hashes of each changed file. A checkpoint that
+    stores no hashes passes.
+    """
+    trained_on = meta.get("dataset_sha256", data_sha256)
+    changed = [f"{name} {digest} (checkpoint: {trained_on.get(name)})"
+               for name, digest in data_sha256.items() if trained_on.get(name) != digest]
+    if changed:
+        raise ConfigError(f"{checkpoint} was trained on other data: {', '.join(changed)}")
+
+
 def load_dataset(root) -> TextGraph:
     nodes, edges, splits = dataset_paths(root)
     return load_textgraph(nodes, edges, splits)
@@ -308,11 +321,7 @@ def cmd_pretrain(args: Args) -> int:
         model, adam, meta = load_model(args.resume)
         if adam is None:
             raise ConfigError(f"{args.resume} has no optimizer state; cannot resume")
-        trained_on = meta.get("dataset_sha256", data_sha256)
-        changed = [f"{name} {digest} (checkpoint: {trained_on.get(name)})"
-                   for name, digest in data_sha256.items() if trained_on.get(name) != digest]
-        if changed:
-            raise ConfigError(f"{args.resume} was trained on other data: {', '.join(changed)}")
+        _check_trained_on(args.resume, meta, data_sha256)
         _resume_flags(args, model, adam, meta)
         # Continue the stopped run's batch and positive draws instead of replaying them.
         if "rng_state" in meta:
@@ -375,8 +384,9 @@ def cmd_embed(args: Args) -> int:
     elif args.baseline == "shallow":
         emb = shallow_embeddings(graph, args.dim, seed=args.seed)
     else:
-        model, _, _ = load_model(args.checkpoint)
+        model, _, meta = load_model(args.checkpoint)
         _check_vocab_coverage(model, graph)
+        _check_trained_on(args.checkpoint, meta, dataset_sha256(args.dataset))
         emb = extract_embeddings(model, graph)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)

@@ -380,8 +380,45 @@ def softmax_lastdim(x: DiffTensor) -> DiffTensor:
     return _record(out, "softmax_lastdim", (x,), backward_fn)
 
 
+def check_layout(op: str, layout, rows: int) -> tuple[int, int, np.ndarray]:
+    """``layout`` as (B, T, flat), checked to place ``rows`` packed rows in a (B, T) grid.
+
+    ``flat`` holds one flat (row-major) grid position per packed row, in
+    increasing order, so the rows keep the grid's row-major order.
+    """
+    try:
+        b, t, flat = layout
+        b, t = int(b), int(t)
+    except (TypeError, ValueError):
+        raise ContractError(f"{op}: layout must be (B, T, flat), got {layout!r}")
+    flat = np.asarray(flat)
+    if flat.ndim != 1 or not np.issubdtype(flat.dtype, np.integer):
+        raise ContractError(f"{op}: layout positions must be a 1-d integer array")
+    if flat.size != rows:
+        raise DimensionError(f"{op}: {rows} rows for a layout of {flat.size} positions")
+    if flat.size and (flat[0] < 0 or flat[-1] >= b * t or np.any(flat[1:] <= flat[:-1])):
+        raise ContractError(f"{op}: layout positions must increase within [0, {b * t})")
+    return b, t, flat
+
+
+def to_grid(x: DiffTensor, layout) -> DiffTensor:
+    """Packed rows (n, d) placed at their layout positions of a zero (B, T, d) grid.
+
+    When the layout covers the whole grid the rows are the grid, reshaped.
+    """
+    if x.ndim != 2:
+        raise DimensionError(f"to_grid: rows must be 2-D, got {x.shape}")
+    b, t, flat = check_layout("to_grid", layout, x.shape[0])
+    shape = (b, t, x.shape[1])
+    if flat.size == b * t:
+        return _record(x.data.reshape(shape), "to_grid", (x,), lambda g: (g.reshape(x.shape),))
+    out = np.zeros(shape)
+    out.reshape(b * t, -1)[flat] = x.data
+    return _record(out, "to_grid", (x,), lambda g: (g.reshape(b * t, -1)[flat],))
+
+
 def attention(q: DiffTensor, k: DiffTensor, v: DiffTensor, heads: int,
-              bias: np.ndarray | None = None) -> DiffTensor:
+              bias: np.ndarray | None = None, layout=None) -> DiffTensor:
     """Multi-head scaled dot-product attention as one recorded op.
 
     ``q`` is (B, Tq, d) and ``k``, ``v`` are (B, Tk, d), already projected.
@@ -389,17 +426,38 @@ def attention(q: DiffTensor, k: DiffTensor, v: DiffTensor, heads: int,
     softmax(q_h k_hᵀ / sqrt(d/heads) + bias) v_h, and the head contexts are
     merged back into (B, Tq, d). ``bias`` is a constant additive numpy mask
     that broadcasts to (B, heads, Tq, Tk); it gets no gradient.
+
+    With ``layout`` = (B, T, flat) (see check_layout), ``q`` is instead the
+    packed (n, d) rows at the flat positions of a (B, T) grid, and so are
+    ``k`` and ``v`` when they are 2-D (self-attention); 3-D ``k`` and ``v``
+    are (B, Tk, d) as above (cross-attention). The output is then packed
+    like ``q``. Only the head split sees the grid: it places the rows there
+    and fills the other positions with zero rows, which ``bias`` should mask
+    as keys. A layout that covers the whole grid places nothing.
     """
-    if (q.ndim != 3 or k.ndim != 3 or v.shape != k.shape
-            or k.shape[0] != q.shape[0] or k.shape[2] != q.shape[2]):
+    rows = None
+    if layout is None:
+        if q.ndim != 3:
+            raise DimensionError(f"attention: q must be (B, Tq, d), got {q.shape}")
+        b, tq, d = q.shape
+    else:
+        if q.ndim != 2:
+            raise DimensionError(f"attention: packed q must be (n, d), got {q.shape}")
+        b, tq, flat = check_layout("attention", layout, q.shape[0])
+        d = q.shape[1]
+        if flat.size != b * tq:
+            rows = np.divmod(flat, tq)
+    packed_kv = k.ndim == 2 and layout is not None
+    if (v.shape != k.shape
+            or not (k.shape == q.shape if packed_kv
+                    else k.ndim == 3 and k.shape[0] == b and k.shape[2] == d)):
         raise DimensionError(
             f"attention: shapes q {q.shape}, k {k.shape}, v {v.shape} do not align")
-    b, tq, d = q.shape
     if heads < 1 or d % heads:
         raise DimensionError(f"attention: {heads} heads do not divide width {d}")
     dh = d // heads
     scale = 1.0 / np.sqrt(dh)
-    score_shape = (b, heads, tq, k.shape[1])
+    score_shape = (b, heads, tq, tq if packed_kv else k.shape[1])
     if bias is not None:
         try:
             fits = np.broadcast_shapes(np.shape(bias), score_shape) == score_shape
@@ -409,29 +467,38 @@ def attention(q: DiffTensor, k: DiffTensor, v: DiffTensor, heads: int,
             raise DimensionError(
                 f"attention: bias shape {np.shape(bias)} does not broadcast to {score_shape}")
 
-    def split(x):  # (B, T, d) -> (B, heads, T, dh)
+    def split(x):  # (B, T, d), or packed (n, d) rows -> (B, heads, T, dh)
+        if x.ndim == 2 and rows is not None:
+            grid = np.zeros((b, heads, tq, dh))
+            grid[rows[0], :, rows[1]] = x.reshape(-1, heads, dh)
+            return grid
         return np.ascontiguousarray(x.reshape(b, -1, heads, dh).transpose(0, 2, 1, 3))
 
-    def merge(x):  # (B, heads, T, dh) -> (B, T, d)
-        return np.ascontiguousarray(x.transpose(0, 2, 1, 3)).reshape(b, -1, d)
+    def merge(x, packed):  # (B, heads, T, dh) -> (B, T, d), or packed (n, d) rows
+        if packed and rows is not None:
+            return x[rows[0], :, rows[1]].reshape(-1, d)
+        grid = np.ascontiguousarray(x.transpose(0, 2, 1, 3))
+        return grid.reshape(-1, d) if packed else grid.reshape(b, -1, d)
 
     scores = np.matmul(split(q.data), split(k.data).swapaxes(-1, -2))
     scores *= scale
     if bias is not None:
         scores += bias
     p = _softmax(scores)
-    out = merge(np.matmul(p, split(v.data)))
+    out = merge(np.matmul(p, split(v.data)), layout is not None)
 
-    # The closure keeps only p; the head-split copies of q, k and v are cut
-    # again from the inputs' data, which the tape holds anyway.
+    # The closure keeps only p (and a partial layout's grid indices); the
+    # head-split copies of q, k and v are cut again from the inputs' data,
+    # which the tape holds anyway.
     def backward_fn(g):
         gh = split(g)
         gs = _softmax_backward(p, np.matmul(gh, split(v.data).swapaxes(-1, -2)))
         gs *= scale
-        return (merge(np.matmul(gs, split(k.data))) if q.requires_grad else None,
-                merge(np.matmul(gs.swapaxes(-1, -2), split(q.data)))
+        return (merge(np.matmul(gs, split(k.data)), layout is not None)
+                if q.requires_grad else None,
+                merge(np.matmul(gs.swapaxes(-1, -2), split(q.data)), packed_kv)
                 if k.requires_grad else None,
-                merge(np.matmul(p.swapaxes(-1, -2), gh)) if v.requires_grad else None)
+                merge(np.matmul(p.swapaxes(-1, -2), gh), packed_kv) if v.requires_grad else None)
 
     return _record(out, "attention", (q, k, v), backward_fn)
 

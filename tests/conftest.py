@@ -35,8 +35,8 @@ def recorded_ops(monkeypatch):
 def saved_arrays(node):
     """The arrays node's backward closure holds beyond its output and its inputs.
 
-    Walks the closure's cells, and those of the helper functions it calls,
-    and drops every array that shares memory with the output's or a parent's
+    Walks the closure's cells, the tuples and lists in them, and the cells of
+    the helper functions it calls, and drops every array that shares memory with the output's or a parent's
     data (so views of them are dropped too). An input that needs no gradient
     is no parent, so its data counts when the closure holds it. What is left
     is what the tape keeps alive only for this op's backward.
@@ -55,6 +55,9 @@ def saved_arrays(node):
         elif isinstance(obj, np.ndarray):
             if not any(np.shares_memory(obj, a) for a in own):
                 found.append(obj)
+        elif isinstance(obj, (tuple, list)):
+            for item in obj:
+                visit(item)
         elif callable(obj):
             for cell in getattr(obj, "__closure__", None) or ():
                 visit(cell.cell_contents)

@@ -8,6 +8,8 @@ from scipy.special import erf
 
 from conftest import edit_checkpoint, saved_arrays
 from fdcheck import assert_grads_close, finite_diff_grads
+from reference_tape import (padded_decoder_logits, padded_encoder_hidden,
+                            padded_pretrain_loss)
 
 from nodegae import autoencoder as ae
 from nodegae import diffcore as dc
@@ -113,7 +115,7 @@ def test_encode_node_matches_numpy_oracle(seed):
 def test_single_token_latent_is_that_position_state():
     model = tiny_model()
     ids = np.array([5])
-    hidden = ae.encoder_hidden(model, ids[None, :]).data[0, 0]
+    hidden = ae.encoder_hidden(model, ids[None, :]).data[0]
     h = ae.encode_node(model, ids).data
     assert np.array_equal(h, hidden)
 
@@ -141,6 +143,20 @@ def test_latent_invariant_to_appended_padding():
         padded = np.append(ids, [tc.PAD_ID] * extra)
         got = ae.encode_node(model, padded).data
         assert np.max(np.abs(got - base)) <= 1e-12
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_packed_encoder_rows_equal_the_padded_oracle(seed):
+    rng = np.random.default_rng(seed)
+    model = tiny_model(seed=seed)
+    lengths = rng.integers(1, 10, size=int(rng.integers(1, 6)))
+    seqs = [np.append(rng.integers(4, model.vocab.size, size=n - 1), tc.EOS_ID)
+            for n in lengths]
+    ids = tc.pad_sequences(seqs)
+    got = ae.encoder_hidden(model, ids).data
+    want = padded_encoder_hidden(model, ids).data
+    assert got.shape == (lengths.sum(), model.config.d_enc)
+    assert got.tobytes() == want[ids != tc.PAD_ID].tobytes()
 
 
 def test_batched_rows_match_single_encoding():
@@ -202,12 +218,31 @@ def test_decoder_logits_shape_and_causality():
     memory = dc.constant(rng.standard_normal((1, model.config.proj_len, 8)))
     ids = np.array([[tc.BOS_ID, 4, 5, 6]])
     logits = ae.decoder_logits(model, memory, ids).data
-    assert logits.shape == (1, 4, model.vocab.size)
+    assert logits.shape == (4, model.vocab.size)
     # Changing a future token must not move earlier positions.
     altered = ids.copy()
     altered[0, 3] = 9
     logits2 = ae.decoder_logits(model, memory, altered).data
-    assert np.array_equal(logits[0, :3], logits2[0, :3])
+    assert np.array_equal(logits[:3], logits2[:3])
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_packed_decoder_rows_equal_the_padded_oracle(seed):
+    rng = np.random.default_rng(seed)
+    model = tiny_model(seed=seed)
+    lengths = rng.integers(1, 10, size=3)
+    targets = tc.pad_sequences([np.append(rng.integers(4, model.vocab.size, size=n - 1),
+                                          tc.EOS_ID) for n in lengths])
+    dec_ids = ae.shift_for_teacher_forcing(targets)
+    memory = dc.constant(rng.standard_normal((3, model.config.proj_len, 8)))
+    want = padded_decoder_logits(model, memory, dec_ids).data
+    got = ae.decoder_logits(model, memory, dec_ids).data
+    assert got.tobytes() == want[dec_ids != tc.PAD_ID].tobytes()
+    # Every position may get a row, a PAD input too; its key stays masked.
+    every = ae.decoder_logits(model, memory, dec_ids, positions=np.arange(dec_ids.size)).data
+    assert every.tobytes() == want.reshape(-1, model.vocab.size).tobytes()
+    with pytest.raises(ContractError):
+        ae.decoder_logits(model, memory, dec_ids, positions=[2, 1])
 
 
 def test_decoder_logits_rejects_2d_memory():
@@ -506,8 +541,9 @@ def test_pretrain_step_alpha_zero_matches_pure_reconstruction():
     ids = tc.pad_sequences([model_b.tokens_for(graph.texts[v]) for v in batch])
     latents = ae.encode_batch(model_b, ids)
     memory = ae.project(model_b, latents)
-    logits = ae.decoder_logits(model_b, memory, ae.shift_for_teacher_forcing(ids))
-    loss = ae.lm_loss(logits, ids)
+    dec_ids = ae.shift_for_teacher_forcing(ids)
+    logits = ae.decoder_logits(model_b, memory, dec_ids)
+    loss = ae.lm_loss(logits, ids[dec_ids != tc.PAD_ID])
     dc.backward(loss)
     dc.adam_step(model_b.parameters(), adam_b)
 
@@ -757,7 +793,9 @@ def test_pretrain_loss_records_one_attention_op_per_block():
     # 2 encoder self-attentions + 2 decoder layers x (self, cross) = 6.
     # Layer norms: 2 x 2 in the encoder, 2 x 3 in the decoder, and one after
     # each stack = 12. Biased matmuls: the two feed-forward GEMMs of each of
-    # the 4 layers = 8. 96 recorded ops in all.
+    # the 4 layers = 8. Pooling places the packed rows in the grid with one
+    # to_grid op where the padded forward multiplied by the mask. 96 recorded
+    # ops in all.
     graph = toy_graph()
     model = model_for(graph, enc_layers=2, dec_layers=2)
     cfg = ae.InfoNCEConfig()
@@ -773,9 +811,39 @@ def test_pretrain_loss_records_one_attention_op_per_block():
     assert "linear" not in ops
     assert "softmax_lastdim" not in ops
     assert "layernorm_lastdim" not in ops
-    # Attention keeps its probabilities, (B, heads, Tq, Tk), and no copy of q, k or v.
+    (grid,) = [node for node in nodes if node._op == "to_grid"]
+    rows, t, _ = grid.shape
+    # Attention keeps its probabilities, (B, heads, T, Tk), and no copy of q, k or
+    # v. Beside them it keeps only the integer grid indices of its packed rows.
+    shapes = []
     for node in nodes:
         if node._op == "attention":
-            q, k, _ = node._parents
-            (p,) = saved_arrays(node)
-            assert p.shape == (q.shape[0], model.config.heads, q.shape[1], k.shape[1])
+            q = node._parents[0]
+            saved = saved_arrays(node)
+            (p,) = [a for a in saved if a.dtype == np.float64]
+            assert all(a.dtype.kind == "i" and a.shape == (q.shape[0],)
+                       for a in saved if a is not p)
+            shapes.append(p.shape)
+    heads, slots = model.config.heads, model.config.proj_len
+    assert shapes.count((rows, heads, t, t)) == 2
+    assert shapes.count((len(batch), heads, t, t)) == 2
+    assert shapes.count((len(batch), heads, t, slots)) == 2
+
+
+def test_pretrain_loss_equals_the_padded_oracle():
+    graph = toy_graph(num_nodes=24, seed=1)
+    model = model_for(graph, seed=1, d_enc=16, d_dec=16, enc_layers=2, dec_layers=2)
+    cfg = ae.InfoNCEConfig()
+    batch = [0, 3, 5, 8, 13, 21]
+    positives = ae.draw_positives(graph, batch, np.random.default_rng(2), cfg)
+    grads = []
+    for loss_fn in (ae.pretrain_loss, padded_pretrain_loss):
+        lm, info = loss_fn(model, graph, batch, positives, cfg)
+        dc.backward(dc.add(lm, info))
+        grads.append((lm.item(), info.item(), {n: p.grad for n, p in model.params.items()}))
+        dc.zero_grads(model.parameters())
+    (lm, info, got), (lm_want, info_want, want) = grads
+    assert (lm, info) == (lm_want, info_want)
+    for name in want:
+        scale = np.max(np.abs(want[name]))
+        assert np.max(np.abs(got[name] - want[name])) <= 1e-12 * scale, name

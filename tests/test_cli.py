@@ -503,6 +503,52 @@ def test_embed_tampered_checkpoint_exits_two(dataset, pretrained, tmp_path, caps
     assert "lm_head" in capsys.readouterr().err
 
 
+def test_embed_unreadable_checkpoint_exits_two(dataset, tmp_path, capsys):
+    bad = tmp_path / "x.npz"
+    bad.write_text("not an archive\n")
+    rc = main(["embed", "--dataset", str(dataset), "--checkpoint", str(bad),
+               "--out", str(tmp_path / "e.txt")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("runtime error:") and str(bad) in err
+    assert not (tmp_path / "e.txt").exists()
+
+
+def test_resume_of_checkpoint_missing_a_moment_exits_two(dataset, tmp_path, capsys):
+    out = tmp_path / "run"
+    base = ["pretrain", "--dataset", str(dataset), "--out-dir", str(out), "--steps", "2",
+            "--recon-every", "0"] + TINY_MODEL
+    assert main(base) == 0
+    edit_checkpoint(out / "model.npz", drop=["opt.m.lm_head"])
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert main(base + ["--resume", str(out / "model.npz")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("runtime error:") and "opt.m.lm_head" in err and "model.npz" in err
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+def test_embed_refuses_a_checkpoint_trained_on_other_data(dataset, pretrained, tmp_path,
+                                                          capsys):
+    other = tmp_path / "other"
+    shutil.copytree(dataset, other)
+    edges = other / "edges.tsv"
+    edges.write_text("".join(edges.read_text().splitlines(keepends=True)[:-1]))
+    checkpoint = tmp_path / "model.npz"
+    shutil.copy(pretrained / "model.npz", checkpoint)
+    out = tmp_path / "e.txt"
+    embed = ["embed", "--dataset", str(other), "--checkpoint", str(checkpoint),
+             "--out", str(out)]
+    assert main(embed) == 1
+    err = capsys.readouterr().err
+    for data in (dataset, other):
+        assert hashlib.sha256((data / "edges.tsv").read_bytes()).hexdigest() in err
+    assert "edges.tsv" in err and "nodes.tsv" not in err
+    assert not out.exists()
+    # A checkpoint that does not store its dataset embeds any data.
+    edit_checkpoint(checkpoint, lambda meta: meta.pop("dataset_sha256"))
+    assert main(embed) == 0
+
+
 # ---------------------------------------------------------------------------
 # train
 # ---------------------------------------------------------------------------

@@ -19,7 +19,8 @@ from nodegae.errors import ContractError, DimensionError, NodeGaeError
 
 from conftest import saved_arrays
 from fdcheck import assert_grads_close, finite_diff_grads, nudge_from_kinks
-from reference_tape import chain_dropout, chain_graph_layer, reference_leaf_grads
+from reference_tape import (chain_dropout, chain_graph_layer, padded_attention,
+                            reference_leaf_grads)
 
 SEEDS = range(10)
 
@@ -38,6 +39,8 @@ MASK = -1e30
 PADDED_KEY_BIAS = np.zeros((2, 1, 1, 3))
 PADDED_KEY_BIAS[1, 0, 0, 2] = MASK
 CAUSAL_BIAS = np.triu(np.full((4, 4), MASK), k=1)
+# The same grid packed: batch row 0 holds 3 rows, batch row 1 the first 2.
+PACKED_LAYOUT = (2, 3, np.array([0, 1, 2, 3, 4]))
 DROPOUT_MASK = np.array([[True, False, True, True], [False, True, True, False],
                          [True, True, False, True]])
 
@@ -148,6 +151,20 @@ def test_sum_axis_matches_numpy_and_checks_axis():
         dc.sum_axis(dc.constant(x), 3)
 
 
+def test_to_grid_places_rows_and_zero_fills_the_rest():
+    x = np.random.default_rng(7).standard_normal((5, 4))
+    out = dc.to_grid(dc.constant(x), PACKED_LAYOUT).data
+    assert out.shape == (2, 3, 4)
+    np.testing.assert_array_equal(out.reshape(6, 4)[:5], x)
+    assert not np.any(out[1, 2])
+    full = dc.to_grid(dc.constant(np.vstack([x, x[:1]])), (2, 3, np.arange(6))).data
+    np.testing.assert_array_equal(full, np.vstack([x, x[:1]]).reshape(2, 3, 4))
+    with pytest.raises(DimensionError):
+        dc.to_grid(dc.constant(x), (2, 3, np.arange(4)))
+    with pytest.raises(DimensionError):
+        dc.to_grid(dc.constant(x.reshape(5, 2, 2)), PACKED_LAYOUT)
+
+
 def attention_oracle(q, k, v, heads, bias=None):
     """Split heads, softmax(q kᵀ/sqrt(dh) + bias) v per head, merge heads."""
     b, tq, d = q.shape
@@ -204,6 +221,40 @@ def test_attention_random_shapes_match_oracle_and_finite_differences(seed, b, tq
     for name, p, n in zip("qkv", params, numeric):
         assert_grads_close(p.grad, n, rtol=1e-4, context=f"attention d{name}")
 
+    # Packed queries: each batch row keeps its first `length` positions, every
+    # one of them in some draws. Self-attention packs keys and values on the
+    # same layout and masks the rest; cross-attention reads the (B, tk, d)
+    # keys and values above. Values and gradients equal the padded op's at
+    # the real positions bit for bit, for an upstream gradient that is zero
+    # at pad query rows; the padded op's pad key rows get zero gradients.
+    lengths = rng.integers(1, tq + 1, size=b) if rng.random() < 0.7 else np.full(b, tq)
+    real = np.arange(tq)[None, :] < lengths[:, None]
+    flat = np.flatnonzero(real)
+    upstream = rng.standard_normal((b, tq, d)) * real[:, :, None]
+    key_bias = np.where(real, 0.0, MASK)[:, None, None, :]
+    if mask == "causal":
+        key_bias = key_bias + np.triu(np.full((tq, tq), MASK), k=1)
+    grid = [arrays[0]] + [rng.standard_normal((b, tq, d)) for _ in "kv"]
+    for kind, dense_in, kv_packed, case_bias in (("self", grid, True, key_bias),
+                                                 ("cross", arrays, False, bias)):
+        dense_params = [dc.parameter(a) for a in dense_in]
+        dense = padded_attention(*dense_params, heads, case_bias)
+        packed_params = [dc.parameter(a.reshape(-1, d)[flat]) for a in dense_in[:1]]
+        packed_params += [dc.parameter(a.reshape(-1, d)[flat] if kv_packed else a)
+                          for a in dense_in[1:]]
+        packed = dc.attention(*packed_params, heads, case_bias, (b, tq, flat))
+        assert packed.shape == (flat.size, d)
+        assert np.array_equal(packed.data, dense.data.reshape(-1, d)[flat]), kind
+        want = dense._backward_fn(upstream)
+        got = packed._backward_fn(upstream.reshape(-1, d)[flat])
+        assert np.array_equal(got[0], want[0].reshape(-1, d)[flat]), f"{kind} dq"
+        for name, g, w in zip("kv", got[1:], want[1:]):
+            if kv_packed:
+                assert np.array_equal(g, w.reshape(-1, d)[flat]), f"{kind} d{name}"
+                assert not np.any(np.delete(w.reshape(-1, d), flat, axis=0)), f"{kind} d{name}"
+            else:
+                assert np.array_equal(g, w), f"{kind} d{name}"
+
 
 def test_attention_checks_shapes():
     x, y = dc.constant(np.zeros((2, 3, 4))), dc.constant(np.zeros((2, 5, 4)))
@@ -215,6 +266,25 @@ def test_attention_checks_shapes():
         dc.attention(x, y, y, 2, np.zeros((2, 1, 1, 3)))  # bias covers 3 keys, not 5
     with pytest.raises(DimensionError):
         dc.attention(dc.constant(np.zeros((3, 4))), x, x, 2)
+    rows = dc.constant(np.zeros((5, 4)))
+    layout = PACKED_LAYOUT
+    assert dc.attention(rows, rows, rows, 2, None, layout).shape == (5, 4)
+    assert dc.attention(rows, x, x, 2, None, layout).shape == (5, 4)
+    with pytest.raises(DimensionError):
+        dc.attention(x, x, x, 2, None, layout)  # a layout takes packed (n, d) queries
+    with pytest.raises(DimensionError):
+        dc.attention(rows, y, x, 2, None, layout)  # k and v lengths differ
+    with pytest.raises(DimensionError):
+        dc.attention(rows, dc.constant(np.zeros((4, 4))), rows, 2, None, layout)
+    with pytest.raises(DimensionError):
+        dc.attention(rows, rows, rows, 2, np.zeros((2, 1, 1, 5)), layout)  # 3 keys, not 5
+    with pytest.raises(DimensionError):
+        dc.attention(rows, rows, rows, 2, None, (2, 3, np.arange(6)))  # 5 rows, 6 positions
+    for flat in ([0, 1, 3, 2, 4], [0, 1, 2, 3, 6], [-1, 0, 1, 2, 3], [0.0, 1, 2, 3, 4]):
+        with pytest.raises(ContractError):
+            dc.attention(rows, rows, rows, 2, None, (2, 3, np.array(flat)))
+    with pytest.raises(ContractError):
+        dc.attention(rows, rows, rows, 2, None, (2, 3))
 
 
 # ---------------------------------------------------------------------------
@@ -717,6 +787,15 @@ def make_op_cases(rng):
         ("graph_layer_sage_const_input", [sn((3, 2)), sn((3, 2))],
          lambda w, ws: dc.graph_layer(SPARSE_OPERATOR, c43, w, ws, relu=True)),
         ("dropout", [sn((3, 4))], lambda x: dc.dropout(x, DROPOUT_MASK, 0.7)),
+    ]
+    # Drawn after every case above, so their random streams do not move.
+    cases += [
+        ("attention_packed_self", [sn((5, 4)), sn((5, 4)), sn((5, 4))],
+         lambda q, k, v: dc.attention(q, k, v, 2, PADDED_KEY_BIAS, PACKED_LAYOUT)),
+        ("attention_packed_cross", [sn((5, 4)), sn((2, 3, 4)), sn((2, 3, 4))],
+         lambda q, k, v: dc.attention(q, k, v, 2, None, PACKED_LAYOUT)),
+        ("to_grid", [sn((5, 4))], lambda x: dc.to_grid(x, PACKED_LAYOUT)),
+        ("to_grid_full", [sn((6, 4))], lambda x: dc.to_grid(x, (2, 3, np.arange(6)))),
     ]
     return cases
 
