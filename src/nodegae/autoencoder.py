@@ -291,7 +291,9 @@ def decoder_logits(model: AutoencoderModel, memory: dc.DiffTensor, dec_ids,
 
     Rows follow the inputs in row-major (B, T) order. positions, increasing
     flat positions of dec_ids, replaces the non-PAD ones as the inputs that
-    get a row; a PAD input among them stays masked as a key. Self-attention
+    get a row; a PAD input among them stays masked as a key, and a non-PAD
+    input left out stays a key with a zero row, so only inputs that no kept
+    query sees (a row's last inputs) may be left out. Self-attention
     is causal (each position sees itself and the left context);
     cross-attention reads memory, the (B, slots, d_dec) rows that project
     returns.
@@ -443,11 +445,13 @@ def pretrain_loss(model: AutoencoderModel, graph: TextGraph,
     info = infonce_loss(latents, positive_rows, cfg)
     targets = ids[:b]
     memory = project(model, dc.embedding_lookup(latents, np.arange(b)))
-    dec_ids = shift_for_teacher_forcing(targets)
-    logits = decoder_logits(model, memory, dec_ids)
-    # The logits rows are the non-PAD decoder inputs. Their targets include
-    # PAD after each shorter row's EOS input, which lm_loss ignores.
-    return lm_loss(logits, targets[dec_ids != PAD_ID]), info
+    # Only the inputs whose target is not PAD get a logits row. That drops each
+    # shorter row's EOS input: its target is PAD and, as the row's last
+    # input, no causal query attends to it, so no other row's value moves.
+    real = targets != PAD_ID
+    logits = decoder_logits(model, memory, shift_for_teacher_forcing(targets),
+                            positions=np.flatnonzero(real))
+    return lm_loss(logits, targets[real]), info
 
 
 def pretrain_step(model: AutoencoderModel, graph: TextGraph,

@@ -2,12 +2,17 @@
 
 Every trainable part of the package (autoencoder, GNN heads) is built from the
 operations in this module. Tensors are immutable after creation except for
-their ``grad`` buffer. An op whose inputs require gradients records its
-parents and a backward closure; ``backward`` walks that graph once per call
-and accumulates into ``grad`` of the leaves only (tensors with no recorded
-backward, such as parameters), so calling it twice without zeroing doubles
-every leaf gradient exactly. Intermediate tensors keep ``grad`` None. Inside
-``with no_grad():`` ops record nothing, which is how inference runs.
+their ``grad`` buffer. An op whose inputs require gradients gives its output
+a ``Node``: the op's name, its backward closure and one edge per input. The
+graph is made of nodes, not values: an edge is the input's own node, the
+input itself when it is a leaf (a tensor with no node, such as a parameter),
+or None when it needs no gradient. So the graph holds no intermediate value,
+and an op output lives only as long as its callers or a backward closure
+that reads it. Each closure keeps only the arrays its backward reads, plus
+shapes and flags. ``backward`` walks the graph once per call and accumulates
+into ``grad`` of the leaves only, so calling it twice without zeroing doubles
+every leaf gradient exactly. Inside ``with no_grad():`` ops record nothing,
+which is how inference runs.
 """
 
 from __future__ import annotations
@@ -26,14 +31,31 @@ _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
 
+class Node:
+    """One recorded op: its name, its backward closure and its input edges.
+
+    ``parents`` holds one entry per input, lined up with the adjoints that
+    ``backward_fn`` returns: the input's Node, the input DiffTensor itself
+    when it is a leaf that requires grad, or None. A node never holds its
+    output or an intermediate value.
+    """
+
+    __slots__ = ("parents", "backward_fn", "op")
+
+    def __init__(self, parents: tuple, backward_fn: Callable, op: str):
+        self.parents = parents
+        self.backward_fn = backward_fn
+        self.op = op
+
+
 class DiffTensor:
     """A dense n-dimensional float64 value grid in a recorded computation.
 
-    ``parents`` and ``backward_fn`` are populated by the op constructors below;
-    leaf tensors created by callers have neither.
+    ``_node`` is set by the op constructors below when the op records; leaf
+    tensors created by callers have none.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward_fn", "_op", "__weakref__")
+    __slots__ = ("data", "requires_grad", "grad", "_node", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float64)
@@ -42,9 +64,7 @@ class DiffTensor:
         self.data = arr
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
-        self._parents: tuple[DiffTensor | None, ...] = ()
-        self._backward_fn: Callable[[np.ndarray], Sequence[np.ndarray | None]] | None = None
-        self._op = ""
+        self._node: Node | None = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -64,7 +84,8 @@ class DiffTensor:
         return float(self.data.reshape(()))
 
     def __repr__(self) -> str:
-        return f"DiffTensor(shape={self.shape}, requires_grad={self.requires_grad}, op={self._op!r})"
+        op = "" if self._node is None else self._node.op
+        return f"DiffTensor(shape={self.shape}, requires_grad={self.requires_grad}, op={op!r})"
 
 
 def constant(data) -> DiffTensor:
@@ -82,7 +103,7 @@ _recording = True
 
 @contextmanager
 def no_grad():
-    """Ops inside the block record no parents and no backward closure.
+    """Ops inside the block record no node.
 
     Their outputs are plain tensors that require no gradient. Values are the
     same as with recording on; the previous mode returns when the block
@@ -96,16 +117,19 @@ def no_grad():
         _recording = previous
 
 
+def _records(inputs: Sequence[DiffTensor]) -> bool:
+    """Whether an op on these inputs records a node."""
+    return _recording and any(t.requires_grad for t in inputs)
+
+
 def _record(out_data: np.ndarray, op: str, parents: Sequence[DiffTensor],
             backward_fn: Callable[[np.ndarray], Sequence[np.ndarray | None]]) -> DiffTensor:
     out = DiffTensor(out_data)
-    if _recording and any(p.requires_grad for p in parents):
+    if _records(parents):
         out.requires_grad = True
-        # An input that needs no gradient is held as None, so the tape does
-        # not keep it alive; backward_fn's results still line up by position.
-        out._parents = tuple(p if p.requires_grad else None for p in parents)
-        out._backward_fn = backward_fn
-        out._op = op
+        # Edges are nodes, or leaves: no edge keeps an intermediate value alive.
+        edges = tuple((p._node or p) if p.requires_grad else None for p in parents)
+        out._node = Node(edges, backward_fn, op)
     return out
 
 
@@ -129,10 +153,12 @@ def add(a: DiffTensor, b: DiffTensor) -> DiffTensor:
         out = a.data + b.data
     except ValueError:
         raise DimensionError(f"add: cannot broadcast shapes {a.shape} and {b.shape}")
+    sa = a.shape if a.requires_grad else None
+    sb = b.shape if b.requires_grad else None
 
     def backward_fn(g):
-        return (_unbroadcast(g, a.shape) if a.requires_grad else None,
-                _unbroadcast(g, b.shape) if b.requires_grad else None)
+        return (None if sa is None else _unbroadcast(g, sa),
+                None if sb is None else _unbroadcast(g, sb))
 
     return _record(out, "add", (a, b), backward_fn)
 
@@ -142,10 +168,13 @@ def mul(a: DiffTensor, b: DiffTensor) -> DiffTensor:
         out = a.data * b.data
     except ValueError:
         raise DimensionError(f"mul: cannot broadcast shapes {a.shape} and {b.shape}")
+    # Each operand's data is kept only for the other operand's gradient.
+    sa, bd = (a.shape, b.data) if a.requires_grad else (None, None)
+    sb, ad = (b.shape, a.data) if b.requires_grad else (None, None)
 
     def backward_fn(g):
-        return (_unbroadcast(g * b.data, a.shape) if a.requires_grad else None,
-                _unbroadcast(g * a.data, b.shape) if b.requires_grad else None)
+        return (None if sa is None else _unbroadcast(g * bd, sa),
+                None if sb is None else _unbroadcast(g * ad, sb))
 
     return _record(out, "mul", (a, b), backward_fn)
 
@@ -170,13 +199,16 @@ def matmul(a: DiffTensor, b: DiffTensor, bias: DiffTensor | None = None) -> Diff
         out = (a2 @ b.data).reshape(a.shape[:-1] + (b.shape[1],))
         if bias is not None:
             out += bias.data
+        # Each operand's data is kept only for the other operand's gradient.
+        sa, bd = (a.shape, b.data) if a.requires_grad else (None, None)
+        a2 = a2 if b.requires_grad else None
+        sbias = bias.shape if bias is not None and bias.requires_grad else None
 
         def backward_fn(g):
             g2 = g.reshape(-1, g.shape[-1])
-            return ((g2 @ b.data.T).reshape(a.shape) if a.requires_grad else None,
-                    a2.T @ g2 if b.requires_grad else None,
-                    _unbroadcast(g, bias.shape) if bias is not None and bias.requires_grad
-                    else None)
+            return (None if sa is None else (g2 @ bd.T).reshape(sa),
+                    None if a2 is None else a2.T @ g2,
+                    None if sbias is None else _unbroadcast(g, sbias))
 
         return _record(out, "matmul", (a, b) if bias is None else (a, b, bias), backward_fn)
 
@@ -184,12 +216,12 @@ def matmul(a: DiffTensor, b: DiffTensor, bias: DiffTensor | None = None) -> Diff
         out = np.matmul(a.data, b.data)
     except ValueError:
         raise DimensionError(f"matmul: cannot multiply shapes {a.shape} and {b.shape}")
+    sa, bd = (a.shape, b.data) if a.requires_grad else (None, None)
+    sb, ad = (b.shape, a.data) if b.requires_grad else (None, None)
 
     def backward_fn(g):
-        return (_unbroadcast(np.matmul(g, b.data.swapaxes(-1, -2)), a.shape)
-                if a.requires_grad else None,
-                _unbroadcast(np.matmul(a.data.swapaxes(-1, -2), g), b.shape)
-                if b.requires_grad else None)
+        return (None if sa is None else _unbroadcast(np.matmul(g, bd.swapaxes(-1, -2)), sa),
+                None if sb is None else _unbroadcast(np.matmul(ad.swapaxes(-1, -2), g), sb))
 
     return _record(out, "matmul", (a, b), backward_fn)
 
@@ -202,8 +234,9 @@ def graph_layer(a, x: DiffTensor, w: DiffTensor, w_self: DiffTensor | None = Non
     With ``w_self`` (sage's self weight), ``rows`` picks the rows of the self
     term, all of them when None. Values and gradients equal those of the chain
     of ``matmul``, ``embedding_lookup``, ``add`` and ``relu`` ops around
-    ``a @ x`` bit for bit. The closure keeps ``a @ x``, the output for relu,
-    and ``x`` only for the gradient of a trainable ``w_self``.
+    ``a @ x`` bit for bit. The closure keeps ``a @ x`` for ``w``'s gradient,
+    a bool ``out > 0`` mask for relu, the weights' data for ``x``'s gradient,
+    and ``x``'s data only for the gradient of a trainable ``w_self``.
     """
     if x.ndim != 2 or a.shape[1] != x.shape[0]:
         raise DimensionError(f"graph_layer: cannot multiply shapes {a.shape} and {x.shape}")
@@ -226,22 +259,24 @@ def graph_layer(a, x: DiffTensor, w: DiffTensor, w_self: DiffTensor | None = Non
         # a GEMM instead of a scatter, and holds less memory.
         own = x.data @ w_self.data
         out += own if ids is None else own[ids]
+    mask = None
     if relu:
         np.maximum(out, 0.0, out=out)
-    x_grad = x.requires_grad
+        mask = out > 0.0
+    wd, wsd = (w.data, None if w_self is None else w_self.data) if x.requires_grad else (None, None)
+    ax = ax if w.requires_grad else None
     xd = x.data if w_self is not None and w_self.requires_grad else None
 
     def backward_fn(g):
-        if relu:
-            g = g * (out > 0.0)
+        if mask is not None:
+            g = g * mask
         g_own = g if ids is None else _scatter_rows(g, ids, (n, g.shape[1]))
         gx = None
-        if x_grad:
-            gx = a.T @ (g @ w.data.T)
-            if w_self is not None:
-                gx += g_own @ w_self.data.T
-        return (gx, ax.T @ g if w.requires_grad else None,
-                None if xd is None else xd.T @ g_own)
+        if wd is not None:
+            gx = a.T @ (g @ wd.T)
+            if wsd is not None:
+                gx += g_own @ wsd.T
+        return (gx, None if ax is None else ax.T @ g, None if xd is None else xd.T @ g_own)
 
     return _record(out, "graph_layer", (x,) + weights, backward_fn)
 
@@ -271,9 +306,10 @@ def dropout(x: DiffTensor, keep_mask: np.ndarray, keep: float) -> DiffTensor:
 
 def relu(x: DiffTensor) -> DiffTensor:
     out = np.maximum(x.data, 0.0)
+    mask = out > 0.0  # x > 0 exactly where out > 0
 
     def backward_fn(g):
-        return (g * (x.data > 0.0),)
+        return (g * mask,)
 
     return _record(out, "relu", (x,), backward_fn)
 
@@ -343,15 +379,21 @@ def _erf(x: np.ndarray) -> np.ndarray:
 
 
 def gelu(x: DiffTensor) -> DiffTensor:
-    """Exact (erf-based) Gaussian error linear unit."""
-    cdf = _erf(x.data * _INV_SQRT2)
+    """Exact (erf-based) Gaussian error linear unit.
+
+    The closure keeps one array, the derivative ``cdf + x pdf(x)``, which the
+    forward forms in cdf's buffer only when the op records.
+    """
+    xd = x.data
+    cdf = _erf(xd * _INV_SQRT2)
     cdf += 1.0
     cdf *= 0.5  # 0.5 * (1 + erf), in place
-    out = x.data * cdf
+    out = xd * cdf
+    if _records((x,)):
+        cdf += xd * (_INV_SQRT2PI * np.exp(-0.5 * xd * xd))
 
     def backward_fn(g):
-        pdf = _INV_SQRT2PI * np.exp(-0.5 * x.data * x.data)
-        return (g * (cdf + x.data * pdf),)
+        return (g * cdf,)
 
     return _record(out, "gelu", (x,), backward_fn)
 
@@ -411,7 +453,8 @@ def to_grid(x: DiffTensor, layout) -> DiffTensor:
     b, t, flat = check_layout("to_grid", layout, x.shape[0])
     shape = (b, t, x.shape[1])
     if flat.size == b * t:
-        return _record(x.data.reshape(shape), "to_grid", (x,), lambda g: (g.reshape(x.shape),))
+        packed = x.shape
+        return _record(x.data.reshape(shape), "to_grid", (x,), lambda g: (g.reshape(packed),))
     out = np.zeros(shape)
     out.reshape(b * t, -1)[flat] = x.data
     return _record(out, "to_grid", (x,), lambda g: (g.reshape(b * t, -1)[flat],))
@@ -485,20 +528,28 @@ def attention(q: DiffTensor, k: DiffTensor, v: DiffTensor, heads: int,
     if bias is not None:
         scores += bias
     p = _softmax(scores)
-    out = merge(np.matmul(p, split(v.data)), layout is not None)
+    packed_q = layout is not None
+    out = merge(np.matmul(p, split(v.data)), packed_q)
 
-    # The closure keeps only p (and a partial layout's grid indices); the
-    # head-split copies of q, k and v are cut again from the inputs' data,
-    # which the tape holds anyway.
+    # The closure keeps p (and a partial layout's grid indices) and the
+    # inputs' data that the gradients read; their head-split copies are cut
+    # again in backward. q's gradient reads k, k's reads q, and both read v.
+    qd = q.data if k.requires_grad else None
+    kd = k.data if q.requires_grad else None
+    vd = v.data if q.requires_grad or k.requires_grad else None
+    v_grad = v.requires_grad
+
     def backward_fn(g):
         gh = split(g)
-        gs = _softmax_backward(p, np.matmul(gh, split(v.data).swapaxes(-1, -2)))
-        gs *= scale
-        return (merge(np.matmul(gs, split(k.data)), layout is not None)
-                if q.requires_grad else None,
-                merge(np.matmul(gs.swapaxes(-1, -2), split(q.data)), packed_kv)
-                if k.requires_grad else None,
-                merge(np.matmul(p.swapaxes(-1, -2), gh), packed_kv) if v.requires_grad else None)
+        gq = gk = None
+        if vd is not None:
+            gs = _softmax_backward(p, np.matmul(gh, split(vd).swapaxes(-1, -2)))
+            gs *= scale
+            if kd is not None:
+                gq = merge(np.matmul(gs, split(kd)), packed_q)
+            if qd is not None:
+                gk = merge(np.matmul(gs.swapaxes(-1, -2), split(qd)), packed_kv)
+        return (gq, gk, merge(np.matmul(p.swapaxes(-1, -2), gh), packed_kv) if v_grad else None)
 
     return _record(out, "attention", (q, k, v), backward_fn)
 
@@ -549,11 +600,15 @@ def layer_norm(x: DiffTensor, gain: DiffTensor, bias: DiffTensor) -> DiffTensor:
     normed, inv = _normalize(x.data)
     out = normed * gain.data
     out += bias.data
+    # Nothing of x is kept; gain's data only for x's gradient.
+    gd = gain.data if x.requires_grad else None
+    sg = gain.shape if gain.requires_grad else None
+    sb = bias.shape if bias.requires_grad else None
 
     def backward_fn(g):
-        return (_normalize_backward(normed, inv, g * gain.data) if x.requires_grad else None,
-                _unbroadcast(g * normed, gain.shape) if gain.requires_grad else None,
-                _unbroadcast(g, bias.shape) if bias.requires_grad else None)
+        return (None if gd is None else _normalize_backward(normed, inv, g * gd),
+                None if sg is None else _unbroadcast(g * normed, sg),
+                None if sb is None else _unbroadcast(g, sb))
 
     return _record(out, "layer_norm", (x, gain, bias), backward_fn)
 
@@ -592,9 +647,10 @@ def embedding_lookup(table: DiffTensor, ids) -> DiffTensor:
     idx = _row_ids("embedding_lookup", ids, table.shape[0])
     out = table.data[idx]
     flat = idx.reshape(-1)
+    shape = table.shape
 
     def backward_fn(g):
-        return (_scatter_rows(g, flat, table.shape),)
+        return (_scatter_rows(g, flat, shape),)
 
     return _record(out, "embedding_lookup", (table,), backward_fn)
 
@@ -604,9 +660,10 @@ def sum_axis(x: DiffTensor, axis: int) -> DiffTensor:
     if not -x.ndim <= axis < x.ndim:
         raise DimensionError(f"sum_axis: axis {axis} invalid for shape {x.shape}")
     out = x.data.sum(axis=axis)
+    shape = x.shape
 
     def backward_fn(g):
-        return (np.broadcast_to(np.expand_dims(g, axis), x.shape).copy(),)
+        return (np.broadcast_to(np.expand_dims(g, axis), shape).copy(),)
 
     return _record(out, "sum_axis", (x,), backward_fn)
 
@@ -617,9 +674,10 @@ def reshape(x: DiffTensor, shape: Sequence[int]) -> DiffTensor:
         out = x.data.reshape(shape)
     except ValueError:
         raise DimensionError(f"reshape: cannot view {x.shape} as {shape}")
+    before = x.shape
 
     def backward_fn(g):
-        return (g.reshape(x.shape),)
+        return (g.reshape(before),)
 
     return _record(out, "reshape", (x,), backward_fn)
 
@@ -670,7 +728,7 @@ def cross_entropy_logits(logits: DiffTensor, targets, ignore_index: int | None =
     if logits.ndim < 1 or t.shape != logits.shape[:-1]:
         raise DimensionError(
             f"cross_entropy_logits: targets shape {t.shape} does not match logits {logits.shape}")
-    vocab = logits.shape[-1]
+    shape, vocab = logits.shape, logits.shape[-1]
     flat = logits.data.reshape(-1, vocab)
     tf = t.reshape(-1)
     keep = np.ones(tf.shape, dtype=bool) if ignore_index is None else tf != ignore_index
@@ -693,7 +751,7 @@ def cross_entropy_logits(logits: DiffTensor, targets, ignore_index: int | None =
         p[~keep] = 0.0
         gs = float(np.asarray(g).reshape(()))
         scale = gs / n_keep if reduction == "mean" else gs
-        return (np.ascontiguousarray((p * scale).reshape(logits.shape)),)
+        return (np.ascontiguousarray((p * scale).reshape(shape)),)
 
     return _record(np.float64(out), "cross_entropy_logits", (logits,), backward_fn)
 
@@ -716,10 +774,16 @@ def l2_normalize_lastdim(x: DiffTensor) -> DiffTensor:
 # Backward pass
 # ---------------------------------------------------------------------------
 
-def _topo_order(root: DiffTensor) -> list[DiffTensor]:
-    order: list[DiffTensor] = []
+def _topo_order(root: DiffTensor) -> list[Node | DiffTensor]:
+    """The graph above root, each entry after every entry it depends on.
+
+    Entries are the recorded Nodes and the requires_grad leaf tensors they
+    point to; a root without a node is its own one entry.
+    """
+    order: list[Node | DiffTensor] = []
     seen: set[int] = set()
-    stack: list[tuple[DiffTensor, bool]] = [(root, False)]
+    stack: list[tuple[Node | DiffTensor, bool]] = [
+        (root if root._node is None else root._node, False)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
@@ -729,44 +793,45 @@ def _topo_order(root: DiffTensor) -> list[DiffTensor]:
             continue
         seen.add(id(node))
         stack.append((node, True))
-        for p in node._parents:
-            if p is not None and id(p) not in seen:
-                stack.append((p, False))
+        if isinstance(node, Node):
+            for p in node.parents:
+                if p is not None and id(p) not in seen:
+                    stack.append((p, False))
     return order
 
 
 def backward(loss: DiffTensor) -> None:
     """Add d(loss)/d(t) into ``grad`` of every reachable requires_grad leaf t.
 
-    Leaves are the tensors with no recorded backward; intermediate tensors
-    keep ``grad`` None. A node's adjoint is dropped once its backward closure
-    has run. Adjoints are kept per call, so repeated calls add identical
-    contributions.
+    Leaves are the tensors with no node; the graph reaches no other tensor.
+    A node's adjoint is dropped once its backward closure has run, and the
+    graph is left as it was, so repeated calls add identical contributions.
     """
     if loss.data.size != 1:
         raise ContractError(f"backward: loss must be scalar, got shape {loss.shape}")
     if not loss.requires_grad:
         return
     order = _topo_order(loss)
-    adjoint: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
+    root = id(order[-1])
+    adjoint: dict[int, np.ndarray] = {root: np.ones_like(loss.data)}
     # Adjoints that backward allocated itself by summing, so it may add into
     # them in place. A closure's result may be a view, or be shared between
     # parents (add hands out g twice), so it is never written to.
-    owned: set[int] = {id(loss)}
+    owned: set[int] = {root}
     for node in reversed(order):
         nid = id(node)
         g = adjoint.pop(nid, None)
         if g is None:
             continue
-        if node._backward_fn is None:
+        if not isinstance(node, Node):
             if node.grad is not None:
                 node.grad = node.grad + g
             else:
                 node.grad = g if nid in owned else g.copy()
             continue
         owned.discard(nid)
-        for parent, pg in zip(node._parents, node._backward_fn(g)):
-            if pg is None or parent is None or not parent.requires_grad:
+        for parent, pg in zip(node.parents, node.backward_fn(g)):
+            if pg is None or parent is None:
                 continue
             pid = id(parent)
             if pid not in adjoint:

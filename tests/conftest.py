@@ -32,18 +32,18 @@ def recorded_ops(monkeypatch):
     return seen
 
 
-def saved_arrays(node):
-    """The arrays node's backward closure holds beyond its output and its inputs.
+def saved_arrays(out, inputs=()):
+    """What out's backward closure keeps alive, beyond the data of ``inputs``.
 
     Walks the closure's cells, the tuples and lists in them, and the cells of
-    the helper functions it calls, and drops every array that shares memory with the output's or a parent's
-    data (so views of them are dropped too). An input that needs no gradient
-    is no parent, so its data counts when the closure holds it. What is left
-    is what the tape keeps alive only for this op's backward.
+    the helper functions it calls. Every array found is listed unless it
+    shares memory with one of the inputs' data (so views of them are dropped
+    too), and every DiffTensor is listed as itself, since it keeps its data.
+    The graph holds no value, so this is all the tape keeps for this op.
     """
     from nodegae import diffcore as dc
 
-    own = [node.data] + [p.data for p in node._parents if p is not None]
+    given = [t.data for t in inputs]
     found, seen = [], set()
 
     def visit(obj):
@@ -51,9 +51,9 @@ def saved_arrays(node):
             return
         seen.add(id(obj))
         if isinstance(obj, dc.DiffTensor):
-            visit(obj.data)
+            found.append(obj)
         elif isinstance(obj, np.ndarray):
-            if not any(np.shares_memory(obj, a) for a in own):
+            if not any(np.shares_memory(obj, a) for a in given):
                 found.append(obj)
         elif isinstance(obj, (tuple, list)):
             for item in obj:
@@ -62,8 +62,14 @@ def saved_arrays(node):
             for cell in getattr(obj, "__closure__", None) or ():
                 visit(cell.cell_contents)
 
-    visit(node._backward_fn)
+    visit(out._node.backward_fn)
     return found
+
+
+def kept_inputs(out, inputs):
+    """Positions of the inputs whose data, or a view of it, out's backward closure keeps."""
+    saved = [a for a in saved_arrays(out) if isinstance(a, np.ndarray)]
+    return [i for i, t in enumerate(inputs) if any(np.shares_memory(a, t.data) for a in saved)]
 
 
 def edit_checkpoint(path, edit_meta=None, drop=()):

@@ -17,17 +17,18 @@ from nodegae import textcorpus as tc
 
 def reference_leaf_grads(loss):
     """{id(leaf): d(loss)/d(leaf)} for every reachable requires_grad leaf; no tensor is touched."""
-    adjoint = {id(loss): np.ones_like(loss.data)}
+    order = dc._topo_order(loss)
+    adjoint = {id(order[-1]): np.ones_like(loss.data)}
     grads = {}
-    for node in reversed(dc._topo_order(loss)):
+    for node in reversed(order):
         g = adjoint.pop(id(node), None)
         if g is None:
             continue
-        if node._backward_fn is None:
+        if not isinstance(node, dc.Node):
             grads[id(node)] = np.array(g, copy=True)
             continue
-        for parent, pg in zip(node._parents, node._backward_fn(np.array(g, copy=True))):
-            if pg is None or parent is None or not parent.requires_grad:
+        for parent, pg in zip(node.parents, node.backward_fn(np.array(g, copy=True))):
+            if pg is None or parent is None:
                 continue
             pid = id(parent)
             pg = np.array(pg, copy=True)

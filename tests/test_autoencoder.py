@@ -624,7 +624,7 @@ def test_extract_and_reconstruct_record_no_backward(recorded_ops):
     ae.extract_embeddings(model, graph)
     ae.reconstruct(model, model.tokens_for(graph.texts[0]), max_gen_len=3)
     assert recorded_ops
-    assert all(t._parents == () and t._backward_fn is None for t in recorded_ops)
+    assert all(t._node is None for t in recorded_ops)
 
 
 def test_reconstruct_terminates_with_valid_ids():
@@ -789,7 +789,7 @@ def test_combined_loss_passes_finite_difference_check():
         assert_grads_close(a, n, rtol=1e-4, context=name)
 
 
-def test_pretrain_loss_records_one_attention_op_per_block():
+def test_pretrain_loss_records_one_attention_op_per_block(recorded_ops):
     # 2 encoder self-attentions + 2 decoder layers x (self, cross) = 6.
     # Layer norms: 2 x 2 in the encoder, 2 x 3 in the decoder, and one after
     # each stack = 12. Biased matmuls: the two feed-forward GEMMs of each of
@@ -802,24 +802,26 @@ def test_pretrain_loss_records_one_attention_op_per_block():
     batch = [0, 1, 2, 3]
     positives = ae.draw_positives(graph, batch, np.random.default_rng(0), cfg)
     loss = dc.add(*ae.pretrain_loss(model, graph, batch, positives, cfg))
-    nodes = dc._topo_order(loss)
-    ops = [node._op for node in nodes]
+    nodes = [node for node in dc._topo_order(loss) if isinstance(node, dc.Node)]
+    output_of = {id(t._node): t for t in recorded_ops if t._node is not None}
+    ops = [node.op for node in nodes]
     assert ops.count("attention") == 6
     assert ops.count("layer_norm") == 12
-    assert sum(node._op == "matmul" and len(node._parents) == 3 for node in nodes) == 8
-    assert sum(node._backward_fn is not None for node in nodes) == 96
+    assert sum(node.op == "matmul" and len(node.parents) == 3 for node in nodes) == 8
+    assert len(nodes) == 96
     assert "linear" not in ops
     assert "softmax_lastdim" not in ops
     assert "layernorm_lastdim" not in ops
-    (grid,) = [node for node in nodes if node._op == "to_grid"]
+    (grid,) = [output_of[id(node)] for node in nodes if node.op == "to_grid"]
     rows, t, _ = grid.shape
     # Attention keeps its probabilities, (B, heads, T, Tk), and no copy of q, k or
     # v. Beside them it keeps only the integer grid indices of its packed rows.
     shapes = []
     for node in nodes:
-        if node._op == "attention":
-            q = node._parents[0]
-            saved = saved_arrays(node)
+        if node.op == "attention":
+            out = output_of[id(node)]
+            q, k, v = (output_of[id(p)] for p in node.parents)
+            saved = saved_arrays(out, (q, k, v))
             (p,) = [a for a in saved if a.dtype == np.float64]
             assert all(a.dtype.kind == "i" and a.shape == (q.shape[0],)
                        for a in saved if a is not p)

@@ -17,7 +17,7 @@ from scipy.special import erf as cephes_erf
 from nodegae import diffcore as dc
 from nodegae.errors import ContractError, DimensionError, NodeGaeError
 
-from conftest import saved_arrays
+from conftest import kept_inputs, saved_arrays
 from fdcheck import assert_grads_close, finite_diff_grads, nudge_from_kinks
 from reference_tape import (chain_dropout, chain_graph_layer, padded_attention,
                             reference_leaf_grads)
@@ -245,8 +245,8 @@ def test_attention_random_shapes_match_oracle_and_finite_differences(seed, b, tq
         packed = dc.attention(*packed_params, heads, case_bias, (b, tq, flat))
         assert packed.shape == (flat.size, d)
         assert np.array_equal(packed.data, dense.data.reshape(-1, d)[flat]), kind
-        want = dense._backward_fn(upstream)
-        got = packed._backward_fn(upstream.reshape(-1, d)[flat])
+        want = dense._node.backward_fn(upstream)
+        got = packed._node.backward_fn(upstream.reshape(-1, d)[flat])
         assert np.array_equal(got[0], want[0].reshape(-1, d)[flat]), f"{kind} dq"
         for name, g, w in zip("kv", got[1:], want[1:]):
             if kv_packed:
@@ -291,11 +291,124 @@ def test_attention_checks_shapes():
 # What each op's backward keeps, and the fused ops against the chains they replace
 # ---------------------------------------------------------------------------
 
+def _closure_cases():
+    """name: (build(P, C) -> (out, inputs), kept input positions, (dtype kind, shape) of
+    the other arrays kept, sorted). P and C draw a parameter and a constant of a shape."""
+    sage = ((4, 3), (3, 2), (3, 2))
+    return {
+        "add": (lambda P, C: (P(3, 4), P(4)), dc.add, [], []),
+        "add_constant": (lambda P, C: (P(3, 4), C(4)), dc.add, [], []),
+        "mul": (lambda P, C: (P(3, 4), P(3, 4)), dc.mul, [0, 1], []),
+        "mul_by_constant": (lambda P, C: (P(3, 4), C(1)), dc.mul, [1], []),
+        "matmul_bias": (lambda P, C: (P(2, 3, 4), P(4, 5), P(5)), dc.matmul, [0, 1], []),
+        "matmul_constant_weight": (lambda P, C: (P(3, 4), C(4, 5)), dc.matmul, [1], []),
+        "matmul_constant_input": (lambda P, C: (C(3, 4), P(4, 5)), dc.matmul, [0], []),
+        "matmul_batched": (lambda P, C: (P(2, 3, 4), P(2, 4, 5)), dc.matmul, [0, 1], []),
+        "matmul_batched_constant_b": (lambda P, C: (P(2, 3, 4), C(2, 4, 5)), dc.matmul,
+                                       [1], []),
+        "layer_norm": (lambda P, C: (P(3, 4), P(4), P(4)), dc.layer_norm,
+                       [1], [("f", (3, 1)), ("f", (3, 4))]),
+        "relu": (lambda P, C: (P(3, 4),), dc.relu, [], [("b", (3, 4))]),
+        "gelu": (lambda P, C: (P(3, 4),), dc.gelu, [], [("f", (3, 4))]),
+        "dropout": (lambda P, C: (P(3, 4),), lambda x: dc.dropout(x, DROPOUT_MASK, 0.5),
+                    [], [("b", (3, 4))]),
+        "embedding_lookup": (lambda P, C: (P(5, 4),),
+                             lambda t: dc.embedding_lookup(t, np.array([[0, 3], [3, 1]])),
+                             [], [("i", (4,))]),
+        "sum_axis": (lambda P, C: (P(2, 3, 4),), lambda x: dc.sum_axis(x, 1), [], []),
+        "reshape": (lambda P, C: (P(3, 4),), lambda x: dc.reshape(x, (4, 3)), [], []),
+        "transpose": (lambda P, C: (P(2, 3, 4),), lambda x: dc.transpose(x, (2, 0, 1)), [], []),
+        "to_grid": (lambda P, C: (P(5, 4),), lambda x: dc.to_grid(x, PACKED_LAYOUT),
+                    [], [("i", (5,))]),
+        "to_grid_full_layout": (lambda P, C: (P(6, 4),),
+                                 lambda x: dc.to_grid(x, (2, 3, np.arange(6))), [], []),
+        "concat": (lambda P, C: (P(2, 4), P(3, 4)), lambda *ts: dc.concat(ts),
+                   [], [("i", (1,))]),
+        "softmax_lastdim": (lambda P, C: (P(3, 4),), dc.softmax_lastdim, [], [("f", (3, 4))]),
+        "layernorm_lastdim": (lambda P, C: (P(3, 4),), dc.layernorm_lastdim,
+                              [], [("f", (3, 1)), ("f", (3, 4))]),
+        "l2_normalize_lastdim": (lambda P, C: (P(3, 4),), dc.l2_normalize_lastdim,
+                                 [], [("f", (3, 1)), ("f", (3, 4))]),
+        "cross_entropy_logits": (lambda P, C: (P(3, 4),),
+                                 lambda x: dc.cross_entropy_logits(x, np.array([0, 2, 1])),
+                                 [0], [("b", (3,)), ("f", (3,)), ("i", (3,)), ("i", (3,))]),
+        "attention": (lambda P, C: (P(2, 3, 4), P(2, 5, 4), P(2, 5, 4)),
+                      lambda q, k, v: dc.attention(q, k, v, 2), [0, 1, 2], [("f", (2, 2, 3, 5))]),
+        "attention_constant_kv": (lambda P, C: (P(2, 3, 4), C(2, 5, 4), C(2, 5, 4)),
+                                        lambda q, k, v: dc.attention(q, k, v, 2),
+                                        [1, 2], [("f", (2, 2, 3, 5))]),
+        "attention_packed": (lambda P, C: (P(5, 4), P(5, 4), P(5, 4)),
+                                   lambda q, k, v: dc.attention(q, k, v, 2, None, PACKED_LAYOUT),
+                                   [0, 1, 2], [("f", (2, 2, 3, 3)), ("i", (5,)), ("i", (5,))]),
+        "graph_layer_gcn": (lambda P, C: (C(4, 3), P(3, 2)),
+                            lambda x, w: dc.graph_layer(SPARSE_OPERATOR, x, w, relu=True),
+                            [], [("b", (4, 2)), ("f", (4, 3))]),
+        "graph_layer_sage": (lambda P, C: (C(4, 3), P(3, 2), P(3, 2)),
+                             lambda x, w, ws: dc.graph_layer(SPARSE_OPERATOR, x, w, ws, relu=True),
+                             [0], [("b", (4, 2)), ("f", (4, 3))]),
+        "graph_layer_trainable_input": (lambda P, C: tuple(P(*s) for s in sage),
+                                         lambda x, w, ws: dc.graph_layer(SPARSE_OPERATOR, x, w, ws),
+                                         [0, 1, 2], [("f", (4, 3))]),
+    }
+
+
+@pytest.mark.parametrize("name", list(_closure_cases()))
+def test_each_op_keeps_exactly_what_its_backward_reads(name):
+    draw, op, kept, own = _closure_cases()[name]
+    rng = np.random.default_rng(21)
+    inputs = draw(lambda *s: dc.parameter(rng.standard_normal(s)),
+                  lambda *s: dc.constant(rng.standard_normal(s)))
+    out = op(*inputs)
+    assert not [t for t in saved_arrays(out) if isinstance(t, dc.DiffTensor)]
+    assert kept_inputs(out, inputs) == kept
+    assert sorted((a.dtype.kind, a.shape) for a in saved_arrays(out, inputs)) == own
+
+
+def test_saved_arrays_reports_a_captured_tensor():
+    x = dc.parameter(np.ones(3))
+    out = dc._record(x.data * 2.0, "double", (x,), lambda g: (g * x.data / x.data * 2.0,))
+    assert [t for t in saved_arrays(out) if t is x] == [x]
+
+
+def _recorded_chain(a, b, gain, bias, w):
+    """A loss through add, mul by a constant, layer_norm, relu, gelu, embedding_lookup,
+    to_grid, sum_axis and matmul, with a weakref to each op output's data."""
+    outputs = {}
+
+    def keep_ref(name, t):
+        outputs[name] = weakref.ref(t.data)
+        return t
+
+    x = keep_ref("add", dc.add(a, b))
+    x = keep_ref("mul", dc.mul(x, dc.constant(np.full((1, 4), 0.5))))
+    x = keep_ref("layer_norm", dc.layer_norm(x, gain, bias))
+    x = keep_ref("relu", dc.relu(x))
+    x = keep_ref("gelu", dc.gelu(x))
+    x = keep_ref("embedding_lookup", dc.embedding_lookup(x, np.array([4, 0, 2, 2, 5])))
+    x = keep_ref("to_grid", dc.to_grid(x, PACKED_LAYOUT))
+    x = keep_ref("sum_axis", dc.sum_axis(x, 1))
+    x = keep_ref("matmul", dc.matmul(x, w))
+    x = keep_ref("sum_axis of matmul", dc.sum_axis(x, 1))
+    return dc.sum_axis(x, 0), outputs
+
+
+def test_tape_keeps_only_the_outputs_a_backward_reads():
+    rng = np.random.default_rng(22)
+    leaves = [dc.parameter(rng.standard_normal(s)) for s in ((6, 4), (4,), (4,), (4,), (4, 3))]
+    loss, outputs = _recorded_chain(*leaves)
+    # Only matmul's backward reads an op output, its input x, for w's gradient.
+    assert sorted(name for name, ref in outputs.items() if ref() is not None) == ["sum_axis"]
+    want = reference_leaf_grads(loss)
+    dc.backward(loss)
+    for leaf in leaves:
+        assert leaf.grad.tobytes() == want[id(leaf)].tobytes()
+
+
 def test_attention_keeps_only_its_probabilities():
     rng = np.random.default_rng(12)
     q, k, v = (dc.parameter(rng.standard_normal(s)) for s in ((2, 3, 4), (2, 5, 4), (2, 5, 4)))
     out = dc.attention(q, k, v, 2)
-    (p,) = saved_arrays(out)
+    (p,) = saved_arrays(out, (q, k, v))
     assert p.shape == (2, 2, 3, 5)
     np.testing.assert_allclose(p.sum(axis=-1), 1.0, rtol=0, atol=1e-15)
 
@@ -303,17 +416,13 @@ def test_attention_keeps_only_its_probabilities():
 def test_layer_norm_keeps_its_normalised_rows_and_inverse_std():
     rng = np.random.default_rng(13)
     x = dc.parameter(rng.standard_normal((2, 3, 4)) * 3 + 2)
-    out = dc.layer_norm(x, dc.parameter(rng.standard_normal(4)), dc.parameter(rng.standard_normal(4)))
-    normed, inv = sorted(saved_arrays(out), key=lambda a: -a.size)
+    gain, bias = dc.parameter(rng.standard_normal(4)), dc.parameter(rng.standard_normal(4))
+    out = dc.layer_norm(x, gain, bias)
+    normed, inv = sorted(saved_arrays(out, (x, gain, bias)), key=lambda a: -a.size)
+    assert kept_inputs(out, (x, gain, bias)) == [1]  # gain's data, for x's gradient
     assert normed.tobytes() == dc.layernorm_lastdim(x).data.tobytes()
     assert inv.shape == (2, 3, 1)
     np.testing.assert_allclose(inv, 1.0 / x.data.std(axis=-1, keepdims=True), rtol=1e-12)
-
-
-def test_linear_keeps_nothing_beyond_its_operands():
-    rng = np.random.default_rng(14)
-    x, w, b = (dc.parameter(rng.standard_normal(s)) for s in ((2, 3, 4), (4, 5), (5,)))
-    assert saved_arrays(dc.matmul(x, w, b)) == []
 
 
 def _leaf_grads(build, arrays, trainable, weights):
@@ -400,13 +509,6 @@ def test_dropout_equals_its_chain_bit_for_bit(keep, trainable):
             == _leaf_grads(lambda t: chain_dropout(t, mask, keep), [x], [trainable], weights))
 
 
-def test_dropout_keeps_only_its_bool_mask():
-    rng = np.random.default_rng(18)
-    mask = rng.random((5, 3)) < 0.5
-    (kept,) = saved_arrays(dc.dropout(dc.parameter(rng.standard_normal((5, 3))), mask, 0.5))
-    assert kept.dtype == np.bool_ and kept.shape == (5, 3)
-
-
 @pytest.mark.parametrize("backbone", ["gcn", "sage"])
 def test_graph_layer_keeps_a_x_and_only_sage_keeps_x(backbone):
     """A constant input is no parent: the gcn op lets it go, the sage op keeps its
@@ -421,7 +523,11 @@ def test_graph_layer_keeps_a_x_and_only_sage_keeps_x(backbone):
     del x
     gc.collect()
     assert alive() is None
-    saved = sorted(saved_arrays(out), key=lambda arr: np.shares_memory(arr, data))
+    saved = saved_arrays(out)
+    (mask,) = [arr for arr in saved if arr.dtype == np.bool_]
+    assert mask.tobytes() == (out.data > 0.0).tobytes()
+    saved = sorted((arr for arr in saved if arr is not mask),
+                   key=lambda arr: np.shares_memory(arr, data))
     assert saved[0].tobytes() == (SPARSE_OPERATOR @ data).tobytes()
     if backbone == "gcn":
         assert len(saved) == 1
@@ -465,7 +571,7 @@ def test_embedding_lookup_backward_is_bit_identical_to_add_at(seed, rows, width,
     g[rng.random(g.shape) < 0.1] = 0.0
     table = dc.parameter(rng.standard_normal((rows, width)))
     out = dc.embedding_lookup(table, ids)
-    (got,) = out._backward_fn(g)
+    (got,) = out._node.backward_fn(g)
     want = np.zeros((rows, width))
     np.add.at(want, ids, g)
     assert got.shape == want.shape
@@ -645,9 +751,9 @@ def test_random_dag_leaf_grads_match_reference_and_finite_differences(seed, prog
     reference = reference_leaf_grads(loss)
     dc.backward(loss)
 
+    # The walk reaches leaves and nodes only, so no intermediate tensor gets a grad.
     for node in dc._topo_order(loss):
-        if node._backward_fn is not None:
-            assert node.grad is None, node
+        assert isinstance(node, dc.Node) or node._node is None, node
     for name, leaf in leaves.items():
         if id(leaf) not in reference:
             assert leaf.grad is None, name
@@ -680,10 +786,10 @@ def test_no_grad_records_no_parents_and_restores_recording():
             pass
         z = dc.add(y, w)
     for t in (y, z):
-        assert t._parents == () and t._backward_fn is None and not t.requires_grad
+        assert t._node is None and not t.requires_grad
     np.testing.assert_array_equal(z.data, [2.0, 6.0])
     after = dc.mul(w, w)
-    assert after.requires_grad and after._parents == (w, w)
+    assert after.requires_grad and after._node.parents == (w, w)
 
 
 def test_no_grad_restores_recording_after_an_exception():
@@ -692,7 +798,7 @@ def test_no_grad_restores_recording_after_an_exception():
         with dc.no_grad():
             raise RuntimeError("boom")
     y = dc.mul(w, w)
-    assert y._parents == (w, w)
+    assert y._node.parents == (w, w)
     dc.backward(dc.sum_axis(y, 0))
     np.testing.assert_array_equal(w.grad, [6.0])
 
@@ -818,9 +924,9 @@ def test_op_gradients_match_finite_differences(seed):
         dc.backward(dc.reshape(loss, ()))
         # Ops return no gradient for a constant operand, and it keeps none.
         # The tape holds such an operand as None.
-        for parent, pg in zip(out._parents, out._backward_fn(np.ones_like(out.data))):
-            if parent is None or not parent.requires_grad:
-                assert pg is None and (parent is None or parent.grad is None), f"{name} seed={seed}"
+        for parent, pg in zip(out._node.parents, out._node.backward_fn(np.ones_like(out.data))):
+            if parent is None:
+                assert pg is None, f"{name} seed={seed}"
         numeric = finite_diff_grads(loss_value, [a.copy() for a in arrays])
         for p, n in zip(params, numeric):
             assert_grads_close(p.grad, n, rtol=1e-4, context=f"{name} seed={seed}")

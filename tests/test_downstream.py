@@ -360,7 +360,7 @@ def test_link_bce_reshapes_only_for_the_dot_products(recorded_ops, scorer, resha
         ds._add_mlp_scorer(model, 5, np.random.default_rng(2))
     z = dc.parameter(np.random.default_rng(3).standard_normal((6, 3)))
     ds.link_bce(z, np.array([(0, 1), (2, 3), (4, 5)]), np.array([1, 0, 1]), model)
-    assert [t._op for t in recorded_ops].count("reshape") == reshapes
+    assert [t._node.op for t in recorded_ops if t._node].count("reshape") == reshapes
 
 
 # ---------------------------------------------------------------------------
@@ -548,7 +548,7 @@ def test_predict_links_records_no_backward(recorded_ops):
     ds._add_mlp_scorer(model, 8, np.random.default_rng(0))
     ds.predict_links(model, community_embeddings(graph, seed=3), [(0, 5), (3, 20)])
     assert recorded_ops
-    assert all(t._backward_fn is None for t in recorded_ops)
+    assert all(t._node is None for t in recorded_ops)
 
 
 def test_node_classifier_eval_forward_records_no_backward(recorded_ops, monkeypatch):
@@ -558,9 +558,9 @@ def test_node_classifier_eval_forward_records_no_backward(recorded_ops, monkeypa
     cfg = ds.DownstreamConfig.for_node_classification(hidden_dim=8, epochs=1, seed=0)
     ds.train_node_classifier(one_hot_embeddings(graph, 3), graph, cfg)
     after = recorded_ops.index("step")
-    assert any(t._backward_fn is not None for t in recorded_ops[:after])
+    assert any(t._node is not None for t in recorded_ops[:after])
     assert recorded_ops[after + 1:]
-    assert all(t._backward_fn is None for t in recorded_ops[after + 1:])
+    assert all(t._node is None for t in recorded_ops[after + 1:])
 
 
 def test_link_predictor_rejects_row_mismatch():
@@ -720,7 +720,7 @@ def test_link_fit_mlp_head_matmuls_see_only_batch_endpoints(recorded_ops, monkey
         # Each step's biased matmuls are the head's layers; the dot scorer's
         # pair products have no bias and eval forwards record no op.
         heights = [t.shape[0] for t in recorded_ops[start:end]
-                   if t._op == "matmul" and len(t._parents) == 3]
+                   if t._node and t._node.op == "matmul" and len(t._node.parents) == 3]
         assert heights == [endpoints] * cfg.num_layers
         assert endpoints < graph.num_nodes
         start = end
@@ -775,5 +775,5 @@ def test_graph_train_forward_records_one_op_per_layer_and_dropout(recorded_ops, 
     feats = np.random.default_rng(5).standard_normal((graph.num_nodes, 5))
     model.forward(feats, train=True, rng=np.random.default_rng(6), rows=ROW_SETS["repeated"])
     # The first dropout acts on the constant features, so it records nothing.
-    assert [t._op for t in recorded_ops if t._backward_fn is not None] == [
+    assert [t._node.op for t in recorded_ops if t._node is not None] == [
         "graph_layer", "dropout", "graph_layer"]
