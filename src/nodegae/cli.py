@@ -306,6 +306,20 @@ def _resume_flags(args: Args, model: AutoencoderModel, adam: dc.AdamState, meta:
         setattr(args, dest, value)
 
 
+def _check_log_continues(log: Path, checkpoint, step_count: int) -> None:
+    """Refuse to resume onto a pretrain_log.csv whose last step is not the checkpoint's.
+
+    A log with no row ends at step 0. No log passes: resume then starts one.
+    """
+    if not log.exists():
+        return
+    lines = log.read_text(encoding="utf-8").splitlines()
+    last = lines[-1].split(",", 1)[0] if len(lines) > 1 else "0"
+    if last != str(step_count):
+        raise ConfigError(f"{log} ends at step {last} but the checkpoint {checkpoint} is at "
+                          f"step {step_count}; resume with the checkpoint of that run")
+
+
 def cmd_pretrain(args: Args) -> int:
     _check_dataset(args)
     _check_stage1(args)
@@ -323,6 +337,8 @@ def cmd_pretrain(args: Args) -> int:
             raise ConfigError(f"{args.resume} has no optimizer state; cannot resume")
         _check_trained_on(args.resume, meta, data_sha256)
         _resume_flags(args, model, adam, meta)
+        _check_log_continues(Path(args.out_dir) / "pretrain_log.csv", args.resume,
+                             adam.step_count)
         # Continue the stopped run's batch and positive draws instead of replaying them.
         if "rng_state" in meta:
             rng.bit_generator.state = meta["rng_state"]

@@ -9,10 +9,12 @@ input itself when it is a leaf (a tensor with no node, such as a parameter),
 or None when it needs no gradient. So the graph holds no intermediate value,
 and an op output lives only as long as its callers or a backward closure
 that reads it. Each closure keeps only the arrays its backward reads, plus
-shapes and flags. ``backward`` walks the graph once per call and accumulates
-into ``grad`` of the leaves only, so calling it twice without zeroing doubles
-every leaf gradient exactly. Inside ``with no_grad():`` ops record nothing,
-which is how inference runs.
+shapes and flags. ``backward`` accumulates into ``grad`` of the leaves only
+and takes each closure off its node as it runs it, so the tape is freed as
+it is walked. A graph is walked once: a second ``backward`` that reaches a
+walked node raises ContractError. Gradients accumulate across graphs, so two
+graphs built alike double every leaf gradient exactly. Inside
+``with no_grad():`` ops record nothing, which is how inference runs.
 """
 
 from __future__ import annotations
@@ -37,7 +39,8 @@ class Node:
     ``parents`` holds one entry per input, lined up with the adjoints that
     ``backward_fn`` returns: the input's Node, the input DiffTensor itself
     when it is a leaf that requires grad, or None. A node never holds its
-    output or an intermediate value.
+    output or an intermediate value. ``backward`` sets ``backward_fn`` to
+    None when it runs it; ``parents`` and ``op`` stay.
     """
 
     __slots__ = ("parents", "backward_fn", "op")
@@ -461,36 +464,27 @@ def to_grid(x: DiffTensor, layout) -> DiffTensor:
 
 
 def attention(q: DiffTensor, k: DiffTensor, v: DiffTensor, heads: int,
-              bias: np.ndarray | None = None, layout=None) -> DiffTensor:
-    """Multi-head scaled dot-product attention as one recorded op.
+              bias: np.ndarray | None, layout) -> DiffTensor:
+    """Multi-head scaled dot-product attention over packed rows as one recorded op.
 
-    ``q`` is (B, Tq, d) and ``k``, ``v`` are (B, Tk, d), already projected.
-    Each head h attends over its width-d/heads slice of the last axis with
+    ``q`` is the packed (n, d) rows at the flat positions of the (B, T) grid
+    of ``layout`` = (B, T, flat) (see check_layout), and so are ``k`` and
+    ``v`` when they are 2-D (self-attention); 3-D ``k`` and ``v`` are
+    (B, Tk, d) (cross-attention). All are already projected. Each head h
+    attends over its width-d/heads slice of the last axis with
     softmax(q_h k_hᵀ / sqrt(d/heads) + bias) v_h, and the head contexts are
-    merged back into (B, Tq, d). ``bias`` is a constant additive numpy mask
-    that broadcasts to (B, heads, Tq, Tk); it gets no gradient.
-
-    With ``layout`` = (B, T, flat) (see check_layout), ``q`` is instead the
-    packed (n, d) rows at the flat positions of a (B, T) grid, and so are
-    ``k`` and ``v`` when they are 2-D (self-attention); 3-D ``k`` and ``v``
-    are (B, Tk, d) as above (cross-attention). The output is then packed
-    like ``q``. Only the head split sees the grid: it places the rows there
+    merged back into packed (n, d) rows like ``q``. ``bias`` is a constant
+    additive numpy mask that broadcasts to (B, heads, T, Tk); it gets no
+    gradient. Only the head split sees the grid: it places the rows there
     and fills the other positions with zero rows, which ``bias`` should mask
     as keys. A layout that covers the whole grid places nothing.
     """
-    rows = None
-    if layout is None:
-        if q.ndim != 3:
-            raise DimensionError(f"attention: q must be (B, Tq, d), got {q.shape}")
-        b, tq, d = q.shape
-    else:
-        if q.ndim != 2:
-            raise DimensionError(f"attention: packed q must be (n, d), got {q.shape}")
-        b, tq, flat = check_layout("attention", layout, q.shape[0])
-        d = q.shape[1]
-        if flat.size != b * tq:
-            rows = np.divmod(flat, tq)
-    packed_kv = k.ndim == 2 and layout is not None
+    if q.ndim != 2:
+        raise DimensionError(f"attention: packed q must be (n, d), got {q.shape}")
+    b, tq, flat = check_layout("attention", layout, q.shape[0])
+    d = q.shape[1]
+    rows = None if flat.size == b * tq else np.divmod(flat, tq)
+    packed_kv = k.ndim == 2
     if (v.shape != k.shape
             or not (k.shape == q.shape if packed_kv
                     else k.ndim == 3 and k.shape[0] == b and k.shape[2] == d)):
@@ -510,14 +504,14 @@ def attention(q: DiffTensor, k: DiffTensor, v: DiffTensor, heads: int,
             raise DimensionError(
                 f"attention: bias shape {np.shape(bias)} does not broadcast to {score_shape}")
 
-    def split(x):  # (B, T, d), or packed (n, d) rows -> (B, heads, T, dh)
+    def split(x):  # packed (n, d) rows, or (B, T, d) -> (B, heads, T, dh)
         if x.ndim == 2 and rows is not None:
             grid = np.zeros((b, heads, tq, dh))
             grid[rows[0], :, rows[1]] = x.reshape(-1, heads, dh)
             return grid
         return np.ascontiguousarray(x.reshape(b, -1, heads, dh).transpose(0, 2, 1, 3))
 
-    def merge(x, packed):  # (B, heads, T, dh) -> (B, T, d), or packed (n, d) rows
+    def merge(x, packed):  # (B, heads, T, dh) -> packed (n, d) rows, or (B, T, d)
         if packed and rows is not None:
             return x[rows[0], :, rows[1]].reshape(-1, d)
         grid = np.ascontiguousarray(x.transpose(0, 2, 1, 3))
@@ -528,8 +522,7 @@ def attention(q: DiffTensor, k: DiffTensor, v: DiffTensor, heads: int,
     if bias is not None:
         scores += bias
     p = _softmax(scores)
-    packed_q = layout is not None
-    out = merge(np.matmul(p, split(v.data)), packed_q)
+    out = merge(np.matmul(p, split(v.data)), True)
 
     # The closure keeps p (and a partial layout's grid indices) and the
     # inputs' data that the gradients read; their head-split copies are cut
@@ -546,7 +539,7 @@ def attention(q: DiffTensor, k: DiffTensor, v: DiffTensor, heads: int,
             gs = _softmax_backward(p, np.matmul(gh, split(vd).swapaxes(-1, -2)))
             gs *= scale
             if kd is not None:
-                gq = merge(np.matmul(gs, split(kd)), packed_q)
+                gq = merge(np.matmul(gs, split(kd)), True)
             if qd is not None:
                 gk = merge(np.matmul(gs.swapaxes(-1, -2), split(qd)), packed_kv)
         return (gq, gk, merge(np.matmul(p.swapaxes(-1, -2), gh), packed_kv) if v_grad else None)
@@ -745,13 +738,14 @@ def cross_entropy_logits(logits: DiffTensor, targets, ignore_index: int | None =
     total = nll.sum()
     out = total / n_keep if reduction == "mean" else total
 
-    def backward_fn(g):
-        p = np.exp(flat - lse[:, None])
+    def backward_fn(g):  # softmax minus one-hot, in one (rows, V) buffer
+        p = flat - lse[:, None]
+        np.exp(p, out=p)
         p[rows[keep], tf[keep]] -= 1.0
         p[~keep] = 0.0
         gs = float(np.asarray(g).reshape(()))
-        scale = gs / n_keep if reduction == "mean" else gs
-        return (np.ascontiguousarray((p * scale).reshape(shape)),)
+        p *= gs / n_keep if reduction == "mean" else gs
+        return (p.reshape(shape),)
 
     return _record(np.float64(out), "cross_entropy_logits", (logits,), backward_fn)
 
@@ -804,14 +798,20 @@ def backward(loss: DiffTensor) -> None:
     """Add d(loss)/d(t) into ``grad`` of every reachable requires_grad leaf t.
 
     Leaves are the tensors with no node; the graph reaches no other tensor.
-    A node's adjoint is dropped once its backward closure has run, and the
-    graph is left as it was, so repeated calls add identical contributions.
+    Each node's closure is taken off the node just before it runs, so what
+    it kept is freed once its adjoints are passed on, and so is the node's
+    adjoint. A graph that reaches a node whose closure has run (a second
+    call on the same loss, or a loss sharing a walked subgraph) raises
+    ContractError before any ``grad`` changes.
     """
     if loss.data.size != 1:
         raise ContractError(f"backward: loss must be scalar, got shape {loss.shape}")
     if not loss.requires_grad:
         return
     order = _topo_order(loss)
+    if any(isinstance(node, Node) and node.backward_fn is None for node in order):
+        raise ContractError("backward: the graph reaches nodes an earlier backward walked, "
+                            "whose saved arrays are freed; record the graph again")
     root = id(order[-1])
     adjoint: dict[int, np.ndarray] = {root: np.ones_like(loss.data)}
     # Adjoints that backward allocated itself by summing, so it may add into
@@ -830,7 +830,8 @@ def backward(loss: DiffTensor) -> None:
                 node.grad = g if nid in owned else g.copy()
             continue
         owned.discard(nid)
-        for parent, pg in zip(node.parents, node.backward_fn(g)):
+        backward_fn, node.backward_fn = node.backward_fn, None
+        for parent, pg in zip(node.parents, backward_fn(g)):
             if pg is None or parent is None:
                 continue
             pid = id(parent)

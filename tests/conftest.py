@@ -45,10 +45,13 @@ def saved_arrays(out, inputs=()):
 
     given = [t.data for t in inputs]
     found, seen = [], set()
-
-    def visit(obj):
+    # A stack, not a recursive helper: a closure that calls itself is a
+    # reference cycle, which would keep found's arrays alive until gc runs.
+    stack = [out._node.backward_fn]
+    while stack:
+        obj = stack.pop()
         if id(obj) in seen:
-            return
+            continue
         seen.add(id(obj))
         if isinstance(obj, dc.DiffTensor):
             found.append(obj)
@@ -56,13 +59,10 @@ def saved_arrays(out, inputs=()):
             if not any(np.shares_memory(obj, a) for a in given):
                 found.append(obj)
         elif isinstance(obj, (tuple, list)):
-            for item in obj:
-                visit(item)
+            stack.extend(reversed(obj))
         elif callable(obj):
-            for cell in getattr(obj, "__closure__", None) or ():
-                visit(cell.cell_contents)
-
-    visit(out._node.backward_fn)
+            cells = getattr(obj, "__closure__", None) or ()
+            stack.extend(cell.cell_contents for cell in reversed(cells))
     return found
 
 
@@ -70,6 +70,17 @@ def kept_inputs(out, inputs):
     """Positions of the inputs whose data, or a view of it, out's backward closure keeps."""
     saved = [a for a in saved_arrays(out) if isinstance(a, np.ndarray)]
     return [i for i, t in enumerate(inputs) if any(np.shares_memory(a, t.data) for a in saved)]
+
+
+def grid_attention(q, k, v, heads, bias=None):
+    """dc.attention of (B, Tq, d) queries: q as the rows of the layout that covers its
+    whole (B, Tq) grid, the output viewed as (B, Tq, d) again; k and v stay (B, Tk, d)."""
+    from nodegae import diffcore as dc
+
+    b, tq, d = q.shape
+    rows = dc.reshape(q, (b * tq, d))
+    out = dc.attention(rows, k, v, heads, bias, (b, tq, np.arange(b * tq)))
+    return dc.reshape(out, (b, tq, d))
 
 
 def edit_checkpoint(path, edit_meta=None, drop=()):

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from conftest import grid_attention
 from fdcheck import assert_grads_close, finite_diff_grads
 from nodegae import autoencoder as ae
 from nodegae import diffcore as dc
@@ -152,16 +153,17 @@ def _op_gradient_cases(rng):
          lambda: dc.graph_layer(graph_a[self_rows], x44, dc.transpose(a, (1, 0)),
                                 dc.transpose(m1, (1, 0)), self_rows),
          [x44, a, m1]),
-        # Attention reuses the draws above, viewed as (B, T, d) with d = 4.
+        # Attention reuses the draws above, viewed as (B, T, d) with d = 4; the
+        # queries are the rows of the layout that covers their whole grid.
         ("attention_self_padded",
-         lambda: dc.attention(x234, mb, dc.reshape(x38, (2, 3, 4)), 2, pad_bias),
+         lambda: grid_attention(x234, mb, dc.reshape(x38, (2, 3, 4)), 2, pad_bias),
          [x234, mb, x38]),
         ("attention_causal",
-         lambda: dc.attention(mb, dc.reshape(table, (2, 3, 4)), x234, 1, causal_bias),
+         lambda: grid_attention(mb, dc.reshape(table, (2, 3, 4)), x234, 1, causal_bias),
          [mb, table, x234]),
         ("attention_cross",
-         lambda: dc.attention(dc.reshape(m1, (1, 3, 4)), dc.reshape(x38, (1, 6, 4)),
-                              dc.reshape(table, (1, 6, 4)), 2),
+         lambda: grid_attention(dc.reshape(m1, (1, 3, 4)), dc.reshape(x38, (1, 6, 4)),
+                                dc.reshape(table, (1, 6, 4)), 2),
          [m1, x38, table]),
         # The fused ops reuse the draws above too: b is a (4,) bias or gain.
         ("linear", lambda: dc.matmul(m1, x44, b), [m1, x44, b]),

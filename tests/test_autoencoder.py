@@ -1,6 +1,8 @@
 """Tests for the text autoencoder: forward oracles, losses, pretraining."""
 
 import math
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -830,6 +832,63 @@ def test_pretrain_loss_records_one_attention_op_per_block(recorded_ops):
     assert shapes.count((rows, heads, t, t)) == 2
     assert shapes.count((len(batch), heads, t, t)) == 2
     assert shapes.count((len(batch), heads, t, slots)) == 2
+
+
+def test_backward_of_a_term_sharing_a_walked_encoder_raises_and_changes_no_grad():
+    graph = toy_graph()
+    model = model_for(graph)
+    cfg = ae.InfoNCEConfig()
+    batch = [0, 1, 2, 3]
+    positives = ae.draw_positives(graph, batch, np.random.default_rng(0), cfg)
+    lm, info = ae.pretrain_loss(model, graph, batch, positives, cfg)
+    assert info.requires_grad
+    dc.backward(lm)
+    before = {name: p.grad.tobytes() for name, p in model.params.items()}
+    with pytest.raises(ContractError, match="an earlier backward walked"):
+        dc.backward(info)
+    assert {name: p.grad.tobytes() for name, p in model.params.items()} == before
+
+
+def test_backward_frees_every_array_the_tape_kept(recorded_ops):
+    graph = toy_graph()
+    model = model_for(graph, enc_layers=2, dec_layers=2)
+    cfg = ae.InfoNCEConfig()
+    batch = [0, 1, 2, 3]
+    positives = ae.draw_positives(graph, batch, np.random.default_rng(0), cfg)
+    loss = dc.add(*ae.pretrain_loss(model, graph, batch, positives, cfg))
+    # Parameters' data stays with the model; everything else a closure keeps is the tape's.
+    kept = [weakref.ref(a) for t in recorded_ops if t._node is not None
+            for a in saved_arrays(t, model.parameters())]
+    recorded_ops.clear()
+    assert len(kept) > 50 and all(ref() is not None for ref in kept)
+    dc.backward(loss)
+    assert [ref for ref in kept if ref() is not None] == []
+
+
+def test_pretrain_loss_backward_peaks_no_higher_than_its_forward():
+    # The default model on the default 512-node graph, one batch of 16.
+    graph = tc.generate_synthetic(tc.SyntheticGraphSpec(seed=7))
+    vocab = tc.build_vocab(graph.texts)
+    model = ae.AutoencoderModel.init(ae.ModelConfig(vocab_size=vocab.size), vocab, seed=7)
+    cfg = ae.InfoNCEConfig()
+    rng = np.random.default_rng(0)
+    batch = rng.choice(graph.num_nodes, size=16, replace=False)
+    positives = ae.draw_positives(graph, batch, rng, cfg)
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        loss = dc.add(*ae.pretrain_loss(model, graph, batch, positives, cfg))
+        tape, forward_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        dc.backward(loss)
+        backward_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert tape - start > 5e6  # megabytes that backward frees as it goes
+    assert backward_peak <= forward_peak
 
 
 def test_pretrain_loss_equals_the_padded_oracle():

@@ -211,6 +211,30 @@ def test_pretrain_resume_equals_uninterrupted_run(dataset, tmp_path):
             assert np.array_equal(a[key], b[key]), key
 
 
+def test_pretrain_resume_refuses_a_log_the_checkpoint_does_not_continue(dataset, tmp_path,
+                                                                      capsys):
+    base = ["pretrain", "--dataset", str(dataset), "--recon-every", "0", "--seed", "11"]
+    base += TINY_MODEL
+    out, other = tmp_path / "run", tmp_path / "other"
+    assert main(base + ["--steps", "4", "--out-dir", str(out)]) == 0
+    assert main(base + ["--steps", "6", "--out-dir", str(other)]) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    # A checkpoint copied in from another run: 6 steps onto a log of 4.
+    shutil.copy(other / "model.npz", out / "model.npz")
+    before["model.npz"] = (other / "model.npz").read_bytes()
+    capsys.readouterr()
+    resume = base + ["--steps", "2", "--out-dir", str(out), "--resume", str(out / "model.npz")]
+    assert main(resume) == 1
+    err = capsys.readouterr().err
+    assert "ends at step 4" in err and "at step 6" in err
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+    # The run's own checkpoint continues its log.
+    shutil.copy(other / "pretrain_log.csv", out / "pretrain_log.csv")
+    assert main(resume) == 0
+    _, rows = csv_rows(out / "pretrain_log.csv")
+    assert [int(r[0]) for r in rows] == list(range(1, 9))
+
+
 @pytest.mark.parametrize("failing", ["recon_metrics.csv", "model.npz"])
 def test_failed_resume_write_leaves_the_old_run_and_no_temp_files(dataset, tmp_path, capsys,
                                                                   disk_full, failing):

@@ -17,7 +17,7 @@ from scipy.special import erf as cephes_erf
 from nodegae import diffcore as dc
 from nodegae.errors import ContractError, DimensionError, NodeGaeError
 
-from conftest import kept_inputs, saved_arrays
+from conftest import grid_attention, kept_inputs, saved_arrays
 from fdcheck import assert_grads_close, finite_diff_grads, nudge_from_kinks
 from reference_tape import (chain_dropout, chain_graph_layer, padded_attention,
                             reference_leaf_grads)
@@ -41,6 +41,7 @@ PADDED_KEY_BIAS[1, 0, 0, 2] = MASK
 CAUSAL_BIAS = np.triu(np.full((4, 4), MASK), k=1)
 # The same grid packed: batch row 0 holds 3 rows, batch row 1 the first 2.
 PACKED_LAYOUT = (2, 3, np.array([0, 1, 2, 3, 4]))
+FULL_LAYOUT = (2, 3, np.arange(6))
 DROPOUT_MASK = np.array([[True, False, True, True], [False, True, True, False],
                          [True, True, False, True]])
 
@@ -186,7 +187,7 @@ def attention_oracle(q, k, v, heads, bias=None):
 def test_attention_matches_composed_oracle(heads, tq, tk, bias):
     rng = np.random.default_rng(6)
     q, k, v = (rng.standard_normal(s) for s in ((2, tq, 4), (2, tk, 4), (2, tk, 4)))
-    out = dc.attention(dc.constant(q), dc.constant(k), dc.constant(v), heads, bias).data
+    out = grid_attention(dc.constant(q), dc.constant(k), dc.constant(v), heads, bias).data
     assert out.shape == (2, tq, 4)
     assert np.max(np.abs(out - attention_oracle(q, k, v, heads, bias))) <= 1e-12
 
@@ -210,11 +211,11 @@ def test_attention_random_shapes_match_oracle_and_finite_differences(seed, b, tq
     proj_seed = int(rng.integers(1 << 31))
 
     def loss_value(arrs):
-        out = dc.attention(*(dc.constant(a) for a in arrs), heads, bias)
+        out = grid_attention(*(dc.constant(a) for a in arrs), heads, bias)
         return scalarize(out, np.random.default_rng(proj_seed)).item()
 
     params = [dc.parameter(a.copy()) for a in arrays]
-    out = dc.attention(*params, heads, bias)
+    out = grid_attention(*params, heads, bias)
     assert np.max(np.abs(out.data - attention_oracle(*arrays, heads, bias))) <= 1e-12
     dc.backward(dc.reshape(scalarize(out, np.random.default_rng(proj_seed)), ()))
     numeric = finite_diff_grads(loss_value, [a.copy() for a in arrays])
@@ -258,14 +259,13 @@ def test_attention_random_shapes_match_oracle_and_finite_differences(seed, b, tq
 
 def test_attention_checks_shapes():
     x, y = dc.constant(np.zeros((2, 3, 4))), dc.constant(np.zeros((2, 5, 4)))
+    full = dc.constant(np.zeros((6, 4)))
     with pytest.raises(DimensionError):
-        dc.attention(x, y, x, 2)  # k and v lengths differ
+        dc.attention(full, y, x, 2, None, FULL_LAYOUT)  # k and v lengths differ
     with pytest.raises(DimensionError):
-        dc.attention(x, x, x, 3)  # heads do not divide the width
+        dc.attention(full, full, full, 3, None, FULL_LAYOUT)  # heads do not divide the width
     with pytest.raises(DimensionError):
-        dc.attention(x, y, y, 2, np.zeros((2, 1, 1, 3)))  # bias covers 3 keys, not 5
-    with pytest.raises(DimensionError):
-        dc.attention(dc.constant(np.zeros((3, 4))), x, x, 2)
+        dc.attention(full, y, y, 2, np.zeros((2, 1, 1, 3)), FULL_LAYOUT)  # 3 keys, not 5
     rows = dc.constant(np.zeros((5, 4)))
     layout = PACKED_LAYOUT
     assert dc.attention(rows, rows, rows, 2, None, layout).shape == (5, 4)
@@ -332,11 +332,12 @@ def _closure_cases():
         "cross_entropy_logits": (lambda P, C: (P(3, 4),),
                                  lambda x: dc.cross_entropy_logits(x, np.array([0, 2, 1])),
                                  [0], [("b", (3,)), ("f", (3,)), ("i", (3,)), ("i", (3,))]),
-        "attention": (lambda P, C: (P(2, 3, 4), P(2, 5, 4), P(2, 5, 4)),
-                      lambda q, k, v: dc.attention(q, k, v, 2), [0, 1, 2], [("f", (2, 2, 3, 5))]),
-        "attention_constant_kv": (lambda P, C: (P(2, 3, 4), C(2, 5, 4), C(2, 5, 4)),
-                                        lambda q, k, v: dc.attention(q, k, v, 2),
-                                        [1, 2], [("f", (2, 2, 3, 5))]),
+        "attention": (lambda P, C: (P(6, 4), P(2, 5, 4), P(2, 5, 4)),
+                      lambda q, k, v: dc.attention(q, k, v, 2, None, FULL_LAYOUT),
+                      [0, 1, 2], [("f", (2, 2, 3, 5))]),
+        "attention_constant_kv": (lambda P, C: (P(6, 4), C(2, 5, 4), C(2, 5, 4)),
+                                  lambda q, k, v: dc.attention(q, k, v, 2, None, FULL_LAYOUT),
+                                  [1, 2], [("f", (2, 2, 3, 5))]),
         "attention_packed": (lambda P, C: (P(5, 4), P(5, 4), P(5, 4)),
                                    lambda q, k, v: dc.attention(q, k, v, 2, None, PACKED_LAYOUT),
                                    [0, 1, 2], [("f", (2, 2, 3, 3)), ("i", (5,)), ("i", (5,))]),
@@ -406,8 +407,8 @@ def test_tape_keeps_only_the_outputs_a_backward_reads():
 
 def test_attention_keeps_only_its_probabilities():
     rng = np.random.default_rng(12)
-    q, k, v = (dc.parameter(rng.standard_normal(s)) for s in ((2, 3, 4), (2, 5, 4), (2, 5, 4)))
-    out = dc.attention(q, k, v, 2)
+    q, k, v = (dc.parameter(rng.standard_normal(s)) for s in ((6, 4), (2, 5, 4), (2, 5, 4)))
+    out = dc.attention(q, k, v, 2, None, FULL_LAYOUT)
     (p,) = saved_arrays(out, (q, k, v))
     assert p.shape == (2, 2, 3, 5)
     np.testing.assert_allclose(p.sum(axis=-1), 1.0, rtol=0, atol=1e-15)
@@ -655,13 +656,26 @@ def test_backward_requires_scalar():
         dc.backward(dc.relu(w))
 
 
-def test_backward_twice_doubles_grads():
+def test_second_backward_on_the_same_loss_raises_and_changes_no_grad():
     w = dc.parameter([-1.0, 0.5, 2.0])
     loss = dc.sum_axis(dc.mul(dc.relu(w), w), 0)
     dc.backward(loss)
-    once = w.grad.copy()
-    dc.backward(loss)
-    np.testing.assert_array_equal(w.grad, 2.0 * once)
+    once = w.grad.tobytes()
+    with pytest.raises(ContractError, match="an earlier backward walked"):
+        dc.backward(loss)
+    assert w.grad.tobytes() == once
+    assert all(node.backward_fn is None for node in dc._topo_order(loss)
+               if isinstance(node, dc.Node))
+
+
+def test_backward_of_two_graphs_built_alike_doubles_every_leaf_grad():
+    rng = np.random.default_rng(23)
+    leaves = [dc.parameter(rng.standard_normal(s)) for s in ((6, 4), (4,), (4,), (4,), (4, 3))]
+    dc.backward(_recorded_chain(*leaves)[0])
+    once = [leaf.grad.copy() for leaf in leaves]
+    dc.backward(_recorded_chain(*leaves)[0])
+    for leaf, grad in zip(leaves, once):
+        assert leaf.grad.tobytes() == (2.0 * grad).tobytes()
 
 
 def test_grad_accumulates_across_uses():
@@ -861,11 +875,11 @@ def make_op_cases(rng):
         ("mul_const", [sn((3, 4))], lambda a: dc.mul(a, c34)),
         ("add_const", [sn((3, 4))], lambda b: dc.add(c4, b)),
         ("attention_self_padded", [sn((2, 3, 4)), sn((2, 3, 4)), sn((2, 3, 4))],
-         lambda q, k, v: dc.attention(q, k, v, 2, PADDED_KEY_BIAS)),
+         lambda q, k, v: grid_attention(q, k, v, 2, PADDED_KEY_BIAS)),
         ("attention_causal", [sn((2, 4, 4)), sn((2, 4, 4)), sn((2, 4, 4))],
-         lambda q, k, v: dc.attention(q, k, v, 1, CAUSAL_BIAS)),
+         lambda q, k, v: grid_attention(q, k, v, 1, CAUSAL_BIAS)),
         ("attention_cross", [sn((2, 3, 4)), sn((2, 5, 4)), sn((2, 5, 4))],
-         lambda q, k, v: dc.attention(q, k, v, 2)),
+         lambda q, k, v: grid_attention(q, k, v, 2)),
     ]
     # Drawn after every case above, so their random streams do not move.
     cases += [
@@ -920,13 +934,14 @@ def test_op_gradients_match_finite_differences(seed):
 
         params = [dc.parameter(a.copy()) for a in arrays]
         out = build(*params)
-        loss = scalarize(out, np.random.default_rng(proj_seed))
-        dc.backward(dc.reshape(loss, ()))
         # Ops return no gradient for a constant operand, and it keeps none.
-        # The tape holds such an operand as None.
+        # The tape holds such an operand as None. backward takes the closure
+        # off the node, so this runs first.
         for parent, pg in zip(out._node.parents, out._node.backward_fn(np.ones_like(out.data))):
             if parent is None:
                 assert pg is None, f"{name} seed={seed}"
+        loss = scalarize(out, np.random.default_rng(proj_seed))
+        dc.backward(dc.reshape(loss, ()))
         numeric = finite_diff_grads(loss_value, [a.copy() for a in arrays])
         for p, n in zip(params, numeric):
             assert_grads_close(p.grad, n, rtol=1e-4, context=f"{name} seed={seed}")
