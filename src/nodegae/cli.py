@@ -119,6 +119,8 @@ OPTIMIZER_DESTS = {"pretrain_lr": "base_lr", "warmup": "warmup_steps", "clip_nor
 # Stage-2 flag dests that only link prediction reads; setting one under
 # another task is an error.
 LINKPRED_DESTS = ("batch_edges", "link_scorer", "link_seed", "log_every_iter")
+# Flag dests that seed a numpy generator, which takes no negative seed.
+SEED_DESTS = ("seed", "link_seed")
 # Stage-1 flag dests that `pretrain` stores as given in the checkpoint's
 # "stage1_flags" metadata: the vocabulary budget, the seed, the InfoNCE config.
 STORED_DESTS = ("vocab_size", "seed", "tau", "alpha1", "alpha2", "raw_similarity")
@@ -192,6 +194,12 @@ def _check_stage2(args: Args, backbones: Sequence[str]) -> None:
                               "(link prediction only)")
     for backbone in backbones:
         _downstream(args, backbone).validate()
+
+
+def _check_seeds(args: Args) -> None:
+    for flag, dest, *_ in COMMANDS[args.command][2]:
+        if dest in SEED_DESTS and getattr(args, dest) < 0:
+            raise ConfigError(f"{flag} must be >= 0, got {getattr(args, dest)}")
 
 
 def _pretraining_graph(args: Args, purpose: str) -> TextGraph:
@@ -717,6 +725,7 @@ def resolve(args: Args) -> Args:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = resolve(build_parser().parse_args(argv))
     try:
+        _check_seeds(args)
         return COMMANDS[args.command][0](args)
     except (ConfigError, IngestionError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -9,9 +9,10 @@ and a dropout one ``diffcore.dropout`` op. A forward computes only the node
 rows its caller reads. Node classification trains full batch
 with cross-entropy; link prediction trains on minibatches of positive and
 sampled negative pairs with a dot-product-plus-logistic scorer, or a
-small MLP head when the model carries one. Both trainers share one set-up,
-one loop that keeps the weights of the best validation epoch, and one
-scorer, ``score_splits``, which the CLI also uses for the test metric.
+small MLP head that the model builds with its layers. Both trainers share
+one set-up, one loop that keeps the weights of the best validation epoch,
+and one scorer, ``score_splits``, which the CLI also uses for the test
+metric.
 """
 
 from dataclasses import dataclass
@@ -149,45 +150,49 @@ class GnnModel:
     """Stacked backbone layers with inverted dropout between them.
 
     Graph backbones hold their sparse propagation operator: the symmetric
-    normalized adjacency for gcn, the neighbor-mean matrix for sage.
+    normalized adjacency for gcn, the neighbor-mean matrix for sage. An mlp
+    link scorer holds its pair head as the scorer.* parameters.
     """
 
     def __init__(self, backbone: str, dims: List[int], dropout: float,
-                 params: Dict[str, dc.DiffTensor], operator=None):
+                 params: Dict[str, dc.DiffTensor], operator, link_scorer: str):
         self.backbone = backbone
         self.dims = dims
         self.dropout = dropout
         self.params = params
         self.operator = operator
+        self.link_scorer = link_scorer
 
     @classmethod
-    def build(cls, backbone: str, in_dim: int, hidden_dim: int, out_dim: int,
-              num_layers: int = 2, dropout: float = 0.5, seed: int = 0,
-              operator=None) -> "GnnModel":
-        """A freshly initialized model; a graph backbone propagates with
-        `operator`, which graph_operator builds."""
-        if backbone not in BACKBONES:
-            raise ConfigError(f"backbone must be one of {BACKBONES}, got '{backbone}'")
-        if not (0.0 <= dropout < 1.0):
-            raise ConfigError(f"dropout must be in [0, 1), got {dropout}")
-        if num_layers < 1:
-            raise ConfigError(f"num_layers must be >= 1, got {num_layers}")
-        if backbone != "mlp" and operator is None:
-            raise ConfigError(f"the {backbone} backbone needs a graph operator")
-        dims = [in_dim] + [hidden_dim] * (num_layers - 1) + [out_dim]
-        rng = np.random.default_rng(seed)
+    def build(cls, cfg: "DownstreamConfig", in_dim: int, out_dim: int, operator=None,
+              rng: Optional[np.random.Generator] = None) -> "GnnModel":
+        """A freshly initialized model of the validated cfg; a graph backbone
+        propagates with `operator`, which graph_operator builds.
+
+        The layers draw from default_rng(cfg.seed), an mlp scorer's head from
+        `rng` (the trainer's generator); its parameters come last.
+        """
+        cfg.validate()
+        if cfg.backbone != "mlp" and operator is None:
+            raise ConfigError(f"the {cfg.backbone} backbone needs a graph operator")
+        if cfg.link_scorer == "mlp" and rng is None:
+            raise ContractError("an mlp link scorer draws its weights from an rng")
+        dims = [in_dim] + [cfg.hidden_dim] * (cfg.num_layers - 1) + [out_dim]
+        init = np.random.default_rng(cfg.seed)
         params: Dict[str, dc.DiffTensor] = {}
-        for i in range(num_layers):
-            fan_in, fan_out = dims[i], dims[i + 1]
-            scale = fan_in ** -0.5
-            if backbone == "sage":
-                params[f"l{i}.self"] = dc.parameter(rng.normal(0.0, scale, (fan_in, fan_out)))
-                params[f"l{i}.neigh"] = dc.parameter(rng.normal(0.0, scale, (fan_in, fan_out)))
-            else:
-                params[f"l{i}.w"] = dc.parameter(rng.normal(0.0, scale, (fan_in, fan_out)))
-                if backbone == "mlp":
-                    params[f"l{i}.b"] = dc.parameter(np.zeros(fan_out))
-        return cls(backbone, dims, dropout, params, operator)
+        for i in range(cfg.num_layers):
+            shape = (dims[i], dims[i + 1])
+            for name in ("self", "neigh") if cfg.backbone == "sage" else ("w",):
+                params[f"l{i}.{name}"] = dc.parameter(init.normal(0.0, dims[i] ** -0.5, shape))
+            if cfg.backbone == "mlp":
+                params[f"l{i}.b"] = dc.parameter(np.zeros(dims[i + 1]))
+        if cfg.link_scorer == "mlp":
+            d2, hidden = 2 * out_dim, cfg.hidden_dim
+            params["scorer.w1"] = dc.parameter(rng.normal(0.0, d2 ** -0.5, (d2, hidden)))
+            params["scorer.b1"] = dc.parameter(np.zeros(hidden))
+            params["scorer.w2"] = dc.parameter(rng.normal(0.0, hidden ** -0.5, (hidden, 1)))
+            params["scorer.b2"] = dc.parameter(np.zeros(1))
+        return cls(cfg.backbone, dims, cfg.dropout, params, operator, cfg.link_scorer)
 
     @property
     def num_layers(self) -> int:
@@ -203,7 +208,7 @@ class GnnModel:
         for name, p in self.params.items():
             p.data = snap[name].copy()
 
-    def forward(self, features, train: bool = False,
+    def forward(self, features: np.ndarray, train: bool = False,
                 rng: Optional[np.random.Generator] = None, rows=None) -> dc.DiffTensor:
         """Outputs (len(rows), out_dim) of the nodes `rows`, in that order, or
         (N, out_dim) of all nodes when rows is None; dropout only in train mode.
@@ -219,7 +224,7 @@ class GnnModel:
         the full (N, width) shape whatever `rows` is, so the rng advances
         alike.
         """
-        x = features if isinstance(features, dc.DiffTensor) else dc.constant(features)
+        x = dc.constant(features)
         if x.shape[-1] != self.dims[0]:
             raise DimensionError(
                 f"features have dim {x.shape[-1]}, model expects {self.dims[0]}")
@@ -286,6 +291,10 @@ class DownstreamConfig:
     def validate(self) -> None:
         if self.backbone not in BACKBONES:
             raise ConfigError(f"backbone must be one of {BACKBONES}, got '{self.backbone}'")
+        if self.hidden_dim < 1:
+            raise ConfigError(f"hidden_dim must be >= 1, got {self.hidden_dim}")
+        if self.num_layers < 1:
+            raise ConfigError(f"num_layers must be >= 1, got {self.num_layers}")
         if self.lr <= 0 or self.epochs < 1 or self.patience < 1:
             raise ConfigError("lr must be positive; epochs and patience >= 1")
         if self.batch_edges < 2:
@@ -306,50 +315,31 @@ def _node_split(graph: TextGraph, name: str) -> np.ndarray:
     return graph.splits.get(name, np.zeros(0, dtype=np.int64))
 
 
-def _scorer_mlp_logits(model: GnnModel, u: dc.DiffTensor, v: dc.DiffTensor
-                       ) -> dc.DiffTensor:
-    """Two-layer head on concatenated pairs, symmetrized over (u,v) order."""
+def _pair_logits(model: GnnModel, z: dc.DiffTensor, pairs: np.ndarray) -> dc.DiffTensor:
+    """Pair logits as a (m, 1) tensor: dot products, or the mlp scorer's
+    two-layer head on concatenated pairs, symmetrized over (u, v) order."""
+    m, d = pairs.shape[0], z.shape[1]
+    u = dc.embedding_lookup(z, pairs[:, 0])
+    v = dc.embedding_lookup(z, pairs[:, 1])
+    if model.link_scorer == "dot":
+        dots = dc.matmul(dc.reshape(u, (m, 1, d)), dc.reshape(v, (m, d, 1)))
+        return dc.reshape(dots, (m, 1))
     p = model.params
 
     def head(a, b):
-        cat = dc.concat([a, b], axis=1)
-        h = dc.relu(dc.matmul(cat, p["scorer.w1"], p["scorer.b1"]))
+        h = dc.relu(dc.matmul(dc.concat([a, b], axis=1), p["scorer.w1"], p["scorer.b1"]))
         return dc.matmul(h, p["scorer.w2"], p["scorer.b2"])
 
     return dc.mul(dc.add(head(u, v), head(v, u)), dc.constant(0.5))
 
 
-def _pair_logits(z: dc.DiffTensor, pairs: np.ndarray,
-                 model: Optional[GnnModel] = None) -> dc.DiffTensor:
-    """Pair logits as a (m, 1) tensor; dot products unless the model has an mlp scorer."""
-    m, d = pairs.shape[0], z.shape[1]
-    u = dc.embedding_lookup(z, pairs[:, 0])
-    v = dc.embedding_lookup(z, pairs[:, 1])
-    if model is not None and "scorer.w1" in model.params:
-        return _scorer_mlp_logits(model, u, v)
-    dots = dc.matmul(dc.reshape(u, (m, 1, d)), dc.reshape(v, (m, d, 1)))
-    return dc.reshape(dots, (m, 1))
-
-
-def link_bce(z: dc.DiffTensor, pairs: np.ndarray, labels: np.ndarray,
-             model: Optional[GnnModel] = None) -> dc.DiffTensor:
-    """Binary cross-entropy of logistic pair scores against 0/1 labels."""
-    s = _pair_logits(z, pairs, model)
+def link_bce(model: GnnModel, z: dc.DiffTensor, pairs: np.ndarray,
+             labels: np.ndarray) -> dc.DiffTensor:
+    """Binary cross-entropy of the model's logistic pair scores against 0/1 labels."""
+    s = _pair_logits(model, z, pairs)
     two_class = dc.concat([dc.constant(np.zeros(s.shape)), s], axis=1)
     return dc.cross_entropy_logits(two_class, np.asarray(labels, dtype=np.int64),
                                    reduction="mean")
-
-
-def _add_mlp_scorer(model: GnnModel, hidden_dim: int,
-                    rng: np.random.Generator) -> None:
-    """Add the pair-scoring head's weights, which switch _pair_logits to it."""
-    d2 = 2 * model.dims[-1]
-    model.params["scorer.w1"] = dc.parameter(
-        rng.normal(0.0, d2 ** -0.5, (d2, hidden_dim)))
-    model.params["scorer.b1"] = dc.parameter(np.zeros(hidden_dim))
-    model.params["scorer.w2"] = dc.parameter(
-        rng.normal(0.0, hidden_dim ** -0.5, (hidden_dim, 1)))
-    model.params["scorer.b2"] = dc.parameter(np.zeros(1))
 
 
 def _endpoints(pairs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -360,7 +350,7 @@ def _endpoints(pairs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 
 def _link_scores(model: GnnModel, z: dc.DiffTensor, pairs: np.ndarray) -> np.ndarray:
     """logistic(pair logit) over node outputs z from an inference forward."""
-    return 1.0 / (1.0 + np.exp(-_pair_logits(z, pairs, model).data[:, 0]))
+    return 1.0 / (1.0 + np.exp(-_pair_logits(model, z, pairs).data[:, 0]))
 
 
 def predict_links(model: GnnModel, embeddings, pairs) -> np.ndarray:
@@ -427,18 +417,20 @@ def graph_operator(cfg: DownstreamConfig, graph: TextGraph,
 def _fit_setup(embeddings, graph: TextGraph, cfg: DownstreamConfig,
                split: Optional[LinkSplit] = None, operator=None
                ) -> Tuple[np.ndarray, GnnModel, dc.AdamState, np.random.Generator]:
-    """Checked features, then the model, its optimizer and the training rng.
+    """Checked features, then the training rng, the model and its optimizer.
 
     Without a link split the model classifies graph's (checked) node splits;
     with one it sees only the train positives, and an mlp scorer draws first.
     A graph backbone uses `operator`, or graph_operator's when it is None.
     """
-    cfg.validate()
     feats = _feature_matrix(embeddings)
     if feats.shape[0] != graph.num_nodes:
         raise ConfigError(
             f"embeddings have {feats.shape[0]} rows for a {graph.num_nodes}-node graph")
     if split is None:
+        if cfg.link_scorer != "dot":
+            raise ConfigError("node classification scores no links; "
+                              f"link_scorer must be 'dot', got '{cfg.link_scorer}'")
         if _node_split(graph, "train").size == 0:
             raise ConfigError("node classification needs a non-empty train split")
         for name in ("train", "val", "test"):
@@ -449,11 +441,8 @@ def _fit_setup(embeddings, graph: TextGraph, cfg: DownstreamConfig,
         out_dim = cfg.hidden_dim
     if operator is None:
         operator = graph_operator(cfg, graph, split)
-    model = GnnModel.build(cfg.backbone, feats.shape[1], cfg.hidden_dim, out_dim,
-                           cfg.num_layers, cfg.dropout, cfg.seed, operator=operator)
     rng = np.random.default_rng(cfg.seed)
-    if split is not None and cfg.link_scorer == "mlp":
-        _add_mlp_scorer(model, cfg.hidden_dim, rng)
+    model = GnnModel.build(cfg, feats.shape[1], out_dim, operator, rng)
     adam = dc.AdamState.for_params(model.parameters(), base_lr=cfg.lr, clip_norm=None)
     return feats, model, adam, rng
 
@@ -527,7 +516,7 @@ def train_link_predictor(embeddings, graph: TextGraph, split: LinkSplit,
                     continue
                 rows, local = _endpoints(pairs[batch])
                 z = model.forward(feats, train=True, rng=rng, rows=rows)
-                loss = link_bce(z, local, labels[batch], model)
+                loss = link_bce(model, z, local, labels[batch])
                 dc.backward(loss)
                 dc.adam_step(model.parameters(), adam)
                 losses.append(float(loss.item()))

@@ -838,6 +838,84 @@ def test_failed_ablate_write_leaves_the_old_run_and_no_temp_files(dataset, tmp_p
 
 
 # ---------------------------------------------------------------------------
+# flag guards: a bad numeric value is an error line, never a traceback
+# ---------------------------------------------------------------------------
+
+# (command, flag) of every int or float flag; switches are bools and stay out.
+NUMERIC_FLAGS = [(command, flag) for command, (_, _, table) in cli.COMMANDS.items()
+                 for flag, _, default, _, _ in table
+                 if default in (int, float) or type(default) in (int, float)]
+
+
+def quick_argv(command, dataset, embedded, out):
+    """A run of command that takes milliseconds on the module dataset.
+
+    Flags appended to it override its own, since argparse keeps the last.
+    """
+    return {
+        "generate": ["generate", "--out", str(out), "--nodes", "24", "--classes", "2"],
+        "pretrain": ["pretrain", "--dataset", str(dataset), "--out-dir", str(out),
+                     "--steps", "1", "--recon-every", "1", "--recon-samples", "1"] + TINY_MODEL,
+        "embed": ["embed", "--dataset", str(dataset), "--out", str(out / "emb.txt"),
+                  "--baseline", "random", "--dim", "4"],
+        "train": ["train", "--dataset", str(dataset), "--embeddings", str(embedded),
+                  "--out-dir", str(out), "--task", "linkpred", "--repeats", "1",
+                  "--epochs", "1"],
+        "ablate": ["ablate", "--dataset", str(dataset), "--out-dir", str(out),
+                   "--task", "linkpred", "--repeats", "1", "--epochs", "1",
+                   "--steps", "1"] + TINY_MODEL,
+    }[command]
+
+
+@pytest.mark.parametrize("command", cli.COMMANDS)
+def test_quick_runs_succeed(dataset, embedded, tmp_path, command):
+    assert main(quick_argv(command, dataset, embedded, tmp_path / "o")) == 0
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+@pytest.mark.parametrize("command, flag", NUMERIC_FLAGS)
+def test_numeric_flag_at_zero_or_minus_one_exits_zero_or_one(dataset, embedded, tmp_path,
+                                                            capsys, command, flag, value):
+    rc = main(quick_argv(command, dataset, embedded, tmp_path / "o") + [flag, value])
+    assert rc in (0, 1)
+    if rc == 1:
+        assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("command, flag", [
+    (command, flag) for command, flag in NUMERIC_FLAGS if flag in ("--seed", "--link-seed")])
+def test_negative_seed_exits_one_without_artifacts(dataset, embedded, tmp_path, capsys,
+                                                   command, flag):
+    out = tmp_path / "o"
+    assert main(quick_argv(command, dataset, embedded, out) + [flag, "-1"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: {flag} must be >= 0, got -1"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("task", ["nodecls", "linkpred"])
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_train_rejects_hidden_dim_below_one_without_artifacts(dataset, embedded, tmp_path,
+                                                              capsys, task, value):
+    out = tmp_path / "o"
+    assert main(["train", "--dataset", str(dataset), "--embeddings", str(embedded),
+                 "--out-dir", str(out), "--task", task, "--hidden-dim", value]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: hidden_dim must be >= 1, got {value}"]
+    assert not out.exists()
+
+
+def test_ablate_rejects_zero_layers_before_pretraining(dataset, tmp_path, capsys, monkeypatch):
+    steps = []
+    monkeypatch.setattr(cli, "pretrain_step", lambda *a: steps.append(a))
+    out = tmp_path / "o"
+    assert main(["ablate", "--dataset", str(dataset), "--out-dir", str(out),
+                 "--num-layers", "0"] + TINY_MODEL) == 1
+    assert capsys.readouterr().err.splitlines() == ["error: num_layers must be >= 1, got 0"]
+    assert steps == [] and not out.exists()
+
+
+# ---------------------------------------------------------------------------
 # start-up cost
 # ---------------------------------------------------------------------------
 

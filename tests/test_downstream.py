@@ -1,5 +1,7 @@
 """Tests for frozen-embedding models: graph layers, scorers, training loops."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -148,9 +150,10 @@ def graph_model(backbone, graph, layers, add_self_loops=True):
     """
     first = layers[0] if backbone == "gcn" else layers[0][0]
     last = layers[-1] if backbone == "gcn" else layers[-1][0]
-    model = ds.GnnModel.build(backbone, first.shape[0], first.shape[1], last.shape[1],
-                              num_layers=len(layers), dropout=0.0,
-                              operator=operator_of(backbone, graph, add_self_loops))
+    cfg = ds.DownstreamConfig(backbone=backbone, hidden_dim=first.shape[1],
+                              num_layers=len(layers), dropout=0.0)
+    model = ds.GnnModel.build(cfg, first.shape[0], last.shape[1],
+                              operator_of(backbone, graph, add_self_loops))
     for i, weights in enumerate(layers):
         if backbone == "gcn":
             model.params[f"l{i}.w"].data = weights
@@ -260,16 +263,39 @@ def test_sage_layer_dimension_mismatch():
 # ---------------------------------------------------------------------------
 
 def test_build_rejects_bad_configuration():
-    with pytest.raises(ConfigError):
-        ds.GnnModel.build("transformer", 4, 8, 2)
-    with pytest.raises(ConfigError):
-        ds.GnnModel.build("mlp", 4, 8, 2, dropout=1.0)
-    with pytest.raises(ConfigError):
-        ds.GnnModel.build("mlp", 4, 8, 2, num_layers=0)
+    for fields in (dict(backbone="transformer"), dict(dropout=1.0), dict(num_layers=0),
+                   dict(hidden_dim=0)):
+        with pytest.raises(ConfigError):
+            ds.GnnModel.build(ds.DownstreamConfig(**fields), 4, 2)
+
+
+def test_build_of_an_mlp_scorer_needs_an_rng():
+    with pytest.raises(ContractError):
+        ds.GnnModel.build(ds.DownstreamConfig(hidden_dim=8, link_scorer="mlp"), 4, 8)
+
+
+def test_build_appends_the_scorer_head_drawn_from_rng():
+    cfg = ds.DownstreamConfig(hidden_dim=8, link_scorer="mlp")
+    dot = ds.GnnModel.build(replace(cfg, link_scorer="dot"), 4, 6)
+    rng = np.random.default_rng(3)
+    model = ds.GnnModel.build(cfg, 4, 6, rng=rng)
+    assert model.link_scorer == "mlp" and dot.link_scorer == "dot"
+    assert list(model.params) == list(dot.params) + [
+        "scorer.w1", "scorer.b1", "scorer.w2", "scorer.b2"]
+    for name, p in dot.params.items():
+        assert np.array_equal(model.params[name].data, p.data)
+    # The head is the first draw of rng, and the layers take none from it.
+    want = np.random.default_rng(3)
+    w1, w2 = want.normal(0.0, 12 ** -0.5, (12, 8)), want.normal(0.0, 8 ** -0.5, (8, 1))
+    assert np.array_equal(model.params["scorer.w1"].data, w1)
+    assert np.array_equal(model.params["scorer.w2"].data, w2)
+    assert not model.params["scorer.b1"].data.any()
+    assert model.params["scorer.b2"].data.shape == (1,)
+    assert rng.bit_generator.state == want.bit_generator.state
 
 
 def test_forward_rejects_wrong_feature_dim():
-    model = ds.GnnModel.build("mlp", 4, 8, 2, dropout=0.0)
+    model = ds.GnnModel.build(ds.DownstreamConfig(hidden_dim=8, dropout=0.0), 4, 2)
     with pytest.raises(DimensionError):
         model.forward(np.zeros((3, 5)))
 
@@ -277,17 +303,17 @@ def test_forward_rejects_wrong_feature_dim():
 def test_graph_backbones_need_operator():
     for backbone in ("gcn", "sage"):
         with pytest.raises(ConfigError):
-            ds.GnnModel.build(backbone, 4, 8, 2, dropout=0.0)
+            ds.GnnModel.build(ds.DownstreamConfig(backbone=backbone, hidden_dim=8), 4, 2)
 
 
 def test_dropout_requires_rng_in_train_mode():
-    model = ds.GnnModel.build("mlp", 4, 8, 2, dropout=0.5)
+    model = ds.GnnModel.build(ds.DownstreamConfig(hidden_dim=8, dropout=0.5), 4, 2)
     with pytest.raises(ContractError):
         model.forward(np.zeros((3, 4)), train=True)
 
 
 def test_dropout_perturbs_train_but_not_eval():
-    model = ds.GnnModel.build("mlp", 4, 8, 2, dropout=0.5, seed=0)
+    model = ds.GnnModel.build(ds.DownstreamConfig(hidden_dim=8, dropout=0.5, seed=0), 4, 2)
     x = np.ones((6, 4))
     eval_a = model.forward(x).data
     eval_b = model.forward(x).data
@@ -298,7 +324,7 @@ def test_dropout_perturbs_train_but_not_eval():
 
 
 def test_argmax_predictions_invariant_to_positive_rescaling():
-    model = ds.GnnModel.build("mlp", 4, 8, 3, dropout=0.0, seed=5)
+    model = ds.GnnModel.build(ds.DownstreamConfig(hidden_dim=8, dropout=0.0, seed=5), 4, 3)
     x = np.random.default_rng(0).standard_normal((10, 4))
     logits = model.forward(x).data
     assert np.array_equal(np.argmax(logits, axis=1), np.argmax(17.0 * logits, axis=1))
@@ -309,7 +335,7 @@ def test_argmax_predictions_invariant_to_positive_rescaling():
 # ---------------------------------------------------------------------------
 
 def test_zero_embeddings_score_half():
-    model = ds.GnnModel.build("mlp", 3, 4, 3, dropout=0.0)
+    model = ds.GnnModel.build(ds.DownstreamConfig(hidden_dim=4, dropout=0.0), 3, 3)
     for p in model.params.values():
         p.data[:] = 0.0
     scores = ds.predict_links(model, np.ones((4, 3)), [(0, 1), (2, 3)])
@@ -317,7 +343,7 @@ def test_zero_embeddings_score_half():
 
 
 def test_link_scores_symmetric_and_bounded():
-    model = ds.GnnModel.build("mlp", 5, 8, 4, dropout=0.0, seed=1)
+    model = ds.GnnModel.build(ds.DownstreamConfig(hidden_dim=8, dropout=0.0, seed=1), 5, 4)
     feats = np.random.default_rng(2).standard_normal((12, 5))
     pairs = [(0, 3), (5, 1), (7, 11), (4, 4)]
     fwd = ds.predict_links(model, feats, pairs)
@@ -328,7 +354,8 @@ def test_link_scores_symmetric_and_bounded():
 
 def test_link_scores_match_hand_logistic():
     # Identity model: output z equals input features.
-    model = ds.GnnModel.build("mlp", 3, 3, 3, num_layers=1, dropout=0.0)
+    cfg = ds.DownstreamConfig(hidden_dim=3, num_layers=1, dropout=0.0)
+    model = ds.GnnModel.build(cfg, 3, 3)
     model.params["l0.w"].data = np.eye(3)
     model.params["l0.b"].data = np.zeros(3)
     feats = np.array([[1.0, 2.0, -1.0],
@@ -340,26 +367,26 @@ def test_link_scores_match_hand_logistic():
 
 
 def test_predict_links_rejects_out_of_range_ids():
-    model = ds.GnnModel.build("mlp", 3, 4, 2, dropout=0.0)
+    model = ds.GnnModel.build(ds.DownstreamConfig(hidden_dim=4, dropout=0.0), 3, 2)
     with pytest.raises(IndexError):
         ds.predict_links(model, np.zeros((4, 3)), [(0, 4)])
 
 
 def test_link_bce_of_zero_logits_is_log_two():
+    model = ds.GnnModel.build(ds.DownstreamConfig(hidden_dim=4), 3, 3)
     z = dc.constant(np.zeros((6, 3)))
     pairs = np.array([(0, 1), (2, 3), (4, 5)])
-    loss = ds.link_bce(z, pairs, np.array([1, 0, 1]))
+    loss = ds.link_bce(model, z, pairs, np.array([1, 0, 1]))
     assert abs(loss.item() - np.log(2.0)) < 1e-15
 
 
 @pytest.mark.parametrize("scorer, reshapes", [("dot", 3), ("mlp", 0)])
 def test_link_bce_reshapes_only_for_the_dot_products(recorded_ops, scorer, reshapes):
     # Pair logits come out (m, 1), the column link_bce's two-class logits take.
-    model = ds.GnnModel.build("mlp", 3, 4, 3, dropout=0.0, seed=1)
-    if scorer == "mlp":
-        ds._add_mlp_scorer(model, 5, np.random.default_rng(2))
+    cfg = ds.DownstreamConfig(hidden_dim=5, dropout=0.0, seed=1, link_scorer=scorer)
+    model = ds.GnnModel.build(cfg, 3, 3, rng=np.random.default_rng(2))
     z = dc.parameter(np.random.default_rng(3).standard_normal((6, 3)))
-    ds.link_bce(z, np.array([(0, 1), (2, 3), (4, 5)]), np.array([1, 0, 1]), model)
+    ds.link_bce(model, z, np.array([(0, 1), (2, 3), (4, 5)]), np.array([1, 0, 1]))
     assert [t._node.op for t in recorded_ops if t._node].count("reshape") == reshapes
 
 
@@ -544,8 +571,8 @@ def test_link_predictor_mlp_scorer_trains_and_stays_symmetric():
 
 def test_predict_links_records_no_backward(recorded_ops):
     graph = community_graph(seed=3)
-    model = ds.GnnModel.build("gcn", 6, 8, 8, dropout=0.0, operator=operator_of("gcn", graph))
-    ds._add_mlp_scorer(model, 8, np.random.default_rng(0))
+    cfg = ds.DownstreamConfig(backbone="gcn", hidden_dim=8, dropout=0.0, link_scorer="mlp")
+    model = ds.GnnModel.build(cfg, 6, 8, operator_of("gcn", graph), np.random.default_rng(0))
     ds.predict_links(model, community_embeddings(graph, seed=3), [(0, 5), (3, 20)])
     assert recorded_ops
     assert all(t._node is None for t in recorded_ops)
@@ -561,6 +588,14 @@ def test_node_classifier_eval_forward_records_no_backward(recorded_ops, monkeypa
     assert any(t._node is not None for t in recorded_ops[:after])
     assert recorded_ops[after + 1:]
     assert all(t._node is None for t in recorded_ops[after + 1:])
+
+
+def test_node_classifier_refuses_an_mlp_link_scorer():
+    graph = labeled_graph(seed=1)
+    cfg = ds.DownstreamConfig.for_node_classification(hidden_dim=8, epochs=1,
+                                                      link_scorer="mlp")
+    with pytest.raises(ConfigError, match="link_scorer must be 'dot'"):
+        ds.train_node_classifier(one_hot_embeddings(graph, 3), graph, cfg)
 
 
 def test_link_predictor_rejects_row_mismatch():
@@ -590,8 +625,8 @@ def test_config_task_defaults_and_validation():
 def test_score_splits_matches_accuracy_on_each_node_split():
     graph = labeled_graph(seed=5)
     emb = ds.random_embeddings(graph.num_nodes, 4, seed=5)
-    model = ds.GnnModel.build("gcn", 4, 8, 3, dropout=0.5, seed=5,
-                              operator=operator_of("gcn", graph))
+    cfg = ds.DownstreamConfig(backbone="gcn", hidden_dim=8, dropout=0.5, seed=5)
+    model = ds.GnnModel.build(cfg, 4, 3, operator_of("gcn", graph))
     preds = np.argmax(model.forward(emb.matrix).data, axis=1)
     got = ds.score_splits(model, emb, graph, parts=("train", "val", "test", "holdout"))
     for part in ("train", "val", "test"):
@@ -656,8 +691,9 @@ def test_forward_rows_equal_full_forward_rows_bit_for_bit(backbone, num_layers, 
     # for outputs narrower than 4 columns, where only the last bit may move.
     graph = labeled_graph(seed=2)
     feats = np.random.default_rng(2).standard_normal((graph.num_nodes, 5))
-    model = ds.GnnModel.build(backbone, 5, 8, 4, num_layers=num_layers, dropout=0.4,
-                              seed=2, operator=operator_of(backbone, graph))
+    cfg = ds.DownstreamConfig(backbone=backbone, hidden_dim=8, num_layers=num_layers,
+                              dropout=0.4, seed=2)
+    model = ds.GnnModel.build(cfg, 5, 4, operator_of(backbone, graph))
     for train in (False, True):
         r1, r2 = np.random.default_rng(7), np.random.default_rng(7)
         got = model.forward(feats, train=train, rng=r1, rows=rows).data
@@ -676,8 +712,8 @@ def test_forward_rows_gradients_match_full_forward_lookup(backbone):
     weights = dc.constant(np.random.default_rng(4).standard_normal((len(rows), 3)))
     grads = []
     for sliced in (True, False):
-        model = ds.GnnModel.build(backbone, 4, 6, 3, dropout=0.3, seed=3,
-                                  operator=operator_of(backbone, graph))
+        cfg = ds.DownstreamConfig(backbone=backbone, hidden_dim=6, dropout=0.3, seed=3)
+        model = ds.GnnModel.build(cfg, 4, 3, operator_of(backbone, graph))
         rng = np.random.default_rng(8)
         out = (model.forward(feats, train=True, rng=rng, rows=rows) if sliced else
                dc.embedding_lookup(model.forward(feats, train=True, rng=rng), rows))
@@ -706,9 +742,9 @@ def test_link_fit_mlp_head_matmuls_see_only_batch_endpoints(recorded_ops, monkey
     steps = []
     bce = ds.link_bce
 
-    def spy(z, pairs, labels, model=None):
+    def spy(model, z, pairs, labels):
         steps.append((len(recorded_ops), np.unique(pairs).size))
-        return bce(z, pairs, labels, model)
+        return bce(model, z, pairs, labels)
 
     monkeypatch.setattr(ds, "link_bce", spy)
     cfg = ds.DownstreamConfig.for_link_prediction(
@@ -756,8 +792,9 @@ def test_graph_forward_equals_the_op_chains_bit_for_bit(backbone, num_layers, ro
     results = []
     for forward in (lambda m, r: m.forward(feats, train=True, rng=r, rows=rows),
                     lambda m, r: chain_forward(m, feats, r, rows)):
-        model = ds.GnnModel.build(backbone, 5, 8, 4, num_layers=num_layers, dropout=0.4,
-                                  seed=4, operator=operator_of(backbone, graph))
+        cfg = ds.DownstreamConfig(backbone=backbone, hidden_dim=8, num_layers=num_layers,
+                                  dropout=0.4, seed=4)
+        model = ds.GnnModel.build(cfg, 5, 4, operator_of(backbone, graph))
         rng = np.random.default_rng(9)
         out = forward(model, rng)
         weights = np.random.default_rng(10).standard_normal(out.shape)
@@ -770,8 +807,9 @@ def test_graph_forward_equals_the_op_chains_bit_for_bit(backbone, num_layers, ro
 @pytest.mark.parametrize("backbone", ["gcn", "sage"])
 def test_graph_train_forward_records_one_op_per_layer_and_dropout(recorded_ops, backbone):
     graph = labeled_graph(seed=5)
-    model = ds.GnnModel.build(backbone, 5, 8, 3, num_layers=2, dropout=0.5, seed=5,
-                              operator=operator_of(backbone, graph))
+    cfg = ds.DownstreamConfig(backbone=backbone, hidden_dim=8, num_layers=2, dropout=0.5,
+                              seed=5)
+    model = ds.GnnModel.build(cfg, 5, 3, operator_of(backbone, graph))
     feats = np.random.default_rng(5).standard_normal((graph.num_nodes, 5))
     model.forward(feats, train=True, rng=np.random.default_rng(6), rows=ROW_SETS["repeated"])
     # The first dropout acts on the constant features, so it records nothing.
