@@ -237,9 +237,13 @@ def graph_layer(a, x: DiffTensor, w: DiffTensor, w_self: DiffTensor | None = Non
     With ``w_self`` (sage's self weight), ``rows`` picks the rows of the self
     term, all of them when None. Values and gradients equal those of the chain
     of ``matmul``, ``embedding_lookup``, ``add`` and ``relu`` ops around
-    ``a @ x`` bit for bit. The closure keeps ``a @ x`` for ``w``'s gradient,
-    a bool ``out > 0`` mask for relu, the weights' data for ``x``'s gradient,
-    and ``x``'s data only for the gradient of a trainable ``w_self``.
+    ``a @ x`` bit for bit. The closure keeps a bool ``out > 0`` mask for relu
+    and the weights' data for ``x``'s gradient. For ``w``'s gradient it keeps
+    ``a @ x``, except when ``w_self`` is trainable: then it keeps only ``x``'s
+    data, which that gradient reads anyway, and recomputes ``a @ x`` from it
+    with the same scipy product, so the bits are the same. The closure runs
+    once: it forms both weight gradients, then drops everything it kept
+    before it builds ``x``'s gradient.
     """
     if x.ndim != 2 or a.shape[1] != x.shape[0]:
         raise DimensionError(f"graph_layer: cannot multiply shapes {a.shape} and {x.shape}")
@@ -257,6 +261,10 @@ def graph_layer(a, x: DiffTensor, w: DiffTensor, w_self: DiffTensor | None = Non
         raise DimensionError(f"graph_layer: operator rows {a.shape[0]} do not match the self term")
     ax = a @ x.data
     out = ax @ w.data
+    wd, wsd = (w.data, None if w_self is None else w_self.data) if x.requires_grad else (None, None)
+    xd = x.data if w_self is not None and w_self.requires_grad else None
+    w_grad = w.requires_grad
+    ax = ax if w_grad and xd is None else None  # dropped before the self-term GEMM
     if w_self is not None:
         # Indexing the self term's product rather than x keeps x's gradient
         # a GEMM instead of a scatter, and holds less memory.
@@ -266,20 +274,23 @@ def graph_layer(a, x: DiffTensor, w: DiffTensor, w_self: DiffTensor | None = Non
     if relu:
         np.maximum(out, 0.0, out=out)
         mask = out > 0.0
-    wd, wsd = (w.data, None if w_self is None else w_self.data) if x.requires_grad else (None, None)
-    ax = ax if w.requires_grad else None
-    xd = x.data if w_self is not None and w_self.requires_grad else None
 
     def backward_fn(g):
+        nonlocal ax, xd, mask
         if mask is not None:
             g = g * mask
         g_own = g if ids is None else _scatter_rows(g, ids, (n, g.shape[1]))
+        gw = None
+        if w_grad:
+            gw = (a @ xd if ax is None else ax).T @ g
+        gws = None if xd is None else xd.T @ g_own
+        ax = xd = mask = None  # read for the last time above
         gx = None
         if wd is not None:
             gx = a.T @ (g @ wd.T)
             if wsd is not None:
                 gx += g_own @ wsd.T
-        return (gx, None if ax is None else ax.T @ g, None if xd is None else xd.T @ g_own)
+        return (gx, gw, gws)
 
     return _record(out, "graph_layer", (x,) + weights, backward_fn)
 
@@ -799,8 +810,11 @@ def backward(loss: DiffTensor) -> None:
 
     Leaves are the tensors with no node; the graph reaches no other tensor.
     Each node's closure is taken off the node just before it runs, so what
-    it kept is freed once its adjoints are passed on, and so is the node's
-    adjoint. A graph that reaches a node whose closure has run (a second
+    it kept is freed once its adjoints are passed on. The closure is handed
+    the only reference to the node's adjoint: the walk keeps none while it
+    runs, so an adjoint the closure replaces (``g = g * mask``) or stops
+    reading is freed at once, and so is anything the closure drops before
+    it returns. A graph that reaches a node whose closure has run (a second
     call on the same loss, or a loss sharing a walked subgraph) raises
     ContractError before any ``grad`` changes.
     """
@@ -820,18 +834,19 @@ def backward(loss: DiffTensor) -> None:
     owned: set[int] = {root}
     for node in reversed(order):
         nid = id(node)
-        g = adjoint.pop(nid, None)
-        if g is None:
+        if nid not in adjoint:
             continue
         if not isinstance(node, Node):
-            if node.grad is not None:
-                node.grad = node.grad + g
-            else:
-                node.grad = g if nid in owned else g.copy()
+            g = adjoint.pop(nid)
+            node.grad = (g if nid in owned else g.copy()) if node.grad is None else node.grad + g
+            del g
             continue
         owned.discard(nid)
         backward_fn, node.backward_fn = node.backward_fn, None
-        for parent, pg in zip(node.parents, backward_fn(g)):
+        # The closure gets the only reference to its adjoint, and no local
+        # here outlives this body, so what the closure drops is freed.
+        grads = backward_fn(adjoint.pop(nid))
+        for parent, pg in zip(node.parents, grads):
             if pg is None or parent is None:
                 continue
             pid = id(parent)
@@ -842,6 +857,7 @@ def backward(loss: DiffTensor) -> None:
             else:
                 adjoint[pid] = adjoint[pid] + pg
                 owned.add(pid)
+        backward_fn = grads = pg = None
 
 
 # ---------------------------------------------------------------------------

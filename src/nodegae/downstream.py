@@ -15,6 +15,8 @@ and one scorer, ``score_splits``, which the CLI also uses for the test
 metric.
 """
 
+import io
+import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
@@ -78,12 +80,13 @@ class EmbeddingMatrix:
 def embeddings_file(embeddings: EmbeddingMatrix, path) -> Tuple[Path, str]:
     """The (path, text) of an embeddings file, as textcorpus.replace_files takes them.
 
-    Text format: a "rows dim provenance" header, then one row per line.
+    Text format: a "rows dim provenance" header, then one row per line, each
+    entry written as the repr of its float.
     """
     lines = [f"{embeddings.num_rows} {embeddings.dim} {embeddings.provenance}"]
-    for row in embeddings.matrix:
-        lines.append(" ".join(repr(float(x)) for x in row))
-    return Path(path), "\n".join(lines) + "\n"
+    lines += [" ".join(map(repr, row.tolist())) for row in embeddings.matrix]
+    lines.append("")  # so the text ends with a newline
+    return Path(path), "\n".join(lines)
 
 
 def save_embeddings(embeddings: EmbeddingMatrix, path) -> None:
@@ -91,7 +94,48 @@ def save_embeddings(embeddings: EmbeddingMatrix, path) -> None:
     replace_files([embeddings_file(embeddings, path)])
 
 
+# The bytes of the rows that embeddings_file writes: reprs of finite floats,
+# spaces and newlines.
+_ROW_BYTES = b"0123456789+-.eE \n"
+_PRINTABLE = bytes(range(0x20, 0x7F))
+
+
+def _plain_rows(head: bytes, body: bytes) -> bool:
+    """Whether np.loadtxt reads the body as the per-line parse does: a printable
+    ASCII header, rows of _ROW_BYTES only, some entry, and no line that starts
+    with a space (so no line of spaces alone, which is an empty row to the
+    per-line parse and no row to np.loadtxt)."""
+    return (not head.translate(None, _PRINTABLE) and not body.translate(None, _ROW_BYTES)
+            and re.search(rb"[^ \n]", body) is not None
+            and not body.startswith(b" ") and b"\n " not in body)
+
+
 def load_embeddings(path) -> EmbeddingMatrix:
+    """The embeddings of an embeddings_file text; a malformed file raises
+    ContractError naming its line.
+
+    A file of plain rows (see _plain_rows) is parsed in one np.loadtxt call,
+    whose float parser is CPython's, so each entry equals float() of its
+    text bit for bit. Any other file, and one that this call refuses or
+    reads at another shape than its header's, goes through the per-line
+    parse, which names the bad line.
+    """
+    with open(path, "rb") as fh:
+        head, body = fh.readline().rstrip(b"\n"), fh.read()
+    header = head.split()
+    if (len(header) == 3 and header[0].isdigit() and header[1].isdigit()
+            and _plain_rows(head, body)):
+        try:
+            matrix = np.loadtxt(io.BytesIO(body), ndmin=2)
+        except ValueError:
+            matrix = None
+        if matrix is not None and matrix.shape == (int(header[0]), int(header[1])):
+            return EmbeddingMatrix(matrix, header[2].decode("ascii"))
+    return _parse_lines(path)
+
+
+def _parse_lines(path) -> EmbeddingMatrix:
+    """load_embeddings line by line, one float() per entry."""
     text = Path(path).read_text(encoding="utf-8").splitlines()
     if not text:
         raise ContractError(f"{path}: empty embedding file")
@@ -401,10 +445,12 @@ def graph_operator(cfg: DownstreamConfig, graph: TextGraph,
     """The sparse operator of the model a trainer fits: the normalized
     adjacency for gcn, the neighbor mean for sage, None for mlp.
 
-    It spans graph for node classification and only the train positives of
+    cfg is validated first, so an invalid one builds nothing. The operator
+    spans graph for node classification and only the train positives of
     split for link prediction. A caller that fits several models of one
     backbone on one graph builds it once and hands it to each trainer.
     """
+    cfg.validate()
     if cfg.backbone == "mlp":
         return None
     if split is not None:

@@ -346,10 +346,10 @@ def _closure_cases():
                             [], [("b", (4, 2)), ("f", (4, 3))]),
         "graph_layer_sage": (lambda P, C: (C(4, 3), P(3, 2), P(3, 2)),
                              lambda x, w, ws: dc.graph_layer(SPARSE_OPERATOR, x, w, ws, relu=True),
-                             [0], [("b", (4, 2)), ("f", (4, 3))]),
+                             [0], [("b", (4, 2))]),
         "graph_layer_trainable_input": (lambda P, C: tuple(P(*s) for s in sage),
                                          lambda x, w, ws: dc.graph_layer(SPARSE_OPERATOR, x, w, ws),
-                                         [0, 1, 2], [("f", (4, 3))]),
+                                         [0, 1, 2], []),
     }
 
 
@@ -511,9 +511,10 @@ def test_dropout_equals_its_chain_bit_for_bit(keep, trainable):
 
 
 @pytest.mark.parametrize("backbone", ["gcn", "sage"])
-def test_graph_layer_keeps_a_x_and_only_sage_keeps_x(backbone):
-    """A constant input is no parent: the gcn op lets it go, the sage op keeps its
-    data for the self weight's gradient, and neither keeps the tensor itself."""
+def test_graph_layer_keeps_a_x_for_gcn_and_only_x_for_sage(backbone):
+    """A constant input is no parent, and neither op keeps the tensor itself. The gcn
+    op keeps a @ x for w's gradient; the sage op keeps x's data for the self weight's
+    gradient and recomputes a @ x from it. Each closure drops all it kept as it runs."""
     rng = np.random.default_rng(19)
     data = rng.standard_normal((4, 3))
     x = dc.constant(data)
@@ -527,16 +528,17 @@ def test_graph_layer_keeps_a_x_and_only_sage_keeps_x(backbone):
     saved = saved_arrays(out)
     (mask,) = [arr for arr in saved if arr.dtype == np.bool_]
     assert mask.tobytes() == (out.data > 0.0).tobytes()
-    saved = sorted((arr for arr in saved if arr is not mask),
-                   key=lambda arr: np.shares_memory(arr, data))
-    assert saved[0].tobytes() == (SPARSE_OPERATOR @ data).tobytes()
+    (kept,) = [arr for arr in saved if arr is not mask]
     if backbone == "gcn":
-        assert len(saved) == 1
+        assert kept.tobytes() == (SPARSE_OPERATOR @ data).tobytes()
     else:
-        assert len(saved) == 2 and np.shares_memory(saved[1], data)
+        assert np.shares_memory(kept, data)
+    closure = out._node.backward_fn
     dc.backward(dc.sum_axis(dc.reshape(out, (-1,)), 0))
     relu_grad = np.ones(out.shape) * (out.data > 0.0)
     assert w.grad.tobytes() == ((SPARSE_OPERATOR @ data).T @ relu_grad).tobytes()
+    assert not [cell for cell in closure.__closure__
+                if isinstance(cell.cell_contents, np.ndarray)]
 
 
 def test_fused_ops_check_shapes():
@@ -676,6 +678,27 @@ def test_backward_of_two_graphs_built_alike_doubles_every_leaf_grad():
     dc.backward(_recorded_chain(*leaves)[0])
     for leaf, grad in zip(leaves, once):
         assert leaf.grad.tobytes() == (2.0 * grad).tobytes()
+
+
+def test_backward_hands_each_closure_the_only_reference_to_its_adjoint():
+    """Each probe closure drops its adjoint and finds it freed: while a closure runs,
+    the walk holds no reference to its adjoint, in a local, a loop variable or the
+    tuple of adjoints the previous closure returned."""
+    freed = []
+
+    def probe(x):
+        def backward_fn(g):
+            alive, shape = weakref.ref(g), g.shape
+            del g
+            freed.append(alive() is None)
+            return (np.ones(shape),)
+
+        return dc._record(x.data.copy(), "probe", (x,), backward_fn)
+
+    w = dc.parameter(np.ones((3, 2)))
+    dc.backward(dc.sum_axis(dc.reshape(probe(probe(w)), (-1,)), 0))
+    assert freed == [True, True]
+    assert w.grad.tobytes() == np.ones((3, 2)).tobytes()
 
 
 def test_grad_accumulates_across_uses():
@@ -932,14 +955,15 @@ def test_op_gradients_match_finite_differences(seed):
             out = build(*tensors)
             return scalarize(out, np.random.default_rng(proj_seed)).item()
 
-        params = [dc.parameter(a.copy()) for a in arrays]
-        out = build(*params)
         # Ops return no gradient for a constant operand, and it keeps none.
-        # The tape holds such an operand as None. backward takes the closure
-        # off the node, so this runs first.
-        for parent, pg in zip(out._node.parents, out._node.backward_fn(np.ones_like(out.data))):
+        # The tape holds such an operand as None. A closure may run only
+        # once, so this calls the closure of a second build of the case.
+        once = build(*(dc.parameter(a.copy()) for a in arrays))
+        for parent, pg in zip(once._node.parents, once._node.backward_fn(np.ones_like(once.data))):
             if parent is None:
                 assert pg is None, f"{name} seed={seed}"
+        params = [dc.parameter(a.copy()) for a in arrays]
+        out = build(*params)
         loss = scalarize(out, np.random.default_rng(proj_seed))
         dc.backward(dc.reshape(loss, ()))
         numeric = finite_diff_grads(loss_value, [a.copy() for a in arrays])
@@ -1061,3 +1085,65 @@ def test_diffcore_imports_no_data_module():
     done = subprocess.run([sys.executable, "-c", code], cwd=src, timeout=120,
                           capture_output=True, text=True, check=True)
     assert done.stdout.strip() == "['nodegae.diffcore', 'nodegae.errors']"
+
+
+# ---------------------------------------------------------------------------
+# Op coverage: every op kind the package records has an FD case and a closure case
+# ---------------------------------------------------------------------------
+
+def _kinds_recorded(run):
+    """The op names diffcore._record receives while run() runs."""
+    kinds, record = set(), dc._record
+
+    def spy(out_data, op, parents, backward_fn):
+        kinds.add(op)
+        return record(out_data, op, parents, backward_fn)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dc, "_record", spy)
+        run()
+    return kinds
+
+
+def _pipeline_runs():
+    """One pretrain_loss, then one nodecls fit and one link fit per backbone (and per
+    link scorer), each a single epoch on a small graph."""
+    from nodegae import autoencoder as ae
+    from nodegae import downstream as ds
+    from nodegae import graphstore as gs
+    from nodegae import textcorpus as tc
+
+    graph = tc.generate_synthetic(tc.SyntheticGraphSpec(num_nodes=48, seed=3))
+    vocab = tc.build_vocab(graph.texts)
+    model = ae.AutoencoderModel.init(
+        ae.ModelConfig(vocab_size=vocab.size, d_enc=8, d_dec=8, heads=2, max_len=16), vocab,
+        seed=0)
+    icfg = ae.InfoNCEConfig()
+    batch = [0, 5, 9, 17]
+    positives = ae.draw_positives(graph, batch, np.random.default_rng(0), icfg)
+    yield lambda: dc.backward(dc.add(*ae.pretrain_loss(model, graph, batch, positives, icfg)))
+    emb = ds.random_embeddings(graph.num_nodes, 6, seed=0)
+    split = gs.build_link_split(graph, seed=0)
+    for backbone in ds.BACKBONES:
+        cfg = ds.DownstreamConfig(backbone=backbone, hidden_dim=4, epochs=1, seed=0)
+        yield lambda: ds.train_node_classifier(emb, graph, cfg)
+        for scorer in ds.LINK_SCORERS:
+            cfg = ds.DownstreamConfig.for_link_prediction(
+                backbone=backbone, hidden_dim=4, epochs=1, batch_edges=32, link_scorer=scorer)
+            yield lambda: ds.train_link_predictor(emb, graph, split, cfg)
+
+
+def test_every_recorded_op_kind_has_a_gradient_case_and_a_closure_case():
+    gradient_cases = set().union(*(
+        _kinds_recorded(lambda: build(*(dc.parameter(a) for a in arrays)))
+        for _, arrays, build in make_op_cases(np.random.default_rng(0))))
+    closure_cases = set()
+    rng = np.random.default_rng(21)
+    for draw, op, _, _ in _closure_cases().values():
+        inputs = draw(lambda *s: dc.parameter(rng.standard_normal(s)),
+                      lambda *s: dc.constant(rng.standard_normal(s)))
+        closure_cases.add(op(*inputs)._node.op)
+    recorded = gradient_cases.union(*(_kinds_recorded(run) for run in _pipeline_runs()))
+    assert {"graph_layer", "dropout", "attention", "layer_norm"} <= recorded
+    assert sorted(recorded - gradient_cases) == []
+    assert sorted(recorded - closure_cases) == []

@@ -1,9 +1,13 @@
 """Tests for frozen-embedding models: graph layers, scorers, training loops."""
 
+import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nodegae import diffcore as dc
 from nodegae import downstream as ds
@@ -107,6 +111,131 @@ def test_load_embeddings_names_the_malformed_line(tmp_path, text, line, fragment
     with pytest.raises(ContractError) as info:
         ds.load_embeddings(path)
     assert f"emb.txt{line}" in str(info.value) and fragment in str(info.value)
+
+
+def reference_embeddings_text(matrix, provenance):
+    """The embeddings file text written one float at a time, the format's definition."""
+    lines = [f"{matrix.shape[0]} {matrix.shape[1]} {provenance}"]
+    for row in matrix:
+        lines.append(" ".join(repr(float(x)) for x in row))
+    return "\n".join(lines) + "\n"
+
+
+def reference_load(path):
+    """(matrix bytes, provenance) of an embeddings file parsed one float() per entry,
+    or the (type, message) of the error it raises."""
+    try:
+        text = Path(path).read_text(encoding="utf-8").splitlines()
+        if not text:
+            raise ContractError(f"{path}: empty embedding file")
+        header = text[0].split()
+        if len(header) != 3 or not all(h.isdecimal() for h in header[:2]):
+            raise ContractError(
+                f"{path}:1: header must be 'rows dim provenance', got '{text[0]}'")
+        rows, dim = int(header[0]), int(header[1])
+        body = [(i, line.split()) for i, line in enumerate(text[1:], start=2) if line]
+        if len(body) != rows:
+            raise ContractError(f"{path}: header promises {rows} rows, found {len(body)}")
+        matrix = np.empty((rows, dim))
+        for r, (lineno, entries) in enumerate(body):
+            try:
+                if len(entries) != dim:
+                    raise ValueError(
+                        f"header promises dim {dim}, row has {len(entries)} entries")
+                matrix[r] = [float(x) for x in entries]
+            except ValueError as exc:
+                raise ContractError(f"{path}:{lineno}: {exc}") from None
+        emb = ds.EmbeddingMatrix(matrix, header[2])
+    except Exception as exc:
+        return type(exc), str(exc)
+    return emb.matrix.tobytes(), emb.provenance
+
+
+def loaded(path):
+    """load_embeddings(path) in reference_load's terms."""
+    try:
+        emb = ds.load_embeddings(path)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return emb.matrix.tobytes(), emb.provenance
+
+
+# Signed zeros, the smallest and largest subnormals and normals, integral values
+# (some past 2**53 and 1e16, where repr switches to an exponent) and short decimals.
+HARD_FLOATS = np.array([0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, 1e-310,
+                        2.2250738585072014e-308, -1.7976931348623157e308,
+                        1.7976931348623157e308, 1.0, -3.0, 2.0 ** 53, 2.0 ** 53 + 2,
+                        1e16, -1e22, 123456789.0, 0.1, -1e-05, 0.0001, 1e-07, 1e300])
+
+
+def hard_rows(seed, rows, dim):
+    """Random rows over every exponent, salted with HARD_FLOATS."""
+    rng = np.random.default_rng(seed)
+    matrix = rng.standard_normal((rows, dim)) * 10.0 ** rng.integers(-320, 300, (rows, dim))
+    salt = rng.random((rows, dim)) < 0.3
+    matrix[salt] = rng.choice(HARD_FLOATS, int(salt.sum()))
+    return np.where(np.isfinite(matrix), matrix, 1.5)
+
+
+@pytest.mark.parametrize("seed, rows, dim",
+                         [(0, 1, 1), (1, 40, 7), (2, 300, 64), (3, 5, 200), (4, 20, 1)])
+def test_embeddings_file_and_load_equal_the_per_float_format(tmp_path, seed, rows, dim):
+    matrix = hard_rows(seed, rows, dim)
+    emb = ds.EmbeddingMatrix(matrix, provenance="nodegae")
+    path, text = ds.embeddings_file(emb, tmp_path / "emb.txt")
+    assert text == reference_embeddings_text(matrix, "nodegae")
+    ds.save_embeddings(emb, path)
+    assert path.read_bytes() == text.encode("utf-8")
+    assert loaded(path) == reference_load(path) == (matrix.tobytes(), "nodegae")
+
+
+# Files the one-call parse must not read differently from the per-line one: odd
+# whitespace and line ends, entries float() reads but the writer never writes, and
+# each way a header, a row count or a row can be wrong.
+ODD_EMBEDDING_FILES = {
+    "crlf": "2 2 random\r\n1.0 2.0\r\n3.0 4.0\r\n",
+    "blank-lines-trailing-spaces": "2 2 random\n\n1.0 2.0  \n\n3.0  4.0\n\n",
+    "tabs-leading-spaces": "2 2 random\n1.0\t2.0\n 3.0 4.0\n",
+    "no-final-newline": "2 2 random\n1.0 2.0\n3.0 4.0",
+    "signs-and-exponents": "2 2 random\n+1E5 -.5\n3. 4\n",
+    "underscores": "2 2 random\n1_0 2.0\n3.0 4.0\n",
+    "line-of-spaces": "2 2 random\n1.0 2.0\n   \n3.0 4.0\n",
+    "vertical-tab": "2 2 random\n1.0 2.0\x0b3.0 4.0\n",
+    "header-line-break": "2 2\x0crandom\n1.0 2.0\n3.0 4.0\n",
+    "unicode-header-digit": "\u0662 2 random\n1.0 2.0\n3.0 4.0\n",
+    "extra-row": "1 2 random\n1.0 2.0\n3.0 4.0\n",
+    "missing-row": "3 2 random\n1.0 2.0\n3.0 4.0\n",
+    "ragged": "2 2 random\n1.0 2.0\n3.0 4.0 5.0\n",
+    "bad-token": "2 2 random\n1.0 2.0\n3.0 4e\n",
+    "dashes": "2 2 random\n1.0 2.0\n3.0 1-2\n",
+    "nan": "1 2 random\n1.0 nan\n",
+    "overflow": "1 2 random\n1.0 1e999\n",
+    "unknown-provenance": "1 2 torch\n1.0 2.0\n",
+    "empty": "",
+    "header-only": "2 2 random\n",
+    "zero-rows": "0 3 random\n",
+    "zero-dim": "2 0 random\n \n  \n",
+    "four-header-fields": "1 2 rand om\n1.0 2.0\n",
+}
+
+
+@pytest.mark.parametrize("text", ODD_EMBEDDING_FILES.values(), ids=ODD_EMBEDDING_FILES.keys())
+def test_load_embeddings_reads_any_file_as_the_per_line_parse(tmp_path, text):
+    path = tmp_path / "emb.txt"
+    path.write_bytes(text.encode("utf-8"))
+    assert loaded(path) == reference_load(path)
+
+
+@settings(max_examples=300)
+@given(rows=st.lists(st.lists(st.text("0123456789+-.eE", min_size=1, max_size=6),
+                              min_size=2, max_size=2), min_size=1, max_size=3))
+def test_load_embeddings_reads_any_plain_token_as_float_does(tmp_path_factory, rows):
+    """Entries from the bytes the one-call parse accepts, valid or not: each file
+    loads to the same matrix, or fails with the same error, as the per-line parse."""
+    path = tmp_path_factory.mktemp("emb") / "emb.txt"
+    path.write_text(f"{len(rows)} 2 random\n" + "".join(" ".join(r) + "\n" for r in rows),
+                    encoding="utf-8")
+    assert loaded(path) == reference_load(path)
 
 
 def test_random_embeddings_deterministic():
@@ -606,6 +735,37 @@ def test_link_predictor_rejects_row_mismatch():
                                 graph, split, ds.DownstreamConfig())
 
 
+@pytest.mark.parametrize("backbone, bad", [
+    ("sage", {"hidden_dim": 0}), ("gcn", {"num_layers": 0}), ("sage", {"dropout": 1.0}),
+    ("gcn", {"lr": 0.0}), ("sage", {"link_scorer": "cosine"})])
+def test_an_invalid_config_is_refused_before_any_operator_is_built(monkeypatch, backbone, bad):
+    built = []
+
+    def spy(name, build):
+        def spied(*args, **kwargs):
+            built.append(name)
+            return build(*args, **kwargs)
+        return spied
+
+    monkeypatch.setattr(ds, "mean_adjacency", spy("mean", ds.mean_adjacency))
+    monkeypatch.setattr(ds, "normalized_adjacency", spy("normalized", ds.normalized_adjacency))
+    monkeypatch.setattr(gs.LinkSplit, "train_message_graph",
+                        spy("message graph", gs.LinkSplit.train_message_graph))
+    graph = community_graph(seed=4)
+    split = gs.build_link_split(graph, seed=4)
+    emb = community_embeddings(graph, seed=4)
+    cfg = ds.DownstreamConfig(backbone=backbone, **bad)
+    with pytest.raises(ConfigError):
+        ds.train_link_predictor(emb, graph, split, cfg)
+    assert built == []
+    with pytest.raises(ConfigError):
+        ds.graph_operator(cfg, graph)
+    assert built == []
+    ds.graph_operator(replace(cfg, **{k: getattr(ds.DownstreamConfig(), k) for k in bad}),
+                      graph, split)
+    assert built == ["message graph", "mean" if backbone == "sage" else "normalized"]
+
+
 def test_config_task_defaults_and_validation():
     assert ds.DownstreamConfig.for_node_classification().lr == 1e-2
     assert ds.DownstreamConfig.for_link_prediction().lr == 1e-4
@@ -815,3 +975,43 @@ def test_graph_train_forward_records_one_op_per_layer_and_dropout(recorded_ops, 
     # The first dropout acts on the constant features, so it records nothing.
     assert [t._node.op for t in recorded_ops if t._node is not None] == [
         "graph_layer", "dropout", "graph_layer"]
+
+
+# ---------------------------------------------------------------------------
+# memory of a training step
+# ---------------------------------------------------------------------------
+
+def _step_peak(backbone, graph, feats):
+    """Bytes a 2-layer nodecls train step (forward, loss, backward) allocates at its
+    peak under tracemalloc, above what was allocated before it."""
+    cfg = ds.DownstreamConfig(backbone=backbone, seed=0)
+    model = ds.GnnModel.build(cfg, feats.shape[1], 6, ds.graph_operator(cfg, graph))
+    train = graph.splits["train"]
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        logits = model.forward(feats, train=True, rng=np.random.default_rng(1), rows=train)
+        loss = dc.cross_entropy_logits(logits, graph.labels[train])
+        del logits
+        dc.backward(loss)
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
+def test_sage_step_peaks_at_most_one_hidden_array_above_its_gcn_twin():
+    # Sparse random graph at N=4096, mean degree ~6, 64-wide features and hidden rows.
+    n, width = 4096, 64
+    rng = np.random.default_rng(0)
+    edges = rng.integers(0, n, size=(3 * n, 2))
+    order = rng.permutation(n)
+    splits = {"train": np.sort(order[:n // 2]), "val": np.sort(order[n // 2:])}
+    graph = graph_from(n, [(u, v) for u, v in edges if u != v],
+                       labels=np.arange(n) % 6, splits=splits)
+    feats = rng.standard_normal((n, width))
+    gcn, sage = (_step_peak(backbone, graph, feats) for backbone in ("gcn", "sage"))
+    assert gcn > 3 * n * width * 8  # the step holds a few (N, hidden) arrays at its peak
+    assert sage <= gcn + n * width * 8
