@@ -184,17 +184,15 @@ def _layer_norm(x, params, prefix):
     return dc.layer_norm(x, params[prefix + ".g"], params[prefix + ".b"])
 
 
-def _attention(q_src, kv_src, params, prefix, heads, bias, layout):
+def _attention(x, kv, params, prefix, heads, bias, layout):
     """Multi-head attention with input and output projections over packed rows.
 
-    q_src holds the rows at layout's positions, and so does a 2-D kv_src; a
-    3-D kv_src is the (B, slots, d) memory. bias is an additive numpy mask
-    that broadcasts to (B, heads, Tq, Tk).
+    x holds the rows at layout's positions, and so does a 2-D kv; a 3-D kv
+    is the (B, slots, d) memory. bias is an additive numpy mask that
+    broadcasts to (B, heads, Tq, Tk).
     """
-    q = dc.matmul(q_src, params[prefix + ".wq"])
-    k = dc.matmul(kv_src, params[prefix + ".wk"])
-    v = dc.matmul(kv_src, params[prefix + ".wv"])
-    return dc.matmul(dc.attention(q, k, v, heads, bias, layout), params[prefix + ".wo"])
+    w = [params[f"{prefix}.{name}"] for name in ("wq", "wk", "wv")]
+    return dc.matmul(dc.attention(x, kv, *w, heads, bias, layout), params[prefix + ".wo"])
 
 
 def _feed_forward(x, params, prefix):
@@ -212,11 +210,21 @@ def _as_id_matrix(ids) -> np.ndarray:
 def _layout(ids: np.ndarray, positions=None) -> Tuple[int, int, np.ndarray]:
     """The dc.attention layout (B, T, flat) of a (B, T) id matrix.
 
-    flat holds the given flat positions, by default the non-PAD ones.
+    flat holds the given flat positions, by default the non-PAD ones. A
+    non-PAD input left out of them stays a key with a zero row, so it must
+    come after its row's last kept position, where no kept query sees it.
     """
     if positions is None:
         return ids.shape[0], ids.shape[1], np.flatnonzero(ids != PAD_ID)
-    return dc.check_layout("decoder_logits", (*ids.shape, positions), np.size(positions))
+    layout = dc.check_layout("decoder_logits", (*ids.shape, positions), np.size(positions))
+    kept = np.zeros(ids.shape, dtype=bool)
+    kept.reshape(-1)[layout[2]] = True
+    kept_from = np.logical_or.accumulate(kept[:, ::-1], axis=1)[:, ::-1]
+    if np.any(kept_from & ~kept & (ids != PAD_ID)):
+        raise ContractError(
+            "decoder_logits: a non-PAD input left out of positions comes before a kept one "
+            "in its row; only a row's last inputs may be left out")
+    return layout
 
 
 def _embed(params, prefix: str, ids: np.ndarray, flat: np.ndarray) -> dc.DiffTensor:

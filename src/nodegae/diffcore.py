@@ -182,6 +182,21 @@ def mul(a: DiffTensor, b: DiffTensor) -> DiffTensor:
     return _record(out, "mul", (a, b), backward_fn)
 
 
+def _project(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``x @ w`` for a 2-D ``w``, with x's leading axes folded into one 2-D GEMM."""
+    return (x.reshape(-1, x.shape[-1]) @ w).reshape(x.shape[:-1] + (w.shape[1],))
+
+
+def _project_backward(g: np.ndarray, x: np.ndarray | None, w: np.ndarray | None):
+    """The adjoints of ``x`` and ``w`` in ``_project(x, w)``, given its output's adjoint ``g``.
+
+    x's adjoint reads only ``w`` and w's only ``x``; each is None when what it reads is None.
+    """
+    g2 = g.reshape(-1, g.shape[-1])
+    return (None if w is None else (g2 @ w.T).reshape(g.shape[:-1] + (w.shape[0],)),
+            None if x is None else x.reshape(-1, x.shape[-1]).T @ g2)
+
+
 def matmul(a: DiffTensor, b: DiffTensor, bias: DiffTensor | None = None) -> DiffTensor:
     """Matrix product with numpy broadcasting over leading axes, plus an optional bias.
 
@@ -198,19 +213,16 @@ def matmul(a: DiffTensor, b: DiffTensor, bias: DiffTensor | None = None) -> Diff
     if bias is not None and (b.ndim != 2 or bias.shape != (b.shape[1],)):
         raise DimensionError(f"matmul: bias {bias.shape} does not fit a 2-D b, got {b.shape}")
     if b.ndim == 2:
-        a2 = a.data.reshape(-1, a.shape[-1])
-        out = (a2 @ b.data).reshape(a.shape[:-1] + (b.shape[1],))
+        out = _project(a.data, b.data)
         if bias is not None:
             out += bias.data
         # Each operand's data is kept only for the other operand's gradient.
-        sa, bd = (a.shape, b.data) if a.requires_grad else (None, None)
-        a2 = a2 if b.requires_grad else None
+        ad = a.data if b.requires_grad else None
+        bd = b.data if a.requires_grad else None
         sbias = bias.shape if bias is not None and bias.requires_grad else None
 
         def backward_fn(g):
-            g2 = g.reshape(-1, g.shape[-1])
-            return (None if sa is None else (g2 @ bd.T).reshape(sa),
-                    None if a2 is None else a2.T @ g2,
+            return (*_project_backward(g, ad, bd),
                     None if sbias is None else _unbroadcast(g, sbias))
 
         return _record(out, "matmul", (a, b) if bias is None else (a, b, bias), backward_fn)
@@ -474,38 +486,52 @@ def to_grid(x: DiffTensor, layout) -> DiffTensor:
     return _record(out, "to_grid", (x,), lambda g: (g.reshape(b * t, -1)[flat],))
 
 
-def attention(q: DiffTensor, k: DiffTensor, v: DiffTensor, heads: int,
-              bias: np.ndarray | None, layout) -> DiffTensor:
-    """Multi-head scaled dot-product attention over packed rows as one recorded op.
+def attention(x: DiffTensor, kv: DiffTensor, wq: DiffTensor, wk: DiffTensor, wv: DiffTensor,
+              heads: int, bias: np.ndarray | None, layout) -> DiffTensor:
+    """Multi-head scaled dot-product attention with its q, k and v projections as one recorded op.
 
-    ``q`` is the packed (n, d) rows at the flat positions of the (B, T) grid
-    of ``layout`` = (B, T, flat) (see check_layout), and so are ``k`` and
-    ``v`` when they are 2-D (self-attention); 3-D ``k`` and ``v`` are
-    (B, Tk, d) (cross-attention). All are already projected. Each head h
-    attends over its width-d/heads slice of the last axis with
-    softmax(q_h k_hᵀ / sqrt(d/heads) + bias) v_h, and the head contexts are
-    merged back into packed (n, d) rows like ``q``. ``bias`` is a constant
-    additive numpy mask that broadcasts to (B, heads, T, Tk); it gets no
-    gradient. Only the head split sees the grid: it places the rows there
-    and fills the other positions with zero rows, which ``bias`` should mask
-    as keys. A layout that covers the whole grid places nothing.
+    ``x`` is the packed (n, d_in) query rows at the flat positions of the
+    (B, T) grid of ``layout`` = (B, T, flat) (see check_layout). ``kv`` is
+    the key and value source: packed rows on the same layout when it is 2-D
+    (self-attention passes ``kv=x``), or a (B, Tk, d_kv) memory when it is
+    3-D (cross-attention). The op projects q = x @ wq, k = kv @ wk and
+    v = kv @ wv with the folded 2-D GEMMs of ``matmul``, so its values equal
+    those of the ``matmul`` chain bit for bit. Each head h attends over its
+    width-d/heads slice with softmax(q_h k_hᵀ / sqrt(d/heads) + bias) v_h,
+    and the head contexts are merged back into packed (n, d) rows like
+    ``x``. ``bias`` is a constant additive numpy mask that broadcasts to
+    (B, heads, T, Tk); it gets no gradient. Only the head split sees the
+    grid: it places the rows there and fills the other positions with zero
+    rows, which ``bias`` should mask as keys. A layout that covers the whole
+    grid places nothing.
+
+    The closure keeps the probabilities, and the data of ``x``, ``kv`` and
+    the weights where a gradient reads it; backward recomputes q, k and v
+    from them with the same GEMMs. ``kv``'s adjoint comes back on two edges,
+    from k and from v, so ``backward`` adds q's, k's and v's terms in the
+    order the ``matmul`` chain did, and the op's gradients equal the chain's.
+    A ``kv`` read by several attention ops gets their terms in walk order,
+    the last op's first, where the chain added each op's k and v terms in
+    forward order.
     """
-    if q.ndim != 2:
-        raise DimensionError(f"attention: packed q must be (n, d), got {q.shape}")
-    b, tq, flat = check_layout("attention", layout, q.shape[0])
-    d = q.shape[1]
-    rows = None if flat.size == b * tq else np.divmod(flat, tq)
-    packed_kv = k.ndim == 2
-    if (v.shape != k.shape
-            or not (k.shape == q.shape if packed_kv
-                    else k.ndim == 3 and k.shape[0] == b and k.shape[2] == d)):
+    if x.ndim != 2:
+        raise DimensionError(f"attention: packed queries must be (n, d), got {x.shape}")
+    b, tq, flat = check_layout("attention", layout, x.shape[0])
+    if wq.ndim != 2 or wq.shape[0] != x.shape[1]:
+        raise DimensionError(f"attention: wq {wq.shape} does not fit queries {x.shape}")
+    d = wq.shape[1]
+    packed_kv = kv.ndim == 2
+    if not (kv.shape[0] == x.shape[0] if packed_kv else kv.ndim == 3 and kv.shape[0] == b):
+        raise DimensionError(f"attention: keys {kv.shape} do not align with queries {x.shape}")
+    if wk.shape != (kv.shape[-1], d) or wv.shape != wk.shape:
         raise DimensionError(
-            f"attention: shapes q {q.shape}, k {k.shape}, v {v.shape} do not align")
+            f"attention: wk {wk.shape} and wv {wv.shape} do not map keys {kv.shape} to width {d}")
     if heads < 1 or d % heads:
         raise DimensionError(f"attention: {heads} heads do not divide width {d}")
+    rows = None if flat.size == b * tq else np.divmod(flat, tq)
     dh = d // heads
     scale = 1.0 / np.sqrt(dh)
-    score_shape = (b, heads, tq, tq if packed_kv else k.shape[1])
+    score_shape = (b, heads, tq, tq if packed_kv else kv.shape[1])
     if bias is not None:
         try:
             fits = np.broadcast_shapes(np.shape(bias), score_shape) == score_shape
@@ -515,47 +541,61 @@ def attention(q: DiffTensor, k: DiffTensor, v: DiffTensor, heads: int,
             raise DimensionError(
                 f"attention: bias shape {np.shape(bias)} does not broadcast to {score_shape}")
 
-    def split(x):  # packed (n, d) rows, or (B, T, d) -> (B, heads, T, dh)
-        if x.ndim == 2 and rows is not None:
+    def split(t):  # packed (n, d) rows, or (B, T, d) -> (B, heads, T, dh)
+        if t.ndim == 2 and rows is not None:
             grid = np.zeros((b, heads, tq, dh))
-            grid[rows[0], :, rows[1]] = x.reshape(-1, heads, dh)
+            grid[rows[0], :, rows[1]] = t.reshape(-1, heads, dh)
             return grid
-        return np.ascontiguousarray(x.reshape(b, -1, heads, dh).transpose(0, 2, 1, 3))
+        return np.ascontiguousarray(t.reshape(b, -1, heads, dh).transpose(0, 2, 1, 3))
 
-    def merge(x, packed):  # (B, heads, T, dh) -> packed (n, d) rows, or (B, T, d)
+    def merge(t, packed):  # (B, heads, T, dh) -> packed (n, d) rows, or (B, T, d)
         if packed and rows is not None:
-            return x[rows[0], :, rows[1]].reshape(-1, d)
-        grid = np.ascontiguousarray(x.transpose(0, 2, 1, 3))
+            return t[rows[0], :, rows[1]].reshape(-1, d)
+        grid = np.ascontiguousarray(t.transpose(0, 2, 1, 3))
         return grid.reshape(-1, d) if packed else grid.reshape(b, -1, d)
 
-    scores = np.matmul(split(q.data), split(k.data).swapaxes(-1, -2))
+    scores = np.matmul(split(_project(x.data, wq.data)),
+                       split(_project(kv.data, wk.data)).swapaxes(-1, -2))
     scores *= scale
     if bias is not None:
         scores += bias
     p = _softmax(scores)
-    out = merge(np.matmul(p, split(v.data)), True)
+    out = merge(np.matmul(p, split(_project(kv.data, wv.data))), True)
 
-    # The closure keeps p (and a partial layout's grid indices) and the
-    # inputs' data that the gradients read; their head-split copies are cut
-    # again in backward. q's gradient reads k, k's reads q, and both read v.
-    qd = q.data if k.requires_grad else None
-    kd = k.data if q.requires_grad else None
-    vd = v.data if q.requires_grad or k.requires_grad else None
-    v_grad = v.requires_grad
+    # q's adjoint reads k and v, k's reads q and v, v's only p; a projection's
+    # input adjoint reads its weight, and the weight's reads its input.
+    x_grad, kv_grad = x.requires_grad, kv.requires_grad
+    wq_grad, wk_grad, wv_grad = wq.requires_grad, wk.requires_grad, wv.requires_grad
+    q_grad, k_grad, v_grad = x_grad or wq_grad, kv_grad or wk_grad, kv_grad or wv_grad
+    xd = x.data if k_grad or wq_grad else None
+    kvd = kv.data if q_grad or k_grad or wv_grad else None
+    wqd = wq.data if k_grad or x_grad else None
+    wkd = wk.data if q_grad or kv_grad else None
+    wvd = wv.data if q_grad or k_grad or kv_grad else None
 
     def backward_fn(g):
         gh = split(g)
         gq = gk = None
-        if vd is not None:
-            gs = _softmax_backward(p, np.matmul(gh, split(vd).swapaxes(-1, -2)))
+        if q_grad or k_grad:
+            gs = _softmax_backward(p, np.matmul(gh, split(_project(kvd, wvd)).swapaxes(-1, -2)))
             gs *= scale
-            if kd is not None:
-                gq = merge(np.matmul(gs, split(kd)), True)
-            if qd is not None:
-                gk = merge(np.matmul(gs.swapaxes(-1, -2), split(qd)), packed_kv)
-        return (gq, gk, merge(np.matmul(p.swapaxes(-1, -2), gh), packed_kv) if v_grad else None)
+            if q_grad:
+                gq = merge(np.matmul(gs, split(_project(kvd, wkd))), True)
+            if k_grad:
+                gk = merge(np.matmul(gs.swapaxes(-1, -2), split(_project(xd, wqd))), packed_kv)
+        gv = merge(np.matmul(p.swapaxes(-1, -2), gh), packed_kv) if v_grad else None
 
-    return _record(out, "attention", (q, k, v), backward_fn)
+        def through(gp, src, w, src_grad, w_grad):  # adjoints of src and w in src @ w
+            if gp is None:
+                return None, None
+            return _project_backward(gp, src if w_grad else None, w if src_grad else None)
+
+        gx, gwq = through(gq, xd, wqd, x_grad, wq_grad)
+        gkv_k, gwk = through(gk, kvd, wkd, kv_grad, wk_grad)
+        gkv_v, gwv = through(gv, kvd, wvd, kv_grad, wv_grad)
+        return (gx, gkv_k, gkv_v, gwq, gwk, gwv)
+
+    return _record(out, "attention", (x, kv, kv, wq, wk, wv), backward_fn)
 
 
 def _normalize(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

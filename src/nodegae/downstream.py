@@ -47,8 +47,14 @@ __all__ = [
 ]
 
 PROVENANCES = ("shallow-baseline", "nodegae", "random")
-# Vocabulary budget of the shallow bag-of-words baseline.
+# Vocabulary budget of the shallow bag-of-words baseline, and the counts in
+# each row block of its count matrix (16 MiB of float64). glibc raises its
+# mmap threshold to the largest mapped block it frees. With 2 MiB blocks the
+# threshold stayed below the (4096, 64) arrays of later stage-2 fits, which
+# were then mapped and faulted in anew on every step: ~10x the page faults,
+# and nodecls epochs 25-30% slower.
 SHALLOW_VOCAB = 2048
+SHALLOW_BLOCK_CELLS = 1 << 21
 
 
 @dataclass
@@ -168,19 +174,35 @@ def shallow_embeddings(graph: TextGraph, dim: int, seed: int = 0) -> EmbeddingMa
 
     Each node's document becomes a bag-of-words vector over the corpus
     vocabulary (at most SHALLOW_VOCAB tokens), L2-normalized, then projected
-    with a seeded Gaussian map.
+    with a seeded Gaussian map. The count vectors are built and projected a
+    block of at least SHALLOW_BLOCK_CELLS counts at a time (the last block
+    takes the rows short of a whole one), so at most one block is alive.
+    Each block's GEMM then does at least that many multiply-adds, far more
+    than the products BLAS runs with another kernel (numpy takes gemv for
+    one row; OpenBLAS 0.3 has a small-matrix GEMM, summing in another
+    order, for up to 100^3 multiply-adds), so every output row is bit for
+    bit the one a single product over all rows gives.
     """
     vocab = build_vocab(graph.texts, max_size=SHALLOW_VOCAB)
-    counts = np.zeros((graph.num_nodes, vocab.size), dtype=np.float64)
-    for v, text in enumerate(graph.texts):
-        for tok in tokenize(text):
-            counts[v, vocab.id_for(tok)] += 1.0
-    norms = np.sqrt((counts ** 2).sum(axis=1, keepdims=True))
-    norms[norms == 0.0] = 1.0
-    counts /= norms
     rng = np.random.default_rng(seed)
     projection = rng.standard_normal((vocab.size, dim)) / np.sqrt(vocab.size)
-    return EmbeddingMatrix(counts @ projection, provenance="shallow-baseline")
+    n = graph.num_nodes
+    out = np.empty((n, dim))
+    # numpy projects onto one column with gemv, whose rows sum in an order that
+    # depends on where they sit in the call, so a width-1 map runs as one block.
+    rows = max(n, 1) if dim == 1 else -(-SHALLOW_BLOCK_CELLS // vocab.size)
+    bounds = list(range(0, max(n - rows, 0) + 1, rows)) + [n]
+    for start, stop in zip(bounds[:-1], bounds[1:]):
+        ids = [[vocab.id_for(tok) for tok in tokenize(text)] for text in graph.texts[start:stop]]
+        owner = np.repeat(np.arange(stop - start), [len(doc) for doc in ids])
+        cells = owner * vocab.size + np.array([i for doc in ids for i in doc], dtype=np.int64)
+        counts = np.bincount(cells, weights=np.ones(cells.size),
+                             minlength=(stop - start) * vocab.size).reshape(-1, vocab.size)
+        norms = np.sqrt((counts ** 2).sum(axis=1, keepdims=True))
+        norms[norms == 0.0] = 1.0
+        counts /= norms
+        out[start:stop] = counts @ projection
+    return EmbeddingMatrix(out, provenance="shallow-baseline")
 
 
 # ---------------------------------------------------------------------------

@@ -72,15 +72,17 @@ def kept_inputs(out, inputs):
     return [i for i, t in enumerate(inputs) if any(np.shares_memory(a, t.data) for a in saved)]
 
 
-def grid_attention(q, k, v, heads, bias=None):
-    """dc.attention of (B, Tq, d) queries: q as the rows of the layout that covers its
-    whole (B, Tq) grid, the output viewed as (B, Tq, d) again; k and v stay (B, Tk, d)."""
+def grid_attention(x, kv, wq, wk, wv, heads, bias=None):
+    """dc.attention of (B, Tq, d_in) queries: x as the rows of the layout that covers its
+    whole (B, Tq) grid, the output viewed as (B, Tq, d) again. kv is x itself, for
+    self-attention on those rows, or a (B, Tk, d_kv) memory."""
     from nodegae import diffcore as dc
 
-    b, tq, d = q.shape
-    rows = dc.reshape(q, (b * tq, d))
-    out = dc.attention(rows, k, v, heads, bias, (b, tq, np.arange(b * tq)))
-    return dc.reshape(out, (b, tq, d))
+    b, tq, d_in = x.shape
+    rows = dc.reshape(x, (b * tq, d_in))
+    out = dc.attention(rows, rows if kv is x else kv, wq, wk, wv, heads, bias,
+                       (b, tq, np.arange(b * tq)))
+    return dc.reshape(out, (b, tq, wq.shape[1]))
 
 
 def edit_checkpoint(path, edit_meta=None, drop=()):

@@ -4,8 +4,8 @@ It copies every adjoint a backward closure returns and sums with fresh
 arrays only, so no buffer is ever shared or written in place. It visits
 nodes in diffcore's own topological order, so every sum associates exactly
 as in ``backward`` and the two must agree bit for bit. It also keeps the
-op chains that the fused graph-layer and dropout ops replaced, and the
-padded stage-1 forward that the packed one replaced.
+op chains that the fused graph-layer, dropout and attention ops replaced,
+and the padded stage-1 forward that the packed one replaced.
 """
 
 import numpy as np
@@ -62,39 +62,69 @@ def chain_dropout(x, keep_mask, keep):
     return dc.mul(x, dc.constant(keep_mask.astype(np.float64) / keep))
 
 
-# The padded stage-1 forward: every op runs on the whole (B, T) grid and PAD
-# positions are masked only as attention keys, in pooling and in the loss.
-# It is the oracle of the packed forward, which must equal it bit for bit at
-# every real position.
-
-def padded_attention(q, k, v, heads, bias=None):
-    """dc.attention before layouts: q (B, Tq, d), k and v (B, Tk, d), one recorded op."""
-    b, tq, d = q.shape
+def qkv_attention(q, k, v, heads, bias, layout):
+    """dc.attention before it projected its own q, k and v: one recorded op on projected
+    packed q rows, and k and v as packed rows on q's layout or (B, Tk, d) memory."""
+    b, tq, flat = dc.check_layout("attention", layout, q.shape[0])
+    d = q.shape[1]
+    rows = None if flat.size == b * tq else np.divmod(flat, tq)
+    packed_kv = k.ndim == 2
     dh = d // heads
     scale = 1.0 / np.sqrt(dh)
 
-    def split(x):  # (B, T, d) -> (B, heads, T, dh)
+    def split(x):  # packed (n, d) rows, or (B, T, d) -> (B, heads, T, dh)
+        if x.ndim == 2 and rows is not None:
+            grid = np.zeros((b, heads, tq, dh))
+            grid[rows[0], :, rows[1]] = x.reshape(-1, heads, dh)
+            return grid
         return np.ascontiguousarray(x.reshape(b, -1, heads, dh).transpose(0, 2, 1, 3))
 
-    def merge(x):  # (B, heads, T, dh) -> (B, T, d)
-        return np.ascontiguousarray(x.transpose(0, 2, 1, 3)).reshape(b, -1, d)
+    def merge(x, packed):  # (B, heads, T, dh) -> packed (n, d) rows, or (B, T, d)
+        if packed and rows is not None:
+            return x[rows[0], :, rows[1]].reshape(-1, d)
+        grid = np.ascontiguousarray(x.transpose(0, 2, 1, 3))
+        return grid.reshape(-1, d) if packed else grid.reshape(b, -1, d)
 
     scores = np.matmul(split(q.data), split(k.data).swapaxes(-1, -2))
     scores *= scale
     if bias is not None:
         scores += bias
     p = dc._softmax(scores)
-    out = merge(np.matmul(p, split(v.data)))
+    out = merge(np.matmul(p, split(v.data)), True)
 
     def backward_fn(g):
         gh = split(g)
         gs = dc._softmax_backward(p, np.matmul(gh, split(v.data).swapaxes(-1, -2)))
         gs *= scale
-        return (merge(np.matmul(gs, split(k.data))) if q.requires_grad else None,
-                merge(np.matmul(gs.swapaxes(-1, -2), split(q.data))) if k.requires_grad else None,
-                merge(np.matmul(p.swapaxes(-1, -2), gh)) if v.requires_grad else None)
+        return (merge(np.matmul(gs, split(k.data)), True) if q.requires_grad else None,
+                merge(np.matmul(gs.swapaxes(-1, -2), split(q.data)), packed_kv)
+                if k.requires_grad else None,
+                merge(np.matmul(p.swapaxes(-1, -2), gh), packed_kv) if v.requires_grad else None)
 
     return dc._record(out, "attention", (q, k, v), backward_fn)
+
+
+def chain_attention(x, kv, wq, wk, wv, heads, bias, layout):
+    """The q, k and v matmuls and qkv_attention, recorded in the order the autoencoder
+    recorded them."""
+    q = dc.matmul(x, wq)
+    k = dc.matmul(kv, wk)
+    v = dc.matmul(kv, wv)
+    return qkv_attention(q, k, v, heads, bias, layout)
+
+
+# The padded stage-1 forward: every op runs on the whole (B, T) grid and PAD
+# positions are masked only as attention keys, in pooling and in the loss.
+# It is the oracle of the packed forward, which must equal it bit for bit at
+# every real position.
+
+def padded_attention(q, k, v, heads, bias=None):
+    """qkv_attention of (B, Tq, d) queries, as rows of the layout that covers their whole
+    grid, viewed as (B, Tq, d) again; k and v are (B, Tk, d)."""
+    b, tq, d = q.shape
+    rows = dc.reshape(q, (b * tq, d))
+    out = qkv_attention(rows, k, v, heads, bias, (b, tq, np.arange(b * tq)))
+    return dc.reshape(out, (b, tq, d))
 
 
 def _padded_block_attention(q_src, kv_src, params, prefix, heads, bias=None):

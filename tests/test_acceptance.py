@@ -130,6 +130,15 @@ def _op_gradient_cases(rng):
     pad_bias = np.zeros((2, 1, 1, 3))
     pad_bias[1, 0, 0, 2] = ae.MASK_BIAS  # batch row 1 has a pad key in column 2
     causal_bias = np.triu(np.full((3, 3), ae.MASK_BIAS), k=1)
+    w44q, w44k, w44v = (dc.parameter(rng.normal(size=(4, 4))) for _ in "qkv")
+    w34q, w34k, w34v = (dc.parameter(rng.normal(size=(3, 4))) for _ in "qkv")
+
+    def packed_attention(rows, memory, bias):
+        """Attention of 5 packed rows, 3 in batch row 0 and the first 2 in batch row 1;
+        self-attention when memory is None."""
+        kv = rows if memory is None else memory
+        return dc.attention(rows, kv, w34q, w34k, w34v, 2, bias, (2, 3, np.arange(5)))
+
     return [
         ("add", lambda: dc.add(a, b), [a, b]),
         ("mul", lambda: dc.mul(a, b), [a, b]),
@@ -153,18 +162,25 @@ def _op_gradient_cases(rng):
          lambda: dc.graph_layer(graph_a[self_rows], x44, dc.transpose(a, (1, 0)),
                                 dc.transpose(m1, (1, 0)), self_rows),
          [x44, a, m1]),
-        # Attention reuses the draws above, viewed as (B, T, d) with d = 4; the
+        # Attention reuses the draws above, viewed as (B, T, d_in) queries and
+        # (B, Tk, d_kv) memories; its projection weights are drawn last. Grid
         # queries are the rows of the layout that covers their whole grid.
         ("attention_self_padded",
-         lambda: grid_attention(x234, mb, dc.reshape(x38, (2, 3, 4)), 2, pad_bias),
-         [x234, mb, x38]),
+         lambda: grid_attention(x234, x234, w44q, w44k, w44v, 2, pad_bias),
+         [x234, w44q, w44k, w44v]),
         ("attention_causal",
-         lambda: grid_attention(mb, dc.reshape(table, (2, 3, 4)), x234, 1, causal_bias),
-         [mb, table, x234]),
+         lambda: grid_attention(mb, mb, w44q, w44k, w44v, 1, causal_bias),
+         [mb, w44q, w44k, w44v]),
         ("attention_cross",
-         lambda: grid_attention(dc.reshape(m1, (1, 3, 4)), dc.reshape(x38, (1, 6, 4)),
-                                dc.reshape(table, (1, 6, 4)), 2),
-         [m1, x38, table]),
+         lambda: grid_attention(dc.reshape(m1, (1, 3, 4)), dc.reshape(x36, (1, 6, 3)),
+                                w44q, w34k, w34v, 2),
+         [m1, x36, w44q, w34k, w34v]),
+        ("attention_packed_self",
+         lambda: packed_attention(dc.reshape(x35, (5, 3)), None, pad_bias),
+         [x35, w34q, w34k, w34v]),
+        ("attention_packed_cross",
+         lambda: packed_attention(dc.reshape(x35, (5, 3)), dc.reshape(x36, (2, 3, 3)), None),
+         [x35, x36, w34q, w34k, w34v]),
         # The fused ops reuse the draws above too: b is a (4,) bias or gain.
         ("linear", lambda: dc.matmul(m1, x44, b), [m1, x44, b]),
         ("linear_3d", lambda: dc.matmul(mb, x44, b), [mb, x44, b]),

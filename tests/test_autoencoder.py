@@ -247,6 +247,28 @@ def test_packed_decoder_rows_equal_the_padded_oracle(seed):
         ae.decoder_logits(model, memory, dec_ids, positions=[2, 1])
 
 
+def test_decoder_logits_positions_may_leave_out_only_a_rows_last_inputs():
+    model = tiny_model()
+    rng = np.random.default_rng(4)
+    memory = dc.constant(rng.standard_normal((2, model.config.proj_len, 8)))
+    dec_ids = np.array([[tc.BOS_ID, 4, 5, 6, 7], [tc.BOS_ID, 8, 9, tc.PAD_ID, tc.PAD_ID]])
+    every = ae.decoder_logits(model, memory, dec_ids, positions=np.arange(10)).data
+    # Each row's last inputs, PAD or not, may be left out: no kept query sees them.
+    kept = np.array([0, 1, 2, 5, 6])
+    got = ae.decoder_logits(model, memory, dec_ids, positions=kept).data
+    assert got.tobytes() == every[kept].tobytes()
+    # Row 0's 4th input is left out while its 5th is kept: that query would read
+    # a zero key and value row for it, so the call raises instead.
+    for kept in ([0, 1, 2, 4, 5, 6], [0, 1, 2, 3, 4, 6], [1, 2, 3, 4, 5, 6, 7]):
+        with pytest.raises(ContractError, match="left out"):
+            ae.decoder_logits(model, memory, dec_ids, positions=np.array(kept))
+    # A PAD input may be left out anywhere; its key is masked.
+    pad_inside = np.array([[tc.BOS_ID, 4, tc.PAD_ID, 6, 7]])
+    got = ae.decoder_logits(model, dc.constant(memory.data[:1]), pad_inside,
+                            positions=np.array([0, 1, 3, 4]))
+    assert got.shape == (4, model.vocab.size)
+
+
 def test_decoder_logits_rejects_2d_memory():
     model = tiny_model()
     memory = dc.constant(np.zeros((model.config.proj_len, 8)))
@@ -792,12 +814,15 @@ def test_combined_loss_passes_finite_difference_check():
 
 
 def test_pretrain_loss_records_one_attention_op_per_block(recorded_ops):
-    # 2 encoder self-attentions + 2 decoder layers x (self, cross) = 6.
-    # Layer norms: 2 x 2 in the encoder, 2 x 3 in the decoder, and one after
-    # each stack = 12. Biased matmuls: the two feed-forward GEMMs of each of
-    # the 4 layers = 8. Pooling places the packed rows in the grid with one
-    # to_grid op where the padded forward multiplied by the mask. 96 recorded
-    # ops in all.
+    # 2 encoder self-attentions + 2 decoder layers x (self, cross) = 6, each
+    # projecting its own q, k and v. Matmuls: each attention's output
+    # projection (6), the two feed-forward GEMMs of each of the 4 layers, with
+    # their biases (8), the latent projection (2), the LM head and InfoNCE's
+    # similarity GEMM = 18, where q, k and v matmuls made 36. Layer norms:
+    # 2 x 2 in the encoder, 2 x 3 in the decoder, and one after each stack =
+    # 12. Pooling places the packed rows in the grid with one to_grid op where
+    # the padded forward multiplied by the mask. 78 recorded ops in all, 96
+    # with the q, k and v matmuls.
     graph = toy_graph()
     model = model_for(graph, enc_layers=2, dec_layers=2)
     cfg = ae.InfoNCEConfig()
@@ -809,23 +834,25 @@ def test_pretrain_loss_records_one_attention_op_per_block(recorded_ops):
     ops = [node.op for node in nodes]
     assert ops.count("attention") == 6
     assert ops.count("layer_norm") == 12
+    assert ops.count("matmul") == 18
     assert sum(node.op == "matmul" and len(node.parents) == 3 for node in nodes) == 8
-    assert len(nodes) == 96
+    assert len(nodes) == 78
     assert "linear" not in ops
     assert "softmax_lastdim" not in ops
     assert "layernorm_lastdim" not in ops
     (grid,) = [output_of[id(node)] for node in nodes if node.op == "to_grid"]
     rows, t, _ = grid.shape
-    # Attention keeps its probabilities, (B, heads, T, Tk), and no copy of q, k or
-    # v. Beside them it keeps only the integer grid indices of its packed rows.
+    # Attention keeps its probabilities, (B, heads, T, Tk), and no q, k or v.
+    # Beside them it keeps only its inputs' data and the integer grid indices
+    # of its packed rows.
     shapes = []
     for node in nodes:
         if node.op == "attention":
             out = output_of[id(node)]
-            q, k, v = (output_of[id(p)] for p in node.parents)
-            saved = saved_arrays(out, (q, k, v))
+            inputs = [output_of.get(id(p), p) for p in node.parents]
+            saved = saved_arrays(out, inputs)
             (p,) = [a for a in saved if a.dtype == np.float64]
-            assert all(a.dtype.kind == "i" and a.shape == (q.shape[0],)
+            assert all(a.dtype.kind == "i" and a.shape == (out.shape[0],)
                        for a in saved if a is not p)
             shapes.append(p.shape)
     heads, slots = model.config.heads, model.config.proj_len

@@ -19,7 +19,7 @@ from nodegae.errors import ContractError, DimensionError, NodeGaeError
 
 from conftest import grid_attention, kept_inputs, saved_arrays
 from fdcheck import assert_grads_close, finite_diff_grads, nudge_from_kinks
-from reference_tape import (chain_dropout, chain_graph_layer, padded_attention,
+from reference_tape import (chain_attention, chain_dropout, chain_graph_layer,
                             reference_leaf_grads)
 
 SEEDS = range(10)
@@ -166,13 +166,14 @@ def test_to_grid_places_rows_and_zero_fills_the_rest():
         dc.to_grid(dc.constant(x.reshape(5, 2, 2)), PACKED_LAYOUT)
 
 
-def attention_oracle(q, k, v, heads, bias=None):
-    """Split heads, softmax(q kᵀ/sqrt(dh) + bias) v per head, merge heads."""
+def attention_oracle(x, kv, wq, wk, wv, heads, bias=None):
+    """Project q, k and v, split heads, softmax(q kᵀ/sqrt(dh) + bias) v per head, merge heads."""
+    q, k, v = x @ wq, kv @ wk, kv @ wv
     b, tq, d = q.shape
     dh = d // heads
 
-    def split(x):
-        return x.reshape(b, x.shape[1], heads, dh).transpose(0, 2, 1, 3)
+    def split(t):
+        return t.reshape(b, t.shape[1], heads, dh).transpose(0, 2, 1, 3)
 
     scores = split(q) @ split(k).transpose(0, 1, 3, 2) / np.sqrt(dh)
     if bias is not None:
@@ -186,10 +187,19 @@ def attention_oracle(q, k, v, heads, bias=None):
     (2, 3, 3, PADDED_KEY_BIAS), (1, 4, 4, CAUSAL_BIAS), (2, 3, 5, None), (4, 2, 6, None)])
 def test_attention_matches_composed_oracle(heads, tq, tk, bias):
     rng = np.random.default_rng(6)
-    q, k, v = (rng.standard_normal(s) for s in ((2, tq, 4), (2, tk, 4), (2, tk, 4)))
-    out = grid_attention(dc.constant(q), dc.constant(k), dc.constant(v), heads, bias).data
+    arrays = [rng.standard_normal(s) for s in ((2, tq, 3), (2, tk, 5), (3, 4), (5, 4), (5, 4))]
+    out = grid_attention(*(dc.constant(a) for a in arrays), heads, bias).data
     assert out.shape == (2, tq, 4)
-    assert np.max(np.abs(out - attention_oracle(q, k, v, heads, bias))) <= 1e-12
+    assert np.max(np.abs(out - attention_oracle(*arrays, heads, bias))) <= 1e-12
+    if tq == tk:  # self-attention: the queries' own rows are the keys and values
+        x, wq = arrays[0], arrays[2]
+        wk, wv = (rng.standard_normal((3, 4)) for _ in "kv")
+        x_t = dc.constant(x)
+        out = grid_attention(x_t, x_t, *(dc.constant(w) for w in (wq, wk, wv)), heads, bias)
+        assert np.max(np.abs(out.data - attention_oracle(x, x, wq, wk, wv, heads, bias))) <= 1e-12
+
+
+ATTENTION_INPUTS = ("x", "kv", "wq", "wk", "wv")
 
 
 @settings(max_examples=60)
@@ -200,7 +210,9 @@ def test_attention_random_shapes_match_oracle_and_finite_differences(seed, b, tq
                                                                       head_dim, mask):
     rng = np.random.default_rng(seed)
     d = heads * head_dim
-    arrays = [rng.standard_normal(s) for s in ((b, tq, d), (b, tk, d), (b, tk, d))]
+    d_in, d_kv = (int(n) for n in rng.integers(1, 4, size=2))
+    arrays = [rng.standard_normal(s)
+              for s in ((b, tq, d_in), (b, tk, d_kv), (d_in, d), (d_kv, d), (d_kv, d))]
     bias = None
     if mask == "padded":  # every batch row keeps at least its first key
         bias = np.zeros((b, 1, 1, tk))
@@ -219,72 +231,115 @@ def test_attention_random_shapes_match_oracle_and_finite_differences(seed, b, tq
     assert np.max(np.abs(out.data - attention_oracle(*arrays, heads, bias))) <= 1e-12
     dc.backward(dc.reshape(scalarize(out, np.random.default_rng(proj_seed)), ()))
     numeric = finite_diff_grads(loss_value, [a.copy() for a in arrays])
-    for name, p, n in zip("qkv", params, numeric):
+    for name, p, n in zip(ATTENTION_INPUTS, params, numeric):
         assert_grads_close(p.grad, n, rtol=1e-4, context=f"attention d{name}")
 
     # Packed queries: each batch row keeps its first `length` positions, every
-    # one of them in some draws. Self-attention packs keys and values on the
-    # same layout and masks the rest; cross-attention reads the (B, tk, d)
-    # keys and values above. Values and gradients equal the padded op's at
-    # the real positions bit for bit, for an upstream gradient that is zero
-    # at pad query rows; the padded op's pad key rows get zero gradients.
+    # one of them in some draws. Self-attention reads keys and values from the
+    # same packed rows and masks the rest; cross-attention reads the
+    # (B, tk, d_kv) memory above. Values and adjoints equal those of the layout
+    # that covers the whole grid at the real positions, for an upstream
+    # gradient that is zero at pad query rows, and the whole grid's pad rows
+    # get zero adjoints. They agree to rounding, not bit for bit: a projection
+    # GEMM over fewer rows may take another BLAS kernel (gemv for one row).
     lengths = rng.integers(1, tq + 1, size=b) if rng.random() < 0.7 else np.full(b, tq)
     real = np.arange(tq)[None, :] < lengths[:, None]
     flat = np.flatnonzero(real)
-    upstream = rng.standard_normal((b, tq, d)) * real[:, :, None]
+    upstream = (rng.standard_normal((b, tq, d)) * real[:, :, None]).reshape(-1, d)
     key_bias = np.where(real, 0.0, MASK)[:, None, None, :]
     if mask == "causal":
         key_bias = key_bias + np.triu(np.full((tq, tq), MASK), k=1)
-    grid = [arrays[0]] + [rng.standard_normal((b, tq, d)) for _ in "kv"]
-    for kind, dense_in, kv_packed, case_bias in (("self", grid, True, key_bias),
-                                                 ("cross", arrays, False, bias)):
-        dense_params = [dc.parameter(a) for a in dense_in]
-        dense = padded_attention(*dense_params, heads, case_bias)
-        packed_params = [dc.parameter(a.reshape(-1, d)[flat]) for a in dense_in[:1]]
-        packed_params += [dc.parameter(a.reshape(-1, d)[flat] if kv_packed else a)
-                          for a in dense_in[1:]]
-        packed = dc.attention(*packed_params, heads, case_bias, (b, tq, flat))
+    x_rows = arrays[0].reshape(-1, d_in)
+    self_weights = [arrays[2]] + [rng.standard_normal((d_in, d)) for _ in "kv"]
+    close = dict(rtol=1e-12, atol=1e-12)
+    for kind, memory, weights, case_bias in (("self", None, self_weights, key_bias),
+                                             ("cross", arrays[1], arrays[2:], bias)):
+        closures = []
+        for rows, layout in ((x_rows, (b, tq, np.arange(b * tq))), (x_rows[flat], (b, tq, flat))):
+            x = dc.parameter(rows)
+            kv = x if memory is None else dc.parameter(memory)
+            out = dc.attention(x, kv, *(dc.parameter(w) for w in weights), heads, case_bias,
+                               layout)
+            closures.append((out.data, out._node.backward_fn))
+        (dense, dense_fn), (packed, packed_fn) = closures
         assert packed.shape == (flat.size, d)
-        assert np.array_equal(packed.data, dense.data.reshape(-1, d)[flat]), kind
-        want = dense._node.backward_fn(upstream)
-        got = packed._node.backward_fn(upstream.reshape(-1, d)[flat])
-        assert np.array_equal(got[0], want[0].reshape(-1, d)[flat]), f"{kind} dq"
-        for name, g, w in zip("kv", got[1:], want[1:]):
-            if kv_packed:
-                assert np.array_equal(g, w.reshape(-1, d)[flat]), f"{kind} d{name}"
-                assert not np.any(np.delete(w.reshape(-1, d), flat, axis=0)), f"{kind} d{name}"
-            else:
-                assert np.array_equal(g, w), f"{kind} d{name}"
+        np.testing.assert_allclose(packed, dense[flat], **close, err_msg=kind)
+        want, got = dense_fn(upstream), packed_fn(upstream[flat])
+        names = ("dx", "dkv from k", "dkv from v", "dwq", "dwk", "dwv")
+        for i, (name, g, w) in enumerate(zip(names, got, want)):
+            if i == 0 or (i < 3 and memory is None):  # adjoints of packed rows
+                assert not np.any(np.delete(w, flat, axis=0)), f"{kind} {name}"
+                w = w[flat]
+            np.testing.assert_allclose(g, w, **close, err_msg=f"{kind} {name}")
 
 
 def test_attention_checks_shapes():
-    x, y = dc.constant(np.zeros((2, 3, 4))), dc.constant(np.zeros((2, 5, 4)))
-    full = dc.constant(np.zeros((6, 4)))
-    with pytest.raises(DimensionError):
-        dc.attention(full, y, x, 2, None, FULL_LAYOUT)  # k and v lengths differ
-    with pytest.raises(DimensionError):
-        dc.attention(full, full, full, 3, None, FULL_LAYOUT)  # heads do not divide the width
-    with pytest.raises(DimensionError):
-        dc.attention(full, y, y, 2, np.zeros((2, 1, 1, 3)), FULL_LAYOUT)  # 3 keys, not 5
-    rows = dc.constant(np.zeros((5, 4)))
+    rows, memory = dc.constant(np.zeros((5, 3))), dc.constant(np.zeros((2, 4, 2)))
+    wq, w3 = dc.constant(np.zeros((3, 4))), dc.constant(np.zeros((3, 4)))
+    w2 = dc.constant(np.zeros((2, 4)))
     layout = PACKED_LAYOUT
-    assert dc.attention(rows, rows, rows, 2, None, layout).shape == (5, 4)
-    assert dc.attention(rows, x, x, 2, None, layout).shape == (5, 4)
+    assert dc.attention(rows, rows, wq, w3, w3, 2, None, layout).shape == (5, 4)
+    assert dc.attention(rows, memory, wq, w2, w2, 2, None, layout).shape == (5, 4)
+    full = dc.constant(np.zeros((6, 3)))
+    assert dc.attention(full, full, wq, w3, w3, 4, None, FULL_LAYOUT).shape == (6, 4)
+    zeros = lambda *s: dc.constant(np.zeros(s))
+    for args in [
+        (zeros(2, 3, 3), memory, wq, w2, w2, 2, None),  # a layout takes packed (n, d) queries
+        (rows, memory, zeros(2, 4), w2, w2, 2, None),  # wq does not take the query width
+        (rows, memory, zeros(3), w2, w2, 2, None),  # wq is no matrix
+        (rows, zeros(4, 3), wq, w3, w3, 2, None),  # 4 packed key rows for 5 queries
+        (rows, zeros(3, 4, 2), wq, w2, w2, 2, None),  # memory of 3 batch rows, not 2
+        (rows, zeros(2, 4, 2, 1), wq, w2, w2, 2, None),  # memory is no (B, Tk, d) grid
+        (rows, memory, wq, w3, w3, 2, None),  # wk and wv do not take the memory width
+        (rows, memory, wq, w2, zeros(2, 6), 2, None),  # wk and wv differ
+        (rows, memory, wq, zeros(2, 6), zeros(2, 6), 2, None),  # k is not q's width
+        (rows, memory, wq, w2, w2, 3, None),  # heads do not divide the width
+        (rows, memory, wq, w2, w2, 2, np.zeros((2, 1, 1, 5))),  # 4 keys, not 5
+        (rows, rows, wq, w3, w3, 2, np.zeros((2, 1, 1, 5))),  # 3 keys, not 5
+    ]:
+        with pytest.raises(DimensionError):
+            dc.attention(*args, layout)
     with pytest.raises(DimensionError):
-        dc.attention(x, x, x, 2, None, layout)  # a layout takes packed (n, d) queries
-    with pytest.raises(DimensionError):
-        dc.attention(rows, y, x, 2, None, layout)  # k and v lengths differ
-    with pytest.raises(DimensionError):
-        dc.attention(rows, dc.constant(np.zeros((4, 4))), rows, 2, None, layout)
-    with pytest.raises(DimensionError):
-        dc.attention(rows, rows, rows, 2, np.zeros((2, 1, 1, 5)), layout)  # 3 keys, not 5
-    with pytest.raises(DimensionError):
-        dc.attention(rows, rows, rows, 2, None, (2, 3, np.arange(6)))  # 5 rows, 6 positions
+        dc.attention(rows, rows, wq, w3, w3, 2, None, (2, 3, np.arange(6)))  # 5 rows, 6 positions
     for flat in ([0, 1, 3, 2, 4], [0, 1, 2, 3, 6], [-1, 0, 1, 2, 3], [0.0, 1, 2, 3, 4]):
         with pytest.raises(ContractError):
-            dc.attention(rows, rows, rows, 2, None, (2, 3, np.array(flat)))
+            dc.attention(rows, rows, wq, w3, w3, 2, None, (2, 3, np.array(flat)))
     with pytest.raises(ContractError):
-        dc.attention(rows, rows, rows, 2, None, (2, 3))
+        dc.attention(rows, rows, wq, w3, w3, 2, None, (2, 3))
+
+
+# (kind, trainable flags): x, wq, wk and wv for self-attention, x, kv, wq, wk and wv for
+# cross-attention, each combination with at least one trainable input.
+ATTENTION_CHAIN_CASES = [(kind, flags) for kind, n in (("self", 4), ("cross", 5))
+                         for flags in itertools.product((True, False), repeat=n) if any(flags)]
+
+
+@pytest.mark.parametrize("layout", ["full", "packed"])
+@pytest.mark.parametrize("kind,trainable", ATTENTION_CHAIN_CASES,
+                         ids=[f"{kind}-" + "".join("PC"[not t] for t in flags)
+                              for kind, flags in ATTENTION_CHAIN_CASES])
+def test_attention_equals_its_matmul_chain_bit_for_bit(layout, kind, trainable):
+    """The chain is the q, k and v matmuls around the attention op on projected
+    inputs. Values and every trainable input's gradient agree bit for bit; x's (and
+    for self-attention kv's, which is x) sums q's, k's and v's terms in the same order."""
+    rng = np.random.default_rng(23)
+    lay = FULL_LAYOUT if layout == "full" else PACKED_LAYOUT
+    d_kv = 3 if kind == "self" else 2
+    arrays = [rng.standard_normal(s) for s in ((lay[2].size, 3), (2, 4, 2), (3, 4),
+                                               (d_kv, 4), (d_kv, 4))]
+    for arr in arrays:
+        arr.reshape(-1)[::5] = -0.0
+    bias = PADDED_KEY_BIAS if kind == "self" and layout == "packed" else None
+    weights = rng.standard_normal((lay[2].size, 4))
+    if kind == "self":
+        del arrays[1]
+        fused = lambda x, wq, wk, wv: dc.attention(x, x, wq, wk, wv, 2, bias, lay)
+        chain = lambda x, wq, wk, wv: chain_attention(x, x, wq, wk, wv, 2, bias, lay)
+    else:
+        fused = lambda *ts: dc.attention(*ts, 2, bias, lay)
+        chain = lambda *ts: chain_attention(*ts, 2, bias, lay)
+    assert (_leaf_grads(fused, arrays, trainable, weights)
+            == _leaf_grads(chain, arrays, trainable, weights))
 
 
 # ---------------------------------------------------------------------------
@@ -332,15 +387,18 @@ def _closure_cases():
         "cross_entropy_logits": (lambda P, C: (P(3, 4),),
                                  lambda x: dc.cross_entropy_logits(x, np.array([0, 2, 1])),
                                  [0], [("b", (3,)), ("f", (3,)), ("i", (3,)), ("i", (3,))]),
-        "attention": (lambda P, C: (P(6, 4), P(2, 5, 4), P(2, 5, 4)),
-                      lambda q, k, v: dc.attention(q, k, v, 2, None, FULL_LAYOUT),
-                      [0, 1, 2], [("f", (2, 2, 3, 5))]),
-        "attention_constant_kv": (lambda P, C: (P(6, 4), C(2, 5, 4), C(2, 5, 4)),
-                                  lambda q, k, v: dc.attention(q, k, v, 2, None, FULL_LAYOUT),
-                                  [1, 2], [("f", (2, 2, 3, 5))]),
-        "attention_packed": (lambda P, C: (P(5, 4), P(5, 4), P(5, 4)),
-                                   lambda q, k, v: dc.attention(q, k, v, 2, None, PACKED_LAYOUT),
-                                   [0, 1, 2], [("f", (2, 2, 3, 3)), ("i", (5,)), ("i", (5,))]),
+        "attention": (lambda P, C: (P(6, 3), P(2, 5, 2), P(3, 4), P(2, 4), P(2, 4)),
+                      lambda *ts: dc.attention(*ts, 2, None, FULL_LAYOUT),
+                      [0, 1, 2, 3, 4], [("f", (2, 2, 3, 5))]),
+        "attention_constant_kv": (lambda P, C: (P(6, 3), C(2, 5, 2), C(3, 4), C(2, 4), C(2, 4)),
+                                  lambda *ts: dc.attention(*ts, 2, None, FULL_LAYOUT),
+                                  [1, 2, 3, 4], [("f", (2, 2, 3, 5))]),
+        "attention_packed": (lambda P, C: (P(5, 3), P(3, 4), P(3, 4), P(3, 4)),
+                             lambda x, *ws: dc.attention(x, x, *ws, 2, None, PACKED_LAYOUT),
+                             [0, 1, 2, 3], [("f", (2, 2, 3, 3)), ("i", (5,)), ("i", (5,))]),
+        "attention_trainable_wv": (lambda P, C: (C(6, 3), C(2, 5, 2), C(3, 4), C(2, 4), P(2, 4)),
+                                   lambda *ts: dc.attention(*ts, 2, None, FULL_LAYOUT),
+                                   [1], [("f", (2, 2, 3, 5))]),
         "graph_layer_gcn": (lambda P, C: (C(4, 3), P(3, 2)),
                             lambda x, w: dc.graph_layer(SPARSE_OPERATOR, x, w, relu=True),
                             [], [("b", (4, 2)), ("f", (4, 3))]),
@@ -406,10 +464,12 @@ def test_tape_keeps_only_the_outputs_a_backward_reads():
 
 
 def test_attention_keeps_only_its_probabilities():
+    """Beside its inputs' data it keeps p, and no q, k or v: backward recomputes them."""
     rng = np.random.default_rng(12)
-    q, k, v = (dc.parameter(rng.standard_normal(s)) for s in ((6, 4), (2, 5, 4), (2, 5, 4)))
-    out = dc.attention(q, k, v, 2, None, FULL_LAYOUT)
-    (p,) = saved_arrays(out, (q, k, v))
+    inputs = [dc.parameter(rng.standard_normal(s))
+              for s in ((6, 3), (2, 5, 2), (3, 4), (2, 4), (2, 4))]
+    out = dc.attention(*inputs, 2, None, FULL_LAYOUT)
+    (p,) = saved_arrays(out, inputs)
     assert p.shape == (2, 2, 3, 5)
     np.testing.assert_allclose(p.sum(axis=-1), 1.0, rtol=0, atol=1e-15)
 
@@ -897,12 +957,12 @@ def make_op_cases(rng):
         ("matmul_const_left", [sn((4, 5))], lambda b: dc.matmul(a234, b)),
         ("mul_const", [sn((3, 4))], lambda a: dc.mul(a, c34)),
         ("add_const", [sn((3, 4))], lambda b: dc.add(c4, b)),
-        ("attention_self_padded", [sn((2, 3, 4)), sn((2, 3, 4)), sn((2, 3, 4))],
-         lambda q, k, v: grid_attention(q, k, v, 2, PADDED_KEY_BIAS)),
-        ("attention_causal", [sn((2, 4, 4)), sn((2, 4, 4)), sn((2, 4, 4))],
-         lambda q, k, v: grid_attention(q, k, v, 1, CAUSAL_BIAS)),
-        ("attention_cross", [sn((2, 3, 4)), sn((2, 5, 4)), sn((2, 5, 4))],
-         lambda q, k, v: grid_attention(q, k, v, 2)),
+        ("attention_self_padded", [sn((2, 3, 3)), sn((3, 4)), sn((3, 4)), sn((3, 4))],
+         lambda x, *ws: grid_attention(x, x, *ws, 2, PADDED_KEY_BIAS)),
+        ("attention_causal", [sn((2, 4, 3)), sn((3, 4)), sn((3, 4)), sn((3, 4))],
+         lambda x, *ws: grid_attention(x, x, *ws, 1, CAUSAL_BIAS)),
+        ("attention_cross", [sn((2, 3, 3)), sn((2, 5, 2)), sn((3, 4)), sn((2, 4)), sn((2, 4))],
+         lambda *ts: grid_attention(*ts, 2)),
     ]
     # Drawn after every case above, so their random streams do not move.
     cases += [
@@ -933,10 +993,10 @@ def make_op_cases(rng):
     ]
     # Drawn after every case above, so their random streams do not move.
     cases += [
-        ("attention_packed_self", [sn((5, 4)), sn((5, 4)), sn((5, 4))],
-         lambda q, k, v: dc.attention(q, k, v, 2, PADDED_KEY_BIAS, PACKED_LAYOUT)),
-        ("attention_packed_cross", [sn((5, 4)), sn((2, 3, 4)), sn((2, 3, 4))],
-         lambda q, k, v: dc.attention(q, k, v, 2, None, PACKED_LAYOUT)),
+        ("attention_packed_self", [sn((5, 3)), sn((3, 4)), sn((3, 4)), sn((3, 4))],
+         lambda x, *ws: dc.attention(x, x, *ws, 2, PADDED_KEY_BIAS, PACKED_LAYOUT)),
+        ("attention_packed_cross", [sn((5, 3)), sn((2, 3, 2)), sn((3, 4)), sn((2, 4)), sn((2, 4))],
+         lambda *ts: dc.attention(*ts, 2, None, PACKED_LAYOUT)),
         ("to_grid", [sn((5, 4))], lambda x: dc.to_grid(x, PACKED_LAYOUT)),
         ("to_grid_full", [sn((6, 4))], lambda x: dc.to_grid(x, (2, 3, np.arange(6)))),
     ]

@@ -14,7 +14,7 @@ from nodegae import downstream as ds
 from nodegae import graphstore as gs
 from nodegae.errors import ConfigError, ContractError, DimensionError
 from nodegae.evalmetrics import accuracy, roc_auc
-from nodegae.textcorpus import SyntheticGraphSpec, generate_synthetic
+from nodegae.textcorpus import SyntheticGraphSpec, build_vocab, generate_synthetic, tokenize
 
 from reference_tape import chain_dropout, chain_graph_layer
 
@@ -260,6 +260,38 @@ def test_shallow_embeddings_reflect_text():
     assert np.array_equal(emb.matrix[3], np.zeros(6))
     again = ds.shallow_embeddings(graph, dim=6, seed=0)
     assert np.array_equal(emb.matrix, again.matrix)
+
+
+def dense_shallow_embeddings(graph, dim, seed=0):
+    """shallow_embeddings as one dense (N, V) count matrix, filled one token at a time,
+    and one GEMM over all N rows: the oracle of the row-block bincount."""
+    vocab = build_vocab(graph.texts, max_size=ds.SHALLOW_VOCAB)
+    counts = np.zeros((graph.num_nodes, vocab.size), dtype=np.float64)
+    for v, text in enumerate(graph.texts):
+        for tok in tokenize(text):
+            counts[v, vocab.id_for(tok)] += 1.0
+    norms = np.sqrt((counts ** 2).sum(axis=1, keepdims=True))
+    norms[norms == 0.0] = 1.0
+    counts /= norms
+    rng = np.random.default_rng(seed)
+    projection = rng.standard_normal((vocab.size, dim)) / np.sqrt(vocab.size)
+    return counts @ projection
+
+
+@pytest.mark.parametrize("dim", [1, 2, 64])
+@pytest.mark.parametrize("n", [1, 2, 3, 64, 513, 1024, 1025, 2049, 3000, 4096])
+def test_shallow_embeddings_equal_the_dense_count_oracle_bit_for_bit(n, dim):
+    # 3000 words: larger corpora fill SHALLOW_VOCAB, so some tokens map to UNK.
+    # Some documents are empty, and some repeat a word. A block holds 1024
+    # rows of the 2048-wide vocabulary, so from 2048 nodes on a graph runs
+    # several blocks, the last one 1024 to 2047 rows long; a width-1 map runs
+    # as one block.
+    rng = np.random.default_rng(n)
+    texts = [" ".join(f"w{i}" for i in rng.integers(0, 3000, size=rng.integers(0, 12)))
+             for _ in range(n)]
+    graph = gs.TextGraph.from_edges(n, np.zeros((0, 2), dtype=np.int64), texts=texts)
+    got = ds.shallow_embeddings(graph, dim=dim, seed=3).matrix
+    assert got.tobytes() == dense_shallow_embeddings(graph, dim=dim, seed=3).tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -59,3 +59,25 @@ def test_every_bench_record_names_one_claim_the_benchmark_defines():
         assert len(pairs) >= 10, f"{path.name}: {len(pairs)} claim pairs"
         for pair in pairs:
             assert {"seed", "first", "parent", "change"} <= set(pair), path.name
+
+
+def test_every_bench_claim_wins_nine_in_ten_of_its_pairs():
+    """A claim series holds only when the change beats the parent on the claimed metric,
+    in the direction BENCHMARK.json gives it, in at least 9 of every 10 pairs."""
+    import json
+
+    with open(REPO / "BENCHMARK.json", encoding="utf-8") as fh:
+        spec = json.load(fh)
+    better = {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
+    for path in sorted(REPO.glob("BENCH_*.json")):
+        with open(path, encoding="utf-8") as fh:
+            record = json.load(fh)
+        (claim,) = [s for s in record["series"] if s.get("role") == "claim"]
+        metric = claim["claimed_metric"]
+        wins = 0
+        for pair in claim["pairs"]:
+            parent, change = (pair[side]["metrics"][metric]["value"]
+                              for side in ("parent", "change"))
+            wins += change < parent if better[metric] == "lower" else change > parent
+        assert 10 * wins >= 9 * len(claim["pairs"]), \
+            f"{path.name}: {wins} of {len(claim['pairs'])} pairs beat the parent on {metric}"
