@@ -48,11 +48,7 @@ __all__ = [
 
 PROVENANCES = ("shallow-baseline", "nodegae", "random")
 # Vocabulary budget of the shallow bag-of-words baseline, and the counts in
-# each row block of its count matrix (16 MiB of float64). glibc raises its
-# mmap threshold to the largest mapped block it frees. With 2 MiB blocks the
-# threshold stayed below the (4096, 64) arrays of later stage-2 fits, which
-# were then mapped and faulted in anew on every step: ~10x the page faults,
-# and nodecls epochs 25-30% slower.
+# each row block of its count matrix (16 MiB of float64).
 SHALLOW_VOCAB = 2048
 SHALLOW_BLOCK_CELLS = 1 << 21
 
@@ -169,30 +165,37 @@ def random_embeddings(num_nodes: int, dim: int, seed: int = 0) -> EmbeddingMatri
     return EmbeddingMatrix(rng.standard_normal((num_nodes, dim)), provenance="random")
 
 
+def _shallow_row_blocks(n: int, vocab_size: int) -> List[Tuple[int, int]]:
+    """(start, stop) of shallow_embeddings' row blocks: each of the fewest rows that
+    hold SHALLOW_BLOCK_CELLS counts, and the last one also takes the rows short of
+    a whole block. A graph of fewer rows is one block."""
+    rows = -(-SHALLOW_BLOCK_CELLS // vocab_size)
+    bounds = list(range(0, max(n - rows, 0) + 1, rows)) + [n]
+    return list(zip(bounds[:-1], bounds[1:]))
+
+
 def shallow_embeddings(graph: TextGraph, dim: int, seed: int = 0) -> EmbeddingMatrix:
     """Word-count features squeezed to dim by a fixed random projection.
 
     Each node's document becomes a bag-of-words vector over the corpus
     vocabulary (at most SHALLOW_VOCAB tokens), L2-normalized, then projected
     with a seeded Gaussian map. The count vectors are built and projected a
-    block of at least SHALLOW_BLOCK_CELLS counts at a time (the last block
-    takes the rows short of a whole one), so at most one block is alive.
-    Each block's GEMM then does at least that many multiply-adds, far more
-    than the products BLAS runs with another kernel (numpy takes gemv for
-    one row; OpenBLAS 0.3 has a small-matrix GEMM, summing in another
-    order, for up to 100^3 multiply-adds), so every output row is bit for
-    bit the one a single product over all rows gives.
+    block of _shallow_row_blocks at a time, so at most one block is alive.
+    A block is the whole graph or holds at least SHALLOW_BLOCK_CELLS counts,
+    so from dim 2 on its GEMM does more than the 100^3 multiply-adds up to
+    which OpenBLAS 0.3 runs a small-matrix kernel that sums in another order
+    (numpy takes gemv for one row), and every output row is bit for bit the
+    one a single product over all rows gives. numpy projects onto one column
+    with gemv, whose rows sum in an order that depends on where they sit in
+    the call: a width-1 map equals the product of each block, and the single
+    product only to rounding.
     """
     vocab = build_vocab(graph.texts, max_size=SHALLOW_VOCAB)
     rng = np.random.default_rng(seed)
     projection = rng.standard_normal((vocab.size, dim)) / np.sqrt(vocab.size)
     n = graph.num_nodes
     out = np.empty((n, dim))
-    # numpy projects onto one column with gemv, whose rows sum in an order that
-    # depends on where they sit in the call, so a width-1 map runs as one block.
-    rows = max(n, 1) if dim == 1 else -(-SHALLOW_BLOCK_CELLS // vocab.size)
-    bounds = list(range(0, max(n - rows, 0) + 1, rows)) + [n]
-    for start, stop in zip(bounds[:-1], bounds[1:]):
+    for start, stop in _shallow_row_blocks(n, vocab.size):
         ids = [[vocab.id_for(tok) for tok in tokenize(text)] for text in graph.texts[start:stop]]
         owner = np.repeat(np.arange(stop - start), [len(doc) for doc in ids])
         cells = owner * vocab.size + np.array([i for doc in ids for i in doc], dtype=np.int64)

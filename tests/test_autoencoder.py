@@ -818,11 +818,9 @@ def test_pretrain_loss_records_one_attention_op_per_block(recorded_ops):
     # projecting its own q, k and v. Matmuls: each attention's output
     # projection (6), the two feed-forward GEMMs of each of the 4 layers, with
     # their biases (8), the latent projection (2), the LM head and InfoNCE's
-    # similarity GEMM = 18, where q, k and v matmuls made 36. Layer norms:
-    # 2 x 2 in the encoder, 2 x 3 in the decoder, and one after each stack =
-    # 12. Pooling places the packed rows in the grid with one to_grid op where
-    # the padded forward multiplied by the mask. 78 recorded ops in all, 96
-    # with the q, k and v matmuls.
+    # similarity GEMM = 18. Layer norms: 2 x 2 in the encoder, 2 x 3 in the
+    # decoder, and one after each stack = 12. Pooling places the packed rows
+    # in the grid with one to_grid op. 78 recorded ops in all.
     graph = toy_graph()
     model = model_for(graph, enc_layers=2, dec_layers=2)
     cfg = ae.InfoNCEConfig()

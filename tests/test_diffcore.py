@@ -19,7 +19,7 @@ from nodegae.errors import ContractError, DimensionError, NodeGaeError
 
 from conftest import grid_attention, kept_inputs, saved_arrays
 from fdcheck import assert_grads_close, finite_diff_grads, nudge_from_kinks
-from reference_tape import (chain_attention, chain_dropout, chain_graph_layer,
+from reference_tape import (chain_attention, chain_dropout, chain_graph_layer, qkv_attention,
                             reference_leaf_grads)
 
 SEEDS = range(10)
@@ -237,11 +237,8 @@ def test_attention_random_shapes_match_oracle_and_finite_differences(seed, b, tq
     # Packed queries: each batch row keeps its first `length` positions, every
     # one of them in some draws. Self-attention reads keys and values from the
     # same packed rows and masks the rest; cross-attention reads the
-    # (B, tk, d_kv) memory above. Values and adjoints equal those of the layout
-    # that covers the whole grid at the real positions, for an upstream
-    # gradient that is zero at pad query rows, and the whole grid's pad rows
-    # get zero adjoints. They agree to rounding, not bit for bit: a projection
-    # GEMM over fewer rows may take another BLAS kernel (gemv for one row).
+    # (B, tk, d_kv) memory above. The upstream gradient is zero at pad query
+    # rows.
     lengths = rng.integers(1, tq + 1, size=b) if rng.random() < 0.7 else np.full(b, tq)
     real = np.arange(tq)[None, :] < lengths[:, None]
     flat = np.flatnonzero(real)
@@ -251,18 +248,58 @@ def test_attention_random_shapes_match_oracle_and_finite_differences(seed, b, tq
         key_bias = key_bias + np.triu(np.full((tq, tq), MASK), k=1)
     x_rows = arrays[0].reshape(-1, d_in)
     self_weights = [arrays[2]] + [rng.standard_normal((d_in, d)) for _ in "kv"]
-    close = dict(rtol=1e-12, atol=1e-12)
+    grid_layout, packed_layout = (b, tq, np.arange(b * tq)), (b, tq, flat)
     for kind, memory, weights, case_bias in (("self", None, self_weights, key_bias),
                                              ("cross", arrays[1], arrays[2:], bias)):
+        # On either layout the op equals its matmul chain bit for bit: values
+        # and the gradient of every input.
+        for rows, layout, up in ((x_rows, grid_layout, upstream),
+                                 (x_rows[flat], packed_layout, upstream[flat])):
+            if memory is None:
+                leaves = [rows, *weights]
+                fused = lambda x, *ws: dc.attention(x, x, *ws, heads, case_bias, layout)
+                chain = lambda x, *ws: chain_attention(x, x, *ws, heads, case_bias, layout)
+            else:
+                leaves = [rows, memory, *weights]
+                fused = lambda *ts: dc.attention(*ts, heads, case_bias, layout)
+                chain = lambda *ts: chain_attention(*ts, heads, case_bias, layout)
+            trainable = [True] * len(leaves)
+            assert (_leaf_grads(fused, leaves, trainable, up)
+                    == _leaf_grads(chain, leaves, trainable, up)), (kind, layout[2].size)
+
+        # The attention core on projected rows: packed rows equal the whole
+        # grid's at the real positions bit for bit, values and adjoints, and
+        # the whole grid's pad rows get zero adjoints.
+        src = x_rows if memory is None else memory
+        q, k, v = x_rows @ weights[0], src @ weights[1], src @ weights[2]
+        dense = qkv_attention(*(dc.parameter(t) for t in (q, k, v)), heads, case_bias,
+                              grid_layout)
+        packed_kv = (k[flat], v[flat]) if memory is None else (k, v)
+        packed = qkv_attention(*(dc.parameter(t) for t in (q[flat], *packed_kv)), heads,
+                               case_bias, packed_layout)
+        assert packed.shape == (flat.size, d)
+        assert np.array_equal(packed.data, dense.data[flat]), kind
+        want = dense._node.backward_fn(upstream)
+        got = packed._node.backward_fn(upstream[flat])
+        for i, (name, g, w) in enumerate(zip("qkv", got, want)):
+            if i == 0 or memory is None:
+                assert not np.any(np.delete(w, flat, axis=0)), f"{kind} core d{name}"
+                w = w[flat]
+            assert np.array_equal(g, w), f"{kind} core d{name}"
+
+        # The fused op on the two layouts agrees to rounding only: its
+        # projection GEMMs run over other row counts there, and BLAS may take
+        # another kernel (gemv for one row, a small-matrix GEMM), which sums
+        # in another order. Pad rows still get exactly zero adjoints.
         closures = []
-        for rows, layout in ((x_rows, (b, tq, np.arange(b * tq))), (x_rows[flat], (b, tq, flat))):
+        for rows, layout in ((x_rows, grid_layout), (x_rows[flat], packed_layout)):
             x = dc.parameter(rows)
             kv = x if memory is None else dc.parameter(memory)
             out = dc.attention(x, kv, *(dc.parameter(w) for w in weights), heads, case_bias,
                                layout)
             closures.append((out.data, out._node.backward_fn))
         (dense, dense_fn), (packed, packed_fn) = closures
-        assert packed.shape == (flat.size, d)
+        close = dict(rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(packed, dense[flat], **close, err_msg=kind)
         want, got = dense_fn(upstream), packed_fn(upstream[flat])
         names = ("dx", "dkv from k", "dkv from v", "dwq", "dwk", "dwv")

@@ -262,9 +262,10 @@ def test_shallow_embeddings_reflect_text():
     assert np.array_equal(emb.matrix, again.matrix)
 
 
-def dense_shallow_embeddings(graph, dim, seed=0):
+def dense_shallow_embeddings(graph, dim, seed=0, blocks=None):
     """shallow_embeddings as one dense (N, V) count matrix, filled one token at a time,
-    and one GEMM over all N rows: the oracle of the row-block bincount."""
+    and one GEMM over all N rows, or one per (start, stop) row block of `blocks`: the
+    oracle of the row-block bincount."""
     vocab = build_vocab(graph.texts, max_size=ds.SHALLOW_VOCAB)
     counts = np.zeros((graph.num_nodes, vocab.size), dtype=np.float64)
     for v, text in enumerate(graph.texts):
@@ -275,7 +276,9 @@ def dense_shallow_embeddings(graph, dim, seed=0):
     counts /= norms
     rng = np.random.default_rng(seed)
     projection = rng.standard_normal((vocab.size, dim)) / np.sqrt(vocab.size)
-    return counts @ projection
+    if blocks is None:
+        return counts @ projection
+    return np.concatenate([counts[start:stop] @ projection for start, stop in blocks])
 
 
 @pytest.mark.parametrize("dim", [1, 2, 64])
@@ -284,14 +287,33 @@ def test_shallow_embeddings_equal_the_dense_count_oracle_bit_for_bit(n, dim):
     # 3000 words: larger corpora fill SHALLOW_VOCAB, so some tokens map to UNK.
     # Some documents are empty, and some repeat a word. A block holds 1024
     # rows of the 2048-wide vocabulary, so from 2048 nodes on a graph runs
-    # several blocks, the last one 1024 to 2047 rows long; a width-1 map runs
-    # as one block.
+    # several blocks, the last one 1024 to 2047 rows long. A width-1 map is a
+    # gemv, whose rows depend on the block they sit in: it equals the oracle
+    # projected per block, and the single product to rounding.
     rng = np.random.default_rng(n)
     texts = [" ".join(f"w{i}" for i in rng.integers(0, 3000, size=rng.integers(0, 12)))
              for _ in range(n)]
     graph = gs.TextGraph.from_edges(n, np.zeros((0, 2), dtype=np.int64), texts=texts)
     got = ds.shallow_embeddings(graph, dim=dim, seed=3).matrix
-    assert got.tobytes() == dense_shallow_embeddings(graph, dim=dim, seed=3).tobytes()
+    whole = dense_shallow_embeddings(graph, dim=dim, seed=3)
+    if dim > 1:
+        assert got.tobytes() == whole.tobytes()
+        return
+    vocab_size = build_vocab(graph.texts, max_size=ds.SHALLOW_VOCAB).size
+    blocks = ds._shallow_row_blocks(n, vocab_size)
+    assert blocks[0][0] == 0 and blocks[-1][1] == n
+    assert all(stop == start for (_, stop), (start, _) in zip(blocks, blocks[1:]))
+    per_block = dense_shallow_embeddings(graph, dim=1, seed=3, blocks=blocks)
+    assert got.tobytes() == per_block.tobytes()
+    np.testing.assert_allclose(got, whole, rtol=1e-13, atol=1e-15)
+
+
+@pytest.mark.parametrize("n,vocab_size,rows", [(0, 7, [(0, 0)]), (5, 2048, [(0, 5)]),
+                                               (2047, 2048, [(0, 2047)]),
+                                               (2048, 2048, [(0, 1024), (1024, 2048)]),
+                                               (3071, 2048, [(0, 1024), (1024, 3071)])])
+def test_shallow_row_blocks_hold_a_whole_block_of_counts(n, vocab_size, rows):
+    assert ds._shallow_row_blocks(n, vocab_size) == rows
 
 
 # ---------------------------------------------------------------------------
