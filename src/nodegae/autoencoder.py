@@ -12,7 +12,7 @@ extractor for downstream graph models.
 
 import json
 import zipfile
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import BinaryIO, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -196,8 +196,7 @@ def _attention(x, kv, params, prefix, heads, bias, layout):
 
 
 def _feed_forward(x, params, prefix):
-    h = dc.gelu(dc.matmul(x, params[prefix + ".w1"], params[prefix + ".b1"]))
-    return dc.matmul(h, params[prefix + ".w2"], params[prefix + ".b2"])
+    return dc.feed_forward(x, *(params[f"{prefix}.{name}"] for name in ("w1", "b1", "w2", "b2")))
 
 
 def _as_id_matrix(ids) -> np.ndarray:
@@ -576,8 +575,10 @@ def save_model(path, model: AutoencoderModel, adam: Optional[dc.AdamState] = Non
 def load_model(path) -> Tuple[AutoencoderModel, Optional[dc.AdamState], dict]:
     """Rebuild a model (and optimizer state if stored) from a model_file checkpoint.
 
-    A file that is no npz archive, or that misses a block the format needs,
-    raises ContractError naming the path and what is missing.
+    A file that is no npz archive, that misses a block the format needs, whose
+    config keys are not ModelConfig's fields, or that holds a tensor naming no
+    parameter or Adam moment of one raises ContractError naming the path and
+    the keys.
     """
     try:
         with np.load(path, allow_pickle=False) as bundle:
@@ -597,9 +598,18 @@ def load_model(path) -> Tuple[AutoencoderModel, Optional[dc.AdamState], dict]:
             raise ContractError(f"checkpoint {path} is missing '{key}'")
         return block[key]
 
-    config = ModelConfig(**stored(meta, "config"))
+    settings = stored(meta, "config")
+    names = sorted(f.name for f in fields(ModelConfig))
+    keys = sorted(settings) if isinstance(settings, dict) else settings
+    if keys != names:
+        raise ContractError(f"checkpoint {path}: config keys {keys} are not the fields {names}")
     vocab = Vocabulary.from_tokens(stored(meta, "vocab"))
-    model = AutoencoderModel.init(config, vocab, seed=0)
+    model = AutoencoderModel.init(ModelConfig(**settings), vocab, seed=0)
+    moments = {f"opt.{k}.{name}" for name in model.params for k in "mv"}
+    unknown = sorted(set(tensors) - set(model.params) - moments)
+    if unknown:
+        raise ContractError(
+            f"checkpoint {path}: tensors {unknown} name no parameter or Adam moment of one")
     for name, param in model.params.items():
         if name not in tensors:
             raise ContractError(f"checkpoint is missing parameter '{name}'")

@@ -404,19 +404,40 @@ def _erf(x: np.ndarray) -> np.ndarray:
     return out.reshape(shape)
 
 
+def _gelu_cdf(x: np.ndarray) -> np.ndarray:
+    """The GELU's gate Phi(x) = 0.5 (1 + erf(x / sqrt 2)), so that gelu(x) = x Phi(x)."""
+    cdf = _erf(x * _INV_SQRT2)
+    cdf += 1.0
+    cdf *= 0.5  # 0.5 * (1 + erf), in place
+    return cdf
+
+
+def _gelu_slope(x: np.ndarray, cdf: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The GELU's derivative ``cdf + x pdf(x)`` at x, built in out (a new array when None).
+
+    ``cdf`` is _gelu_cdf(x). The steps are those of the expression
+    ``cdf + x * (pdf_scale * exp(-0.5 * x * x))``, in place, so the bits are too.
+    """
+    slope = np.multiply(x, -0.5, out=out)
+    slope *= x
+    np.exp(slope, out=slope)
+    slope *= _INV_SQRT2PI
+    slope *= x
+    slope += cdf
+    return slope
+
+
 def gelu(x: DiffTensor) -> DiffTensor:
     """Exact (erf-based) Gaussian error linear unit.
 
     The closure keeps one array, the derivative ``cdf + x pdf(x)``, which the
-    forward forms in cdf's buffer only when the op records.
+    forward forms only when the op records.
     """
     xd = x.data
-    cdf = _erf(xd * _INV_SQRT2)
-    cdf += 1.0
-    cdf *= 0.5  # 0.5 * (1 + erf), in place
+    cdf = _gelu_cdf(xd)
     out = xd * cdf
     if _records((x,)):
-        cdf += xd * (_INV_SQRT2PI * np.exp(-0.5 * xd * xd))
+        cdf = _gelu_slope(xd, cdf)
 
     def backward_fn(g):
         return (g * cdf,)
@@ -424,9 +445,87 @@ def gelu(x: DiffTensor) -> DiffTensor:
     return _record(out, "gelu", (x,), backward_fn)
 
 
-def _softmax(x: np.ndarray) -> np.ndarray:
-    e = np.exp(x - x.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
+def feed_forward(x: DiffTensor, w1: DiffTensor, b1: DiffTensor, w2: DiffTensor,
+                 b2: DiffTensor) -> DiffTensor:
+    """A transformer's feed-forward block, ``gelu(x @ w1 + b1) @ w2 + b2``, as one recorded op.
+
+    The forward runs the expressions of the ``matmul``, ``gelu``, ``matmul``
+    chain in its order, so values and gradients equal the chain's bit for
+    bit. The closure keeps x's data and the GELU cdf, one (n, ff) array, and
+    the weights' data where a gradient reads it. Backward recomputes
+    ``h = x @ w1 + b1`` (one GEMM) and ``h * cdf`` for w2's gradient, then
+    forms the GELU slope in that buffer and drops h and the cdf before it
+    builds the gradients of x, w1 and b1.
+    """
+    if x.ndim < 2 or w1.ndim != 2 or x.shape[-1] != w1.shape[0]:
+        raise DimensionError(f"feed_forward: cannot multiply shapes {x.shape} and {w1.shape}")
+    if w2.ndim != 2 or w2.shape[0] != w1.shape[1]:
+        raise DimensionError(f"feed_forward: w2 {w2.shape} does not take w1's width {w1.shape}")
+    if b1.shape != (w1.shape[1],) or b2.shape != (w2.shape[1],):
+        raise DimensionError(
+            f"feed_forward: biases {b1.shape} and {b2.shape} do not fit weights "
+            f"{w1.shape} and {w2.shape}")
+    h = _project(x.data, w1.data)
+    h += b1.data
+    cdf = _gelu_cdf(h)
+    act = h * cdf
+    del h
+    out = _project(act, w2.data)
+    out += b2.data
+
+    w2_grad = w2.requires_grad
+    sb1 = b1.shape if b1.requires_grad else None
+    sb2 = b2.shape if b2.requires_grad else None
+    # The hidden's adjoint is formed when x, w1 or b1 needs a gradient; it
+    # reads w2 and the slope. The slope and w2's gradient read h and the cdf.
+    hidden_grad = x.requires_grad or w1.requires_grad or sb1 is not None
+    keep = hidden_grad or w2_grad
+    xd, w1d, b1d = (x.data, w1.data, b1.data) if keep else (None, None, None)
+    cdf = cdf if keep else None
+    w2d = w2.data if hidden_grad else None
+    x_grad, w1_grad = x.requires_grad, w1.requires_grad
+
+    def backward_fn(g):
+        nonlocal xd, cdf
+        gb2 = None if sb2 is None else _unbroadcast(g, sb2)
+        if not keep:
+            return (None, None, None, None, gb2)
+        h = _project(xd, w1d)
+        h += b1d
+        act = h * cdf if w2_grad else None
+        gw2 = None if act is None else _project_backward(g, act, None)[1]
+        if not hidden_grad:
+            return (None, None, None, gw2, gb2)
+        slope = _gelu_slope(h, cdf, out=act)
+        h = act = cdf = None  # read for the last time above
+        gh = _project_backward(g, None, w2d)[0]
+        g = None
+        gh *= slope
+        slope = None
+        gw1 = _project_backward(gh, xd, None)[1] if w1_grad else None
+        xd = None
+        gx = _project_backward(gh, None, w1d)[0] if x_grad else None
+        return (gx, gw1, None if sb1 is None else _unbroadcast(gh, sb1), gw2, gb2)
+
+    return _record(out, "feed_forward", (x, w1, b1, w2, b2), backward_fn)
+
+
+def _softmax(x: np.ndarray, stats: tuple[np.ndarray, np.ndarray] | None = None
+             ) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    """Softmax over the last axis, and the row (max, sum) it divides by.
+
+    It forms ``exp(x - max) / sum`` over x's buffer, so callers pass a buffer
+    they own. Given the stats of an earlier call on the same values, it takes
+    that max and sum instead of reducing again, and returns that call's
+    probabilities bit for bit.
+    """
+    m, s = (x.max(axis=-1, keepdims=True), None) if stats is None else stats
+    x -= m
+    np.exp(x, out=x)
+    if s is None:
+        s = x.sum(axis=-1, keepdims=True)
+    x /= s
+    return x, (m, s)
 
 
 def _softmax_backward(p: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -440,7 +539,7 @@ def _softmax_backward(p: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 
 def softmax_lastdim(x: DiffTensor) -> DiffTensor:
-    out = _softmax(x.data)
+    out = _softmax(x.data.copy())[0]
 
     def backward_fn(g):
         return (_softmax_backward(out, g.copy()),)
@@ -505,9 +604,13 @@ def attention(x: DiffTensor, kv: DiffTensor, wq: DiffTensor, wk: DiffTensor, wv:
     rows, which ``bias`` should mask as keys. A layout that covers the whole
     grid places nothing.
 
-    The closure keeps the probabilities, and the data of ``x``, ``kv`` and
-    the weights where a gradient reads it; backward recomputes q, k and v
-    from them with the same GEMMs. ``kv``'s adjoint comes back on two edges,
+    The closure keeps no (B, heads, T, Tk) grid: it keeps the softmax's row
+    max and row sum, (B, heads, T, 1) each, the caller's ``bias``, and the
+    data of ``x``, ``kv`` and the weights where backward reads it. Backward
+    recomputes q and k with the same GEMMs, rebuilds the probabilities from
+    them and the two statistics with the forward's expressions, bit for bit,
+    and reuses q and k for the q and k gradients; it recomputes v where a
+    gradient reads it. ``kv``'s adjoint comes back on two edges,
     from k and from v, so ``backward`` adds q's, k's and v's terms in the
     order the ``matmul`` chain did, and the op's gradients equal the chain's.
     A ``kv`` read by several attention ops gets their terms in walk order,
@@ -554,36 +657,44 @@ def attention(x: DiffTensor, kv: DiffTensor, wq: DiffTensor, wk: DiffTensor, wv:
         grid = np.ascontiguousarray(t.transpose(0, 2, 1, 3))
         return grid.reshape(-1, d) if packed else grid.reshape(b, -1, d)
 
-    scores = np.matmul(split(_project(x.data, wq.data)),
-                       split(_project(kv.data, wk.data)).swapaxes(-1, -2))
-    scores *= scale
-    if bias is not None:
-        scores += bias
-    p = _softmax(scores)
+    def softmax(q, k, stats=None):  # the probabilities of split q and k rows, and their stats
+        scores = np.matmul(q, k.swapaxes(-1, -2))
+        scores *= scale
+        if bias is not None:
+            scores += bias
+        return _softmax(scores, stats)
+
+    p, stats = softmax(split(_project(x.data, wq.data)), split(_project(kv.data, wk.data)))
     out = merge(np.matmul(p, split(_project(kv.data, wv.data))), True)
 
-    # q's adjoint reads k and v, k's reads q and v, v's only p; a projection's
+    # Every gradient reads p, which backward rebuilds from q and k. q's
+    # adjoint reads k and v, k's reads q and v, v's only p; a projection's
     # input adjoint reads its weight, and the weight's reads its input.
     x_grad, kv_grad = x.requires_grad, kv.requires_grad
     wq_grad, wk_grad, wv_grad = wq.requires_grad, wk.requires_grad, wv.requires_grad
     q_grad, k_grad, v_grad = x_grad or wq_grad, kv_grad or wk_grad, kv_grad or wv_grad
-    xd = x.data if k_grad or wq_grad else None
-    kvd = kv.data if q_grad or k_grad or wv_grad else None
-    wqd = wq.data if k_grad or x_grad else None
-    wkd = wk.data if q_grad or kv_grad else None
+    xd, kvd, wqd, wkd = x.data, kv.data, wq.data, wk.data
     wvd = wv.data if q_grad or k_grad or kv_grad else None
 
     def backward_fn(g):
+        q, k = split(_project(xd, wqd)), split(_project(kvd, wkd))
+        p = softmax(q, k, stats)[0]
         gh = split(g)
+        g = None
+        gv = merge(np.matmul(p.swapaxes(-1, -2), gh), packed_kv) if v_grad else None
         gq = gk = None
         if q_grad or k_grad:
-            gs = _softmax_backward(p, np.matmul(gh, split(_project(kvd, wvd)).swapaxes(-1, -2)))
+            gs = np.matmul(gh, split(_project(kvd, wvd)).swapaxes(-1, -2))
+            gh = None
+            gs = _softmax_backward(p, gs)
+            p = None
             gs *= scale
             if q_grad:
-                gq = merge(np.matmul(gs, split(_project(kvd, wkd))), True)
+                gq = merge(np.matmul(gs, k), True)
+            k = None
             if k_grad:
-                gk = merge(np.matmul(gs.swapaxes(-1, -2), split(_project(xd, wqd))), packed_kv)
-        gv = merge(np.matmul(p.swapaxes(-1, -2), gh), packed_kv) if v_grad else None
+                gk = merge(np.matmul(gs.swapaxes(-1, -2), q), packed_kv)
+        q = k = p = gh = gs = None  # each was read for the last time above
 
         def through(gp, src, w, src_grad, w_grad):  # adjoints of src and w in src @ w
             if gp is None:
@@ -591,7 +702,9 @@ def attention(x: DiffTensor, kv: DiffTensor, wq: DiffTensor, wk: DiffTensor, wv:
             return _project_backward(gp, src if w_grad else None, w if src_grad else None)
 
         gx, gwq = through(gq, xd, wqd, x_grad, wq_grad)
+        gq = None
         gkv_k, gwk = through(gk, kvd, wkd, kv_grad, wk_grad)
+        gk = None
         gkv_v, gwv = through(gv, kvd, wvd, kv_grad, wv_grad)
         return (gx, gkv_k, gkv_v, gwq, gwk, gwv)
 

@@ -19,7 +19,7 @@ import io
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import BinaryIO, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -51,6 +51,8 @@ PROVENANCES = ("shallow-baseline", "nodegae", "random")
 # each row block of its count matrix (16 MiB of float64).
 SHALLOW_VOCAB = 2048
 SHALLOW_BLOCK_CELLS = 1 << 21
+# Rows per write of embeddings_file's writer; bounds the text it holds at once.
+EMBEDDINGS_WRITE_ROWS = 1024
 
 
 @dataclass
@@ -79,16 +81,25 @@ class EmbeddingMatrix:
         return self.matrix.shape[1]
 
 
-def embeddings_file(embeddings: EmbeddingMatrix, path) -> Tuple[Path, str]:
-    """The (path, text) of an embeddings file, as textcorpus.replace_files takes them.
+def embeddings_file(embeddings: EmbeddingMatrix, path
+                    ) -> Tuple[Path, Callable[[BinaryIO], None]]:
+    """The (path, writer) of an embeddings file, as textcorpus.replace_files takes them.
 
     Text format: a "rows dim provenance" header, then one row per line, each
-    entry written as the repr of its float.
+    entry written as the repr of its float, every line ending in a newline.
+    The writer formats and writes EMBEDDINGS_WRITE_ROWS rows at a time, so it
+    never holds the whole text.
     """
-    lines = [f"{embeddings.num_rows} {embeddings.dim} {embeddings.provenance}"]
-    lines += [" ".join(map(repr, row.tolist())) for row in embeddings.matrix]
-    lines.append("")  # so the text ends with a newline
-    return Path(path), "\n".join(lines)
+    matrix = embeddings.matrix
+    header = f"{embeddings.num_rows} {embeddings.dim} {embeddings.provenance}\n"
+
+    def write(fh: BinaryIO) -> None:
+        fh.write(header.encode("utf-8"))
+        for start in range(0, matrix.shape[0], EMBEDDINGS_WRITE_ROWS):
+            rows = matrix[start:start + EMBEDDINGS_WRITE_ROWS].tolist()
+            fh.write("".join(" ".join(map(repr, row)) + "\n" for row in rows).encode("utf-8"))
+
+    return Path(path), write
 
 
 def save_embeddings(embeddings: EmbeddingMatrix, path) -> None:

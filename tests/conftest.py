@@ -85,12 +85,14 @@ def grid_attention(x, kv, wq, wk, wv, heads, bias=None):
     return dc.reshape(out, (b, tq, wq.shape[1]))
 
 
-def edit_checkpoint(path, edit_meta=None, drop=()):
+def edit_checkpoint(path, edit_meta=None, drop=(), add=None):
     """Rewrite the checkpoint npz at path: edit_meta(meta) changes its __meta__
-    block in place, and the "t:<name>" entry of each name in drop goes."""
+    block in place, the "t:<name>" entry of each name in drop goes, and each
+    name: array of add becomes a "t:<name>" entry."""
     gone = {"t:" + name for name in drop}
     with np.load(path, allow_pickle=False) as bundle:
         payload = {k: bundle[k] for k in bundle.files if k not in gone}
+    payload.update({"t:" + name: array for name, array in (add or {}).items()})
     meta = json.loads(str(payload["__meta__"]))
     if edit_meta is not None:
         edit_meta(meta)

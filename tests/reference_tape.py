@@ -4,8 +4,8 @@ It copies every adjoint a backward closure returns and sums with fresh
 arrays only, so no buffer is ever shared or written in place. It visits
 nodes in diffcore's own topological order, so every sum associates exactly
 as in ``backward`` and the two must agree bit for bit. It also keeps the
-op chains that the fused graph-layer, dropout and attention ops replaced,
-and the padded stage-1 forward that the packed one replaced.
+op chains that the fused graph-layer, dropout, attention and feed-forward
+ops replaced, and the padded stage-1 forward that the packed one replaced.
 """
 
 import numpy as np
@@ -62,6 +62,11 @@ def chain_dropout(x, keep_mask, keep):
     return dc.mul(x, dc.constant(keep_mask.astype(np.float64) / keep))
 
 
+def chain_feed_forward(x, w1, b1, w2, b2):
+    """The matmul, gelu, matmul chain that diffcore.feed_forward replaces."""
+    return dc.matmul(dc.gelu(dc.matmul(x, w1, b1)), w2, b2)
+
+
 def qkv_attention(q, k, v, heads, bias, layout):
     """dc.attention before it projected its own q, k and v: one recorded op on projected
     packed q rows, and k and v as packed rows on q's layout or (B, Tk, d) memory."""
@@ -89,7 +94,8 @@ def qkv_attention(q, k, v, heads, bias, layout):
     scores *= scale
     if bias is not None:
         scores += bias
-    p = dc._softmax(scores)
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    p = e / e.sum(axis=-1, keepdims=True)
     out = merge(np.matmul(p, split(v.data)), True)
 
     def backward_fn(g):
@@ -135,8 +141,7 @@ def _padded_block_attention(q_src, kv_src, params, prefix, heads, bias=None):
 
 
 def _padded_feed_forward(x, params, prefix):
-    h = dc.gelu(dc.matmul(x, params[prefix + ".w1"], params[prefix + ".b1"]))
-    return dc.matmul(h, params[prefix + ".w2"], params[prefix + ".b2"])
+    return chain_feed_forward(x, *(params[f"{prefix}.{name}"] for name in ("w1", "b1", "w2", "b2")))
 
 
 def _ln(x, params, prefix):

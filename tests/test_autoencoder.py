@@ -1,6 +1,7 @@
 """Tests for the text autoencoder: forward oracles, losses, pretraining."""
 
 import math
+import re
 import tracemalloc
 import weakref
 
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 from scipy.special import erf
 
-from conftest import edit_checkpoint, saved_arrays
+from conftest import edit_checkpoint, kept_inputs, saved_arrays
 from fdcheck import assert_grads_close, finite_diff_grads
 from reference_tape import (padded_decoder_logits, padded_encoder_hidden,
                             padded_pretrain_loss)
@@ -764,6 +765,42 @@ def test_load_refuses_optimizer_block_with_other_keys(tmp_path, edit):
         ae.load_model(path)
 
 
+@pytest.mark.parametrize("edit", ["drop", "add"])
+def test_load_refuses_config_block_with_other_keys(tmp_path, edit):
+    # A dropped key once took ModelConfig's default, so this 3-layer, 8-head
+    # checkpoint loaded as 2 layers and 4 heads; an added key raised TypeError.
+    graph = toy_graph()
+    model = model_for(graph, enc_layers=3, heads=8)
+    path = tmp_path / "model.npz"
+    ae.save_model(path, model, dc.AdamState.for_params(model.parameters(), base_lr=1e-3))
+    keys = ["enc_layers", "heads"] if edit == "drop" else ["dropout"]
+
+    def edit_config(meta):
+        for key in keys:
+            if edit == "drop":
+                del meta["config"][key]
+            else:
+                meta["config"][key] = 0.1
+
+    edit_checkpoint(path, edit_config)
+    with pytest.raises(ContractError) as caught:
+        ae.load_model(path)
+    assert str(path) in str(caught.value)
+    assert all(key in str(caught.value) for key in keys)
+
+
+@pytest.mark.parametrize("name", ["enc.l9.ff.w1", "opt.m.enc.l9.ff.w1", "opt.x.lm_head"])
+def test_load_refuses_a_tensor_that_names_no_parameter(tmp_path, name):
+    graph = toy_graph()
+    model = model_for(graph)
+    path = tmp_path / "model.npz"
+    ae.save_model(path, model, dc.AdamState.for_params(model.parameters(), base_lr=1e-3))
+    edit_checkpoint(path, add={name: np.zeros((8, 16))})
+    with pytest.raises(ContractError, match=re.escape(name)) as caught:
+        ae.load_model(path)
+    assert str(path) in str(caught.value)
+
+
 def test_load_detects_missing_parameter(tmp_path):
     graph = toy_graph()
     model = model_for(graph)
@@ -813,14 +850,23 @@ def test_combined_loss_passes_finite_difference_check():
         assert_grads_close(a, n, rtol=1e-4, context=name)
 
 
-def test_pretrain_loss_records_one_attention_op_per_block(recorded_ops):
+def test_pretrain_loss_records_one_attention_op_per_block(recorded_ops, monkeypatch):
     # 2 encoder self-attentions + 2 decoder layers x (self, cross) = 6, each
-    # projecting its own q, k and v. Matmuls: each attention's output
-    # projection (6), the two feed-forward GEMMs of each of the 4 layers, with
-    # their biases (8), the latent projection (2), the LM head and InfoNCE's
-    # similarity GEMM = 18. Layer norms: 2 x 2 in the encoder, 2 x 3 in the
-    # decoder, and one after each stack = 12. Pooling places the packed rows
-    # in the grid with one to_grid op. 78 recorded ops in all.
+    # projecting its own q, k and v, and one feed_forward op in each of the 4
+    # layers. Matmuls: each attention's output projection (6), the latent
+    # projection (2), the LM head and InfoNCE's similarity GEMM = 10. Layer
+    # norms: 2 x 2 in the encoder, 2 x 3 in the decoder, and one after each
+    # stack = 12. Pooling places the packed rows in the grid with one to_grid
+    # op. 70 recorded ops in all.
+    biases = {}  # id of an attention output: the bias array its caller passed
+    attention = dc.attention
+
+    def spy(*args):
+        out = attention(*args)
+        biases[id(out)] = args[6]
+        return out
+
+    monkeypatch.setattr(dc, "attention", spy)
     graph = toy_graph()
     model = model_for(graph, enc_layers=2, dec_layers=2)
     cfg = ae.InfoNCEConfig()
@@ -831,32 +877,39 @@ def test_pretrain_loss_records_one_attention_op_per_block(recorded_ops):
     output_of = {id(t._node): t for t in recorded_ops if t._node is not None}
     ops = [node.op for node in nodes]
     assert ops.count("attention") == 6
+    assert ops.count("feed_forward") == 4
     assert ops.count("layer_norm") == 12
-    assert ops.count("matmul") == 18
-    assert sum(node.op == "matmul" and len(node.parents) == 3 for node in nodes) == 8
-    assert len(nodes) == 78
-    assert "linear" not in ops
-    assert "softmax_lastdim" not in ops
-    assert "layernorm_lastdim" not in ops
+    assert ops.count("matmul") == 10
+    assert not [node for node in nodes if node.op == "matmul" and len(node.parents) == 3]
+    assert len(nodes) == 70
+    for gone in ("linear", "gelu", "softmax_lastdim", "layernorm_lastdim"):
+        assert gone not in ops
     (grid,) = [output_of[id(node)] for node in nodes if node.op == "to_grid"]
     rows, t, _ = grid.shape
-    # Attention keeps its probabilities, (B, heads, T, Tk), and no q, k or v.
-    # Beside them it keeps only its inputs' data and the integer grid indices
-    # of its packed rows.
-    shapes = []
+    # Attention keeps its softmax's row max and row sum, (B, heads, T, 1) each,
+    # and no q, k, v or probabilities. Beside them it keeps only its inputs'
+    # data, its caller's bias and the integer grid indices of its packed rows.
+    # The feed-forward op keeps its input's data and one (n, ff) array.
+    shapes, hidden = [], []
     for node in nodes:
+        out = output_of.get(id(node))
+        inputs = [output_of.get(id(p), p) for p in node.parents]
         if node.op == "attention":
-            out = output_of[id(node)]
-            inputs = [output_of.get(id(p), p) for p in node.parents]
-            saved = saved_arrays(out, inputs)
-            (p,) = [a for a in saved if a.dtype == np.float64]
+            bias = biases[id(out)]
+            saved = saved_arrays(out, inputs + ([] if bias is None else [dc.constant(bias)]))
+            stats = [a for a in saved if a.dtype == np.float64]
             assert all(a.dtype.kind == "i" and a.shape == (out.shape[0],)
-                       for a in saved if a is not p)
-            shapes.append(p.shape)
-    heads, slots = model.config.heads, model.config.proj_len
-    assert shapes.count((rows, heads, t, t)) == 2
-    assert shapes.count((len(batch), heads, t, t)) == 2
-    assert shapes.count((len(batch), heads, t, slots)) == 2
+                       for a in saved if a.dtype != np.float64)
+            shapes += [a.shape for a in stats]
+        elif node.op == "feed_forward":
+            assert kept_inputs(out, inputs) == [0, 1, 2, 3]
+            (cdf,) = saved_arrays(out, inputs)
+            hidden.append(cdf.shape)
+    heads, ff = model.config.heads, model.config.ff_mult * model.config.d_enc
+    assert len(shapes) == 12
+    assert shapes.count((rows, heads, t, 1)) == 4
+    assert shapes.count((len(batch), heads, t, 1)) == 8
+    assert len(hidden) == 4 and all(shape[1] == ff for shape in hidden)
 
 
 def test_backward_of_a_term_sharing_a_walked_encoder_raises_and_changes_no_grad():

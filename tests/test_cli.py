@@ -527,6 +527,19 @@ def test_embed_tampered_checkpoint_exits_two(dataset, pretrained, tmp_path, caps
     assert "lm_head" in capsys.readouterr().err
 
 
+def test_embed_checkpoint_with_an_unknown_config_key_exits_two(dataset, pretrained, tmp_path,
+                                                              capsys):
+    bad = tmp_path / "extra.npz"
+    shutil.copy(pretrained / "model.npz", bad)
+    edit_checkpoint(bad, lambda meta: meta["config"].update(dropout=0.1))
+    rc = main(["embed", "--dataset", str(dataset), "--checkpoint", str(bad),
+               "--out", str(tmp_path / "e.txt")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("runtime error:") and str(bad) in err and "dropout" in err
+    assert not (tmp_path / "e.txt").exists()
+
+
 def test_embed_unreadable_checkpoint_exits_two(dataset, tmp_path, capsys):
     bad = tmp_path / "x.npz"
     bad.write_text("not an archive\n")
@@ -951,8 +964,9 @@ def test_pretrain_blow_up_exits_two_and_gelu_prints_no_warning(tmp_path):
     # a total loss near 4e14 after 500 steps, and exits 0. At 1e60 the second
     # step feeds gelu inputs near 1e60 and then reaches a non-finite gradient
     # norm. The layernorm, matmul and softmax overflow warnings it prints must
-    # not be joined by any from gelu: its erf clamps |x| to 6 before x^2 and
-    # the polynomials could overflow.
+    # not be joined by any from the GELU code that dc.gelu and dc.feed_forward
+    # share: its erf clamps |x| to 6 before x^2 and the polynomials could
+    # overflow.
     data, out = tmp_path / "data", tmp_path / "run"
     assert main(["generate", "--out", str(data), "--nodes", "64", "--seed", "0"]) == 0
     rc, _, _, err = fresh_main(["pretrain", "--dataset", str(data), "--out-dir", str(out),
@@ -963,6 +977,6 @@ def test_pretrain_blow_up_exits_two_and_gelu_prints_no_warning(tmp_path):
     assert not out.exists()
     warned = [int(line) for line in re.findall(r"diffcore\.py:(\d+): RuntimeWarning", err)]
     assert warned, err
-    for fn in (dc.gelu, dc._erf, dc._polevl, dc._p1evl):
+    for fn in (dc.gelu, dc._gelu_cdf, dc._gelu_slope, dc._erf, dc._polevl, dc._p1evl):
         lines, first = inspect.getsourcelines(fn)
         assert not set(warned) & set(range(first, first + len(lines))), fn.__name__

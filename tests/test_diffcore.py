@@ -19,8 +19,8 @@ from nodegae.errors import ContractError, DimensionError, NodeGaeError
 
 from conftest import grid_attention, kept_inputs, saved_arrays
 from fdcheck import assert_grads_close, finite_diff_grads, nudge_from_kinks
-from reference_tape import (chain_attention, chain_dropout, chain_graph_layer, qkv_attention,
-                            reference_leaf_grads)
+from reference_tape import (chain_attention, chain_dropout, chain_feed_forward,
+                            chain_graph_layer, qkv_attention, reference_leaf_grads)
 
 SEEDS = range(10)
 
@@ -424,18 +424,29 @@ def _closure_cases():
         "cross_entropy_logits": (lambda P, C: (P(3, 4),),
                                  lambda x: dc.cross_entropy_logits(x, np.array([0, 2, 1])),
                                  [0], [("b", (3,)), ("f", (3,)), ("i", (3,)), ("i", (3,))]),
+        # Attention keeps its softmax's row max and row sum, never a (B, heads, T, Tk)
+        # grid, and always the data that q and k are recomputed from.
         "attention": (lambda P, C: (P(6, 3), P(2, 5, 2), P(3, 4), P(2, 4), P(2, 4)),
                       lambda *ts: dc.attention(*ts, 2, None, FULL_LAYOUT),
-                      [0, 1, 2, 3, 4], [("f", (2, 2, 3, 5))]),
+                      [0, 1, 2, 3, 4], [("f", (2, 2, 3, 1)), ("f", (2, 2, 3, 1))]),
         "attention_constant_kv": (lambda P, C: (P(6, 3), C(2, 5, 2), C(3, 4), C(2, 4), C(2, 4)),
                                   lambda *ts: dc.attention(*ts, 2, None, FULL_LAYOUT),
-                                  [1, 2, 3, 4], [("f", (2, 2, 3, 5))]),
+                                  [0, 1, 2, 3, 4], [("f", (2, 2, 3, 1)), ("f", (2, 2, 3, 1))]),
         "attention_packed": (lambda P, C: (P(5, 3), P(3, 4), P(3, 4), P(3, 4)),
                              lambda x, *ws: dc.attention(x, x, *ws, 2, None, PACKED_LAYOUT),
-                             [0, 1, 2, 3], [("f", (2, 2, 3, 3)), ("i", (5,)), ("i", (5,))]),
+                             [0, 1, 2, 3], [("f", (2, 2, 3, 1)), ("f", (2, 2, 3, 1)), ("i", (5,)), ("i", (5,))]),
         "attention_trainable_wv": (lambda P, C: (C(6, 3), C(2, 5, 2), C(3, 4), C(2, 4), P(2, 4)),
                                    lambda *ts: dc.attention(*ts, 2, None, FULL_LAYOUT),
-                                   [1], [("f", (2, 2, 3, 5))]),
+                                   [0, 1, 2, 3], [("f", (2, 2, 3, 1)), ("f", (2, 2, 3, 1))]),
+        # The feed-forward op keeps x's data and the GELU cdf, one (n, ff) array.
+        "feed_forward": (lambda P, C: (P(3, 4), P(4, 6), P(6), P(6, 5), P(5)), dc.feed_forward,
+                         [0, 1, 2, 3], [("f", (3, 6))]),
+        "feed_forward_3d_constant_input": (lambda P, C: (C(2, 3, 4), P(4, 6), P(6), P(6, 5), P(5)),
+                                           dc.feed_forward, [0, 1, 2, 3], [("f", (2, 3, 6))]),
+        "feed_forward_trainable_w2": (lambda P, C: (C(3, 4), C(4, 6), C(6), P(6, 5), C(5)),
+                                      dc.feed_forward, [0, 1, 2], [("f", (3, 6))]),
+        "feed_forward_trainable_b2": (lambda P, C: (C(3, 4), C(4, 6), C(6), C(6, 5), P(5)),
+                                      dc.feed_forward, [], []),
         "graph_layer_gcn": (lambda P, C: (C(4, 3), P(3, 2)),
                             lambda x, w: dc.graph_layer(SPARSE_OPERATOR, x, w, relu=True),
                             [], [("b", (4, 2)), ("f", (4, 3))]),
@@ -500,15 +511,34 @@ def test_tape_keeps_only_the_outputs_a_backward_reads():
         assert leaf.grad.tobytes() == want[id(leaf)].tobytes()
 
 
-def test_attention_keeps_only_its_probabilities():
-    """Beside its inputs' data it keeps p, and no q, k or v: backward recomputes them."""
+def test_attention_keeps_only_its_softmax_statistics():
+    """Beside its inputs' data, the caller's bias and the packed rows' grid indices it
+    keeps the softmax's row max and row sum, (B, heads, T, 1) each, and no q, k, v or
+    probabilities: backward rebuilds them. They are the max and the sum of exp(s - max)
+    over each row of the scores s."""
     rng = np.random.default_rng(12)
-    inputs = [dc.parameter(rng.standard_normal(s))
-              for s in ((6, 3), (2, 5, 2), (3, 4), (2, 4), (2, 4))]
-    out = dc.attention(*inputs, 2, None, FULL_LAYOUT)
-    (p,) = saved_arrays(out, inputs)
-    assert p.shape == (2, 2, 3, 5)
-    np.testing.assert_allclose(p.sum(axis=-1), 1.0, rtol=0, atol=1e-15)
+    inputs = [dc.parameter(rng.standard_normal(s)) for s in ((5, 3), (3, 4), (3, 4), (3, 4))]
+    x, wq, wk, wv = inputs
+    out = dc.attention(x, x, wq, wk, wv, 2, PADDED_KEY_BIAS, PACKED_LAYOUT)
+    bias = dc.constant(PADDED_KEY_BIAS)
+    assert bias.data is PADDED_KEY_BIAS
+    assert kept_inputs(out, inputs + [bias]) == [0, 1, 2, 3, 4]
+    saved = saved_arrays(out, inputs + [bias])
+    row_max, row_sum = [a for a in saved if a.dtype == np.float64]
+    assert sorted(a.dtype.kind for a in saved) == ["f", "f", "i", "i"]
+
+    def grid(t):  # packed rows -> (B, heads, T, dh), zero rows where the layout has none
+        g = np.zeros((6, 4))
+        g[PACKED_LAYOUT[2]] = t
+        return g.reshape(2, 3, 2, 2).transpose(0, 2, 1, 3)
+
+    scores = grid(x.data @ wq.data) @ grid(x.data @ wk.data).swapaxes(-1, -2)
+    scores = scores / np.sqrt(2.0) + PADDED_KEY_BIAS
+    want_max = scores.max(axis=-1, keepdims=True)
+    assert row_max.shape == row_sum.shape == (2, 2, 3, 1)
+    np.testing.assert_allclose(row_max, want_max, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(row_sum, np.exp(scores - want_max).sum(axis=-1, keepdims=True),
+                               rtol=1e-12)
 
 
 def test_layer_norm_keeps_its_normalised_rows_and_inverse_std():
@@ -554,6 +584,27 @@ def test_fused_op_equals_its_chain_bit_for_bit(name, lead, trainable):
     weights = rng.standard_normal(fused(*(dc.constant(a) for a in arrays)).shape)
     assert (_leaf_grads(fused, arrays, trainable, weights)
             == _leaf_grads(chain, arrays, trainable, weights))
+
+
+FEED_FORWARD_INPUTS = ("x", "w1", "b1", "w2", "b2")
+
+
+@pytest.mark.parametrize("lead", [(5,), (2, 3)])
+@pytest.mark.parametrize("trainable", list(itertools.product((True, False), repeat=5)),
+                         ids=lambda flags: "".join("PC"[not t] for t in flags))
+def test_feed_forward_equals_its_chain_bit_for_bit(lead, trainable):
+    """The chain is matmul with b1, gelu, then matmul with b2. Values and the gradient
+    of every trainable subset of x, w1, b1, w2 and b2 agree bit for bit. The hidden
+    spans both of erf's forms and its clamp, and the inputs hold signed zeros."""
+    rng = np.random.default_rng(18)
+    arrays = [rng.standard_normal(lead + (4,)) * 2.0, rng.standard_normal((4, 7)),
+              rng.standard_normal(7), rng.standard_normal((7, 5)), rng.standard_normal(5)]
+    arrays[0].reshape(-1, 4)[0] *= 10.0  # one row of hidden values past the clamp at 6
+    for arr in arrays:
+        arr.reshape(-1)[::6] = -0.0
+    weights = rng.standard_normal(lead + (5,))
+    assert (_leaf_grads(dc.feed_forward, arrays, trainable, weights)
+            == _leaf_grads(chain_feed_forward, arrays, trainable, weights))
 
 
 def _graph_inputs():
@@ -654,6 +705,18 @@ def test_fused_ops_check_shapes():
         dc.layer_norm(x, dc.constant(np.ones(3)), dc.constant(np.zeros(4)))
     with pytest.raises(DimensionError):
         dc.layer_norm(x, dc.constant(np.ones(4)), dc.constant(np.zeros((5, 2, 3, 4))))
+    w1, b1, w2, b2 = (dc.constant(np.zeros(s)) for s in ((4, 6), (6,), (6, 5), (5,)))
+    assert dc.feed_forward(x, w1, b1, w2, b2).shape == (2, 3, 5)
+    for args in [
+        (dc.constant(np.zeros(4)), w1, b1, w2, b2),  # x is no matrix
+        (dc.constant(np.zeros((2, 5))), w1, b1, w2, b2),  # w1 does not take x's width
+        (x, dc.constant(np.zeros((2, 4, 6))), b1, w2, b2),  # w1 is no 2-D weight
+        (x, w1, b1, dc.constant(np.zeros((5, 5))), b2),  # w2 does not take w1's width
+        (x, w1, dc.constant(np.zeros((1, 6))), w2, b2),  # b1 is no vector
+        (x, w1, b1, w2, dc.constant(np.zeros(6))),  # b2 is not w2's width
+    ]:
+        with pytest.raises(DimensionError, match="feed_forward"):
+            dc.feed_forward(*args)
 
 
 @given(seed=st.integers(0, 2 ** 32 - 1), rows=st.integers(1, 6), width=st.integers(0, 4),
@@ -1036,6 +1099,15 @@ def make_op_cases(rng):
          lambda *ts: dc.attention(*ts, 2, None, PACKED_LAYOUT)),
         ("to_grid", [sn((5, 4))], lambda x: dc.to_grid(x, PACKED_LAYOUT)),
         ("to_grid_full", [sn((6, 4))], lambda x: dc.to_grid(x, (2, 3, np.arange(6)))),
+    ]
+    # Drawn after every case above, so their random streams do not move.
+    c46 = dc.constant(sn((4, 6)))
+    cases += [
+        ("feed_forward", [sn((3, 4)), sn((4, 6)), sn(6), sn((6, 5)), sn(5)], dc.feed_forward),
+        ("feed_forward_3d_const_w1", [sn((2, 3, 4)), sn(6), sn((6, 5)), sn(5)],
+         lambda x, b1, w2, b2: dc.feed_forward(x, c46, b1, w2, b2)),
+        ("feed_forward_const_input", [sn((4, 6)), sn(6), sn((6, 5)), sn(5)],
+         lambda w1, b1, w2, b2: dc.feed_forward(c34, w1, b1, w2, b2)),
     ]
     return cases
 

@@ -1,5 +1,6 @@
 """Tests for frozen-embedding models: graph layers, scorers, training loops."""
 
+import io
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -179,14 +180,60 @@ def hard_rows(seed, rows, dim):
 
 @pytest.mark.parametrize("seed, rows, dim",
                          [(0, 1, 1), (1, 40, 7), (2, 300, 64), (3, 5, 200), (4, 20, 1)])
-def test_embeddings_file_and_load_equal_the_per_float_format(tmp_path, seed, rows, dim):
+def test_embeddings_file_and_load_equal_the_per_float_format(tmp_path, monkeypatch, seed, rows,
+                                                             dim):
     matrix = hard_rows(seed, rows, dim)
     emb = ds.EmbeddingMatrix(matrix, provenance="nodegae")
-    path, text = ds.embeddings_file(emb, tmp_path / "emb.txt")
-    assert text == reference_embeddings_text(matrix, "nodegae")
+    path, write = ds.embeddings_file(emb, tmp_path / "emb.txt")
+    text = reference_embeddings_text(matrix, "nodegae").encode("utf-8")
+    assert written(write) == text
+    monkeypatch.setattr(ds, "EMBEDDINGS_WRITE_ROWS", 7)  # chunks with a short last one
+    assert written(write) == text
     ds.save_embeddings(emb, path)
-    assert path.read_bytes() == text.encode("utf-8")
+    assert path.read_bytes() == text
     assert loaded(path) == reference_load(path) == (matrix.tobytes(), "nodegae")
+
+
+def written(write):
+    """The bytes an embeddings_file writer writes."""
+    buffer = io.BytesIO()
+    write(buffer)
+    return buffer.getvalue()
+
+
+@pytest.mark.parametrize("rows, dim", [(0, 3), (3, 0), (1024, 2), (1025, 2), (2049, 1)])
+def test_embeddings_file_writes_whole_and_partial_chunks_as_the_per_float_format(rows, dim):
+    matrix = hard_rows(rows, rows, dim)
+    _, write = ds.embeddings_file(ds.EmbeddingMatrix(matrix, "random"), "unused.txt")
+    assert written(write) == reference_embeddings_text(matrix, "random").encode("utf-8")
+
+
+class _CountingSink:
+    """A binary file that keeps only the number of bytes written to it."""
+
+    size = 0
+
+    def write(self, data):
+        self.size += len(data)
+        return len(data)
+
+
+def test_embeddings_file_never_holds_the_whole_text():
+    matrix = np.random.default_rng(5).standard_normal((20000, 64))
+    _, write = ds.embeddings_file(ds.EmbeddingMatrix(matrix, "random"), "unused.txt")
+    sink = _CountingSink()
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        write(sink)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert sink.size > 20e6  # about 19 characters per entry
+    assert peak < sink.size / 4
 
 
 # Files the one-call parse must not read differently from the per-line one: odd
