@@ -454,8 +454,8 @@ def feed_forward(x: DiffTensor, w1: DiffTensor, b1: DiffTensor, w2: DiffTensor,
     bit. The closure keeps x's data and the GELU cdf, one (n, ff) array, and
     the weights' data where a gradient reads it. Backward recomputes
     ``h = x @ w1 + b1`` (one GEMM) and ``h * cdf`` for w2's gradient, then
-    forms the GELU slope in that buffer and drops h and the cdf before it
-    builds the gradients of x, w1 and b1.
+    forms the GELU slope in that buffer and drops h before it builds the
+    gradients of x, w1 and b1.
     """
     if x.ndim < 2 or w1.ndim != 2 or x.shape[-1] != w1.shape[0]:
         raise DimensionError(f"feed_forward: cannot multiply shapes {x.shape} and {w1.shape}")
@@ -473,20 +473,18 @@ def feed_forward(x: DiffTensor, w1: DiffTensor, b1: DiffTensor, w2: DiffTensor,
     out = _project(act, w2.data)
     out += b2.data
 
-    w2_grad = w2.requires_grad
+    x_grad, w1_grad, w2_grad = x.requires_grad, w1.requires_grad, w2.requires_grad
     sb1 = b1.shape if b1.requires_grad else None
     sb2 = b2.shape if b2.requires_grad else None
-    # The hidden's adjoint is formed when x, w1 or b1 needs a gradient; it
-    # reads w2 and the slope. The slope and w2's gradient read h and the cdf.
-    hidden_grad = x.requires_grad or w1.requires_grad or sb1 is not None
+    # The hidden's adjoint, which x's, w1's and b1's gradients read, reads w2
+    # and the slope; the slope and w2's gradient read h and the cdf.
+    hidden_grad = x_grad or w1_grad or sb1 is not None
     keep = hidden_grad or w2_grad
     xd, w1d, b1d = (x.data, w1.data, b1.data) if keep else (None, None, None)
     cdf = cdf if keep else None
     w2d = w2.data if hidden_grad else None
-    x_grad, w1_grad = x.requires_grad, w1.requires_grad
 
     def backward_fn(g):
-        nonlocal xd, cdf
         gb2 = None if sb2 is None else _unbroadcast(g, sb2)
         if not keep:
             return (None, None, None, None, gb2)
@@ -497,13 +495,12 @@ def feed_forward(x: DiffTensor, w1: DiffTensor, b1: DiffTensor, w2: DiffTensor,
         if not hidden_grad:
             return (None, None, None, gw2, gb2)
         slope = _gelu_slope(h, cdf, out=act)
-        h = act = cdf = None  # read for the last time above
+        h = act = None  # read for the last time above
         gh = _project_backward(g, None, w2d)[0]
         g = None
         gh *= slope
         slope = None
         gw1 = _project_backward(gh, xd, None)[1] if w1_grad else None
-        xd = None
         gx = _project_backward(gh, None, w1d)[0] if x_grad else None
         return (gx, gw1, None if sb1 is None else _unbroadcast(gh, sb1), gw2, gb2)
 
@@ -657,14 +654,14 @@ def attention(x: DiffTensor, kv: DiffTensor, wq: DiffTensor, wk: DiffTensor, wv:
         grid = np.ascontiguousarray(t.transpose(0, 2, 1, 3))
         return grid.reshape(-1, d) if packed else grid.reshape(b, -1, d)
 
-    def softmax(q, k, stats=None):  # the probabilities of split q and k rows, and their stats
+    def probabilities(q, k, stats=None):  # of split q and k rows, with their softmax stats
         scores = np.matmul(q, k.swapaxes(-1, -2))
         scores *= scale
         if bias is not None:
             scores += bias
         return _softmax(scores, stats)
 
-    p, stats = softmax(split(_project(x.data, wq.data)), split(_project(kv.data, wk.data)))
+    p, stats = probabilities(split(_project(x.data, wq.data)), split(_project(kv.data, wk.data)))
     out = merge(np.matmul(p, split(_project(kv.data, wv.data))), True)
 
     # Every gradient reads p, which backward rebuilds from q and k. q's
@@ -678,7 +675,7 @@ def attention(x: DiffTensor, kv: DiffTensor, wq: DiffTensor, wk: DiffTensor, wv:
 
     def backward_fn(g):
         q, k = split(_project(xd, wqd)), split(_project(kvd, wkd))
-        p = softmax(q, k, stats)[0]
+        p = probabilities(q, k, stats)[0]
         gh = split(g)
         g = None
         gv = merge(np.matmul(p.swapaxes(-1, -2), gh), packed_kv) if v_grad else None
@@ -702,9 +699,7 @@ def attention(x: DiffTensor, kv: DiffTensor, wq: DiffTensor, wk: DiffTensor, wv:
             return _project_backward(gp, src if w_grad else None, w if src_grad else None)
 
         gx, gwq = through(gq, xd, wqd, x_grad, wq_grad)
-        gq = None
         gkv_k, gwk = through(gk, kvd, wkd, kv_grad, wk_grad)
-        gk = None
         gkv_v, gwv = through(gv, kvd, wvd, kv_grad, wv_grad)
         return (gx, gkv_k, gkv_v, gwq, gwk, gwv)
 

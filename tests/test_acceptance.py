@@ -186,6 +186,11 @@ def _op_gradient_cases(rng):
         ("linear_3d", lambda: dc.matmul(mb, x44, b), [mb, x44, b]),
         ("layer_norm", lambda: dc.layer_norm(m1, b, a), [m1, b, a]),
         ("layer_norm_3d", lambda: dc.layer_norm(x234, b, a), [x234, b, a]),
+        # The feed-forward block reuses them as well: x44 and b are w1 and b1, and
+        # the transpose of w34k and the row c3 are w2 and b2.
+        ("feed_forward",
+         lambda: dc.feed_forward(mb, x44, b, dc.transpose(w34k, (1, 0)), dc.reshape(c3, (3,))),
+         [mb, x44, b, w34k, c3]),
     ]
 
 

@@ -434,7 +434,8 @@ def _closure_cases():
                                   [0, 1, 2, 3, 4], [("f", (2, 2, 3, 1)), ("f", (2, 2, 3, 1))]),
         "attention_packed": (lambda P, C: (P(5, 3), P(3, 4), P(3, 4), P(3, 4)),
                              lambda x, *ws: dc.attention(x, x, *ws, 2, None, PACKED_LAYOUT),
-                             [0, 1, 2, 3], [("f", (2, 2, 3, 1)), ("f", (2, 2, 3, 1)), ("i", (5,)), ("i", (5,))]),
+                             [0, 1, 2, 3],
+                             [("f", (2, 2, 3, 1)), ("f", (2, 2, 3, 1)), ("i", (5,)), ("i", (5,))]),
         "attention_trainable_wv": (lambda P, C: (C(6, 3), C(2, 5, 2), C(3, 4), C(2, 4), P(2, 4)),
                                    lambda *ts: dc.attention(*ts, 2, None, FULL_LAYOUT),
                                    [0, 1, 2, 3], [("f", (2, 2, 3, 1)), ("f", (2, 2, 3, 1))]),
@@ -584,9 +585,6 @@ def test_fused_op_equals_its_chain_bit_for_bit(name, lead, trainable):
     weights = rng.standard_normal(fused(*(dc.constant(a) for a in arrays)).shape)
     assert (_leaf_grads(fused, arrays, trainable, weights)
             == _leaf_grads(chain, arrays, trainable, weights))
-
-
-FEED_FORWARD_INPUTS = ("x", "w1", "b1", "w2", "b2")
 
 
 @pytest.mark.parametrize("lead", [(5,), (2, 3)])
