@@ -45,8 +45,9 @@ __all__ = [
 ]
 
 MASK_BIAS = -1e30
-# Rows per encode_batch call in extract_embeddings; bounds its peak memory.
-EXTRACT_BATCH = 256
+# Packed token rows per encode_batch call in extract_embeddings (or one node),
+# so extraction peaks below a default pretrain_step under tracemalloc.
+EXTRACT_ROWS = 512
 
 
 @dataclass
@@ -184,15 +185,15 @@ def _layer_norm(x, params, prefix):
     return dc.layer_norm(x, params[prefix + ".g"], params[prefix + ".b"])
 
 
-def _attention(x, kv, params, prefix, heads, bias, layout):
+def _attention(x, kv, params, prefix, heads, biases, layout):
     """Multi-head attention with input and output projections over packed rows.
 
     x holds the rows at layout's positions, and so does a 2-D kv; a 3-D kv
-    is the (B, slots, d) memory. bias is an additive numpy mask that
-    broadcasts to (B, heads, Tq, Tk).
+    is the (B, slots, d) memory. biases is a tuple of additive numpy masks
+    that each broadcast to (B, heads, Tq, Tk).
     """
     w = [params[f"{prefix}.{name}"] for name in ("wq", "wk", "wv")]
-    return dc.matmul(dc.attention(x, kv, *w, heads, bias, layout), params[prefix + ".wo"])
+    return dc.matmul(dc.attention(x, kv, *w, heads, biases, layout), params[prefix + ".wo"])
 
 
 def _feed_forward(x, params, prefix):
@@ -243,11 +244,11 @@ def encoder_hidden(model: AutoencoderModel, ids) -> dc.DiffTensor:
         raise ContractError(f"sequence length {ids.shape[1]} exceeds max_len {cfg.max_len}")
     layout = _layout(ids)
     x = _embed(params, "enc", ids, layout[2])
-    key_bias = np.where(ids == PAD_ID, MASK_BIAS, 0.0)[:, None, None, :]
+    key_pad = (np.where(ids == PAD_ID, MASK_BIAS, 0.0)[:, None, None, :],)
     for i in range(cfg.enc_layers):
         p = f"enc.l{i}"
         a = _layer_norm(x, params, p + ".ln1")
-        x = dc.add(x, _attention(a, a, params, p + ".attn", cfg.heads, key_bias, layout))
+        x = dc.add(x, _attention(a, a, params, p + ".attn", cfg.heads, key_pad, layout))
         f = _layer_norm(x, params, p + ".ln2")
         x = dc.add(x, _feed_forward(f, params, p + ".ff"))
     return _layer_norm(x, params, "enc.out_ln")
@@ -316,15 +317,15 @@ def decoder_logits(model: AutoencoderModel, memory: dc.DiffTensor, dec_ids,
             f"d_dec {cfg.d_dec})")
     layout = _layout(dec_ids, positions)
     x = _embed(params, "dec", dec_ids, layout[2])
-    causal = np.triu(np.full((t, t), MASK_BIAS), k=1)
-    pad = np.where(dec_ids == PAD_ID, MASK_BIAS, 0.0)[:, None, None, :]
-    self_bias = causal[None, None, :, :] + pad
+    # Attention adds the two masks to the scores in turn: no (B, 1, T, T) sum.
+    self_masks = (np.triu(np.full((t, t), MASK_BIAS), k=1),
+                  np.where(dec_ids == PAD_ID, MASK_BIAS, 0.0)[:, None, None, :])
     for i in range(cfg.dec_layers):
         p = f"dec.l{i}"
         a = _layer_norm(x, params, p + ".ln1")
-        x = dc.add(x, _attention(a, a, params, p + ".attn", cfg.heads, self_bias, layout))
+        x = dc.add(x, _attention(a, a, params, p + ".attn", cfg.heads, self_masks, layout))
         c = _layer_norm(x, params, p + ".ln2")
-        x = dc.add(x, _attention(c, memory, params, p + ".cross", cfg.heads, None, layout))
+        x = dc.add(x, _attention(c, memory, params, p + ".cross", cfg.heads, (), layout))
         f = _layer_norm(x, params, p + ".ln3")
         x = dc.add(x, _feed_forward(f, params, p + ".ff"))
     x = _layer_norm(x, params, "dec.out_ln")
@@ -488,10 +489,10 @@ def pretrain_step(model: AutoencoderModel, graph: TextGraph,
 def extract_embeddings(model: AutoencoderModel, graph: TextGraph):
     """Latent vector per node as an EmbeddingMatrix; the model is unchanged.
 
-    Nodes are encoded in batches of equal token length, at most
-    EXTRACT_BATCH rows each, with no ops recorded. No row is padded, and
-    every op treats batch rows independently, so each row is bit-identical
-    to a standalone encode_node call.
+    Nodes are encoded in batches of equal token length, each of at most
+    EXTRACT_ROWS tokens or a single node, with no ops recorded. No row is
+    padded, and every op treats batch rows independently, so each row is
+    bit-identical to a standalone encode_node call.
     """
     from .downstream import EmbeddingMatrix
 
@@ -501,8 +502,9 @@ def extract_embeddings(model: AutoencoderModel, graph: TextGraph):
     with dc.no_grad():
         for length in np.unique(lengths):
             nodes = np.flatnonzero(lengths == length)
-            for start in range(0, nodes.size, EXTRACT_BATCH):
-                chunk = nodes[start:start + EXTRACT_BATCH]
+            per_call = max(1, EXTRACT_ROWS // int(length))
+            for start in range(0, nodes.size, per_call):
+                chunk = nodes[start:start + per_call]
                 out[chunk] = encode_batch(model, np.stack([tokens[v] for v in chunk])).data
     return EmbeddingMatrix(out, provenance="nodegae")
 
@@ -576,9 +578,9 @@ def load_model(path) -> Tuple[AutoencoderModel, Optional[dc.AdamState], dict]:
     """Rebuild a model (and optimizer state if stored) from a model_file checkpoint.
 
     A file that is no npz archive, that misses a block the format needs, whose
-    config keys are not ModelConfig's fields, or that holds a tensor naming no
-    parameter or Adam moment of one raises ContractError naming the path and
-    the keys.
+    config keys are not ModelConfig's fields or whose config values are not
+    all integers, or that holds a tensor naming no parameter or Adam moment
+    of one raises ContractError naming the path and the keys.
     """
     try:
         with np.load(path, allow_pickle=False) as bundle:
@@ -603,6 +605,9 @@ def load_model(path) -> Tuple[AutoencoderModel, Optional[dc.AdamState], dict]:
     keys = sorted(settings) if isinstance(settings, dict) else settings
     if keys != names:
         raise ContractError(f"checkpoint {path}: config keys {keys} are not the fields {names}")
+    wrong = {k: v for k, v in settings.items() if not isinstance(v, int) or isinstance(v, bool)}
+    if wrong:
+        raise ContractError(f"checkpoint {path}: config values {wrong} are not integers")
     vocab = Vocabulary.from_tokens(stored(meta, "vocab"))
     model = AutoencoderModel.init(ModelConfig(**settings), vocab, seed=0)
     moments = {f"opt.{k}.{name}" for name in model.params for k in "mv"}

@@ -582,8 +582,53 @@ def to_grid(x: DiffTensor, layout) -> DiffTensor:
     return _record(out, "to_grid", (x,), lambda g: (g.reshape(b * t, -1)[flat],))
 
 
+def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray | None, scale: float, biases: tuple,
+            stats: tuple | None = None) -> tuple[np.ndarray, tuple]:
+    """Softmax attention of split heads on one (B, heads, T, Tk) grid, and its row statistics.
+
+    q is (B, heads, T, dh), and k and v are (B, heads, Tk, dh). The scores
+    q kᵀ are scaled by ``scale``, each array of ``biases`` (constant addends
+    that broadcast to the scores) is added to them in turn, and their softmax
+    weighs v's rows into the (B, heads, T, dh) context. It returns the
+    context and the softmax's row (max, sum), (B, heads, T, 1) each. Given
+    the stats of an earlier call on the same q, k and biases, it reuses them
+    and rebuilds that call's probabilities bit for bit (see _softmax); with
+    v None it returns the probabilities in place of the context.
+    """
+    scores = np.matmul(q, k.swapaxes(-1, -2))
+    scores *= scale
+    for bias in biases:
+        scores += bias
+    p, stats = _softmax(scores, stats)
+    return (p if v is None else np.matmul(p, v)), stats
+
+
+def _attend_backward(q: np.ndarray, k: np.ndarray, v: np.ndarray | None, scale: float,
+                     biases: tuple, stats: tuple, g: np.ndarray) -> tuple:
+    """The adjoints of q, k and v in _attend, given the context's adjoint ``g``.
+
+    It rebuilds the probabilities from q, k and the forward's ``stats``. q's
+    and k's adjoints read v, so with v None it forms only v's and returns
+    None for the other two. It drops each grid once it has read it last,
+    its arguments too, so a caller that passes arrays it keeps no other
+    reference to holds the backward's peak down.
+    """
+    p = _attend(q, k, None, scale, biases, stats)[0]
+    gv = np.matmul(p.swapaxes(-1, -2), g)
+    if v is None:
+        return None, None, gv
+    gs = np.matmul(g, v.swapaxes(-1, -2))
+    g = v = None
+    gs = _softmax_backward(p, gs)
+    p = None
+    gs *= scale
+    gq = np.matmul(gs, k)
+    k = None
+    return gq, np.matmul(gs.swapaxes(-1, -2), q), gv
+
+
 def attention(x: DiffTensor, kv: DiffTensor, wq: DiffTensor, wk: DiffTensor, wv: DiffTensor,
-              heads: int, bias: np.ndarray | None, layout) -> DiffTensor:
+              heads: int, biases: tuple, layout) -> DiffTensor:
     """Multi-head scaled dot-product attention with its q, k and v projections as one recorded op.
 
     ``x`` is the packed (n, d_in) query rows at the flat positions of the
@@ -592,27 +637,23 @@ def attention(x: DiffTensor, kv: DiffTensor, wq: DiffTensor, wk: DiffTensor, wv:
     (self-attention passes ``kv=x``), or a (B, Tk, d_kv) memory when it is
     3-D (cross-attention). The op projects q = x @ wq, k = kv @ wk and
     v = kv @ wv with the folded 2-D GEMMs of ``matmul``, so its values equal
-    those of the ``matmul`` chain bit for bit. Each head h attends over its
-    width-d/heads slice with softmax(q_h k_hᵀ / sqrt(d/heads) + bias) v_h,
-    and the head contexts are merged back into packed (n, d) rows like
-    ``x``. ``bias`` is a constant additive numpy mask that broadcasts to
-    (B, heads, T, Tk); it gets no gradient. Only the head split sees the
-    grid: it places the rows there and fills the other positions with zero
-    rows, which ``bias`` should mask as keys. A layout that covers the whole
-    grid places nothing.
+    those of the ``matmul`` chain bit for bit, splits them into heads of
+    width d/heads on the grid, runs _attend there with the scale
+    1/sqrt(d/heads) and ``biases``, a tuple of constant numpy masks that get
+    no gradient, and merges the head contexts back into packed (n, d) rows.
+    The split fills the grid's other positions with zero rows, which
+    ``biases`` should mask as keys; a layout that covers the whole grid
+    places nothing.
 
-    The closure keeps no (B, heads, T, Tk) grid: it keeps the softmax's row
-    max and row sum, (B, heads, T, 1) each, the caller's ``bias``, and the
-    data of ``x``, ``kv`` and the weights where backward reads it. Backward
-    recomputes q and k with the same GEMMs, rebuilds the probabilities from
-    them and the two statistics with the forward's expressions, bit for bit,
-    and reuses q and k for the q and k gradients; it recomputes v where a
-    gradient reads it. ``kv``'s adjoint comes back on two edges,
-    from k and from v, so ``backward`` adds q's, k's and v's terms in the
-    order the ``matmul`` chain did, and the op's gradients equal the chain's.
-    A ``kv`` read by several attention ops gets their terms in walk order,
-    the last op's first, where the chain added each op's k and v terms in
-    forward order.
+    The closure keeps no (B, heads, T, Tk) grid: it keeps _attend's two
+    statistics, the caller's ``biases``, and the data of ``x``, ``kv`` and
+    the weights where backward reads it, to recompute q, k and v with the
+    same GEMMs for _attend_backward. ``kv``'s adjoint comes back on two
+    edges, from k and from v, so ``backward`` adds q's, k's and v's terms in
+    the order the ``matmul`` chain did, and the op's gradients equal the
+    chain's. A ``kv`` read by several attention ops gets their terms in walk
+    order, the last op's first, where the chain added each op's k and v
+    terms in forward order.
     """
     if x.ndim != 2:
         raise DimensionError(f"attention: packed queries must be (n, d), got {x.shape}")
@@ -628,11 +669,13 @@ def attention(x: DiffTensor, kv: DiffTensor, wq: DiffTensor, wk: DiffTensor, wv:
             f"attention: wk {wk.shape} and wv {wv.shape} do not map keys {kv.shape} to width {d}")
     if heads < 1 or d % heads:
         raise DimensionError(f"attention: {heads} heads do not divide width {d}")
+    if not isinstance(biases, tuple):
+        raise ContractError(f"attention: biases must be a tuple of addends, got {type(biases)}")
     rows = None if flat.size == b * tq else np.divmod(flat, tq)
     dh = d // heads
     scale = 1.0 / np.sqrt(dh)
     score_shape = (b, heads, tq, tq if packed_kv else kv.shape[1])
-    if bias is not None:
+    for bias in biases:
         try:
             fits = np.broadcast_shapes(np.shape(bias), score_shape) == score_shape
         except ValueError:
@@ -654,53 +697,33 @@ def attention(x: DiffTensor, kv: DiffTensor, wq: DiffTensor, wk: DiffTensor, wv:
         grid = np.ascontiguousarray(t.transpose(0, 2, 1, 3))
         return grid.reshape(-1, d) if packed else grid.reshape(b, -1, d)
 
-    def probabilities(q, k, stats=None):  # of split q and k rows, with their softmax stats
-        scores = np.matmul(q, k.swapaxes(-1, -2))
-        scores *= scale
-        if bias is not None:
-            scores += bias
-        return _softmax(scores, stats)
+    context, stats = _attend(split(_project(x.data, wq.data)), split(_project(kv.data, wk.data)),
+                             split(_project(kv.data, wv.data)), scale, biases)
+    out = merge(context, True)
 
-    p, stats = probabilities(split(_project(x.data, wq.data)), split(_project(kv.data, wk.data)))
-    out = merge(np.matmul(p, split(_project(kv.data, wv.data))), True)
-
-    # Every gradient reads p, which backward rebuilds from q and k. q's
-    # adjoint reads k and v, k's reads q and v, v's only p; a projection's
-    # input adjoint reads its weight, and the weight's reads its input.
+    # q's and k's adjoints read v (see _attend_backward); a projection's input
+    # adjoint reads its weight, and the weight's reads its input.
     x_grad, kv_grad = x.requires_grad, kv.requires_grad
     wq_grad, wk_grad, wv_grad = wq.requires_grad, wk.requires_grad, wv.requires_grad
-    q_grad, k_grad, v_grad = x_grad or wq_grad, kv_grad or wk_grad, kv_grad or wv_grad
+    q_grad, k_grad = x_grad or wq_grad, kv_grad or wk_grad
     xd, kvd, wqd, wkd = x.data, kv.data, wq.data, wk.data
     wvd = wv.data if q_grad or k_grad or kv_grad else None
 
-    def backward_fn(g):
-        q, k = split(_project(xd, wqd)), split(_project(kvd, wkd))
-        p = probabilities(q, k, stats)[0]
-        gh = split(g)
-        g = None
-        gv = merge(np.matmul(p.swapaxes(-1, -2), gh), packed_kv) if v_grad else None
-        gq = gk = None
-        if q_grad or k_grad:
-            gs = np.matmul(gh, split(_project(kvd, wvd)).swapaxes(-1, -2))
-            gh = None
-            gs = _softmax_backward(p, gs)
-            p = None
-            gs *= scale
-            if q_grad:
-                gq = merge(np.matmul(gs, k), True)
-            k = None
-            if k_grad:
-                gk = merge(np.matmul(gs.swapaxes(-1, -2), q), packed_kv)
-        q = k = p = gh = gs = None  # each was read for the last time above
+    def backward_fn(g):  # the kernel gets the only reference to each grid, and drops it
+        gq, gk, gv = _attend_backward(
+            split(_project(xd, wqd)), split(_project(kvd, wkd)),
+            split(_project(kvd, wvd)) if q_grad or k_grad else None, scale, biases, stats,
+            split(g))
 
-        def through(gp, src, w, src_grad, w_grad):  # adjoints of src and w in src @ w
-            if gp is None:
+        def through(gp, packed, src, w, src_grad, w_grad):  # adjoints of src and w in src @ w
+            if not (src_grad or w_grad):
                 return None, None
-            return _project_backward(gp, src if w_grad else None, w if src_grad else None)
+            return _project_backward(merge(gp, packed), src if w_grad else None,
+                                     w if src_grad else None)
 
-        gx, gwq = through(gq, xd, wqd, x_grad, wq_grad)
-        gkv_k, gwk = through(gk, kvd, wkd, kv_grad, wk_grad)
-        gkv_v, gwv = through(gv, kvd, wvd, kv_grad, wv_grad)
+        gx, gwq = through(gq, True, xd, wqd, x_grad, wq_grad)
+        gkv_k, gwk = through(gk, packed_kv, kvd, wkd, kv_grad, wk_grad)
+        gkv_v, gwv = through(gv, packed_kv, kvd, wvd, kv_grad, wv_grad)
         return (gx, gkv_k, gkv_v, gwq, gwk, gwv)
 
     return _record(out, "attention", (x, kv, kv, wq, wk, wv), backward_fn)

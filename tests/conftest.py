@@ -41,13 +41,16 @@ def saved_arrays(out, inputs=()):
     too), and every DiffTensor is listed as itself, since it keeps its data.
     The graph holds no value, so this is all the tape keeps for this op.
     """
+    return _closure_arrays(out._node.backward_fn, [t.data for t in inputs])
+
+
+def _closure_arrays(backward_fn, given):
     from nodegae import diffcore as dc
 
-    given = [t.data for t in inputs]
     found, seen = [], set()
     # A stack, not a recursive helper: a closure that calls itself is a
     # reference cycle, which would keep found's arrays alive until gc runs.
-    stack = [out._node.backward_fn]
+    stack = [backward_fn]
     while stack:
         obj = stack.pop()
         if id(obj) in seen:
@@ -66,13 +69,32 @@ def saved_arrays(out, inputs=()):
     return found
 
 
+def kept_bytes(loss):
+    """Bytes that the closures on loss's tape keep alive, parameters' data included.
+
+    Each buffer counts once, however many closures keep it or views of it:
+    an array that views another counts as the array that owns the memory.
+    """
+    from nodegae import diffcore as dc
+
+    owners = {}
+    for node in dc._topo_order(loss):
+        if isinstance(node, dc.Node) and node.backward_fn is not None:
+            for a in _closure_arrays(node.backward_fn, []):
+                a = a.data if isinstance(a, dc.DiffTensor) else a
+                while isinstance(a.base, np.ndarray):
+                    a = a.base
+                owners[id(a)] = a.nbytes
+    return sum(owners.values())
+
+
 def kept_inputs(out, inputs):
     """Positions of the inputs whose data, or a view of it, out's backward closure keeps."""
     saved = [a for a in saved_arrays(out) if isinstance(a, np.ndarray)]
     return [i for i, t in enumerate(inputs) if any(np.shares_memory(a, t.data) for a in saved)]
 
 
-def grid_attention(x, kv, wq, wk, wv, heads, bias=None):
+def grid_attention(x, kv, wq, wk, wv, heads, biases=()):
     """dc.attention of (B, Tq, d_in) queries: x as the rows of the layout that covers its
     whole (B, Tq) grid, the output viewed as (B, Tq, d) again. kv is x itself, for
     self-attention on those rows, or a (B, Tk, d_kv) memory."""
@@ -80,7 +102,7 @@ def grid_attention(x, kv, wq, wk, wv, heads, bias=None):
 
     b, tq, d_in = x.shape
     rows = dc.reshape(x, (b * tq, d_in))
-    out = dc.attention(rows, rows if kv is x else kv, wq, wk, wv, heads, bias,
+    out = dc.attention(rows, rows if kv is x else kv, wq, wk, wv, heads, biases,
                        (b, tq, np.arange(b * tq)))
     return dc.reshape(out, (b, tq, wq.shape[1]))
 

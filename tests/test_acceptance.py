@@ -133,11 +133,11 @@ def _op_gradient_cases(rng):
     w44q, w44k, w44v = (dc.parameter(rng.normal(size=(4, 4))) for _ in "qkv")
     w34q, w34k, w34v = (dc.parameter(rng.normal(size=(3, 4))) for _ in "qkv")
 
-    def packed_attention(rows, memory, bias):
+    def packed_attention(rows, memory, biases):
         """Attention of 5 packed rows, 3 in batch row 0 and the first 2 in batch row 1;
         self-attention when memory is None."""
         kv = rows if memory is None else memory
-        return dc.attention(rows, kv, w34q, w34k, w34v, 2, bias, (2, 3, np.arange(5)))
+        return dc.attention(rows, kv, w34q, w34k, w34v, 2, biases, (2, 3, np.arange(5)))
 
     return [
         ("add", lambda: dc.add(a, b), [a, b]),
@@ -166,20 +166,20 @@ def _op_gradient_cases(rng):
         # (B, Tk, d_kv) memories; its projection weights are drawn last. Grid
         # queries are the rows of the layout that covers their whole grid.
         ("attention_self_padded",
-         lambda: grid_attention(x234, x234, w44q, w44k, w44v, 2, pad_bias),
+         lambda: grid_attention(x234, x234, w44q, w44k, w44v, 2, (pad_bias,)),
          [x234, w44q, w44k, w44v]),
         ("attention_causal",
-         lambda: grid_attention(mb, mb, w44q, w44k, w44v, 1, causal_bias),
+         lambda: grid_attention(mb, mb, w44q, w44k, w44v, 1, (causal_bias,)),
          [mb, w44q, w44k, w44v]),
         ("attention_cross",
          lambda: grid_attention(dc.reshape(m1, (1, 3, 4)), dc.reshape(x36, (1, 6, 3)),
                                 w44q, w34k, w34v, 2),
          [m1, x36, w44q, w34k, w34v]),
         ("attention_packed_self",
-         lambda: packed_attention(dc.reshape(x35, (5, 3)), None, pad_bias),
+         lambda: packed_attention(dc.reshape(x35, (5, 3)), None, (pad_bias,)),
          [x35, w34q, w34k, w34v]),
         ("attention_packed_cross",
-         lambda: packed_attention(dc.reshape(x35, (5, 3)), dc.reshape(x36, (2, 3, 3)), None),
+         lambda: packed_attention(dc.reshape(x35, (5, 3)), dc.reshape(x36, (2, 3, 3)), ()),
          [x35, x36, w34q, w34k, w34v]),
         # The fused ops reuse the draws above too: b is a (4,) bias or gain.
         ("linear", lambda: dc.matmul(m1, x44, b), [m1, x44, b]),

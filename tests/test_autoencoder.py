@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy.special import erf
 
-from conftest import edit_checkpoint, kept_inputs, saved_arrays
+from conftest import edit_checkpoint, kept_bytes, kept_inputs, saved_arrays
 from fdcheck import assert_grads_close, finite_diff_grads
 from reference_tape import (padded_decoder_logits, padded_encoder_hidden,
                             padded_pretrain_loss)
@@ -635,12 +635,24 @@ def test_extract_embeddings_rows_match_single_calls():
 
 
 def test_extract_embeddings_chunks_match_single_calls(monkeypatch):
-    # Two rows per encode_batch call splits every equal-length group.
+    # A cap of twice the longest document's tokens takes two or more documents
+    # per encode_batch call and splits the larger equal-length groups.
     graph = toy_graph(num_nodes=9, seed=3)
     model = model_for(graph, seed=3)
     whole = ae.extract_embeddings(model, graph).matrix
-    monkeypatch.setattr(ae, "EXTRACT_BATCH", 2)
+    cap = 2 * max(model.tokens_for(text).size for text in graph.texts)
+    monkeypatch.setattr(ae, "EXTRACT_ROWS", cap)
+    shapes = []
+    encode_batch = ae.encode_batch
+
+    def spy(model, ids):
+        shapes.append(np.shape(ids))
+        return encode_batch(model, ids)
+
+    monkeypatch.setattr(ae, "encode_batch", spy)
     assert np.array_equal(ae.extract_embeddings(model, graph).matrix, whole)
+    assert len(shapes) > len({t for _, t in shapes})  # some length took two calls
+    assert all(b * t <= cap for b, t in shapes)
 
 
 def test_extract_and_reconstruct_record_no_backward(recorded_ops):
@@ -789,6 +801,20 @@ def test_load_refuses_config_block_with_other_keys(tmp_path, edit):
     assert all(key in str(caught.value) for key in keys)
 
 
+@pytest.mark.parametrize("value", ["2", 2.0, True])
+def test_load_refuses_a_config_value_that_is_no_integer(tmp_path, value):
+    # A string once escaped ModelConfig.validate as a TypeError; a float or a
+    # bool passed it.
+    graph = toy_graph()
+    model = model_for(graph)
+    path = tmp_path / "model.npz"
+    ae.save_model(path, model)
+    edit_checkpoint(path, lambda meta: meta["config"].update(heads=value))
+    with pytest.raises(ContractError, match="heads") as caught:
+        ae.load_model(path)
+    assert str(path) in str(caught.value)
+
+
 @pytest.mark.parametrize("name", ["enc.l9.ff.w1", "opt.m.enc.l9.ff.w1", "opt.x.lm_head"])
 def test_load_refuses_a_tensor_that_names_no_parameter(tmp_path, name):
     graph = toy_graph()
@@ -858,7 +884,7 @@ def test_pretrain_loss_records_one_attention_op_per_block(recorded_ops, monkeypa
     # norms: 2 x 2 in the encoder, 2 x 3 in the decoder, and one after each
     # stack = 12. Pooling places the packed rows in the grid with one to_grid
     # op. 70 recorded ops in all.
-    biases = {}  # id of an attention output: the bias array its caller passed
+    biases = {}  # id of an attention output: the biases tuple its caller passed
     attention = dc.attention
 
     def spy(*args):
@@ -888,15 +914,14 @@ def test_pretrain_loss_records_one_attention_op_per_block(recorded_ops, monkeypa
     rows, t, _ = grid.shape
     # Attention keeps its softmax's row max and row sum, (B, heads, T, 1) each,
     # and no q, k, v or probabilities. Beside them it keeps only its inputs'
-    # data, its caller's bias and the integer grid indices of its packed rows.
+    # data, its caller's biases and the integer grid indices of its packed rows.
     # The feed-forward op keeps its input's data and one (n, ff) array.
     shapes, hidden = [], []
     for node in nodes:
         out = output_of.get(id(node))
         inputs = [output_of.get(id(p), p) for p in node.parents]
         if node.op == "attention":
-            bias = biases[id(out)]
-            saved = saved_arrays(out, inputs + ([] if bias is None else [dc.constant(bias)]))
+            saved = saved_arrays(out, inputs + [dc.constant(a) for a in biases[id(out)]])
             stats = [a for a in saved if a.dtype == np.float64]
             assert all(a.dtype.kind == "i" and a.shape == (out.shape[0],)
                        for a in saved if a.dtype != np.float64)
@@ -967,6 +992,30 @@ def test_pretrain_loss_backward_peaks_no_higher_than_its_forward():
             tracemalloc.stop()
     assert tape - start > 5e6  # megabytes that backward frees as it goes
     assert backward_peak <= forward_peak
+
+
+# kept_bytes of the decoder_logits tape of the test below while the decoder
+# passed attention the (B, 1, T, T) sum of its causal mask and key-pad row.
+SUMMED_MASK_DECODER_TAPE_BYTES = 15_700_160
+
+
+def test_decoder_tape_keeps_its_masks_as_addends_and_no_summed_grid(recorded_ops):
+    # 16 documents of up to 121 decoder inputs, the paper's lengths; row i ends
+    # in 7i PAD inputs.
+    b, t = 16, 121
+    rng = np.random.default_rng(3)
+    vocab = tc.build_vocab(toy_graph().texts, max_size=64)
+    model = ae.AutoencoderModel.init(ae.ModelConfig(vocab_size=vocab.size, max_len=128),
+                                     vocab, seed=3)
+    ids = rng.integers(tc.PAD_ID + 1, vocab.size, size=(b, t))
+    ids[np.arange(t) >= (t - 7 * np.arange(b))[:, None]] = tc.PAD_ID
+    memory = dc.parameter(rng.standard_normal((b, model.config.proj_len, model.config.d_dec)))
+    logits = ae.decoder_logits(model, memory, ids)
+    # The tape drops the summed grid and keeps the (T, T) mask and the
+    # (B, 1, 1, T) row it was summed from.
+    assert kept_bytes(logits) <= SUMMED_MASK_DECODER_TAPE_BYTES - (b * t * t - t * t - b * t) * 8
+    assert not [a.shape for out in recorded_ops if out._node is not None
+                for a in saved_arrays(out) if a.size == b * t * t]
 
 
 def test_pretrain_loss_equals_the_padded_oracle():

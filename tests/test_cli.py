@@ -540,6 +540,19 @@ def test_embed_checkpoint_with_an_unknown_config_key_exits_two(dataset, pretrain
     assert not (tmp_path / "e.txt").exists()
 
 
+def test_embed_checkpoint_with_a_string_config_value_exits_two(dataset, pretrained, tmp_path,
+                                                              capsys):
+    bad = tmp_path / "string.npz"
+    shutil.copy(pretrained / "model.npz", bad)
+    edit_checkpoint(bad, lambda meta: meta["config"].update(heads="2"))
+    rc = main(["embed", "--dataset", str(dataset), "--checkpoint", str(bad),
+               "--out", str(tmp_path / "e.txt")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("runtime error:") and str(bad) in err and "heads" in err
+    assert not (tmp_path / "e.txt").exists()
+
+
 def test_embed_unreadable_checkpoint_exits_two(dataset, tmp_path, capsys):
     bad = tmp_path / "x.npz"
     bad.write_text("not an archive\n")

@@ -39,6 +39,7 @@ MASK = -1e30
 PADDED_KEY_BIAS = np.zeros((2, 1, 1, 3))
 PADDED_KEY_BIAS[1, 0, 0, 2] = MASK
 CAUSAL_BIAS = np.triu(np.full((4, 4), MASK), k=1)
+CAUSAL_BIAS_3 = np.triu(np.full((3, 3), MASK), k=1)
 # The same grid packed: batch row 0 holds 3 rows, batch row 1 the first 2.
 PACKED_LAYOUT = (2, 3, np.array([0, 1, 2, 3, 4]))
 FULL_LAYOUT = (2, 3, np.arange(6))
@@ -188,14 +189,15 @@ def attention_oracle(x, kv, wq, wk, wv, heads, bias=None):
 def test_attention_matches_composed_oracle(heads, tq, tk, bias):
     rng = np.random.default_rng(6)
     arrays = [rng.standard_normal(s) for s in ((2, tq, 3), (2, tk, 5), (3, 4), (5, 4), (5, 4))]
-    out = grid_attention(*(dc.constant(a) for a in arrays), heads, bias).data
+    biases = () if bias is None else (bias,)
+    out = grid_attention(*(dc.constant(a) for a in arrays), heads, biases).data
     assert out.shape == (2, tq, 4)
     assert np.max(np.abs(out - attention_oracle(*arrays, heads, bias))) <= 1e-12
     if tq == tk:  # self-attention: the queries' own rows are the keys and values
         x, wq = arrays[0], arrays[2]
         wk, wv = (rng.standard_normal((3, 4)) for _ in "kv")
         x_t = dc.constant(x)
-        out = grid_attention(x_t, x_t, *(dc.constant(w) for w in (wq, wk, wv)), heads, bias)
+        out = grid_attention(x_t, x_t, *(dc.constant(w) for w in (wq, wk, wv)), heads, biases)
         assert np.max(np.abs(out.data - attention_oracle(x, x, wq, wk, wv, heads, bias))) <= 1e-12
 
 
@@ -220,14 +222,15 @@ def test_attention_random_shapes_match_oracle_and_finite_differences(seed, b, tq
             bias[row, 0, 0, kept:] = MASK
     elif mask == "causal":
         bias = np.triu(np.full((tq, tk), MASK), k=1)
+    biases = () if bias is None else (bias,)
     proj_seed = int(rng.integers(1 << 31))
 
     def loss_value(arrs):
-        out = grid_attention(*(dc.constant(a) for a in arrs), heads, bias)
+        out = grid_attention(*(dc.constant(a) for a in arrs), heads, biases)
         return scalarize(out, np.random.default_rng(proj_seed)).item()
 
     params = [dc.parameter(a.copy()) for a in arrays]
-    out = grid_attention(*params, heads, bias)
+    out = grid_attention(*params, heads, biases)
     assert np.max(np.abs(out.data - attention_oracle(*arrays, heads, bias))) <= 1e-12
     dc.backward(dc.reshape(scalarize(out, np.random.default_rng(proj_seed)), ()))
     numeric = finite_diff_grads(loss_value, [a.copy() for a in arrays])
@@ -238,30 +241,34 @@ def test_attention_random_shapes_match_oracle_and_finite_differences(seed, b, tq
     # one of them in some draws. Self-attention reads keys and values from the
     # same packed rows and masks the rest; cross-attention reads the
     # (B, tk, d_kv) memory above. The upstream gradient is zero at pad query
-    # rows.
+    # rows. The op takes the causal mask and the key-pad row as two addends;
+    # the oracles take their sum.
     lengths = rng.integers(1, tq + 1, size=b) if rng.random() < 0.7 else np.full(b, tq)
     real = np.arange(tq)[None, :] < lengths[:, None]
     flat = np.flatnonzero(real)
     upstream = (rng.standard_normal((b, tq, d)) * real[:, :, None]).reshape(-1, d)
     key_bias = np.where(real, 0.0, MASK)[:, None, None, :]
+    key_biases = (key_bias,)
     if mask == "causal":
-        key_bias = key_bias + np.triu(np.full((tq, tq), MASK), k=1)
+        causal = np.triu(np.full((tq, tq), MASK), k=1)
+        key_bias, key_biases = key_bias + causal, (causal, key_bias)
     x_rows = arrays[0].reshape(-1, d_in)
     self_weights = [arrays[2]] + [rng.standard_normal((d_in, d)) for _ in "kv"]
     grid_layout, packed_layout = (b, tq, np.arange(b * tq)), (b, tq, flat)
-    for kind, memory, weights, case_bias in (("self", None, self_weights, key_bias),
-                                             ("cross", arrays[1], arrays[2:], bias)):
+    for kind, memory, weights, case_bias, case_biases in (
+            ("self", None, self_weights, key_bias, key_biases),
+            ("cross", arrays[1], arrays[2:], bias, biases)):
         # On either layout the op equals its matmul chain bit for bit: values
         # and the gradient of every input.
         for rows, layout, up in ((x_rows, grid_layout, upstream),
                                  (x_rows[flat], packed_layout, upstream[flat])):
             if memory is None:
                 leaves = [rows, *weights]
-                fused = lambda x, *ws: dc.attention(x, x, *ws, heads, case_bias, layout)
+                fused = lambda x, *ws: dc.attention(x, x, *ws, heads, case_biases, layout)
                 chain = lambda x, *ws: chain_attention(x, x, *ws, heads, case_bias, layout)
             else:
                 leaves = [rows, memory, *weights]
-                fused = lambda *ts: dc.attention(*ts, heads, case_bias, layout)
+                fused = lambda *ts: dc.attention(*ts, heads, case_biases, layout)
                 chain = lambda *ts: chain_attention(*ts, heads, case_bias, layout)
             trainable = [True] * len(leaves)
             assert (_leaf_grads(fused, leaves, trainable, up)
@@ -295,7 +302,7 @@ def test_attention_random_shapes_match_oracle_and_finite_differences(seed, b, tq
         for rows, layout in ((x_rows, grid_layout), (x_rows[flat], packed_layout)):
             x = dc.parameter(rows)
             kv = x if memory is None else dc.parameter(memory)
-            out = dc.attention(x, kv, *(dc.parameter(w) for w in weights), heads, case_bias,
+            out = dc.attention(x, kv, *(dc.parameter(w) for w in weights), heads, case_biases,
                                layout)
             closures.append((out.data, out._node.backward_fn))
         (dense, dense_fn), (packed, packed_fn) = closures
@@ -315,34 +322,39 @@ def test_attention_checks_shapes():
     wq, w3 = dc.constant(np.zeros((3, 4))), dc.constant(np.zeros((3, 4)))
     w2 = dc.constant(np.zeros((2, 4)))
     layout = PACKED_LAYOUT
-    assert dc.attention(rows, rows, wq, w3, w3, 2, None, layout).shape == (5, 4)
-    assert dc.attention(rows, memory, wq, w2, w2, 2, None, layout).shape == (5, 4)
+    assert dc.attention(rows, rows, wq, w3, w3, 2, (), layout).shape == (5, 4)
+    assert dc.attention(rows, memory, wq, w2, w2, 2, (), layout).shape == (5, 4)
     full = dc.constant(np.zeros((6, 3)))
-    assert dc.attention(full, full, wq, w3, w3, 4, None, FULL_LAYOUT).shape == (6, 4)
+    assert dc.attention(full, full, wq, w3, w3, 4, (), FULL_LAYOUT).shape == (6, 4)
     zeros = lambda *s: dc.constant(np.zeros(s))
     for args in [
-        (zeros(2, 3, 3), memory, wq, w2, w2, 2, None),  # a layout takes packed (n, d) queries
-        (rows, memory, zeros(2, 4), w2, w2, 2, None),  # wq does not take the query width
-        (rows, memory, zeros(3), w2, w2, 2, None),  # wq is no matrix
-        (rows, zeros(4, 3), wq, w3, w3, 2, None),  # 4 packed key rows for 5 queries
-        (rows, zeros(3, 4, 2), wq, w2, w2, 2, None),  # memory of 3 batch rows, not 2
-        (rows, zeros(2, 4, 2, 1), wq, w2, w2, 2, None),  # memory is no (B, Tk, d) grid
-        (rows, memory, wq, w3, w3, 2, None),  # wk and wv do not take the memory width
-        (rows, memory, wq, w2, zeros(2, 6), 2, None),  # wk and wv differ
-        (rows, memory, wq, zeros(2, 6), zeros(2, 6), 2, None),  # k is not q's width
-        (rows, memory, wq, w2, w2, 3, None),  # heads do not divide the width
-        (rows, memory, wq, w2, w2, 2, np.zeros((2, 1, 1, 5))),  # 4 keys, not 5
-        (rows, rows, wq, w3, w3, 2, np.zeros((2, 1, 1, 5))),  # 3 keys, not 5
+        (zeros(2, 3, 3), memory, wq, w2, w2, 2, ()),  # a layout takes packed (n, d) queries
+        (rows, memory, zeros(2, 4), w2, w2, 2, ()),  # wq does not take the query width
+        (rows, memory, zeros(3), w2, w2, 2, ()),  # wq is no matrix
+        (rows, zeros(4, 3), wq, w3, w3, 2, ()),  # 4 packed key rows for 5 queries
+        (rows, zeros(3, 4, 2), wq, w2, w2, 2, ()),  # memory of 3 batch rows, not 2
+        (rows, zeros(2, 4, 2, 1), wq, w2, w2, 2, ()),  # memory is no (B, Tk, d) grid
+        (rows, memory, wq, w3, w3, 2, ()),  # wk and wv do not take the memory width
+        (rows, memory, wq, w2, zeros(2, 6), 2, ()),  # wk and wv differ
+        (rows, memory, wq, zeros(2, 6), zeros(2, 6), 2, ()),  # k is not q's width
+        (rows, memory, wq, w2, w2, 3, ()),  # heads do not divide the width
+        (rows, memory, wq, w2, w2, 2, (np.zeros((2, 1, 1, 5)),)),  # 4 keys, not 5
+        (rows, rows, wq, w3, w3, 2, (np.zeros((2, 1, 1, 5)),)),  # 3 keys, not 5
+        (rows, rows, wq, w3, w3, 2, (np.zeros((3, 3)), np.zeros((3, 4)))),  # 2nd: 4 keys
     ]:
         with pytest.raises(DimensionError):
             dc.attention(*args, layout)
     with pytest.raises(DimensionError):
-        dc.attention(rows, rows, wq, w3, w3, 2, None, (2, 3, np.arange(6)))  # 5 rows, 6 positions
+        dc.attention(rows, rows, wq, w3, w3, 2, (), (2, 3, np.arange(6)))  # 5 rows, 6 positions
     for flat in ([0, 1, 3, 2, 4], [0, 1, 2, 3, 6], [-1, 0, 1, 2, 3], [0.0, 1, 2, 3, 4]):
         with pytest.raises(ContractError):
-            dc.attention(rows, rows, wq, w3, w3, 2, None, (2, 3, np.array(flat)))
+            dc.attention(rows, rows, wq, w3, w3, 2, (), (2, 3, np.array(flat)))
     with pytest.raises(ContractError):
-        dc.attention(rows, rows, wq, w3, w3, 2, None, (2, 3))
+        dc.attention(rows, rows, wq, w3, w3, 2, (), (2, 3))
+    # A bare mask is no tuple of addends: iterating it would add its batch rows in turn.
+    for biases in (None, np.zeros((2, 1, 1, 3)), [np.zeros((3, 3))]):
+        with pytest.raises(ContractError, match="biases"):
+            dc.attention(rows, rows, wq, w3, w3, 2, biases, layout)
 
 
 # (kind, trainable flags): x, wq, wk and wv for self-attention, x, kv, wq, wk and wv for
@@ -367,13 +379,14 @@ def test_attention_equals_its_matmul_chain_bit_for_bit(layout, kind, trainable):
     for arr in arrays:
         arr.reshape(-1)[::5] = -0.0
     bias = PADDED_KEY_BIAS if kind == "self" and layout == "packed" else None
+    biases = () if bias is None else (bias,)
     weights = rng.standard_normal((lay[2].size, 4))
     if kind == "self":
         del arrays[1]
-        fused = lambda x, wq, wk, wv: dc.attention(x, x, wq, wk, wv, 2, bias, lay)
+        fused = lambda x, wq, wk, wv: dc.attention(x, x, wq, wk, wv, 2, biases, lay)
         chain = lambda x, wq, wk, wv: chain_attention(x, x, wq, wk, wv, 2, bias, lay)
     else:
-        fused = lambda *ts: dc.attention(*ts, 2, bias, lay)
+        fused = lambda *ts: dc.attention(*ts, 2, biases, lay)
         chain = lambda *ts: chain_attention(*ts, 2, bias, lay)
     assert (_leaf_grads(fused, arrays, trainable, weights)
             == _leaf_grads(chain, arrays, trainable, weights))
@@ -427,17 +440,25 @@ def _closure_cases():
         # Attention keeps its softmax's row max and row sum, never a (B, heads, T, Tk)
         # grid, and always the data that q and k are recomputed from.
         "attention": (lambda P, C: (P(6, 3), P(2, 5, 2), P(3, 4), P(2, 4), P(2, 4)),
-                      lambda *ts: dc.attention(*ts, 2, None, FULL_LAYOUT),
+                      lambda *ts: dc.attention(*ts, 2, (), FULL_LAYOUT),
                       [0, 1, 2, 3, 4], [("f", (2, 2, 3, 1)), ("f", (2, 2, 3, 1))]),
         "attention_constant_kv": (lambda P, C: (P(6, 3), C(2, 5, 2), C(3, 4), C(2, 4), C(2, 4)),
-                                  lambda *ts: dc.attention(*ts, 2, None, FULL_LAYOUT),
+                                  lambda *ts: dc.attention(*ts, 2, (), FULL_LAYOUT),
                                   [0, 1, 2, 3, 4], [("f", (2, 2, 3, 1)), ("f", (2, 2, 3, 1))]),
         "attention_packed": (lambda P, C: (P(5, 3), P(3, 4), P(3, 4), P(3, 4)),
-                             lambda x, *ws: dc.attention(x, x, *ws, 2, None, PACKED_LAYOUT),
+                             lambda x, *ws: dc.attention(x, x, *ws, 2, (), PACKED_LAYOUT),
                              [0, 1, 2, 3],
                              [("f", (2, 2, 3, 1)), ("f", (2, 2, 3, 1)), ("i", (5,)), ("i", (5,))]),
+        # A decoder self-attention keeps its two masks as the caller passed them, a
+        # (T, T) causal mask and a (B, 1, 1, T) key-pad row, and no (B, 1, T, T) sum.
+        "attention_decoder_self": (
+            lambda P, C: (P(5, 3), P(3, 4), P(3, 4), P(3, 4)),
+            lambda x, *ws: dc.attention(x, x, *ws, 2, (CAUSAL_BIAS_3, PADDED_KEY_BIAS),
+                                        PACKED_LAYOUT),
+            [0, 1, 2, 3], [("f", (2, 1, 1, 3)), ("f", (2, 2, 3, 1)), ("f", (2, 2, 3, 1)),
+                           ("f", (3, 3)), ("i", (5,)), ("i", (5,))]),
         "attention_trainable_wv": (lambda P, C: (C(6, 3), C(2, 5, 2), C(3, 4), C(2, 4), P(2, 4)),
-                                   lambda *ts: dc.attention(*ts, 2, None, FULL_LAYOUT),
+                                   lambda *ts: dc.attention(*ts, 2, (), FULL_LAYOUT),
                                    [0, 1, 2, 3], [("f", (2, 2, 3, 1)), ("f", (2, 2, 3, 1))]),
         # The feed-forward op keeps x's data and the GELU cdf, one (n, ff) array.
         "feed_forward": (lambda P, C: (P(3, 4), P(4, 6), P(6), P(6, 5), P(5)), dc.feed_forward,
@@ -520,7 +541,7 @@ def test_attention_keeps_only_its_softmax_statistics():
     rng = np.random.default_rng(12)
     inputs = [dc.parameter(rng.standard_normal(s)) for s in ((5, 3), (3, 4), (3, 4), (3, 4))]
     x, wq, wk, wv = inputs
-    out = dc.attention(x, x, wq, wk, wv, 2, PADDED_KEY_BIAS, PACKED_LAYOUT)
+    out = dc.attention(x, x, wq, wk, wv, 2, (PADDED_KEY_BIAS,), PACKED_LAYOUT)
     bias = dc.constant(PADDED_KEY_BIAS)
     assert bias.data is PADDED_KEY_BIAS
     assert kept_inputs(out, inputs + [bias]) == [0, 1, 2, 3, 4]
@@ -1056,9 +1077,9 @@ def make_op_cases(rng):
         ("mul_const", [sn((3, 4))], lambda a: dc.mul(a, c34)),
         ("add_const", [sn((3, 4))], lambda b: dc.add(c4, b)),
         ("attention_self_padded", [sn((2, 3, 3)), sn((3, 4)), sn((3, 4)), sn((3, 4))],
-         lambda x, *ws: grid_attention(x, x, *ws, 2, PADDED_KEY_BIAS)),
+         lambda x, *ws: grid_attention(x, x, *ws, 2, (PADDED_KEY_BIAS,))),
         ("attention_causal", [sn((2, 4, 3)), sn((3, 4)), sn((3, 4)), sn((3, 4))],
-         lambda x, *ws: grid_attention(x, x, *ws, 1, CAUSAL_BIAS)),
+         lambda x, *ws: grid_attention(x, x, *ws, 1, (CAUSAL_BIAS,))),
         ("attention_cross", [sn((2, 3, 3)), sn((2, 5, 2)), sn((3, 4)), sn((2, 4)), sn((2, 4))],
          lambda *ts: grid_attention(*ts, 2)),
     ]
@@ -1092,9 +1113,9 @@ def make_op_cases(rng):
     # Drawn after every case above, so their random streams do not move.
     cases += [
         ("attention_packed_self", [sn((5, 3)), sn((3, 4)), sn((3, 4)), sn((3, 4))],
-         lambda x, *ws: dc.attention(x, x, *ws, 2, PADDED_KEY_BIAS, PACKED_LAYOUT)),
+         lambda x, *ws: dc.attention(x, x, *ws, 2, (PADDED_KEY_BIAS,), PACKED_LAYOUT)),
         ("attention_packed_cross", [sn((5, 3)), sn((2, 3, 2)), sn((3, 4)), sn((2, 4)), sn((2, 4))],
-         lambda *ts: dc.attention(*ts, 2, None, PACKED_LAYOUT)),
+         lambda *ts: dc.attention(*ts, 2, (), PACKED_LAYOUT)),
         ("to_grid", [sn((5, 4))], lambda x: dc.to_grid(x, PACKED_LAYOUT)),
         ("to_grid_full", [sn((6, 4))], lambda x: dc.to_grid(x, (2, 3, np.arange(6)))),
     ]
@@ -1106,6 +1127,13 @@ def make_op_cases(rng):
          lambda x, b1, w2, b2: dc.feed_forward(x, c46, b1, w2, b2)),
         ("feed_forward_const_input", [sn((4, 6)), sn(6), sn((6, 5)), sn(5)],
          lambda w1, b1, w2, b2: dc.feed_forward(c34, w1, b1, w2, b2)),
+    ]
+    # Drawn after every case above, so their random streams do not move.
+    cases += [
+        ("attention_packed_causal_and_pad",
+         [sn((5, 3)), sn((3, 4)), sn((3, 4)), sn((3, 4))],
+         lambda x, *ws: dc.attention(x, x, *ws, 2, (CAUSAL_BIAS_3, PADDED_KEY_BIAS),
+                                     PACKED_LAYOUT)),
     ]
     return cases
 

@@ -1,4 +1,4 @@
-"""Checks that the benchmark harness under perfbench/ still fits the package.
+"""Checks that the benchmark harness under perfbench/ and the tools/ scripts still fit the package.
 
 The tier-1 suite does not run perfbench, so a renamed or deleted function
 that perfbench traces would otherwise break only traced benchmark runs.
@@ -81,3 +81,15 @@ def test_every_bench_claim_wins_nine_in_ten_of_its_pairs():
             wins += change < parent if better[metric] == "lower" else change > parent
         assert 10 * wins >= 9 * len(claim["pairs"]), \
             f"{path.name}: {wins} of {len(claim['pairs'])} pairs beat the parent on {metric}"
+
+
+def test_every_cli_matrix_command_parses(monkeypatch):
+    from nodegae import cli
+
+    monkeypatch.syspath_prepend(str(REPO / "tools"))
+    monkeypatch.delitem(sys.modules, "cli_matrix", raising=False)
+    matrix = importlib.import_module("cli_matrix").MATRIX
+    parser = cli.build_parser()
+    assert {argv[0] for argv in matrix} == set(cli.COMMANDS)
+    for argv in matrix:
+        parser.parse_args(argv)  # exits on an unknown flag or value

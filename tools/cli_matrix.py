@@ -1,0 +1,92 @@
+"""Run a fixed matrix of CLI commands and print the sha256 of every artifact.
+
+    python tools/cli_matrix.py [--src DIR] [--work-dir DIR]
+
+Each command runs in a fresh interpreter with ``PYTHONPATH`` set to the
+package's ``src`` directory (by default the one beside this script) and
+``OPENBLAS_NUM_THREADS=1``, since stage-1 training bits depend on the BLAS
+thread count. The commands run in a temporary directory, or in
+``--work-dir`` when given (it must be empty or absent), on a small
+generated graph:
+
+- ``generate``;
+- ``pretrain`` with reconstruction rows, then ``--resume`` for more steps;
+- ``embed`` from the checkpoint and with ``--baseline shallow``;
+- ``train`` node classification for mlp, gcn and sage, and link prediction
+  for each backbone with both link scorers and ``--log-every-iter``;
+- ``ablate`` with the mlp and gcn backbones.
+
+It then prints one ``sha256  relative-path`` line per file, sorted by path.
+Run it on two checkouts and diff the outputs to check that a change keeps
+every artifact byte-identical:
+
+    python tools/cli_matrix.py --src ../parent/src > parent.txt
+    python tools/cli_matrix.py > change.txt
+    diff parent.txt change.txt
+"""
+
+import argparse
+import hashlib
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+STAGE1 = ["--batch-size", "8", "--seed", "5"]
+RECON = ["--recon-every", "3", "--recon-samples", "2"]
+STAGE2 = ["--dataset", "data", "--embeddings", "emb/model.txt", "--repeats", "2",
+          "--epochs", "4", "--seed", "5"]
+BACKBONES = ("mlp", "gcn", "sage")
+
+MATRIX = [
+    ["generate", "--out", "data", "--nodes", "96", "--seed", "3"],
+    ["pretrain", "--dataset", "data", "--out-dir", "run", "--steps", "6", *STAGE1, *RECON],
+    ["pretrain", "--dataset", "data", "--out-dir", "run", "--steps", "4", *STAGE1, *RECON,
+     "--resume", "run/model.npz"],
+    ["embed", "--dataset", "data", "--checkpoint", "run/model.npz", "--out", "emb/model.txt"],
+    ["embed", "--dataset", "data", "--baseline", "shallow", "--out", "emb/shallow.txt"],
+    *(["train", *STAGE2, "--out-dir", f"nodecls/{backbone}", "--task", "nodecls",
+       "--backbone", backbone] for backbone in BACKBONES),
+    *(["train", *STAGE2, "--out-dir", f"linkpred/{backbone}-{scorer}", "--task", "linkpred",
+       "--backbone", backbone, "--link-scorer", scorer, "--log-every-iter"]
+      for backbone in BACKBONES for scorer in ("dot", "mlp")),
+    ["ablate", "--dataset", "data", "--out-dir", "ablate", "--backbones", "mlp,gcn",
+     "--repeats", "1", "--steps", "4", "--epochs", "4", *STAGE1],
+]
+
+RUN_CLI = "import sys; from nodegae.cli import main; sys.exit(main(sys.argv[1:]))"
+
+
+def run_matrix(src: Path, work: Path) -> list[str]:
+    """Run MATRIX in work with the package at src; the sha256 line of every file made."""
+    env = dict(os.environ, PYTHONPATH=str(src.resolve()), OPENBLAS_NUM_THREADS="1")
+    for argv in MATRIX:
+        done = subprocess.run([sys.executable, "-c", RUN_CLI, *argv], cwd=work, env=env,
+                              capture_output=True, text=True)
+        if done.returncode:
+            raise SystemExit(f"exit {done.returncode}: nodegae {' '.join(argv)}\n{done.stderr}")
+    files = sorted(p for p in work.rglob("*") if p.is_file())
+    return [f"{hashlib.sha256(p.read_bytes()).hexdigest()}  {p.relative_to(work).as_posix()}"
+            for p in files]
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--src", type=Path, default=Path(__file__).resolve().parents[1] / "src",
+                        help="directory that holds the nodegae package")
+    parser.add_argument("--work-dir", type=Path, help="run here and keep the artifacts")
+    args = parser.parse_args()
+    if args.work_dir is None:
+        with tempfile.TemporaryDirectory() as tmp:
+            lines = run_matrix(args.src, Path(tmp))
+    else:
+        args.work_dir.mkdir(parents=True, exist_ok=True)
+        if any(args.work_dir.iterdir()):
+            raise SystemExit(f"--work-dir {args.work_dir} is not empty")
+        lines = run_matrix(args.src, args.work_dir)
+    print("\n".join(lines))
+
+
+if __name__ == "__main__":
+    main()
