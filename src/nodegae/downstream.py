@@ -1,25 +1,26 @@
 """Stage-2 models trained on frozen node embeddings.
 
-Three backbones (plain MLP, graph convolution, mean-aggregating
-message passing) share one parameter store and training loop. The graph
-backbones build their sparse operator (graphstore's normalized or mean
-adjacency) once, when the model is built, or take one from
-``graph_operator``. A gcn or sage layer is one ``diffcore.graph_layer`` op
-and a dropout one ``diffcore.dropout`` op. A forward computes only the node
-rows its caller reads. Node classification trains full batch
+Three backbones (plain MLP, graph convolution, mean-aggregating message
+passing) share one parameter store and training loop. A graph backbone builds
+its sparse operator (graphstore's normalized or mean adjacency) once, or takes
+one from ``graph_operator``. A forward plans each layer's node sets first
+(``GnnModel.plan``: the rows it reads, its operator slice, sage's self-term
+positions) and runs the layers over them, so it computes only the rows its
+caller reads; a gcn or sage layer is one ``diffcore.graph_layer`` op and a
+dropout one ``diffcore.dropout`` op. Node classification trains full batch
 with cross-entropy; link prediction trains on minibatches of positive and
-sampled negative pairs with a dot-product-plus-logistic scorer, or a
-small MLP head that the model builds with its layers. Both trainers share
-one set-up, one loop that keeps the weights of the best validation epoch,
-and one scorer, ``score_splits``, which the CLI also uses for the test
-metric.
+sampled negative pairs with a dot-product-plus-logistic scorer, or a small MLP
+head that the model builds with its layers. Both trainers share one set-up,
+one loop that keeps the best validation epoch's weights, and one scorer,
+``score_splits``, which the CLI also uses for the test metric.
 """
 
 import io
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import BinaryIO, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import (BinaryIO, Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence,
+                    Tuple)
 
 import numpy as np
 
@@ -226,6 +227,16 @@ def shallow_embeddings(graph: TextGraph, dim: int, seed: int = 0) -> EmbeddingMa
 BACKBONES = ("mlp", "gcn", "sage")
 
 
+class LayerPlan(NamedTuple):
+    """One forward layer's node sets: the ids of the rows it reads (None for all
+    N), its operator in ids local to those rows (None for mlp), and the positions
+    of sage's self term among them (None for all)."""
+
+    inputs: Optional[np.ndarray]
+    operator: object
+    own: Optional[np.ndarray]
+
+
 class GnnModel:
     """Stacked backbone layers with inverted dropout between them.
 
@@ -288,49 +299,58 @@ class GnnModel:
         for name, p in self.params.items():
             p.data = snap[name].copy()
 
+    def plan(self, num_nodes: int, rows=None) -> List[LayerPlan]:
+        """Each layer's node sets in a forward over num_nodes feature rows that
+        outputs `rows` (all nodes when None), which must be integer ids in
+        [0, num_nodes), else ContractError. mlp layers are row-local, so each
+        reads `rows`. A gcn or sage layer reads all N nodes; the last writes
+        only `rows`, through `operator[rows]`, and sage's self term takes them."""
+        if rows is not None:
+            rows = dc._row_ids("GnnModel.forward", rows, num_nodes)
+        if self.backbone == "mlp":
+            return [LayerPlan(rows, None, None)] * self.num_layers
+        whole = LayerPlan(None, self.operator, None)
+        last = whole if rows is None else LayerPlan(
+            None, self.operator[rows], rows if self.backbone == "sage" else None)
+        return [whole] * (self.num_layers - 1) + [last]
+
     def forward(self, features: np.ndarray, train: bool = False,
                 rng: Optional[np.random.Generator] = None, rows=None) -> dc.DiffTensor:
         """Outputs (len(rows), out_dim) of the nodes `rows`, in that order, or
         (N, out_dim) of all nodes when rows is None; dropout only in train mode.
 
-        Every layer but the last ends in relu. A gcn or sage layer is one
-        `dc.graph_layer` op, and each dropout is one `dc.dropout` op (none
-        is recorded on the constant features). Graph backbones propagate
-        with their operator, so features need one row per graph node; all
-        their layers but the last run over the whole graph, and the last
-        aggregates into `rows` only, through `operator[rows]` (sage's self
-        term takes those rows of its product). mlp layers are row-local, so
-        mlp slices the features to `rows` first. Dropout masks are drawn at
-        the full (N, width) shape whatever `rows` is, so the rng advances
-        alike.
+        The layers run over `plan(N, rows)`; the first takes its input rows
+        of the features. Every layer but the last ends in relu. A gcn or sage
+        layer is one `dc.graph_layer` op, and each dropout is one `dc.dropout`
+        op (none is recorded on the constant features). Graph backbones need
+        one feature row per graph node. Dropout masks are drawn at the full
+        (N, width) shape and indexed by the layer's input rows, so the rng
+        advances alike whatever `rows` is.
         """
         x = dc.constant(features)
         if x.shape[-1] != self.dims[0]:
             raise DimensionError(
                 f"features have dim {x.shape[-1]}, model expects {self.dims[0]}")
         num_nodes, last = x.shape[0], self.num_layers - 1
-        row_local = rows is not None and self.backbone == "mlp"
-        if row_local:
-            x = dc.embedding_lookup(x, rows)
+        plan = self.plan(num_nodes, rows)
+        if plan[0].inputs is not None:
+            x = dc.constant(x.data[plan[0].inputs])
         p = self.params
-        for i in range(self.num_layers):
+        for i, layer in enumerate(plan):
             if train and self.dropout > 0.0:
                 if rng is None:
                     raise ContractError("dropout in train mode needs an rng")
                 keep = 1.0 - self.dropout
                 mask = rng.random((num_nodes, self.dims[i])) < keep
-                x = dc.dropout(x, mask[rows] if row_local else mask, keep)
-            if self.backbone == "mlp":
+                x = dc.dropout(x, mask if layer.inputs is None else mask[layer.inputs], keep)
+            if layer.operator is None:
                 x = dc.matmul(x, p[f"l{i}.w"], p[f"l{i}.b"])
                 x = dc.relu(x) if i < last else x
-                continue
-            at = rows if i == last else None
-            op = self.operator if at is None else self.operator[at]
-            if self.backbone == "gcn":
-                x = dc.graph_layer(op, x, p[f"l{i}.w"], relu=i < last)
+            elif self.backbone == "gcn":
+                x = dc.graph_layer(layer.operator, x, p[f"l{i}.w"], relu=i < last)
             else:
-                x = dc.graph_layer(op, x, p[f"l{i}.neigh"], p[f"l{i}.self"], at,
-                                   relu=i < last)
+                x = dc.graph_layer(layer.operator, x, p[f"l{i}.neigh"], p[f"l{i}.self"],
+                                   layer.own, relu=i < last)
         return x
 
 
@@ -450,9 +470,9 @@ def score_splits(model: GnnModel, embeddings, graph: TextGraph,
     """Each part's score from one inference forward, keyed by part.
 
     Without a link split: accuracy of the argmax class on that node split of
-    graph, nan when it is empty. With one: ROC-AUC of predict_links' scores
-    over the part's positives followed by its negatives. The forward
-    computes only the nodes that some part reads.
+    graph, nan when it is empty. With one: ROC-AUC of _link_scores' logistic
+    pair scores over the part's positives followed by its negatives. The
+    forward computes only the nodes that some part reads.
     """
     if split is None:
         wanted = {part: _node_split(graph, part) for part in parts}

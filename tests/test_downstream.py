@@ -1024,6 +1024,120 @@ def test_link_fit_mlp_head_matmuls_see_only_batch_endpoints(recorded_ops, monkey
 
 
 # ---------------------------------------------------------------------------
+# forward plans
+# ---------------------------------------------------------------------------
+
+def reference_forward(model, features, train=False, rng=None, rows=None):
+    """GnnModel.forward as it was before plans: mlp slices the features to
+    `rows` first and indexes its masks by them, gcn and sage run every layer
+    but the last over all nodes and slice the operator for the last."""
+    x = dc.constant(features)
+    num_nodes, last = x.shape[0], model.num_layers - 1
+    row_local = rows is not None and model.backbone == "mlp"
+    if row_local:
+        x = dc.embedding_lookup(x, rows)
+    p = model.params
+    for i in range(model.num_layers):
+        if train and model.dropout > 0.0:
+            keep = 1.0 - model.dropout
+            mask = rng.random((num_nodes, model.dims[i])) < keep
+            x = dc.dropout(x, mask[rows] if row_local else mask, keep)
+        if model.backbone == "mlp":
+            x = dc.matmul(x, p[f"l{i}.w"], p[f"l{i}.b"])
+            x = dc.relu(x) if i < last else x
+            continue
+        at = rows if i == last else None
+        op = model.operator if at is None else model.operator[at]
+        if model.backbone == "gcn":
+            x = dc.graph_layer(op, x, p[f"l{i}.w"], relu=i < last)
+        else:
+            x = dc.graph_layer(op, x, p[f"l{i}.neigh"], p[f"l{i}.self"], at, relu=i < last)
+    return x
+
+
+# labeled_graph() has 30 nodes.
+PLAN_ROW_SETS = {
+    "all": None,
+    "empty": np.zeros(0, dtype=np.int64),
+    "single": np.array([13]),
+    "first": np.array([0]),
+    "last": np.array([29]),
+    **ROW_SETS,
+}
+
+
+@pytest.mark.parametrize("backbone", ds.BACKBONES)
+@pytest.mark.parametrize("num_layers", [1, 2, 3])
+@pytest.mark.parametrize("train", [False, True])
+@pytest.mark.parametrize("rows", PLAN_ROW_SETS.values(), ids=PLAN_ROW_SETS.keys())
+def test_forward_over_plan_equals_the_reference_forward_bit_for_bit(backbone, num_layers,
+                                                                     train, rows):
+    graph = labeled_graph(seed=6)
+    feats = np.random.default_rng(6).standard_normal((graph.num_nodes, 5))
+    results = []
+    for forward in (ds.GnnModel.forward, reference_forward):
+        cfg = ds.DownstreamConfig(backbone=backbone, hidden_dim=8, num_layers=num_layers,
+                                  dropout=0.4, seed=6)
+        model = ds.GnnModel.build(cfg, 5, 4, operator_of(backbone, graph))
+        rng = np.random.default_rng(11)
+        out = forward(model, feats, train, rng, rows)
+        weights = np.random.default_rng(12).standard_normal(out.shape)
+        dc.backward(dc.sum_axis(dc.reshape(dc.mul(out, dc.constant(weights)), (-1,)), 0))
+        results.append((out.shape, out.data.tobytes(), rng.bit_generator.state,
+                        {name: None if t.grad is None else t.grad.tobytes()
+                         for name, t in model.params.items()}))
+    assert results[0] == results[1]
+
+
+@pytest.mark.parametrize("backbone", ds.BACKBONES)
+@pytest.mark.parametrize("num_layers", [1, 2, 3])
+@pytest.mark.parametrize("rows", PLAN_ROW_SETS.values(), ids=PLAN_ROW_SETS.keys())
+def test_plan_node_sets_of_each_layer(backbone, num_layers, rows):
+    graph = labeled_graph(seed=6)
+    n = graph.num_nodes
+    cfg = ds.DownstreamConfig(backbone=backbone, num_layers=num_layers)
+    model = ds.GnnModel.build(cfg, 5, 4, operator_of(backbone, graph))
+    plan = model.plan(n, rows)
+    assert len(plan) == num_layers
+    out_rows = n if rows is None else len(rows)
+    for i, layer in enumerate(plan):
+        if backbone == "mlp":
+            # Row-local layers read and write the output rows.
+            assert layer.operator is None and layer.own is None
+            if rows is None:
+                assert layer.inputs is None
+            else:
+                np.testing.assert_array_equal(layer.inputs, rows)
+            continue
+        # Graph layers read all nodes; only the last writes fewer than all.
+        assert layer.inputs is None
+        written = out_rows if i == num_layers - 1 else n
+        assert layer.operator.shape == (written, n)
+        sliced = i == num_layers - 1 and rows is not None
+        want = model.operator[rows] if sliced else model.operator
+        assert (layer.operator != want).nnz == 0
+        if backbone == "sage" and sliced:
+            np.testing.assert_array_equal(layer.own, rows)
+        else:
+            assert layer.own is None
+
+
+@pytest.mark.parametrize("backbone", ds.BACKBONES)
+@pytest.mark.parametrize("rows", [[-1, -2], [3, 30], [1.5, 2.5]],
+                         ids=["negative", "past-the-end", "non-integer"])
+def test_forward_rejects_rows_that_are_no_node_ids(backbone, rows):
+    # gcn once returned nodes 29 and 28 for [-1, -2] and nodes 1 and 2 for
+    # [1.5, 2.5]; an id past the end escaped from scipy as an IndexError.
+    graph = labeled_graph(seed=6)
+    cfg = ds.DownstreamConfig(backbone=backbone, hidden_dim=8)
+    model = ds.GnnModel.build(cfg, 5, 4, operator_of(backbone, graph))
+    feats = np.zeros((graph.num_nodes, 5))
+    for train in (False, True):
+        with pytest.raises(ContractError, match="GnnModel.forward"):
+            model.forward(feats, train=train, rng=np.random.default_rng(0), rows=rows)
+
+
+# ---------------------------------------------------------------------------
 # one recorded op per graph layer and per dropout
 # ---------------------------------------------------------------------------
 

@@ -13,7 +13,11 @@ generated graph:
 - ``pretrain`` with reconstruction rows, then ``--resume`` for more steps;
 - ``embed`` from the checkpoint and with ``--baseline shallow``;
 - ``train`` node classification for mlp, gcn and sage, and link prediction
-  for each backbone with both link scorers and ``--log-every-iter``;
+  for each backbone with both link scorers and ``--log-every-iter``, all at
+  the default two layers;
+- ``train`` node classification for gcn and sage at one and three layers,
+  and sage link prediction at three, so that a first layer that is also the
+  last and a middle layer run too;
 - ``ablate`` with the mlp and gcn backbones.
 
 It then prints one ``sha256  relative-path`` line per file, sorted by path.
@@ -51,6 +55,11 @@ MATRIX = [
     *(["train", *STAGE2, "--out-dir", f"linkpred/{backbone}-{scorer}", "--task", "linkpred",
        "--backbone", backbone, "--link-scorer", scorer, "--log-every-iter"]
       for backbone in BACKBONES for scorer in ("dot", "mlp")),
+    *(["train", *STAGE2, "--out-dir", f"nodecls/{backbone}-{layers}", "--task", "nodecls",
+       "--backbone", backbone, "--num-layers", layers]
+      for backbone in ("gcn", "sage") for layers in ("1", "3")),
+    ["train", *STAGE2, "--out-dir", "linkpred/sage-3", "--task", "linkpred", "--backbone", "sage",
+     "--num-layers", "3"],
     ["ablate", "--dataset", "data", "--out-dir", "ablate", "--backbones", "mlp,gcn",
      "--repeats", "1", "--steps", "4", "--epochs", "4", *STAGE1],
 ]
