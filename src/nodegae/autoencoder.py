@@ -207,24 +207,9 @@ def _as_id_matrix(ids) -> np.ndarray:
     return arr
 
 
-def _layout(ids: np.ndarray, positions=None) -> Tuple[int, int, np.ndarray]:
-    """The dc.attention layout (B, T, flat) of a (B, T) id matrix.
-
-    flat holds the given flat positions, by default the non-PAD ones. A
-    non-PAD input left out of them stays a key with a zero row, so it must
-    come after its row's last kept position, where no kept query sees it.
-    """
-    if positions is None:
-        return ids.shape[0], ids.shape[1], np.flatnonzero(ids != PAD_ID)
-    layout = dc.check_layout("decoder_logits", (*ids.shape, positions), np.size(positions))
-    kept = np.zeros(ids.shape, dtype=bool)
-    kept.reshape(-1)[layout[2]] = True
-    kept_from = np.logical_or.accumulate(kept[:, ::-1], axis=1)[:, ::-1]
-    if np.any(kept_from & ~kept & (ids != PAD_ID)):
-        raise ContractError(
-            "decoder_logits: a non-PAD input left out of positions comes before a kept one "
-            "in its row; only a row's last inputs may be left out")
-    return layout
+def _layout(ids: np.ndarray) -> Tuple[int, int, np.ndarray]:
+    """The dc.attention layout (B, T, flat) of a (B, T) id matrix: its non-PAD positions."""
+    return ids.shape[0], ids.shape[1], np.flatnonzero(ids != PAD_ID)
 
 
 def _embed(params, prefix: str, ids: np.ndarray, flat: np.ndarray) -> dc.DiffTensor:
@@ -294,17 +279,15 @@ def project(model: AutoencoderModel, h: dc.DiffTensor) -> dc.DiffTensor:
 
 
 def decoder_logits(model: AutoencoderModel, memory: dc.DiffTensor, dec_ids,
-                   positions=None) -> dc.DiffTensor:
-    """Next-token logits (n, vocab) for the non-PAD teacher-forced decoder inputs.
+                   lengths) -> dc.DiffTensor:
+    """Next-token logits (n, vocab) of the first lengths[b] teacher-forced inputs of each row b.
 
-    Rows follow the inputs in row-major (B, T) order. positions, increasing
-    flat positions of dec_ids, replaces the non-PAD ones as the inputs that
-    get a row; a PAD input among them stays masked as a key, and a non-PAD
-    input left out stays a key with a zero row, so only inputs that no kept
-    query sees (a row's last inputs) may be left out. Self-attention
-    is causal (each position sees itself and the left context);
-    cross-attention reads memory, the (B, slots, d_dec) rows that project
-    returns.
+    Rows follow those inputs in row-major (B, T) order; lengths must be B
+    integers in [0, T], else ContractError. A PAD input among them gets a
+    row, and its key stays masked. Self-attention is causal (each position
+    sees itself and the left context), so no row sees the inputs after its
+    row's prefix; cross-attention reads memory, the (B, slots, d_dec) rows
+    that project returns.
     """
     dec_ids = _as_id_matrix(dec_ids)
     cfg, params = model.config, model.params
@@ -315,7 +298,11 @@ def decoder_logits(model: AutoencoderModel, memory: dc.DiffTensor, dec_ids,
         raise DimensionError(
             f"memory shape {memory.shape} is not (batch {b}, slots, "
             f"d_dec {cfg.d_dec})")
-    layout = _layout(dec_ids, positions)
+    lengths = np.asarray(lengths)
+    if (lengths.shape != (b,) or not np.issubdtype(lengths.dtype, np.integer)
+            or np.any((lengths < 0) | (lengths > t))):
+        raise ContractError(f"decoder_logits: lengths {lengths!r} are not {b} integers in [0, {t}]")
+    layout = (b, t, np.flatnonzero(np.arange(t) < lengths[:, None]))
     x = _embed(params, "dec", dec_ids, layout[2])
     # Attention adds the two masks to the scores in turn: no (B, 1, T, T) sum.
     self_masks = (np.triu(np.full((t, t), MASK_BIAS), k=1),
@@ -453,12 +440,12 @@ def pretrain_loss(model: AutoencoderModel, graph: TextGraph,
     info = infonce_loss(latents, positive_rows, cfg)
     targets = ids[:b]
     memory = project(model, dc.embedding_lookup(latents, np.arange(b)))
-    # Only the inputs whose target is not PAD get a logits row. That drops each
-    # shorter row's EOS input: its target is PAD and, as the row's last
-    # input, no causal query attends to it, so no other row's value moves.
+    # Only the inputs whose target is not PAD, a prefix of each row, get a logits
+    # row. That drops each shorter row's EOS input: its target is PAD and, as the
+    # row's last input, no causal query attends to it, so no other row's value moves.
     real = targets != PAD_ID
     logits = decoder_logits(model, memory, shift_for_teacher_forcing(targets),
-                            positions=np.flatnonzero(real))
+                            real.sum(axis=1))
     return lm_loss(logits, targets[real]), info
 
 
@@ -514,7 +501,7 @@ def reconstruct(model: AutoencoderModel, tokens, max_gen_len: Optional[int] = No
     """Greedy decode conditioned on the latent of tokens; stops at EOS.
 
     The forward is the batch one with B = 1, and every generated position
-    gets a logits row, so a generated PAD is read like any other token.
+    gets a logits row; a generated PAD's key stays masked, as when padded.
     """
     if max_gen_len is None:
         max_gen_len = model.config.max_len
@@ -523,7 +510,7 @@ def reconstruct(model: AutoencoderModel, tokens, max_gen_len: Optional[int] = No
         memory = project(model, encode_batch(model, np.asarray(tokens)[None]))
         for _ in range(max_gen_len):
             logits = decoder_logits(model, memory, np.asarray(generated)[None, :],
-                                    positions=np.arange(len(generated)))
+                                    [len(generated)])
             nxt = int(np.argmax(logits.data[-1]))
             generated.append(nxt)
             if nxt == EOS_ID:

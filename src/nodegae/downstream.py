@@ -301,12 +301,15 @@ class GnnModel:
 
     def plan(self, num_nodes: int, rows=None) -> List[LayerPlan]:
         """Each layer's node sets in a forward over num_nodes feature rows that
-        outputs `rows` (all nodes when None), which must be integer ids in
-        [0, num_nodes), else ContractError. mlp layers are row-local, so each
-        reads `rows`. A gcn or sage layer reads all N nodes; the last writes
-        only `rows`, through `operator[rows]`, and sage's self term takes them."""
+        outputs `rows` (all nodes when None), which must be a 1-d array of
+        integer ids in [0, num_nodes), else ContractError. mlp layers are
+        row-local, so each reads `rows`. A gcn or sage layer reads all N nodes;
+        the last writes only `rows`, through `operator[rows]`, and sage's self
+        term takes them."""
         if rows is not None:
             rows = dc._row_ids("GnnModel.forward", rows, num_nodes)
+            if rows.ndim != 1:
+                raise ContractError(f"GnnModel.forward: rows must be 1-d, got shape {rows.shape}")
         if self.backbone == "mlp":
             return [LayerPlan(rows, None, None)] * self.num_layers
         whole = LayerPlan(None, self.operator, None)
@@ -454,14 +457,11 @@ def _link_scores(model: GnnModel, z: dc.DiffTensor, pairs: np.ndarray) -> np.nda
 
 
 def predict_links(model: GnnModel, embeddings, pairs) -> np.ndarray:
-    """Scores logistic(pair logit) in (0, 1), symmetric in (u, v)."""
-    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-    feats = _feature_matrix(embeddings)
-    if pairs.size and (pairs.min() < 0 or pairs.max() >= feats.shape[0]):
-        raise IndexError("link pair references a node outside the embedding matrix")
-    rows, local = _endpoints(pairs)
+    """Scores logistic(pair logit) in (0, 1), symmetric in (u, v). The forward
+    checks the pair ids as it checks rows, raising ContractError."""
+    rows, local = _endpoints(np.asarray(pairs).reshape(-1, 2))
     with dc.no_grad():
-        return _link_scores(model, model.forward(feats, train=False, rows=rows), local)
+        return _link_scores(model, model.forward(_feature_matrix(embeddings), rows=rows), local)
 
 
 def score_splits(model: GnnModel, embeddings, graph: TextGraph,

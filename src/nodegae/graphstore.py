@@ -180,9 +180,13 @@ def hop_frontier(graph: TextGraph, nodes, k: int) -> np.ndarray:
     Each hop takes the frontier's neighbours (its gathered CSR slices, sorted
     and deduplicated) and drops visited nodes with a boolean mask, so nodes closer
     than k, the set itself included, are never returned. k = 0 gives the
-    set itself.
+    set itself. An id that is not an integer in [0, N) raises IndexError.
     """
-    frontier = np.array(nodes, dtype=np.int64).reshape(-1)
+    ids = np.asarray(nodes).reshape(-1)
+    bad = ~(np.issubdtype(ids.dtype, np.integer) & (ids >= 0) & (ids < graph.num_nodes))
+    if bad.any():
+        raise IndexError(f"node {ids[bad.argmax()]} is not an integer in [0, {graph.num_nodes})")
+    frontier = ids.astype(np.int64)
     if frontier.size > 1:  # a single id is already sorted and unique
         frontier = _unique(frontier)
     visited = np.zeros(graph.num_nodes, dtype=bool)
@@ -199,9 +203,8 @@ def hop_frontier(graph: TextGraph, nodes, k: int) -> np.ndarray:
 def sample_positive(
     graph: TextGraph, node: int, k: int, rng: np.random.Generator
 ) -> Optional[int]:
-    """Uniform draw from the nodes at distance exactly k >= 1; None when there are none."""
-    if not (0 <= node < graph.num_nodes):
-        raise IndexError(f"node {node} out of range for {graph.num_nodes} nodes")
+    """Uniform draw from the nodes at distance exactly k >= 1, or None when there are
+    none. A node that is not an integer in [0, N) raises hop_frontier's IndexError."""
     if k < 1:
         raise ContractError(f"hop distance must be >= 1, got {k}")
     candidates = hop_frontier(graph, [node], k)

@@ -220,12 +220,12 @@ def test_decoder_logits_shape_and_causality():
     rng = np.random.default_rng(1)
     memory = dc.constant(rng.standard_normal((1, model.config.proj_len, 8)))
     ids = np.array([[tc.BOS_ID, 4, 5, 6]])
-    logits = ae.decoder_logits(model, memory, ids).data
+    logits = ae.decoder_logits(model, memory, ids, [4]).data
     assert logits.shape == (4, model.vocab.size)
     # Changing a future token must not move earlier positions.
     altered = ids.copy()
     altered[0, 3] = 9
-    logits2 = ae.decoder_logits(model, memory, altered).data
+    logits2 = ae.decoder_logits(model, memory, altered, [4]).data
     assert np.array_equal(logits[:3], logits2[:3])
 
 
@@ -239,42 +239,49 @@ def test_packed_decoder_rows_equal_the_padded_oracle(seed):
     dec_ids = ae.shift_for_teacher_forcing(targets)
     memory = dc.constant(rng.standard_normal((3, model.config.proj_len, 8)))
     want = padded_decoder_logits(model, memory, dec_ids).data
-    got = ae.decoder_logits(model, memory, dec_ids).data
+    got = ae.decoder_logits(model, memory, dec_ids, (dec_ids != tc.PAD_ID).sum(axis=1)).data
     assert got.tobytes() == want[dec_ids != tc.PAD_ID].tobytes()
     # Every position may get a row, a PAD input too; its key stays masked.
-    every = ae.decoder_logits(model, memory, dec_ids, positions=np.arange(dec_ids.size)).data
+    every = ae.decoder_logits(model, memory, dec_ids, np.full(3, dec_ids.shape[1])).data
     assert every.tobytes() == want.reshape(-1, model.vocab.size).tobytes()
     with pytest.raises(ContractError):
-        ae.decoder_logits(model, memory, dec_ids, positions=[2, 1])
+        ae.decoder_logits(model, memory, dec_ids, [2, 1])
 
 
-def test_decoder_logits_positions_may_leave_out_only_a_rows_last_inputs():
+@pytest.mark.parametrize("seed", range(3))
+def test_decoder_logits_rows_are_each_rows_first_lengths_inputs(seed):
+    rng = np.random.default_rng(10 + seed)
+    model = tiny_model(seed=seed, dec_layers=2)
+    b, t = 6, 9
+    # Rows of 1..t-1 real inputs, each followed by PAD inputs.
+    dec_ids = np.full((b, t), tc.PAD_ID)
+    for row, n in enumerate(rng.integers(1, t, size=b)):
+        dec_ids[row, :n] = np.append(tc.BOS_ID, rng.integers(4, model.vocab.size, size=n - 1))
+    memory = dc.constant(rng.standard_normal((b, model.config.proj_len, 8)))
+    every = ae.decoder_logits(model, memory, dec_ids, np.full(b, t)).data.reshape(b, t, -1)
+    lengths = rng.integers(0, t + 1, size=b)
+    lengths[:2] = 0, t
+    got = ae.decoder_logits(model, memory, dec_ids, lengths).data
+    want = every[np.arange(t) < lengths[:, None]]
+    assert got.shape == (lengths.sum(), model.vocab.size)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_decoder_logits_rejects_lengths_that_are_no_row_prefixes():
     model = tiny_model()
-    rng = np.random.default_rng(4)
-    memory = dc.constant(rng.standard_normal((2, model.config.proj_len, 8)))
-    dec_ids = np.array([[tc.BOS_ID, 4, 5, 6, 7], [tc.BOS_ID, 8, 9, tc.PAD_ID, tc.PAD_ID]])
-    every = ae.decoder_logits(model, memory, dec_ids, positions=np.arange(10)).data
-    # Each row's last inputs, PAD or not, may be left out: no kept query sees them.
-    kept = np.array([0, 1, 2, 5, 6])
-    got = ae.decoder_logits(model, memory, dec_ids, positions=kept).data
-    assert got.tobytes() == every[kept].tobytes()
-    # Row 0's 4th input is left out while its 5th is kept: that query would read
-    # a zero key and value row for it, so the call raises instead.
-    for kept in ([0, 1, 2, 4, 5, 6], [0, 1, 2, 3, 4, 6], [1, 2, 3, 4, 5, 6, 7]):
-        with pytest.raises(ContractError, match="left out"):
-            ae.decoder_logits(model, memory, dec_ids, positions=np.array(kept))
-    # A PAD input may be left out anywhere; its key is masked.
-    pad_inside = np.array([[tc.BOS_ID, 4, tc.PAD_ID, 6, 7]])
-    got = ae.decoder_logits(model, dc.constant(memory.data[:1]), pad_inside,
-                            positions=np.array([0, 1, 3, 4]))
-    assert got.shape == (4, model.vocab.size)
+    memory = dc.constant(np.zeros((2, model.config.proj_len, 8)))
+    dec_ids = np.array([[tc.BOS_ID, 4, 5], [tc.BOS_ID, 6, tc.PAD_ID]])
+    for lengths in ([3], [[3, 2]], 3, [3.0, 2.0], [True, True], [-1, 2], [3, 4]):
+        with pytest.raises(ContractError, match="lengths"):
+            ae.decoder_logits(model, memory, dec_ids, lengths)
+    assert ae.decoder_logits(model, memory, dec_ids, [3, 0]).data.shape == (3, model.vocab.size)
 
 
 def test_decoder_logits_rejects_2d_memory():
     model = tiny_model()
     memory = dc.constant(np.zeros((model.config.proj_len, 8)))
     with pytest.raises(DimensionError):
-        ae.decoder_logits(model, memory, np.array([[tc.BOS_ID, 4]]))
+        ae.decoder_logits(model, memory, np.array([[tc.BOS_ID, 4]]), [2])
 
 
 def test_shift_for_teacher_forcing():
@@ -567,7 +574,7 @@ def test_pretrain_step_alpha_zero_matches_pure_reconstruction():
     latents = ae.encode_batch(model_b, ids)
     memory = ae.project(model_b, latents)
     dec_ids = ae.shift_for_teacher_forcing(ids)
-    logits = ae.decoder_logits(model_b, memory, dec_ids)
+    logits = ae.decoder_logits(model_b, memory, dec_ids, (dec_ids != tc.PAD_ID).sum(axis=1))
     loss = ae.lm_loss(logits, ids[dec_ids != tc.PAD_ID])
     dc.backward(loss)
     dc.adam_step(model_b.parameters(), adam_b)
@@ -1010,7 +1017,7 @@ def test_decoder_tape_keeps_its_masks_as_addends_and_no_summed_grid(recorded_ops
     ids = rng.integers(tc.PAD_ID + 1, vocab.size, size=(b, t))
     ids[np.arange(t) >= (t - 7 * np.arange(b))[:, None]] = tc.PAD_ID
     memory = dc.parameter(rng.standard_normal((b, model.config.proj_len, model.config.d_dec)))
-    logits = ae.decoder_logits(model, memory, ids)
+    logits = ae.decoder_logits(model, memory, ids, t - 7 * np.arange(b))
     # The tape drops the summed grid and keeps the (T, T) mask and the
     # (B, 1, 1, T) row it was summed from.
     assert kept_bytes(logits) <= SUMMED_MASK_DECODER_TAPE_BYTES - (b * t * t - t * t - b * t) * 8

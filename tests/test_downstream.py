@@ -598,8 +598,18 @@ def test_link_scores_match_hand_logistic():
 
 def test_predict_links_rejects_out_of_range_ids():
     model = ds.GnnModel.build(ds.DownstreamConfig(hidden_dim=4, dropout=0.0), 3, 2)
-    with pytest.raises(IndexError):
+    with pytest.raises(ContractError, match="GnnModel.forward"):
         ds.predict_links(model, np.zeros((4, 3)), [(0, 4)])
+
+
+def test_predict_links_checks_pair_ids_with_the_forwards_rule():
+    # A float pair was once cast to int64 and scored as the pair (0, 1).
+    model = ds.GnnModel.build(ds.DownstreamConfig(hidden_dim=4, dropout=0.0), 3, 2)
+    feats = np.random.default_rng(0).standard_normal((4, 3))
+    for pairs in ([(0.5, 1.7)], [(-1, 2)], [(True, False)]):
+        with pytest.raises(ContractError, match="GnnModel.forward"):
+            ds.predict_links(model, feats, pairs)
+    assert ds.predict_links(model, feats, np.zeros((0, 2), dtype=np.int64)).shape == (0,)
 
 
 def test_link_bce_of_zero_logits_is_log_two():
@@ -1123,11 +1133,12 @@ def test_plan_node_sets_of_each_layer(backbone, num_layers, rows):
 
 
 @pytest.mark.parametrize("backbone", ds.BACKBONES)
-@pytest.mark.parametrize("rows", [[-1, -2], [3, 30], [1.5, 2.5]],
-                         ids=["negative", "past-the-end", "non-integer"])
+@pytest.mark.parametrize("rows", [[-1, -2], [3, 30], [1.5, 2.5], [[1, 2], [3, 4]]],
+                         ids=["negative", "past-the-end", "non-integer", "2-d"])
 def test_forward_rejects_rows_that_are_no_node_ids(backbone, rows):
     # gcn once returned nodes 29 and 28 for [-1, -2] and nodes 1 and 2 for
-    # [1.5, 2.5]; an id past the end escaped from scipy as an IndexError.
+    # [1.5, 2.5]; an id past the end escaped from scipy as an IndexError. 2-d
+    # rows gave mlp a (2, 2, out) array and gcn and sage scipy's IndexError.
     graph = labeled_graph(seed=6)
     cfg = ds.DownstreamConfig(backbone=backbone, hidden_dim=8)
     model = ds.GnnModel.build(cfg, 5, 4, operator_of(backbone, graph))

@@ -181,9 +181,21 @@ def test_k_hop_isolated_node_is_empty():
 
 def test_k_hop_out_of_range_node_raises():
     g = gs.TextGraph.from_edges(2, [(0, 1)])
-    for node in (5, 2, -1):
+    for node in (5, 2, -1, 1.5):  # 1.5 once ran from node 1
         with pytest.raises(IndexError):
             gs.sample_positive(g, node, 1, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("nodes, k, bad", [([-1, 5], 1, -1), ([3, 64], 1, 64), ([1.7, 2], 1, 1.7),
+                                          ([-1], 0, -1), ([True], 1, True)],
+                         ids=["negative", "past-the-end", "non-integer", "negative-at-k0", "bool"])
+def test_hop_frontier_rejects_ids_that_are_no_nodes(nodes, k, bad):
+    # [-1, 5] once raised numpy's ValueError, [3, 64] a bare IndexError,
+    # [1.7, 2] ran from node 1 and [-1] at k = 0 returned [-1].
+    g = gs.TextGraph.from_edges(64, [(i, i + 1) for i in range(63)])
+    with pytest.raises(IndexError, match=rf"^node {bad} is not an integer in \[0, 64\)"):
+        gs.hop_frontier(g, nodes, k)
+    assert gs.hop_frontier(g, [], 1).tolist() == []
 
 
 def test_k_hop_bad_k_raises():

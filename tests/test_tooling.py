@@ -93,3 +93,62 @@ def test_every_cli_matrix_command_parses(monkeypatch):
     assert {argv[0] for argv in matrix} == set(cli.COMMANDS)
     for argv in matrix:
         parser.parse_args(argv)  # exits on an unknown flag or value
+
+
+# Public names with no caller in src/nodegae or tools/, and why each stays.
+UNCALLED_PUBLIC_API = {
+    "gelu": "perfbench's tracer looks it up by name; the benchmark PR deletes it",
+    "softmax_lastdim": "perfbench's tracer looks it up by name; the benchmark PR deletes it",
+    "layernorm_lastdim": "perfbench's tracer looks it up by name; the benchmark PR deletes it",
+    "predict_links": "perfbench's stage-2 scoring calls it until it moves to score_splits",
+    "encode_node": "perfbench's row check calls it, and it is the extraction contract's reference",
+}
+
+
+def test_public_api_has_a_caller_outside_the_tests():
+    """Every public top-level function or class, and every public method, of
+    src/nodegae and tools/ is named somewhere outside its own definition there,
+    as a Name, an Attribute or a from-import, or is on UNCALLED_PUBLIC_API.
+
+    Matching is by name, so a method whose name is used elsewhere (say by
+    another method of that name) is not caught.
+    """
+    import ast
+
+    defined, used = set(), set()
+
+    class Uses(ast.NodeVisitor):
+        def __init__(self):
+            self.inside = []  # names of the definitions around the visited node
+
+        def visit_FunctionDef(self, node):
+            self.inside.append(node.name)
+            self.generic_visit(node)
+            self.inside.pop()
+
+        visit_AsyncFunctionDef = visit_ClassDef = visit_FunctionDef
+
+        def note(self, name):
+            if name not in self.inside:
+                used.add(name)
+
+        def visit_Name(self, node):
+            self.note(node.id)
+
+        def visit_Attribute(self, node):
+            self.note(node.attr)
+            self.generic_visit(node)
+
+        def visit_ImportFrom(self, node):
+            for alias in node.names:
+                self.note(alias.name)
+
+    definitions = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    for path in sorted((REPO / "src" / "nodegae").glob("*.py")) + sorted((REPO / "tools").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            members = node.body if isinstance(node, ast.ClassDef) else []
+            defined.update(d.name for d in [node, *members]
+                           if isinstance(d, definitions) and not d.name.startswith("_"))
+        Uses().visit(tree)
+    assert sorted(defined - used) == sorted(UNCALLED_PUBLIC_API)
