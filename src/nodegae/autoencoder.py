@@ -80,24 +80,23 @@ class ModelConfig:
             )
 
 
+# The hop distances of the contrastive positives, in the order of InfoNCEConfig.alphas.
+HOPS = (1, 2)
+
+
 @dataclass
 class InfoNCEConfig:
-    """Contrastive-loss settings: temperature and per-hop weights."""
+    """Contrastive-loss settings: temperature and the weight of each hop in HOPS."""
 
     tau: float = 0.5
-    hops: Tuple[int, ...] = (1, 2)
-    alphas: Tuple[float, ...] = (1.0, 0.1)
+    alphas: Tuple[float, float] = (1.0, 0.1)
     normalize: bool = True
 
     def validate(self) -> None:
         if self.tau <= 0:
             raise ConfigError(f"tau must be positive, got {self.tau}")
-        if len(self.hops) != len(self.alphas):
-            raise ConfigError(
-                f"hops {self.hops} and alphas {self.alphas} must align"
-            )
-        if any(k < 1 for k in self.hops):
-            raise ConfigError(f"hops must be >= 1, got {self.hops}")
+        if len(self.alphas) != len(HOPS):
+            raise ConfigError(f"alphas {self.alphas} must weigh the hops {HOPS}, one each")
         if any(a < 0 for a in self.alphas):
             raise ConfigError(f"alphas must be >= 0, got {self.alphas}")
 
@@ -343,8 +342,8 @@ def infonce_loss(latents: dc.DiffTensor, positive_rows: Mapping[int, Sequence[in
     """Hop-weighted in-batch contrastive loss, averaged over the anchors.
 
     The anchors are the first B rows of latents (R, d). positive_rows[hop]
-    gives, for each anchor, the row of its hop-k positive, or -1 when it has
-    none. Anchor i's logits for a hop are its similarity to that positive
+    gives, for each hop in HOPS, each anchor's row of its positive, or -1 when
+    it has none. Anchor i's logits for a hop are its similarity to that positive
     followed by its similarities to the other anchors in row order, over
     tau; its term is the cross-entropy of the positive, weighted by the
     hop's alpha. Absent positives contribute exactly zero, and so does every
@@ -352,7 +351,7 @@ def infonce_loss(latents: dc.DiffTensor, positive_rows: Mapping[int, Sequence[in
     cfg.normalize is off.
     """
     cfg.validate()
-    rows = [np.asarray(positive_rows[hop], dtype=np.int64) for hop in cfg.hops]
+    rows = [np.asarray(positive_rows[hop], dtype=np.int64) for hop in HOPS]
     hops = [(alpha, r) for alpha, r in zip(cfg.alphas, rows) if np.any(r >= 0)]
     if not hops:
         return dc.constant(0.0)
@@ -394,16 +393,16 @@ def infonce_loss(latents: dc.DiffTensor, positive_rows: Mapping[int, Sequence[in
 def draw_positives(graph: TextGraph, batch_nodes: Sequence[int],
                    rng: np.random.Generator, cfg: InfoNCEConfig
                    ) -> Dict[int, List[Optional[int]]]:
-    """positives[hop][i]: a node drawn at exactly hop k from anchor i, or None.
+    """positives[hop][i]: a node drawn at exactly hop from anchor i, or None, per hop in HOPS.
 
     Draws anchor by anchor, every hop per anchor, and draws nothing when the
     contrastive loss is disabled.
     """
     positives: Dict[int, List[Optional[int]]] = {
-        hop: [None] * len(batch_nodes) for hop in cfg.hops}
+        hop: [None] * len(batch_nodes) for hop in HOPS}
     if not cfg.disabled:
         for i, v in enumerate(batch_nodes):
-            for hop in cfg.hops:
+            for hop in HOPS:
                 positives[hop][i] = sample_positive(graph, v, hop, rng)
     return positives
 
@@ -424,9 +423,9 @@ def pretrain_loss(model: AutoencoderModel, graph: TextGraph,
     for i, v in enumerate(batch):
         row_of.setdefault(v, i)
     nodes = list(batch)
-    positive_rows = {hop: np.full(b, -1, dtype=np.int64) for hop in cfg.hops}
+    positive_rows = {hop: np.full(b, -1, dtype=np.int64) for hop in HOPS}
     for i in range(b):
-        for hop in cfg.hops:
+        for hop in HOPS:
             p = positives[hop][i]
             if p is None:
                 continue

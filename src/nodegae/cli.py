@@ -202,6 +202,16 @@ def _check_seeds(args: Args) -> None:
             raise ConfigError(f"{flag} must be >= 0, got {getattr(args, dest)}")
 
 
+def _check_loss(where: str, loss: float, first: float, classes: int) -> None:
+    """Raise NodeGaeError naming `where` when a training loss is not finite or
+    exceeds 1e3 times its run's scale: the larger of the run's first loss and
+    ln(classes), the cross-entropy of a uniform guess over the classes it ranks."""
+    bound = 1e3 * max(first, float(np.log(classes)))
+    if not (np.isfinite(loss) and loss <= bound):
+        raise NodeGaeError(
+            f"training diverged at {where}: loss {loss!r} is not finite or above {bound!r}")
+
+
 def _pretraining_graph(args: Args, purpose: str) -> TextGraph:
     graph = load_dataset(args.dataset)
     if graph.num_nodes < 2:
@@ -275,18 +285,19 @@ def _pretraining(args: Args, graph: TextGraph, model: AutoencoderModel, adam: dc
                  ) -> Iterator[Tuple[int, float, float]]:
     """Run --steps stage-1 steps, yielding (step, lm loss, InfoNCE loss) after each.
 
-    The one step loop of `pretrain` and `ablate`. A non-finite loss raises
-    NodeGaeError naming the step, so neither command writes the artifacts of
-    a run that diverged.
+    The one step loop of `pretrain` and `ablate`. A total loss that
+    _check_loss finds diverged, over the vocabulary and this call's first
+    step, raises NodeGaeError naming the step, so neither command writes the
+    artifacts of a run that diverged.
     """
     batch_size = min(args.batch_size, graph.num_nodes)
+    first = None
     for _ in range(args.steps):
         batch = rng.choice(graph.num_nodes, size=batch_size, replace=False)
         lm, info = pretrain_step(model, graph, batch, adam, rng, icfg)
         step = adam.step_count
-        if not np.isfinite(lm + info):
-            raise NodeGaeError(
-                f"pretraining diverged at step {step}: loss {lm!r} + {info!r} is not finite")
+        first = lm + info if first is None else first
+        _check_loss(f"step {step}", lm + info, first, model.vocab.size)
         yield step, lm, info
 
 
@@ -429,6 +440,8 @@ def _run_repeats(args: Args, graph: TextGraph, emb: EmbeddingMatrix, dcfg: Downs
     """Train --repeats models seeded --seed + r; return metrics, epoch rows, curve rows.
 
     The repeats share `operator`, which the caller builds with graph_operator.
+    A repeat whose epoch train losses _check_loss finds diverged, over the
+    classes or the two link labels, raises NodeGaeError naming the epoch.
     """
     values: List[float] = []
     epoch_rows: List[str] = []
@@ -437,6 +450,7 @@ def _run_repeats(args: Args, graph: TextGraph, emb: EmbeddingMatrix, dcfg: Downs
         seeded = replace(dcfg, seed=args.seed + r)
         if args.task == "nodecls":
             model, log = train_node_classifier(emb, graph, seeded, operator=operator)
+            losses, classes = [row["train_loss"] for row in log], int(graph.labels.max()) + 1
             for row in log:
                 i = row["epoch"]
                 epoch_rows.append(f"{r},epoch,{i},train,ce,{_fmt(row['train_loss'])}")
@@ -444,6 +458,7 @@ def _run_repeats(args: Args, graph: TextGraph, emb: EmbeddingMatrix, dcfg: Downs
                 epoch_rows.append(f"{r},epoch,{i},test,accuracy,{_fmt(row['test_acc'])}")
         else:
             model, log = train_link_predictor(emb, graph, split, seeded, operator=operator)
+            losses, classes = [row["value"] for row in log if row["metric"] == "bce"], 2
             for row in log:
                 if row["scope"] == "iter":
                     curve_rows.append(f"{r},{row['index']},{_fmt(row['value'])}")
@@ -451,6 +466,8 @@ def _run_repeats(args: Args, graph: TextGraph, emb: EmbeddingMatrix, dcfg: Downs
                     epoch_rows.append(
                         f"{r},epoch,{row['index']},{row['split']},"
                         f"{row['metric']},{_fmt(row['value'])}")
+        for epoch, loss in enumerate(losses):
+            _check_loss(f"epoch {epoch} of repeat {r}", loss, losses[0], classes)
         values.append(score_splits(model, emb, graph, split, ("test",))["test"])
     return values, epoch_rows, curve_rows
 

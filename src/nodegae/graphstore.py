@@ -13,7 +13,7 @@ construction for link prediction.
 """
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -31,6 +31,9 @@ __all__ = [
     "mean_adjacency",
     "build_link_split",
 ]
+
+# The train, val and test shares of a link split's edges: 7:2:1.
+LINK_SPLIT_RATIOS = (0.7, 0.2, 0.1)
 
 
 def _keys(pairs: np.ndarray, num_nodes: int) -> np.ndarray:
@@ -265,7 +268,6 @@ class LinkSplit:
     train_neg: np.ndarray
     val_neg: np.ndarray
     test_neg: np.ndarray
-    seed: int
 
     def positives(self, part: str) -> np.ndarray:
         return {"train": self.train_pos, "val": self.val_pos, "test": self.test_pos}[part]
@@ -305,16 +307,8 @@ class LinkSplit:
             raise ContractError("positives do not partition the edge set")
 
 
-def build_link_split(
-    graph: TextGraph,
-    ratios: Tuple[float, float, float] = (0.7, 0.2, 0.1),
-    seed: int = 0,
-) -> LinkSplit:
-    """Partition edges by the given ratios and sample matched negatives."""
-    if len(ratios) != 3 or any(r < 0 for r in ratios):
-        raise ConfigError(f"ratios must be three non-negative numbers, got {ratios}")
-    if abs(sum(ratios) - 1.0) > 1e-9:
-        raise ConfigError(f"ratios must sum to 1, got {ratios}")
+def build_link_split(graph: TextGraph, seed: int = 0) -> LinkSplit:
+    """Partition edges by LINK_SPLIT_RATIOS and sample matched negatives."""
     edges = graph.edges()
     n_edges = edges.shape[0]
     if n_edges < 10:
@@ -328,8 +322,8 @@ def build_link_split(
 
     rng = np.random.default_rng(seed)
     perm = rng.permutation(n_edges)
-    n_train = min(int(round(ratios[0] * n_edges)), n_edges)
-    n_val = min(int(round(ratios[1] * n_edges)), n_edges - n_train)
+    # With m >= 10 edges, round(0.7 m) + round(0.2 m) <= 0.9 m + 1 <= m, so no part overflows.
+    n_train, n_val = (int(round(r * n_edges)) for r in LINK_SPLIT_RATIOS[:2])
     parts = (slice(0, n_train), slice(n_train, n_train + n_val), slice(n_train + n_val, None))
     pos_parts = [edges[np.sort(perm[part])] for part in parts]
 
@@ -352,4 +346,4 @@ def build_link_split(
     neg_keys = np.concatenate(chosen)
     neg_parts = [_pairs(np.sort(neg_keys[part]), n) for part in parts]
 
-    return LinkSplit(n, *pos_parts, *neg_parts, seed=seed)
+    return LinkSplit(n, *pos_parts, *neg_parts)

@@ -12,7 +12,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import BinaryIO, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import BinaryIO, Callable, Dict, List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -59,7 +59,6 @@ class Vocabulary:
 
     token_to_id: Dict[str, int]
     id_to_token: List[str]
-    max_size: int
 
     @property
     def size(self) -> int:
@@ -72,13 +71,13 @@ class Vocabulary:
         return self.id_to_token[idx]
 
     @classmethod
-    def from_tokens(cls, id_to_token: Sequence[str], max_size: Optional[int] = None):
+    def from_tokens(cls, id_to_token: Sequence[str]):
         """Rebuild a vocabulary from its id-ordered token list."""
         id_to_token = list(id_to_token)
         if id_to_token[:4] != list(RESERVED_TOKENS):
             raise ContractError("token list must start with the four reserved tokens")
         token_to_id = {tok: i for i, tok in enumerate(id_to_token) if i >= 4}
-        return cls(token_to_id, id_to_token, max_size or len(id_to_token))
+        return cls(token_to_id, id_to_token)
 
 
 def build_vocab(texts: Sequence[str], max_size: int = 2048) -> Vocabulary:
@@ -94,7 +93,7 @@ def build_vocab(texts: Sequence[str], max_size: int = 2048) -> Vocabulary:
     kept = [tok for tok, _ in ranked[: max_size - 4]]
     id_to_token = list(RESERVED_TOKENS) + kept
     token_to_id = {tok: i + 4 for i, tok in enumerate(kept)}
-    return Vocabulary(token_to_id, id_to_token, max_size)
+    return Vocabulary(token_to_id, id_to_token)
 
 
 def encode(text: str, vocab: Vocabulary, max_len: int = 64) -> np.ndarray:

@@ -70,8 +70,8 @@ def set_edges(graph):
     return {(u, int(v)) for u in range(graph.num_nodes) for v in graph.neighbors(u) if u < v}
 
 
-def scalar_link_split(graph, ratios=(0.7, 0.2, 0.1), seed=0):
-    """The six split arrays, negatives drawn by one scalar rng.integers(n) per endpoint.
+def scalar_link_split(graph, seed=0):
+    """The six arrays of a 7:2:1 split, negatives drawn by one scalar rng.integers(n) per endpoint.
 
     Returns (train_pos, val_pos, test_pos, train_neg, val_neg, test_neg).
     """
@@ -79,8 +79,8 @@ def scalar_link_split(graph, ratios=(0.7, 0.2, 0.1), seed=0):
     n_edges, n = len(edges), graph.num_nodes
     rng = np.random.default_rng(seed)
     perm = rng.permutation(n_edges)
-    n_train = min(int(round(ratios[0] * n_edges)), n_edges)
-    n_val = min(int(round(ratios[1] * n_edges)), n_edges - n_train)
+    n_train = min(int(round(0.7 * n_edges)), n_edges)
+    n_val = min(int(round(0.2 * n_edges)), n_edges - n_train)
     bounds = [0, n_train, n_train + n_val, n_edges]
     edge_arr = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
     full, chosen, negatives = set(edges), set(), []

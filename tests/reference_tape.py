@@ -200,9 +200,9 @@ def padded_pretrain_loss(model, graph, batch_nodes, positives, cfg):
     for i, v in enumerate(batch):
         row_of.setdefault(v, i)
     nodes = list(batch)
-    positive_rows = {hop: np.full(b, -1, dtype=np.int64) for hop in cfg.hops}
+    positive_rows = {hop: np.full(b, -1, dtype=np.int64) for hop in ae.HOPS}
     for i in range(b):
-        for hop in cfg.hops:
+        for hop in ae.HOPS:
             p = positives[hop][i]
             if p is None:
                 continue

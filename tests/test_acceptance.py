@@ -238,7 +238,7 @@ def test_criterion_1_gradient_suite():
                               enc_layers=1, dec_layers=1, heads=2, proj_len=2,
                               ff_mult=1, max_len=8)
         model = ae.AutoencoderModel.init(mcfg, vocab, seed=0)
-        icfg = ae.InfoNCEConfig(tau=0.5, hops=(1, 2), alphas=(1.0, 0.1))
+        icfg = ae.InfoNCEConfig(tau=0.5, alphas=(1.0, 0.1))
         batch = [0, 1, 2]
         for tensor in COMBINED_FD_TENSORS:
             assert model.params[tensor].data.size <= 64, tensor
@@ -278,19 +278,19 @@ def test_criterion_2_loss_closed_forms():
         # Anchor 0 = e1 with positive e1 (row 2); anchor 1 = e2 is its one
         # negative and has no positive, so the batch mean is half the term.
         latents = dc.constant([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]])
-        rows = {1: [2, -1]}
+        rows = {1: [2, -1], 2: [-1, -1]}
 
-        cfg = ae.InfoNCEConfig(tau=1.0, hops=(1,), alphas=(1.0,))
+        cfg = ae.InfoNCEConfig(tau=1.0, alphas=(1.0, 0.0))
         got = ae.infonce_loss(latents, rows, cfg).item()
         want = -math.log(math.e / (math.e + 1.0)) / 2.0
         assert abs(got - want) < 1e-10, f"tau=1: {got} vs {want}"
 
-        cfg_half = ae.InfoNCEConfig(tau=0.5, hops=(1,), alphas=(1.0,))
+        cfg_half = ae.InfoNCEConfig(tau=0.5, alphas=(1.0, 0.0))
         got = ae.infonce_loss(latents, rows, cfg_half).item()
         want = math.log1p(math.exp(-2.0)) / 2.0
         assert abs(got - want) < 1e-10, f"tau=0.5: {got} vs {want}"
 
-        got = ae.infonce_loss(latents, {1: [2]}, cfg).item()
+        got = ae.infonce_loss(latents, {1: [2], 2: [-1]}, cfg).item()
         assert got == 0.0, f"zero negatives: {got}"
 
         vocab = 21

@@ -373,7 +373,7 @@ def pair_loss(anchor, positives, negative, cfg):
     anchor 1 is its one negative and has none, so it adds nothing to the sum."""
     latents = [anchor, negative]
     rows = {}
-    for hop in cfg.hops:
+    for hop in ae.HOPS:
         if positives.get(hop) is None:
             rows[hop] = [-1, -1]
         else:
@@ -387,11 +387,11 @@ def infonce_oracle(latents, positive_rows, cfg):
     x = np.asarray(latents, dtype=np.float64)
     if cfg.normalize:
         x = x / np.linalg.norm(x, axis=1, keepdims=True)
-    b = len(positive_rows[cfg.hops[0]])
+    b = len(positive_rows[ae.HOPS[0]])
     total = 0.0
     for i in range(b):
         negatives = [x[i] @ x[j] / cfg.tau for j in range(b) if j != i]
-        for hop, alpha in zip(cfg.hops, cfg.alphas):
+        for hop, alpha in zip(ae.HOPS, cfg.alphas):
             row = positive_rows[hop][i]
             if row < 0:
                 continue
@@ -405,9 +405,9 @@ def infonce_oracle(latents, positive_rows, cfg):
 @pytest.mark.parametrize("normalize", [True, False])
 def test_infonce_matches_per_anchor_oracle(b, normalize):
     rng = np.random.default_rng(10 * b + normalize)
-    cfg = ae.InfoNCEConfig(tau=0.5, hops=(1, 2), alphas=(1.0, 0.1), normalize=normalize)
+    cfg = ae.InfoNCEConfig(tau=0.5, alphas=(1.0, 0.1), normalize=normalize)
     latents = rng.standard_normal((b + 3, 6))
-    rows = {hop: rng.integers(0, b + 3, size=b) for hop in cfg.hops}
+    rows = {hop: rng.integers(0, b + 3, size=b) for hop in ae.HOPS}
     rows[1][0] = -1  # an anchor without a hop-1 positive
     if b > 1:
         rows[2][1:] = -1  # a hop where one anchor has a positive
@@ -419,34 +419,34 @@ def test_infonce_matches_per_anchor_oracle(b, normalize):
 
 
 def test_infonce_zero_negatives_is_exactly_zero():
-    cfg = ae.InfoNCEConfig(tau=0.7, hops=(1,), alphas=(1.0,))
-    loss = ae.infonce_loss(dc.constant([unit(0), unit(1)]), {1: [1]}, cfg)
+    cfg = ae.InfoNCEConfig(tau=0.7, alphas=(1.0, 0.0))
+    loss = ae.infonce_loss(dc.constant([unit(0), unit(1)]), {1: [1], 2: [-1]}, cfg)
     assert float(loss.item()) == 0.0
 
 
 def test_infonce_canonical_orthogonal_case():
-    cfg = ae.InfoNCEConfig(tau=1.0, hops=(1,), alphas=(1.0,))
+    cfg = ae.InfoNCEConfig(tau=1.0, alphas=(1.0, 0.0))
     loss = pair_loss(unit(0), {1: unit(0)}, unit(1), cfg)
     want = np.log1p(np.exp(-1.0)) / 2.0  # -log(e / (e + 1)), halved
     assert abs(loss - want) < 1e-10
 
 
 def test_infonce_temperature_doubles_dots():
-    cfg = ae.InfoNCEConfig(tau=0.5, hops=(1,), alphas=(1.0,))
+    cfg = ae.InfoNCEConfig(tau=0.5, alphas=(1.0, 0.0))
     loss = pair_loss(unit(0), {1: unit(0)}, unit(1), cfg)
     want = np.log1p(np.exp(-2.0)) / 2.0
     assert abs(loss - want) < 1e-10
 
 
 def test_infonce_normalizes_magnitudes_away():
-    cfg = ae.InfoNCEConfig(tau=1.0, hops=(1,), alphas=(1.0,))
+    cfg = ae.InfoNCEConfig(tau=1.0, alphas=(1.0, 0.0))
     loss = pair_loss(2.5 * unit(0), {1: 7.0 * unit(0)}, 0.3 * unit(1), cfg)
     want = np.log1p(np.exp(-1.0)) / 2.0
     assert abs(loss - want) < 1e-10
 
 
 def test_infonce_raw_mode_uses_unscaled_dots():
-    cfg = ae.InfoNCEConfig(tau=1.0, hops=(1,), alphas=(1.0,), normalize=False)
+    cfg = ae.InfoNCEConfig(tau=1.0, alphas=(1.0, 0.0), normalize=False)
     anchor = 2.0 * unit(0)
     loss = pair_loss(anchor, {1: 3.0 * unit(0)}, unit(1), cfg)
     # dots: pos 6, neg 0.
@@ -455,7 +455,7 @@ def test_infonce_raw_mode_uses_unscaled_dots():
 
 
 def test_infonce_multi_hop_weighted_sum():
-    cfg = ae.InfoNCEConfig(tau=0.5, hops=(1, 2), alphas=(1.0, 0.1))
+    cfg = ae.InfoNCEConfig(tau=0.5, alphas=(1.0, 0.1))
     rng = np.random.default_rng(7)
     vecs = rng.standard_normal((4, 5))
     anchor, p1, p2, neg = vecs
@@ -474,10 +474,10 @@ def test_infonce_multi_hop_weighted_sum():
 
 
 def test_infonce_absent_hop_contributes_zero():
-    cfg = ae.InfoNCEConfig(tau=0.5, hops=(1, 2), alphas=(1.0, 0.1))
+    cfg = ae.InfoNCEConfig(tau=0.5, alphas=(1.0, 0.1))
     both = pair_loss(unit(0), {1: unit(0), 2: None}, unit(1), cfg)
     only = pair_loss(unit(0), {1: unit(0)}, unit(1),
-                     ae.InfoNCEConfig(tau=0.5, hops=(1,), alphas=(1.0,)))
+                     ae.InfoNCEConfig(tau=0.5, alphas=(1.0, 0.0)))
     assert abs(both - only) < 1e-15
 
 
@@ -489,19 +489,19 @@ def test_infonce_all_hops_absent_is_zero_constant():
 
 
 def test_infonce_invariant_to_negative_order():
-    cfg = ae.InfoNCEConfig(tau=0.5, hops=(1,), alphas=(1.0,))
+    cfg = ae.InfoNCEConfig(tau=0.5, alphas=(1.0, 0.0))
     rng = np.random.default_rng(3)
     vecs = [rng.standard_normal(6) for _ in range(5)]
     anchor, pos = vecs[0], vecs[1]
     negs = vecs[2:]
-    rows = {1: [4, -1, -1, -1]}
+    rows = {1: [4, -1, -1, -1], 2: [-1, -1, -1, -1]}
     a = float(ae.infonce_loss(dc.constant([anchor] + negs + [pos]), rows, cfg).item())
     b = float(ae.infonce_loss(dc.constant([anchor] + negs[::-1] + [pos]), rows, cfg).item())
     assert abs(a - b) < 1e-12
 
 
 def test_infonce_zero_norm_embedding_rejected():
-    cfg = ae.InfoNCEConfig(tau=1.0, hops=(1,), alphas=(1.0,))
+    cfg = ae.InfoNCEConfig(tau=1.0, alphas=(1.0, 0.0))
     with pytest.raises(ContractError):
         pair_loss(np.zeros(4), {1: unit(0)}, unit(1), cfg)
 
@@ -509,7 +509,7 @@ def test_infonce_zero_norm_embedding_rejected():
 @pytest.mark.parametrize("seed", range(5))
 def test_infonce_is_nonnegative(seed):
     rng = np.random.default_rng(100 + seed)
-    cfg = ae.InfoNCEConfig(tau=0.5, hops=(1, 2), alphas=(1.0, 0.1))
+    cfg = ae.InfoNCEConfig(tau=0.5, alphas=(1.0, 0.1))
     anchor = rng.standard_normal(8)
     positives = [rng.standard_normal(8), rng.standard_normal(8)]
     negs = [rng.standard_normal(8) for _ in range(3)]
@@ -522,7 +522,7 @@ def test_infonce_config_validation():
     with pytest.raises(ConfigError):
         ae.InfoNCEConfig(tau=0.0).validate()
     with pytest.raises(ConfigError):
-        ae.InfoNCEConfig(hops=(1, 2), alphas=(1.0,)).validate()
+        ae.InfoNCEConfig(alphas=(1.0,)).validate()
     with pytest.raises(ConfigError):
         ae.InfoNCEConfig(alphas=(-0.5, 0.1)).validate()
 
@@ -859,7 +859,7 @@ def test_combined_loss_passes_finite_difference_check():
     prng = np.random.default_rng(42)
     for p in model.params.values():
         p.data = prng.normal(0.0, 0.4, size=p.data.shape)
-    cfg = ae.InfoNCEConfig(tau=0.5, hops=(1, 2), alphas=(1.0, 0.1))
+    cfg = ae.InfoNCEConfig(tau=0.5, alphas=(1.0, 0.1))
     batch = [0, 1, 2]
     positives = ae.draw_positives(graph, batch, np.random.default_rng(0), cfg)
 

@@ -942,6 +942,40 @@ def test_ablate_rejects_zero_layers_before_pretraining(dataset, tmp_path, capsys
 
 
 # ---------------------------------------------------------------------------
+# finite blow-ups
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def blow_up_inputs(tmp_path_factory):
+    """The 64-node graph of seed 0 and its shallow embeddings."""
+    root = tmp_path_factory.mktemp("blow_up")
+    assert main(["generate", "--out", str(root / "data"), "--nodes", "64", "--seed", "0"]) == 0
+    assert main(["embed", "--dataset", str(root / "data"), "--baseline", "shallow",
+                 "--out", str(root / "emb.txt")]) == 0
+    return root
+
+
+# Each run blows up and stays finite: unchecked, they log a total loss of 2.4e14
+# after 60 steps, 5.0e78 after 5 (numpy warns of an overflow in the layer norm
+# of the second step) and a train CE of 6.5e23.
+@pytest.mark.parametrize("argv", [
+    ["pretrain", "--lr", "1e6", "--clip-norm", "0", "--warmup", "0", "--steps", "60"],
+    ["pretrain", "--lr", "1e40", "--steps", "5"],
+    ["train", "--embeddings", "emb.txt", "--task", "nodecls", "--backbone", "mlp",
+     "--lr", "1e12", "--epochs", "30", "--repeats", "1"],
+], ids=["pretrain-lr1e6", "pretrain-lr1e40", "train-lr1e12"])
+def test_finite_blow_up_exits_two_without_artifacts(blow_up_inputs, tmp_path, capsys, argv):
+    out = tmp_path / "run"
+    argv = [str(blow_up_inputs / a) if a == "emb.txt" else a for a in argv]
+    with np.errstate(over="ignore"):
+        rc = main([*argv, "--dataset", str(blow_up_inputs / "data"), "--out-dir", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("runtime error: training diverged at ")
+    assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
 # start-up cost
 # ---------------------------------------------------------------------------
 
@@ -973,8 +1007,8 @@ def test_pretrain_and_embed_load_no_scipy_module(dataset, tmp_path):
 
 
 def test_pretrain_blow_up_exits_two_and_gelu_prints_no_warning(tmp_path):
-    # At --lr 1e6 (--clip-norm 0 --warmup 0) the 64-node run stays finite, with
-    # a total loss near 4e14 after 500 steps, and exits 0. At 1e60 the second
+    # At --lr 1e6 (--clip-norm 0 --warmup 0) the 64-node run stays finite, and
+    # the loss bound stops it (test_finite_blow_up_...). At 1e60 the second
     # step feeds gelu inputs near 1e60 and then reaches a non-finite gradient
     # norm. The layernorm, matmul and softmax overflow warnings it prints must
     # not be joined by any from the GELU code that dc.gelu and dc.feed_forward

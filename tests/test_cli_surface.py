@@ -38,6 +38,18 @@ def record(monkeypatch, name):
     return seen
 
 
+def spy(monkeypatch, name):
+    """Wrap ``cli.<name>`` to keep its arguments and still run; returns the dict it fills."""
+    seen, real = {}, getattr(cli, name)
+
+    def wrapper(*args, **kwargs):
+        seen["args"], seen["kwargs"] = args, kwargs
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, name, wrapper)
+    return seen
+
+
 def run_until_captured(argv):
     with pytest.raises(Captured):
         cli.main(argv)
@@ -73,7 +85,7 @@ def test_help_text_matches_golden(command, monkeypatch, capsys):
 # ---------------------------------------------------------------------------
 
 DEFAULT_STAGE1 = dict(base_lr=0.001, warmup_steps=100, clip_norm=1.0)
-DEFAULT_INFONCE = InfoNCEConfig(tau=0.5, hops=(1, 2), alphas=(1.0, 0.1), normalize=True)
+DEFAULT_INFONCE = InfoNCEConfig(tau=0.5, alphas=(1.0, 0.1), normalize=True)
 DEFAULT_DOWNSTREAM = dict(backbone="mlp", hidden_dim=64, num_layers=2, dropout=0.5,
                           epochs=200, patience=50, seed=0, batch_edges=128,
                           log_every_iter=False, add_self_loops=True, link_scorer="dot")
@@ -91,12 +103,12 @@ def test_generate_resolves_default_spec(monkeypatch, tmp_path):
     assert not (tmp_path / "d").exists()
 
 
-def check_stage1(seen):
+def check_stage1(seen, vocab_call):
     model, graph, batch, adam, _rng, icfg = seen["args"]
+    assert vocab_call["kwargs"] == {"max_size": 2048}
     assert repr(model.config) == repr(ModelConfig(
         vocab_size=model.vocab.size, d_enc=64, d_dec=64, enc_layers=2, dec_layers=2,
         heads=4, proj_len=4, ff_mult=2, max_len=64))
-    assert model.vocab.max_size == 2048
     assert {k: getattr(adam, k) for k in DEFAULT_STAGE1} == DEFAULT_STAGE1
     assert repr(icfg) == repr(DEFAULT_INFONCE)
     assert len(batch) == 16
@@ -104,18 +116,18 @@ def check_stage1(seen):
 
 
 def test_pretrain_resolves_default_stage1(monkeypatch, surface_dir, tmp_path):
-    seen = record(monkeypatch, "pretrain_step")
+    seen, vocab_call = record(monkeypatch, "pretrain_step"), spy(monkeypatch, "build_vocab")
     run_until_captured(["pretrain", "--dataset", str(surface_dir / "data"),
                         "--out-dir", str(tmp_path / "run")])
-    check_stage1(seen)
+    check_stage1(seen, vocab_call)
     assert not (tmp_path / "run").exists()
 
 
 def test_ablate_resolves_default_stage1(monkeypatch, surface_dir, tmp_path):
-    seen = record(monkeypatch, "pretrain_step")
+    seen, vocab_call = record(monkeypatch, "pretrain_step"), spy(monkeypatch, "build_vocab")
     run_until_captured(["ablate", "--dataset", str(surface_dir / "data"),
                         "--out-dir", str(tmp_path / "abl")])
-    check_stage1(seen)
+    check_stage1(seen, vocab_call)
     assert not (tmp_path / "abl").exists()
 
 

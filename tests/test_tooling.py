@@ -4,6 +4,7 @@ The tier-1 suite does not run perfbench, so a renamed or deleted function
 that perfbench traces would otherwise break only traced benchmark runs.
 """
 
+import ast
 import importlib
 import sys
 from pathlib import Path
@@ -103,19 +104,42 @@ UNCALLED_PUBLIC_API = {
     "predict_links": "perfbench's stage-2 scoring calls it until it moves to score_splits",
     "encode_node": "perfbench's row check calls it, and it is the extraction contract's reference",
 }
+# Defaulted parameters of public functions and methods, as "module.function.parameter",
+# that no call in src/nodegae or tools/ passes, and why each stays. This list only
+# shrinks: an entry leaves when its parameter gets a caller there or goes.
+UNPASSED_PARAMETERS = {
+    "cli.main.argv": "the console script calls main() bare, so it falls back to sys.argv",
+    "autoencoder.reconstruct.max_gen_len": "perfbench's warm-up passes it",
+}
+
+
+def _is_record(node):
+    """Whether a class definition is a dataclass or a NamedTuple."""
+    decorators = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
+    return (any(getattr(d, "id", getattr(d, "attr", None)) == "dataclass" for d in decorators)
+            or any(getattr(b, "id", None) == "NamedTuple" for b in node.bases))
 
 
 def test_public_api_has_a_caller_outside_the_tests():
-    """Every public top-level function or class, and every public method, of
-    src/nodegae and tools/ is named somewhere outside its own definition there,
-    as a Name, an Attribute or a from-import, or is on UNCALLED_PUBLIC_API.
+    """Public surface of src/nodegae and tools/ has a user there, unless allowlisted:
+
+    - every public top-level function or class, and every public method, is
+      named somewhere outside its own definition, as a Name, an Attribute or
+      a from-import (else it is on UNCALLED_PUBLIC_API);
+    - every defaulted parameter of a public function or method is passed by
+      some call of that name, by keyword or by position; a call that unpacks
+      *args or **kwargs passes them all (else it is on UNPASSED_PARAMETERS);
+    - every field of a dataclass or NamedTuple is read as an attribute.
 
     Matching is by name, so a method whose name is used elsewhere (say by
-    another method of that name) is not caught.
+    another method of that name), a parameter that a same-named function's
+    call passes, or a field whose name another object's attribute shares is
+    not caught.
     """
-    import ast
-
     defined, used = set(), set()
+    defaulted = {}  # "module.function.parameter" -> (function, parameter, call position or None)
+    record_fields = set()  # "Class.field"
+    passed, read = set(), set()  # (function name, parameter or position); attribute names
 
     class Uses(ast.NodeVisitor):
         def __init__(self):
@@ -137,18 +161,59 @@ def test_public_api_has_a_caller_outside_the_tests():
 
         def visit_Attribute(self, node):
             self.note(node.attr)
+            if isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
             self.generic_visit(node)
 
         def visit_ImportFrom(self, node):
             for alias in node.names:
                 self.note(alias.name)
 
-    definitions = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+        def visit_Call(self, node):
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            passed.update((name, kw.arg or "**") for kw in node.keywords)
+            passed.update((name, i) for i in range(len(node.args)))
+            if any(isinstance(arg, ast.Starred) for arg in node.args):
+                passed.add((name, "*"))
+            self.generic_visit(node)
+
+    def note_defaults(qualname, func, bound):
+        """Record func's defaulted parameters; `bound` leading ones are not passed in calls."""
+        args = func.args.posonlyargs + func.args.args
+        for i in range(len(args) - len(func.args.defaults), len(args)):
+            defaulted[f"{qualname}.{args[i].arg}"] = (func.name, args[i].arg, i - bound)
+        for arg, default in zip(func.args.kwonlyargs, func.args.kw_defaults):
+            if default is not None:
+                defaulted[f"{qualname}.{arg.arg}"] = (func.name, arg.arg, None)
+
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    definitions = (*functions, ast.ClassDef)
     for path in sorted((REPO / "src" / "nodegae").glob("*.py")) + sorted((REPO / "tools").glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
+        module, tree = path.stem, ast.parse(path.read_text(encoding="utf-8"))
         for node in tree.body:
             members = node.body if isinstance(node, ast.ClassDef) else []
             defined.update(d.name for d in [node, *members]
                            if isinstance(d, definitions) and not d.name.startswith("_"))
+            if isinstance(node, functions) and not node.name.startswith("_"):
+                note_defaults(f"{module}.{node.name}", node, 0)
+            for member in members:
+                if isinstance(member, functions) and not member.name.startswith("_"):
+                    static = any(getattr(d, "id", None) == "staticmethod"
+                                 for d in member.decorator_list)
+                    note_defaults(f"{module}.{node.name}.{member.name}", member, 0 if static else 1)
+            if isinstance(node, ast.ClassDef) and _is_record(node):
+                record_fields.update(f"{node.name}.{s.target.id}" for s in node.body
+                                     if isinstance(s, ast.AnnAssign)
+                                     and isinstance(s.target, ast.Name))
         Uses().visit(tree)
+
+    def is_passed(name, parameter, position):
+        keys = {(name, parameter), (name, "**")}
+        if position is not None:
+            keys |= {(name, position), (name, "*")}
+        return bool(keys & passed)
+
     assert sorted(defined - used) == sorted(UNCALLED_PUBLIC_API)
+    unpassed = [key for key, how in defaulted.items() if not is_passed(*how)]
+    assert sorted(unpassed) == sorted(UNPASSED_PARAMETERS)
+    assert sorted(f for f in record_fields if f.split(".")[1] not in read) == []

@@ -11,13 +11,17 @@ generated graph:
 
 - ``generate``;
 - ``pretrain`` with reconstruction rows, then ``--resume`` for more steps;
-- ``embed`` from the checkpoint and with ``--baseline shallow``;
+- ``embed`` from the checkpoint and with ``--baseline shallow`` and ``random``;
 - ``train`` node classification for mlp, gcn and sage, and link prediction
   for each backbone with both link scorers and ``--log-every-iter``, all at
   the default two layers;
 - ``train`` node classification for gcn and sage at one and three layers,
   and sage link prediction at three, so that a first layer that is also the
   last and a middle layer run too;
+- ``train`` node classification on the random embeddings with ``--lr`` set and
+  ``--patience 1``, so that early stopping ends a fit, and link prediction
+  with ``--batch-edges 13``, whose 92 training pairs leave a one-pair batch
+  that the trainer skips;
 - ``ablate`` with the mlp and gcn backbones.
 
 It then prints one ``sha256  relative-path`` line per file, sorted by path.
@@ -39,8 +43,8 @@ from pathlib import Path
 
 STAGE1 = ["--batch-size", "8", "--seed", "5"]
 RECON = ["--recon-every", "3", "--recon-samples", "2"]
-STAGE2 = ["--dataset", "data", "--embeddings", "emb/model.txt", "--repeats", "2",
-          "--epochs", "4", "--seed", "5"]
+FIT = ["--repeats", "2", "--epochs", "4", "--seed", "5"]
+STAGE2 = ["--dataset", "data", "--embeddings", "emb/model.txt", *FIT]
 BACKBONES = ("mlp", "gcn", "sage")
 
 MATRIX = [
@@ -50,6 +54,7 @@ MATRIX = [
      "--resume", "run/model.npz"],
     ["embed", "--dataset", "data", "--checkpoint", "run/model.npz", "--out", "emb/model.txt"],
     ["embed", "--dataset", "data", "--baseline", "shallow", "--out", "emb/shallow.txt"],
+    ["embed", "--dataset", "data", "--baseline", "random", "--out", "emb/random.txt"],
     *(["train", *STAGE2, "--out-dir", f"nodecls/{backbone}", "--task", "nodecls",
        "--backbone", backbone] for backbone in BACKBONES),
     *(["train", *STAGE2, "--out-dir", f"linkpred/{backbone}-{scorer}", "--task", "linkpred",
@@ -60,6 +65,11 @@ MATRIX = [
       for backbone in ("gcn", "sage") for layers in ("1", "3")),
     ["train", *STAGE2, "--out-dir", "linkpred/sage-3", "--task", "linkpred", "--backbone", "sage",
      "--num-layers", "3"],
+    ["train", "--dataset", "data", "--embeddings", "emb/random.txt", *FIT,
+     "--out-dir", "nodecls/mlp-random", "--task", "nodecls", "--backbone", "mlp",
+     "--lr", "0.05", "--patience", "1"],
+    ["train", *STAGE2, "--out-dir", "linkpred/mlp-odd", "--task", "linkpred", "--backbone", "mlp",
+     "--batch-edges", "13"],
     ["ablate", "--dataset", "data", "--out-dir", "ablate", "--backbones", "mlp,gcn",
      "--repeats", "1", "--steps", "4", "--epochs", "4", *STAGE1],
 ]
