@@ -21,6 +21,7 @@ from nodegae import cli
 from nodegae import diffcore as dc
 from nodegae.cli import dataset_paths, main
 from nodegae.downstream import load_embeddings
+from nodegae.errors import NodeGaeError
 from nodegae.graphstore import TextGraph, build_link_split
 from nodegae.textcorpus import load_textgraph, save_textgraph
 from conftest import edit_checkpoint
@@ -973,6 +974,17 @@ def test_finite_blow_up_exits_two_without_artifacts(blow_up_inputs, tmp_path, ca
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("runtime error: training diverged at ")
     assert not out.exists()
+
+
+def test_loss_check_bound_is_a_thousand_times_the_larger_scale():
+    # The scale is the run's first loss or ln K, whichever is larger; the bound
+    # itself passes and the next float above it fails, as do inf and nan.
+    for first, classes in [(5.0, 3), (0.25, 40)]:
+        bound = 1e3 * max(first, float(np.log(classes)))
+        cli._check_loss("epoch 1", bound, first, classes)
+        for loss in (np.nextafter(bound, np.inf), np.inf, np.nan):
+            with pytest.raises(NodeGaeError, match="training diverged at epoch 1: loss "):
+                cli._check_loss("epoch 1", loss, first, classes)
 
 
 # ---------------------------------------------------------------------------

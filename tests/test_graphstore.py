@@ -393,6 +393,20 @@ def test_split_sizes_on_ten_edges():
         assert split.positives(part).shape == split.negatives(part).shape
 
 
+def test_split_sizes_follow_the_fixed_ratios_with_no_part_empty():
+    # build_link_split takes round(0.7 m) and round(0.2 m) edges unclamped:
+    # from m = 10 edges on that leaves at least one test edge.
+    assert gs.LINK_SPLIT_RATIOS == (0.7, 0.2, 0.1)
+    for m in range(10, 121):
+        g = path_graph(m + 1)
+        split = gs.build_link_split(g, seed=m)
+        sizes = [split.positives(part).shape[0] for part in ("train", "val", "test")]
+        assert sizes[:2] == [round(0.7 * m), round(0.2 * m)]
+        assert sum(sizes) == m and min(sizes) >= 1
+        got = np.concatenate([split.positives(part) for part in ("train", "val", "test")])
+        assert set_edges(g) == {tuple(map(int, e)) for e in got}
+
+
 def test_split_needs_ten_edges():
     with pytest.raises(ConfigError):
         gs.build_link_split(path_graph(5), seed=0)
