@@ -184,15 +184,15 @@ def _layer_norm(x, params, prefix):
     return dc.layer_norm(x, params[prefix + ".g"], params[prefix + ".b"])
 
 
-def _attention(x, kv, params, prefix, heads, biases, layout):
+def _attention(x, kv, params, prefix, heads, biases, mask):
     """Multi-head attention with input and output projections over packed rows.
 
-    x holds the rows at layout's positions, and so does a 2-D kv; a 3-D kv
+    x holds the rows at mask's True cells, and so does a 2-D kv; a 3-D kv
     is the (B, slots, d) memory. biases is a tuple of additive numpy masks
     that each broadcast to (B, heads, Tq, Tk).
     """
     w = [params[f"{prefix}.{name}"] for name in ("wq", "wk", "wv")]
-    return dc.matmul(dc.attention(x, kv, *w, heads, biases, layout), params[prefix + ".wo"])
+    return dc.matmul(dc.attention(x, kv, *w, heads, biases, mask), params[prefix + ".wo"])
 
 
 def _feed_forward(x, params, prefix):
@@ -206,15 +206,11 @@ def _as_id_matrix(ids) -> np.ndarray:
     return arr
 
 
-def _layout(ids: np.ndarray) -> Tuple[int, int, np.ndarray]:
-    """The dc.attention layout (B, T, flat) of a (B, T) id matrix: its non-PAD positions."""
-    return ids.shape[0], ids.shape[1], np.flatnonzero(ids != PAD_ID)
-
-
-def _embed(params, prefix: str, ids: np.ndarray, flat: np.ndarray) -> dc.DiffTensor:
-    """Token plus position embeddings of the ids at the flat positions, (n, d)."""
-    return dc.add(dc.embedding_lookup(params[prefix + ".tok_emb"], ids.reshape(-1)[flat]),
-                  dc.embedding_lookup(params[prefix + ".pos_emb"], flat % ids.shape[1]))
+def _embed(params, prefix: str, ids: np.ndarray, mask: np.ndarray) -> dc.DiffTensor:
+    """Token plus position embeddings of the ids at mask's True cells, (n, d) in row-major order."""
+    # A copy: np.nonzero's columns view one buffer with its rows, which the tape would keep.
+    return dc.add(dc.embedding_lookup(params[prefix + ".tok_emb"], ids[mask]),
+                  dc.embedding_lookup(params[prefix + ".pos_emb"], np.nonzero(mask)[1].copy()))
 
 
 def encoder_hidden(model: AutoencoderModel, ids) -> dc.DiffTensor:
@@ -226,13 +222,13 @@ def encoder_hidden(model: AutoencoderModel, ids) -> dc.DiffTensor:
     cfg, params = model.config, model.params
     if ids.shape[1] > cfg.max_len:
         raise ContractError(f"sequence length {ids.shape[1]} exceeds max_len {cfg.max_len}")
-    layout = _layout(ids)
-    x = _embed(params, "enc", ids, layout[2])
-    key_pad = (np.where(ids == PAD_ID, MASK_BIAS, 0.0)[:, None, None, :],)
+    mask = ids != PAD_ID
+    x = _embed(params, "enc", ids, mask)
+    key_pad = (np.where(mask, 0.0, MASK_BIAS)[:, None, None, :],)
     for i in range(cfg.enc_layers):
         p = f"enc.l{i}"
         a = _layer_norm(x, params, p + ".ln1")
-        x = dc.add(x, _attention(a, a, params, p + ".attn", cfg.heads, key_pad, layout))
+        x = dc.add(x, _attention(a, a, params, p + ".attn", cfg.heads, key_pad, mask))
         f = _layer_norm(x, params, p + ".ln2")
         x = dc.add(x, _feed_forward(f, params, p + ".ff"))
     return _layer_norm(x, params, "enc.out_ln")
@@ -246,13 +242,14 @@ def encode_batch(model: AutoencoderModel, ids) -> dc.DiffTensor:
     columns leaves every row of the result unchanged.
     """
     ids = _as_id_matrix(ids)
-    counts = (ids != PAD_ID).sum(axis=1)
+    mask = ids != PAD_ID
+    counts = mask.sum(axis=1)
     if np.any(counts == 0):
         raise ContractError("encode: a sequence consists entirely of padding")
     # numpy sums over a middle axis one position at a time, in order, so pad
     # positions add exact zeros and each row is bit-identical to the sum over
     # its unpadded sequence, whatever the padded length is.
-    grid = dc.to_grid(encoder_hidden(model, ids), _layout(ids))
+    grid = dc.to_grid(encoder_hidden(model, ids), mask)
     return dc.mul(dc.sum_axis(grid, 1), dc.constant((1.0 / counts)[:, None]))
 
 
@@ -301,17 +298,17 @@ def decoder_logits(model: AutoencoderModel, memory: dc.DiffTensor, dec_ids,
     if (lengths.shape != (b,) or not np.issubdtype(lengths.dtype, np.integer)
             or np.any((lengths < 0) | (lengths > t))):
         raise ContractError(f"decoder_logits: lengths {lengths!r} are not {b} integers in [0, {t}]")
-    layout = (b, t, np.flatnonzero(np.arange(t) < lengths[:, None]))
-    x = _embed(params, "dec", dec_ids, layout[2])
+    mask = np.arange(t) < lengths[:, None]
+    x = _embed(params, "dec", dec_ids, mask)
     # Attention adds the two masks to the scores in turn: no (B, 1, T, T) sum.
     self_masks = (np.triu(np.full((t, t), MASK_BIAS), k=1),
                   np.where(dec_ids == PAD_ID, MASK_BIAS, 0.0)[:, None, None, :])
     for i in range(cfg.dec_layers):
         p = f"dec.l{i}"
         a = _layer_norm(x, params, p + ".ln1")
-        x = dc.add(x, _attention(a, a, params, p + ".attn", cfg.heads, self_masks, layout))
+        x = dc.add(x, _attention(a, a, params, p + ".attn", cfg.heads, self_masks, mask))
         c = _layer_norm(x, params, p + ".ln2")
-        x = dc.add(x, _attention(c, memory, params, p + ".cross", cfg.heads, (), layout))
+        x = dc.add(x, _attention(c, memory, params, p + ".cross", cfg.heads, (), mask))
         f = _layer_norm(x, params, p + ".ln3")
         x = dc.add(x, _feed_forward(f, params, p + ".ff"))
     x = _layer_norm(x, params, "dec.out_ln")

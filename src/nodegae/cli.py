@@ -202,16 +202,6 @@ def _check_seeds(args: Args) -> None:
             raise ConfigError(f"{flag} must be >= 0, got {getattr(args, dest)}")
 
 
-def _check_loss(where: str, loss: float, first: float, classes: int) -> None:
-    """Raise NodeGaeError naming `where` when a training loss is not finite or
-    exceeds 1e3 times its run's scale: the larger of the run's first loss and
-    ln(classes), the cross-entropy of a uniform guess over the classes it ranks."""
-    bound = 1e3 * max(first, float(np.log(classes)))
-    if not (np.isfinite(loss) and loss <= bound):
-        raise NodeGaeError(
-            f"training diverged at {where}: loss {loss!r} is not finite or above {bound!r}")
-
-
 def _pretraining_graph(args: Args, purpose: str) -> TextGraph:
     graph = load_dataset(args.dataset)
     if graph.num_nodes < 2:
@@ -286,7 +276,7 @@ def _pretraining(args: Args, graph: TextGraph, model: AutoencoderModel, adam: dc
     """Run --steps stage-1 steps, yielding (step, lm loss, InfoNCE loss) after each.
 
     The one step loop of `pretrain` and `ablate`. A total loss that
-    _check_loss finds diverged, over the vocabulary and this call's first
+    dc.check_loss finds diverged, over the vocabulary and this call's first
     step, raises NodeGaeError naming the step, so neither command writes the
     artifacts of a run that diverged.
     """
@@ -297,7 +287,7 @@ def _pretraining(args: Args, graph: TextGraph, model: AutoencoderModel, adam: dc
         lm, info = pretrain_step(model, graph, batch, adam, rng, icfg)
         step = adam.step_count
         first = lm + info if first is None else first
-        _check_loss(f"step {step}", lm + info, first, model.vocab.size)
+        dc.check_loss(f"step {step}", lm + info, first, model.vocab.size)
         yield step, lm, info
 
 
@@ -405,6 +395,10 @@ def _check_vocab_coverage(model: AutoencoderModel, graph: TextGraph) -> None:
 
 
 def cmd_embed(args: Args) -> int:
+    if args.baseline != "model" and args.checkpoint is not None:
+        raise ConfigError(f"--baseline {args.baseline} ignores --checkpoint")
+    if args.baseline == "model" and "dim" in args.user_set:
+        raise ConfigError("--checkpoint ignores --dim (baselines only)")
     _check_dataset(args)
     if args.baseline == "model":
         if args.checkpoint is None:
@@ -440,8 +434,7 @@ def _run_repeats(args: Args, graph: TextGraph, emb: EmbeddingMatrix, dcfg: Downs
     """Train --repeats models seeded --seed + r; return metrics, epoch rows, curve rows.
 
     The repeats share `operator`, which the caller builds with graph_operator.
-    A repeat whose epoch train losses _check_loss finds diverged, over the
-    classes or the two link labels, raises NodeGaeError naming the epoch.
+    A repeat that diverges raises the trainer's NodeGaeError at that epoch.
     """
     values: List[float] = []
     epoch_rows: List[str] = []
@@ -450,7 +443,6 @@ def _run_repeats(args: Args, graph: TextGraph, emb: EmbeddingMatrix, dcfg: Downs
         seeded = replace(dcfg, seed=args.seed + r)
         if args.task == "nodecls":
             model, log = train_node_classifier(emb, graph, seeded, operator=operator)
-            losses, classes = [row["train_loss"] for row in log], int(graph.labels.max()) + 1
             for row in log:
                 i = row["epoch"]
                 epoch_rows.append(f"{r},epoch,{i},train,ce,{_fmt(row['train_loss'])}")
@@ -458,7 +450,6 @@ def _run_repeats(args: Args, graph: TextGraph, emb: EmbeddingMatrix, dcfg: Downs
                 epoch_rows.append(f"{r},epoch,{i},test,accuracy,{_fmt(row['test_acc'])}")
         else:
             model, log = train_link_predictor(emb, graph, split, seeded, operator=operator)
-            losses, classes = [row["value"] for row in log if row["metric"] == "bce"], 2
             for row in log:
                 if row["scope"] == "iter":
                     curve_rows.append(f"{r},{row['index']},{_fmt(row['value'])}")
@@ -466,8 +457,6 @@ def _run_repeats(args: Args, graph: TextGraph, emb: EmbeddingMatrix, dcfg: Downs
                     epoch_rows.append(
                         f"{r},epoch,{row['index']},{row['split']},"
                         f"{row['metric']},{_fmt(row['value'])}")
-        for epoch, loss in enumerate(losses):
-            _check_loss(f"epoch {epoch} of repeat {r}", loss, losses[0], classes)
         values.append(score_splits(model, emb, graph, split, ("test",))["test"])
     return values, epoch_rows, curve_rows
 

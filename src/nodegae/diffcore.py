@@ -544,42 +544,35 @@ def softmax_lastdim(x: DiffTensor) -> DiffTensor:
     return _record(out, "softmax_lastdim", (x,), backward_fn)
 
 
-def check_layout(op: str, layout, rows: int) -> tuple[int, int, np.ndarray]:
-    """``layout`` as (B, T, flat), checked to place ``rows`` packed rows in a (B, T) grid.
+def _grid_mask(op: str, mask, rows: int) -> np.ndarray:
+    """``mask`` checked as a (B, T) bool grid whose True cells hold ``rows`` packed rows.
 
-    ``flat`` holds one flat (row-major) grid position per packed row, in
-    increasing order, so the rows keep the grid's row-major order.
+    The packed rows sit at the True cells in row-major order.
     """
-    try:
-        b, t, flat = layout
-        b, t = int(b), int(t)
-    except (TypeError, ValueError):
-        raise ContractError(f"{op}: layout must be (B, T, flat), got {layout!r}")
-    flat = np.asarray(flat)
-    if flat.ndim != 1 or not np.issubdtype(flat.dtype, np.integer):
-        raise ContractError(f"{op}: layout positions must be a 1-d integer array")
-    if flat.size != rows:
-        raise DimensionError(f"{op}: {rows} rows for a layout of {flat.size} positions")
-    if flat.size and (flat[0] < 0 or flat[-1] >= b * t or np.any(flat[1:] <= flat[:-1])):
-        raise ContractError(f"{op}: layout positions must increase within [0, {b * t})")
-    return b, t, flat
+    mask = np.asarray(mask)
+    if mask.dtype != bool or mask.ndim != 2:
+        raise ContractError(f"{op}: mask must be a 2-d bool array, got {mask.dtype} {mask.shape}")
+    cells = np.count_nonzero(mask)
+    if cells != rows:
+        raise DimensionError(f"{op}: {rows} rows for a mask of {cells} True cells")
+    return mask
 
 
-def to_grid(x: DiffTensor, layout) -> DiffTensor:
-    """Packed rows (n, d) placed at their layout positions of a zero (B, T, d) grid.
+def to_grid(x: DiffTensor, mask) -> DiffTensor:
+    """Packed rows (n, d) at the True cells of the (B, T) bool ``mask`` of a zero (B, T, d) grid.
 
-    When the layout covers the whole grid the rows are the grid, reshaped.
+    When the mask covers the whole grid the rows are the grid, reshaped.
     """
     if x.ndim != 2:
         raise DimensionError(f"to_grid: rows must be 2-D, got {x.shape}")
-    b, t, flat = check_layout("to_grid", layout, x.shape[0])
-    shape = (b, t, x.shape[1])
-    if flat.size == b * t:
+    mask = _grid_mask("to_grid", mask, x.shape[0])
+    shape = mask.shape + (x.shape[1],)
+    if mask.all():
         packed = x.shape
         return _record(x.data.reshape(shape), "to_grid", (x,), lambda g: (g.reshape(packed),))
     out = np.zeros(shape)
-    out.reshape(b * t, -1)[flat] = x.data
-    return _record(out, "to_grid", (x,), lambda g: (g.reshape(b * t, -1)[flat],))
+    out[mask] = x.data
+    return _record(out, "to_grid", (x,), lambda g: (g[mask],))
 
 
 def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray | None, scale: float, biases: tuple,
@@ -628,22 +621,21 @@ def _attend_backward(q: np.ndarray, k: np.ndarray, v: np.ndarray | None, scale: 
 
 
 def attention(x: DiffTensor, kv: DiffTensor, wq: DiffTensor, wk: DiffTensor, wv: DiffTensor,
-              heads: int, biases: tuple, layout) -> DiffTensor:
+              heads: int, biases: tuple, mask) -> DiffTensor:
     """Multi-head scaled dot-product attention with its q, k and v projections as one recorded op.
 
-    ``x`` is the packed (n, d_in) query rows at the flat positions of the
-    (B, T) grid of ``layout`` = (B, T, flat) (see check_layout). ``kv`` is
-    the key and value source: packed rows on the same layout when it is 2-D
-    (self-attention passes ``kv=x``), or a (B, Tk, d_kv) memory when it is
-    3-D (cross-attention). The op projects q = x @ wq, k = kv @ wk and
-    v = kv @ wv with the folded 2-D GEMMs of ``matmul``, so its values equal
-    those of the ``matmul`` chain bit for bit, splits them into heads of
-    width d/heads on the grid, runs _attend there with the scale
-    1/sqrt(d/heads) and ``biases``, a tuple of constant numpy masks that get
-    no gradient, and merges the head contexts back into packed (n, d) rows.
-    The split fills the grid's other positions with zero rows, which
-    ``biases`` should mask as keys; a layout that covers the whole grid
-    places nothing.
+    ``x`` is the packed (n, d_in) query rows at the True cells of the (B, T)
+    bool ``mask``, in row-major order. ``kv`` is the key and value source:
+    packed rows on the same mask when it is 2-D (self-attention passes
+    ``kv=x``), or a (B, Tk, d_kv) memory when it is 3-D (cross-attention).
+    The op projects q = x @ wq, k = kv @ wk and v = kv @ wv with the folded
+    2-D GEMMs of ``matmul``, so its values equal those of the ``matmul``
+    chain bit for bit, splits them into heads of width d/heads on the grid,
+    runs _attend there with the scale 1/sqrt(d/heads) and ``biases``, a
+    tuple of constant numpy masks that get no gradient, and merges the head
+    contexts back into packed (n, d) rows. The split fills the grid's other
+    cells with zero rows, which ``biases`` should mask as keys; a mask that
+    covers the whole grid places nothing.
 
     The closure keeps no (B, heads, T, Tk) grid: it keeps _attend's two
     statistics, the caller's ``biases``, and the data of ``x``, ``kv`` and
@@ -657,7 +649,8 @@ def attention(x: DiffTensor, kv: DiffTensor, wq: DiffTensor, wk: DiffTensor, wv:
     """
     if x.ndim != 2:
         raise DimensionError(f"attention: packed queries must be (n, d), got {x.shape}")
-    b, tq, flat = check_layout("attention", layout, x.shape[0])
+    mask = _grid_mask("attention", mask, x.shape[0])
+    b, tq = mask.shape
     if wq.ndim != 2 or wq.shape[0] != x.shape[1]:
         raise DimensionError(f"attention: wq {wq.shape} does not fit queries {x.shape}")
     d = wq.shape[1]
@@ -671,7 +664,7 @@ def attention(x: DiffTensor, kv: DiffTensor, wq: DiffTensor, wk: DiffTensor, wv:
         raise DimensionError(f"attention: {heads} heads do not divide width {d}")
     if not isinstance(biases, tuple):
         raise ContractError(f"attention: biases must be a tuple of addends, got {type(biases)}")
-    rows = None if flat.size == b * tq else np.divmod(flat, tq)
+    rows = None if mask.all() else np.nonzero(mask)
     dh = d // heads
     scale = 1.0 / np.sqrt(dh)
     score_shape = (b, heads, tq, tq if packed_kv else kv.shape[1])
@@ -1127,6 +1120,16 @@ def adam_step(params: Sequence[DiffTensor], state: AdamState) -> None:
         if not np.isfinite(p.data).all():
             raise NodeGaeError(
                 f"training diverged at step {t}: parameter {i} is not finite after the update")
+
+
+def check_loss(where: str, loss: float, first: float, classes: int) -> None:
+    """Raise NodeGaeError naming `where` when a training loss is not finite or
+    exceeds 1e3 times its run's scale: the larger of the run's first loss and
+    ln(classes), the cross-entropy of a uniform guess over the classes it ranks."""
+    bound = 1e3 * max(first, float(np.log(classes)))
+    if not (np.isfinite(loss) and loss <= bound):
+        raise NodeGaeError(
+            f"training diverged at {where}: loss {loss!r} is not finite or above {bound!r}")
 
 
 def zero_grads(params: Iterable[DiffTensor]) -> None:

@@ -549,16 +549,20 @@ def _fit_setup(embeddings, graph: TextGraph, cfg: DownstreamConfig,
     return feats, model, adam, rng
 
 
-def _keep_best(model: GnnModel, patience: int, tracked: Iterator[float]) -> None:
-    """Run the epochs that yield a tracked score until `patience` in a row miss
-    the best one, then restore the weights of the best epoch."""
-    best, best_snap, stale = -np.inf, model.snapshot(), 0
-    for score in tracked:
+def _keep_best(model: GnnModel, cfg: DownstreamConfig, classes: int,
+               epochs: Iterator[Tuple[float, float]]) -> None:
+    """Run the epochs that yield (train loss, tracked score) until cfg.patience in a row
+    miss the best score, then restore the weights of the best epoch. dc.check_loss checks
+    each train loss over the `classes` the model ranks, naming the epoch and cfg.seed."""
+    best, best_snap, stale, first = -np.inf, model.snapshot(), 0, None
+    for epoch, (loss, score) in enumerate(epochs):
+        first = loss if first is None else first
+        dc.check_loss(f"epoch {epoch} of the fit of seed {cfg.seed}", loss, first, classes)
         if score > best:
             best, best_snap, stale = score, model.snapshot(), 0
         else:
             stale += 1
-            if stale >= patience:
+            if stale >= cfg.patience:
                 break
     model.restore(best_snap)
 
@@ -577,18 +581,19 @@ def train_node_classifier(embeddings, graph: TextGraph, cfg: DownstreamConfig, *
     has_val = _node_split(graph, "val").size > 0
     log: List[dict] = []
 
-    def epochs() -> Iterator[float]:
+    def epochs() -> Iterator[Tuple[float, float]]:
         for epoch in range(cfg.epochs):
             logits = model.forward(feats, train=True, rng=rng, rows=train_idx)
             loss = dc.cross_entropy_logits(logits, graph.labels[train_idx], reduction="mean")
             dc.backward(loss)
             dc.adam_step(model.parameters(), adam)
             acc = score_splits(model, feats, graph)
-            log.append({"epoch": epoch, "train_loss": float(loss.item()),
+            train_loss = float(loss.item())
+            log.append({"epoch": epoch, "train_loss": train_loss,
                         "val_acc": acc["val"], "test_acc": acc["test"]})
-            yield acc["val"] if has_val else -float(loss.item())
+            yield train_loss, (acc["val"] if has_val else -train_loss)
 
-    _keep_best(model, cfg.patience, epochs())
+    _keep_best(model, cfg, int(graph.labels.max()) + 1, epochs())
     return model, log
 
 
@@ -608,7 +613,7 @@ def train_link_predictor(embeddings, graph: TextGraph, split: LinkSplit,
     labels = np.repeat([1, 0], [len(split.train_pos), len(split.train_neg)])
     log: List[dict] = []
 
-    def epochs() -> Iterator[float]:
+    def epochs() -> Iterator[Tuple[float, float]]:
         for epoch in range(cfg.epochs):
             order = rng.permutation(len(pairs))
             losses = []
@@ -627,12 +632,13 @@ def train_link_predictor(embeddings, graph: TextGraph, split: LinkSplit,
                     log.append({"scope": "iter", "index": adam.step_count, "split": "val",
                                 "metric": "roc_auc", "value": auc["val"]})
             auc = score_splits(model, feats, graph, split)
+            train_loss = sum(losses) / max(1, len(losses))
             log.append({"scope": "epoch", "index": epoch, "split": "train",
-                        "metric": "bce", "value": sum(losses) / max(1, len(losses))})
+                        "metric": "bce", "value": train_loss})
             for part in ("val", "test"):
                 log.append({"scope": "epoch", "index": epoch, "split": part,
                             "metric": "roc_auc", "value": auc[part]})
-            yield auc["val"]
+            yield train_loss, auc["val"]
 
-    _keep_best(model, cfg.patience, epochs())
+    _keep_best(model, cfg, 2, epochs())
     return model, log

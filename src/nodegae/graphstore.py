@@ -261,7 +261,6 @@ class LinkSplit:
     train_message_graph builds it.
     """
 
-    num_nodes: int
     train_pos: np.ndarray
     val_pos: np.ndarray
     test_pos: np.ndarray
@@ -346,4 +345,4 @@ def build_link_split(graph: TextGraph, seed: int = 0) -> LinkSplit:
     neg_keys = np.concatenate(chosen)
     neg_parts = [_pairs(np.sort(neg_keys[part]), n) for part in parts]
 
-    return LinkSplit(n, *pos_parts, *neg_parts)
+    return LinkSplit(*pos_parts, *neg_parts)

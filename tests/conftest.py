@@ -95,7 +95,7 @@ def kept_inputs(out, inputs):
 
 
 def grid_attention(x, kv, wq, wk, wv, heads, biases=()):
-    """dc.attention of (B, Tq, d_in) queries: x as the rows of the layout that covers its
+    """dc.attention of (B, Tq, d_in) queries: x as the rows of the mask that covers its
     whole (B, Tq) grid, the output viewed as (B, Tq, d) again. kv is x itself, for
     self-attention on those rows, or a (B, Tk, d_kv) memory."""
     from nodegae import diffcore as dc
@@ -103,7 +103,7 @@ def grid_attention(x, kv, wq, wk, wv, heads, biases=()):
     b, tq, d_in = x.shape
     rows = dc.reshape(x, (b * tq, d_in))
     out = dc.attention(rows, rows if kv is x else kv, wq, wk, wv, heads, biases,
-                       (b, tq, np.arange(b * tq)))
+                       np.ones((b, tq), dtype=bool))
     return dc.reshape(out, (b, tq, wq.shape[1]))
 
 

@@ -67,10 +67,13 @@ def chain_feed_forward(x, w1, b1, w2, b2):
     return dc.matmul(dc.gelu(dc.matmul(x, w1, b1)), w2, b2)
 
 
-def qkv_attention(q, k, v, heads, bias, layout):
+def qkv_attention(q, k, v, heads, bias, mask):
     """dc.attention before it projected its own q, k and v: one recorded op on projected
-    packed q rows, and k and v as packed rows on q's layout or (B, Tk, d) memory."""
-    b, tq, flat = dc.check_layout("attention", layout, q.shape[0])
+    q rows packed at the True cells of the (B, T) bool mask, and k and v as packed rows
+    on q's mask or (B, Tk, d) memory."""
+    b, tq = mask.shape
+    flat = np.flatnonzero(mask)
+    assert flat.size == q.shape[0], (flat.size, q.shape)
     d = q.shape[1]
     rows = None if flat.size == b * tq else np.divmod(flat, tq)
     packed_kv = k.ndim == 2
@@ -110,13 +113,13 @@ def qkv_attention(q, k, v, heads, bias, layout):
     return dc._record(out, "attention", (q, k, v), backward_fn)
 
 
-def chain_attention(x, kv, wq, wk, wv, heads, bias, layout):
+def chain_attention(x, kv, wq, wk, wv, heads, bias, mask):
     """The q, k and v matmuls and qkv_attention, recorded in the order the autoencoder
     recorded them."""
     q = dc.matmul(x, wq)
     k = dc.matmul(kv, wk)
     v = dc.matmul(kv, wv)
-    return qkv_attention(q, k, v, heads, bias, layout)
+    return qkv_attention(q, k, v, heads, bias, mask)
 
 
 # The padded stage-1 forward: every op runs on the whole (B, T) grid and PAD
@@ -125,11 +128,11 @@ def chain_attention(x, kv, wq, wk, wv, heads, bias, layout):
 # every real position.
 
 def padded_attention(q, k, v, heads, bias=None):
-    """qkv_attention of (B, Tq, d) queries, as rows of the layout that covers their whole
+    """qkv_attention of (B, Tq, d) queries, as rows of the mask that covers their whole
     grid, viewed as (B, Tq, d) again; k and v are (B, Tk, d)."""
     b, tq, d = q.shape
     rows = dc.reshape(q, (b * tq, d))
-    out = qkv_attention(rows, k, v, heads, bias, (b, tq, np.arange(b * tq)))
+    out = qkv_attention(rows, k, v, heads, bias, np.ones((b, tq), dtype=bool))
     return dc.reshape(out, (b, tq, d))
 
 

@@ -137,7 +137,8 @@ def _op_gradient_cases(rng):
         """Attention of 5 packed rows, 3 in batch row 0 and the first 2 in batch row 1;
         self-attention when memory is None."""
         kv = rows if memory is None else memory
-        return dc.attention(rows, kv, w34q, w34k, w34v, 2, biases, (2, 3, np.arange(5)))
+        return dc.attention(rows, kv, w34q, w34k, w34v, 2, biases,
+                            np.array([[True, True, True], [True, True, False]]))
 
     return [
         ("add", lambda: dc.add(a, b), [a, b]),
@@ -164,7 +165,7 @@ def _op_gradient_cases(rng):
          [x44, a, m1]),
         # Attention reuses the draws above, viewed as (B, T, d_in) queries and
         # (B, Tk, d_kv) memories; its projection weights are drawn last. Grid
-        # queries are the rows of the layout that covers their whole grid.
+        # queries are the rows of the mask that covers their whole grid.
         ("attention_self_padded",
          lambda: grid_attention(x234, x234, w44q, w44k, w44v, 2, (pad_bias,)),
          [x234, w44q, w44k, w44v]),

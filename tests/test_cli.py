@@ -21,7 +21,6 @@ from nodegae import cli
 from nodegae import diffcore as dc
 from nodegae.cli import dataset_paths, main
 from nodegae.downstream import load_embeddings
-from nodegae.errors import NodeGaeError
 from nodegae.graphstore import TextGraph, build_link_split
 from nodegae.textcorpus import load_textgraph, save_textgraph
 from conftest import edit_checkpoint
@@ -486,6 +485,41 @@ def test_embed_missing_checkpoint_file(dataset, tmp_path):
     rc = main(["embed", "--dataset", str(dataset), "--checkpoint",
                str(tmp_path / "nope.npz"), "--out", str(tmp_path / "e.txt")])
     assert rc == 1
+
+
+def _read_nothing(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("read before the flags were checked")
+
+    monkeypatch.setattr(cli, "load_dataset", refuse)
+    monkeypatch.setattr(cli, "load_model", refuse)
+
+
+@pytest.mark.parametrize("baseline", ["random", "shallow"])
+def test_embed_refuses_a_checkpoint_with_a_baseline(dataset, tmp_path, capsys, monkeypatch,
+                                                    baseline):
+    _read_nothing(monkeypatch)
+    out = tmp_path / "e.txt"
+    rc = main(["embed", "--dataset", str(dataset), "--baseline", baseline,
+               "--checkpoint", str(tmp_path / "nonexistent.npz"), "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: --baseline {baseline} ignores "
+                                                    "--checkpoint"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("dim", ["7", "64"])
+def test_embed_refuses_a_dim_for_a_checkpoint(dataset, pretrained, tmp_path, capsys,
+                                              monkeypatch, dim):
+    # The rows are the checkpoint's d_enc wide; a set --dim is refused even when it agrees.
+    _read_nothing(monkeypatch)
+    out = tmp_path / "e.txt"
+    rc = main(["embed", "--dataset", str(dataset), "--checkpoint", str(pretrained / "model.npz"),
+               "--dim", dim, "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: --checkpoint ignores --dim (baselines only)"]
+    assert not out.exists()
 
 
 def test_embed_vocab_mismatch_exits_one(tmp_path, capsys):
@@ -974,17 +1008,6 @@ def test_finite_blow_up_exits_two_without_artifacts(blow_up_inputs, tmp_path, ca
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("runtime error: training diverged at ")
     assert not out.exists()
-
-
-def test_loss_check_bound_is_a_thousand_times_the_larger_scale():
-    # The scale is the run's first loss or ln K, whichever is larger; the bound
-    # itself passes and the next float above it fails, as do inf and nan.
-    for first, classes in [(5.0, 3), (0.25, 40)]:
-        bound = 1e3 * max(first, float(np.log(classes)))
-        cli._check_loss("epoch 1", bound, first, classes)
-        for loss in (np.nextafter(bound, np.inf), np.inf, np.nan):
-            with pytest.raises(NodeGaeError, match="training diverged at epoch 1: loss "):
-                cli._check_loss("epoch 1", loss, first, classes)
 
 
 # ---------------------------------------------------------------------------

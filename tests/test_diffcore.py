@@ -41,8 +41,11 @@ PADDED_KEY_BIAS[1, 0, 0, 2] = MASK
 CAUSAL_BIAS = np.triu(np.full((4, 4), MASK), k=1)
 CAUSAL_BIAS_3 = np.triu(np.full((3, 3), MASK), k=1)
 # The same grid packed: batch row 0 holds 3 rows, batch row 1 the first 2.
-PACKED_LAYOUT = (2, 3, np.array([0, 1, 2, 3, 4]))
-FULL_LAYOUT = (2, 3, np.arange(6))
+PACKED_MASK = np.array([[True, True, True], [True, True, False]])
+FULL_MASK = np.ones((2, 3), dtype=bool)
+# Gapped: batch row 0 holds its first and last cells, batch row 1 none.
+GAPPED_MASK = np.array([[True, False, True], [False, False, False]])
+GAPPED_KEY_BIAS = np.where(GAPPED_MASK, 0.0, MASK)[:, None, None, :]
 DROPOUT_MASK = np.array([[True, False, True, True], [False, True, True, False],
                          [True, True, False, True]])
 
@@ -155,16 +158,40 @@ def test_sum_axis_matches_numpy_and_checks_axis():
 
 def test_to_grid_places_rows_and_zero_fills_the_rest():
     x = np.random.default_rng(7).standard_normal((5, 4))
-    out = dc.to_grid(dc.constant(x), PACKED_LAYOUT).data
+    out = dc.to_grid(dc.constant(x), PACKED_MASK).data
     assert out.shape == (2, 3, 4)
     np.testing.assert_array_equal(out.reshape(6, 4)[:5], x)
     assert not np.any(out[1, 2])
-    full = dc.to_grid(dc.constant(np.vstack([x, x[:1]])), (2, 3, np.arange(6))).data
+    full = dc.to_grid(dc.constant(np.vstack([x, x[:1]])), FULL_MASK).data
     np.testing.assert_array_equal(full, np.vstack([x, x[:1]]).reshape(2, 3, 4))
     with pytest.raises(DimensionError):
-        dc.to_grid(dc.constant(x), (2, 3, np.arange(4)))
+        dc.to_grid(dc.constant(x), FULL_MASK)  # 5 rows, 6 cells
     with pytest.raises(DimensionError):
-        dc.to_grid(dc.constant(x.reshape(5, 2, 2)), PACKED_LAYOUT)
+        dc.to_grid(dc.constant(x.reshape(5, 2, 2)), PACKED_MASK)
+    for mask in (PACKED_MASK.astype(np.int64), PACKED_MASK.astype(np.float64),
+                 PACKED_MASK.reshape(-1), PACKED_MASK[None]):
+        with pytest.raises(ContractError, match="mask"):
+            dc.to_grid(dc.constant(x), mask)
+
+
+@pytest.mark.parametrize("mask", [PACKED_MASK, FULL_MASK, GAPPED_MASK,
+                                  np.array([[False, True, False, True], [True, True, False, False],
+                                            [False, False, False, False]])],
+                         ids=["prefix", "full", "gapped_empty_row", "gapped"])
+def test_to_grid_equals_a_cell_by_cell_placement_bit_for_bit(mask):
+    """Row i of the packed rows goes to the i-th True cell in row-major order, every other
+    cell is zero, and the rows' adjoint is the upstream gradient read at those cells."""
+    rng = np.random.default_rng(8)
+    cells = [(i, j) for i in range(mask.shape[0]) for j in range(mask.shape[1]) if mask[i, j]]
+    x = dc.parameter(rng.standard_normal((len(cells), 4)))
+    upstream = rng.standard_normal(mask.shape + (4,))
+    want = np.zeros(mask.shape + (4,))
+    for row, (i, j) in enumerate(cells):
+        want[i, j] = x.data[row]
+    out = dc.to_grid(x, mask)
+    assert out.data.tobytes() == want.tobytes()
+    (grad,) = out._node.backward_fn(upstream)
+    assert grad.tobytes() == np.array([upstream[i, j] for i, j in cells]).tobytes()
 
 
 def attention_oracle(x, kv, wq, wk, wv, heads, bias=None):
@@ -238,13 +265,20 @@ def test_attention_random_shapes_match_oracle_and_finite_differences(seed, b, tq
         assert_grads_close(p.grad, n, rtol=1e-4, context=f"attention d{name}")
 
     # Packed queries: each batch row keeps its first `length` positions, every
-    # one of them in some draws. Self-attention reads keys and values from the
-    # same packed rows and masks the rest; cross-attention reads the
-    # (B, tk, d_kv) memory above. The upstream gradient is zero at pad query
-    # rows. The op takes the causal mask and the key-pad row as two addends;
-    # the oracles take their sum.
-    lengths = rng.integers(1, tq + 1, size=b) if rng.random() < 0.7 else np.full(b, tq)
-    real = np.arange(tq)[None, :] < lengths[:, None]
+    # one of them in some draws, or a gapped set of cells that may leave a
+    # batch row with none. Self-attention reads keys and values from the same
+    # packed rows and masks the rest; cross-attention reads the (B, tk, d_kv)
+    # memory above. The upstream gradient is zero at pad query rows. The op
+    # takes the causal mask and the key-pad row as two addends; the oracles
+    # take their sum.
+    draw = rng.random()
+    if draw < 0.4:
+        real = np.arange(tq)[None, :] < rng.integers(1, tq + 1, size=b)[:, None]
+    elif draw < 0.8:
+        real = rng.random((b, tq)) < 0.5
+        real.reshape(-1)[rng.integers(b * tq)] = True  # at least one packed row
+    else:
+        real = np.ones((b, tq), dtype=bool)
     flat = np.flatnonzero(real)
     upstream = (rng.standard_normal((b, tq, d)) * real[:, :, None]).reshape(-1, d)
     key_bias = np.where(real, 0.0, MASK)[:, None, None, :]
@@ -254,25 +288,25 @@ def test_attention_random_shapes_match_oracle_and_finite_differences(seed, b, tq
         key_bias, key_biases = key_bias + causal, (causal, key_bias)
     x_rows = arrays[0].reshape(-1, d_in)
     self_weights = [arrays[2]] + [rng.standard_normal((d_in, d)) for _ in "kv"]
-    grid_layout, packed_layout = (b, tq, np.arange(b * tq)), (b, tq, flat)
+    grid_mask = np.ones((b, tq), dtype=bool)
     for kind, memory, weights, case_bias, case_biases in (
             ("self", None, self_weights, key_bias, key_biases),
             ("cross", arrays[1], arrays[2:], bias, biases)):
-        # On either layout the op equals its matmul chain bit for bit: values
+        # On either mask the op equals its matmul chain bit for bit: values
         # and the gradient of every input.
-        for rows, layout, up in ((x_rows, grid_layout, upstream),
-                                 (x_rows[flat], packed_layout, upstream[flat])):
+        for rows, grid, up in ((x_rows, grid_mask, upstream),
+                               (x_rows[flat], real, upstream[flat])):
             if memory is None:
                 leaves = [rows, *weights]
-                fused = lambda x, *ws: dc.attention(x, x, *ws, heads, case_biases, layout)
-                chain = lambda x, *ws: chain_attention(x, x, *ws, heads, case_bias, layout)
+                fused = lambda x, *ws: dc.attention(x, x, *ws, heads, case_biases, grid)
+                chain = lambda x, *ws: chain_attention(x, x, *ws, heads, case_bias, grid)
             else:
                 leaves = [rows, memory, *weights]
-                fused = lambda *ts: dc.attention(*ts, heads, case_biases, layout)
-                chain = lambda *ts: chain_attention(*ts, heads, case_bias, layout)
+                fused = lambda *ts: dc.attention(*ts, heads, case_biases, grid)
+                chain = lambda *ts: chain_attention(*ts, heads, case_bias, grid)
             trainable = [True] * len(leaves)
             assert (_leaf_grads(fused, leaves, trainable, up)
-                    == _leaf_grads(chain, leaves, trainable, up)), (kind, layout[2].size)
+                    == _leaf_grads(chain, leaves, trainable, up)), (kind, grid.tolist())
 
         # The attention core on projected rows: packed rows equal the whole
         # grid's at the real positions bit for bit, values and adjoints, and
@@ -280,10 +314,10 @@ def test_attention_random_shapes_match_oracle_and_finite_differences(seed, b, tq
         src = x_rows if memory is None else memory
         q, k, v = x_rows @ weights[0], src @ weights[1], src @ weights[2]
         dense = qkv_attention(*(dc.parameter(t) for t in (q, k, v)), heads, case_bias,
-                              grid_layout)
+                              grid_mask)
         packed_kv = (k[flat], v[flat]) if memory is None else (k, v)
         packed = qkv_attention(*(dc.parameter(t) for t in (q[flat], *packed_kv)), heads,
-                               case_bias, packed_layout)
+                               case_bias, real)
         assert packed.shape == (flat.size, d)
         assert np.array_equal(packed.data, dense.data[flat]), kind
         want = dense._node.backward_fn(upstream)
@@ -294,16 +328,16 @@ def test_attention_random_shapes_match_oracle_and_finite_differences(seed, b, tq
                 w = w[flat]
             assert np.array_equal(g, w), f"{kind} core d{name}"
 
-        # The fused op on the two layouts agrees to rounding only: its
+        # The fused op on the two masks agrees to rounding only: its
         # projection GEMMs run over other row counts there, and BLAS may take
         # another kernel (gemv for one row, a small-matrix GEMM), which sums
         # in another order. Pad rows still get exactly zero adjoints.
         closures = []
-        for rows, layout in ((x_rows, grid_layout), (x_rows[flat], packed_layout)):
+        for rows, grid in ((x_rows, grid_mask), (x_rows[flat], real)):
             x = dc.parameter(rows)
             kv = x if memory is None else dc.parameter(memory)
             out = dc.attention(x, kv, *(dc.parameter(w) for w in weights), heads, case_biases,
-                               layout)
+                               grid)
             closures.append((out.data, out._node.backward_fn))
         (dense, dense_fn), (packed, packed_fn) = closures
         close = dict(rtol=1e-12, atol=1e-12)
@@ -321,14 +355,14 @@ def test_attention_checks_shapes():
     rows, memory = dc.constant(np.zeros((5, 3))), dc.constant(np.zeros((2, 4, 2)))
     wq, w3 = dc.constant(np.zeros((3, 4))), dc.constant(np.zeros((3, 4)))
     w2 = dc.constant(np.zeros((2, 4)))
-    layout = PACKED_LAYOUT
-    assert dc.attention(rows, rows, wq, w3, w3, 2, (), layout).shape == (5, 4)
-    assert dc.attention(rows, memory, wq, w2, w2, 2, (), layout).shape == (5, 4)
+    mask = PACKED_MASK
+    assert dc.attention(rows, rows, wq, w3, w3, 2, (), mask).shape == (5, 4)
+    assert dc.attention(rows, memory, wq, w2, w2, 2, (), mask).shape == (5, 4)
     full = dc.constant(np.zeros((6, 3)))
-    assert dc.attention(full, full, wq, w3, w3, 4, (), FULL_LAYOUT).shape == (6, 4)
+    assert dc.attention(full, full, wq, w3, w3, 4, (), FULL_MASK).shape == (6, 4)
     zeros = lambda *s: dc.constant(np.zeros(s))
     for args in [
-        (zeros(2, 3, 3), memory, wq, w2, w2, 2, ()),  # a layout takes packed (n, d) queries
+        (zeros(2, 3, 3), memory, wq, w2, w2, 2, ()),  # a mask takes packed (n, d) queries
         (rows, memory, zeros(2, 4), w2, w2, 2, ()),  # wq does not take the query width
         (rows, memory, zeros(3), w2, w2, 2, ()),  # wq is no matrix
         (rows, zeros(4, 3), wq, w3, w3, 2, ()),  # 4 packed key rows for 5 queries
@@ -343,18 +377,17 @@ def test_attention_checks_shapes():
         (rows, rows, wq, w3, w3, 2, (np.zeros((3, 3)), np.zeros((3, 4)))),  # 2nd: 4 keys
     ]:
         with pytest.raises(DimensionError):
-            dc.attention(*args, layout)
+            dc.attention(*args, mask)
     with pytest.raises(DimensionError):
-        dc.attention(rows, rows, wq, w3, w3, 2, (), (2, 3, np.arange(6)))  # 5 rows, 6 positions
-    for flat in ([0, 1, 3, 2, 4], [0, 1, 2, 3, 6], [-1, 0, 1, 2, 3], [0.0, 1, 2, 3, 4]):
-        with pytest.raises(ContractError):
-            dc.attention(rows, rows, wq, w3, w3, 2, (), (2, 3, np.array(flat)))
-    with pytest.raises(ContractError):
-        dc.attention(rows, rows, wq, w3, w3, 2, (), (2, 3))
+        dc.attention(rows, rows, wq, w3, w3, 2, (), FULL_MASK)  # 5 rows, 6 cells
+    # A mask must be a 2-d bool grid: not 0/1 numbers, a flat row or a stack of grids.
+    for bad in (mask.astype(np.int64), mask.astype(np.float64), mask.reshape(-1), mask[None]):
+        with pytest.raises(ContractError, match="mask"):
+            dc.attention(rows, rows, wq, w3, w3, 2, (), bad)
     # A bare mask is no tuple of addends: iterating it would add its batch rows in turn.
     for biases in (None, np.zeros((2, 1, 1, 3)), [np.zeros((3, 3))]):
         with pytest.raises(ContractError, match="biases"):
-            dc.attention(rows, rows, wq, w3, w3, 2, biases, layout)
+            dc.attention(rows, rows, wq, w3, w3, 2, biases, mask)
 
 
 # (kind, trainable flags): x, wq, wk and wv for self-attention, x, kv, wq, wk and wv for
@@ -363,31 +396,32 @@ ATTENTION_CHAIN_CASES = [(kind, flags) for kind, n in (("self", 4), ("cross", 5)
                          for flags in itertools.product((True, False), repeat=n) if any(flags)]
 
 
-@pytest.mark.parametrize("layout", ["full", "packed"])
+@pytest.mark.parametrize("grid", ["full", "packed", "gapped"])
 @pytest.mark.parametrize("kind,trainable", ATTENTION_CHAIN_CASES,
                          ids=[f"{kind}-" + "".join("PC"[not t] for t in flags)
                               for kind, flags in ATTENTION_CHAIN_CASES])
-def test_attention_equals_its_matmul_chain_bit_for_bit(layout, kind, trainable):
+def test_attention_equals_its_matmul_chain_bit_for_bit(grid, kind, trainable):
     """The chain is the q, k and v matmuls around the attention op on projected
     inputs. Values and every trainable input's gradient agree bit for bit; x's (and
     for self-attention kv's, which is x) sums q's, k's and v's terms in the same order."""
     rng = np.random.default_rng(23)
-    lay = FULL_LAYOUT if layout == "full" else PACKED_LAYOUT
+    mask, key_bias = {"full": (FULL_MASK, None), "packed": (PACKED_MASK, PADDED_KEY_BIAS),
+                     "gapped": (GAPPED_MASK, GAPPED_KEY_BIAS)}[grid]
+    n = int(mask.sum())
     d_kv = 3 if kind == "self" else 2
-    arrays = [rng.standard_normal(s) for s in ((lay[2].size, 3), (2, 4, 2), (3, 4),
-                                               (d_kv, 4), (d_kv, 4))]
+    arrays = [rng.standard_normal(s) for s in ((n, 3), (2, 4, 2), (3, 4), (d_kv, 4), (d_kv, 4))]
     for arr in arrays:
         arr.reshape(-1)[::5] = -0.0
-    bias = PADDED_KEY_BIAS if kind == "self" and layout == "packed" else None
+    bias = key_bias if kind == "self" else None
     biases = () if bias is None else (bias,)
-    weights = rng.standard_normal((lay[2].size, 4))
+    weights = rng.standard_normal((n, 4))
     if kind == "self":
         del arrays[1]
-        fused = lambda x, wq, wk, wv: dc.attention(x, x, wq, wk, wv, 2, biases, lay)
-        chain = lambda x, wq, wk, wv: chain_attention(x, x, wq, wk, wv, 2, bias, lay)
+        fused = lambda x, wq, wk, wv: dc.attention(x, x, wq, wk, wv, 2, biases, mask)
+        chain = lambda x, wq, wk, wv: chain_attention(x, x, wq, wk, wv, 2, bias, mask)
     else:
-        fused = lambda *ts: dc.attention(*ts, 2, biases, lay)
-        chain = lambda *ts: chain_attention(*ts, 2, bias, lay)
+        fused = lambda *ts: dc.attention(*ts, 2, biases, mask)
+        chain = lambda *ts: chain_attention(*ts, 2, bias, mask)
     assert (_leaf_grads(fused, arrays, trainable, weights)
             == _leaf_grads(chain, arrays, trainable, weights))
 
@@ -423,10 +457,10 @@ def _closure_cases():
         "sum_axis": (lambda P, C: (P(2, 3, 4),), lambda x: dc.sum_axis(x, 1), [], []),
         "reshape": (lambda P, C: (P(3, 4),), lambda x: dc.reshape(x, (4, 3)), [], []),
         "transpose": (lambda P, C: (P(2, 3, 4),), lambda x: dc.transpose(x, (2, 0, 1)), [], []),
-        "to_grid": (lambda P, C: (P(5, 4),), lambda x: dc.to_grid(x, PACKED_LAYOUT),
-                    [], [("i", (5,))]),
-        "to_grid_full_layout": (lambda P, C: (P(6, 4),),
-                                 lambda x: dc.to_grid(x, (2, 3, np.arange(6))), [], []),
+        "to_grid": (lambda P, C: (P(5, 4),), lambda x: dc.to_grid(x, PACKED_MASK),
+                    [], [("b", (2, 3))]),
+        "to_grid_full_mask": (lambda P, C: (P(6, 4),), lambda x: dc.to_grid(x, FULL_MASK),
+                              [], []),
         "concat": (lambda P, C: (P(2, 4), P(3, 4)), lambda *ts: dc.concat(ts),
                    [], [("i", (1,))]),
         "softmax_lastdim": (lambda P, C: (P(3, 4),), dc.softmax_lastdim, [], [("f", (3, 4))]),
@@ -440,13 +474,13 @@ def _closure_cases():
         # Attention keeps its softmax's row max and row sum, never a (B, heads, T, Tk)
         # grid, and always the data that q and k are recomputed from.
         "attention": (lambda P, C: (P(6, 3), P(2, 5, 2), P(3, 4), P(2, 4), P(2, 4)),
-                      lambda *ts: dc.attention(*ts, 2, (), FULL_LAYOUT),
+                      lambda *ts: dc.attention(*ts, 2, (), FULL_MASK),
                       [0, 1, 2, 3, 4], [("f", (2, 2, 3, 1)), ("f", (2, 2, 3, 1))]),
         "attention_constant_kv": (lambda P, C: (P(6, 3), C(2, 5, 2), C(3, 4), C(2, 4), C(2, 4)),
-                                  lambda *ts: dc.attention(*ts, 2, (), FULL_LAYOUT),
+                                  lambda *ts: dc.attention(*ts, 2, (), FULL_MASK),
                                   [0, 1, 2, 3, 4], [("f", (2, 2, 3, 1)), ("f", (2, 2, 3, 1))]),
         "attention_packed": (lambda P, C: (P(5, 3), P(3, 4), P(3, 4), P(3, 4)),
-                             lambda x, *ws: dc.attention(x, x, *ws, 2, (), PACKED_LAYOUT),
+                             lambda x, *ws: dc.attention(x, x, *ws, 2, (), PACKED_MASK),
                              [0, 1, 2, 3],
                              [("f", (2, 2, 3, 1)), ("f", (2, 2, 3, 1)), ("i", (5,)), ("i", (5,))]),
         # A decoder self-attention keeps its two masks as the caller passed them, a
@@ -454,11 +488,11 @@ def _closure_cases():
         "attention_decoder_self": (
             lambda P, C: (P(5, 3), P(3, 4), P(3, 4), P(3, 4)),
             lambda x, *ws: dc.attention(x, x, *ws, 2, (CAUSAL_BIAS_3, PADDED_KEY_BIAS),
-                                        PACKED_LAYOUT),
+                                        PACKED_MASK),
             [0, 1, 2, 3], [("f", (2, 1, 1, 3)), ("f", (2, 2, 3, 1)), ("f", (2, 2, 3, 1)),
                            ("f", (3, 3)), ("i", (5,)), ("i", (5,))]),
         "attention_trainable_wv": (lambda P, C: (C(6, 3), C(2, 5, 2), C(3, 4), C(2, 4), P(2, 4)),
-                                   lambda *ts: dc.attention(*ts, 2, (), FULL_LAYOUT),
+                                   lambda *ts: dc.attention(*ts, 2, (), FULL_MASK),
                                    [0, 1, 2, 3], [("f", (2, 2, 3, 1)), ("f", (2, 2, 3, 1))]),
         # The feed-forward op keeps x's data and the GELU cdf, one (n, ff) array.
         "feed_forward": (lambda P, C: (P(3, 4), P(4, 6), P(6), P(6, 5), P(5)), dc.feed_forward,
@@ -514,7 +548,7 @@ def _recorded_chain(a, b, gain, bias, w):
     x = keep_ref("relu", dc.relu(x))
     x = keep_ref("gelu", dc.gelu(x))
     x = keep_ref("embedding_lookup", dc.embedding_lookup(x, np.array([4, 0, 2, 2, 5])))
-    x = keep_ref("to_grid", dc.to_grid(x, PACKED_LAYOUT))
+    x = keep_ref("to_grid", dc.to_grid(x, PACKED_MASK))
     x = keep_ref("sum_axis", dc.sum_axis(x, 1))
     x = keep_ref("matmul", dc.matmul(x, w))
     x = keep_ref("sum_axis of matmul", dc.sum_axis(x, 1))
@@ -541,7 +575,7 @@ def test_attention_keeps_only_its_softmax_statistics():
     rng = np.random.default_rng(12)
     inputs = [dc.parameter(rng.standard_normal(s)) for s in ((5, 3), (3, 4), (3, 4), (3, 4))]
     x, wq, wk, wv = inputs
-    out = dc.attention(x, x, wq, wk, wv, 2, (PADDED_KEY_BIAS,), PACKED_LAYOUT)
+    out = dc.attention(x, x, wq, wk, wv, 2, (PADDED_KEY_BIAS,), PACKED_MASK)
     bias = dc.constant(PADDED_KEY_BIAS)
     assert bias.data is PADDED_KEY_BIAS
     assert kept_inputs(out, inputs + [bias]) == [0, 1, 2, 3, 4]
@@ -549,9 +583,9 @@ def test_attention_keeps_only_its_softmax_statistics():
     row_max, row_sum = [a for a in saved if a.dtype == np.float64]
     assert sorted(a.dtype.kind for a in saved) == ["f", "f", "i", "i"]
 
-    def grid(t):  # packed rows -> (B, heads, T, dh), zero rows where the layout has none
+    def grid(t):  # packed rows -> (B, heads, T, dh), zero rows where the mask has none
         g = np.zeros((6, 4))
-        g[PACKED_LAYOUT[2]] = t
+        g[PACKED_MASK.reshape(-1)] = t
         return g.reshape(2, 3, 2, 2).transpose(0, 2, 1, 3)
 
     scores = grid(x.data @ wq.data) @ grid(x.data @ wk.data).swapaxes(-1, -2)
@@ -1113,11 +1147,11 @@ def make_op_cases(rng):
     # Drawn after every case above, so their random streams do not move.
     cases += [
         ("attention_packed_self", [sn((5, 3)), sn((3, 4)), sn((3, 4)), sn((3, 4))],
-         lambda x, *ws: dc.attention(x, x, *ws, 2, (PADDED_KEY_BIAS,), PACKED_LAYOUT)),
+         lambda x, *ws: dc.attention(x, x, *ws, 2, (PADDED_KEY_BIAS,), PACKED_MASK)),
         ("attention_packed_cross", [sn((5, 3)), sn((2, 3, 2)), sn((3, 4)), sn((2, 4)), sn((2, 4))],
-         lambda *ts: dc.attention(*ts, 2, (), PACKED_LAYOUT)),
-        ("to_grid", [sn((5, 4))], lambda x: dc.to_grid(x, PACKED_LAYOUT)),
-        ("to_grid_full", [sn((6, 4))], lambda x: dc.to_grid(x, (2, 3, np.arange(6)))),
+         lambda *ts: dc.attention(*ts, 2, (), PACKED_MASK)),
+        ("to_grid", [sn((5, 4))], lambda x: dc.to_grid(x, PACKED_MASK)),
+        ("to_grid_full", [sn((6, 4))], lambda x: dc.to_grid(x, FULL_MASK)),
     ]
     # Drawn after every case above, so their random streams do not move.
     c46 = dc.constant(sn((4, 6)))
@@ -1133,7 +1167,7 @@ def make_op_cases(rng):
         ("attention_packed_causal_and_pad",
          [sn((5, 3)), sn((3, 4)), sn((3, 4)), sn((3, 4))],
          lambda x, *ws: dc.attention(x, x, *ws, 2, (CAUSAL_BIAS_3, PADDED_KEY_BIAS),
-                                     PACKED_LAYOUT)),
+                                     PACKED_MASK)),
     ]
     return cases
 
@@ -1255,6 +1289,17 @@ def test_adam_non_finite_parameter_after_update_raises():
     p.grad = np.array([1.0, -1.0])
     with np.errstate(over="ignore"), pytest.raises(NodeGaeError, match="step 1: parameter 0"):
         dc.adam_step([p], state)
+
+
+def test_loss_check_bound_is_a_thousand_times_the_larger_scale():
+    # The scale is the run's first loss or ln K, whichever is larger; the bound
+    # itself passes and the next float above it fails, as do inf and nan.
+    for first, classes in [(5.0, 3), (0.25, 40)]:
+        bound = 1e3 * max(first, float(np.log(classes)))
+        dc.check_loss("epoch 1", bound, first, classes)
+        for loss in (np.nextafter(bound, np.inf), np.inf, np.nan):
+            with pytest.raises(NodeGaeError, match="training diverged at epoch 1: loss "):
+                dc.check_loss("epoch 1", loss, first, classes)
 
 
 def test_adam_warmup_ramp_is_linear():

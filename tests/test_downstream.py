@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from nodegae import diffcore as dc
 from nodegae import downstream as ds
 from nodegae import graphstore as gs
-from nodegae.errors import ConfigError, ContractError, DimensionError
+from nodegae.errors import ConfigError, ContractError, DimensionError, NodeGaeError
 from nodegae.evalmetrics import accuracy, roc_auc
 from nodegae.textcorpus import SyntheticGraphSpec, build_vocab, generate_synthetic, tokenize
 
@@ -791,6 +791,22 @@ def test_link_predictor_best_val_weights_returned():
     best_logged = max(r["value"] for r in log
                       if r["scope"] == "epoch" and r["split"] == "val")
     assert final_val >= best_logged - 1e-12
+
+
+def test_a_diverged_fit_stops_at_the_epoch_that_diverged(monkeypatch):
+    # At lr 1e12 the train CE jumps from 1.78 to 1.8e25 at epoch 1 and stays
+    # finite; without the check, patience 50 would end this fit after 54 epochs.
+    graph = generate_synthetic(SyntheticGraphSpec(num_nodes=64, seed=0))
+    emb = ds.shallow_embeddings(graph, 64, seed=0)
+    cfg = ds.DownstreamConfig.for_node_classification(backbone="mlp", lr=1e12)
+    assert (cfg.epochs, cfg.patience, cfg.seed) == (200, 50, 0)
+    steps = []
+    adam_step = dc.adam_step
+    monkeypatch.setattr(dc, "adam_step", lambda *a: (steps.append(1), adam_step(*a)))
+    with pytest.raises(NodeGaeError,
+                       match=r"^training diverged at epoch 1 of the fit of seed 0: loss "):
+        ds.train_node_classifier(emb, graph, cfg)
+    assert len(steps) == 2
 
 
 def test_link_predictor_mlp_scorer_trains_and_stays_symmetric():

@@ -537,7 +537,7 @@ def test_validate_reports_each_leak_in_order():
                            "train_neg", "val_neg", "test_neg"), split_arrays(split)))
         fields.update({k: np.asarray(v, dtype=np.int64).reshape(-1, 2)
                        for k, v in arrays.items()})
-        return gs.LinkSplit(num_nodes=12, **fields)
+        return gs.LinkSplit(**fields)
 
     tp, vp, tn = split.train_pos, split.val_pos, split.train_neg
     cases = [

@@ -12,6 +12,9 @@ generated graph:
 - ``generate``;
 - ``pretrain`` with reconstruction rows, then ``--resume`` for more steps;
 - ``embed`` from the checkpoint and with ``--baseline shallow`` and ``random``;
+- a second ``generate`` whose documents run from 3 to 40 tokens, then
+  ``pretrain`` with reconstruction rows and ``embed`` on it, so that batches
+  mix very different lengths and extraction runs many length buckets;
 - ``train`` node classification for mlp, gcn and sage, and link prediction
   for each backbone with both link scorers and ``--log-every-iter``, all at
   the default two layers;
@@ -55,6 +58,10 @@ MATRIX = [
     ["embed", "--dataset", "data", "--checkpoint", "run/model.npz", "--out", "emb/model.txt"],
     ["embed", "--dataset", "data", "--baseline", "shallow", "--out", "emb/shallow.txt"],
     ["embed", "--dataset", "data", "--baseline", "random", "--out", "emb/random.txt"],
+    ["generate", "--out", "wide", "--nodes", "48", "--seed", "4", "--doc-min", "3",
+     "--doc-max", "40"],
+    ["pretrain", "--dataset", "wide", "--out-dir", "wide-run", "--steps", "4", *STAGE1, *RECON],
+    ["embed", "--dataset", "wide", "--checkpoint", "wide-run/model.npz", "--out", "emb/wide.txt"],
     *(["train", *STAGE2, "--out-dir", f"nodecls/{backbone}", "--task", "nodecls",
        "--backbone", backbone] for backbone in BACKBONES),
     *(["train", *STAGE2, "--out-dir", f"linkpred/{backbone}-{scorer}", "--task", "linkpred",
