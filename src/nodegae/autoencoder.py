@@ -518,7 +518,7 @@ def reconstruct(model: AutoencoderModel, tokens, max_gen_len: Optional[int] = No
 # Checkpointing
 # ---------------------------------------------------------------------------
 
-CHECKPOINT_FORMAT_VERSION = 1
+CHECKPOINT_FORMAT_VERSION = 2
 
 
 def model_file(path, model: AutoencoderModel, adam: Optional[dc.AdamState] = None,

@@ -10,7 +10,7 @@ artifacts behind. Exit codes: 0 success, 1 configuration or input error,
 import argparse
 import hashlib
 import sys
-from dataclasses import asdict, fields, replace
+from dataclasses import fields, replace
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -42,7 +42,7 @@ from .downstream import (
     train_link_predictor,
     train_node_classifier,
 )
-from .errors import ConfigError, IngestionError, NodeGaeError
+from .errors import ConfigError, ContractError, IngestionError, NodeGaeError
 from .evalmetrics import bleu, rouge_l, token_f1
 from .graphstore import LinkSplit, TextGraph, build_link_split
 from .textcorpus import (
@@ -53,7 +53,6 @@ from .textcorpus import (
     load_textgraph,
     replace_files,
     save_textgraph,
-    tokenize,
 )
 
 # The flags of one command line, parsed and resolved (see `resolve`).
@@ -81,15 +80,34 @@ def dataset_sha256(root) -> Dict[str, str]:
     return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in dataset_paths(root)}
 
 
-def _check_trained_on(checkpoint, meta: dict, data_sha256: Dict[str, str]) -> None:
-    """Refuse a checkpoint whose stored dataset hashes differ from data_sha256.
+def _run_record(checkpoint, meta: dict) -> dict:
+    """The "run" block that every `pretrain` writes into a checkpoint's metadata.
 
-    The error names both hashes of each changed file. A checkpoint that
-    stores no hashes passes.
+    A missing block, key of it, trained flag or dataset file hash raises
+    ContractError naming the path and the key.
     """
-    trained_on = meta.get("dataset_sha256", data_sha256)
-    changed = [f"{name} {digest} (checkpoint: {trained_on.get(name)})"
-               for name, digest in data_sha256.items() if trained_on.get(name) != digest]
+    def need(block: dict, keys: Sequence[str], prefix: str) -> None:
+        missing = [f"'{prefix}{key}'" for key in keys if key not in block]
+        if missing:
+            raise ContractError(f"checkpoint {checkpoint} is missing {', '.join(missing)}")
+
+    need(meta, ("run",), "")
+    run = meta["run"]
+    need(run, ("flags", "dataset_sha256", "rng_state"), "run.")
+    need(run["flags"], TRAINED_DESTS, "run.flags.")
+    need(run["dataset_sha256"], DATASET_FILES, "run.dataset_sha256.")
+    return run
+
+
+def _check_trained_on(checkpoint, run: dict, data_sha256: Dict[str, str]) -> None:
+    """Refuse a checkpoint whose run record's dataset hashes differ from data_sha256.
+
+    The error names both hashes of each changed file. Equal hashes also mean
+    that the checkpoint's vocabulary was built from this very corpus.
+    """
+    trained_on = run["dataset_sha256"]
+    changed = [f"{name} {digest} (checkpoint: {trained_on[name]})"
+               for name, digest in data_sha256.items() if trained_on[name] != digest]
     if changed:
         raise ConfigError(f"{checkpoint} was trained on other data: {', '.join(changed)}")
 
@@ -113,27 +131,18 @@ def _csv(path: Path, header: str, rows: List[str], resume: bool = False) -> Tupl
 # Configuration: library configs built from the parsed flags, and checks
 # ---------------------------------------------------------------------------
 
-# Flag dests that name a pretraining optimizer setting, with the AdamState
-# field each one sets.
-OPTIMIZER_DESTS = {"pretrain_lr": "base_lr", "warmup": "warmup_steps", "clip_norm": "clip_norm"}
 # Stage-2 flag dests that only link prediction reads; setting one under
 # another task is an error.
 LINKPRED_DESTS = ("batch_edges", "link_scorer", "link_seed", "log_every_iter")
 # Flag dests that seed a numpy generator, which takes no negative seed.
 SEED_DESTS = ("seed", "link_seed")
-# Stage-1 flag dests that `pretrain` stores as given in the checkpoint's
-# "stage1_flags" metadata: the vocabulary budget, the seed, the InfoNCE config.
-STORED_DESTS = ("vocab_size", "seed", "tau", "alpha1", "alpha2", "raw_similarity")
+# `embed` flag dests that only a baseline reads; setting one with a checkpoint is an error.
+BASELINE_DESTS = ("dim", "seed")
 
 
 def _model_config(args: Args, vocab_size: int) -> ModelConfig:
     shape = {f.name: getattr(args, f.name) for f in fields(ModelConfig) if f.name != "vocab_size"}
     return ModelConfig(vocab_size=vocab_size, **shape)
-
-
-def _adam_settings(args: Args) -> dict:
-    return dict(base_lr=args.pretrain_lr, warmup_steps=args.warmup,
-                clip_norm=args.clip_norm if args.clip_norm > 0 else None)
 
 
 def _infonce(args: Args, alphas: Optional[Tuple[float, float]] = None) -> InfoNCEConfig:
@@ -177,6 +186,8 @@ def _check_stage1(args: Args) -> None:
         raise ConfigError(f"--warmup must be >= 0, got {args.warmup}")
     if args.vocab_size < 5:
         raise ConfigError(f"--vocab-size must be >= 5, got {args.vocab_size}")
+    # Any --clip-norm <= 0 disables clipping; 0.0 is the one value that says so.
+    args.clip_norm = args.clip_norm if args.clip_norm > 0 else 0.0
     # The real vocabulary is known only once the corpus is read; its budget
     # bounds it, so the model shape is checked against the budget here.
     _model_config(args, args.vocab_size).validate()
@@ -266,7 +277,8 @@ def _fresh_model(args: Args, graph: TextGraph) -> Tuple[AutoencoderModel, dc.Ada
     """A newly initialized autoencoder over the graph's vocabulary, and its optimizer."""
     vocab = build_vocab(graph.texts, max_size=args.vocab_size)
     model = AutoencoderModel.init(_model_config(args, vocab.size), vocab, seed=args.seed)
-    adam = dc.AdamState.for_params(model.parameters(), **_adam_settings(args))
+    adam = dc.AdamState.for_params(model.parameters(), base_lr=args.pretrain_lr,
+                                   warmup_steps=args.warmup, clip_norm=args.clip_norm or None)
     return model, adam
 
 
@@ -291,28 +303,17 @@ def _pretraining(args: Args, graph: TextGraph, model: AutoencoderModel, adam: dc
         yield step, lm, info
 
 
-def _resume_flags(args: Args, model: AutoencoderModel, adam: dc.AdamState, meta: dict) -> None:
-    """Refuse a flag the user set that the checkpoint contradicts; take unset ones from it.
-
-    The model shape and the optimizer are always checked. The flags in
-    STORED_DESTS are checked, and filled in, only when the checkpoint
-    stores them.
-    """
-    stored = meta.get("stage1_flags", {})
-    wanted = {**asdict(_model_config(args, model.config.vocab_size)), **_adam_settings(args),
-              **{dest: getattr(args, dest) for dest in stored}}
-    saved = {**asdict(model.config), **{k: getattr(adam, k) for k in OPTIMIZER_DESTS.values()},
-             **stored}
-    conflicts = []
-    for flag, dest, *_ in PRETRAIN_FLAGS:
-        key = OPTIMIZER_DESTS.get(dest, dest)
-        if dest in args.user_set and key in saved and wanted[key] != saved[key]:
-            conflicts.append(f"{flag} {getattr(args, dest)} (checkpoint: {saved[key]})")
+def _resume_flags(args: Args, flags: dict) -> None:
+    """Refuse a flag the user set that the run record's flags contradict; take them all."""
+    conflicts = [f"{flag} {getattr(args, dest)} (checkpoint: {flags[dest]})"
+                 for flag, dest, *_ in PRETRAIN_FLAGS
+                 if dest in TRAINED_DESTS and dest in args.user_set
+                 and getattr(args, dest) != flags[dest]]
     if conflicts:
         raise ConfigError(f"flags disagree with the checkpoint {args.resume}: "
                           f"{', '.join(conflicts)}; drop them to resume")
-    for dest, value in stored.items():
-        setattr(args, dest, value)
+    for dest in TRAINED_DESTS:
+        setattr(args, dest, flags[dest])
 
 
 def _check_log_continues(log: Path, checkpoint, step_count: int) -> None:
@@ -344,13 +345,13 @@ def cmd_pretrain(args: Args) -> int:
         model, adam, meta = load_model(args.resume)
         if adam is None:
             raise ConfigError(f"{args.resume} has no optimizer state; cannot resume")
-        _check_trained_on(args.resume, meta, data_sha256)
-        _resume_flags(args, model, adam, meta)
+        run = _run_record(args.resume, meta)
+        _check_trained_on(args.resume, run, data_sha256)
+        _resume_flags(args, run["flags"])
         _check_log_continues(Path(args.out_dir) / "pretrain_log.csv", args.resume,
                              adam.step_count)
         # Continue the stopped run's batch and positive draws instead of replaying them.
-        if "rng_state" in meta:
-            rng.bit_generator.state = meta["rng_state"]
+        rng.bit_generator.state = run["rng_state"]
     else:
         model, adam = _fresh_model(args, graph)
 
@@ -369,10 +370,9 @@ def cmd_pretrain(args: Args) -> int:
         _csv(out_dir / "pretrain_log.csv", "step,lm_loss,infonce_loss,total", log_rows, resuming),
         _csv(out_dir / "recon_metrics.csv", "step,bleu,rouge_l,token_f1", recon_rows, resuming),
     ]
-    save_model(out_dir / "model.npz", model, adam, alongside=logs,
-               extra_meta={"dataset_sha256": data_sha256,
-                           "rng_state": rng.bit_generator.state,
-                           "stage1_flags": {dest: getattr(args, dest) for dest in STORED_DESTS}})
+    run = {"flags": {dest: getattr(args, dest) for dest in TRAINED_DESTS},
+           "dataset_sha256": data_sha256, "rng_state": rng.bit_generator.state}
+    save_model(out_dir / "model.npz", model, adam, alongside=logs, extra_meta={"run": run})
     print(f"pretrained to step {step} (total loss {_fmt(lm + info)}); artifacts in {out_dir}")
     return 0
 
@@ -381,24 +381,14 @@ def cmd_pretrain(args: Args) -> int:
 # embed
 # ---------------------------------------------------------------------------
 
-def _check_vocab_coverage(model: AutoencoderModel, graph: TextGraph) -> None:
-    total = 0
-    known = 0
-    for text in graph.texts:
-        for tok in tokenize(text):
-            total += 1
-            known += tok in model.vocab.token_to_id
-    if total and known == 0:
-        raise ConfigError(
-            "checkpoint vocabulary shares no tokens with this dataset; "
-            "it was pretrained on a different corpus")
-
-
 def cmd_embed(args: Args) -> int:
     if args.baseline != "model" and args.checkpoint is not None:
         raise ConfigError(f"--baseline {args.baseline} ignores --checkpoint")
-    if args.baseline == "model" and "dim" in args.user_set:
-        raise ConfigError("--checkpoint ignores --dim (baselines only)")
+    if args.baseline == "model":
+        unread = [flag for flag, dest, *_ in EMBED_FLAGS
+                  if dest in BASELINE_DESTS and dest in args.user_set]
+        if unread:
+            raise ConfigError(f"--checkpoint ignores {', '.join(unread)} (baselines only)")
     _check_dataset(args)
     if args.baseline == "model":
         if args.checkpoint is None:
@@ -414,8 +404,8 @@ def cmd_embed(args: Args) -> int:
         emb = shallow_embeddings(graph, args.dim, seed=args.seed)
     else:
         model, _, meta = load_model(args.checkpoint)
-        _check_vocab_coverage(model, graph)
-        _check_trained_on(args.checkpoint, meta, dataset_sha256(args.dataset))
+        _check_trained_on(args.checkpoint, _run_record(args.checkpoint, meta),
+                          dataset_sha256(args.dataset))
         emb = extract_embeddings(model, graph)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -597,13 +587,17 @@ def _exp(x: float) -> str:
     return f"{x:.0e}".replace("e-0", "e-")
 
 
-def _stage1_flags(lr_flag: str) -> list:
+# How long a stage-1 run trains, on batches of what size.
+STAGE1_STEPS = [("--steps", "steps", 500, None, None),
+                ("--batch-size", "batch_size", 16, None, None)]
+
+
+def _trained_flags(lr_flag: str) -> list:
+    """The stage-1 flags that set the model, the optimizer and the loss of a run."""
     shape = [(f"--{f.name.replace('_', '-')}", f.name, f.default,
               "number of decoder memory slots" if f.name == "proj_len" else None, None)
              for f in fields(ModelConfig) if f.name != "vocab_size"]
     return [
-        ("--steps", "steps", 500, None, None),
-        ("--batch-size", "batch_size", 16, None, None),
         (lr_flag, "pretrain_lr", dc.AdamState.base_lr, "pretraining learning rate", None),
         ("--warmup", "warmup", 100, "linear warm-up steps for the pretraining lr", None),
         ("--clip-norm", "clip_norm", dc.AdamState.clip_norm,
@@ -650,13 +644,15 @@ GENERATE_FLAGS = [
     SEED,
 ]
 PRETRAIN_FLAGS = [
-    DATASET, OUT_DIR, *_stage1_flags("--lr"),
+    DATASET, OUT_DIR, *STAGE1_STEPS, *_trained_flags("--lr"),
     ("--recon-every", "recon_every", 100,
      "steps between reconstruction metric rows; 0 disables", None),
     ("--recon-samples", "recon_samples", 8, None, None),
     ("--resume", "resume", str, "checkpoint to continue training from", None),
     SEED,
 ]
+# The flag dests that a checkpoint's run record stores and resume checks.
+TRAINED_DESTS = tuple(dest for _, dest, *_ in [*_trained_flags("--lr"), SEED])
 EMBED_FLAGS = [
     DATASET,
     ("--out", "out", REQUIRED, None, None),
@@ -681,7 +677,7 @@ ABLATE_FLAGS = [
     DATASET, OUT_DIR, TASK,
     ("--backbones", "backbones", DownstreamConfig.backbone, "comma-separated list", None),
     ("--repeats", "repeats", 5, None, None),
-    *_stage1_flags("--pretrain-lr"),
+    *STAGE1_STEPS, *_trained_flags("--pretrain-lr"),
     *_stage2_flags("--train-lr"),
     SEED,
 ]

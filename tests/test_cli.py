@@ -11,6 +11,7 @@ import re
 import shutil
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -312,7 +313,8 @@ def test_pretrain_resume_takes_unset_flags_from_checkpoint(dataset, tmp_path):
     assert adam.step_count == 4
 
 
-# Every flag that model.npz stores as given; TINY_MODEL[:-2] drops TINY_MODEL's --vocab-size.
+# The trained flags beside the model shape and the optimizer; TINY_MODEL[:-2] drops
+# TINY_MODEL's --vocab-size.
 STORED_FLAGS = ["--vocab-size", "64", "--seed", "5", "--tau", "0.25", "--alpha1", "0.5",
                 "--alpha2", "0.5", "--raw-similarity"]
 
@@ -356,20 +358,13 @@ def test_pretrain_resume_takes_stored_flags_from_checkpoint(dataset, tmp_path):
                         "--resume", str(split / "model.npz")]) == 0
     assert (split / "pretrain_log.csv").read_bytes() == (whole / "pretrain_log.csv").read_bytes()
     _, _, meta = ae.load_model(split / "model.npz")
-    assert meta["stage1_flags"] == {"vocab_size": 64, "seed": 5, "tau": 0.25, "alpha1": 0.5,
-                                    "alpha2": 0.5, "raw_similarity": True}
-
-
-def test_pretrain_resume_of_checkpoint_without_stored_flags_applies_them(dataset, tmp_path):
-    out = tmp_path / "run"
-    base = ["pretrain", "--dataset", str(dataset), "--out-dir", str(out),
-            "--steps", "2", "--recon-every", "0"] + TINY_MODEL
-    assert main(base) == 0
-    edit_checkpoint(out / "model.npz", lambda meta: meta.pop("stage1_flags"))
-    assert main(base[:-2] + ["--resume", str(out / "model.npz"), "--vocab-size", "8",
-                             "--seed", "99", "--tau", "0.3"]) == 0
-    _, _, meta = ae.load_model(out / "model.npz")
-    assert (meta["stage1_flags"]["vocab_size"], meta["stage1_flags"]["tau"]) == (8, 0.3)
+    assert {"vocab_size": 64, "seed": 5, "tau": 0.25, "alpha1": 0.5, "alpha2": 0.5,
+            "raw_similarity": True, "d_enc": 16, "clip_norm": 1.0}.items() \
+        <= meta["run"]["flags"].items()
+    # The record holds every flag that sets the model, the optimizer or the loss, by dest.
+    assert sorted(meta["run"]["flags"]) == sorted(
+        [f.name for f in fields(ae.ModelConfig)] + ["pretrain_lr", "warmup", "clip_norm", "seed",
+                                                    "tau", "alpha1", "alpha2", "raw_similarity"])
 
 
 def test_pretrain_checkpoint_names_its_dataset_by_hash_not_path(dataset, tmp_path, monkeypatch):
@@ -383,9 +378,37 @@ def test_pretrain_checkpoint_names_its_dataset_by_hash_not_path(dataset, tmp_pat
         runs.append((out / "model.npz").read_bytes())
     assert runs[0] == runs[1]
     _, _, meta = ae.load_model(tmp_path / "run0" / "model.npz")
-    assert meta["dataset_sha256"] == {
+    assert meta["run"]["dataset_sha256"] == {
         p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in dataset_paths(dataset)}
-    assert "dataset" not in meta
+    assert "dataset" not in meta and "dataset" not in meta["run"]["flags"]
+
+
+# Edits of a checkpoint's metadata that `embed` and `pretrain --resume` refuse, each with
+# the text its error names: the run record or one of its keys gone, or format version 1.
+UNREADABLE_RECORDS = [
+    (lambda meta: meta.pop("run"), "'run'"),
+    (lambda meta: meta["run"].pop("flags"), "run.flags"),
+    (lambda meta: meta["run"].pop("dataset_sha256"), "run.dataset_sha256"),
+    (lambda meta: meta["run"].pop("rng_state"), "run.rng_state"),
+    (lambda meta: meta["run"]["flags"].pop("tau"), "run.flags.tau"),
+    (lambda meta: meta["run"]["dataset_sha256"].pop("splits.txt"), "run.dataset_sha256.splits.txt"),
+    (lambda meta: meta.update(format_version=1), "format version 1"),
+]
+
+
+def refuse_unreadable_records(checkpoint, argv, out_dir, capsys):
+    """main(argv) exits 2 on each of UNREADABLE_RECORDS applied to checkpoint, with a
+    runtime error naming checkpoint and the edit's key, and out_dir's files unchanged."""
+    saved = checkpoint.read_bytes()
+    for edit, named in UNREADABLE_RECORDS:
+        checkpoint.write_bytes(saved)
+        edit_checkpoint(checkpoint, edit)
+        before = {p.name: p.read_bytes() for p in out_dir.iterdir()}
+        capsys.readouterr()
+        assert main(argv) == 2, named
+        err = capsys.readouterr().err
+        assert err.startswith("runtime error:") and str(checkpoint) in err and named in err
+        assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == before
 
 
 def test_pretrain_resume_refuses_a_checkpoint_trained_on_other_data(dataset, tmp_path, capsys):
@@ -403,9 +426,9 @@ def test_pretrain_resume_refuses_a_checkpoint_trained_on_other_data(dataset, tmp
         assert hashlib.sha256((data / "edges.tsv").read_bytes()).hexdigest() in err
     assert "edges.tsv" in err and "nodes.tsv" not in err
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
-    # A checkpoint that does not store its dataset resumes on any data.
-    edit_checkpoint(out / "model.npz", lambda meta: meta.pop("dataset_sha256"))
-    assert main(resume) == 0
+    # A checkpoint without its run record, or a part of it, resumes on no data, even its own.
+    refuse_unreadable_records(out / "model.npz", base + ["--dataset", str(dataset), "--resume",
+                                                          str(out / "model.npz")], out, capsys)
 
 
 @pytest.mark.parametrize("command, task", [
@@ -508,48 +531,24 @@ def test_embed_refuses_a_checkpoint_with_a_baseline(dataset, tmp_path, capsys, m
     assert not out.exists()
 
 
-@pytest.mark.parametrize("dim", ["7", "64"])
-def test_embed_refuses_a_dim_for_a_checkpoint(dataset, pretrained, tmp_path, capsys,
-                                              monkeypatch, dim):
-    # The rows are the checkpoint's d_enc wide; a set --dim is refused even when it agrees.
+@pytest.mark.parametrize("flags, named", [
+    (["--dim", "7"], "--dim"),
+    (["--dim", "64"], "--dim"),
+    (["--seed", "0"], "--seed"),
+    (["--seed", "3", "--dim", "16"], "--dim, --seed"),
+], ids=["dim-7", "dim-64", "seed", "dim-and-seed"])
+def test_embed_refuses_a_baseline_flag_for_a_checkpoint(dataset, pretrained, tmp_path, capsys,
+                                                        monkeypatch, flags, named):
+    # The rows are the checkpoint's d_enc wide and extraction draws nothing, so a set
+    # --dim or --seed is refused even when it agrees with the checkpoint.
     _read_nothing(monkeypatch)
     out = tmp_path / "e.txt"
     rc = main(["embed", "--dataset", str(dataset), "--checkpoint", str(pretrained / "model.npz"),
-               "--dim", dim, "--out", str(out)])
+               "--out", str(out)] + flags)
     assert rc == 1
     assert capsys.readouterr().err.splitlines() == [
-        "error: --checkpoint ignores --dim (baselines only)"]
+        f"error: --checkpoint ignores {named} (baselines only)"]
     assert not out.exists()
-
-
-def test_embed_vocab_mismatch_exits_one(tmp_path, capsys):
-    """A checkpoint from one corpus is rejected on a token-disjoint corpus."""
-    root_a = tmp_path / "corpus_a"
-    root_a.mkdir()
-    graph_a = TextGraph.from_edges(
-        4, [(0, 1), (1, 2), (2, 3)],
-        texts=["red green blue", "green blue red", "blue red green", "red blue"])
-    save_textgraph(graph_a, *dataset_paths(root_a))
-
-    root_b = tmp_path / "corpus_b"
-    root_b.mkdir()
-    graph_b = TextGraph.from_edges(
-        3, [(0, 1), (1, 2)], texts=["qqq zzz", "zzz www", "www qqq"])
-    save_textgraph(graph_b, *dataset_paths(root_b))
-
-    run = tmp_path / "run_a"
-    rc = main(["pretrain", "--dataset", str(root_a), "--out-dir", str(run),
-               "--steps", "2", "--batch-size", "4", "--recon-every", "0",
-               "--d-enc", "8", "--d-dec", "8", "--enc-layers", "1",
-               "--dec-layers", "1", "--heads", "2", "--proj-len", "2",
-               "--ff-mult", "1", "--max-len", "8", "--vocab-size", "32"])
-    assert rc == 0
-    rc = main(["embed", "--dataset", str(root_b),
-               "--checkpoint", str(run / "model.npz"),
-               "--out", str(tmp_path / "e.txt")])
-    assert rc == 1
-    assert "vocabulary" in capsys.readouterr().err
-    assert not (tmp_path / "e.txt").exists()
 
 
 def test_embed_tampered_checkpoint_exits_two(dataset, pretrained, tmp_path, capsys):
@@ -612,26 +611,54 @@ def test_resume_of_checkpoint_missing_a_moment_exits_two(dataset, tmp_path, caps
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
+def token_disjoint_run(root):
+    """Pretrain on a 4-node corpus under root; return its checkpoint and a 3-node
+    corpus that shares no token with it."""
+    corpora = {"a": TextGraph.from_edges(
+                   4, [(0, 1), (1, 2), (2, 3)],
+                   texts=["red green blue", "green blue red", "blue red green", "red blue"]),
+               "b": TextGraph.from_edges(3, [(0, 1), (1, 2)],
+                                         texts=["qqq zzz", "zzz www", "www qqq"])}
+    for name, graph in corpora.items():
+        (root / name).mkdir()
+        save_textgraph(graph, *dataset_paths(root / name))
+    assert main(["pretrain", "--dataset", str(root / "a"), "--out-dir", str(root / "run"),
+                 "--steps", "2", "--batch-size", "4", "--recon-every", "0",
+                 "--d-enc", "8", "--d-dec", "8", "--enc-layers", "1",
+                 "--dec-layers", "1", "--heads", "2", "--proj-len", "2",
+                 "--ff-mult", "1", "--max-len", "8", "--vocab-size", "32"]) == 0
+    return root / "run" / "model.npz", root / "b"
+
+
+@pytest.mark.parametrize("other_data", ["one-edge-less", "token-disjoint"])
 def test_embed_refuses_a_checkpoint_trained_on_other_data(dataset, pretrained, tmp_path,
-                                                          capsys):
-    other = tmp_path / "other"
-    shutil.copytree(dataset, other)
-    edges = other / "edges.tsv"
-    edges.write_text("".join(edges.read_text().splitlines(keepends=True)[:-1]))
+                                                          capsys, other_data):
+    if other_data == "one-edge-less":
+        trained_on, checkpoint, other = dataset, pretrained / "model.npz", tmp_path / "other"
+        shutil.copytree(dataset, other)
+        edges = other / "edges.tsv"
+        edges.write_text("".join(edges.read_text().splitlines(keepends=True)[:-1]))
+    else:
+        checkpoint, other = token_disjoint_run(tmp_path)
+        trained_on = tmp_path / "a"
+    shutil.copy(checkpoint, tmp_path / "model.npz")
     checkpoint = tmp_path / "model.npz"
-    shutil.copy(pretrained / "model.npz", checkpoint)
-    out = tmp_path / "e.txt"
-    embed = ["embed", "--dataset", str(other), "--checkpoint", str(checkpoint),
-             "--out", str(out)]
-    assert main(embed) == 1
+    out_dir = tmp_path / "emb"
+    out_dir.mkdir()
+    embed = ["embed", "--checkpoint", str(checkpoint), "--out", str(out_dir / "e.txt")]
+    assert main(embed + ["--dataset", str(other)]) == 1
     err = capsys.readouterr().err
-    for data in (dataset, other):
-        assert hashlib.sha256((data / "edges.tsv").read_bytes()).hexdigest() in err
-    assert "edges.tsv" in err and "nodes.tsv" not in err
-    assert not out.exists()
-    # A checkpoint that does not store its dataset embeds any data.
-    edit_checkpoint(checkpoint, lambda meta: meta.pop("dataset_sha256"))
-    assert main(embed) == 0
+    for name in cli.DATASET_FILES:
+        digests = [hashlib.sha256((data / name).read_bytes()).hexdigest()
+                   for data in (trained_on, other)]
+        if digests[0] == digests[1]:
+            assert name not in err
+        else:
+            assert digests[0] in err and digests[1] in err
+    assert not any(out_dir.iterdir())
+    # A checkpoint without its run record, or a part of it, embeds no data, even its own.
+    refuse_unreadable_records(checkpoint, embed + ["--dataset", str(trained_on)], out_dir,
+                              capsys)
 
 
 # ---------------------------------------------------------------------------

@@ -120,6 +120,68 @@ def _is_record(node):
             or any(getattr(b, "id", None) == "NamedTuple" for b in node.bases))
 
 
+def _name(node):
+    """The last name of a Name or an Attribute chain (`C`, `dc.C`), else None."""
+    return getattr(node, "id", getattr(node, "attr", None))
+
+
+def _annotated_class(annotation, classes):
+    """The class of `classes` that an annotation names: `C`, `m.C`, `"C"`, `Optional[C]`
+    or `C | None`; else None."""
+    node = annotation
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        node = ast.parse(node.value, mode="eval").body
+    if isinstance(node, ast.Subscript) and _name(node.value) == "Optional":
+        node = node.slice
+    if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.BitOr)
+            and isinstance(node.right, ast.Constant) and node.right.value is None):
+        node = node.left
+    return _name(node) if _name(node) in classes else None
+
+
+def _built_class(value, classes, returns):
+    """The class of `classes` that `value` names or builds: `C`, `m.C`, `C(...)`,
+    `m.C(...)`, or a call of a function or method that `returns` maps to it; else None."""
+    if isinstance(value, ast.Call):
+        name = _name(value.func)
+        return name if name in classes else returns.get(name)
+    return _name(value) if _name(value) in classes else None
+
+
+def _local_classes(scope, classes, returns):
+    """The names of a function's or a module's scope that only ever hold one class of
+    `classes` or an instance of it: a parameter annotated with it, or a variable whose
+    every binding is annotated with it or assigned a value that names or builds it (see
+    `_built_class`)."""
+    kinds = {}  # name -> the classes its bindings give it; None for a binding of unknown kind
+    if not isinstance(scope, ast.Module):
+        args = scope.args
+        params = args.posonlyargs + args.args + args.kwonlyargs
+        for arg in params + [a for a in (args.vararg, args.kwarg) if a is not None]:
+            kind = _annotated_class(arg.annotation, classes) if arg in params else None
+            kinds.setdefault(arg.arg, set()).add(kind)
+    known = set()  # ids of the Name targets whose binding gave a kind above
+    nested = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
+    todo = list(scope.body)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, nested):
+            continue
+        todo.extend(ast.iter_child_nodes(node))
+        if isinstance(node, ast.Assign) and [type(t) for t in node.targets] == [ast.Name]:
+            known.add(id(node.targets[0]))
+            kinds.setdefault(node.targets[0].id, set()).add(
+                _built_class(node.value, classes, returns))
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            known.add(id(node.target))
+            kinds.setdefault(node.target.id, set()).add(
+                _annotated_class(node.annotation, classes))
+        elif (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
+              and id(node) not in known):
+            kinds.setdefault(node.id, set()).add(None)
+    return {name: kind for name, (kind, *more) in kinds.items() if kind and not more}
+
+
 def test_public_api_has_a_caller_outside_the_tests():
     """Public surface of src/nodegae and tools/ has a user there, unless allowlisted:
 
@@ -129,28 +191,62 @@ def test_public_api_has_a_caller_outside_the_tests():
     - every defaulted parameter of a public function or method is passed by
       some call of that name, by keyword or by position; a call that unpacks
       *args or **kwargs passes them all (else it is on UNPASSED_PARAMETERS);
-    - every field of a dataclass or NamedTuple is read as an attribute.
+    - every field of a dataclass or NamedTuple is read as an attribute of
+      its class, or of an object whose class the code does not show.
 
-    Matching is by name, so a method whose name is used elsewhere (say by
-    another method of that name), a parameter that a same-named function's
-    call passes, or a field whose name another object's attribute shares is
-    not caught.
+    A read `x.field` has the owner class C when x is `self` or `cls` inside
+    C, or a name of the enclosing function or module that only holds C or a
+    C (see `_local_classes`). A call builds a C when it calls C, or a
+    function whose return annotation names C and no same-named function or
+    method returns anything else. Unresolved, and so matched by field name
+    alone: reads off any other expression (`a.b.field`, `f().field`,
+    `xs[0].field`), and off an unannotated parameter, a loop or
+    comprehension variable, a name bound to different things, or a name
+    from an enclosing scope.
+
+    Methods and parameters match by name, so a method whose name is used
+    elsewhere (say by another method of that name) or a parameter that a
+    same-named function's call passes is not caught.
     """
     defined, used = set(), set()
     defaulted = {}  # "module.function.parameter" -> (function, parameter, call position or None)
-    record_fields = set()  # "Class.field"
-    passed, read = set(), set()  # (function name, parameter or position); attribute names
+    record_fields = set()  # (class, field)
+    passed = set()  # (function name, parameter or position)
+    read = set()  # (owner class or None when unresolved, attribute name)
 
     class Uses(ast.NodeVisitor):
         def __init__(self):
             self.inside = []  # names of the definitions around the visited node
+            self.classes = []  # names of the class definitions around the visited node
+            self.local = []  # per module or function around the visited node: _local_classes
 
         def visit_FunctionDef(self, node):
             self.inside.append(node.name)
+            self.local.append(_local_classes(node, classes, returns))
             self.generic_visit(node)
+            self.local.pop()
             self.inside.pop()
 
-        visit_AsyncFunctionDef = visit_ClassDef = visit_FunctionDef
+        visit_AsyncFunctionDef = visit_FunctionDef
+
+        def visit_Module(self, node):
+            self.local.append(_local_classes(node, classes, returns))
+            self.generic_visit(node)
+
+        def visit_ClassDef(self, node):
+            self.inside.append(node.name)
+            self.classes.append(node.name)
+            self.generic_visit(node)
+            self.classes.pop()
+            self.inside.pop()
+
+        def owner(self, value):
+            """The class of the object that `value` evaluates to, when the AST shows it."""
+            if not isinstance(value, ast.Name):
+                return None
+            if value.id in ("self", "cls") and self.classes:
+                return self.classes[-1]
+            return value.id if value.id in classes else self.local[-1].get(value.id)
 
         def note(self, name):
             if name not in self.inside:
@@ -162,7 +258,7 @@ def test_public_api_has_a_caller_outside_the_tests():
         def visit_Attribute(self, node):
             self.note(node.attr)
             if isinstance(node.ctx, ast.Load):
-                read.add(node.attr)
+                read.add((self.owner(node.value), node.attr))
             self.generic_visit(node)
 
         def visit_ImportFrom(self, node):
@@ -188,8 +284,18 @@ def test_public_api_has_a_caller_outside_the_tests():
 
     functions = (ast.FunctionDef, ast.AsyncFunctionDef)
     definitions = (*functions, ast.ClassDef)
-    for path in sorted((REPO / "src" / "nodegae").glob("*.py")) + sorted((REPO / "tools").glob("*.py")):
-        module, tree = path.stem, ast.parse(path.read_text(encoding="utf-8"))
+    paths = sorted((REPO / "src" / "nodegae").glob("*.py")) + sorted((REPO / "tools").glob("*.py"))
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in paths}
+    classes = {node.name for tree in trees.values() for node in tree.body
+               if isinstance(node, ast.ClassDef)}
+    returned = {}  # function or method name -> the classes its definitions return
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                returned.setdefault(node.name, set()).add(
+                    node.returns and _annotated_class(node.returns, classes))
+    returns = {name: kind for name, (kind, *more) in returned.items() if kind and not more}
+    for module, tree in trees.items():
         for node in tree.body:
             members = node.body if isinstance(node, ast.ClassDef) else []
             defined.update(d.name for d in [node, *members]
@@ -202,7 +308,7 @@ def test_public_api_has_a_caller_outside_the_tests():
                                  for d in member.decorator_list)
                     note_defaults(f"{module}.{node.name}.{member.name}", member, 0 if static else 1)
             if isinstance(node, ast.ClassDef) and _is_record(node):
-                record_fields.update(f"{node.name}.{s.target.id}" for s in node.body
+                record_fields.update((node.name, s.target.id) for s in node.body
                                      if isinstance(s, ast.AnnAssign)
                                      and isinstance(s.target, ast.Name))
         Uses().visit(tree)
@@ -216,4 +322,6 @@ def test_public_api_has_a_caller_outside_the_tests():
     assert sorted(defined - used) == sorted(UNCALLED_PUBLIC_API)
     unpassed = [key for key, how in defaulted.items() if not is_passed(*how)]
     assert sorted(unpassed) == sorted(UNPASSED_PARAMETERS)
-    assert sorted(f for f in record_fields if f.split(".")[1] not in read) == []
+    unread = [f"{cls}.{field}" for cls, field in record_fields
+              if (cls, field) not in read and (None, field) not in read]
+    assert sorted(unread) == []
