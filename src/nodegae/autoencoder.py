@@ -50,9 +50,9 @@ MASK_BIAS = -1e30
 EXTRACT_ROWS = 512
 
 
-@dataclass
+@dataclass(frozen=True)
 class ModelConfig:
-    """Architecture sizes; defaults are desk scale, minutes not hours."""
+    """Architecture sizes, checked when built; defaults are desk scale, minutes not hours."""
 
     vocab_size: int
     d_enc: int = 64
@@ -64,7 +64,7 @@ class ModelConfig:
     ff_mult: int = 2
     max_len: int = 64
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.vocab_size < 5:
             raise ConfigError(f"vocab_size must be >= 5, got {self.vocab_size}")
         for name in ("d_enc", "d_dec", "enc_layers", "dec_layers", "heads",
@@ -84,15 +84,15 @@ class ModelConfig:
 HOPS = (1, 2)
 
 
-@dataclass
+@dataclass(frozen=True)
 class InfoNCEConfig:
-    """Contrastive-loss settings: temperature and the weight of each hop in HOPS."""
+    """Contrastive-loss settings, checked when built: tau and the weight of each hop in HOPS."""
 
     tau: float = 0.5
     alphas: Tuple[float, float] = (1.0, 0.1)
     normalize: bool = True
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.tau <= 0:
             raise ConfigError(f"tau must be positive, got {self.tau}")
         if len(self.alphas) != len(HOPS):
@@ -117,7 +117,6 @@ class AutoencoderModel:
     @classmethod
     def init(cls, config: ModelConfig, vocab: Vocabulary, seed: int = 0
              ) -> "AutoencoderModel":
-        config.validate()
         if vocab.size != config.vocab_size:
             raise ConfigError(
                 f"config says vocab_size {config.vocab_size} but vocabulary "
@@ -347,7 +346,6 @@ def infonce_loss(latents: dc.DiffTensor, positive_rows: Mapping[int, Sequence[in
     anchor when B = 1. Rows are L2-normalized before the dot products unless
     cfg.normalize is off.
     """
-    cfg.validate()
     rows = [np.asarray(positive_rows[hop], dtype=np.int64) for hop in HOPS]
     hops = [(alpha, r) for alpha, r in zip(cfg.alphas, rows) if np.any(r >= 0)]
     if not hops:
@@ -455,7 +453,6 @@ def pretrain_step(model: AutoencoderModel, graph: TextGraph,
     pretrain_loss terms with one Adam update, and returns their
     (reconstruction, contrastive) values.
     """
-    cfg.validate()
     batch = [int(v) for v in batch_nodes]
     if len(batch) < 2:
         raise ContractError(

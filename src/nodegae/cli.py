@@ -83,8 +83,9 @@ def dataset_sha256(root) -> Dict[str, str]:
 def _run_record(checkpoint, meta: dict) -> dict:
     """The "run" block that every `pretrain` writes into a checkpoint's metadata.
 
-    A missing block, key of it, trained flag or dataset file hash raises
-    ContractError naming the path and the key.
+    A missing block, key of it, trained flag or dataset file hash, or an
+    rng_state that numpy's PCG64 generator cannot take, raises ContractError
+    naming the path and the key.
     """
     def need(block: dict, keys: Sequence[str], prefix: str) -> None:
         missing = [f"'{prefix}{key}'" for key in keys if key not in block]
@@ -96,6 +97,11 @@ def _run_record(checkpoint, meta: dict) -> dict:
     need(run, ("flags", "dataset_sha256", "rng_state"), "run.")
     need(run["flags"], TRAINED_DESTS, "run.flags.")
     need(run["dataset_sha256"], DATASET_FILES, "run.dataset_sha256.")
+    try:
+        np.random.default_rng().bit_generator.state = run["rng_state"]
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise ContractError(f"checkpoint {checkpoint}: 'run.rng_state' is no PCG64 state "
+                            f"({type(exc).__name__}: {exc})") from None
     return run
 
 
@@ -189,9 +195,9 @@ def _check_stage1(args: Args) -> None:
     # Any --clip-norm <= 0 disables clipping; 0.0 is the one value that says so.
     args.clip_norm = args.clip_norm if args.clip_norm > 0 else 0.0
     # The real vocabulary is known only once the corpus is read; its budget
-    # bounds it, so the model shape is checked against the budget here.
-    _model_config(args, args.vocab_size).validate()
-    _infonce(args).validate()
+    # bounds it, so building the model config from the budget checks the shape.
+    _model_config(args, args.vocab_size)
+    _infonce(args)
 
 
 def _check_stage2(args: Args, backbones: Sequence[str]) -> None:
@@ -204,7 +210,7 @@ def _check_stage2(args: Args, backbones: Sequence[str]) -> None:
             raise ConfigError(f"--task {args.task} ignores {', '.join(unread)} "
                               "(link prediction only)")
     for backbone in backbones:
-        _downstream(args, backbone).validate()
+        _downstream(args, backbone)  # building a config checks it
 
 
 def _check_seeds(args: Args) -> None:
@@ -226,7 +232,7 @@ def _task_split(args: Args, graph: TextGraph) -> Optional[LinkSplit]:
         split = build_link_split(graph, seed=args.link_seed)
         split.validate(graph)
         return split
-    if graph.splits.get("test") is None or not graph.splits["test"].size:
+    if not graph.splits["test"].size:
         raise ConfigError("node classification needs a non-empty test split")
     return None
 

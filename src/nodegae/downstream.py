@@ -257,13 +257,12 @@ class GnnModel:
     @classmethod
     def build(cls, cfg: "DownstreamConfig", in_dim: int, out_dim: int, operator=None,
               rng: Optional[np.random.Generator] = None) -> "GnnModel":
-        """A freshly initialized model of the validated cfg; a graph backbone
-        propagates with `operator`, which graph_operator builds.
+        """A freshly initialized model of cfg; a graph backbone propagates
+        with `operator`, which graph_operator builds.
 
         The layers draw from default_rng(cfg.seed), an mlp scorer's head from
         `rng` (the trainer's generator); its parameters come last.
         """
-        cfg.validate()
         if cfg.backbone != "mlp" and operator is None:
             raise ConfigError(f"the {cfg.backbone} backbone needs a graph operator")
         if cfg.link_scorer == "mlp" and rng is None:
@@ -364,9 +363,9 @@ class GnnModel:
 LINK_SCORERS = ("dot", "mlp")
 
 
-@dataclass
+@dataclass(frozen=True)
 class DownstreamConfig:
-    """Stage-2 hyperparameters; learning-rate defaults differ per task."""
+    """Stage-2 hyperparameters, checked when built; learning-rate defaults differ per task."""
 
     backbone: str = "mlp"
     hidden_dim: int = 64
@@ -391,7 +390,7 @@ class DownstreamConfig:
         overrides.setdefault("lr", 1e-4)
         return cls(**overrides)
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.backbone not in BACKBONES:
             raise ConfigError(f"backbone must be one of {BACKBONES}, got '{self.backbone}'")
         if self.hidden_dim < 1:
@@ -407,15 +406,6 @@ class DownstreamConfig:
         if self.link_scorer not in LINK_SCORERS:
             raise ConfigError(
                 f"link_scorer must be one of {LINK_SCORERS}, got '{self.link_scorer}'")
-
-
-def _feature_matrix(embeddings) -> np.ndarray:
-    matrix = embeddings.matrix if isinstance(embeddings, EmbeddingMatrix) else np.asarray(embeddings)
-    return np.asarray(matrix, dtype=np.float64)
-
-
-def _node_split(graph: TextGraph, name: str) -> np.ndarray:
-    return graph.splits.get(name, np.zeros(0, dtype=np.int64))
 
 
 def _pair_logits(model: GnnModel, z: dc.DiffTensor, pairs: np.ndarray) -> dc.DiffTensor:
@@ -456,34 +446,34 @@ def _link_scores(model: GnnModel, z: dc.DiffTensor, pairs: np.ndarray) -> np.nda
     return 1.0 / (1.0 + np.exp(-_pair_logits(model, z, pairs).data[:, 0]))
 
 
-def predict_links(model: GnnModel, embeddings, pairs) -> np.ndarray:
+def predict_links(model: GnnModel, embeddings: EmbeddingMatrix, pairs) -> np.ndarray:
     """Scores logistic(pair logit) in (0, 1), symmetric in (u, v). The forward
     checks the pair ids as it checks rows, raising ContractError."""
     rows, local = _endpoints(np.asarray(pairs).reshape(-1, 2))
     with dc.no_grad():
-        return _link_scores(model, model.forward(_feature_matrix(embeddings), rows=rows), local)
+        return _link_scores(model, model.forward(embeddings.matrix, rows=rows), local)
 
 
-def score_splits(model: GnnModel, embeddings, graph: TextGraph,
+def score_splits(model: GnnModel, embeddings: EmbeddingMatrix, graph: TextGraph,
                  split: Optional[LinkSplit] = None,
                  parts: Sequence[str] = ("val", "test")) -> Dict[str, float]:
     """Each part's score from one inference forward, keyed by part.
 
-    Without a link split: accuracy of the argmax class on that node split of
-    graph, nan when it is empty. With one: ROC-AUC of _link_scores' logistic
-    pair scores over the part's positives followed by its negatives. The
-    forward computes only the nodes that some part reads.
+    The features are the EmbeddingMatrix's rows. Without a link split: the
+    accuracy of the argmax class on graph's node split of that name, nan when
+    it is empty. With one: ROC-AUC of _link_scores' logistic pair scores over
+    the part's positives followed by its negatives. The forward computes only
+    the nodes that some part reads.
     """
     if split is None:
-        wanted = {part: _node_split(graph, part) for part in parts}
+        wanted = {part: graph.splits[part] for part in parts}
     else:
         wanted = {part: np.concatenate([split.positives(part), split.negatives(part)])
                   for part in parts}
-    rows = _unique(np.concatenate([np.zeros(0, np.int64)]
-                                  + [ids.ravel() for ids in wanted.values()]))
+    rows = _unique(np.concatenate([ids.ravel() for ids in wanted.values()]))
     scores = {}
     with dc.no_grad():
-        z = model.forward(_feature_matrix(embeddings), train=False, rows=rows)
+        z = model.forward(embeddings.matrix, train=False, rows=rows)
         for part, ids in wanted.items():
             local = np.searchsorted(rows, ids)
             if split is None:
@@ -501,12 +491,11 @@ def graph_operator(cfg: DownstreamConfig, graph: TextGraph,
     """The sparse operator of the model a trainer fits: the normalized
     adjacency for gcn, the neighbor mean for sage, None for mlp.
 
-    cfg is validated first, so an invalid one builds nothing. The operator
-    spans graph for node classification and only the train positives of
-    split for link prediction. A caller that fits several models of one
-    backbone on one graph builds it once and hands it to each trainer.
+    The operator spans graph for node classification and only the train
+    positives of split for link prediction. A caller that fits several
+    models of one backbone on one graph builds it once and hands it to each
+    trainer.
     """
-    cfg.validate()
     if cfg.backbone == "mlp":
         return None
     if split is not None:
@@ -516,16 +505,16 @@ def graph_operator(cfg: DownstreamConfig, graph: TextGraph,
     return mean_adjacency(graph)
 
 
-def _fit_setup(embeddings, graph: TextGraph, cfg: DownstreamConfig,
+def _fit_setup(embeddings: EmbeddingMatrix, graph: TextGraph, cfg: DownstreamConfig,
                split: Optional[LinkSplit] = None, operator=None
                ) -> Tuple[np.ndarray, GnnModel, dc.AdamState, np.random.Generator]:
-    """Checked features, then the training rng, the model and its optimizer.
+    """The embeddings' matrix checked against graph, the training rng, the model, its optimizer.
 
     Without a link split the model classifies graph's (checked) node splits;
     with one it sees only the train positives, and an mlp scorer draws first.
     A graph backbone uses `operator`, or graph_operator's when it is None.
     """
-    feats = _feature_matrix(embeddings)
+    feats = embeddings.matrix
     if feats.shape[0] != graph.num_nodes:
         raise ConfigError(
             f"embeddings have {feats.shape[0]} rows for a {graph.num_nodes}-node graph")
@@ -533,10 +522,10 @@ def _fit_setup(embeddings, graph: TextGraph, cfg: DownstreamConfig,
         if cfg.link_scorer != "dot":
             raise ConfigError("node classification scores no links; "
                               f"link_scorer must be 'dot', got '{cfg.link_scorer}'")
-        if _node_split(graph, "train").size == 0:
+        if graph.splits["train"].size == 0:
             raise ConfigError("node classification needs a non-empty train split")
         for name in ("train", "val", "test"):
-            if np.any(graph.labels[_node_split(graph, name)] < 0):
+            if np.any(graph.labels[graph.splits[name]] < 0):
                 raise ConfigError(f"{name} split contains unlabeled nodes")
         out_dim = int(graph.labels.max()) + 1
     else:
@@ -567,18 +556,19 @@ def _keep_best(model: GnnModel, cfg: DownstreamConfig, classes: int,
     model.restore(best_snap)
 
 
-def train_node_classifier(embeddings, graph: TextGraph, cfg: DownstreamConfig, *,
-                          operator=None) -> Tuple[GnnModel, List[dict]]:
+def train_node_classifier(embeddings: EmbeddingMatrix, graph: TextGraph, cfg: DownstreamConfig,
+                          *, operator=None) -> Tuple[GnnModel, List[dict]]:
     """Full-batch cross-entropy on the train split, best-val weights kept.
 
-    Log rows carry (epoch, train_loss, val_acc, test_acc). Training stops
-    early when the validation accuracy has not improved for cfg.patience
-    epochs; without a validation split the train loss is tracked instead.
-    A caller that fits several models passes graph_operator's `operator`.
+    The features are the EmbeddingMatrix's rows, one per graph node. Log
+    rows carry (epoch, train_loss, val_acc, test_acc). Training stops early
+    when the validation accuracy has not improved for cfg.patience epochs;
+    with an empty validation split the train loss is tracked instead. A
+    caller that fits several models passes graph_operator's `operator`.
     """
     feats, model, adam, rng = _fit_setup(embeddings, graph, cfg, operator=operator)
     train_idx = graph.splits["train"]
-    has_val = _node_split(graph, "val").size > 0
+    has_val = graph.splits["val"].size > 0
     log: List[dict] = []
 
     def epochs() -> Iterator[Tuple[float, float]]:
@@ -587,7 +577,7 @@ def train_node_classifier(embeddings, graph: TextGraph, cfg: DownstreamConfig, *
             loss = dc.cross_entropy_logits(logits, graph.labels[train_idx], reduction="mean")
             dc.backward(loss)
             dc.adam_step(model.parameters(), adam)
-            acc = score_splits(model, feats, graph)
+            acc = score_splits(model, embeddings, graph)
             train_loss = float(loss.item())
             log.append({"epoch": epoch, "train_loss": train_loss,
                         "val_acc": acc["val"], "test_acc": acc["test"]})
@@ -597,11 +587,12 @@ def train_node_classifier(embeddings, graph: TextGraph, cfg: DownstreamConfig, *
     return model, log
 
 
-def train_link_predictor(embeddings, graph: TextGraph, split: LinkSplit,
+def train_link_predictor(embeddings: EmbeddingMatrix, graph: TextGraph, split: LinkSplit,
                          cfg: DownstreamConfig, *, operator=None
                          ) -> Tuple[GnnModel, List[dict]]:
     """Minibatch logistic link training over the train partition.
 
+    The features are the EmbeddingMatrix's rows, one per graph node.
     Message-passing backbones see only the training-positive adjacency.
     Log rows are dicts (scope, index, split, metric, value); with
     cfg.log_every_iter every optimizer step adds a validation ROC-AUC row.
@@ -628,10 +619,10 @@ def train_link_predictor(embeddings, graph: TextGraph, split: LinkSplit,
                 dc.adam_step(model.parameters(), adam)
                 losses.append(float(loss.item()))
                 if cfg.log_every_iter:
-                    auc = score_splits(model, feats, graph, split, ("val",))
+                    auc = score_splits(model, embeddings, graph, split, ("val",))
                     log.append({"scope": "iter", "index": adam.step_count, "split": "val",
                                 "metric": "roc_auc", "value": auc["val"]})
-            auc = score_splits(model, feats, graph, split)
+            auc = score_splits(model, embeddings, graph, split)
             train_loss = sum(losses) / max(1, len(losses))
             log.append({"scope": "epoch", "index": epoch, "split": "train",
                         "metric": "bce", "value": train_loss})

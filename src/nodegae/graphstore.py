@@ -12,7 +12,7 @@ and the neighbor mean for GraphSAGE), and the train/val/test edge-split
 construction for link prediction.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 import numpy as np
@@ -34,6 +34,8 @@ __all__ = [
 
 # The train, val and test shares of a link split's edges: 7:2:1.
 LINK_SPLIT_RATIOS = (0.7, 0.2, 0.1)
+# The node splits that every TextGraph holds.
+NODE_SPLITS = ("train", "val", "test")
 
 
 def _keys(pairs: np.ndarray, num_nodes: int) -> np.ndarray:
@@ -85,7 +87,8 @@ class TextGraph:
 
     indptr/indices store both directions of every edge with sorted neighbor
     lists, no self-loops, and no duplicates. labels uses -1 for unlabeled
-    nodes. splits maps split names to sorted node-id arrays.
+    nodes. splits maps split names to sorted int64 node-id arrays and always
+    holds the NODE_SPLITS, each empty unless given.
     """
 
     num_nodes: int
@@ -93,7 +96,7 @@ class TextGraph:
     indices: np.ndarray
     texts: List[str]
     labels: np.ndarray
-    splits: Dict[str, np.ndarray] = field(default_factory=dict)
+    splits: Dict[str, np.ndarray]
 
     @classmethod
     def from_edges(
@@ -131,7 +134,7 @@ class TextGraph:
                 raise ContractError(
                     f"expected {num_nodes} labels, got shape {labels_arr.shape}"
                 )
-        split_arrs: Dict[str, np.ndarray] = {}
+        split_arrs = {name: np.zeros(0, dtype=np.int64) for name in NODE_SPLITS}
         for name, ids in (splits or {}).items():
             arr = np.asarray(sorted(int(i) for i in ids), dtype=np.int64)
             if arr.size and (arr[0] < 0 or arr[-1] >= num_nodes):

@@ -17,7 +17,7 @@ from typing import BinaryIO, Callable, Dict, List, Sequence, Tuple, Union
 import numpy as np
 
 from .errors import ConfigError, ContractError, IngestionError
-from .graphstore import TextGraph
+from .graphstore import NODE_SPLITS, TextGraph
 
 __all__ = [
     "PAD_ID",
@@ -121,13 +121,14 @@ def pad_sequences(seqs: Sequence[np.ndarray]) -> np.ndarray:
     return out
 
 
-@dataclass
+@dataclass(frozen=True)
 class SyntheticGraphSpec:
     """Recipe for a homophilous textual graph with keyword-themed documents.
 
     Each node joins one class; its document mixes tokens from the class
     keyword pool and a shared pool at class_token_fraction. Edges appear
-    independently with the intra- or inter-class probability.
+    independently with the intra- or inter-class probability. A spec is
+    checked when built (ConfigError) and frozen.
     """
 
     num_nodes: int = 512
@@ -139,7 +140,7 @@ class SyntheticGraphSpec:
     class_token_fraction: float = 0.7
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.num_nodes < 1:
             raise ConfigError(f"num_nodes must be >= 1, got {self.num_nodes}")
         if self.num_classes < 1:
@@ -193,7 +194,6 @@ def _draw_edges(rng: np.random.Generator, labels: np.ndarray, intra: float,
 
 def generate_synthetic(spec: SyntheticGraphSpec) -> TextGraph:
     """Sample a labeled textual graph plus a 54/18/28 node split."""
-    spec.validate()
     rng = np.random.default_rng(spec.seed)
     n, n_classes = spec.num_nodes, spec.num_classes
 
@@ -293,9 +293,8 @@ def save_textgraph(graph: TextGraph, nodes_path, edges_path, splits_path) -> Non
     ]
     edge_lines = [f"{u}\t{v}" for u, v in graph.edges().tolist()]
     split_lines = []
-    for name in ("train", "val", "test"):
-        ids = graph.splits.get(name, np.zeros(0, dtype=np.int64))
-        joined = ",".join(str(int(i)) for i in ids)
+    for name in NODE_SPLITS:
+        joined = ",".join(str(int(i)) for i in graph.splits[name])
         split_lines.append(f"{name}: {joined}" if joined else f"{name}:")
     replace_files([
         (Path(nodes_path), "\n".join(nodes_lines) + "\n"),
@@ -308,8 +307,9 @@ def load_textgraph(nodes_path, edges_path, splits_path) -> TextGraph:
     """Parse and validate the three-file dataset format.
 
     Node ids must be dense 0..n-1; edges deduplicate as undirected pairs;
-    splits must be disjoint. Violations raise IngestionError, with the file
-    and line number whenever the problem is local to a line.
+    splits must be disjoint, and a split without a line is empty, as in every
+    TextGraph. Violations raise IngestionError, with the file and line number
+    whenever the problem is local to a line.
     """
     nodes_path, edges_path, splits_path = Path(nodes_path), Path(edges_path), Path(splits_path)
 
@@ -367,7 +367,7 @@ def load_textgraph(nodes_path, edges_path, splits_path) -> TextGraph:
             continue
         name, _, rest = line.partition(":")
         name = name.strip()
-        if name not in ("train", "val", "test"):
+        if name not in NODE_SPLITS:
             raise IngestionError(f"{splits_path} line {lineno}: unknown split '{name}'")
         if name in splits:
             raise IngestionError(f"{splits_path} line {lineno}: duplicate split '{name}'")
@@ -390,8 +390,6 @@ def load_textgraph(nodes_path, edges_path, splits_path) -> TextGraph:
             claimed[node_id] = name
             ids.append(node_id)
         splits[name] = ids
-    for name in ("train", "val", "test"):
-        splits.setdefault(name, [])
 
     return TextGraph.from_edges(n, np.reshape(edges, (-1, 2)), texts=texts, labels=labels,
                                 splits=splits)

@@ -4,6 +4,7 @@ import math
 import re
 import tracemalloc
 import weakref
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -40,12 +41,15 @@ def tiny_model(seed=0, **overrides):
 
 def test_config_rejects_indivisible_heads():
     with pytest.raises(ConfigError):
-        ae.ModelConfig(vocab_size=12, d_enc=10, heads=4).validate()
+        ae.ModelConfig(vocab_size=12, d_enc=10, heads=4)
 
 
 def test_config_rejects_nonpositive_sizes():
     with pytest.raises(ConfigError):
-        ae.ModelConfig(vocab_size=12, proj_len=0).validate()
+        ae.ModelConfig(vocab_size=12, proj_len=0)
+    # Frozen: a built config stays the checked one.
+    with pytest.raises(FrozenInstanceError):
+        ae.ModelConfig(vocab_size=12).proj_len = 0
 
 
 def test_init_rejects_vocab_mismatch():
@@ -520,11 +524,13 @@ def test_infonce_is_nonnegative(seed):
 
 def test_infonce_config_validation():
     with pytest.raises(ConfigError):
-        ae.InfoNCEConfig(tau=0.0).validate()
+        ae.InfoNCEConfig(tau=0.0)
     with pytest.raises(ConfigError):
-        ae.InfoNCEConfig(alphas=(1.0,)).validate()
+        ae.InfoNCEConfig(alphas=(1.0,))
     with pytest.raises(ConfigError):
-        ae.InfoNCEConfig(alphas=(-0.5, 0.1)).validate()
+        ae.InfoNCEConfig(alphas=(-0.5, 0.1))
+    with pytest.raises(FrozenInstanceError):
+        ae.InfoNCEConfig().tau = 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -384,12 +384,14 @@ def test_pretrain_checkpoint_names_its_dataset_by_hash_not_path(dataset, tmp_pat
 
 
 # Edits of a checkpoint's metadata that `embed` and `pretrain --resume` refuse, each with
-# the text its error names: the run record or one of its keys gone, or format version 1.
+# the text its error names: the run record or one of its keys gone, a generator state
+# numpy cannot take, or format version 1.
 UNREADABLE_RECORDS = [
     (lambda meta: meta.pop("run"), "'run'"),
     (lambda meta: meta["run"].pop("flags"), "run.flags"),
     (lambda meta: meta["run"].pop("dataset_sha256"), "run.dataset_sha256"),
     (lambda meta: meta["run"].pop("rng_state"), "run.rng_state"),
+    (lambda meta: meta["run"].update(rng_state={"bit_generator": "PCG64"}), "run.rng_state"),
     (lambda meta: meta["run"]["flags"].pop("tau"), "run.flags.tau"),
     (lambda meta: meta["run"]["dataset_sha256"].pop("splits.txt"), "run.dataset_sha256.splits.txt"),
     (lambda meta: meta.update(format_version=1), "format version 1"),

@@ -2,7 +2,7 @@
 
 import io
 import tracemalloc
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
 
 import numpy as np
@@ -568,13 +568,14 @@ def test_zero_embeddings_score_half():
     model = ds.GnnModel.build(ds.DownstreamConfig(hidden_dim=4, dropout=0.0), 3, 3)
     for p in model.params.values():
         p.data[:] = 0.0
-    scores = ds.predict_links(model, np.ones((4, 3)), [(0, 1), (2, 3)])
+    scores = ds.predict_links(model, ds.EmbeddingMatrix(np.ones((4, 3)), "random"),
+                              [(0, 1), (2, 3)])
     assert np.array_equal(scores, np.full(2, 0.5))
 
 
 def test_link_scores_symmetric_and_bounded():
     model = ds.GnnModel.build(ds.DownstreamConfig(hidden_dim=8, dropout=0.0, seed=1), 5, 4)
-    feats = np.random.default_rng(2).standard_normal((12, 5))
+    feats = ds.EmbeddingMatrix(np.random.default_rng(2).standard_normal((12, 5)), "random")
     pairs = [(0, 3), (5, 1), (7, 11), (4, 4)]
     fwd = ds.predict_links(model, feats, pairs)
     rev = ds.predict_links(model, feats, [(v, u) for u, v in pairs])
@@ -591,7 +592,8 @@ def test_link_scores_match_hand_logistic():
     feats = np.array([[1.0, 2.0, -1.0],
                       [0.5, -1.0, 2.0],
                       [3.0, 0.0, 1.0]])
-    scores = ds.predict_links(model, feats, [(0, 1), (0, 2), (1, 2)])
+    scores = ds.predict_links(model, ds.EmbeddingMatrix(feats, "random"),
+                              [(0, 1), (0, 2), (1, 2)])
     dots = np.array([feats[0] @ feats[1], feats[0] @ feats[2], feats[1] @ feats[2]])
     assert np.max(np.abs(scores - logistic(dots))) < 1e-12
 
@@ -599,13 +601,13 @@ def test_link_scores_match_hand_logistic():
 def test_predict_links_rejects_out_of_range_ids():
     model = ds.GnnModel.build(ds.DownstreamConfig(hidden_dim=4, dropout=0.0), 3, 2)
     with pytest.raises(ContractError, match="GnnModel.forward"):
-        ds.predict_links(model, np.zeros((4, 3)), [(0, 4)])
+        ds.predict_links(model, ds.EmbeddingMatrix(np.zeros((4, 3)), "random"), [(0, 4)])
 
 
 def test_predict_links_checks_pair_ids_with_the_forwards_rule():
     # A float pair was once cast to int64 and scored as the pair (0, 1).
     model = ds.GnnModel.build(ds.DownstreamConfig(hidden_dim=4, dropout=0.0), 3, 2)
-    feats = np.random.default_rng(0).standard_normal((4, 3))
+    feats = ds.EmbeddingMatrix(np.random.default_rng(0).standard_normal((4, 3)), "random")
     for pairs in ([(0.5, 1.7)], [(-1, 2)], [(True, False)]):
         with pytest.raises(ContractError, match="GnnModel.forward"):
             ds.predict_links(model, feats, pairs)
@@ -708,6 +710,10 @@ def test_classifier_rejects_bad_inputs():
         labels=unlabeled, splits=graph.splits)
     with pytest.raises(ConfigError):
         ds.train_node_classifier(emb, bad, ds.DownstreamConfig())
+    # Features come as an EmbeddingMatrix, whose constructor checked them; a bare array
+    # is refused, not trained on unchecked.
+    with pytest.raises(AttributeError, match="matrix"):
+        ds.train_node_classifier(emb.matrix, graph, ds.DownstreamConfig())
 
 
 @pytest.mark.parametrize("backbone", ["gcn", "sage"])
@@ -880,16 +886,11 @@ def test_an_invalid_config_is_refused_before_any_operator_is_built(monkeypatch, 
                         spy("message graph", gs.LinkSplit.train_message_graph))
     graph = community_graph(seed=4)
     split = gs.build_link_split(graph, seed=4)
-    emb = community_embeddings(graph, seed=4)
-    cfg = ds.DownstreamConfig(backbone=backbone, **bad)
+    # Building the config is its check: with no config there is nothing to build from.
     with pytest.raises(ConfigError):
-        ds.train_link_predictor(emb, graph, split, cfg)
+        ds.DownstreamConfig(backbone=backbone, **bad)
     assert built == []
-    with pytest.raises(ConfigError):
-        ds.graph_operator(cfg, graph)
-    assert built == []
-    ds.graph_operator(replace(cfg, **{k: getattr(ds.DownstreamConfig(), k) for k in bad}),
-                      graph, split)
+    ds.graph_operator(ds.DownstreamConfig(backbone=backbone), graph, split)
     assert built == ["message graph", "mean" if backbone == "sage" else "normalized"]
 
 
@@ -898,11 +899,13 @@ def test_config_task_defaults_and_validation():
     assert ds.DownstreamConfig.for_link_prediction().lr == 1e-4
     assert ds.DownstreamConfig.for_link_prediction(lr=0.5).lr == 0.5
     with pytest.raises(ConfigError):
-        ds.DownstreamConfig(link_scorer="bilinear").validate()
+        ds.DownstreamConfig(link_scorer="bilinear")
     with pytest.raises(ConfigError):
-        ds.DownstreamConfig(batch_edges=1).validate()
+        ds.DownstreamConfig(batch_edges=1)
     with pytest.raises(ConfigError):
-        ds.DownstreamConfig(lr=0.0).validate()
+        ds.DownstreamConfig(lr=0.0)
+    with pytest.raises(FrozenInstanceError):
+        ds.DownstreamConfig().lr = 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -915,11 +918,10 @@ def test_score_splits_matches_accuracy_on_each_node_split():
     cfg = ds.DownstreamConfig(backbone="gcn", hidden_dim=8, dropout=0.5, seed=5)
     model = ds.GnnModel.build(cfg, 4, 3, operator_of("gcn", graph))
     preds = np.argmax(model.forward(emb.matrix).data, axis=1)
-    got = ds.score_splits(model, emb, graph, parts=("train", "val", "test", "holdout"))
+    got = ds.score_splits(model, emb, graph, parts=("train", "val", "test"))
     for part in ("train", "val", "test"):
         idx = graph.splits[part]
         assert got[part] == accuracy(preds[idx], graph.labels[idx])
-    assert np.isnan(got["holdout"])
 
 
 @pytest.mark.parametrize("scorer", ds.LINK_SCORERS)

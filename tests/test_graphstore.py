@@ -116,6 +116,9 @@ def test_from_edges_without_edges_is_edgeless(edges):
     assert g.indptr.tolist() == [0, 0, 0, 0]
     assert g.indices.dtype == np.int64 and g.indices.size == 0
     assert g.edges().shape == (0, 2) and g.edges().dtype == np.int64
+    # Without splits a graph still holds the three node splits, each empty.
+    assert list(g.splits) == list(gs.NODE_SPLITS) == ["train", "val", "test"]
+    assert all(ids.dtype == np.int64 and ids.size == 0 for ids in g.splits.values())
 
 
 def test_from_edges_reports_first_bad_edge_as_the_set_oracle():

@@ -1,6 +1,7 @@
 """Tests for tokenization, vocabulary, synthetic graphs, and file ingestion."""
 
 from collections import Counter
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -197,6 +198,8 @@ def test_synthetic_invalid_specs_rejected():
                                         inter_class_edge_prob=0.5))
     with pytest.raises(ConfigError):
         tc.generate_synthetic(make_spec(intra_class_edge_prob=1.5))
+    with pytest.raises(FrozenInstanceError):
+        make_spec().keywords_per_class = 0
 
 
 def test_synthetic_split_sizes_and_partition():

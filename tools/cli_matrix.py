@@ -25,7 +25,10 @@ generated graph:
   ``--patience 1``, so that early stopping ends a fit, and link prediction
   with ``--batch-edges 13``, whose 92 training pairs leave a one-pair batch
   that the trainer skips;
-- ``ablate`` with the mlp and gcn backbones.
+- ``ablate`` with the mlp and gcn backbones;
+- a two-node ``generate``, whose val split is empty, then ``embed --baseline
+  random`` and sage node classification on it, so that a fit with no
+  validation split tracks its train loss and reports nan validation rows.
 
 It then prints one ``sha256  relative-path`` line per file, sorted by path.
 Run it on two checkouts and diff the outputs to check that a change keeps
@@ -79,6 +82,10 @@ MATRIX = [
      "--batch-edges", "13"],
     ["ablate", "--dataset", "data", "--out-dir", "ablate", "--backbones", "mlp,gcn",
      "--repeats", "1", "--steps", "4", "--epochs", "4", *STAGE1],
+    ["generate", "--out", "tiny", "--nodes", "2", "--seed", "3"],
+    ["embed", "--dataset", "tiny", "--baseline", "random", "--out", "emb/tiny.txt"],
+    ["train", "--dataset", "tiny", "--embeddings", "emb/tiny.txt", *FIT,
+     "--out-dir", "nodecls/tiny", "--task", "nodecls", "--backbone", "sage"],
 ]
 
 RUN_CLI = "import sys; from nodegae.cli import main; sys.exit(main(sys.argv[1:]))"
