@@ -799,10 +799,6 @@ def _scatter_rows(g: np.ndarray, ids: np.ndarray, shape: tuple[int, int]) -> np.
     +0.0). np.add.reduceat would sum in another order.
     """
     g = g.reshape(ids.size, shape[1])
-    if np.all(ids[1:] > ids[:-1]):  # increasing ids are unique: nothing to sum
-        gt = np.zeros(shape)
-        gt[ids] = g + 0.0
-        return gt
     cells = (ids[:, None] * shape[1] + np.arange(shape[1])).reshape(-1)
     return np.bincount(cells, weights=g.reshape(-1),
                        minlength=shape[0] * shape[1]).reshape(shape)

@@ -15,8 +15,6 @@ one loop that keeps the best validation epoch's weights, and one scorer,
 ``score_splits``, which the CLI also uses for the test metric.
 """
 
-import io
-import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import (BinaryIO, Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence,
@@ -56,15 +54,16 @@ SHALLOW_BLOCK_CELLS = 1 << 21
 EMBEDDINGS_WRITE_ROWS = 1024
 
 
-@dataclass
+@dataclass(frozen=True)
 class EmbeddingMatrix:
-    """Frozen per-node features plus a tag recording where they came from."""
+    """Per-node features plus a tag recording where they came from, checked when
+    built (2-d, finite, float64) and frozen."""
 
     matrix: np.ndarray
     provenance: str
 
     def __post_init__(self):
-        self.matrix = np.asarray(self.matrix, dtype=np.float64)
+        object.__setattr__(self, "matrix", np.asarray(self.matrix, dtype=np.float64))
         if self.matrix.ndim != 2:
             raise ContractError(f"embeddings must be 2-d, got {self.matrix.shape}")
         if not np.all(np.isfinite(self.matrix)):
@@ -108,48 +107,13 @@ def save_embeddings(embeddings: EmbeddingMatrix, path) -> None:
     replace_files([embeddings_file(embeddings, path)])
 
 
-# The bytes of the rows that embeddings_file writes: reprs of finite floats,
-# spaces and newlines.
-_ROW_BYTES = b"0123456789+-.eE \n"
-_PRINTABLE = bytes(range(0x20, 0x7F))
-
-
-def _plain_rows(head: bytes, body: bytes) -> bool:
-    """Whether np.loadtxt reads the body as the per-line parse does: a printable
-    ASCII header, rows of _ROW_BYTES only, some entry, and no line that starts
-    with a space (so no line of spaces alone, which is an empty row to the
-    per-line parse and no row to np.loadtxt)."""
-    return (not head.translate(None, _PRINTABLE) and not body.translate(None, _ROW_BYTES)
-            and re.search(rb"[^ \n]", body) is not None
-            and not body.startswith(b" ") and b"\n " not in body)
-
-
 def load_embeddings(path) -> EmbeddingMatrix:
-    """The embeddings of an embeddings_file text; a malformed file raises
-    ContractError naming its line.
+    """The embeddings of an embeddings_file text, each entry float() of its text; a
+    malformed file raises ContractError naming its line.
 
-    A file of plain rows (see _plain_rows) is parsed in one np.loadtxt call,
-    whose float parser is CPython's, so each entry equals float() of its
-    text bit for bit. Any other file, and one that this call refuses or
-    reads at another shape than its header's, goes through the per-line
-    parse, which names the bad line.
+    Each line is split only when it is parsed, so the load holds the lines and
+    the matrix but never every line's entries at once.
     """
-    with open(path, "rb") as fh:
-        head, body = fh.readline().rstrip(b"\n"), fh.read()
-    header = head.split()
-    if (len(header) == 3 and header[0].isdigit() and header[1].isdigit()
-            and _plain_rows(head, body)):
-        try:
-            matrix = np.loadtxt(io.BytesIO(body), ndmin=2)
-        except ValueError:
-            matrix = None
-        if matrix is not None and matrix.shape == (int(header[0]), int(header[1])):
-            return EmbeddingMatrix(matrix, header[2].decode("ascii"))
-    return _parse_lines(path)
-
-
-def _parse_lines(path) -> EmbeddingMatrix:
-    """load_embeddings line by line, one float() per entry."""
     text = Path(path).read_text(encoding="utf-8").splitlines()
     if not text:
         raise ContractError(f"{path}: empty embedding file")
@@ -157,17 +121,18 @@ def _parse_lines(path) -> EmbeddingMatrix:
     if len(header) != 3 or not all(h.isdecimal() for h in header[:2]):
         raise ContractError(f"{path}:1: header must be 'rows dim provenance', got '{text[0]}'")
     rows, dim, provenance = int(header[0]), int(header[1]), header[2]
-    body = [(i, line.split()) for i, line in enumerate(text[1:], start=2) if line]
+    body = [i for i in range(1, len(text)) if text[i]]
     if len(body) != rows:
         raise ContractError(f"{path}: header promises {rows} rows, found {len(body)}")
     matrix = np.empty((rows, dim))
-    for r, (lineno, entries) in enumerate(body):
+    for r, i in enumerate(body):
+        entries = text[i].split()
         try:
             if len(entries) != dim:
                 raise ValueError(f"header promises dim {dim}, row has {len(entries)} entries")
-            matrix[r] = [float(x) for x in entries]
+            matrix[r] = list(map(float, entries))
         except ValueError as exc:
-            raise ContractError(f"{path}:{lineno}: {exc}") from None
+            raise ContractError(f"{path}:{i + 1}: {exc}") from None
     return EmbeddingMatrix(matrix, provenance)
 
 

@@ -779,7 +779,7 @@ def test_embedding_lookup_backward_is_bit_identical_to_add_at(seed, rows, width,
                                                                increasing):
     rng = np.random.default_rng(seed)
     ids = rng.integers(0, rows, size=shape)
-    if increasing:  # unique ids, the direct-write path
+    if increasing:  # unique, increasing ids
         ids = np.arange(min(rows, ids.size))
     shape = ids.shape + (width,)
     g = rng.standard_normal(shape) * 10.0 ** rng.integers(-20, 20, shape)

@@ -62,6 +62,9 @@ def test_embedding_matrix_validation():
     emb = ds.EmbeddingMatrix(np.zeros((3, 2), dtype=np.float32), provenance="nodegae")
     assert emb.matrix.dtype == np.float64
     assert emb.num_rows == 3 and emb.dim == 2
+    emb = ds.random_embeddings(30, 4)
+    with pytest.raises(FrozenInstanceError):  # an assignment would skip the checks above
+        emb.matrix = np.full((30, 4), np.nan)
 
 
 def test_embeddings_save_load_round_trip(tmp_path):
@@ -222,23 +225,41 @@ def test_embeddings_file_never_holds_the_whole_text():
     matrix = np.random.default_rng(5).standard_normal((20000, 64))
     _, write = ds.embeddings_file(ds.EmbeddingMatrix(matrix, "random"), "unused.txt")
     sink = _CountingSink()
+    _, peak = traced_peak(lambda: write(sink))
+    assert sink.size > 20e6  # about 19 characters per entry
+    assert peak < sink.size / 4
+
+
+def traced_peak(call):
+    """(call's result, the most bytes tracemalloc saw allocated during the call)."""
     tracing = tracemalloc.is_tracing()
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        write(sink)
+        result = call()
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         if not tracing:
             tracemalloc.stop()
-    assert sink.size > 20e6  # about 19 characters per entry
-    assert peak < sink.size / 4
+    return result, peak
 
 
-# Files the one-call parse must not read differently from the per-line one: odd
-# whitespace and line ends, entries float() reads but the writer never writes, and
-# each way a header, a row count or a row can be wrong.
+def test_load_embeddings_never_holds_every_line_split(tmp_path):
+    """A CRLF file loads to the LF file's matrix bit for bit, peaking under 4x its
+    size: each line is split only when it is parsed."""
+    matrix = np.random.default_rng(6).standard_normal((20000, 64))
+    lf, crlf = tmp_path / "lf.txt", tmp_path / "crlf.txt"
+    ds.save_embeddings(ds.EmbeddingMatrix(matrix, "random"), lf)
+    crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n"))
+    emb, peak = traced_peak(lambda: ds.load_embeddings(crlf))
+    assert emb.matrix.tobytes() == ds.load_embeddings(lf).matrix.tobytes() == matrix.tobytes()
+    assert peak < 4 * crlf.stat().st_size
+
+
+# Files load_embeddings must read as reference_load does: odd whitespace and line
+# ends, entries float() reads but the writer never writes, and each way a header,
+# a row count or a row can be wrong.
 ODD_EMBEDDING_FILES = {
     "crlf": "2 2 random\r\n1.0 2.0\r\n3.0 4.0\r\n",
     "blank-lines-trailing-spaces": "2 2 random\n\n1.0 2.0  \n\n3.0  4.0\n\n",
@@ -277,8 +298,8 @@ def test_load_embeddings_reads_any_file_as_the_per_line_parse(tmp_path, text):
 @given(rows=st.lists(st.lists(st.text("0123456789+-.eE", min_size=1, max_size=6),
                               min_size=2, max_size=2), min_size=1, max_size=3))
 def test_load_embeddings_reads_any_plain_token_as_float_does(tmp_path_factory, rows):
-    """Entries from the bytes the one-call parse accepts, valid or not: each file
-    loads to the same matrix, or fails with the same error, as the per-line parse."""
+    """Entries from the bytes the writer writes, valid floats or not: each file
+    loads to the same matrix, or fails with the same error, as reference_load."""
     path = tmp_path_factory.mktemp("emb") / "emb.txt"
     path.write_text(f"{len(rows)} 2 random\n" + "".join(" ".join(r) + "\n" for r in rows),
                     encoding="utf-8")
