@@ -559,8 +559,9 @@ def load_model(path) -> Tuple[AutoencoderModel, Optional[dc.AdamState], dict]:
 
     A file that is no npz archive, that misses a block the format needs, whose
     config keys are not ModelConfig's fields or whose config values are not
-    all integers, or that holds a tensor naming no parameter or Adam moment
-    of one raises ContractError naming the path and the keys.
+    all integers, whose optimizer settings AdamState refuses, or that holds a
+    tensor naming no parameter or Adam moment of one raises ContractError
+    naming the path and the keys.
     """
     try:
         with np.load(path, allow_pickle=False) as bundle:
@@ -606,7 +607,11 @@ def load_model(path) -> Tuple[AutoencoderModel, Optional[dc.AdamState], dict]:
 
     adam = None
     if "optimizer" in meta:
-        adam = dc.AdamState.from_settings(
-            [stored(tensors, "opt.m." + name) for name in model.params],
-            [stored(tensors, "opt.v." + name) for name in model.params], meta["optimizer"])
+        try:
+            adam = dc.AdamState.from_settings(
+                [stored(tensors, "opt.m." + name) for name in model.params],
+                [stored(tensors, "opt.v." + name) for name in model.params], meta["optimizer"])
+        except ConfigError as exc:  # "<name> must be ...", from AdamState.__post_init__
+            key, rule = str(exc).split(" ", 1)
+            raise ContractError(f"checkpoint {path}: 'optimizer.{key}' {rule}") from None
     return model, adam, meta

@@ -67,8 +67,7 @@ def _fmt(x: float) -> str:
 
 
 def dataset_paths(root) -> Tuple[Path, Path, Path]:
-    root = Path(root)
-    return root / DATASET_FILES[0], root / DATASET_FILES[1], root / DATASET_FILES[2]
+    return tuple(Path(root) / name for name in DATASET_FILES)
 
 
 def dataset_sha256(root) -> Dict[str, str]:
@@ -119,8 +118,7 @@ def _check_trained_on(checkpoint, run: dict, data_sha256: Dict[str, str]) -> Non
 
 
 def load_dataset(root) -> TextGraph:
-    nodes, edges, splits = dataset_paths(root)
-    return load_textgraph(nodes, edges, splits)
+    return load_textgraph(*dataset_paths(root))
 
 
 def _csv(path: Path, header: str, rows: List[str], resume: bool = False) -> Tuple[Path, str]:
@@ -140,10 +138,12 @@ def _csv(path: Path, header: str, rows: List[str], resume: bool = False) -> Tupl
 # Stage-2 flag dests that only link prediction reads; setting one under
 # another task is an error.
 LINKPRED_DESTS = ("batch_edges", "link_scorer", "link_seed", "log_every_iter")
-# Flag dests that seed a numpy generator, which takes no negative seed.
-SEED_DESTS = ("seed", "link_seed")
 # `embed` flag dests that only a baseline reads; setting one with a checkpoint is an error.
 BASELINE_DESTS = ("dim", "seed")
+# The lowest value of each numeric flag that no library config checks when built
+# (numpy generators take no negative seed); `main` checks them before any command.
+FLAG_FLOORS = {"steps": 1, "batch_size": 2, "recon_every": 0, "recon_samples": 1,
+               "repeats": 1, "dim": 1, "seed": 0, "link_seed": 0}
 
 
 def _model_config(args: Args, vocab_size: int) -> ModelConfig:
@@ -175,48 +175,35 @@ def _downstream(args: Args, backbone: str, log_every_iter: bool = False) -> Down
     return build(**kwargs)
 
 
-def _check_dataset(args: Args) -> None:
-    for p in dataset_paths(args.dataset):
-        if not p.is_file():
-            raise ConfigError(f"dataset file not found: {p}")
+def _adam(args: Args, params: Sequence[dc.DiffTensor]) -> dc.AdamState:
+    """The stage-1 optimizer over params, from the flags (building it checks them)."""
+    return dc.AdamState.for_params(params, base_lr=args.pretrain_lr, warmup_steps=args.warmup,
+                                   clip_norm=args.clip_norm or None)
+
+
+def _refuse_set(args: Args, dests: Sequence[str], mode: str, why: str = "") -> None:
+    """Refuse the flags of dests that the command line set, since `mode` ignores them."""
+    unread = [flag for flag, dest, *_ in COMMANDS[args.command][2]
+              if dest in dests and dest in args.user_set]
+    if unread:
+        raise ConfigError(f"{mode} ignores {', '.join(unread)}" + (f" ({why})" if why else ""))
 
 
 def _check_stage1(args: Args) -> None:
-    if args.steps < 1:
-        raise ConfigError(f"--steps must be >= 1, got {args.steps}")
-    if args.batch_size < 2:
-        raise ConfigError(f"--batch-size must be >= 2, got {args.batch_size}")
-    if args.pretrain_lr <= 0:
-        raise ConfigError(f"pretraining lr must be positive, got {args.pretrain_lr}")
-    if args.warmup < 0:
-        raise ConfigError(f"--warmup must be >= 0, got {args.warmup}")
-    if args.vocab_size < 5:
-        raise ConfigError(f"--vocab-size must be >= 5, got {args.vocab_size}")
     # Any --clip-norm <= 0 disables clipping; 0.0 is the one value that says so.
     args.clip_norm = args.clip_norm if args.clip_norm > 0 else 0.0
     # The real vocabulary is known only once the corpus is read; its budget
     # bounds it, so building the model config from the budget checks the shape.
     _model_config(args, args.vocab_size)
     _infonce(args)
+    _adam(args, [])
 
 
 def _check_stage2(args: Args, backbones: Sequence[str]) -> None:
-    if args.repeats < 1:
-        raise ConfigError(f"--repeats must be >= 1, got {args.repeats}")
     if args.task != "linkpred":
-        unread = [flag for flag, dest, *_ in COMMANDS[args.command][2]
-                  if dest in LINKPRED_DESTS and dest in args.user_set]
-        if unread:
-            raise ConfigError(f"--task {args.task} ignores {', '.join(unread)} "
-                              "(link prediction only)")
+        _refuse_set(args, LINKPRED_DESTS, f"--task {args.task}", "link prediction only")
     for backbone in backbones:
         _downstream(args, backbone)  # building a config checks it
-
-
-def _check_seeds(args: Args) -> None:
-    for flag, dest, *_ in COMMANDS[args.command][2]:
-        if dest in SEED_DESTS and getattr(args, dest) < 0:
-            raise ConfigError(f"{flag} must be >= 0, got {getattr(args, dest)}")
 
 
 def _pretraining_graph(args: Args, purpose: str) -> TextGraph:
@@ -283,9 +270,7 @@ def _fresh_model(args: Args, graph: TextGraph) -> Tuple[AutoencoderModel, dc.Ada
     """A newly initialized autoencoder over the graph's vocabulary, and its optimizer."""
     vocab = build_vocab(graph.texts, max_size=args.vocab_size)
     model = AutoencoderModel.init(_model_config(args, vocab.size), vocab, seed=args.seed)
-    adam = dc.AdamState.for_params(model.parameters(), base_lr=args.pretrain_lr,
-                                   warmup_steps=args.warmup, clip_norm=args.clip_norm or None)
-    return model, adam
+    return model, _adam(args, model.parameters())
 
 
 def _pretraining(args: Args, graph: TextGraph, model: AutoencoderModel, adam: dc.AdamState,
@@ -337,10 +322,7 @@ def _check_log_continues(log: Path, checkpoint, step_count: int) -> None:
 
 
 def cmd_pretrain(args: Args) -> int:
-    _check_dataset(args)
     _check_stage1(args)
-    if args.recon_every < 0 or args.recon_samples < 1:
-        raise ConfigError("--recon-every must be >= 0 and --recon-samples >= 1")
     if args.resume is not None and not Path(args.resume).is_file():
         raise ConfigError(f"resume checkpoint not found: {args.resume}")
     graph = _pretraining_graph(args, "pretraining")
@@ -388,21 +370,14 @@ def cmd_pretrain(args: Args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_embed(args: Args) -> int:
-    if args.baseline != "model" and args.checkpoint is not None:
-        raise ConfigError(f"--baseline {args.baseline} ignores --checkpoint")
-    if args.baseline == "model":
-        unread = [flag for flag, dest, *_ in EMBED_FLAGS
-                  if dest in BASELINE_DESTS and dest in args.user_set]
-        if unread:
-            raise ConfigError(f"--checkpoint ignores {', '.join(unread)} (baselines only)")
-    _check_dataset(args)
-    if args.baseline == "model":
+    if args.baseline != "model":
+        _refuse_set(args, ("checkpoint",), f"--baseline {args.baseline}")
+    else:
+        _refuse_set(args, BASELINE_DESTS, "--checkpoint", "baselines only")
         if args.checkpoint is None:
             raise ConfigError("--checkpoint is required unless --baseline is used")
         if not Path(args.checkpoint).is_file():
             raise ConfigError(f"checkpoint not found: {args.checkpoint}")
-    elif args.dim < 1:
-        raise ConfigError(f"--dim must be >= 1, got {args.dim}")
     graph = load_dataset(args.dataset)
     if args.baseline == "random":
         emb = random_embeddings(graph.num_nodes, args.dim, seed=args.seed)
@@ -489,7 +464,6 @@ def _write_report(out_dir: Path, args: Args, provenance: str, dcfg: DownstreamCo
 
 
 def cmd_train(args: Args) -> int:
-    _check_dataset(args)
     if not Path(args.embeddings).is_file():
         raise ConfigError(f"embeddings file not found: {args.embeddings}")
     _check_stage2(args, [args.backbone])
@@ -524,7 +498,6 @@ def _pretrained_embeddings(args: Args, graph: TextGraph,
 
 
 def cmd_ablate(args: Args) -> int:
-    _check_dataset(args)
     _check_stage1(args)
     backbones = [b.strip() for b in args.backbones.split(",") if b.strip()]
     if not backbones:
@@ -732,8 +705,14 @@ def resolve(args: Args) -> Args:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = resolve(build_parser().parse_args(argv))
-    try:
-        _check_seeds(args)
+    try:  # the flag floors and the dataset's files, before the command reads anything
+        for flag, dest, *_ in COMMANDS[args.command][2]:
+            if dest in FLAG_FLOORS and getattr(args, dest) < FLAG_FLOORS[dest]:
+                raise ConfigError(f"{flag} must be >= {FLAG_FLOORS[dest]}, "
+                                  f"got {getattr(args, dest)}")
+        for p in dataset_paths(args.dataset) if "dataset" in args.user_set else ():
+            if not p.is_file():
+                raise ConfigError(f"dataset file not found: {p}")
         return COMMANDS[args.command][0](args)
     except (ConfigError, IngestionError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -25,7 +25,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import ContractError, DimensionError, NodeGaeError
+from .errors import ConfigError, ContractError, DimensionError, NodeGaeError
 
 LAYERNORM_EPS = 1e-12
 
@@ -1038,6 +1038,20 @@ class AdamState:
     warmup_steps: int = 0
     clip_norm: float | None = 1.0
 
+    def __post_init__(self) -> None:
+        """ConfigError("<name> must be ...") for the first setting of a wrong kind or value."""
+        for name, value in self.settings().items():
+            number = isinstance(value, (int, float)) and not isinstance(value, bool)
+            if name in ("step_count", "warmup_steps"):
+                ok, rule = number and isinstance(value, int) and value >= 0, "an int >= 0"
+            elif name in ("beta1", "beta2"):
+                ok, rule = number and 0 <= value < 1, "in [0, 1)"
+            else:  # base_lr, epsilon and clip_norm, which None turns off
+                ok = (value is None and name == "clip_norm") or (number and 0 < value < np.inf)
+                rule = "finite and > 0"
+            if not ok:
+                raise ConfigError(f"{name} must be {rule}, got {value!r}")
+
     @classmethod
     def for_params(cls, params: Sequence[DiffTensor], base_lr: float,
                    **settings) -> "AdamState":
@@ -1052,10 +1066,10 @@ class AdamState:
     @classmethod
     def from_settings(cls, first_moment: list[np.ndarray], second_moment: list[np.ndarray],
                       settings: Mapping) -> "AdamState":
-        """The inverse of settings(); keys other than the scalar fields raise ContractError."""
+        """The inverse of settings(); ContractError unless settings maps the scalar fields."""
         names = sorted(f.name for f in fields(cls)[2:])
-        if sorted(settings) != names:
-            raise ContractError(f"optimizer settings {sorted(settings)} are not the fields {names}")
+        if not isinstance(settings, Mapping) or sorted(settings) != names:
+            raise ContractError(f"optimizer settings {settings!r} are not the fields {names}")
         return cls(first_moment, second_moment, **settings)
 
     @property

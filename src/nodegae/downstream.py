@@ -111,10 +111,11 @@ def load_embeddings(path) -> EmbeddingMatrix:
     """The embeddings of an embeddings_file text, each entry float() of its text; a
     malformed file raises ContractError naming its line.
 
-    Each line is split only when it is parsed, so the load holds the lines and
-    the matrix but never every line's entries at once.
+    Each line is split only when it is parsed, and the text is read untranslated
+    (splitlines splits CRLF itself), so the load holds the lines and the matrix only.
     """
-    text = Path(path).read_text(encoding="utf-8").splitlines()
+    with open(path, encoding="utf-8", newline="") as f:
+        text = f.read().splitlines()
     if not text:
         raise ContractError(f"{path}: empty embedding file")
     header = text[0].split()

@@ -600,6 +600,23 @@ def test_embed_unreadable_checkpoint_exits_two(dataset, tmp_path, capsys):
     assert not (tmp_path / "e.txt").exists()
 
 
+@pytest.mark.parametrize("key, value", [
+    ("beta1", "x"), ("clip_norm", "big"), ("base_lr", None), ("step_count", -5)])
+def test_resume_of_a_malformed_optimizer_block_exits_two(dataset, tmp_path, capsys, key, value):
+    # An out-dir without a log, so nothing but the optimizer block stops the resume.
+    run, out = tmp_path / "run", tmp_path / "resumed"
+    base = ["pretrain", "--dataset", str(dataset), "--steps", "2",
+            "--recon-every", "0"] + TINY_MODEL
+    assert main(base + ["--out-dir", str(run)]) == 0
+    edit_checkpoint(run / "model.npz", lambda meta: meta["optimizer"].update({key: value}))
+    capsys.readouterr()
+    assert main(base + ["--out-dir", str(out), "--resume", str(run / "model.npz")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("runtime error:")
+    assert str(run / "model.npz") in err[0] and f"'optimizer.{key}'" in err[0]
+    assert not out.exists()
+
+
 def test_resume_of_checkpoint_missing_a_moment_exits_two(dataset, tmp_path, capsys):
     out = tmp_path / "run"
     base = ["pretrain", "--dataset", str(dataset), "--out-dir", str(out), "--steps", "2",
@@ -794,9 +811,8 @@ def test_linkpred_flags_under_nodecls_exit_one_without_artifacts(dataset, embedd
     else:
         args += ["--steps", "1"] + TINY_MODEL
     assert main(args) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: --task nodecls ignores") and "link prediction only" in err
-    assert all(flag in err for flag in named)
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: --task nodecls ignores {', '.join(named)} (link prediction only)"]
     assert not out.exists()
 
 
@@ -972,14 +988,15 @@ def test_numeric_flag_at_zero_or_minus_one_exits_zero_or_one(dataset, embedded, 
         assert capsys.readouterr().err.startswith("error:")
 
 
-@pytest.mark.parametrize("command, flag", [
-    (command, flag) for command, flag in NUMERIC_FLAGS if flag in ("--seed", "--link-seed")])
-def test_negative_seed_exits_one_without_artifacts(dataset, embedded, tmp_path, capsys,
-                                                   command, flag):
+@pytest.mark.parametrize("command, flag, floor", [
+    (command, flag, cli.FLAG_FLOORS[dest]) for command, (_, _, table) in cli.COMMANDS.items()
+    for flag, dest, *_ in table if dest in cli.FLAG_FLOORS])
+def test_flag_below_its_floor_exits_one_without_artifacts(dataset, embedded, tmp_path, capsys,
+                                                         command, flag, floor):
     out = tmp_path / "o"
-    assert main(quick_argv(command, dataset, embedded, out) + [flag, "-1"]) == 1
+    assert main(quick_argv(command, dataset, embedded, out) + [flag, str(floor - 1)]) == 1
     err = capsys.readouterr().err.splitlines()
-    assert err == [f"error: {flag} must be >= 0, got -1"]
+    assert err == [f"error: {flag} must be >= {floor}, got {floor - 1}"]
     assert not out.exists()
 
 

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from scipy.special import erf as cephes_erf
 
 from nodegae import diffcore as dc
-from nodegae.errors import ContractError, DimensionError, NodeGaeError
+from nodegae.errors import ConfigError, ContractError, DimensionError, NodeGaeError
 
 from conftest import grid_attention, kept_inputs, saved_arrays
 from fdcheck import assert_grads_close, finite_diff_grads, nudge_from_kinks
@@ -1246,6 +1246,17 @@ def test_adam_settings_are_the_scalar_fields_and_round_trip():
     with pytest.raises(ContractError, match="clip_norm"):
         dc.AdamState.from_settings([], [], {k: v for k, v in state.settings().items()
                                             if k != "clip_norm"})
+    with pytest.raises(ContractError, match="clip_norm"):
+        dc.AdamState.from_settings([], [], 5)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("step_count", -1), ("step_count", 1.0), ("warmup_steps", True), ("beta1", 1.0),
+    ("beta2", -0.1), ("beta1", "x"), ("base_lr", 0.0), ("base_lr", None), ("epsilon", np.inf),
+    ("clip_norm", np.nan), ("clip_norm", "big"), ("clip_norm", 0.0)])
+def test_adam_state_refuses_a_bad_setting_when_built(key, value):
+    with pytest.raises(ConfigError, match=f"^{key} must be "):
+        dc.AdamState.for_params([dc.parameter([1.0])], **{"base_lr": 0.1, key: value})
 
 
 def test_adam_missing_grad_raises():

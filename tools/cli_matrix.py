@@ -11,6 +11,9 @@ generated graph:
 
 - ``generate``;
 - ``pretrain`` with reconstruction rows, then ``--resume`` for more steps;
+- ``pretrain --clip-norm 0 --warmup 0``, then ``--resume``, so that a
+  checkpoint whose optimizer block holds no clip norm and no warm-up is
+  written and read back;
 - ``embed`` from the checkpoint and with ``--baseline shallow`` and ``random``;
 - a second ``generate`` whose documents run from 3 to 40 tokens, then
   ``pretrain`` with reconstruction rows and ``embed`` on it, so that batches
@@ -58,6 +61,10 @@ MATRIX = [
     ["pretrain", "--dataset", "data", "--out-dir", "run", "--steps", "6", *STAGE1, *RECON],
     ["pretrain", "--dataset", "data", "--out-dir", "run", "--steps", "4", *STAGE1, *RECON,
      "--resume", "run/model.npz"],
+    ["pretrain", "--dataset", "data", "--out-dir", "noclip", "--steps", "3", *STAGE1,
+     "--clip-norm", "0", "--warmup", "0"],
+    ["pretrain", "--dataset", "data", "--out-dir", "noclip", "--steps", "2", *STAGE1,
+     "--resume", "noclip/model.npz"],
     ["embed", "--dataset", "data", "--checkpoint", "run/model.npz", "--out", "emb/model.txt"],
     ["embed", "--dataset", "data", "--baseline", "shallow", "--out", "emb/shallow.txt"],
     ["embed", "--dataset", "data", "--baseline", "random", "--out", "emb/random.txt"],
