@@ -65,6 +65,10 @@ class ModelConfig:
     max_len: int = 64
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ConfigError(f"{f.name} must be an int, got {value!r}")
         if self.vocab_size < 5:
             raise ConfigError(f"vocab_size must be >= 5, got {self.vocab_size}")
         for name in ("d_enc", "d_dec", "enc_layers", "dec_layers", "heads",
@@ -74,10 +78,8 @@ class ModelConfig:
         if self.max_len < 2:
             raise ConfigError(f"max_len must be >= 2, got {self.max_len}")
         if self.d_enc % self.heads or self.d_dec % self.heads:
-            raise ConfigError(
-                f"head count {self.heads} must divide d_enc {self.d_enc} "
-                f"and d_dec {self.d_dec}"
-            )
+            raise ConfigError(f"heads must divide d_enc {self.d_enc} and d_dec {self.d_dec}, "
+                              f"got {self.heads}")
 
 
 # The hop distances of the contrastive positives, in the order of InfoNCEConfig.alphas.
@@ -554,64 +556,66 @@ def save_model(path, model: AutoencoderModel, adam: Optional[dc.AdamState] = Non
     replace_files([*alongside, model_file(path, model, adam, extra_meta)])
 
 
+def _settings(block: str, cls, settings, *args):
+    """cls(*args, **settings) for the settings block named block of a checkpoint.
+
+    ContractError unless settings maps exactly the fields of cls after args.
+    A value that cls refuses as ConfigError("<field> must ...") is refused as
+    "'<block>.<field>' must ...".
+    """
+    names = sorted(f.name for f in fields(cls)[len(args):])
+    keys = sorted(settings) if isinstance(settings, dict) else repr(settings)
+    if keys != names:
+        raise ContractError(f"'{block}' keys {keys} are not the fields {names}")
+    try:
+        return cls(*args, **settings)
+    except ConfigError as exc:
+        field, rule = str(exc).split(" ", 1)
+        raise ContractError(f"'{block}.{field}' {rule}") from None
+
+
 def load_model(path) -> Tuple[AutoencoderModel, Optional[dc.AdamState], dict]:
     """Rebuild a model (and optimizer state if stored) from a model_file checkpoint.
 
-    A file that is no npz archive, that misses a block the format needs, whose
-    config keys are not ModelConfig's fields or whose config values are not
-    all integers, whose optimizer settings AdamState refuses, or that holds a
-    tensor naming no parameter or Adam moment of one raises ContractError
-    naming the path and the keys.
+    A file that is no npz archive raises ContractError. So does any refusal
+    while rebuilding, as "checkpoint <path>: ...": a missing metadata block,
+    another format version, a config or optimizer block that is not exactly
+    its dataclass's fields or holds a value it refuses (named as
+    '<block>.<field>'), a vocabulary that is no list of strings starting with
+    the reserved tokens or whose length is not the config's, a tensor naming
+    no parameter or Adam moment of one, or a missing or misshapen one.
     """
     try:
         with np.load(path, allow_pickle=False) as bundle:
-            if "__meta__" not in bundle:
-                raise ContractError(f"checkpoint {path}: missing metadata block")
-            meta = json.loads(str(bundle["__meta__"]))
+            meta = json.loads(str(bundle["__meta__"])) if "__meta__" in bundle else None
             tensors = {k[2:]: bundle[k].copy() for k in bundle.files if k.startswith("t:")}
     except (ValueError, EOFError, zipfile.BadZipFile) as exc:
         # numpy reads a file that is no zip archive as a pickle, and says so.
         raise ContractError(f"checkpoint {path} cannot be read as a model_file npz") from exc
-    if meta.get("format_version") != CHECKPOINT_FORMAT_VERSION:
-        raise ContractError(
-            f"checkpoint {path}: unsupported format version {meta.get('format_version')}")
-
-    def stored(block, key):
-        if key not in block:
-            raise ContractError(f"checkpoint {path} is missing '{key}'")
-        return block[key]
-
-    settings = stored(meta, "config")
-    names = sorted(f.name for f in fields(ModelConfig))
-    keys = sorted(settings) if isinstance(settings, dict) else settings
-    if keys != names:
-        raise ContractError(f"checkpoint {path}: config keys {keys} are not the fields {names}")
-    wrong = {k: v for k, v in settings.items() if not isinstance(v, int) or isinstance(v, bool)}
-    if wrong:
-        raise ContractError(f"checkpoint {path}: config values {wrong} are not integers")
-    vocab = Vocabulary.from_tokens(stored(meta, "vocab"))
-    model = AutoencoderModel.init(ModelConfig(**settings), vocab, seed=0)
-    moments = {f"opt.{k}.{name}" for name in model.params for k in "mv"}
-    unknown = sorted(set(tensors) - set(model.params) - moments)
-    if unknown:
-        raise ContractError(
-            f"checkpoint {path}: tensors {unknown} name no parameter or Adam moment of one")
-    for name, param in model.params.items():
-        if name not in tensors:
-            raise ContractError(f"checkpoint is missing parameter '{name}'")
-        if tensors[name].shape != param.data.shape:
-            raise ContractError(
-                f"checkpoint parameter '{name}' has shape {tensors[name].shape}, "
-                f"expected {param.data.shape}")
-        param.data = tensors[name]
-
-    adam = None
-    if "optimizer" in meta:
-        try:
-            adam = dc.AdamState.from_settings(
-                [stored(tensors, "opt.m." + name) for name in model.params],
-                [stored(tensors, "opt.v." + name) for name in model.params], meta["optimizer"])
-        except ConfigError as exc:  # "<name> must be ...", from AdamState.__post_init__
-            key, rule = str(exc).split(" ", 1)
-            raise ContractError(f"checkpoint {path}: 'optimizer.{key}' {rule}") from None
+    try:
+        if not isinstance(meta, dict):
+            raise ContractError("metadata block missing or no JSON object")
+        if meta.get("format_version") != CHECKPOINT_FORMAT_VERSION:
+            raise ContractError(f"unsupported format version {meta.get('format_version')}")
+        config = _settings("config", ModelConfig, meta.get("config"))
+        model = AutoencoderModel.init(config, Vocabulary.from_tokens(meta.get("vocab")), seed=0)
+        shapes = {name: p.data.shape for name, p in model.params.items()}
+        moments = {f"opt.{k}.{name}": shape for k in "mv" for name, shape in shapes.items()}
+        unknown = sorted(set(tensors) - set(shapes) - set(moments))
+        if unknown:
+            raise ContractError(f"tensors {unknown} name no parameter or Adam moment of one")
+        for name, shape in ({**shapes, **moments} if "optimizer" in meta else shapes).items():
+            if name not in tensors:
+                raise ContractError(f"missing tensor '{name}'")
+            if tensors[name].shape != shape:
+                raise ContractError(
+                    f"tensor '{name}' has shape {tensors[name].shape}, expected {shape}")
+        for name, param in model.params.items():
+            param.data = tensors[name]
+        adam = None
+        if "optimizer" in meta:
+            first, second = ([tensors[f"opt.{k}.{name}"] for name in model.params] for k in "mv")
+            adam = _settings("optimizer", dc.AdamState, meta["optimizer"], first, second)
+    except (ConfigError, ContractError) as exc:
+        raise ContractError(f"checkpoint {path}: {exc}") from exc
     return model, adam, meta

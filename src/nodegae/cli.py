@@ -84,12 +84,13 @@ def _run_record(checkpoint, meta: dict) -> dict:
 
     A missing block, key of it, trained flag or dataset file hash, or an
     rng_state that numpy's PCG64 generator cannot take, raises ContractError
-    naming the path and the key.
+    naming the path and the key. A block that is no mapping misses every key.
     """
     def need(block: dict, keys: Sequence[str], prefix: str) -> None:
-        missing = [f"'{prefix}{key}'" for key in keys if key not in block]
+        missing = [f"'{prefix}{key}'" for key in keys
+                   if not isinstance(block, dict) or key not in block]
         if missing:
-            raise ContractError(f"checkpoint {checkpoint} is missing {', '.join(missing)}")
+            raise ContractError(f"checkpoint {checkpoint}: missing {', '.join(missing)}")
 
     need(meta, ("run",), "")
     run = meta["run"]

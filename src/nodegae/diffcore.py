@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -1062,15 +1062,6 @@ class AdamState:
     def settings(self) -> dict:
         """The scalar fields (all but the moments) by name, as checkpoints store them."""
         return {f.name: getattr(self, f.name) for f in fields(self)[2:]}
-
-    @classmethod
-    def from_settings(cls, first_moment: list[np.ndarray], second_moment: list[np.ndarray],
-                      settings: Mapping) -> "AdamState":
-        """The inverse of settings(); ContractError unless settings maps the scalar fields."""
-        names = sorted(f.name for f in fields(cls)[2:])
-        if not isinstance(settings, Mapping) or sorted(settings) != names:
-            raise ContractError(f"optimizer settings {settings!r} are not the fields {names}")
-        return cls(first_moment, second_moment, **settings)
 
     @property
     def effective_lr(self) -> float:

@@ -359,12 +359,11 @@ class DownstreamConfig:
     def __post_init__(self) -> None:
         if self.backbone not in BACKBONES:
             raise ConfigError(f"backbone must be one of {BACKBONES}, got '{self.backbone}'")
-        if self.hidden_dim < 1:
-            raise ConfigError(f"hidden_dim must be >= 1, got {self.hidden_dim}")
-        if self.num_layers < 1:
-            raise ConfigError(f"num_layers must be >= 1, got {self.num_layers}")
-        if self.lr <= 0 or self.epochs < 1 or self.patience < 1:
-            raise ConfigError("lr must be positive; epochs and patience >= 1")
+        for name in ("hidden_dim", "num_layers", "epochs", "patience"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if not 0 < self.lr < np.inf:
+            raise ConfigError(f"lr must be finite and > 0, got {self.lr}")
         if self.batch_edges < 2:
             raise ConfigError(f"batch_edges must be >= 2, got {self.batch_edges}")
         if not (0.0 <= self.dropout < 1.0):

@@ -71,13 +71,14 @@ class Vocabulary:
         return self.id_to_token[idx]
 
     @classmethod
-    def from_tokens(cls, id_to_token: Sequence[str]):
+    def from_tokens(cls, id_to_token: List[str]):
         """Rebuild a vocabulary from its id-ordered token list."""
-        id_to_token = list(id_to_token)
-        if id_to_token[:4] != list(RESERVED_TOKENS):
-            raise ContractError("token list must start with the four reserved tokens")
+        if (not isinstance(id_to_token, list) or id_to_token[:4] != list(RESERVED_TOKENS)
+                or not all(isinstance(tok, str) for tok in id_to_token)):
+            raise ContractError(
+                "vocabulary must be a list of strings starting with the four reserved tokens")
         token_to_id = {tok: i for i, tok in enumerate(id_to_token) if i >= 4}
-        return cls(token_to_id, id_to_token)
+        return cls(token_to_id, list(id_to_token))
 
 
 def build_vocab(texts: Sequence[str], max_size: int = 2048) -> Vocabulary:

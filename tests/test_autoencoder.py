@@ -4,7 +4,7 @@ import math
 import re
 import tracemalloc
 import weakref
-from dataclasses import FrozenInstanceError
+from dataclasses import FrozenInstanceError, fields
 
 import numpy as np
 import pytest
@@ -42,6 +42,12 @@ def tiny_model(seed=0, **overrides):
 def test_config_rejects_indivisible_heads():
     with pytest.raises(ConfigError):
         ae.ModelConfig(vocab_size=12, d_enc=10, heads=4)
+
+
+@pytest.mark.parametrize("value", [64.0, True, "64", np.int64(64)])
+def test_config_rejects_a_size_that_is_no_int(value):
+    with pytest.raises(ConfigError, match=re.escape(f"d_enc must be an int, got {value!r}")):
+        ae.ModelConfig(vocab_size=12, d_enc=value)
 
 
 def test_config_rejects_nonpositive_sizes():
@@ -737,7 +743,7 @@ def test_checkpoint_roundtrip_is_bitwise(tmp_path):
     for p in model.params.values():
         p.data = rng.standard_normal(p.data.shape)
     model.params["dec.out_ln.b"].data *= 1e-12
-    adam = dc.AdamState.for_params(model.parameters(), base_lr=1e-3)
+    adam = dc.AdamState.for_params(model.parameters(), base_lr=1e-3, warmup_steps=3)
     for m, v in zip(adam.first_moment, adam.second_moment):
         m[...] = rng.standard_normal(m.shape)
         v[...] = rng.random(v.shape) * math.pi
@@ -754,6 +760,10 @@ def test_checkpoint_roundtrip_is_bitwise(tmp_path):
     for a, b in zip(adam.first_moment + adam.second_moment,
                     loaded_adam.first_moment + loaded_adam.second_moment):
         np.testing.assert_array_equal(a, b)
+    assert adam.settings() == {"step_count": 0, "beta1": 0.9, "beta2": 0.999,
+                               "epsilon": 1e-8, "base_lr": 1e-3, "warmup_steps": 3,
+                               "clip_norm": 1.0}
+    assert loaded_adam.settings() == adam.settings()
     assert got_meta["step_count"] == 42
     assert got_meta["d_enc"] == 8
     assert got_meta["format_version"] == ae.CHECKPOINT_FORMAT_VERSION
@@ -776,18 +786,20 @@ def test_failed_checkpoint_save_leaves_the_old_file_and_no_temp_files(tmp_path, 
     assert ae.load_model(path)[2]["step_count"] == 1
 
 
-@pytest.mark.parametrize("edit", ["drop", "add"])
-def test_load_refuses_optimizer_block_with_other_keys(tmp_path, edit):
+@pytest.mark.parametrize("edit, named", [
+    (lambda meta: meta["optimizer"].pop("warmup_steps"), "warmup_steps"),
+    (lambda meta: meta["optimizer"].update(momentum=0.9), "momentum"),
+    (lambda meta: meta.update(optimizer=5), "clip_norm"),
+], ids=["drop", "add", "no-mapping"])
+def test_load_refuses_optimizer_block_with_other_keys(tmp_path, edit, named):
     graph = toy_graph()
     model = model_for(graph)
     path = tmp_path / "model.npz"
     ae.save_model(path, model, dc.AdamState.for_params(model.parameters(), base_lr=1e-3))
-    if edit == "drop":
-        edit_checkpoint(path, lambda meta: meta["optimizer"].pop("warmup_steps"))
-    else:
-        edit_checkpoint(path, lambda meta: meta["optimizer"].update(momentum=0.9))
-    with pytest.raises(ContractError, match="warmup_steps" if edit == "drop" else "momentum"):
+    edit_checkpoint(path, edit)
+    with pytest.raises(ContractError, match=named) as caught:
         ae.load_model(path)
+    assert str(caught.value).startswith(f"checkpoint {path}: 'optimizer' ")
 
 
 @pytest.mark.parametrize("edit", ["drop", "add"])
@@ -823,9 +835,9 @@ def test_load_refuses_a_config_value_that_is_no_integer(tmp_path, value):
     path = tmp_path / "model.npz"
     ae.save_model(path, model)
     edit_checkpoint(path, lambda meta: meta["config"].update(heads=value))
-    with pytest.raises(ContractError, match="heads") as caught:
+    with pytest.raises(ContractError) as caught:
         ae.load_model(path)
-    assert str(path) in str(caught.value)
+    assert str(caught.value) == f"checkpoint {path}: 'config.heads' must be an int, got {value!r}"
 
 
 @pytest.mark.parametrize("name", ["enc.l9.ff.w1", "opt.m.enc.l9.ff.w1", "opt.x.lm_head"])
@@ -848,6 +860,38 @@ def test_load_detects_missing_parameter(tmp_path):
     edit_checkpoint(path, drop=["lm_head"])
     with pytest.raises(ContractError, match="lm_head"):
         ae.load_model(path)
+
+
+# One value per settings field that its dataclass refuses when built, and heads
+# that do not divide the widths.
+REFUSED_SETTINGS = [
+    ("config", "vocab_size", 4), ("config", "d_enc", 0), ("config", "d_dec", 0),
+    ("config", "enc_layers", 0), ("config", "dec_layers", 0), ("config", "heads", 0),
+    ("config", "proj_len", 0), ("config", "ff_mult", 0), ("config", "max_len", 1),
+    ("config", "heads", 3),
+    ("optimizer", "step_count", -1), ("optimizer", "beta1", 1.0), ("optimizer", "beta2", -0.1),
+    ("optimizer", "epsilon", 0.0), ("optimizer", "base_lr", 0.0),
+    ("optimizer", "warmup_steps", -1), ("optimizer", "clip_norm", 0.0),
+]
+
+
+def test_refused_settings_cover_every_field():
+    covered = {(block, field) for block, field, _ in REFUSED_SETTINGS}
+    assert covered == ({("config", f.name) for f in fields(ae.ModelConfig)}
+                       | {("optimizer", name) for name in dc.AdamState([], []).settings()})
+
+
+@pytest.mark.parametrize("block, field, value", REFUSED_SETTINGS)
+def test_load_names_the_settings_field_its_dataclass_refuses(tmp_path, block, field, value):
+    # load_model names the field by the first word of the dataclass's ConfigError,
+    # so a message that does not start with its field fails here.
+    model = tiny_model()
+    path = tmp_path / "model.npz"
+    ae.save_model(path, model, dc.AdamState.for_params(model.parameters(), base_lr=0.1))
+    edit_checkpoint(path, lambda meta: meta[block].update({field: value}))
+    with pytest.raises(ContractError) as caught:
+        ae.load_model(path)
+    assert str(caught.value).startswith(f"checkpoint {path}: '{block}.{field}' must ")
 
 
 # ---------------------------------------------------------------------------

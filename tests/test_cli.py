@@ -384,10 +384,13 @@ def test_pretrain_checkpoint_names_its_dataset_by_hash_not_path(dataset, tmp_pat
 
 
 # Edits of a checkpoint's metadata that `embed` and `pretrain --resume` refuse, each with
-# the text its error names: the run record or one of its keys gone, a generator state
-# numpy cannot take, or format version 1.
+# the text its error names: the run record or one of its keys gone or no mapping, a
+# generator state numpy cannot take, or format version 1.
 UNREADABLE_RECORDS = [
     (lambda meta: meta.pop("run"), "'run'"),
+    (lambda meta: meta.update(run=5), "run.flags"),
+    (lambda meta: meta["run"].update(flags=5), "run.flags.tau"),
+    (lambda meta: meta["run"].update(dataset_sha256=5), "run.dataset_sha256.splits.txt"),
     (lambda meta: meta["run"].pop("flags"), "run.flags"),
     (lambda meta: meta["run"].pop("dataset_sha256"), "run.dataset_sha256"),
     (lambda meta: meta["run"].pop("rng_state"), "run.rng_state"),
@@ -400,7 +403,8 @@ UNREADABLE_RECORDS = [
 
 def refuse_unreadable_records(checkpoint, argv, out_dir, capsys):
     """main(argv) exits 2 on each of UNREADABLE_RECORDS applied to checkpoint, with a
-    runtime error naming checkpoint and the edit's key, and out_dir's files unchanged."""
+    runtime error that starts "checkpoint <path>:" and names the edit's key, and
+    out_dir's files unchanged."""
     saved = checkpoint.read_bytes()
     for edit, named in UNREADABLE_RECORDS:
         checkpoint.write_bytes(saved)
@@ -409,7 +413,7 @@ def refuse_unreadable_records(checkpoint, argv, out_dir, capsys):
         capsys.readouterr()
         assert main(argv) == 2, named
         err = capsys.readouterr().err
-        assert err.startswith("runtime error:") and str(checkpoint) in err and named in err
+        assert err.startswith(f"runtime error: checkpoint {checkpoint}: ") and named in err
         assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == before
 
 
@@ -518,6 +522,7 @@ def _read_nothing(monkeypatch):
 
     monkeypatch.setattr(cli, "load_dataset", refuse)
     monkeypatch.setattr(cli, "load_model", refuse)
+    monkeypatch.setattr(cli, "load_embeddings", refuse)
 
 
 @pytest.mark.parametrize("baseline", ["random", "shallow"])
@@ -628,6 +633,44 @@ def test_resume_of_checkpoint_missing_a_moment_exits_two(dataset, tmp_path, caps
     err = capsys.readouterr().err
     assert err.startswith("runtime error:") and "opt.m.lm_head" in err and "model.npz" in err
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+# Edits of a checkpoint that load_model refuses while it rebuilds the model, as
+# keyword arguments of edit_checkpoint.
+MALFORMED_CHECKPOINTS = {
+    "config-5": dict(edit_meta=lambda meta: meta.update(config=5)),
+    "heads-0": dict(edit_meta=lambda meta: meta["config"].update(heads=0)),
+    "heads-3": dict(edit_meta=lambda meta: meta["config"].update(heads=3)),
+    "vocab-size-plus-one": dict(
+        edit_meta=lambda meta: meta["config"].update(vocab_size=meta["config"]["vocab_size"] + 1)),
+    "vocab-5": dict(edit_meta=lambda meta: meta.update(vocab=5)),
+    "vocab-unreserved": dict(edit_meta=lambda meta: meta.update(vocab=meta["vocab"][4:])),
+    "optimizer-no-beta1": dict(edit_meta=lambda meta: meta["optimizer"].pop("beta1")),
+    "no-lm-head": dict(drop=["lm_head"]),
+    "misshapen-lm-head": dict(add={"lm_head": np.zeros((3, 3))}),
+    "no-opt-m-lm-head": dict(drop=["opt.m.lm_head"]),
+}
+
+
+@pytest.mark.parametrize("command", ["embed", "resume"])
+@pytest.mark.parametrize("probe", MALFORMED_CHECKPOINTS)
+def test_malformed_checkpoint_exits_two_naming_the_file(dataset, pretrained, tmp_path, capsys,
+                                                        command, probe):
+    checkpoint, out = tmp_path / "c.npz", tmp_path / "out"
+    shutil.copy(pretrained / "model.npz", checkpoint)
+    edit_checkpoint(checkpoint, **MALFORMED_CHECKPOINTS[probe])
+    if command == "embed":
+        argv = ["embed", "--dataset", str(dataset), "--checkpoint", str(checkpoint),
+                "--out", str(out / "e.txt")]
+    else:
+        argv = ["pretrain", "--dataset", str(dataset), "--out-dir", str(out), "--steps", "2",
+                "--recon-every", "0", "--resume", str(checkpoint)]
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"runtime error: checkpoint {checkpoint}: ")
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
 def token_disjoint_run(root):
@@ -1020,6 +1063,18 @@ def test_ablate_rejects_zero_layers_before_pretraining(dataset, tmp_path, capsys
                  "--num-layers", "0"] + TINY_MODEL) == 1
     assert capsys.readouterr().err.splitlines() == ["error: num_layers must be >= 1, got 0"]
     assert steps == [] and not out.exists()
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("train", "--lr", "inf"), ("train", "--lr", "nan"), ("ablate", "--train-lr", "nan")])
+def test_learning_rate_that_is_not_finite_exits_one_before_reading(dataset, embedded, tmp_path,
+                                                                  capsys, monkeypatch,
+                                                                  command, flag, value):
+    _read_nothing(monkeypatch)
+    out = tmp_path / "o"
+    assert main(quick_argv(command, dataset, embedded, out) + [flag, value]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: lr must be finite and > 0, got {value}"]
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -1234,22 +1234,6 @@ def test_adam_single_step_matches_hand_computation():
     assert p.data[0] == pytest.approx(expected, rel=0, abs=1e-16)
 
 
-def test_adam_settings_are_the_scalar_fields_and_round_trip():
-    p = dc.parameter([1.0, 2.0])
-    state = dc.AdamState.for_params([p], base_lr=0.1, warmup_steps=3)
-    assert state.settings() == {"step_count": 0, "beta1": 0.9, "beta2": 0.999,
-                                "epsilon": 1e-8, "base_lr": 0.1, "warmup_steps": 3,
-                                "clip_norm": 1.0}
-    back = dc.AdamState.from_settings(state.first_moment, state.second_moment,
-                                      state.settings())
-    assert back == state
-    with pytest.raises(ContractError, match="clip_norm"):
-        dc.AdamState.from_settings([], [], {k: v for k, v in state.settings().items()
-                                            if k != "clip_norm"})
-    with pytest.raises(ContractError, match="clip_norm"):
-        dc.AdamState.from_settings([], [], 5)
-
-
 @pytest.mark.parametrize("key, value", [
     ("step_count", -1), ("step_count", 1.0), ("warmup_steps", True), ("beta1", 1.0),
     ("beta2", -0.1), ("beta1", "x"), ("base_lr", 0.0), ("base_lr", None), ("epsilon", np.inf),
