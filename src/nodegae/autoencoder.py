@@ -50,6 +50,10 @@ MASK_BIAS = -1e30
 EXTRACT_ROWS = 512
 
 
+# The lowest value of each ModelConfig field, 1 unless named here.
+MODEL_FLOORS = {"vocab_size": 5, "max_len": 2}
+
+
 @dataclass(frozen=True)
 class ModelConfig:
     """Architecture sizes, checked when built; defaults are desk scale, minutes not hours."""
@@ -66,17 +70,11 @@ class ModelConfig:
 
     def __post_init__(self) -> None:
         for f in fields(self):
-            value = getattr(self, f.name)
+            value, floor = getattr(self, f.name), MODEL_FLOORS.get(f.name, 1)
             if not isinstance(value, int) or isinstance(value, bool):
                 raise ConfigError(f"{f.name} must be an int, got {value!r}")
-        if self.vocab_size < 5:
-            raise ConfigError(f"vocab_size must be >= 5, got {self.vocab_size}")
-        for name in ("d_enc", "d_dec", "enc_layers", "dec_layers", "heads",
-                     "proj_len", "ff_mult"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.max_len < 2:
-            raise ConfigError(f"max_len must be >= 2, got {self.max_len}")
+            if value < floor:
+                raise ConfigError(f"{f.name} must be >= {floor}, got {value}")
         if self.d_enc % self.heads or self.d_dec % self.heads:
             raise ConfigError(f"heads must divide d_enc {self.d_enc} and d_dec {self.d_dec}, "
                               f"got {self.heads}")
@@ -95,12 +93,20 @@ class InfoNCEConfig:
     normalize: bool = True
 
     def __post_init__(self) -> None:
-        if self.tau <= 0:
-            raise ConfigError(f"tau must be positive, got {self.tau}")
-        if len(self.alphas) != len(HOPS):
-            raise ConfigError(f"alphas {self.alphas} must weigh the hops {HOPS}, one each")
-        if any(a < 0 for a in self.alphas):
-            raise ConfigError(f"alphas must be >= 0, got {self.alphas}")
+        """ConfigError("<field> must ...") for the first field of a wrong kind or value;
+        alphas, which JSON gives back as a list, is stored as a tuple."""
+        def number(x) -> bool:
+            return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+        if not (number(self.tau) and 0 < self.tau < np.inf):
+            raise ConfigError(f"tau must be finite and > 0, got {self.tau!r}")
+        if (not isinstance(self.alphas, (list, tuple)) or len(self.alphas) != len(HOPS)
+                or not all(number(a) and 0 <= a < np.inf for a in self.alphas)):
+            raise ConfigError(f"alphas must be one finite number >= 0 per hop in {HOPS}, "
+                              f"got {self.alphas!r}")
+        object.__setattr__(self, "alphas", tuple(self.alphas))
+        if not isinstance(self.normalize, bool):
+            raise ConfigError(f"normalize must be a bool, got {self.normalize!r}")
 
     @property
     def disabled(self) -> bool:
@@ -517,43 +523,39 @@ def reconstruct(model: AutoencoderModel, tokens, max_gen_len: Optional[int] = No
 # Checkpointing
 # ---------------------------------------------------------------------------
 
-CHECKPOINT_FORMAT_VERSION = 2
+CHECKPOINT_FORMAT_VERSION = 3
 
 
-def model_file(path, model: AutoencoderModel, adam: Optional[dc.AdamState] = None,
+def model_file(path, model: AutoencoderModel, adam: dc.AdamState, infonce: InfoNCEConfig,
                extra_meta: Optional[dict] = None) -> Tuple[Path, Callable[[BinaryIO], None]]:
-    """The (path, writer) of a checkpoint npz, as textcorpus.replace_files takes them.
+    """The (path, writer) of the checkpoint of a pretraining state, as
+    textcorpus.replace_files takes them.
 
     It holds the parameters as "t:<name>", then the Adam moments as
-    "t:opt.m.<name>" and "t:opt.v.<name>", all float64, and a JSON "__meta__".
+    "t:opt.m.<name>" and "t:opt.v.<name>", all float64, and a JSON "__meta__":
+    extra_meta's blocks, the "config", "vocab", "optimizer" and "infonce"
+    blocks and the "format_version".
     """
     arrays = {name: p.data for name, p in model.params.items()}
-    meta = {
-        "kind": "autoencoder",
-        "config": asdict(model.config),
-        "vocab": model.vocab.id_to_token,
-    }
-    if extra_meta:
-        meta.update(extra_meta)
-    if adam is not None:
-        for name, m, v in zip(model.params, adam.first_moment, adam.second_moment):
-            arrays["opt.m." + name] = m
-            arrays["opt.v." + name] = v
-        meta["optimizer"] = adam.settings()
-    meta["format_version"] = CHECKPOINT_FORMAT_VERSION
+    for name, m, v in zip(model.params, adam.first_moment, adam.second_moment):
+        arrays["opt.m." + name] = m
+        arrays["opt.v." + name] = v
+    meta = {**(extra_meta or {}), "kind": "autoencoder", "config": asdict(model.config),
+            "vocab": model.vocab.id_to_token, "optimizer": adam.settings(),
+            "infonce": asdict(infonce), "format_version": CHECKPOINT_FORMAT_VERSION}
     payload = {"t:" + k: np.ascontiguousarray(a, dtype=np.float64) for k, a in arrays.items()}
     payload["__meta__"] = np.array(json.dumps(meta, sort_keys=True))
     return Path(path), lambda fh: np.savez(fh, **payload)
 
 
-def save_model(path, model: AutoencoderModel, adam: Optional[dc.AdamState] = None,
+def save_model(path, model: AutoencoderModel, adam: dc.AdamState, infonce: InfoNCEConfig,
                extra_meta: Optional[dict] = None, alongside: Sequence[tuple] = ()) -> None:
     """Replace path with model_file's checkpoint and each (path, content) of alongside.
 
     One textcorpus.replace_files call writes them all, so a failed save
     leaves every old file as it was.
     """
-    replace_files([*alongside, model_file(path, model, adam, extra_meta)])
+    replace_files([*alongside, model_file(path, model, adam, infonce, extra_meta)])
 
 
 def _settings(block: str, cls, settings, *args):
@@ -574,16 +576,18 @@ def _settings(block: str, cls, settings, *args):
         raise ContractError(f"'{block}.{field}' {rule}") from None
 
 
-def load_model(path) -> Tuple[AutoencoderModel, Optional[dc.AdamState], dict]:
-    """Rebuild a model (and optimizer state if stored) from a model_file checkpoint.
+def load_model(path) -> Tuple[AutoencoderModel, dc.AdamState, InfoNCEConfig, dict]:
+    """Rebuild a model_file checkpoint: the model, its optimizer, its InfoNCE settings
+    and its metadata.
 
     A file that is no npz archive raises ContractError. So does any refusal
     while rebuilding, as "checkpoint <path>: ...": a missing metadata block,
-    another format version, a config or optimizer block that is not exactly
-    its dataclass's fields or holds a value it refuses (named as
-    '<block>.<field>'), a vocabulary that is no list of strings starting with
-    the reserved tokens or whose length is not the config's, a tensor naming
-    no parameter or Adam moment of one, or a missing or misshapen one.
+    another format version, a config, optimizer or infonce block that is not
+    exactly its dataclass's fields or holds a value it refuses (named as
+    '<block>.<field>'), a vocabulary that is no list of distinct strings
+    starting with the reserved tokens or whose length is not the config's, a
+    tensor naming no parameter or Adam moment of one, or a missing or
+    misshapen one.
     """
     try:
         with np.load(path, allow_pickle=False) as bundle:
@@ -599,12 +603,12 @@ def load_model(path) -> Tuple[AutoencoderModel, Optional[dc.AdamState], dict]:
             raise ContractError(f"unsupported format version {meta.get('format_version')}")
         config = _settings("config", ModelConfig, meta.get("config"))
         model = AutoencoderModel.init(config, Vocabulary.from_tokens(meta.get("vocab")), seed=0)
-        shapes = {name: p.data.shape for name, p in model.params.items()}
-        moments = {f"opt.{k}.{name}": shape for k in "mv" for name, shape in shapes.items()}
-        unknown = sorted(set(tensors) - set(shapes) - set(moments))
+        shapes = {prefix + name: p.data.shape for prefix in ("", "opt.m.", "opt.v.")
+                  for name, p in model.params.items()}
+        unknown = sorted(set(tensors) - set(shapes))
         if unknown:
             raise ContractError(f"tensors {unknown} name no parameter or Adam moment of one")
-        for name, shape in ({**shapes, **moments} if "optimizer" in meta else shapes).items():
+        for name, shape in shapes.items():
             if name not in tensors:
                 raise ContractError(f"missing tensor '{name}'")
             if tensors[name].shape != shape:
@@ -612,10 +616,9 @@ def load_model(path) -> Tuple[AutoencoderModel, Optional[dc.AdamState], dict]:
                     f"tensor '{name}' has shape {tensors[name].shape}, expected {shape}")
         for name, param in model.params.items():
             param.data = tensors[name]
-        adam = None
-        if "optimizer" in meta:
-            first, second = ([tensors[f"opt.{k}.{name}"] for name in model.params] for k in "mv")
-            adam = _settings("optimizer", dc.AdamState, meta["optimizer"], first, second)
+        first, second = ([tensors[f"opt.{k}.{name}"] for name in model.params] for k in "mv")
+        adam = _settings("optimizer", dc.AdamState, meta.get("optimizer"), first, second)
+        infonce = _settings("infonce", InfoNCEConfig, meta.get("infonce"))
     except (ConfigError, ContractError) as exc:
         raise ContractError(f"checkpoint {path}: {exc}") from exc
-    return model, adam, meta
+    return model, adam, infonce, meta

@@ -18,6 +18,7 @@ import numpy as np
 
 from . import diffcore as dc
 from .autoencoder import (
+    MODEL_FLOORS,
     AutoencoderModel,
     InfoNCEConfig,
     ModelConfig,
@@ -82,9 +83,10 @@ def dataset_sha256(root) -> Dict[str, str]:
 def _run_record(checkpoint, meta: dict) -> dict:
     """The "run" block that every `pretrain` writes into a checkpoint's metadata.
 
-    A missing block, key of it, trained flag or dataset file hash, or an
-    rng_state that numpy's PCG64 generator cannot take, raises ContractError
-    naming the path and the key. A block that is no mapping misses every key.
+    A missing block, key of it, RUN_FLAGS dest or dataset file hash (a block
+    that is no mapping misses every key), a run flag that RUN_FLAGS does not
+    name or below its floor, or an rng_state that numpy's PCG64 generator
+    cannot take, raises ContractError naming the path and the key.
     """
     def need(block: dict, keys: Sequence[str], prefix: str) -> None:
         missing = [f"'{prefix}{key}'" for key in keys
@@ -95,8 +97,14 @@ def _run_record(checkpoint, meta: dict) -> dict:
     need(meta, ("run",), "")
     run = meta["run"]
     need(run, ("flags", "dataset_sha256", "rng_state"), "run.")
-    need(run["flags"], TRAINED_DESTS, "run.flags.")
+    need(run["flags"], RUN_FLAGS, "run.flags.")
     need(run["dataset_sha256"], DATASET_FILES, "run.dataset_sha256.")
+    for dest, value in run["flags"].items():
+        key = f"checkpoint {checkpoint}: 'run.flags.{dest}'"
+        if dest not in RUN_FLAGS:
+            raise ContractError(f"{key} is none of the run flags {list(RUN_FLAGS)}")
+        if not isinstance(value, int) or isinstance(value, bool) or value < RUN_FLAGS[dest]:
+            raise ContractError(f"{key} must be an int >= {RUN_FLAGS[dest]}, got {value!r}")
     try:
         np.random.default_rng().bit_generator.state = run["rng_state"]
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
@@ -145,17 +153,14 @@ BASELINE_DESTS = ("dim", "seed")
 # (numpy generators take no negative seed); `main` checks them before any command.
 FLAG_FLOORS = {"steps": 1, "batch_size": 2, "recon_every": 0, "recon_samples": 1,
                "repeats": 1, "dim": 1, "seed": 0, "link_seed": 0}
+# The trained flags that no checkpoint block holds, which a run record stores, with
+# the floor of each: the vocabulary budget and the seed.
+RUN_FLAGS = {"vocab_size": MODEL_FLOORS["vocab_size"], "seed": FLAG_FLOORS["seed"]}
 
 
 def _model_config(args: Args, vocab_size: int) -> ModelConfig:
     shape = {f.name: getattr(args, f.name) for f in fields(ModelConfig) if f.name != "vocab_size"}
     return ModelConfig(vocab_size=vocab_size, **shape)
-
-
-def _infonce(args: Args, alphas: Optional[Tuple[float, float]] = None) -> InfoNCEConfig:
-    if alphas is None:
-        alphas = (args.alpha1, args.alpha2)
-    return InfoNCEConfig(tau=args.tau, alphas=alphas, normalize=not args.raw_similarity)
 
 
 def _downstream(args: Args, backbone: str, log_every_iter: bool = False) -> DownstreamConfig:
@@ -190,14 +195,17 @@ def _refuse_set(args: Args, dests: Sequence[str], mode: str, why: str = "") -> N
         raise ConfigError(f"{mode} ignores {', '.join(unread)}" + (f" ({why})" if why else ""))
 
 
-def _check_stage1(args: Args) -> None:
+def _check_stage1(args: Args) -> InfoNCEConfig:
+    """Check the stage-1 flags by building their configs; return the InfoNCE one."""
     # Any --clip-norm <= 0 disables clipping; 0.0 is the one value that says so.
     args.clip_norm = args.clip_norm if args.clip_norm > 0 else 0.0
     # The real vocabulary is known only once the corpus is read; its budget
     # bounds it, so building the model config from the budget checks the shape.
     _model_config(args, args.vocab_size)
-    _infonce(args)
+    icfg = InfoNCEConfig(tau=args.tau, alphas=(args.alpha1, args.alpha2),
+                         normalize=not args.raw_similarity)
     _adam(args, [])
+    return icfg
 
 
 def _check_stage2(args: Args, backbones: Sequence[str]) -> None:
@@ -295,17 +303,22 @@ def _pretraining(args: Args, graph: TextGraph, model: AutoencoderModel, adam: dc
         yield step, lm, info
 
 
-def _resume_flags(args: Args, flags: dict) -> None:
-    """Refuse a flag the user set that the run record's flags contradict; take them all."""
-    conflicts = [f"{flag} {getattr(args, dest)} (checkpoint: {flags[dest]})"
+def _resume_flags(args: Args, cfg: ModelConfig, adam: dc.AdamState, icfg: InfoNCEConfig,
+                  flags: dict) -> None:
+    """Refuse each trained flag the user set to other than the checkpoint's value, read
+    from the block that built the model, the optimizer or the loss, or from the run
+    record's flags; then take the run record's flags."""
+    stored = {**{f.name: getattr(cfg, f.name) for f in fields(cfg) if f.name != "vocab_size"},
+              "pretrain_lr": adam.base_lr, "warmup": adam.warmup_steps,
+              "clip_norm": adam.clip_norm or 0.0, "tau": icfg.tau, "alpha1": icfg.alphas[0],
+              "alpha2": icfg.alphas[1], "raw_similarity": not icfg.normalize, **flags}
+    conflicts = [f"{flag} {getattr(args, dest)} (checkpoint: {stored[dest]})"
                  for flag, dest, *_ in PRETRAIN_FLAGS
-                 if dest in TRAINED_DESTS and dest in args.user_set
-                 and getattr(args, dest) != flags[dest]]
+                 if dest in stored.keys() & args.user_set and getattr(args, dest) != stored[dest]]
     if conflicts:
         raise ConfigError(f"flags disagree with the checkpoint {args.resume}: "
                           f"{', '.join(conflicts)}; drop them to resume")
-    for dest in TRAINED_DESTS:
-        setattr(args, dest, flags[dest])
+    vars(args).update(flags)
 
 
 def _check_log_continues(log: Path, checkpoint, step_count: int) -> None:
@@ -323,7 +336,7 @@ def _check_log_continues(log: Path, checkpoint, step_count: int) -> None:
 
 
 def cmd_pretrain(args: Args) -> int:
-    _check_stage1(args)
+    icfg = _check_stage1(args)
     if args.resume is not None and not Path(args.resume).is_file():
         raise ConfigError(f"resume checkpoint not found: {args.resume}")
     graph = _pretraining_graph(args, "pretraining")
@@ -331,12 +344,10 @@ def cmd_pretrain(args: Args) -> int:
     rng = np.random.default_rng(args.seed)
     data_sha256 = dataset_sha256(args.dataset)
     if args.resume is not None:
-        model, adam, meta = load_model(args.resume)
-        if adam is None:
-            raise ConfigError(f"{args.resume} has no optimizer state; cannot resume")
+        model, adam, icfg, meta = load_model(args.resume)
         run = _run_record(args.resume, meta)
         _check_trained_on(args.resume, run, data_sha256)
-        _resume_flags(args, run["flags"])
+        _resume_flags(args, model.config, adam, icfg, run["flags"])
         _check_log_continues(Path(args.out_dir) / "pretrain_log.csv", args.resume,
                              adam.step_count)
         # Continue the stopped run's batch and positive draws instead of replaying them.
@@ -346,7 +357,7 @@ def cmd_pretrain(args: Args) -> int:
 
     log_rows: List[str] = []
     recon_rows: List[str] = []
-    for step, lm, info in _pretraining(args, graph, model, adam, rng, _infonce(args)):
+    for step, lm, info in _pretraining(args, graph, model, adam, rng, icfg):
         log_rows.append(f"{step},{_fmt(lm)},{_fmt(info)},{_fmt(lm + info)}")
         if args.recon_every and step % args.recon_every == 0:
             b, r, f = _reconstruction_scores(model, graph, args.recon_samples)
@@ -359,9 +370,9 @@ def cmd_pretrain(args: Args) -> int:
         _csv(out_dir / "pretrain_log.csv", "step,lm_loss,infonce_loss,total", log_rows, resuming),
         _csv(out_dir / "recon_metrics.csv", "step,bleu,rouge_l,token_f1", recon_rows, resuming),
     ]
-    run = {"flags": {dest: getattr(args, dest) for dest in TRAINED_DESTS},
+    run = {"flags": {dest: getattr(args, dest) for dest in RUN_FLAGS},
            "dataset_sha256": data_sha256, "rng_state": rng.bit_generator.state}
-    save_model(out_dir / "model.npz", model, adam, alongside=logs, extra_meta={"run": run})
+    save_model(out_dir / "model.npz", model, adam, icfg, alongside=logs, extra_meta={"run": run})
     print(f"pretrained to step {step} (total loss {_fmt(lm + info)}); artifacts in {out_dir}")
     return 0
 
@@ -385,7 +396,7 @@ def cmd_embed(args: Args) -> int:
     elif args.baseline == "shallow":
         emb = shallow_embeddings(graph, args.dim, seed=args.seed)
     else:
-        model, _, meta = load_model(args.checkpoint)
+        model, _, _, meta = load_model(args.checkpoint)
         _check_trained_on(args.checkpoint, _run_record(args.checkpoint, meta),
                           dataset_sha256(args.dataset))
         emb = extract_embeddings(model, graph)
@@ -489,17 +500,16 @@ def cmd_train(args: Args) -> int:
 # ablate
 # ---------------------------------------------------------------------------
 
-def _pretrained_embeddings(args: Args, graph: TextGraph,
-                           alphas: Tuple[float, float]) -> EmbeddingMatrix:
+def _pretrained_embeddings(args: Args, graph: TextGraph, icfg: InfoNCEConfig) -> EmbeddingMatrix:
     model, adam = _fresh_model(args, graph)
     rng = np.random.default_rng(args.seed)
-    for _ in _pretraining(args, graph, model, adam, rng, _infonce(args, alphas)):
+    for _ in _pretraining(args, graph, model, adam, rng, icfg):
         pass
     return extract_embeddings(model, graph)
 
 
 def cmd_ablate(args: Args) -> int:
-    _check_stage1(args)
+    icfg = _check_stage1(args)
     backbones = [b.strip() for b in args.backbones.split(",") if b.strip()]
     if not backbones:
         raise ConfigError("--backbones must name at least one backbone")
@@ -508,8 +518,8 @@ def cmd_ablate(args: Args) -> int:
     split = _task_split(args, graph)
 
     variants = (
-        ("with-infonce", _pretrained_embeddings(args, graph, (args.alpha1, args.alpha2))),
-        ("without-infonce", _pretrained_embeddings(args, graph, (0.0, 0.0))),
+        ("with-infonce", _pretrained_embeddings(args, graph, icfg)),
+        ("without-infonce", _pretrained_embeddings(args, graph, replace(icfg, alphas=(0.0, 0.0)))),
     )
 
     metric_name = "accuracy" if args.task == "nodecls" else "roc_auc"
@@ -522,15 +532,11 @@ def cmd_ablate(args: Args) -> int:
         stats = {}
         for name, emb in variants:
             values, _, _ = _run_repeats(args, graph, emb, dcfg, split, operator)
-            stats[name] = (float(np.mean(values)), float(np.std(values)))
-            summary.append(
-                f"{backbone} {name}: mean {_fmt(stats[name][0])} "
-                f"std {_fmt(stats[name][1])}")
+            mean, std = stats[name] = (float(np.mean(values)), float(np.std(values)))
+            summary.append(f"{backbone} {name}: mean {_fmt(mean)} std {_fmt(std)}")
         delta = stats["with-infonce"][0] - stats["without-infonce"][0]
-        csv_rows.append(
-            f"{backbone},{_fmt(stats['with-infonce'][0])},{_fmt(stats['with-infonce'][1])},"
-            f"{_fmt(stats['without-infonce'][0])},{_fmt(stats['without-infonce'][1])},"
-            f"{_fmt(delta)}")
+        row = [*stats["with-infonce"], *stats["without-infonce"], delta]
+        csv_rows.append(",".join([backbone, *map(_fmt, row)]))
         summary.append(f"{backbone} delta: {_fmt(delta)}")
 
     out_dir = Path(args.out_dir)
@@ -631,8 +637,6 @@ PRETRAIN_FLAGS = [
     ("--resume", "resume", str, "checkpoint to continue training from", None),
     SEED,
 ]
-# The flag dests that a checkpoint's run record stores and resume checks.
-TRAINED_DESTS = tuple(dest for _, dest, *_ in [*_trained_flags("--lr"), SEED])
 EMBED_FLAGS = [
     DATASET,
     ("--out", "out", REQUIRED, None, None),

@@ -72,13 +72,15 @@ class Vocabulary:
 
     @classmethod
     def from_tokens(cls, id_to_token: List[str]):
-        """Rebuild a vocabulary from its id-ordered token list."""
+        """Rebuild a vocabulary from its id-ordered token list, which names each token once."""
         if (not isinstance(id_to_token, list) or id_to_token[:4] != list(RESERVED_TOKENS)
                 or not all(isinstance(tok, str) for tok in id_to_token)):
             raise ContractError(
                 "vocabulary must be a list of strings starting with the four reserved tokens")
-        token_to_id = {tok: i for i, tok in enumerate(id_to_token) if i >= 4}
-        return cls(token_to_id, list(id_to_token))
+        twice = sorted(tok for tok, n in Counter(id_to_token).items() if n > 1)
+        if twice:
+            raise ContractError(f"vocabulary lists {twice} more than once")
+        return cls({tok: i for i, tok in enumerate(id_to_token) if i >= 4}, list(id_to_token))
 
 
 def build_vocab(texts: Sequence[str], max_size: int = 2048) -> Vocabulary:
@@ -91,10 +93,7 @@ def build_vocab(texts: Sequence[str], max_size: int = 2048) -> Vocabulary:
     for text in texts:
         counts.update(tokenize(text))
     ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
-    kept = [tok for tok, _ in ranked[: max_size - 4]]
-    id_to_token = list(RESERVED_TOKENS) + kept
-    token_to_id = {tok: i + 4 for i, tok in enumerate(kept)}
-    return Vocabulary(token_to_id, id_to_token)
+    return Vocabulary.from_tokens(list(RESERVED_TOKENS) + [tok for tok, _ in ranked[:max_size - 4]])
 
 
 def encode(text: str, vocab: Vocabulary, max_len: int = 64) -> np.ndarray:
@@ -142,24 +141,15 @@ class SyntheticGraphSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.num_nodes < 1:
-            raise ConfigError(f"num_nodes must be >= 1, got {self.num_nodes}")
-        if self.num_classes < 1:
-            raise ConfigError(f"num_classes must be >= 1, got {self.num_classes}")
-        if self.keywords_per_class < 1:
-            raise ConfigError(
-                f"keywords_per_class must be >= 1, got {self.keywords_per_class}"
-            )
+        for name in ("num_nodes", "num_classes", "keywords_per_class"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         lo, hi = self.doc_length
         if not (1 <= lo <= hi):
             raise ConfigError(f"doc_length range must satisfy 1 <= lo <= hi, got {self.doc_length}")
-        for name, p in (
-            ("intra_class_edge_prob", self.intra_class_edge_prob),
-            ("inter_class_edge_prob", self.inter_class_edge_prob),
-            ("class_token_fraction", self.class_token_fraction),
-        ):
-            if not (0.0 <= p <= 1.0):
-                raise ConfigError(f"{name} must be in [0, 1], got {p}")
+        for name in ("intra_class_edge_prob", "inter_class_edge_prob", "class_token_fraction"):
+            if not (0.0 <= getattr(self, name) <= 1.0):
+                raise ConfigError(f"{name} must be in [0, 1], got {getattr(self, name)}")
         if self.intra_class_edge_prob < self.inter_class_edge_prob:
             raise ConfigError(
                 "intra_class_edge_prob must be >= inter_class_edge_prob "

@@ -539,6 +539,23 @@ def test_infonce_config_validation():
         ae.InfoNCEConfig().tau = 0.0
 
 
+@pytest.mark.parametrize("field, value", [
+    ("tau", math.nan), ("tau", math.inf), ("tau", -1.0), ("tau", True), ("tau", "0.5"),
+    ("alphas", (math.nan, 0.1)), ("alphas", (1.0, math.inf)), ("alphas", (1.0, 0.1, 0.0)),
+    ("alphas", (True, 0.1)), ("alphas", (1.0, "0.1")), ("alphas", 5), ("alphas", "ab"),
+    ("normalize", 1), ("normalize", "yes"), ("normalize", None),
+])
+def test_infonce_config_refuses_a_value_naming_its_field(field, value):
+    # load_model names the field by the first word of the message.
+    with pytest.raises(ConfigError, match=f"^{field} must be .*, got {re.escape(repr(value))}$"):
+        ae.InfoNCEConfig(**{field: value})
+
+
+def test_infonce_config_stores_alphas_as_a_tuple():
+    assert ae.InfoNCEConfig(alphas=[1, 0.5]).alphas == (1, 0.5)
+    assert ae.InfoNCEConfig(alphas=[1, 0.5]) == ae.InfoNCEConfig(alphas=(1, 0.5))
+
+
 # ---------------------------------------------------------------------------
 # pretraining step
 # ---------------------------------------------------------------------------
@@ -707,6 +724,12 @@ def test_reconstruct_deterministic():
 # checkpointing
 # ---------------------------------------------------------------------------
 
+def save_fresh(path, model, base_lr=1e-3, **kwargs):
+    """save_model of model with a fresh optimizer at base_lr and the default InfoNCE settings."""
+    ae.save_model(path, model, dc.AdamState.for_params(model.parameters(), base_lr=base_lr),
+                  ae.InfoNCEConfig(), **kwargs)
+
+
 def test_save_load_round_trip(tmp_path):
     graph = toy_graph()
     model = model_for(graph, seed=4)
@@ -717,8 +740,9 @@ def test_save_load_round_trip(tmp_path):
         ae.pretrain_step(model, graph, [0, 1, 2], adam, rng, ae.InfoNCEConfig())
 
     path = tmp_path / "model.npz"
-    ae.save_model(path, model, adam, extra_meta={"note": "unit"})
-    loaded, loaded_adam, meta = ae.load_model(path)
+    ae.save_model(path, model, adam, ae.InfoNCEConfig(), extra_meta={"note": "unit"})
+    loaded, loaded_adam, loaded_icfg, meta = ae.load_model(path)
+    assert loaded_icfg == ae.InfoNCEConfig()
 
     assert meta["note"] == "unit"
     assert loaded.config == model.config
@@ -747,13 +771,15 @@ def test_checkpoint_roundtrip_is_bitwise(tmp_path):
     for m, v in zip(adam.first_moment, adam.second_moment):
         m[...] = rng.standard_normal(m.shape)
         v[...] = rng.random(v.shape) * math.pi
+    icfg = ae.InfoNCEConfig(tau=0.1 + 0.2, alphas=(1 / 3, 0.0), normalize=False)
     path = tmp_path / "model.npz"
-    ae.save_model(path, model, adam, extra_meta={"step_count": 42, "d_enc": 8})
+    ae.save_model(path, model, adam, icfg, extra_meta={"step_count": 42, "d_enc": 8})
     with np.load(path) as bundle:
         keys = bundle.files
     opt = [f"t:opt.{k}.{name}" for name in model.params for k in "mv"]
     assert keys == [f"t:{name}" for name in model.params] + opt + ["__meta__"]
-    loaded, loaded_adam, got_meta = ae.load_model(path)
+    loaded, loaded_adam, loaded_icfg, got_meta = ae.load_model(path)
+    assert loaded_icfg == icfg and isinstance(loaded_icfg.alphas, tuple)
     for name, p in model.params.items():
         assert loaded.params[name].data.dtype == np.float64
         np.testing.assert_array_equal(loaded.params[name].data, p.data)
@@ -774,16 +800,16 @@ def test_failed_checkpoint_save_leaves_the_old_file_and_no_temp_files(tmp_path, 
     model = model_for(toy_graph())
     model.params["lm_head"].data = rng.standard_normal(model.params["lm_head"].data.shape)
     path, log = tmp_path / "model.npz", tmp_path / "log.csv"
-    ae.save_model(path, model, extra_meta={"step_count": 1}, alongside=[(log, "step 1\n")])
+    save_fresh(path, model, extra_meta={"step_count": 1}, alongside=[(log, "step 1\n")])
     before = path.read_bytes()
     disk_full(".model.npz.", len(before) // 2)
     model.params["lm_head"].data = rng.standard_normal(model.params["lm_head"].data.shape)
     with pytest.raises(OSError, match="No space left"):
-        ae.save_model(path, model, extra_meta={"step_count": 2}, alongside=[(log, "step 2\n")])
+        save_fresh(path, model, extra_meta={"step_count": 2}, alongside=[(log, "step 2\n")])
     assert path.read_bytes() == before
     assert log.read_text() == "step 1\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["log.csv", "model.npz"]
-    assert ae.load_model(path)[2]["step_count"] == 1
+    assert ae.load_model(path)[3]["step_count"] == 1
 
 
 @pytest.mark.parametrize("edit, named", [
@@ -795,7 +821,7 @@ def test_load_refuses_optimizer_block_with_other_keys(tmp_path, edit, named):
     graph = toy_graph()
     model = model_for(graph)
     path = tmp_path / "model.npz"
-    ae.save_model(path, model, dc.AdamState.for_params(model.parameters(), base_lr=1e-3))
+    save_fresh(path, model)
     edit_checkpoint(path, edit)
     with pytest.raises(ContractError, match=named) as caught:
         ae.load_model(path)
@@ -809,7 +835,7 @@ def test_load_refuses_config_block_with_other_keys(tmp_path, edit):
     graph = toy_graph()
     model = model_for(graph, enc_layers=3, heads=8)
     path = tmp_path / "model.npz"
-    ae.save_model(path, model, dc.AdamState.for_params(model.parameters(), base_lr=1e-3))
+    save_fresh(path, model)
     keys = ["enc_layers", "heads"] if edit == "drop" else ["dropout"]
 
     def edit_config(meta):
@@ -833,7 +859,7 @@ def test_load_refuses_a_config_value_that_is_no_integer(tmp_path, value):
     graph = toy_graph()
     model = model_for(graph)
     path = tmp_path / "model.npz"
-    ae.save_model(path, model)
+    save_fresh(path, model)
     edit_checkpoint(path, lambda meta: meta["config"].update(heads=value))
     with pytest.raises(ContractError) as caught:
         ae.load_model(path)
@@ -845,7 +871,7 @@ def test_load_refuses_a_tensor_that_names_no_parameter(tmp_path, name):
     graph = toy_graph()
     model = model_for(graph)
     path = tmp_path / "model.npz"
-    ae.save_model(path, model, dc.AdamState.for_params(model.parameters(), base_lr=1e-3))
+    save_fresh(path, model)
     edit_checkpoint(path, add={name: np.zeros((8, 16))})
     with pytest.raises(ContractError, match=re.escape(name)) as caught:
         ae.load_model(path)
@@ -856,7 +882,7 @@ def test_load_detects_missing_parameter(tmp_path):
     graph = toy_graph()
     model = model_for(graph)
     path = tmp_path / "model.npz"
-    ae.save_model(path, model)
+    save_fresh(path, model)
     edit_checkpoint(path, drop=["lm_head"])
     with pytest.raises(ContractError, match="lm_head"):
         ae.load_model(path)
@@ -865,6 +891,7 @@ def test_load_detects_missing_parameter(tmp_path):
 # One value per settings field that its dataclass refuses when built, and heads
 # that do not divide the widths.
 REFUSED_SETTINGS = [
+    ("infonce", "tau", "x"), ("infonce", "alphas", [1.0]), ("infonce", "normalize", 1),
     ("config", "vocab_size", 4), ("config", "d_enc", 0), ("config", "d_dec", 0),
     ("config", "enc_layers", 0), ("config", "dec_layers", 0), ("config", "heads", 0),
     ("config", "proj_len", 0), ("config", "ff_mult", 0), ("config", "max_len", 1),
@@ -878,7 +905,8 @@ REFUSED_SETTINGS = [
 def test_refused_settings_cover_every_field():
     covered = {(block, field) for block, field, _ in REFUSED_SETTINGS}
     assert covered == ({("config", f.name) for f in fields(ae.ModelConfig)}
-                       | {("optimizer", name) for name in dc.AdamState([], []).settings()})
+                       | {("optimizer", name) for name in dc.AdamState([], []).settings()}
+                       | {("infonce", f.name) for f in fields(ae.InfoNCEConfig)})
 
 
 @pytest.mark.parametrize("block, field, value", REFUSED_SETTINGS)
@@ -887,7 +915,7 @@ def test_load_names_the_settings_field_its_dataclass_refuses(tmp_path, block, fi
     # so a message that does not start with its field fails here.
     model = tiny_model()
     path = tmp_path / "model.npz"
-    ae.save_model(path, model, dc.AdamState.for_params(model.parameters(), base_lr=0.1))
+    save_fresh(path, model, base_lr=0.1)
     edit_checkpoint(path, lambda meta: meta[block].update({field: value}))
     with pytest.raises(ContractError) as caught:
         ae.load_model(path)

@@ -11,7 +11,6 @@ import re
 import shutil
 import subprocess
 import sys
-from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -193,7 +192,7 @@ def test_pretrain_resume_continues_step_numbering(workdir, dataset):
     assert text.count("step,lm_loss") == 1
     _, rows = csv_rows(out / "pretrain_log.csv")
     assert [int(r[0]) for r in rows] == list(range(1, 13))
-    _, adam, _ = ae.load_model(out / "model.npz")
+    _, adam, _, _ = ae.load_model(out / "model.npz")
     assert adam.step_count == 12
 
 
@@ -307,7 +306,7 @@ def test_pretrain_resume_takes_unset_flags_from_checkpoint(dataset, tmp_path):
     # A non-positive --clip-norm means no clipping, as the checkpoint records.
     assert main(base + ["--resume", str(out / "model.npz"), "--clip-norm", "-1",
                         "--d-enc", "16"]) == 0
-    model, adam, _ = ae.load_model(out / "model.npz")
+    model, adam, _, _ = ae.load_model(out / "model.npz")
     assert (model.config.d_enc, model.config.max_len) == (16, 16)
     assert (adam.base_lr, adam.warmup_steps, adam.clip_norm) == (0.01, 3, None)
     assert adam.step_count == 4
@@ -357,14 +356,12 @@ def test_pretrain_resume_takes_stored_flags_from_checkpoint(dataset, tmp_path):
     assert main(base + ["--steps", "2", "--out-dir", str(split),
                         "--resume", str(split / "model.npz")]) == 0
     assert (split / "pretrain_log.csv").read_bytes() == (whole / "pretrain_log.csv").read_bytes()
-    _, _, meta = ae.load_model(split / "model.npz")
-    assert {"vocab_size": 64, "seed": 5, "tau": 0.25, "alpha1": 0.5, "alpha2": 0.5,
-            "raw_similarity": True, "d_enc": 16, "clip_norm": 1.0}.items() \
-        <= meta["run"]["flags"].items()
-    # The record holds every flag that sets the model, the optimizer or the loss, by dest.
-    assert sorted(meta["run"]["flags"]) == sorted(
-        [f.name for f in fields(ae.ModelConfig)] + ["pretrain_lr", "warmup", "clip_norm", "seed",
-                                                    "tau", "alpha1", "alpha2", "raw_similarity"])
+    model, adam, icfg, meta = ae.load_model(split / "model.npz")
+    assert icfg == ae.InfoNCEConfig(tau=0.25, alphas=(0.5, 0.5), normalize=False)
+    assert meta["infonce"] == {"tau": 0.25, "alphas": [0.5, 0.5], "normalize": False}
+    assert (model.config.d_enc, adam.clip_norm) == (16, 1.0)
+    # The record holds only the flags that no block holds: the vocabulary budget and the seed.
+    assert meta["run"]["flags"] == {"vocab_size": 64, "seed": 5}
 
 
 def test_pretrain_checkpoint_names_its_dataset_by_hash_not_path(dataset, tmp_path, monkeypatch):
@@ -377,27 +374,37 @@ def test_pretrain_checkpoint_names_its_dataset_by_hash_not_path(dataset, tmp_pat
                      "--recon-every", "0"] + TINY_MODEL) == 0
         runs.append((out / "model.npz").read_bytes())
     assert runs[0] == runs[1]
-    _, _, meta = ae.load_model(tmp_path / "run0" / "model.npz")
+    *_, meta = ae.load_model(tmp_path / "run0" / "model.npz")
     assert meta["run"]["dataset_sha256"] == {
         p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in dataset_paths(dataset)}
     assert "dataset" not in meta and "dataset" not in meta["run"]["flags"]
 
 
 # Edits of a checkpoint's metadata that `embed` and `pretrain --resume` refuse, each with
-# the text its error names: the run record or one of its keys gone or no mapping, a
-# generator state numpy cannot take, or format version 1.
+# the text its error names: the run record or one of its keys gone or no mapping, a run
+# flag that is missing, of the wrong type or kind, or none of the two, a generator state
+# numpy cannot take, or format version 1 or 2.
 UNREADABLE_RECORDS = [
     (lambda meta: meta.pop("run"), "'run'"),
     (lambda meta: meta.update(run=5), "run.flags"),
-    (lambda meta: meta["run"].update(flags=5), "run.flags.tau"),
+    (lambda meta: meta["run"].update(flags=5), "'run.flags.vocab_size', 'run.flags.seed'"),
     (lambda meta: meta["run"].update(dataset_sha256=5), "run.dataset_sha256.splits.txt"),
     (lambda meta: meta["run"].pop("flags"), "run.flags"),
     (lambda meta: meta["run"].pop("dataset_sha256"), "run.dataset_sha256"),
     (lambda meta: meta["run"].pop("rng_state"), "run.rng_state"),
     (lambda meta: meta["run"].update(rng_state={"bit_generator": "PCG64"}), "run.rng_state"),
-    (lambda meta: meta["run"]["flags"].pop("tau"), "run.flags.tau"),
+    (lambda meta: meta["run"]["flags"].pop("seed"), "missing 'run.flags.seed'"),
+    (lambda meta: meta["run"]["flags"].pop("vocab_size"), "missing 'run.flags.vocab_size'"),
+    (lambda meta: meta["run"]["flags"].update(seed="5"), "'run.flags.seed' must be an int >= 0"),
+    (lambda meta: meta["run"]["flags"].update(seed=-1), "'run.flags.seed' must be an int >= 0"),
+    (lambda meta: meta["run"]["flags"].update(vocab_size=64.0),
+     "'run.flags.vocab_size' must be an int >= 5"),
+    (lambda meta: meta["run"]["flags"].update(vocab_size=True),
+     "'run.flags.vocab_size' must be an int >= 5"),
+    (lambda meta: meta["run"]["flags"].update(d_enc=999), "'run.flags.d_enc' is none of"),
     (lambda meta: meta["run"]["dataset_sha256"].pop("splits.txt"), "run.dataset_sha256.splits.txt"),
     (lambda meta: meta.update(format_version=1), "format version 1"),
+    (lambda meta: meta.update(format_version=2), "format version 2"),
 ]
 
 
@@ -480,7 +487,7 @@ def test_embed_row_count_and_provenance(embedded):
 
 def test_embed_matches_in_process_encoder(embedded, dataset, pretrained):
     emb = load_embeddings(embedded)
-    model, _, _ = ae.load_model(pretrained / "model.npz")
+    model, *_ = ae.load_model(pretrained / "model.npz")
     graph = load_textgraph(*dataset_paths(dataset))
     row = ae.encode_node(model, model.tokens_for(graph.texts[0])).data
     assert np.array_equal(emb.matrix[0], row)
@@ -645,7 +652,15 @@ MALFORMED_CHECKPOINTS = {
         edit_meta=lambda meta: meta["config"].update(vocab_size=meta["config"]["vocab_size"] + 1)),
     "vocab-5": dict(edit_meta=lambda meta: meta.update(vocab=5)),
     "vocab-unreserved": dict(edit_meta=lambda meta: meta.update(vocab=meta["vocab"][4:])),
+    "vocab-token-twice": dict(
+        edit_meta=lambda meta: meta["vocab"].__setitem__(5, meta["vocab"][4])),
+    "vocab-reserved-twice": dict(edit_meta=lambda meta: meta["vocab"].__setitem__(5, "<eos>")),
+    "no-optimizer": dict(edit_meta=lambda meta: meta.pop("optimizer")),
     "optimizer-no-beta1": dict(edit_meta=lambda meta: meta["optimizer"].pop("beta1")),
+    "no-infonce": dict(edit_meta=lambda meta: meta.pop("infonce")),
+    "infonce-5": dict(edit_meta=lambda meta: meta.update(infonce=5)),
+    "infonce-tau-x": dict(edit_meta=lambda meta: meta["infonce"].update(tau="x")),
+    "infonce-no-alphas": dict(edit_meta=lambda meta: meta["infonce"].pop("alphas")),
     "no-lm-head": dict(drop=["lm_head"]),
     "misshapen-lm-head": dict(add={"lm_head": np.zeros((3, 3))}),
     "no-opt-m-lm-head": dict(drop=["opt.m.lm_head"]),
@@ -1074,6 +1089,23 @@ def test_learning_rate_that_is_not_finite_exits_one_before_reading(dataset, embe
     out = tmp_path / "o"
     assert main(quick_argv(command, dataset, embedded, out) + [flag, value]) == 1
     assert capsys.readouterr().err.splitlines() == [f"error: lr must be finite and > 0, got {value}"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["pretrain", "ablate"])
+@pytest.mark.parametrize("flag, value, field", [
+    ("--tau", "nan", "tau"), ("--tau", "inf", "tau"),
+    ("--alpha1", "nan", "alphas"), ("--alpha1", "inf", "alphas")])
+def test_infonce_setting_that_is_not_finite_exits_one_before_reading(dataset, embedded, tmp_path,
+                                                                    capsys, monkeypatch, command,
+                                                                    flag, value, field):
+    # Unchecked, a nan trains until the first step diverges, and --tau inf trains with a
+    # constant contrastive term.
+    _read_nothing(monkeypatch)
+    out = tmp_path / "o"
+    assert main(quick_argv(command, dataset, embedded, out) + [flag, value]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {field} must be ") and value in err[0]
     assert not out.exists()
 
 

@@ -14,6 +14,9 @@ generated graph:
 - ``pretrain --clip-norm 0 --warmup 0``, then ``--resume``, so that a
   checkpoint whose optimizer block holds no clip norm and no warm-up is
   written and read back;
+- ``pretrain --tau 0.25 --alpha1 0.5 --alpha2 0.5 --raw-similarity``, then a
+  bare ``--resume``, so that a checkpoint whose InfoNCE block holds no
+  default is written and read back;
 - ``embed`` from the checkpoint and with ``--baseline shallow`` and ``random``;
 - a second ``generate`` whose documents run from 3 to 40 tokens, then
   ``pretrain`` with reconstruction rows and ``embed`` on it, so that batches
@@ -65,6 +68,10 @@ MATRIX = [
      "--clip-norm", "0", "--warmup", "0"],
     ["pretrain", "--dataset", "data", "--out-dir", "noclip", "--steps", "2", *STAGE1,
      "--resume", "noclip/model.npz"],
+    ["pretrain", "--dataset", "data", "--out-dir", "infonce", "--steps", "3", *STAGE1,
+     "--tau", "0.25", "--alpha1", "0.5", "--alpha2", "0.5", "--raw-similarity"],
+    ["pretrain", "--dataset", "data", "--out-dir", "infonce", "--steps", "2",
+     "--resume", "infonce/model.npz"],
     ["embed", "--dataset", "data", "--checkpoint", "run/model.npz", "--out", "emb/model.txt"],
     ["embed", "--dataset", "data", "--baseline", "shallow", "--out", "emb/shallow.txt"],
     ["embed", "--dataset", "data", "--baseline", "random", "--out", "emb/random.txt"],
