@@ -23,26 +23,6 @@ from .errors import ConfigError, ContractError, DimensionError
 from .graphstore import TextGraph, sample_positive
 from .textcorpus import BOS_ID, EOS_ID, PAD_ID, Vocabulary, encode, pad_sequences, replace_files
 
-__all__ = [
-    "ModelConfig",
-    "InfoNCEConfig",
-    "AutoencoderModel",
-    "encode_node",
-    "encode_batch",
-    "project",
-    "decoder_logits",
-    "shift_for_teacher_forcing",
-    "lm_loss",
-    "infonce_loss",
-    "draw_positives",
-    "pretrain_loss",
-    "pretrain_step",
-    "extract_embeddings",
-    "reconstruct",
-    "model_file",
-    "save_model",
-    "load_model",
-]
 
 MASK_BIAS = -1e30
 # Packed token rows per encode_batch call in extract_embeddings (or one node),
@@ -540,9 +520,9 @@ def model_file(path, model: AutoencoderModel, adam: dc.AdamState, infonce: InfoN
     for name, m, v in zip(model.params, adam.first_moment, adam.second_moment):
         arrays["opt.m." + name] = m
         arrays["opt.v." + name] = v
-    meta = {**(extra_meta or {}), "kind": "autoencoder", "config": asdict(model.config),
-            "vocab": model.vocab.id_to_token, "optimizer": adam.settings(),
-            "infonce": asdict(infonce), "format_version": CHECKPOINT_FORMAT_VERSION}
+    meta = {**(extra_meta or {}), "config": asdict(model.config), "vocab": model.vocab.id_to_token,
+            "optimizer": adam.settings(), "infonce": asdict(infonce),
+            "format_version": CHECKPOINT_FORMAT_VERSION}
     payload = {"t:" + k: np.ascontiguousarray(a, dtype=np.float64) for k, a in arrays.items()}
     payload["__meta__"] = np.array(json.dumps(meta, sort_keys=True))
     return Path(path), lambda fh: np.savez(fh, **payload)

@@ -28,22 +28,6 @@ from .evalmetrics import accuracy, roc_auc
 from .graphstore import LinkSplit, TextGraph, _unique, mean_adjacency, normalized_adjacency
 from .textcorpus import build_vocab, replace_files, tokenize
 
-__all__ = [
-    "EmbeddingMatrix",
-    "embeddings_file",
-    "save_embeddings",
-    "load_embeddings",
-    "random_embeddings",
-    "shallow_embeddings",
-    "GnnModel",
-    "DownstreamConfig",
-    "train_node_classifier",
-    "predict_links",
-    "score_splits",
-    "graph_operator",
-    "train_link_predictor",
-    "link_bce",
-]
 
 PROVENANCES = ("shallow-baseline", "nodegae", "random")
 # Vocabulary budget of the shallow bag-of-words baseline, and the counts in

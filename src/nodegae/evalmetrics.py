@@ -13,13 +13,6 @@ import numpy as np
 
 from .errors import MetricError
 
-__all__ = [
-    "accuracy",
-    "roc_auc",
-    "bleu",
-    "rouge_l",
-    "token_f1",
-]
 
 # Longest n-gram that bleu scores.
 BLEU_MAX_ORDER = 4
@@ -109,7 +102,7 @@ def _lcs_length(a: Sequence, b: Sequence) -> int:
     """Longest common subsequence length, single-row dynamic program."""
     if len(a) < len(b):
         a, b = b, a
-    row = np.zeros(len(b) + 1, dtype=np.int64)
+    row = [0] * (len(b) + 1)  # Python ints: numpy scalars would make each step ~3x slower
     for x in a:
         prev_diag = 0
         for j, y in enumerate(b, start=1):
@@ -119,7 +112,7 @@ def _lcs_length(a: Sequence, b: Sequence) -> int:
             elif row[j - 1] > row[j]:
                 row[j] = row[j - 1]
             prev_diag = tmp
-    return int(row[len(b)])
+    return row[-1]
 
 
 def _f_measure(overlap: float, cand_size: int, ref_size: int) -> float:

@@ -22,15 +22,6 @@ from .errors import ConfigError, ContractError
 if TYPE_CHECKING:
     import scipy.sparse as sp
 
-__all__ = [
-    "TextGraph",
-    "LinkSplit",
-    "hop_frontier",
-    "sample_positive",
-    "normalized_adjacency",
-    "mean_adjacency",
-    "build_link_split",
-]
 
 # The train, val and test shares of a link split's edges: 7:2:1.
 LINK_SPLIT_RATIOS = (0.7, 0.2, 0.1)

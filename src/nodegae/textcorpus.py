@@ -19,22 +19,6 @@ import numpy as np
 from .errors import ConfigError, ContractError, IngestionError
 from .graphstore import NODE_SPLITS, TextGraph
 
-__all__ = [
-    "PAD_ID",
-    "UNK_ID",
-    "BOS_ID",
-    "EOS_ID",
-    "Vocabulary",
-    "tokenize",
-    "build_vocab",
-    "encode",
-    "decode",
-    "pad_sequences",
-    "SyntheticGraphSpec",
-    "generate_synthetic",
-    "save_textgraph",
-    "load_textgraph",
-]
 
 PAD_ID = 0
 UNK_ID = 1

@@ -107,10 +107,11 @@ def grid_attention(x, kv, wq, wk, wv, heads, biases=()):
     return dc.reshape(out, (b, tq, wq.shape[1]))
 
 
-def edit_checkpoint(path, edit_meta=None, drop=(), add=None):
+def edit_checkpoint(path, edit_meta=None, drop=(), add=None, keep_meta=True):
     """Rewrite the checkpoint npz at path: edit_meta(meta) changes its __meta__
     block in place, the "t:<name>" entry of each name in drop goes, and each
-    name: array of add becomes a "t:<name>" entry."""
+    name: array of add becomes a "t:<name>" entry. keep_meta=False drops the
+    __meta__ entry itself."""
     gone = {"t:" + name for name in drop}
     with np.load(path, allow_pickle=False) as bundle:
         payload = {k: bundle[k] for k in bundle.files if k not in gone}
@@ -118,7 +119,10 @@ def edit_checkpoint(path, edit_meta=None, drop=(), add=None):
     meta = json.loads(str(payload["__meta__"]))
     if edit_meta is not None:
         edit_meta(meta)
-    payload["__meta__"] = np.array(json.dumps(meta, sort_keys=True))
+    if keep_meta:
+        payload["__meta__"] = np.array(json.dumps(meta, sort_keys=True))
+    else:
+        del payload["__meta__"]
     np.savez(path, **payload)
 
 

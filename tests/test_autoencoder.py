@@ -516,6 +516,40 @@ def test_infonce_zero_norm_embedding_rejected():
         pair_loss(np.zeros(4), {1: unit(0)}, unit(1), cfg)
 
 
+def infonce_of_rows(hop1, hop2):
+    """infonce_loss of two unit latents with these positive rows for hops 1 and 2."""
+    latents = dc.constant(np.stack([unit(0), unit(1)]))
+    return ae.infonce_loss(latents, {1: hop1, 2: hop2}, ae.InfoNCEConfig())
+
+
+# Calls that autoencoder refuses, each with its error and whole message. tiny_model's
+# max_len is 12.
+REFUSALS = {
+    "encoder-too-long": (lambda: ae.encode_batch(tiny_model(), np.ones((1, 13), np.int64)),
+                         ContractError, "sequence length 13 exceeds max_len 12"),
+    "decoder-too-long": (lambda: ae.decoder_logits(tiny_model(), dc.constant(np.zeros((1, 2, 8))),
+                                                   np.ones((1, 13), np.int64), [13]),
+                         ContractError, "decoder length 13 exceeds max_len 12"),
+    "empty-node": (lambda: ae.encode_node(tiny_model(), []), ContractError,
+                   "expected a non-empty 1-d id sequence, got (0,)"),
+    "rows-past-latents": (lambda: infonce_of_rows([1, 0, -1], [-1, -1, -1]), DimensionError,
+                          "positive rows [(3,), (3,)] do not fit latents (2, 4)"),
+    "rows-of-two-shapes": (lambda: infonce_of_rows([1, 0], [-1]), DimensionError,
+                           "positive rows [(2,), (1,)] do not fit latents (2, 4)"),
+    "row-past-latents": (lambda: infonce_of_rows([1, 2], [-1, -1]), ContractError,
+                         "positive rows out of range [-1, 2)"),
+    "row-below-minus-one": (lambda: infonce_of_rows([1, -1], [-2, 0]), ContractError,
+                            "positive rows out of range [-1, 2)"),
+}
+
+
+@pytest.mark.parametrize("call, error, message", REFUSALS.values(), ids=REFUSALS.keys())
+def test_refused_call_raises_its_whole_message(call, error, message):
+    with pytest.raises(error) as err:
+        call()
+    assert str(err.value) == message
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_infonce_is_nonnegative(seed):
     rng = np.random.default_rng(100 + seed)
@@ -793,6 +827,9 @@ def test_checkpoint_roundtrip_is_bitwise(tmp_path):
     assert got_meta["step_count"] == 42
     assert got_meta["d_enc"] == 8
     assert got_meta["format_version"] == ae.CHECKPOINT_FORMAT_VERSION
+    # The metadata holds extra_meta's blocks and model_file's own, nothing else.
+    assert sorted(got_meta) == sorted(["step_count", "d_enc", "config", "vocab", "optimizer",
+                                       "infonce", "format_version"])
 
 
 def test_failed_checkpoint_save_leaves_the_old_file_and_no_temp_files(tmp_path, disk_full):

@@ -664,7 +664,17 @@ MALFORMED_CHECKPOINTS = {
     "no-lm-head": dict(drop=["lm_head"]),
     "misshapen-lm-head": dict(add={"lm_head": np.zeros((3, 3))}),
     "no-opt-m-lm-head": dict(drop=["opt.m.lm_head"]),
+    "no-meta": dict(keep_meta=False),
 }
+
+
+def read_checkpoint_argv(command, dataset, checkpoint, out):
+    """`embed` of checkpoint into out/e.txt, or a 2-step `pretrain --resume` of it into out."""
+    if command == "embed":
+        return ["embed", "--dataset", str(dataset), "--checkpoint", str(checkpoint),
+                "--out", str(out / "e.txt")]
+    return ["pretrain", "--dataset", str(dataset), "--out-dir", str(out), "--steps", "2",
+            "--recon-every", "0", "--resume", str(checkpoint)]
 
 
 @pytest.mark.parametrize("command", ["embed", "resume"])
@@ -674,18 +684,27 @@ def test_malformed_checkpoint_exits_two_naming_the_file(dataset, pretrained, tmp
     checkpoint, out = tmp_path / "c.npz", tmp_path / "out"
     shutil.copy(pretrained / "model.npz", checkpoint)
     edit_checkpoint(checkpoint, **MALFORMED_CHECKPOINTS[probe])
-    if command == "embed":
-        argv = ["embed", "--dataset", str(dataset), "--checkpoint", str(checkpoint),
-                "--out", str(out / "e.txt")]
-    else:
-        argv = ["pretrain", "--dataset", str(dataset), "--out-dir", str(out), "--steps", "2",
-                "--recon-every", "0", "--resume", str(checkpoint)]
+    argv = read_checkpoint_argv(command, dataset, checkpoint, out)
     before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
     capsys.readouterr()
     assert main(argv) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"runtime error: checkpoint {checkpoint}: ")
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+@pytest.mark.parametrize("command", ["embed", "resume"])
+def test_checkpoint_with_a_kind_key_reads_as_one_without(dataset, pretrained, tmp_path, command):
+    # Format-3 checkpoints once stored "kind": "autoencoder", which nothing reads.
+    written = []
+    for kind in (None, "autoencoder"):
+        checkpoint, out = tmp_path / f"{kind}.npz", tmp_path / f"{kind}-out"
+        shutil.copy(pretrained / "model.npz", checkpoint)
+        if kind is not None:
+            edit_checkpoint(checkpoint, lambda meta: meta.update(kind=kind))
+        assert main(read_checkpoint_argv(command, dataset, checkpoint, out)) == 0
+        written.append({p.name: p.read_bytes() for p in out.iterdir()})
+    assert written[0] == written[1]
 
 
 def token_disjoint_run(root):
@@ -1034,6 +1053,47 @@ def quick_argv(command, dataset, embedded, out):
 @pytest.mark.parametrize("command", cli.COMMANDS)
 def test_quick_runs_succeed(dataset, embedded, tmp_path, command):
     assert main(quick_argv(command, dataset, embedded, tmp_path / "o")) == 0
+
+
+def no_test_split(graph):
+    """graph with its test nodes moved into the validation split."""
+    val = np.concatenate([graph.splits["val"], graph.splits["test"]])
+    return TextGraph.from_edges(graph.num_nodes, graph.edges(), texts=graph.texts,
+                                labels=graph.labels,
+                                splits={"train": graph.splits["train"], "val": val})
+
+
+# Runs that the CLI refuses with exit 1 before it writes anything: (command of quick_argv,
+# an edit of the module dataset or None, flags appended, the one line of standard error).
+# {tmp} stands for the test's temporary directory.
+REFUSED_RUNS = {
+    "pretrain-one-node": (
+        "pretrain", lambda g: TextGraph.from_edges(1, [], texts=g.texts[:1], labels=g.labels[:1],
+                                                   splits={"train": [0]}),
+        [], "pretraining needs at least 2 nodes"),
+    "nodecls-no-test-split": ("train", no_test_split, ["--task", "nodecls"],
+                              "node classification needs a non-empty test split"),
+    "resume-missing": ("pretrain", None, ["--resume", "{tmp}/none.npz"],
+                       "resume checkpoint not found: {tmp}/none.npz"),
+    "ablate-no-backbone": ("ablate", None, ["--backbones", ","],
+                           "--backbones must name at least one backbone"),
+}
+
+
+@pytest.mark.parametrize("command, edit, flags, message", REFUSED_RUNS.values(),
+                         ids=REFUSED_RUNS.keys())
+def test_refused_run_exits_one_with_its_message_and_writes_nothing(
+        dataset, embedded, tmp_path, capsys, command, edit, flags, message):
+    data, out = dataset, tmp_path / "o"
+    if edit is not None:
+        data = tmp_path / "data"
+        data.mkdir()
+        save_textgraph(edit(load_textgraph(*dataset_paths(dataset))), *dataset_paths(data))
+    capsys.readouterr()
+    argv = quick_argv(command, data, embedded, out) + [f.format(tmp=tmp_path) for f in flags]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {message.format(tmp=tmp_path)}"]
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("value", ["0", "-1"])

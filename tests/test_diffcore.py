@@ -101,6 +101,59 @@ def test_shape_error_names_op_and_shapes():
     assert "matmul" in msg and "(2, 3)" in msg
 
 
+def zeros(*shape):
+    return dc.constant(np.zeros(shape))
+
+
+def adam_step_of(shapes, state_shapes):
+    """adam_step of parameters of shapes, each with a gradient, on a state for state_shapes."""
+    params = [dc.parameter(np.zeros(shape)) for shape in shapes]
+    for p in params:
+        p.grad = np.ones(p.shape)
+    state = dc.AdamState.for_params([dc.parameter(np.zeros(s)) for s in state_shapes], 0.1)
+    dc.adam_step(params, state)
+
+
+# Calls that diffcore refuses, each with its error and whole message.
+REFUSALS = {
+    "add": (lambda: dc.add(zeros(2, 3), zeros(2, 2)), DimensionError,
+            "add: cannot broadcast shapes (2, 3) and (2, 2)"),
+    "mul": (lambda: dc.mul(zeros(2, 3), zeros(3, 2)), DimensionError,
+            "mul: cannot broadcast shapes (2, 3) and (3, 2)"),
+    "batched-matmul": (lambda: dc.matmul(zeros(2, 2, 3), zeros(3, 3, 4)), DimensionError,
+                       "matmul: cannot multiply shapes (2, 2, 3) and (3, 3, 4)"),
+    "lookup-1d-table": (lambda: dc.embedding_lookup(zeros(3), [0]), DimensionError,
+                        "embedding_lookup: table must be 2-D, got (3,)"),
+    "reshape": (lambda: dc.reshape(zeros(2, 3), (4,)), DimensionError,
+                "reshape: cannot view (2, 3) as (4,)"),
+    "concat-nothing": (lambda: dc.concat([]), DimensionError, "concat: need at least one tensor"),
+    "concat": (lambda: dc.concat([zeros(2, 3), zeros(2, 2)]), DimensionError,
+               "concat: shapes [(2, 3), (2, 2)] do not align on axis 0"),
+    "transpose": (lambda: dc.transpose(zeros(2, 3), (0, 0)), DimensionError,
+                  "transpose: axes (0, 0) invalid for shape (2, 3)"),
+    "ce-reduction": (lambda: dc.cross_entropy_logits(zeros(2, 3), [0, 1], reduction="none"),
+                     ContractError, "cross_entropy_logits: unknown reduction 'none'"),
+    "ce-float-targets": (lambda: dc.cross_entropy_logits(zeros(2, 3), [0.0, 1.0]),
+                         ContractError, "cross_entropy_logits: targets must be integers"),
+    "ce-target-range": (lambda: dc.cross_entropy_logits(zeros(2, 3), [0, 3]), ContractError,
+                        "cross_entropy_logits: target id out of range [0, 3)"),
+    "l2-zero-row": (lambda: dc.l2_normalize_lastdim(dc.constant([[1.0, 0.0], [0.0, 0.0]])),
+                    ContractError, "l2_normalize_lastdim: zero-norm row"),
+    "item": (lambda: zeros(2).item(), ContractError, "item() on non-scalar tensor of shape (2,)"),
+    "adam-count": (lambda: adam_step_of([(2,), (2,)], [(2,)]), ContractError,
+                   "adam_step: 2 params vs state for 1"),
+    "adam-shape": (lambda: adam_step_of([(3,)], [(2,)]), ContractError,
+                   "adam_step: moment shape (2,) does not match parameter shape (3,)"),
+}
+
+
+@pytest.mark.parametrize("call, error, message", REFUSALS.values(), ids=REFUSALS.keys())
+def test_refused_call_raises_its_whole_message(call, error, message):
+    with pytest.raises(error) as err:
+        call()
+    assert str(err.value) == message
+
+
 def test_graph_layer_matches_dense_products_and_checks_shapes():
     rng = np.random.default_rng(4)
     x, w, ws = rng.standard_normal((4, 3)), rng.standard_normal((3, 2)), rng.standard_normal((3, 2))
@@ -869,6 +922,14 @@ def test_backward_requires_scalar():
     w = dc.parameter([1.0, 2.0])
     with pytest.raises(ContractError):
         dc.backward(dc.relu(w))
+
+
+def test_backward_of_a_loss_that_records_nothing_leaves_every_grad_none():
+    w = dc.parameter([1.0, 2.0])
+    with dc.no_grad():
+        loss = dc.sum_axis(dc.mul(w, w), 0)
+    dc.backward(loss)
+    assert w.grad is None and loss.grad is None
 
 
 def test_second_backward_on_the_same_loss_raises_and_changes_no_grad():

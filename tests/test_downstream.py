@@ -715,6 +715,18 @@ def test_classifier_best_val_weights_returned():
     assert final_val >= best_logged - 1e-12
 
 
+def test_classifier_stops_patience_epochs_after_its_best_and_keeps_that_epochs_weights():
+    graph = generate_synthetic(SyntheticGraphSpec(num_nodes=64, seed=1))
+    emb = ds.shallow_embeddings(graph, 16, seed=0)
+    cfg = ds.DownstreamConfig(hidden_dim=8, dropout=0.5, epochs=200, patience=3, seed=0)
+    model, log = ds.train_node_classifier(emb, graph, cfg)
+    val = [row["val_acc"] for row in log]
+    best = val.index(max(val))  # a later tie is no improvement
+    assert 0 < best and len(log) == best + 1 + cfg.patience < cfg.epochs
+    assert val[-1] < val[best]  # so the last epoch's weights are not the ones kept
+    assert ds.score_splits(model, emb, graph)["val"] == val[best]
+
+
 def test_classifier_rejects_bad_inputs():
     graph = labeled_graph(seed=3)
     emb = one_hot_embeddings(graph, 3)
@@ -821,6 +833,31 @@ def test_link_predictor_best_val_weights_returned():
     best_logged = max(r["value"] for r in log
                       if r["scope"] == "epoch" and r["split"] == "val")
     assert final_val >= best_logged - 1e-12
+
+
+def test_link_predictor_stops_patience_epochs_after_its_best_and_skips_one_pair_batches(
+        monkeypatch):
+    graph = community_graph(seed=1)
+    split = gs.build_link_split(graph, seed=1)
+    emb = ds.random_embeddings(graph.num_nodes, 6, seed=1)
+    num_pairs = len(split.train_pos) + len(split.train_neg)
+    assert num_pairs % 3 == 1  # so each epoch's last batch holds one pair
+    cfg = ds.DownstreamConfig.for_link_prediction(
+        hidden_dim=4, dropout=0.2, epochs=100, patience=3, seed=1, batch_edges=3, lr=1e-2)
+    batches, steps = [], []
+    link_bce, adam_step = ds.link_bce, dc.adam_step
+    monkeypatch.setattr(ds, "link_bce",
+                        lambda *a: (batches.append(len(a[3])), link_bce(*a))[1])
+    monkeypatch.setattr(dc, "adam_step", lambda *a: (steps.append(1), adam_step(*a)))
+    model, log = ds.train_link_predictor(emb, graph, split, cfg)
+    val = [r["value"] for r in log if r["scope"] == "epoch" and r["split"] == "val"]
+    best = val.index(max(val))  # a later tie is no improvement
+    assert 0 < best and len(val) == best + 1 + cfg.patience < cfg.epochs
+    assert val[-1] < val[best]  # so the last epoch's weights are not the ones kept
+    assert ds.score_splits(model, emb, graph, split, ("val",))["val"] == val[best]
+    # The one-pair batch makes no loss and takes no Adam step.
+    assert batches == [3] * (num_pairs // 3) * len(val)
+    assert len(steps) == len(batches)
 
 
 def test_a_diverged_fit_stops_at_the_epoch_that_diverged(monkeypatch):

@@ -128,6 +128,22 @@ def test_roc_auc_single_class_raises():
         em.roc_auc([0.1, 0.2], [0, 0])
 
 
+# Calls that evalmetrics refuses, each with its whole message.
+REFUSALS = {
+    "roc-auc-shapes": (lambda: em.roc_auc([0.1, 0.2, 0.3], [0, 1]),
+                       "roc_auc needs matching scores and labels, got (3,) vs (2,)"),
+    "roc-auc-labels": (lambda: em.roc_auc([0.1, 0.2, 0.3], [0, 1, 2]),
+                       "roc_auc labels must be binary 0/1, got [0, 1, 2]"),
+}
+
+
+@pytest.mark.parametrize("call, message", REFUSALS.values(), ids=REFUSALS.keys())
+def test_refused_call_raises_its_whole_message(call, message):
+    with pytest.raises(MetricError) as err:
+        call()
+    assert str(err.value) == message
+
+
 @pytest.mark.parametrize("seed", range(10))
 def test_roc_auc_matches_pairwise_oracle(seed):
     rng = np.random.default_rng(seed)

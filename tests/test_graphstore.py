@@ -415,6 +415,32 @@ def test_split_needs_ten_edges():
         gs.build_link_split(path_graph(5), seed=0)
 
 
+# Calls that graphstore refuses, each with its error and whole message.
+REFUSALS = {
+    "no-nodes": (lambda: gs.TextGraph.from_edges(0, []), ContractError,
+                 "graph needs at least one node, got 0"),
+    "text-count": (lambda: gs.TextGraph.from_edges(2, [(0, 1)], texts=["a"]), ContractError,
+                   "expected 2 texts, got 1"),
+    "label-shape": (lambda: gs.TextGraph.from_edges(2, [], labels=[[0, 1]]), ContractError,
+                    "expected 2 labels, got shape (1, 2)"),
+    "split-out-of-range": (lambda: gs.TextGraph.from_edges(2, [], splits={"val": [1, 2]}),
+                           ContractError, "split 'val' has out-of-range node ids"),
+    "neighbors-past-the-end": (lambda: path_graph(3).neighbors(3), IndexError,
+                               "node 3 out of range for 3 nodes"),
+    "neighbors-negative": (lambda: path_graph(3).neighbors(-1), IndexError,
+                           "node -1 out of range for 3 nodes"),
+    "split-of-nine-edges": (lambda: gs.build_link_split(path_graph(10)), ConfigError,
+                            "link split needs >= 10 edges, graph has 9"),
+}
+
+
+@pytest.mark.parametrize("call, error, message", REFUSALS.values(), ids=REFUSALS.keys())
+def test_refused_call_raises_its_whole_message(call, error, message):
+    with pytest.raises(error) as err:
+        call()
+    assert str(err.value) == message
+
+
 def test_split_determinism():
     g = random_graph(np.random.default_rng(3), 20, 0.3)
     a = gs.build_link_split(g, seed=9)

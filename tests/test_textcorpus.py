@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from nodegae import textcorpus as tc
-from nodegae.errors import ConfigError, IngestionError
+from nodegae.errors import ConfigError, ContractError, IngestionError
 from reference_graphs import dense_draw_edges
 
 
@@ -348,6 +348,49 @@ def test_load_malformed_node_line_reports_line(tmp_path):
     with pytest.raises(IngestionError) as err:
         tc.load_textgraph(*paths)
     assert "line 2" in str(err.value)
+
+
+def loading(nodes, edges="", splits=GOOD_SPLITS):
+    """A call that loads the dataset of these three files, written to a directory it gets."""
+    return lambda root: tc.load_textgraph(*write_dataset(root, nodes, edges, splits))
+
+
+THREE_NODES = "0\t0\ta\n1\t1\tb\n2\t0\tc\n"
+
+# Calls that textcorpus refuses, each with its error and whole message; {nodes},
+# {edges} and {splits} stand for the paths of the dataset's files.
+REFUSALS = {
+    "nodes-two-fields": (loading("0\t0\ta\n1\t1\n"), IngestionError,
+                         "{nodes} line 2: expected 3 tab-separated fields, got 2"),
+    "duplicate-node": (loading("0\t0\ta\n1\t1\tb\n\n0\t1\tc\n"), IngestionError,
+                       "{nodes} line 4: duplicate node id 0"),
+    "no-records": (loading("\n\n"), IngestionError, "{nodes}: no node records found"),
+    "edges-one-field": (loading(THREE_NODES, "0\t1\n2\n"), IngestionError,
+                        "{edges} line 2: expected 'src<TAB>dst'"),
+    "edges-non-integer": (loading(THREE_NODES, "0\t1\n\n1\tx\n"), IngestionError,
+                          "{edges} line 3: non-integer endpoint"),
+    "unknown-split": (loading(THREE_NODES, splits="train: 0\ntest: 1\ndev: 2\n"),
+                      IngestionError, "{splits} line 3: unknown split 'dev'"),
+    "duplicate-split": (loading(THREE_NODES, splits="train: 0\nval: 1\ntrain: 2\n"),
+                        IngestionError, "{splits} line 3: duplicate split 'train'"),
+    "split-non-integer": (loading(THREE_NODES, splits="train: 0\nval: 1, one\n"),
+                          IngestionError, "{splits} line 2: non-integer node id 'one'"),
+    "split-out-of-range": (loading(THREE_NODES, splits="\ntrain: 0,3\n"), IngestionError,
+                           "{splits} line 2: node id 3 out of range"),
+    "encode-max-len-0": (lambda root: tc.encode("a b", tc.build_vocab(["a b"]), max_len=0),
+                         ConfigError, "max_len must be >= 1, got 0"),
+    "pad-nothing": (lambda root: tc.pad_sequences([]), ContractError,
+                    "pad_sequences needs at least one sequence"),
+}
+
+
+@pytest.mark.parametrize("call, error, message", REFUSALS.values(), ids=REFUSALS.keys())
+def test_refused_call_raises_its_whole_message(tmp_path, call, error, message):
+    with pytest.raises(error) as err:
+        call(tmp_path)
+    assert str(err.value) == message.format(nodes=tmp_path / "nodes.tsv",
+                                            edges=tmp_path / "edges.tsv",
+                                            splits=tmp_path / "splits.txt")
 
 
 def test_save_load_round_trip_with_tabs_in_text(tmp_path):

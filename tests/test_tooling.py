@@ -207,6 +207,9 @@ def test_public_api_has_a_caller_outside_the_tests():
     Methods and parameters match by name, so a method whose name is used
     elsewhere (say by another method of that name) or a parameter that a
     same-named function's call passes is not caught.
+
+    No module assigns `__all__`: the rules above are the one definition of
+    what is public, a name without a leading underscore.
     """
     defined, used = set(), set()
     defaulted = {}  # "module.function.parameter" -> (function, parameter, call position or None)
@@ -286,6 +289,11 @@ def test_public_api_has_a_caller_outside_the_tests():
     definitions = (*functions, ast.ClassDef)
     paths = sorted((REPO / "src" / "nodegae").glob("*.py")) + sorted((REPO / "tools").glob("*.py"))
     trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in paths}
+    exports = [f"{path.relative_to(REPO)}:{node.lineno}"
+               for path in paths for node in ast.walk(trees[path.stem])
+               if isinstance(node, (ast.Name, ast.Attribute)) and _name(node) == "__all__"
+               and isinstance(node.ctx, ast.Store)]
+    assert exports == [], "__all__ is assigned at " + ", ".join(exports)
     classes = {node.name for tree in trees.values() for node in tree.body
                if isinstance(node, ast.ClassDef)}
     returned = {}  # function or method name -> the classes its definitions return
