@@ -582,7 +582,7 @@ def load_model(path) -> Tuple[AutoencoderModel, dc.AdamState, InfoNCEConfig, dic
         if meta.get("format_version") != CHECKPOINT_FORMAT_VERSION:
             raise ContractError(f"unsupported format version {meta.get('format_version')}")
         config = _settings("config", ModelConfig, meta.get("config"))
-        model = AutoencoderModel.init(config, Vocabulary.from_tokens(meta.get("vocab")), seed=0)
+        model = AutoencoderModel.init(config, Vocabulary(meta.get("vocab")), seed=0)
         shapes = {prefix + name: p.data.shape for prefix in ("", "opt.m.", "opt.v.")
                   for name, p in model.params.items()}
         unknown = sorted(set(tensors) - set(shapes))

@@ -72,17 +72,16 @@ def _canonical_edges(num_nodes: int, edges) -> np.ndarray:
     return _pairs(_unique(_keys(pairs, num_nodes)), num_nodes)
 
 
-@dataclass
+@dataclass(frozen=True)
 class TextGraph:
-    """Undirected textual graph: CSR adjacency plus per-node payload.
+    """Undirected textual graph: CSR adjacency plus per-node payload, built by from_edges.
 
     indptr/indices store both directions of every edge with sorted neighbor
     lists, no self-loops, and no duplicates. labels uses -1 for unlabeled
-    nodes. splits maps split names to sorted int64 node-id arrays and always
-    holds the NODE_SPLITS, each empty unless given.
+    nodes. splits maps the NODE_SPLITS to disjoint sorted int64 node-id
+    arrays of distinct ids, each empty unless given.
     """
 
-    num_nodes: int
     indptr: np.ndarray
     indices: np.ndarray
     texts: List[str]
@@ -90,19 +89,14 @@ class TextGraph:
     splits: Dict[str, np.ndarray]
 
     @classmethod
-    def from_edges(
-        cls,
-        num_nodes: int,
-        edges,
-        texts: Optional[List[str]] = None,
-        labels=None,
-        splits: Optional[Dict[str, Sequence[int]]] = None,
-    ) -> "TextGraph":
+    def from_edges(cls, num_nodes: int, edges, texts: Optional[List[str]] = None, labels=None,
+                   splits: Optional[Dict[str, Sequence[int]]] = None) -> "TextGraph":
         """CSR graph of an (m, 2) array-like of pairs in either direction, repeats allowed.
 
-        Self-loops are dropped; the first pair with an endpoint outside
-        [0, num_nodes) raises ContractError.
-        """
+        Self-loops are dropped. ContractError refuses the first pair with an endpoint
+        outside [0, num_nodes), labels that are not integers, and a split that is none
+        of the NODE_SPLITS, holds ids that are not integers or one outside [0, num_nodes),
+        lists a node twice or shares one with an earlier split."""
         if num_nodes < 1:
             raise ContractError(f"graph needs at least one node, got {num_nodes}")
         pairs = _canonical_edges(num_nodes, edges)
@@ -113,25 +107,40 @@ class TextGraph:
         indptr = np.zeros(num_nodes + 1, dtype=np.int64)
         indptr[1:] = np.cumsum(np.bincount(src, minlength=num_nodes))
 
-        if texts is None:
-            texts = [""] * num_nodes
+        texts = [""] * num_nodes if texts is None else list(texts)
         if len(texts) != num_nodes:
             raise ContractError(f"expected {num_nodes} texts, got {len(texts)}")
-        if labels is None:
-            labels_arr = -np.ones(num_nodes, dtype=np.int64)
-        else:
-            labels_arr = np.asarray(labels, dtype=np.int64)
-            if labels_arr.shape != (num_nodes,):
-                raise ContractError(
-                    f"expected {num_nodes} labels, got shape {labels_arr.shape}"
-                )
+        labels = -np.ones(num_nodes, dtype=np.int64) if labels is None else np.asarray(labels)
+        if labels.shape != (num_nodes,):
+            raise ContractError(f"expected {num_nodes} labels, got shape {labels.shape}")
+        if not np.issubdtype(labels.dtype, np.integer):
+            raise ContractError(f"labels must be integers, got dtype {labels.dtype}")
         split_arrs = {name: np.zeros(0, dtype=np.int64) for name in NODE_SPLITS}
+        owner = np.full(num_nodes, -1)  # index in NODE_SPLITS of the split holding each node
         for name, ids in (splits or {}).items():
-            arr = np.asarray(sorted(int(i) for i in ids), dtype=np.int64)
-            if arr.size and (arr[0] < 0 or arr[-1] >= num_nodes):
-                raise ContractError(f"split '{name}' has out-of-range node ids")
+            if name not in NODE_SPLITS:
+                raise ContractError(f"unknown split '{name}', not one of {NODE_SPLITS}")
+            arr = np.asarray(ids).ravel()
+            if arr.size and not np.issubdtype(arr.dtype, np.integer):  # [] is float64
+                raise ContractError(f"split '{name}' ids must be integers, got dtype {arr.dtype}")
+            bad = arr[(arr < 0) | (arr >= num_nodes)]
+            if bad.size:
+                raise ContractError(
+                    f"split '{name}' node {bad[0]} is out of range for a {num_nodes}-node graph")
+            arr = np.sort(arr).astype(np.int64, copy=False)
+            twice, shared = arr[1:][arr[1:] == arr[:-1]], arr[owner[arr] >= 0]
+            if twice.size:
+                raise ContractError(f"split '{name}' lists node {twice[0]} twice")
+            if shared.size:
+                raise ContractError(f"split '{name}' node {shared[0]} is also in split "
+                                    f"'{NODE_SPLITS[owner[shared[0]]]}'")
+            owner[arr] = NODE_SPLITS.index(name)
             split_arrs[name] = arr
-        return cls(num_nodes, indptr, dst, list(texts), labels_arr, split_arrs)
+        return cls(indptr, dst, texts, labels.astype(np.int64, copy=False), split_arrs)
+
+    @property
+    def num_nodes(self) -> int:
+        return self.indptr.size - 1
 
     @property
     def num_edges(self) -> int:
@@ -244,7 +253,7 @@ def mean_adjacency(graph: TextGraph) -> "sp.csr_matrix":
                          shape=(graph.num_nodes, graph.num_nodes))
 
 
-@dataclass
+@dataclass(frozen=True)
 class LinkSplit:
     """Edge-level train/val/test split with one negative per positive.
 

@@ -10,7 +10,7 @@ format (nodes, edges, splits) described next to the load/save functions.
 import os
 import re
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import BinaryIO, Callable, Dict, List, Sequence, Tuple, Union
 
@@ -37,12 +37,25 @@ def tokenize(text: str) -> List[str]:
     return _TOKEN_RE.findall(text.lower())
 
 
-@dataclass
+@dataclass(frozen=True)
 class Vocabulary:
-    """Dense token<->id mapping with ids 0..3 reserved for structure."""
+    """Dense token<->id mapping with ids 0..3 reserved for structure, built from its
+    id-ordered token list: strings that start with the RESERVED_TOKENS and name each
+    token once (else ContractError). token_to_id maps every other token to its id."""
 
-    token_to_id: Dict[str, int]
     id_to_token: List[str]
+    token_to_id: Dict[str, int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        tokens = self.id_to_token
+        if (not isinstance(tokens, list) or tokens[:4] != list(RESERVED_TOKENS)
+                or not all(isinstance(tok, str) for tok in tokens)):
+            raise ContractError(
+                "vocabulary must be a list of strings starting with the four reserved tokens")
+        twice = sorted(tok for tok, n in Counter(tokens).items() if n > 1)
+        if twice:
+            raise ContractError(f"vocabulary lists {twice} more than once")
+        object.__setattr__(self, "token_to_id", {tok: i for i, tok in enumerate(tokens) if i >= 4})
 
     @property
     def size(self) -> int:
@@ -53,18 +66,6 @@ class Vocabulary:
 
     def token_for(self, idx: int) -> str:
         return self.id_to_token[idx]
-
-    @classmethod
-    def from_tokens(cls, id_to_token: List[str]):
-        """Rebuild a vocabulary from its id-ordered token list, which names each token once."""
-        if (not isinstance(id_to_token, list) or id_to_token[:4] != list(RESERVED_TOKENS)
-                or not all(isinstance(tok, str) for tok in id_to_token)):
-            raise ContractError(
-                "vocabulary must be a list of strings starting with the four reserved tokens")
-        twice = sorted(tok for tok, n in Counter(id_to_token).items() if n > 1)
-        if twice:
-            raise ContractError(f"vocabulary lists {twice} more than once")
-        return cls({tok: i for i, tok in enumerate(id_to_token) if i >= 4}, list(id_to_token))
 
 
 def build_vocab(texts: Sequence[str], max_size: int = 2048) -> Vocabulary:
@@ -77,7 +78,7 @@ def build_vocab(texts: Sequence[str], max_size: int = 2048) -> Vocabulary:
     for text in texts:
         counts.update(tokenize(text))
     ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
-    return Vocabulary.from_tokens(list(RESERVED_TOKENS) + [tok for tok, _ in ranked[:max_size - 4]])
+    return Vocabulary(list(RESERVED_TOKENS) + [tok for tok, _ in ranked[:max_size - 4]])
 
 
 def encode(text: str, vocab: Vocabulary, max_len: int = 64) -> np.ndarray:
@@ -281,10 +282,11 @@ def save_textgraph(graph: TextGraph, nodes_path, edges_path, splits_path) -> Non
 def load_textgraph(nodes_path, edges_path, splits_path) -> TextGraph:
     """Parse and validate the three-file dataset format.
 
-    Node ids must be dense 0..n-1; edges deduplicate as undirected pairs;
-    splits must be disjoint, and a split without a line is empty, as in every
-    TextGraph. Violations raise IngestionError, with the file and line number
-    whenever the problem is local to a line.
+    Node ids must be dense 0..n-1; edges deduplicate as undirected pairs; a
+    split without a line is empty, as in every TextGraph. Violations raise
+    IngestionError, with the file and line number whenever the problem is
+    local to a line. TextGraph.from_edges checks the splits themselves, and
+    its refusal is raised as IngestionError naming the splits file.
     """
     nodes_path, edges_path, splits_path = Path(nodes_path), Path(edges_path), Path(splits_path)
 
@@ -336,35 +338,21 @@ def load_textgraph(nodes_path, edges_path, splits_path) -> TextGraph:
         edges += (u, v)
 
     splits: Dict[str, List[int]] = {}
-    claimed: Dict[int, str] = {}
     for lineno, line in enumerate(splits_path.read_text(encoding="utf-8").splitlines(), 1):
         if not line.strip():
             continue
         name, _, rest = line.partition(":")
         name = name.strip()
-        if name not in NODE_SPLITS:
-            raise IngestionError(f"{splits_path} line {lineno}: unknown split '{name}'")
         if name in splits:
             raise IngestionError(f"{splits_path} line {lineno}: duplicate split '{name}'")
-        ids = []
-        for chunk in rest.strip().split(","):
-            chunk = chunk.strip()
-            if not chunk:
-                continue
+        ids = splits[name] = []
+        for chunk in filter(None, map(str.strip, rest.split(","))):
             try:
-                node_id = int(chunk)
+                ids.append(int(chunk))
             except ValueError:
                 raise IngestionError(f"{splits_path} line {lineno}: non-integer node id '{chunk}'")
-            if not (0 <= node_id < n):
-                raise IngestionError(f"{splits_path} line {lineno}: node id {node_id} out of range")
-            if node_id in claimed:
-                raise IngestionError(
-                    f"{splits_path} line {lineno}: node {node_id} already in split "
-                    f"'{claimed[node_id]}'"
-                )
-            claimed[node_id] = name
-            ids.append(node_id)
-        splits[name] = ids
-
-    return TextGraph.from_edges(n, np.reshape(edges, (-1, 2)), texts=texts, labels=labels,
-                                splits=splits)
+    try:
+        return TextGraph.from_edges(n, np.reshape(edges, (-1, 2)), texts=texts, labels=labels,
+                                    splits=splits)
+    except ContractError as exc:  # edges and labels are checked above, so a split is refused
+        raise IngestionError(f"{splits_path}: {exc}") from exc

@@ -11,6 +11,7 @@ import re
 import shutil
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -852,8 +853,7 @@ def test_leaky_link_split_fails_before_training(dataset, embedded, tmp_path,
                                                 monkeypatch, command):
     def leaky_split(graph, seed=0):
         split = build_link_split(graph, seed=seed)
-        split.train_pos = np.concatenate([split.train_pos, split.val_pos[:1]])
-        return split
+        return replace(split, train_pos=np.concatenate([split.train_pos, split.val_pos[:1]]))
 
     monkeypatch.setattr(cli, "build_link_split", leaky_split)
     out = tmp_path / "leak"
@@ -1093,6 +1093,31 @@ def test_refused_run_exits_one_with_its_message_and_writes_nothing(
     argv = quick_argv(command, data, embedded, out) + [f.format(tmp=tmp_path) for f in flags]
     assert main(argv) == 1
     assert capsys.readouterr().err.splitlines() == [f"error: {message.format(tmp=tmp_path)}"]
+    assert not out.exists()
+
+
+# Splits files that TextGraph.from_edges refuses, each with its refusal.
+REFUSED_SPLITS = {
+    "unknown-split": ("train: 0\nval: 1\ntest: 2\ndev: 3\n",
+                      "unknown split 'dev', not one of ('train', 'val', 'test')"),
+    "repeated-id": ("train: 0, 4, 4\nval: 1\ntest: 2\n", "split 'train' lists node 4 twice"),
+    "overlap": ("train: 0, 1\nval: 2\ntest: 3, 1\n",
+                "split 'test' node 1 is also in split 'train'"),
+    "out-of-range": ("train: 0\nval: 48\ntest: 2\n",
+                     "split 'val' node 48 is out of range for a 48-node graph"),
+}
+
+
+@pytest.mark.parametrize("splits, message", REFUSED_SPLITS.values(), ids=REFUSED_SPLITS.keys())
+def test_pretrain_on_refused_splits_exits_one_naming_the_splits_file(
+        dataset, embedded, tmp_path, capsys, splits, message):
+    data, out = tmp_path / "data", tmp_path / "o"
+    shutil.copytree(dataset, data)
+    paths = dataset_paths(data)
+    paths[2].write_text(splits, encoding="utf-8")
+    capsys.readouterr()
+    assert main(quick_argv("pretrain", data, embedded, out)) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {paths[2]}: {message}"]
     assert not out.exists()
 
 

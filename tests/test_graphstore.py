@@ -4,11 +4,13 @@ Derived quantities are checked against independent oracles: a queue-based
 BFS for hop distances, a Python-set BFS for the numpy hop frontier, dense
 matrix algebra for the normalized adjacency, a per-node loop for the mean
 adjacency, tuple sets and a scalar rejection loop for the (m, 2) edge
-arrays and link splits, and exhaustive set arithmetic for link-split
-leakage.
+arrays and link splits, plain set arithmetic for the node splits that
+from_edges accepts, and exhaustive set arithmetic for link-split leakage.
 """
 
+import tempfile
 from collections import deque
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from nodegae import graphstore as gs
+from nodegae import textcorpus as tc
 from nodegae.errors import ConfigError, ContractError
 from reference_graphs import (
     bfs_k_hop,
@@ -50,6 +53,19 @@ def dense_normalized(adj_dense, add_self_loops):
     deg = a.sum(axis=1)
     d_inv_sqrt = np.array([0.0 if d == 0 else d ** -0.5 for d in deg])
     return np.diag(d_inv_sqrt) @ a @ np.diag(d_inv_sqrt)
+
+
+def set_splits_accepted(num_nodes, splits):
+    """Whether a graph may hold these node splits: known names, each id an int in
+    [0, num_nodes) listed once, and no node in two splits; by plain set arithmetic."""
+    seen = set()
+    for name, ids in splits.items():
+        if name not in ("train", "val", "test") or len(set(ids)) != len(ids):
+            return False
+        if not all(isinstance(i, int) and 0 <= i < num_nodes for i in ids) or seen & set(ids):
+            return False
+        seen |= set(ids)
+    return True
 
 
 def random_graph(rng, n, p):
@@ -160,6 +176,41 @@ def test_edge_arrays_match_tuple_sets_at_scale(n, seed):
     assert [tuple(e) for e in g.edges().tolist()] == sorted(set_edges(g))
     again = gs.TextGraph.from_edges(n, g.edges()[::-1, ::-1])
     assert np.array_equal(again.indptr, g.indptr) and np.array_equal(again.indices, g.indices)
+
+
+@given(st.integers(1, 8), st.data())
+def test_from_edges_accepts_exactly_the_splits_the_set_oracle_accepts(n, data):
+    ids = st.lists(st.integers(-1, n), max_size=n + 1)
+    splits = data.draw(st.dictionaries(st.sampled_from(gs.NODE_SPLITS + ("dev",)), ids))
+    accepted = set_splits_accepted(n, splits)
+    pairs = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                               max_size=2 * n))
+    labels = data.draw(st.lists(st.integers(-1, 3), min_size=n, max_size=n))
+    texts = [f"doc {v}" for v in range(n)]
+    try:
+        g = gs.TextGraph.from_edges(n, pairs, texts=texts, labels=labels, splits=splits)
+    except ContractError:
+        assert not accepted
+        return
+    assert accepted
+    assert {name: ids.tolist() for name, ids in g.splits.items()} == {
+        name: sorted(splits.get(name, [])) for name in gs.NODE_SPLITS}
+    with tempfile.TemporaryDirectory() as root:
+        paths = [Path(root) / name for name in ("nodes.tsv", "edges.tsv", "splits.txt")]
+        tc.save_textgraph(g, *paths)
+        back = tc.load_textgraph(*paths)
+    for field in ("indptr", "indices", "labels"):
+        got, want = getattr(back, field), getattr(g, field)
+        assert got.dtype == want.dtype == np.int64 and np.array_equal(got, want)
+    assert back.texts == texts
+    assert list(back.splits) == list(g.splits)
+    assert all(np.array_equal(back.splits[name], g.splits[name]) for name in g.splits)
+
+
+@pytest.mark.parametrize("labels", [np.array([3, -1], dtype=np.int32), [np.uint8(1), 2]])
+def test_from_edges_stores_integer_labels_as_int64(labels):
+    g = gs.TextGraph.from_edges(2, [], labels=labels)
+    assert g.labels.dtype == np.int64 and g.labels.tolist() == [int(v) for v in labels]
 
 
 # ---------------------------------------------------------------------------
@@ -423,8 +474,27 @@ REFUSALS = {
                    "expected 2 texts, got 1"),
     "label-shape": (lambda: gs.TextGraph.from_edges(2, [], labels=[[0, 1]]), ContractError,
                     "expected 2 labels, got shape (1, 2)"),
+    "float-labels": (lambda: gs.TextGraph.from_edges(2, [], labels=[0.7, 1.9]), ContractError,
+                     "labels must be integers, got dtype float64"),
+    "bool-labels": (lambda: gs.TextGraph.from_edges(2, [], labels=[True, False]),
+                    ContractError, "labels must be integers, got dtype bool"),
+    "unknown-split": (lambda: gs.TextGraph.from_edges(3, [], splits={"bogus": [0]}),
+                      ContractError, "unknown split 'bogus', not one of ('train', 'val', 'test')"),
+    "split-id-twice": (lambda: gs.TextGraph.from_edges(3, [], splits={"train": [1, 1]}),
+                       ContractError, "split 'train' lists node 1 twice"),
+    "node-in-two-splits": (lambda: gs.TextGraph.from_edges(
+                               3, [], splits={"train": [2, 0], "test": [1], "val": [0, 2]}),
+                           ContractError, "split 'val' node 0 is also in split 'train'"),
+    "split-float-id": (lambda: gs.TextGraph.from_edges(3, [], splits={"train": [0.9]}),
+                       ContractError, "split 'train' ids must be integers, got dtype float64"),
+    "split-string-id": (lambda: gs.TextGraph.from_edges(3, [], splits={"val": ["a"]}),
+                        ContractError, "split 'val' ids must be integers, got dtype <U1"),
+    "split-none-id": (lambda: gs.TextGraph.from_edges(3, [], splits={"val": [0, None]}),
+                      ContractError, "split 'val' ids must be integers, got dtype object"),
     "split-out-of-range": (lambda: gs.TextGraph.from_edges(2, [], splits={"val": [1, 2]}),
-                           ContractError, "split 'val' has out-of-range node ids"),
+                           ContractError, "split 'val' node 2 is out of range for a 2-node graph"),
+    "split-negative-id": (lambda: gs.TextGraph.from_edges(2, [], splits={"test": [1, -1, -2]}),
+                          ContractError, "split 'test' node -1 is out of range for a 2-node graph"),
     "neighbors-past-the-end": (lambda: path_graph(3).neighbors(3), IndexError,
                                "node 3 out of range for 3 nodes"),
     "neighbors-negative": (lambda: path_graph(3).neighbors(-1), IndexError,

@@ -90,6 +90,16 @@ def test_vocab_ids_dense_and_bijective():
         assert vocab.id_to_token[idx] == tok
 
 
+def test_vocabulary_derives_its_token_map_from_its_token_list():
+    vocab = tc.Vocabulary([*tc.RESERVED_TOKENS, "graph", "node"])
+    assert vocab.token_to_id == {"graph": 4, "node": 5}
+    # A reserved token in a text is no structure id: it reads as unknown.
+    assert [vocab.id_for(tok) for tok in ("node", "<eos>", "edge")] == [5, tc.UNK_ID, tc.UNK_ID]
+    assert vocab == tc.Vocabulary([*tc.RESERVED_TOKENS, "graph", "node"])
+    with pytest.raises(TypeError):  # the map is derived, never given
+        tc.Vocabulary(id_to_token=vocab.id_to_token, token_to_id={"node": 4})
+
+
 # ---------------------------------------------------------------------------
 # encode / decode
 # ---------------------------------------------------------------------------
@@ -339,8 +349,9 @@ def test_load_overlapping_splits_rejected(tmp_path):
         "0\t1\n",
         "train: 0,1\nval: 1\ntest:\n",
     )
-    with pytest.raises(IngestionError):
+    with pytest.raises(IngestionError) as err:
         tc.load_textgraph(*paths)
+    assert str(err.value) == f"{paths[2]}: split 'val' node 1 is also in split 'train'"
 
 
 def test_load_malformed_node_line_reports_line(tmp_path):
@@ -370,13 +381,21 @@ REFUSALS = {
     "edges-non-integer": (loading(THREE_NODES, "0\t1\n\n1\tx\n"), IngestionError,
                           "{edges} line 3: non-integer endpoint"),
     "unknown-split": (loading(THREE_NODES, splits="train: 0\ntest: 1\ndev: 2\n"),
-                      IngestionError, "{splits} line 3: unknown split 'dev'"),
+                      IngestionError,
+                      "{splits}: unknown split 'dev', not one of ('train', 'val', 'test')"),
     "duplicate-split": (loading(THREE_NODES, splits="train: 0\nval: 1\ntrain: 2\n"),
                         IngestionError, "{splits} line 3: duplicate split 'train'"),
     "split-non-integer": (loading(THREE_NODES, splits="train: 0\nval: 1, one\n"),
                           IngestionError, "{splits} line 2: non-integer node id 'one'"),
     "split-out-of-range": (loading(THREE_NODES, splits="\ntrain: 0,3\n"), IngestionError,
-                           "{splits} line 2: node id 3 out of range"),
+                           "{splits}: split 'train' node 3 is out of range for a 3-node graph"),
+    "split-id-twice": (loading(THREE_NODES, splits="train: 0\nval: 2, 1,2\n"), IngestionError,
+                       "{splits}: split 'val' lists node 2 twice"),
+    "vocab-token-twice": (lambda root: tc.Vocabulary([*tc.RESERVED_TOKENS, "a", "b", "a"]),
+                          ContractError, "vocabulary lists ['a'] more than once"),
+    "vocab-no-reserved": (lambda root: tc.Vocabulary(["a", "b", "c", "d"]), ContractError,
+                          "vocabulary must be a list of strings starting with the four "
+                          "reserved tokens"),
     "encode-max-len-0": (lambda root: tc.encode("a b", tc.build_vocab(["a b"]), max_len=0),
                          ConfigError, "max_len must be >= 1, got 0"),
     "pad-nothing": (lambda root: tc.pad_sequences([]), ContractError,

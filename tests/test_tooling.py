@@ -96,6 +96,27 @@ def test_every_cli_matrix_command_parses(monkeypatch):
         parser.parse_args(argv)  # exits on an unknown flag or value
 
 
+# Dataclasses of src/nodegae that are not frozen, and why each is not.
+MUTABLE_DATACLASSES = {
+    "AdamState": "its step count moves with every adam_step",
+}
+
+
+def test_every_dataclass_is_frozen_but_the_allowlisted():
+    """A frozen dataclass that checks itself when built stays valid; one that is not
+    frozen can be assigned around its checks, so it needs a reason here."""
+    import dataclasses
+    import inspect
+
+    mutable = []
+    for path in sorted((REPO / "src" / "nodegae").glob("[!_]*.py")):
+        module = importlib.import_module(f"nodegae.{path.stem}")
+        mutable += [name for name, cls in inspect.getmembers(module, inspect.isclass)
+                    if dataclasses.is_dataclass(cls) and cls.__module__ == module.__name__
+                    and not cls.__dataclass_params__.frozen]
+    assert sorted(mutable) == sorted(MUTABLE_DATACLASSES)
+
+
 # Public names with no caller in src/nodegae or tools/, and why each stays.
 UNCALLED_PUBLIC_API = {
     "gelu": "perfbench's tracer looks it up by name; the benchmark PR deletes it",
